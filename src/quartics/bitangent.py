@@ -25,10 +25,11 @@ from functools import lru_cache
 
 from . import components as comp
 from . import numroots
-from .errors import DegeneracyError, DomainError, EnumerationError
-from .polyring import (Polynomial, VarTable, convert, eval_exact,
+from .errors import DomainError, EnumerationError
+from .polyring import (Polynomial, VarTable, convert, eval_exact, eval_scaled,
                        substitute_linear)
-from .symfam import FAMILY_PARAMS, QuarticForm, make_family
+from .symfam import (FAMILY_PARAMS, QuarticForm, make_family,
+                     singular_locus_check, x4_triple)
 
 DEFAULT_CERT_TOL = 1e-9
 DEFAULT_DEDUPE_TOL = 1e-8
@@ -113,12 +114,16 @@ def proj_distance(p, q) -> float:
 
 
 def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
-    """Collapse projectively equal lines; representatives in deterministic order."""
-    reps: list[ProjLine] = []
+    """Collapse projectively equal lines, keeping the first of each class.
+
+    Items are :class:`ProjLine`, :class:`BitangentCert` or coefficient
+    triples; the representatives come back in deterministic ``sort_key`` order.
+    """
+    reps = []
     for line in lines:
-        if not isinstance(line, ProjLine):
+        if not isinstance(line, (ProjLine, BitangentCert)):
             line = ProjLine.from_coefficients(line)
-        if all(proj_distance(line.coefficients, r.coefficients) >= tol for r in reps):
+        if not any(proj_distance(line.coefficients, r.coefficients) < tol for r in reps):
             reps.append(line)
     return sorted(reps, key=lambda l: l.sort_key())
 
@@ -132,6 +137,13 @@ class BitangentCert:
     residual: float
     source: str
     chart: str
+
+    @property
+    def coefficients(self) -> tuple[complex, complex, complex]:
+        return self.line.coefficients
+
+    def sort_key(self):
+        return self.line.sort_key()
 
 
 # -- the tangency system ------------------------------------------------------
@@ -231,21 +243,6 @@ def perfect_square_fit(coeffs, tol: float = DEFAULT_CERT_TOL):
 
 
 # -- numeric evaluation helpers ------------------------------------------------
-
-
-def eval_scaled(poly: Polynomial, point) -> tuple[complex, float]:
-    """Evaluate and report the largest summand modulus (a cancellation scale)."""
-    names = poly.table.names
-    total = 0j
-    scale = 0.0
-    for exps, coeff in poly.sorted_terms():
-        term = complex(float(coeff))
-        for i, e in enumerate(exps):
-            if e:
-                term *= complex(point[names[i]]) ** e
-        total += term
-        scale = max(scale, abs(term))
-    return total, scale
 
 
 def generator_residual(poly: Polynomial, point) -> float:
@@ -357,7 +354,8 @@ def _solve_x24_chart(r):
 _EIGHTH_ROOTS = tuple(cmath.exp(1j * cmath.pi * k / 4) for k in range(8))
 
 
-def _x96_candidates():
+def _x96_candidates(_triple):
+    """The closed-form list: Fermat's 28 lines need no parameters."""
     out = []
     for za in _EIGHTH_ROOTS:
         for zb in _EIGHTH_ROOTS:
@@ -368,67 +366,53 @@ def _x96_candidates():
     return out
 
 
-# -- degeneracy --------------------------------------------------------------
+# -- candidate sources ---------------------------------------------------------
+
+#: Per chart: the order of the X4 triple in its solver and the line embedding.
+_CHART_ROTATIONS = (
+    ((0, 1, 2), lambda a, b: (a, b, 1 + 0j)),
+    ((1, 2, 0), lambda a, b: (1 + 0j, a, b)),
+    ((2, 0, 1), lambda a, b: (b, 1 + 0j, a)),
+)
 
 
-def singular_locus_check(family: str, params: tuple[Fraction, ...]):
-    """Raise :class:`DegeneracyError` when the family member is singular.
-
-    The smooth locus is cut out exactly by: no parameter equal to +-2 (a
-    coordinate-section of the curve becomes a perfect square, degenerating
-    the coordinate bitangents; +-2 everywhere gives a double conic) and, for
-    the three-parameter family, ``r^2+s^2+u^2 - r*s*u - 4 != 0`` (the locus
-    where the curve acquires a singular point with all coordinates nonzero).
-    """
-    lookup = dict(zip(FAMILY_PARAMS[family], params))
-    for name, value in lookup.items():
-        if value == 2 or value == -2:
-            raise DegeneracyError(
-                f"{family} with {name} = {value}: degenerate locus |{name}| = 2 "
-                "(a coordinate line becomes a bitangent of a non-generic configuration; "
-                "at all parameters +-2 the quartic is a double conic)"
-            )
-    if family == "X4":
-        r, s, u = (lookup[n] for n in ("r", "s", "u"))
-        det = r * r + s * s + u * u - r * s * u - 4
-    elif family == "X16":
-        r, s = lookup["r"], lookup["s"]
-        det = (r - 2) * (r + 2 - s * s)
-    elif family == "X24":
-        r = lookup["r"]
-        det = -(r + 1) * (r - 2) ** 2
-    else:
-        return
-    if det == 0:
-        raise DegeneracyError(
-            f"{family}{tuple(str(v) for v in params)}: singular curve "
-            "(locus r^2+s^2+u^2-rsu-4 = 0 under the family's parameter identification)"
-        )
+def _in_three_charts(family: str, solve):
+    """A candidate source: the chart solver on the rotated triple in every chart."""
+    def source(triple):
+        return [(embed(a, b), f"{family}.{tag}")
+                for order, embed in _CHART_ROTATIONS
+                for a, b, tag in solve(*(triple[i] for i in order))]
+    return source
 
 
-# -- enumeration ---------------------------------------------------------------
+def _x16_candidates(triple):
+    r, s, _ = triple
+    out = [((a, b, 1 + 0j), f"X16.{tag}") for a, b, tag in _solve_x16_chart(r, s)]
+    for b in _biq_roots(comp.X16_XY_BIQUADRATIC, {"r": r, "s": s}):
+        out.append(((1 + 0j, b, 0j), "X16.J1''"))
+    return out
 
 
-def _rotation_plans(family: str, params: dict):
-    """Chart plans: (chart id, rotated parameter tuple, line embedding)."""
-    if family == "X4":
-        r, s, u = params["r"], params["s"], params["u"]
-        return [
-            ("XY", (r, s, u), lambda a, b: (a, b, 1 + 0j)),
-            ("YZ", (s, u, r), lambda a, b: (1 + 0j, a, b)),
-            ("ZX", (u, r, s), lambda a, b: (b, 1 + 0j, a)),
-        ]
-    if family == "X24":
-        r = (params["r"],)
-        return [
-            ("XY", r, lambda a, b: (a, b, 1 + 0j)),
-            ("YZ", r, lambda a, b: (1 + 0j, a, b)),
-            ("ZX", r, lambda a, b: (b, 1 + 0j, a)),
-        ]
-    raise DomainError(family)
+_x4_candidates = _in_three_charts("X4", _solve_x4_chart)
+
+#: Candidate sources per family, each called with the member's X4 triple.
+#: The specialized families embed in the three-parameter one, whose
+#: resultant-based general component is solved in all three charts; it is a
+#: supplementary source.  On thin parameter loci a specialized
+#: two-generator component description can pick up points with no
+#: perfect-square lift (its variety is only an upper bound for the projected
+#: ideal there), and certification would then leave holes that these
+#: candidates fill.  Family components come first, so deduplication keeps
+#: their tags for lines found both ways.
+CANDIDATE_SOURCES = {
+    "X4": (_x4_candidates,),
+    "X16": (_x16_candidates, _x4_candidates),
+    "X24": (_in_three_charts("X24", lambda r, s, u: _solve_x24_chart(r)), _x4_candidates),
+    "X96": (_x96_candidates,),
+}
 
 
-def _certify(fpoly: Polynomial, coeffs, tol: float):
+def _certify(fpoly: Polynomial, coeffs, tol: float, source: str):
     """Perfect-square certification of a candidate line against ``fpoly``."""
     line = ProjLine.from_coefficients(coeffs)
     chart = line.chart
@@ -441,7 +425,7 @@ def _certify(fpoly: Polynomial, coeffs, tol: float):
     if fit is None:
         return None
     lam, residual = fit
-    return BitangentCert(line, lam, residual, "", chart)
+    return BitangentCert(line, lam, residual, source, chart)
 
 
 def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
@@ -462,73 +446,35 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
         )
     singular_locus_check(family, params)
     form = make_family(family, params)
-    lookup = dict(zip(FAMILY_PARAMS[family], params))
+    triple = x4_triple(family, params)
 
-    candidates: list[tuple[tuple[complex, complex, complex], str]] = []
-    if family == "X96":
-        candidates = _x96_candidates()
-    elif family == "X16":
-        for a, b, tag in _solve_x16_chart(lookup["r"], lookup["s"]):
-            candidates.append(((a, b, 1 + 0j), f"X16.{tag}"))
-        for b in _biq_roots(comp.X16_XY_BIQUADRATIC, lookup):
-            candidates.append(((1 + 0j, b, 0j), "X16.J1''"))
-    else:
-        solver = _solve_x4_chart if family == "X4" else _solve_x24_chart
-        for chart, rparams, embed in _rotation_plans(family, lookup):
-            for a, b, tag in solver(*rparams):
-                candidates.append((embed(a, b), f"{family}.{tag}"))
-
-    # The specialized families embed in the three-parameter one, whose
-    # resultant-based general component is solved in all three charts; use it
-    # as a supplementary candidate source.  On thin parameter loci a
-    # specialized two-generator component description can pick up points with
-    # no perfect-square lift (its variety is only an upper bound for the
-    # projected ideal there), and certification would then leave holes that
-    # these candidates fill.  Family components come first, so deduplication
-    # keeps their tags for lines found both ways.
-    if family in ("X16", "X24"):
-        x4_lookup = {"r": lookup["r"], "s": lookup.get("s", lookup["r"]),
-                     "u": lookup.get("s", lookup["r"])}
-        for chart, rparams, embed in _rotation_plans("X4", x4_lookup):
-            for a, b, tag in _solve_x4_chart(*rparams):
-                candidates.append((embed(a, b), f"X4.{tag}"))
-
+    candidates = [c for source in CANDIDATE_SOURCES[family] for c in source(triple)]
     certified: list[BitangentCert] = []
     failures: dict[str, int] = {}
     for coeffs, source in candidates:
-        cert = _certify(form.poly, coeffs, tol)
+        cert = _certify(form.poly, coeffs, tol, source)
         if cert is None:
             failures[source] = failures.get(source, 0) + 1
             continue
-        certified.append(BitangentCert(cert.line, cert.lam, cert.residual, source, cert.chart))
+        certified.append(cert)
 
     # general-position candidates of X4 must also kill all ten ideal generators
+    # in chart XY; one with a vanishing z coefficient cannot be checked there
     if family == "X4":
         kept = []
-        cparams = {k: complex(float(v)) for k, v in lookup.items()}
+        cparams = {k: complex(float(v)) for k, v in zip(FAMILY_PARAMS["X4"], triple)}
         for cert in certified:
             if cert.source == "X4.J1":
-                a, b, _ = _chart_ab(cert)
-                point = {"a": a, "b": b, **cparams}
-                worst = max(generator_residual(g, point) for g in comp.X4_J1_GENERATORS)
-                if worst >= tol:
+                c0, c1, c2 = cert.coefficients
+                point = {"a": c0 / c2, "b": c1 / c2, **cparams} if abs(c2) > 1e-12 else None
+                if point is None or max(
+                        generator_residual(g, point) for g in comp.X4_J1_GENERATORS) >= tol:
                     failures["X4.J1(generators)"] = failures.get("X4.J1(generators)", 0) + 1
                     continue
             kept.append(cert)
         certified = kept
 
-    # projective dedupe, keeping the first certificate of each class
-    reps: list[BitangentCert] = []
-    for cert in certified:
-        match = None
-        for known in reps:
-            if proj_distance(cert.line.coefficients, known.line.coefficients) < dedupe_tol:
-                match = known
-                break
-        if match is None:
-            reps.append(cert)
-    reps.sort(key=lambda c: c.line.sort_key())
-
+    reps = dedupe_lines(certified, dedupe_tol)
     if len(reps) != 28:
         counts: dict[str, int] = {}
         for c in reps:
@@ -538,19 +484,6 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
             f"lines instead of 28 (by component: {counts}; rejected: {failures})"
         )
     return reps
-
-
-def _chart_ab(cert: BitangentCert) -> tuple[complex, complex, complex]:
-    """The X4 chart-XY unknowns (a, b) of a certified line with nonzero z slot.
-
-    Falls back to the raw coefficients when the z slot vanishes (the ten J1
-    generators are only consulted for general-position lines, which have a
-    nonzero z coefficient).
-    """
-    c0, c1, c2 = cert.line.coefficients
-    if abs(c2) > 1e-12:
-        return c0 / c2, c1 / c2, 1 + 0j
-    return c0, c1, c2
 
 
 def coordinate_type_count(certs) -> tuple[int, int]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -52,6 +53,14 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"cannot parse rational {text!r}: {exc}") from None
 
 
+def tolerance(text: str) -> float:
+    """The argparse type of the tolerance flags: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _rat_str(value: Fraction) -> str:
     value = Fraction(value)
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
@@ -75,7 +84,8 @@ def _poly_payload(p: Polynomial):
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ": "), indent=1)
+    json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ": "), indent=1,
+              allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -170,10 +180,7 @@ def cmd_bitangents(args) -> dict:
 
 
 def cmd_detrep(args) -> dict:
-    params = args.params or []
-    if len(params) != 3:
-        raise UsageError(f"detrep needs 3 parameters r s u, got {len(params)}")
-    r, s, u = (_fraction(t) for t in params)
+    r, s, u = _parse_params("X4", args.params, False)
     rep = solve_detrep(r, s, u, tol=args.tol, seed=args.seed)
     return {
         "schema": SCHEMA,
@@ -218,13 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bit = sub.add_parser("bitangents", help="all 28 certified bitangents")
     p_bit.add_argument("--family", required=True, choices=["X4", "X16", "X24", "X96"])
     p_bit.add_argument("--params", nargs="*", metavar="Q")
-    p_bit.add_argument("--tol", type=float, default=DEFAULT_CERT_TOL)
-    p_bit.add_argument("--dedupe-tol", type=float, default=DEFAULT_DEDUPE_TOL)
+    p_bit.add_argument("--tol", type=tolerance, default=DEFAULT_CERT_TOL)
+    p_bit.add_argument("--dedupe-tol", type=tolerance, default=DEFAULT_DEDUPE_TOL)
     p_bit.set_defaults(run=cmd_bitangents)
 
     p_det = sub.add_parser("detrep", help="symmetric 4x4 pencil with det = f")
-    p_det.add_argument("--params", nargs="*", metavar="Q", help="r s u")
-    p_det.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_det.add_argument("--params", nargs="*", metavar="Q",
+                       help="r s u; negatives via --params=-7/2,1,3")
+    p_det.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p_det.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_det.set_defaults(run=cmd_detrep)
     return parser

@@ -20,10 +20,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import DegeneracyError, NormalizationError, SolverError
 from . import numroots
+from .diffcalc import det, matrix_from_rows
+from .errors import DegeneracyError, NormalizationError, SolverError
 from .polyring import Polynomial, VarTable, eval_complex
 from .symfam import make_family
 
@@ -180,8 +179,6 @@ def determinant_expand(A, B, C) -> Polynomial:
     The arguments are square matrices of polynomials over a common table
     whose geometric variables start with (x, y, z).
     """
-    from .diffcalc import matrix_from_rows, det
-
     table = A[0][0].table
     x, y, z = (Polynomial.variable(table, n) for n in table.geometric[:3])
     n = len(A)
@@ -228,14 +225,13 @@ def _certification_points(seed: int):
 
 def _determinant_residual(rep: DetRep, r, s, u, seed: int) -> float:
     form = make_family("X4", (Fraction(r), Fraction(s), Fraction(u)))
-    A = np.eye(4, dtype=complex)
-    B = np.diag(np.array(rep.b_diagonal, dtype=complex))
-    C = np.array(rep.c_matrix, dtype=complex)
+    rows = tuple(zip(rep.a_matrix, rep.b_matrix, rep.c_matrix))
     worst = 0.0
     for (x, y, z) in _certification_points(seed):
-        det = np.linalg.det(x * A + y * B + z * C)
+        pencil = [[x * a + y * b + z * c for a, b, c in zip(*row)] for row in rows]
+        value = det(matrix_from_rows(pencil))
         fval = eval_complex(form.poly, {"x": x, "y": y, "z": z})
-        worst = max(worst, abs(det - fval) / (1.0 + abs(fval)))
+        worst = max(worst, abs(value - fval) / (1.0 + abs(fval)))
     return worst
 
 

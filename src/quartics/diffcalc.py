@@ -96,23 +96,22 @@ def hessian(f: Polynomial, scale: Fraction = Fraction(1)) -> PolyMatrix:
 
 
 def det(m: PolyMatrix) -> Polynomial:
-    """Exact determinant by cofactor expansion (sizes up to 4 in practice)."""
+    """Determinant by cofactor expansion (sizes up to 4 in practice).
+
+    Exact for polynomial entries; complex entries give the numeric value.
+    """
     return _det_rows([list(row) for row in m.entries])
 
 
-def _det_rows(rows) -> Polynomial:
-    n = len(rows)
-    if n == 1:
+def _det_rows(rows):
+    if len(rows) == 1:
         return rows[0][0]
-    table = rows[0][0].table
-    total = Polynomial.zero(table)
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
+    total = 0 * rows[0][0]
+    for j, entry in enumerate(rows[0]):
+        if not entry:
             continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cofactor = _det_rows(minor)
-        term = entry * cofactor
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = entry * _det_rows(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
 

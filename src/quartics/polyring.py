@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DegreeError, DomainError, RoleError, TableMismatchError
 
@@ -323,16 +323,6 @@ class Polynomial:
 # -- the module-level operation surface -------------------------------------
 
 
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact sum of two polynomials over the same table."""
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact product via sparse convolution."""
-    return p * q
-
-
 def _falling(n: int, k: int) -> int:
     out = 1
     for i in range(k):
@@ -417,27 +407,34 @@ def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
     return Polynomial._raw(p.table, out)
 
 
-def eval_complex(p: Polynomial, point: Mapping[str, complex]) -> complex:
-    """Evaluate at a complex point, summing in canonical term order.
+def eval_scaled(p: Polynomial, point: Mapping[str, complex]) -> tuple[complex, float]:
+    """Evaluate at a complex point and report the largest summand modulus.
 
+    Sums in canonical term order; the summand scale measures cancellation.
     Every variable that actually occurs must be assigned.  Coefficients are
     converted with correctly rounded Fraction-to-float division, so bounded
     inputs evaluate to full double precision.
     """
     names = p.table.names
-    values: list[complex | None] = [point.get(n) for n in names]
     total = 0j
-    for exps, coeff in sorted(p._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True):
+    scale = 0.0
+    for exps, coeff in p.sorted_terms():
         term = complex(float(coeff))
         for i, e in enumerate(exps):
             if not e:
                 continue
-            v = values[i]
+            v = point.get(names[i])
             if v is None:
                 raise DomainError(f"variable {names[i]!r} not assigned")
             term *= complex(v) ** e
         total += term
-    return total
+        scale = max(scale, abs(term))
+    return total, scale
+
+
+def eval_complex(p: Polynomial, point: Mapping[str, complex]) -> complex:
+    """Evaluate at a complex point (the value of :func:`eval_scaled`)."""
+    return eval_scaled(p, point)[0]
 
 
 def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
@@ -532,11 +529,3 @@ def compose_linear(p: Polynomial, matrix: Sequence[Sequence[Fraction | int]]) ->
                 factor = factor * image_power(i, exps[i])
         result = result + factor
     return result
-
-
-def poly_from_string_terms(table: VarTable, entries: Iterable[tuple[Mapping[str, int], Fraction | int]]) -> Polynomial:
-    """Build a polynomial from (powers, coefficient) pairs; convenience for data tables."""
-    total = Polynomial.zero(table)
-    for powers, coeff in entries:
-        total = total + Polynomial.monomial(table, powers, coeff)
-    return total

@@ -24,8 +24,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-from .dixmier import InvariantSet, dixmier_invariants
-from .errors import DomainError
+from .dixmier import InvariantSet
+from .errors import DegeneracyError, DomainError
 from .polyring import Polynomial, VarTable
 
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
@@ -33,6 +33,15 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
     "X16": ("r", "s"),
     "X24": ("r",),
     "X96": (),
+}
+
+#: Each family as a specialization of X4: the family parameter in each of
+#: X4's slots (r, s, u); ``None`` is the constant 0.
+X4_SLOTS: dict[str, tuple[str | None, ...]] = {
+    "X4": ("r", "s", "u"),
+    "X16": ("r", "s", "s"),
+    "X24": ("r", "r", "r"),
+    "X96": (None, None, None),
 }
 
 GEOMETRIC = ("x", "y", "z")
@@ -100,6 +109,37 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
         for (i, j, k) in monomials:
             poly = poly + coeff * Polynomial.monomial(table, {"x": i, "y": j, "z": k})
     return QuarticForm(poly, family, values)
+
+
+def x4_triple(family: str, params: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The member's parameters as the X4 triple (r, s, u) it specializes."""
+    lookup = dict(zip(FAMILY_PARAMS[family], params))
+    return tuple(lookup.get(name, Fraction(0)) for name in X4_SLOTS[family])
+
+
+def singular_locus_check(family: str, params: Sequence[Fraction]):
+    """Raise :class:`DegeneracyError` when the family member is singular.
+
+    On the X4 triple the smooth locus is cut out exactly by: no parameter
+    equal to +-2 (a coordinate-section of the curve becomes a perfect
+    square, degenerating the coordinate bitangents; +-2 everywhere gives a
+    double conic) and ``r^2+s^2+u^2 - r*s*u - 4 != 0`` (the locus where the
+    curve acquires a singular point with all coordinates nonzero).
+    """
+    triple = x4_triple(family, params)
+    for name, value in zip(X4_SLOTS[family], triple):
+        if value == 2 or value == -2:
+            raise DegeneracyError(
+                f"{family} with {name} = {value}: degenerate locus |{name}| = 2 "
+                "(a coordinate line becomes a bitangent of a non-generic configuration; "
+                "at all parameters +-2 the quartic is a double conic)"
+            )
+    r, s, u = triple
+    if r * r + s * s + u * u - r * s * u - 4 == 0:
+        raise DegeneracyError(
+            f"{family}{tuple(str(v) for v in params)}: singular curve "
+            "(locus r^2+s^2+u^2-rsu-4 = 0 under the family's parameter identification)"
+        )
 
 
 # Graded-lex order of the 15 quartic monomials x^i y^j z^k, used by the CLI
@@ -338,8 +378,3 @@ def golden_compare(inv: InvariantSet, family: str) -> GoldenReport:
             failures[k] = f"first differing monomial {exps}: residue {coeff}"
             gamma[k] = None
     return GoldenReport(family, gamma, failures)
-
-
-def family_invariants(family: str, params=None) -> InvariantSet:
-    """Convenience: build the family and run the invariant pipeline."""
-    return dixmier_invariants(make_family(family, params))

@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
+import pytest
 
 from quartics.cli import (EXIT_DEGENERATE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                           main)
+from quartics.detrep import solve_detrep
 
 
 def run_cli(capsys, argv):
@@ -130,6 +133,32 @@ class TestDetrep:
         code, _, _ = run_cli(capsys, ["detrep", "--params", "1"])
         assert code == EXIT_USAGE
 
+    def test_negative_rational_params(self, capsys):
+        code, out, _ = run_cli(capsys, ["detrep", "--params=-7/2,1,3"])
+        assert code == EXIT_OK
+        data = json.loads(out)
+        rep = solve_detrep(Fraction(-7, 2), 1, 3)
+        assert data["params"] == ["-7/2", "1", "3"]
+        for key, matrix in (("A", rep.a_matrix), ("B", rep.b_matrix), ("C", rep.c_matrix)):
+            assert data[key] == [[[v.real, v.imag] for v in row] for row in matrix]
+        assert data["branch"] == {"t_index": rep.branch.t_index,
+                                  "cd_swap": rep.branch.cd_swap,
+                                  "be_swap": rep.branch.be_swap}
+        assert data["residuals"] == rep.residuals
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["bitangents", "--family", "X4", "--params", "1", "3", "5", "--tol"],
+    ["bitangents", "--family", "X4", "--params", "1", "3", "5", "--dedupe-tol"],
+    ["detrep", "--params", "1", "2", "3", "--tol"],
+])
+def test_tolerance_must_be_finite_and_positive(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
 
 class TestEnvelope:
     def test_roundtrip_identity(self, capsys):
@@ -146,6 +175,17 @@ class TestEnvelope:
         a = subprocess.run(argv, capture_output=True, check=True)
         b = subprocess.run(argv, capture_output=True, check=True)
         assert a.stdout == b.stdout and a.stdout
+
+    def test_runs_without_numpy(self):
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import quartics.cli as cli\n"
+            "sys.exit(cli.main(['detrep', '--params', '1', '2', '3'])"
+            " or cli.main(['bitangents', '--family', 'X96']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
 
     def test_unknown_family_exits_two(self):
         argv = [sys.executable, "-m", "quartics.cli", "invariants", "--family", "X7"]

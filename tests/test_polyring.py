@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quartics.errors import DegreeError, RoleError, TableMismatchError
-from quartics.polyring import (Polynomial, VarTable, add, compose_linear,
+from quartics.polyring import (Polynomial, VarTable, compose_linear,
                                convert, eval_complex, eval_exact, homogenize,
-                               mul, partial, substitute_linear,
+                               partial, substitute_linear,
                                substitute_values)
 
 from conftest import XYZ, random_quartic
@@ -28,11 +28,11 @@ def var(table, name):
 class TestAdd:
     def test_additive_inverse(self):
         p = mono(XYZ, {"x": 4})
-        assert add(p, -p).is_zero()
+        assert (p + -p).is_zero()
 
     def test_doubling(self):
         p = mono(XYZ, {"x": 2, "y": 2})
-        assert add(p, p) == mono(XYZ, {"x": 2, "y": 2}, 2)
+        assert p + p == mono(XYZ, {"x": 2, "y": 2}, 2)
 
     def test_symmetric_table_sum(self):
         # 6*S[2] + 2*S[1,1,1] + 72 assembled termwise equals 2*(3*S[2] + S[1,1,1] + 36)
@@ -45,13 +45,13 @@ class TestAdd:
 
     def test_table_mismatch(self):
         with pytest.raises(TableMismatchError):
-            add(mono(XYZ, {"x": 1}), mono(PAR, {"x": 1}))
+            mono(XYZ, {"x": 1}) + mono(PAR, {"x": 1})
 
 
 class TestMul:
     def test_difference_of_squares(self):
         x, y = var(XYZ, "x"), var(XYZ, "y")
-        assert mul(x + y, x - y) == x * x - y * y
+        assert (x + y) * (x - y) == x * x - y * y
 
     def test_quadratic_square_expansion(self):
         # (l0 x^2 + l1 xy + l2 y^2)^2, the certified-square shape
@@ -68,7 +68,7 @@ class TestMul:
 
     def test_multiply_by_zero(self):
         p = random_quartic(random.Random(1))
-        assert mul(p, Polynomial.zero(XYZ)).is_zero()
+        assert (p * Polynomial.zero(XYZ)).is_zero()
 
 
 class TestPartial:
