@@ -26,8 +26,8 @@ from functools import lru_cache
 from . import components as comp
 from . import numroots
 from .errors import DomainError, EnumerationError
-from .polyring import (Polynomial, VarTable, convert, eval_exact, eval_scaled,
-                       substitute_linear)
+from .polyring import (Polynomial, VarTable, eval_exact, eval_scaled,
+                       restrict_to_line)
 from .symfam import (FAMILY_PARAMS, QuarticForm, make_family,
                      singular_locus_check, x4_triple)
 
@@ -150,9 +150,10 @@ class BitangentCert:
 
 
 def _chart_table(table: VarTable, chart: str) -> VarTable:
-    unknowns = CHARTS[chart].unknowns
-    extra = tuple(n for n in unknowns + ("l0", "l1", "l2") if n not in table.names)
-    return VarTable(table.geometric, table.parameters + extra)
+    clash = [n for n in ("a", "b", "c", "l0", "l1", "l2") if n in table.names]
+    if clash:
+        raise DomainError(f"variable {clash[0]!r} is reserved for the bitangent unknowns")
+    return VarTable(table.geometric, table.parameters + CHARTS[chart].unknowns + ("l0", "l1", "l2"))
 
 
 def restriction_coefficients(f, chart: str) -> list[Polynomial]:
@@ -169,21 +170,8 @@ def restriction_coefficients(f, chart: str) -> list[Polynomial]:
 @lru_cache(maxsize=64)
 def _restriction_coefficients_cached(poly: Polynomial, chart: str) -> list[Polynomial]:
     spec = CHARTS[chart]
-    subst, pair, unknowns = spec.normalized, spec.pair, spec.unknowns
-    table = _chart_table(poly.table, chart)
-    fe = convert(poly, table)
-    line = -(Polynomial.variable(table, unknowns[0]) * Polynomial.variable(table, pair[0])
-             + Polynomial.variable(table, unknowns[1]) * Polynomial.variable(table, pair[1]))
-    restricted = substitute_linear(fe, subst, line)
-    groups = restricted.geometric_coefficients()
-    i1, i2 = table.index(pair[0]), table.index(pair[1])
-    out = []
-    for k in range(5):
-        want = [0] * table.n_geometric
-        want[i1] = 4 - k
-        want[i2] = k
-        out.append(groups.get(tuple(want), Polynomial.zero(table)))
-    return out
+    return restrict_to_line(poly, _chart_table(poly.table, chart), spec.normalized,
+                            spec.pair, spec.unknowns)
 
 
 def build_tangency_system(f, chart: str = "XY") -> list[Polynomial]:

@@ -3,9 +3,11 @@
 The construction restricts a quartic ``f(x, y, z)`` to the pencil of lines
 ``z = -u*x - v*y``, takes the two classical invariants of the resulting
 binary quartic (``Sigma``, the apolar invariant, and ``Psi``, the
-catalecticant), and homogenizes them into the contravariants ``sigma``
-(degree 4) and ``psi`` (degree 6).  Pairing back against ``f`` produces the
-quadratic covariants ``rho`` and ``tau``, and the six invariants
+catalecticant) in closed form, and homogenizes them into the contravariants
+``sigma`` (degree 4) and ``psi`` (degree 6).  The public pairing
+``diffcalc.transvectant`` is the tests' oracle for the closed forms.  Pairing
+back against ``f`` produces the quadratic covariants ``rho`` and ``tau``, and
+the six invariants
 
     I3  = D_sigma(f)
     I6  = D_psi(det H(f)) - I3^2 / 2592
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diffcalc
-from .diffcalc import diff_pair, hessian, j_bracket, transvectant
+from .diffcalc import diff_pair, hessian, j_bracket
 from .errors import DegreeError
-from .polyring import Polynomial, VarTable, convert, homogenize, substitute_linear
+from .polyring import Polynomial, VarTable, convert, homogenize, restrict_to_line
 
 # Hessian convention: bare second partials.  The alternative 1/2 scale fails
 # the Fermat anchor I6 = 13822 by a wide margin; see tests/test_dixmier.py.
@@ -66,26 +68,20 @@ class BinaryQuartic:
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, pair: tuple[str, str] | None = None) -> "BinaryQuartic":
-        if pair is None:
-            pair = p.table.geometric[:2]
-        x, y = pair
-        if p.geometric_degree() > 4:
-            raise DegreeError("not a binary quartic: geometric degree exceeds 4")
-        coeffs = []
-        slots = set()
-        groups = p.geometric_coefficients()
+        if len(pair or p.table.geometric) < 2:
+            raise DegreeError("a binary quartic needs two geometric variables")
+        x, y = pair or p.table.geometric[:2]
         ix, iy = p.table.index(x), p.table.index(y)
-        ng = p.table.n_geometric
+        slots = []
         for i in range(5):
-            want = [0] * ng
-            want[ix] = 4 - i
-            want[iy] = i
-            slots.add(tuple(want))
-            coeffs.append(groups.get(tuple(want), Polynomial.zero(p.table)))
-        bad = set(groups) - slots
+            want = [0] * p.table.n_geometric
+            want[ix], want[iy] = 4 - i, i
+            slots.append(tuple(want))
+        groups = p.geometric_coefficients()
+        bad = set(groups) - set(slots)
         if bad:
             raise DegreeError(f"form has geometric monomials outside ({x},{y}) degree 4: {sorted(bad)}")
-        return cls(tuple(coeffs), (x, y))
+        return cls(tuple(groups.get(s, Polynomial.zero(p.table)) for s in slots), (x, y))
 
     def to_polynomial(self) -> Polynomial:
         x, y = self.pair
@@ -96,17 +92,28 @@ class BinaryQuartic:
         return total
 
 
-def _binary_input(P) -> tuple[Polynomial, tuple[str, str]]:
-    if isinstance(P, BinaryQuartic):
-        return P.to_polynomial(), P.pair
-    p = _as_poly(P)
-    return p, p.table.geometric[:2]
+def binary_invariants(a) -> tuple[Polynomial, Polynomial]:
+    """``(Sigma, Psi)`` of ``a0*x^4 + a1*x^3*y + ... + a4*y^4`` in closed form::
+
+        Sigma = a0 a4 - a1 a3 / 4 + a2^2 / 12
+        Psi   = a0 a2 a4 / 6 - a0 a3^2 / 16 - a1^2 a4 / 16 + a1 a2 a3 / 48 - a2^3 / 216
+    """
+    a0, a1, a2, a3, a4 = a
+    a04, a13, a22 = a0 * a4, a1 * a3, a2 * a2
+    sigma = a04 - a13 * Fraction(1, 4) + a22 * Fraction(1, 12)
+    psi = (a2 * (a04 * Fraction(1, 6) + a13 * Fraction(1, 48) - a22 * Fraction(1, 216))
+           - (a0 * (a3 * a3) + (a1 * a1) * a4) * Fraction(1, 16))
+    return sigma, psi
+
+
+def _binary_invariants_of(P) -> tuple[Polynomial, Polynomial]:
+    p, pair = (P.to_polynomial(), P.pair) if isinstance(P, BinaryQuartic) else (_as_poly(P), None)
+    return binary_invariants(BinaryQuartic.from_polynomial(p, pair).coefficients)
 
 
 def sigma_binary(P) -> Polynomial:
     """Apolar invariant ``Sigma(P) = 1/2 (P,P)^4`` of a binary quartic."""
-    p, pair = _binary_input(P)
-    return transvectant(p, p, 4, pair) * Fraction(1, 2)
+    return _binary_invariants_of(P)[0]
 
 
 def psi_binary(P) -> Polynomial:
@@ -116,15 +123,12 @@ def psi_binary(P) -> Polynomial:
     against ``P`` gives the degree-3 invariant, normalized so that
     ``Sigma^3 - 27 Psi^2`` is the discriminant.
     """
-    p, pair = _binary_input(P)
-    q = transvectant(p, p, 2, pair)
-    return transvectant(p, q, 4, pair) * Fraction(1, 6)
+    return _binary_invariants_of(P)[1]
 
 
 def delta_binary(P) -> Polynomial:
     """Discriminant ``Delta(P) = Sigma(P)^3 - 27 Psi(P)^2`` (zero iff P has a repeated root)."""
-    s = sigma_binary(P)
-    t = psi_binary(P)
+    s, t = _binary_invariants_of(P)
     return s ** 3 - t ** 2 * 27
 
 
@@ -156,33 +160,23 @@ def _dual_names(table: VarTable) -> tuple[str, str]:
 def contravariants(f) -> tuple[Polynomial, Polynomial]:
     """The contravariants ``sigma`` (quartic) and ``psi`` (sextic) of a ternary quartic.
 
-    Build ``g(x,y) = f(x, y, -u*x - v*y)`` over fresh dual parameters
-    ``(u, v)``, take ``Sigma(g)`` and ``Psi(g)``, promote ``(u, v)`` to the
-    first two geometric coordinates, homogenize with the third to degrees 4
-    and 6, and return both forms in the table of ``f``.
+    Restrict ``f`` to ``z = -u*x - v*y`` over fresh dual parameters ``(u, v)``,
+    evaluate :func:`binary_invariants` on the five coefficients, promote
+    ``(u, v)`` to the first two geometric coordinates, homogenize with the
+    third to degrees 4 and 6, and return both forms in the table of ``f``.
     """
     p = _as_poly(f)
     table = p.table
-    if table.n_geometric != 3:
-        raise DegreeError("contravariants need a ternary form")
-    if p.geometric_degree() != 4 or not p.is_geometric_homogeneous():
-        raise DegreeError("contravariants need a homogeneous quartic")
+    if table.n_geometric != 3 or p.geometric_degree() != 4 or not p.is_geometric_homogeneous():
+        raise DegreeError("contravariants need a homogeneous ternary quartic")
     x, y, z = table.geometric
     du, dv = _dual_names(table)
     work = VarTable(table.geometric, table.parameters + (du, dv))
-    g = convert(p, work)
-    line = -(Polynomial.variable(work, du) * Polynomial.variable(work, x)
-             + Polynomial.variable(work, dv) * Polynomial.variable(work, y))
-    g = substitute_linear(g, z, line)
-
-    sig = transvectant(g, g, 4, (x, y)) * Fraction(1, 2)
-    q = transvectant(g, g, 2, (x, y))
-    psi = transvectant(g, q, 4, (x, y)) * Fraction(1, 6)
+    sig, psi = binary_invariants(restrict_to_line(p, work, z, (x, y), (du, dv)))
 
     def promote(expr: Polynomial, degree: int) -> Polynomial:
         dual = convert(expr, work, {du: x, dv: y})
-        dual = homogenize(dual, z, degree)
-        return convert(dual, table)
+        return convert(homogenize(dual, z, degree), table)
 
     return promote(sig, 4), promote(psi, 6)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 from .errors import DegreeError, DomainError, RoleError, TableMismatchError
@@ -71,12 +72,6 @@ class VarTable:
 
     def is_geometric(self, name: str) -> bool:
         return self.index(name) < len(self.geometric)
-
-    def geometric_part(self, exponents: Exponents) -> Exponents:
-        return exponents[: len(self.geometric)]
-
-    def parameter_part(self, exponents: Exponents) -> Exponents:
-        return exponents[len(self.geometric):]
 
 
 def _grlex_key(exponents: Exponents) -> tuple:
@@ -472,7 +467,6 @@ def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = N
     promoted to geometric coordinates.
     """
     rename = dict(rename or {})
-    names = p.table.names
     used = p.support_names()
     targets = {n: rename.get(n, n) for n in used}
     if len(set(targets.values())) != len(targets):
@@ -485,7 +479,7 @@ def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = N
         new = [0] * len(table)
         for i, e in enumerate(exps):
             if e:
-                new[slot[p.table.index(names[i])]] = e
+                new[slot[i]] = e
         key = tuple(new)
         c = out.get(key, _ZERO) + coeff
         if c:
@@ -493,6 +487,30 @@ def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = N
         elif key in out:
             del out[key]
     return Polynomial._raw(table, out)
+
+
+def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, str],
+                     unknowns: tuple[str, str]) -> list[Polynomial]:
+    """The coefficients of ``pair[0]^4, pair[0]^3 pair[1], ..., pair[1]^4`` of the
+    quartic form *p* on the line ``var = -u1*pair[0] - u2*pair[1]``, over *table*
+    (the table of *p* plus the *unknowns* ``(u1, u2)``).  Each power of *var*
+    is expanded binomially, so no polynomial is multiplied."""
+    p = convert(p, table)
+    iv, i0, i1, j0, j1 = (table.index(n) for n in (var, *pair, *unknowns))
+    ng = table.n_geometric
+    out = [{} for _ in range(5)]
+    for exps, coeff in p._terms.items():
+        k = exps[iv]
+        if exps[i0] + exps[i1] + k != 4 or sum(exps[:ng]) != 4:
+            raise DegreeError(f"not a quartic form in ({pair[0]},{pair[1]},{var}): {exps}")
+        for m in range(k + 1):
+            key = [0] * ng + list(exps[ng:])
+            key[j0] += m
+            key[j1] += k - m
+            key = tuple(key)
+            slot = out[exps[i1] + k - m]
+            slot[key] = slot.get(key, _ZERO) + coeff * ((-1) ** k * comb(k, m))
+    return [Polynomial(table, terms) for terms in out]
 
 
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence[Fraction | int]]) -> Polynomial:

@@ -15,7 +15,7 @@ from quartics.bitangent import (CHARTS, ProjLine, build_tangency_system,
                                 restriction_coefficients)
 from quartics.errors import DegeneracyError, DomainError
 from quartics.numroots import eval_poly
-from quartics.polyring import Polynomial, eval_exact
+from quartics.polyring import Polynomial, VarTable, eval_exact
 from quartics.symfam import make_family
 
 
@@ -55,6 +55,15 @@ class TestTangencySystem:
             for gen in gens:
                 value, scale = eval_scaled(gen, point)
                 assert abs(value) / max(scale, 1.0) < 1e-9
+
+    @pytest.mark.parametrize("name", ["a", "b", "c", "l0", "l1", "l2"])
+    def test_reserved_parameter_name_rejected(self, name):
+        t = VarTable(("x", "y", "z"), (name,))
+        f = mono(t, {"x": 4}) + var(t, name) * mono(t, {"y": 4}) + mono(t, {"z": 4})
+        with pytest.raises(DomainError, match=repr(name)):
+            restriction_coefficients(f, "XY")
+        with pytest.raises(DomainError, match=repr(name)):
+            build_tangency_system(f, "YZ")
 
 
 class TestPerfectSquareFit:

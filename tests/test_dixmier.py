@@ -4,20 +4,68 @@ anchored by exact reference values and checked by independent closed forms."""
 import random
 from fractions import Fraction
 
+import pytest
 
 from quartics.dixmier import (HESSIAN_SCALE, I6_CORRECTION, BinaryQuartic,
                               contravariants, covariants, delta_binary,
                               dixmier_invariants, psi_binary, sigma_binary)
-from quartics.diffcalc import det, diff_pair, hessian
-from quartics.polyring import (Polynomial, compose_linear, convert,
-                               substitute_linear, substitute_values)
+from quartics.diffcalc import det, diff_pair, hessian, transvectant
+from quartics.errors import DegreeError
+from quartics.polyring import (Polynomial, VarTable, compose_linear, convert,
+                               homogenize, substitute_linear, substitute_values)
 from quartics.symfam import make_family
 
-from conftest import XY, random_binary_form, random_quartic, random_unimodular
+from conftest import XY, random_binary_form, random_fraction, random_quartic, random_unimodular
+
+PQ = VarTable(("x", "y"), ("p", "q"))
+XYZ_PQ = VarTable(("x", "y", "z"), ("p", "q"))
 
 
 def mono(table, powers, c=1):
     return Polynomial.monomial(table, powers, c)
+
+
+def random_parameter_form(rng, table, degree):
+    """A binary or ternary form of *degree* whose coefficients are random
+    polynomials in the parameters ``p, q``."""
+    geo = table.geometric
+    poly = Polynomial.zero(table)
+    for exps in _compositions(degree, len(geo)):
+        for _ in range(2):
+            powers = dict(zip(geo, exps), p=rng.randint(0, 2), q=rng.randint(0, 1))
+            poly = poly + mono(table, powers, random_fraction(rng))
+    return poly
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def transvectant_contravariants(f):
+    """The transvectant construction of ``sigma`` and ``psi``: restrict ``f``
+    to ``z = -du*x - dv*y``, take ``1/2 (g,g)^4`` and ``1/6 (g,(g,g)^2)^4``,
+    and homogenize in the dual coordinates.  The reference for the closed
+    forms that :func:`contravariants` evaluates."""
+    p = getattr(f, "poly", f)
+    table = p.table
+    x, y, z = table.geometric
+    work = VarTable(table.geometric, table.parameters + ("du", "dv"))
+    line = -(Polynomial.variable(work, "du") * Polynomial.variable(work, x)
+             + Polynomial.variable(work, "dv") * Polynomial.variable(work, y))
+    g = substitute_linear(convert(p, work), z, line)
+    sig = transvectant(g, g, 4, (x, y)) * Fraction(1, 2)
+    psi = transvectant(g, transvectant(g, g, 2, (x, y)), 4, (x, y)) * Fraction(1, 6)
+
+    def promote(expr, degree):
+        dual = convert(expr, work, {"du": x, "dv": y})
+        return convert(homogenize(dual, z, degree), table)
+
+    return promote(sig, 4), promote(psi, 6)
 
 
 def classical_S(P):
@@ -71,8 +119,39 @@ class TestBinaryInvariants:
         assert wrapped.to_polynomial() == P
         assert sigma_binary(wrapped) == sigma_binary(P)
 
+    def test_transvectant_definitions_with_polynomial_coefficients(self):
+        rng = random.Random(59)
+        for _ in range(8):
+            P = random_parameter_form(rng, PQ, 4)
+            assert sigma_binary(P) == transvectant(P, P, 4) * Fraction(1, 2)
+            assert psi_binary(P) == transvectant(P, transvectant(P, P, 2), 4) * Fraction(1, 6)
+            assert psi_binary(BinaryQuartic.from_polynomial(P)) == psi_binary(P)
+
+    @pytest.mark.parametrize("invariant", [sigma_binary, psi_binary, delta_binary])
+    @pytest.mark.parametrize("powers", [
+        [{"x": 3}, {"y": 3}],            # cubic
+        [{"x": 5}, {"x": 1, "y": 4}],    # quintic
+        [{"x": 4}, {"x": 1, "y": 2}],    # not homogeneous
+    ])
+    def test_non_quartic_rejected(self, invariant, powers):
+        P = sum((mono(XY, m) for m in powers), Polynomial.zero(XY))
+        with pytest.raises(DegreeError):
+            invariant(P)
+
+    def test_one_variable_rejected(self):
+        with pytest.raises(DegreeError):
+            sigma_binary(mono(VarTable(("x",)), {"x": 4}))
+
 
 class TestContravariants:
+    def test_equals_transvectant_construction(self):
+        rng = random.Random(60)
+        forms = [random_quartic(rng) for _ in range(12)]
+        forms += [make_family(name) for name in ("X4", "X16", "X24", "X96")]
+        forms.append(random_parameter_form(rng, XYZ_PQ, 4))
+        for f in forms:
+            assert contravariants(f) == transvectant_contravariants(f)
+
     def test_fermat(self):
         f = make_family("X96")
         sigma, psi = contravariants(f)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quartics.errors import DegreeError, RoleError, TableMismatchError
 from quartics.polyring import (Polynomial, VarTable, compose_linear,
                                convert, eval_complex, eval_exact, homogenize,
-                               partial, substitute_linear,
+                               partial, restrict_to_line, substitute_linear,
                                substitute_values)
 
 from conftest import XYZ, random_quartic
@@ -115,6 +115,45 @@ class TestSubstituteLinear:
     def test_identity_substitution(self):
         p = random_quartic(random.Random(2))
         assert substitute_linear(p, "z", var(XYZ, "z")) == p
+
+
+class TestRestrictToLine:
+    LINE = VarTable(("x", "y", "z"), ("r", "s", "u", "a", "b"))
+
+    @staticmethod
+    def substituted(p, table, var_name, pair, unknowns):
+        """Reference: substitute the line and read off the binary coefficients."""
+        line = -(var(table, unknowns[0]) * var(table, pair[0])
+                 + var(table, unknowns[1]) * var(table, pair[1]))
+        groups = substitute_linear(convert(p, table), var_name, line).geometric_coefficients()
+        slots = []
+        for i in range(5):
+            exps = {pair[0]: 4 - i, pair[1]: i, var_name: 0}
+            key = tuple(exps[n] for n in table.geometric)
+            slots.append(groups.get(key, Polynomial.zero(table)))
+        return slots
+
+    def test_matches_substitution(self):
+        rng = random.Random(5)
+        for _ in range(6):
+            p = random_quartic(rng, PAR)
+            p = p + mono(PAR, {"x": 1, "z": 3, "r": 1, "u": 2}, rng.randint(-3, 3))
+            for sub, pair in (("z", ("x", "y")), ("x", ("y", "z")), ("y", ("x", "z"))):
+                got = restrict_to_line(p, self.LINE, sub, pair, ("a", "b"))
+                assert got == self.substituted(p, self.LINE, sub, pair, ("a", "b"))
+
+    def test_fermat(self):
+        x4, y4, z4 = (mono(XYZ, {n: 4}) for n in "xyz")
+        t = VarTable(("x", "y", "z"), ("a", "b"))
+        got = restrict_to_line(x4 + y4 + z4, t, "z", ("x", "y"), ("a", "b"))
+        a, b = var(t, "a"), var(t, "b")
+        assert got == [1 + a**4, 4 * a**3 * b, 6 * a**2 * b**2, 4 * a * b**3, 1 + b**4]
+
+    @pytest.mark.parametrize("powers", [{"x": 3}, {"z": 5}])
+    def test_non_quartic_rejected(self, powers):
+        p = mono(PAR, {"y": 4}) + mono(PAR, powers)
+        with pytest.raises(DegreeError):
+            restrict_to_line(p, self.LINE, "z", ("x", "y"), ("a", "b"))
 
 
 class TestHomogenize:
