@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import components as comp
 from . import numroots
-from .errors import DomainError, EnumerationError
+from .errors import DomainError, EnumerationError, check_tolerance
 from .polyring import (Polynomial, VarTable, eval_exact, eval_scaled,
                        restrict_to_line)
 from .symfam import (FAMILY_PARAMS, QuarticForm, make_family,
@@ -98,19 +98,28 @@ class ProjLine:
         )
 
 
+def _normalized(coeffs) -> tuple[tuple[complex, complex, complex], float]:
+    """A coefficient triple as complex numbers with its largest modulus."""
+    c = tuple(complex(v) for v in coeffs)
+    norm = max(abs(v) for v in c)
+    if norm == 0.0:
+        raise DomainError("zero line in projective comparison")
+    return c, norm
+
+
+def _distance(p, q) -> float:
+    """:func:`proj_distance` of two :func:`_normalized` triples."""
+    (p, np_), (q, nq) = p, q
+    norm = np_ * nq
+    best = 0.0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        best = max(best, abs(p[i] * q[j] - p[j] * q[i]) / norm)
+    return best
+
+
 def proj_distance(p, q) -> float:
     """Projective distance of two coefficient triples: the largest normalized 2x2 minor."""
-    p = [complex(v) for v in p]
-    q = [complex(v) for v in q]
-    np_ = max(abs(v) for v in p)
-    nq = max(abs(v) for v in q)
-    if np_ == 0.0 or nq == 0.0:
-        raise DomainError("zero line in projective comparison")
-    best = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            best = max(best, abs(p[i] * q[j] - p[j] * q[i]) / (np_ * nq))
-    return best
+    return _distance(_normalized(p), _normalized(q))
 
 
 def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
@@ -118,14 +127,17 @@ def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
 
     Items are :class:`ProjLine`, :class:`BitangentCert` or coefficient
     triples; the representatives come back in deterministic ``sort_key`` order.
+    Each line is normalized once, then compared with every representative.
     """
+    check_tolerance("tol", tol)
     reps = []
     for line in lines:
         if not isinstance(line, (ProjLine, BitangentCert)):
             line = ProjLine.from_coefficients(line)
-        if not any(proj_distance(line.coefficients, r.coefficients) < tol for r in reps):
-            reps.append(line)
-    return sorted(reps, key=lambda l: l.sort_key())
+        key = _normalized(line.coefficients)
+        if not any(_distance(key, r) < tol for _, r in reps):
+            reps.append((line, key))
+    return sorted((line for line, _ in reps), key=lambda l: l.sort_key())
 
 
 @dataclass(frozen=True)
@@ -156,22 +168,23 @@ def _chart_table(table: VarTable, chart: str) -> VarTable:
     return VarTable(table.geometric, table.parameters + CHARTS[chart].unknowns + ("l0", "l1", "l2"))
 
 
-def restriction_coefficients(f, chart: str) -> list[Polynomial]:
+def restriction_coefficients(f, chart: str) -> tuple[Polynomial, ...]:
     """The five coefficients of ``f`` restricted to the chart's general line.
 
     Returned in the order ``v1^4, v1^3 v2, v1^2 v2^2, v1 v2^3, v2^4`` where
     ``(v1, v2)`` is the chart's binary pair; entries are polynomials in the
-    chart unknowns and the family parameters.
+    chart unknowns and the family parameters.  The tuple is shared through a
+    cache, so it is immutable.
     """
     poly = f.poly if isinstance(f, QuarticForm) else f
     return _restriction_coefficients_cached(poly, chart)
 
 
 @lru_cache(maxsize=64)
-def _restriction_coefficients_cached(poly: Polynomial, chart: str) -> list[Polynomial]:
+def _restriction_coefficients_cached(poly: Polynomial, chart: str) -> tuple[Polynomial, ...]:
     spec = CHARTS[chart]
-    return restrict_to_line(poly, _chart_table(poly.table, chart), spec.normalized,
-                            spec.pair, spec.unknowns)
+    return tuple(restrict_to_line(poly, _chart_table(poly.table, chart), spec.normalized,
+                                  spec.pair, spec.unknowns))
 
 
 def build_tangency_system(f, chart: str = "XY") -> list[Polynomial]:
@@ -423,8 +436,11 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
     Raises :class:`DegeneracyError` on the excluded parameter loci and
     :class:`EnumerationError` (with per-component diagnostics) if
     certification and projective deduplication do not end at exactly 28
-    distinct lines.
+    distinct lines, and :class:`DomainError` on a tolerance that is not a
+    finite number > 0.
     """
+    check_tolerance("tol", tol)
+    check_tolerance("dedupe_tol", dedupe_tol)
     if family not in FAMILY_PARAMS:
         raise DomainError(f"unknown family {family!r}")
     params = tuple(Fraction(p) for p in params)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .detrep import DEFAULT_SEED, DEFAULT_TOL, solve_detrep
 from .dixmier import dixmier_invariants
 from .errors import (DegeneracyError, DomainError, EnumerationError,
                      NormalizationError, QuarticsError, RootFindingError,
-                     SolverError)
+                     SolverError, check_tolerance)
 from .polyring import Polynomial
 from .symfam import (FAMILY_PARAMS, decompose_symmetric, golden_compare,
                      make_family, make_generic)
@@ -55,10 +54,10 @@ def _fraction(text: str) -> Fraction:
 
 def tolerance(text: str) -> float:
     """The argparse type of the tolerance flags: a finite float > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number > 0, got {text!r}")
-    return value
+    try:
+        return check_tolerance("tolerance", float(text))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _rat_str(value: Fraction) -> str:

@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from . import numroots
 from .diffcalc import det, matrix_from_rows
-from .errors import DegeneracyError, NormalizationError, SolverError
+from .errors import (DegeneracyError, NormalizationError, SolverError,
+                     check_tolerance)
 from .polyring import Polynomial, VarTable, eval_complex
 from .symfam import make_family
 
@@ -245,7 +246,9 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
     assignments are enumerated; a branch survives only if the unsquared
     linear condition holds, and the minimal-residual surviving branch is
     certified against ``det(xA + yB + zC) = f`` at seeded random points.
+    A *tol* that is not a finite number > 0 raises :class:`DomainError`.
     """
+    check_tolerance("tol", tol)
     r, s, u = Fraction(r), Fraction(s), Fraction(u)
     p, q = compute_pq(r)
     kappa = Fraction(r + 2, r - 2)

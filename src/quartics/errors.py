@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all quartics modules."""
+"""Exception hierarchy shared by all quartics modules, and the one check of a
+tolerance argument, which raises into it."""
+
+import math
 
 
 class QuarticsError(Exception):
@@ -42,3 +45,11 @@ class RootFindingError(QuarticsError):
 
 class SolverError(QuarticsError):
     """No branch of a finite solver enumeration certified against the input."""
+
+
+def check_tolerance(name: str, value: float) -> float:
+    """Return *value* if it is a finite number > 0, else raise :class:`DomainError`
+    naming the parameter *name* (a NaN tolerance would pass every comparison)."""
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be a finite number > 0, got {value!r}")
+    return value

@@ -14,14 +14,17 @@ zero coefficients are never stored.  The canonical term order used for
 display, hashing and deterministic evaluation is graded lexicographic with
 geometric variables before parameters.
 
-Values are immutable once constructed and safe to share between threads.
+Values are immutable once constructed (``terms`` is a read-only view) and
+safe to share between threads: the compiled form for complex evaluation
+(:meth:`Polynomial.compiled`) is built lazily and idempotently, then kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, perm
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DegreeError, DomainError, RoleError, TableMismatchError
@@ -74,14 +77,10 @@ class VarTable:
         return self.index(name) < len(self.geometric)
 
 
-def _grlex_key(exponents: Exponents) -> tuple:
-    return (sum(exponents), exponents)
-
-
 class Polynomial:
     """A sparse exact polynomial attached to a :class:`VarTable`."""
 
-    __slots__ = ("table", "_terms", "_hash")
+    __slots__ = ("table", "_terms", "_hash", "_compiled")
 
     def __init__(self, table: VarTable, terms: Mapping[Exponents, Fraction | int] | None = None):
         self.table = table
@@ -96,7 +95,7 @@ class Polynomial:
             if c:
                 clean[tuple(exps)] = c
         self._terms = clean
-        self._hash = None
+        self._hash = self._compiled = None
 
     @classmethod
     def _raw(cls, table: VarTable, terms: dict[Exponents, Fraction]) -> "Polynomial":
@@ -104,7 +103,7 @@ class Polynomial:
         p = cls.__new__(cls)
         p.table = table
         p._terms = terms
-        p._hash = None
+        p._hash = p._compiled = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -137,11 +136,20 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
-        return self._terms
+        return MappingProxyType(self._terms)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded-lex order (the canonical order)."""
-        return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+    def compiled(self) -> tuple[tuple[complex, tuple[tuple[str, int], ...]], ...]:
+        """The canonical-order terms as ``(complex(float(coeff)), ((name, exp), ...))``
+        over the occurring variables, which :func:`eval_scaled` runs on; built once."""
+        if self._compiled is None:
+            self._compiled = tuple(
+                (complex(float(c)), tuple((n, e) for n, e in zip(self.table.names, exps) if e))
+                for exps, c in self.sorted_terms())
+        return self._compiled
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -305,24 +313,14 @@ class Polynomial:
             body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
             sign = "-" if coeff < 0 else "+"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        text = " ".join(f"{sign} {body}" for sign, body in parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
 
 # -- the module-level operation surface -------------------------------------
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 def partial(p: Polynomial, var: str, order: int = 1) -> Polynomial:
@@ -340,7 +338,7 @@ def partial(p: Polynomial, var: str, order: int = 1) -> Polynomial:
         if e < order:
             continue
         new = exps[:i] + (e - order,) + exps[i + 1:]
-        c = out.get(new, _ZERO) + coeff * _falling(e, order)
+        c = out.get(new, _ZERO) + coeff * perm(e, order)
         if c:
             out[new] = c
         elif new in out:
@@ -405,23 +403,24 @@ def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
 def eval_scaled(p: Polynomial, point: Mapping[str, complex]) -> tuple[complex, float]:
     """Evaluate at a complex point and report the largest summand modulus.
 
-    Sums in canonical term order; the summand scale measures cancellation.
+    Sums in canonical term order over :meth:`Polynomial.compiled`, computing
+    each ``variable ** exponent`` once; the summand scale measures cancellation.
     Every variable that actually occurs must be assigned.  Coefficients are
     converted with correctly rounded Fraction-to-float division, so bounded
     inputs evaluate to full double precision.
     """
-    names = p.table.names
     total = 0j
     scale = 0.0
-    for exps, coeff in p.sorted_terms():
-        term = complex(float(coeff))
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            v = point.get(names[i])
-            if v is None:
-                raise DomainError(f"variable {names[i]!r} not assigned")
-            term *= complex(v) ** e
+    powers = {}
+    for term, monomial in p.compiled():
+        for factor in monomial:
+            power = powers.get(factor)
+            if power is None:
+                v = point.get(factor[0])
+                if v is None:
+                    raise DomainError(f"variable {factor[0]!r} not assigned")
+                power = powers[factor] = complex(v) ** factor[1]
+            term *= power
         total += term
         scale = max(scale, abs(term))
     return total, scale

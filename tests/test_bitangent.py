@@ -111,6 +111,46 @@ class TestDedupe:
         assert proj_distance((1, 0, 0), (0, 1, 0)) > 0.5
 
 
+def _dedupe_reference(lines, tol):
+    """Dedupe by a pairwise loop over :func:`proj_distance`, the oracle for
+    :func:`dedupe_lines`, which normalizes each line only once."""
+    reps = []
+    for line in lines:
+        if not isinstance(line, ProjLine):
+            line = ProjLine.from_coefficients(line)
+        if not any(proj_distance(line.coefficients, r.coefficients) < tol for r in reps):
+            reps.append(line)
+    return sorted(reps, key=lambda l: l.sort_key())
+
+
+class TestDedupeExact:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_reference(self, seed):
+        rng = random.Random(seed)
+        tol = 1e-8
+        base = [ProjLine.from_coefficients(
+                    [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)])
+                for _ in range(12)]
+        lines = list(base)
+        for line in base:
+            # copies at about 0.5x and 2x the tolerance from the line, rescaled
+            for factor in (0.5, 2.0):
+                c = list(line.coefficients)
+                j = (line.pivot + 1) % 3
+                c[j] += factor * tol * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+                scale = complex(rng.uniform(0.1, 10), rng.uniform(-10, 10))
+                lines.append(tuple(v * scale for v in c))
+        rng.shuffle(lines)
+        got = dedupe_lines(lines, tol)
+        assert got == _dedupe_reference(lines, tol)
+        assert len(got) == 2 * len(base)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_bad_tolerance_rejected(self, value):
+        with pytest.raises(DomainError, match="^tol must be a finite number > 0"):
+            dedupe_lines([(1, 0, 0)], value)
+
+
 class TestNormalization:
     def test_pivot_is_exact_one(self):
         line = ProjLine.from_coefficients((3, 1 + 1j, 2))
@@ -124,6 +164,23 @@ class TestNormalization:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             ProjLine.from_coefficients((0, 0, 0))
+
+
+class TestRestrictionCache:
+    def test_cached_coefficients_are_frozen(self):
+        f = make_family("X96")
+        coeffs = restriction_coefficients(f, "XY")
+        before = list(coeffs)
+        with pytest.raises(TypeError):
+            coeffs[0] = coeffs[4]
+        assert list(restriction_coefficients(f, "XY")) == before
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+@pytest.mark.parametrize("keyword", ["tol", "dedupe_tol"])
+def test_enumeration_rejects_bad_tolerance(keyword, value):
+    with pytest.raises(DomainError, match=f"^{keyword} must be a finite number > 0"):
+        enumerate_bitangents("X4", (1, 3, 5), **{keyword: value})
 
 
 class TestEnumeration:

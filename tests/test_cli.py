@@ -1,5 +1,6 @@
 """CLI surface: JSON payloads, exit codes, round-trips and determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from quartics.cli import (EXIT_DEGENERATE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-                          main)
+                          main, tolerance)
 from quartics.detrep import solve_detrep
 
 
@@ -158,6 +159,12 @@ def test_tolerance_must_be_finite_and_positive(capsys, argv, value):
         main([*argv, value])
     assert exc.value.code == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_tolerance_type_uses_library_check(value):
+    with pytest.raises(argparse.ArgumentTypeError, match="^tolerance must be a finite number > 0"):
+        tolerance(value)
 
 
 class TestEnvelope:

@@ -9,7 +9,7 @@ import pytest
 from quartics.detrep import (E_SYSTEM, OEQ_SYSTEM, DetRep, check_normal_form,
                              compute_pq, determinant_expand, residuals_e_system,
                              solve_detrep, symbolic_pencil, _SYS_TABLE)
-from quartics.errors import DegeneracyError, NormalizationError
+from quartics.errors import DegeneracyError, DomainError, NormalizationError
 from quartics.numroots import roots
 from quartics.polyring import Polynomial, convert, substitute_values
 from quartics.symfam import make_family
@@ -60,6 +60,11 @@ class TestComputePQ:
 
 
 class TestSolver:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_bad_tolerance_rejected(self, value):
+        with pytest.raises(DomainError, match="^tol must be a finite number > 0"):
+            solve_detrep(1, 2, 3, tol=value)
+
     def test_fermat_t_roots(self):
         # at r = s = u = 0 the t quadratic is 8t^2 + 8t + 4 with roots (-1 +- i)/2
         got = sorted(roots([4, 8, 8]), key=lambda z: z.imag)

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartics.errors import DegreeError, RoleError, TableMismatchError
+from quartics.errors import DegreeError, DomainError, RoleError, TableMismatchError
 from quartics.polyring import (Polynomial, VarTable, compose_linear,
-                               convert, eval_complex, eval_exact, homogenize,
+                               convert, eval_complex, eval_exact, eval_scaled,
+                               homogenize,
                                partial, restrict_to_line, substitute_linear,
                                substitute_values)
 
@@ -210,6 +211,80 @@ class TestEval:
 
         with pytest.raises(DomainError):
             eval_complex(mono(XYZ, {"x": 1}), {"y": 1, "z": 1})
+
+
+def _eval_scaled_reference(p, point):
+    """The per-term evaluator that :func:`eval_scaled` replaced: it sorts the
+    terms and converts every coefficient on each call.  The oracle for exact
+    equality of values, scales and error messages."""
+    names = p.table.names
+    total = 0j
+    scale = 0.0
+    for exps, coeff in p.sorted_terms():
+        term = complex(float(coeff))
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            v = point.get(names[i])
+            if v is None:
+                raise DomainError(f"variable {names[i]!r} not assigned")
+            term *= complex(v) ** e
+        total += term
+        scale = max(scale, abs(term))
+    return total, scale
+
+
+def _random_parametric(rng: random.Random) -> Polynomial:
+    terms = {}
+    for _ in range(rng.randint(1, 30)):
+        exps = tuple(rng.randint(0, 4) for _ in range(len(PAR)))
+        terms[exps] = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+    return Polynomial(PAR, terms)
+
+
+class TestEvalScaledExact:
+    def test_matches_reference_bit_for_bit(self):
+        rng = random.Random(20261018)
+        for k in range(300):
+            p = _random_parametric(rng)
+            if k % 3:
+                point = {n: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for n in PAR.names}
+            else:
+                point = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for n in PAR.names}
+            want = repr(_eval_scaled_reference(p, point))
+            assert repr(eval_scaled(p, point)) == want      # compiles on first use
+            assert repr(eval_scaled(p, point)) == want      # runs on the kept form
+
+    def test_missing_variable_message(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            p = _random_parametric(rng)
+            kept = rng.sample(PAR.names, rng.randint(0, len(PAR) - 1))
+            point = {n: 0.5 - 0.25j for n in kept}
+            try:
+                _eval_scaled_reference(p, point)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    eval_scaled(p, point)
+                assert str(got.value) == str(exc)
+            else:
+                assert eval_scaled(p, point) == _eval_scaled_reference(p, point)
+
+    def test_compiled_form_is_built_once(self):
+        p = mono(PAR, {"x": 2, "r": 1}, Fraction(1, 3)) + 5
+        assert p.compiled() is p.compiled()
+        assert p.compiled() == ((complex(1 / 3), (("x", 2), ("r", 1))), (5 + 0j, ()))
+
+
+class TestImmutability:
+    def test_terms_are_read_only(self):
+        p = mono(XYZ, {"x": 2}, 3)
+        h = hash(p)
+        with pytest.raises(TypeError):
+            p.terms[(2, 0, 0)] = Fraction(5)
+        with pytest.raises(TypeError):
+            del p.terms[(2, 0, 0)]
+        assert p == mono(XYZ, {"x": 2}, 3) and hash(p) == h
 
 
 small_coeff = st.integers(-4, 4)
