@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import components as comp
 from . import numroots
-from .errors import DomainError, EnumerationError, check_tolerance
+from .errors import DomainError, EnumerationError, check_tolerance, overflow_as
 from .polyring import (Polynomial, VarTable, eval_exact, eval_scaled,
                        restrict_to_line)
 from .symfam import (FAMILY_PARAMS, QuarticForm, make_family,
@@ -433,11 +433,11 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
                          dedupe_tol: float = DEFAULT_DEDUPE_TOL) -> list[BitangentCert]:
     """All 28 bitangents of a family member at exact rational parameters.
 
-    Raises :class:`DegeneracyError` on the excluded parameter loci and
+    Raises :class:`DegeneracyError` on the excluded parameter loci,
     :class:`EnumerationError` (with per-component diagnostics) if
     certification and projective deduplication do not end at exactly 28
-    distinct lines, and :class:`DomainError` on a tolerance that is not a
-    finite number > 0.
+    distinct lines or if a value overflows double precision, and
+    :class:`DomainError` on a tolerance that is not a finite number > 0.
     """
     check_tolerance("tol", tol)
     check_tolerance("dedupe_tol", dedupe_tol)
@@ -451,32 +451,34 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
     singular_locus_check(family, params)
     form = make_family(family, params)
     triple = x4_triple(family, params)
+    member = f"{family}{tuple(str(v) for v in params)}"
 
-    candidates = [c for source in CANDIDATE_SOURCES[family] for c in source(triple)]
     certified: list[BitangentCert] = []
     failures: dict[str, int] = {}
-    for coeffs, source in candidates:
-        cert = _certify(form.poly, coeffs, tol, source)
-        if cert is None:
-            failures[source] = failures.get(source, 0) + 1
-            continue
-        certified.append(cert)
+    with overflow_as(EnumerationError, member):
+        candidates = [c for source in CANDIDATE_SOURCES[family] for c in source(triple)]
+        for coeffs, source in candidates:
+            cert = _certify(form.poly, coeffs, tol, source)
+            if cert is None:
+                failures[source] = failures.get(source, 0) + 1
+                continue
+            certified.append(cert)
 
-    # general-position candidates of X4 must also kill all ten ideal generators
-    # in chart XY; one with a vanishing z coefficient cannot be checked there
-    if family == "X4":
-        kept = []
-        cparams = {k: complex(float(v)) for k, v in zip(FAMILY_PARAMS["X4"], triple)}
-        for cert in certified:
-            if cert.source == "X4.J1":
-                c0, c1, c2 = cert.coefficients
-                point = {"a": c0 / c2, "b": c1 / c2, **cparams} if abs(c2) > 1e-12 else None
-                if point is None or max(
-                        generator_residual(g, point) for g in comp.X4_J1_GENERATORS) >= tol:
-                    failures["X4.J1(generators)"] = failures.get("X4.J1(generators)", 0) + 1
-                    continue
-            kept.append(cert)
-        certified = kept
+        # general-position candidates of X4 must also kill all ten ideal generators
+        # in chart XY; one with a vanishing z coefficient cannot be checked there
+        if family == "X4":
+            kept = []
+            cparams = {k: complex(float(v)) for k, v in zip(FAMILY_PARAMS["X4"], triple)}
+            for cert in certified:
+                if cert.source == "X4.J1":
+                    c0, c1, c2 = cert.coefficients
+                    point = {"a": c0 / c2, "b": c1 / c2, **cparams} if abs(c2) > 1e-12 else None
+                    if point is None or max(
+                            generator_residual(g, point) for g in comp.X4_J1_GENERATORS) >= tol:
+                        failures["X4.J1(generators)"] = failures.get("X4.J1(generators)", 0) + 1
+                        continue
+                kept.append(cert)
+            certified = kept
 
     reps = dedupe_lines(certified, dedupe_tol)
     if len(reps) != 28:
@@ -484,8 +486,8 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
         for c in reps:
             counts[c.source] = counts.get(c.source, 0) + 1
         raise EnumerationError(
-            f"{family}{tuple(str(v) for v in params)}: {len(reps)} distinct certified "
-            f"lines instead of 28 (by component: {counts}; rejected: {failures})"
+            f"{member}: {len(reps)} distinct certified lines instead of 28 "
+            f"(by component: {counts}; rejected: {failures})"
         )
     return reps
 

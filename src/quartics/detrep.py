@@ -16,6 +16,7 @@ winning branch against the determinant identity at seeded random points.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from fractions import Fraction
 from . import numroots
 from .diffcalc import det, matrix_from_rows
 from .errors import (DegeneracyError, NormalizationError, SolverError,
-                     check_tolerance)
+                     check_tolerance, overflow_as)
 from .polyring import Polynomial, VarTable, eval_complex
 from .symfam import make_family
 
@@ -246,58 +247,64 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
     assignments are enumerated; a branch survives only if the unsquared
     linear condition holds, and the minimal-residual surviving branch is
     certified against ``det(xA + yB + zC) = f`` at seeded random points.
-    A *tol* that is not a finite number > 0 raises :class:`DomainError`.
+    A *tol* that is not a finite number > 0 raises :class:`DomainError`; a
+    value that overflows double precision raises :class:`SolverError`.
     """
     check_tolerance("tol", tol)
     r, s, u = Fraction(r), Fraction(s), Fraction(u)
-    p, q = compute_pq(r)
-    kappa = Fraction(r + 2, r - 2)
-    us_half = complex(float(Fraction(u - s, 2)))
-    up_half = complex(float(Fraction(u + s, 2)))
+    with overflow_as(SolverError, f"(r,s,u) = ({r},{s},{u})"):
+        p, q = compute_pq(r)
+        kappa = Fraction(r + 2, r - 2)
+        us_half = complex(float(Fraction(u - s, 2)))
+        up_half = complex(float(Fraction(u + s, 2)))
 
-    # quadratic in t: (4 - 4*kappa) t^2 + 8 t + (kappa*(u-s)^2/4 + 4 - (u+s)^2/4)
-    c2 = Fraction(4) - 4 * kappa
-    c1 = Fraction(8)
-    c0 = kappa * Fraction(u - s, 2) ** 2 + 4 - Fraction(u + s, 2) ** 2
-    t_roots = numroots.roots([complex(float(c0)), complex(float(c1)), complex(float(c2))])
+        # quadratic in t: (4 - 4*kappa) t^2 + 8 t + (kappa*(u-s)^2/4 + 4 - (u+s)^2/4)
+        c2 = Fraction(4) - 4 * kappa
+        c1 = Fraction(8)
+        c0 = kappa * Fraction(u - s, 2) ** 2 + 4 - Fraction(u + s, 2) ** 2
+        t_roots = numroots.roots([complex(float(c0)), complex(float(c1)), complex(float(c2))])
 
-    branches = []
-    for ti, t in enumerate(t_roots):
-        cd_roots = numroots.roots([t * t, us_half, 1.0 + 0j])
-        be_roots = numroots.roots([(t + 1) * (t + 1), up_half, 1.0 + 0j])
-        for cd_swap in (False, True):
-            c2v, d2v = (cd_roots[1], cd_roots[0]) if cd_swap else (cd_roots[0], cd_roots[1])
-            for be_swap in (False, True):
-                b2v, e2v = (be_roots[1], be_roots[0]) if be_swap else (be_roots[0], be_roots[1])
-                cc = cmath.sqrt(c2v)
-                dd = t / cc if abs(cc) > 1e-150 else cmath.sqrt(d2v)
-                bb = cmath.sqrt(b2v)
-                ee = (t + 1) / bb if abs(bb) > 1e-150 else cmath.sqrt(e2v)
-                e1 = (bb * bb - ee * ee) * (q + p) + (cc * cc - dd * dd) * (q - p)
-                e6 = abs((bb * ee - cc * dd) ** 2 - 1)
-                branches.append((abs(e1) + e6, BranchChoice(ti, cd_swap, be_swap),
-                                 (bb, cc, dd, ee)))
+        branches = []
+        for ti, t in enumerate(t_roots):
+            cd_roots = numroots.roots([t * t, us_half, 1.0 + 0j])
+            be_roots = numroots.roots([(t + 1) * (t + 1), up_half, 1.0 + 0j])
+            for cd_swap in (False, True):
+                c2v, d2v = (cd_roots[1], cd_roots[0]) if cd_swap else (cd_roots[0], cd_roots[1])
+                for be_swap in (False, True):
+                    b2v, e2v = (be_roots[1], be_roots[0]) if be_swap else (be_roots[0], be_roots[1])
+                    cc = cmath.sqrt(c2v)
+                    dd = t / cc if abs(cc) > 1e-150 else cmath.sqrt(d2v)
+                    bb = cmath.sqrt(b2v)
+                    ee = (t + 1) / bb if abs(bb) > 1e-150 else cmath.sqrt(e2v)
+                    e1 = (bb * bb - ee * ee) * (q + p) + (cc * cc - dd * dd) * (q - p)
+                    e6 = abs((bb * ee - cc * dd) ** 2 - 1)
+                    branches.append((abs(e1) + e6, BranchChoice(ti, cd_swap, be_swap),
+                                     (bb, cc, dd, ee)))
 
-    branches.sort(key=lambda item: (item[0], item[1].t_index, item[1].cd_swap, item[1].be_swap))
-    scale = 1.0 + max(abs(float(v)) for v in (r, s, u))
-    for residual, choice, (bb, cc, dd, ee) in branches:
-        if residual > tol * scale:
-            continue
-        c_matrix = (
-            (0j, 0j, bb, dd),
-            (0j, 0j, cc, ee),
-            (bb, cc, 0j, 0j),
-            (dd, ee, 0j, 0j),
+        # a NaN residual would pass every comparison below
+        branches = [b for b in branches if math.isfinite(b[0])]
+        if not branches:
+            raise OverflowError("every branch residual is infinite or NaN")
+        branches.sort(key=lambda item: (item[0], item[1].t_index, item[1].cd_swap, item[1].be_swap))
+        scale = 1.0 + max(abs(float(v)) for v in (r, s, u))
+        for residual, choice, (bb, cc, dd, ee) in branches:
+            if residual > tol * scale:
+                continue
+            c_matrix = (
+                (0j, 0j, bb, dd),
+                (0j, 0j, cc, ee),
+                (bb, cc, 0j, 0j),
+                (dd, ee, 0j, 0j),
+            )
+            rep = DetRep((p, -p, q, -q), c_matrix, choice, {})
+            res = residuals_e_system(rep, r, s, u)
+            if not all(res[f"e{i}"] <= tol for i in range(1, 7)):
+                continue
+            det_res = _determinant_residual(rep, r, s, u, seed)
+            if det_res < tol:
+                res["det"] = det_res
+                return DetRep(rep.b_diagonal, rep.c_matrix, choice, res)
+        raise SolverError(
+            f"no branch certified for (r,s,u) = ({r},{s},{u}); "
+            f"best unsquared-condition residual {branches[0][0]:.3e}"
         )
-        rep = DetRep((p, -p, q, -q), c_matrix, choice, {})
-        res = residuals_e_system(rep, r, s, u)
-        if max(res[f"e{i}"] for i in range(1, 7)) > tol:
-            continue
-        det_res = _determinant_residual(rep, r, s, u, seed)
-        if det_res < tol:
-            res["det"] = det_res
-            return DetRep(rep.b_diagonal, rep.c_matrix, choice, res)
-    raise SolverError(
-        f"no branch certified for (r,s,u) = ({r},{s},{u}); "
-        f"best unsquared-condition residual {branches[0][0]:.3e}"
-    )

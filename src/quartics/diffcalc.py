@@ -6,8 +6,8 @@ These are the computational primitives behind the quartic invariants:
   to ``g``: each term ``c * x1^i1 ... xn^in`` of ``f`` contributes
   ``c * d^(i1+...+in) g / dx1^i1 ... dxn^in``.  Only geometric variables
   differentiate; parameter content of ``f`` multiplies through.
-* ``hessian(f)`` builds the matrix of second partials, scaled by a
-  convention constant (see :data:`quartics.dixmier.HESSIAN_SCALE`).
+* ``hessian(f)`` builds the matrix of bare second partials, the convention
+  pinned by the Fermat anchor ``I6 = 13822`` (see :mod:`quartics.dixmier`).
 * ``transvectant(F, G, k)`` is the classical bilinear pairing of two binary
   forms, computed by direct binomial expansion of the Cayley operator.
 """
@@ -49,50 +49,32 @@ def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """A square matrix of polynomials; entries of a symmetric matrix must match exactly."""
+    """A square matrix of polynomials."""
 
     entries: tuple[tuple[Polynomial, ...], ...]
-    symmetric: bool = False
 
     def __post_init__(self):
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValueError("matrix is not square")
-        if self.symmetric:
-            for i in range(n):
-                for j in range(i):
-                    if self.entries[i][j] != self.entries[j][i]:
-                        raise ValueError(f"symmetric flag set but entries ({i},{j}) differ")
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
+
+def matrix_from_rows(rows) -> PolyMatrix:
+    return PolyMatrix(tuple(tuple(row) for row in rows))
 
 
-def matrix_from_rows(rows, symmetric: bool = False) -> PolyMatrix:
-    return PolyMatrix(tuple(tuple(row) for row in rows), symmetric=symmetric)
-
-
-def hessian(f: Polynomial, scale: Fraction = Fraction(1)) -> PolyMatrix:
-    """Matrix of second partials of ``f`` in its 3 geometric variables, times *scale*."""
+def hessian(f: Polynomial) -> PolyMatrix:
+    """Matrix of bare second partials of ``f`` in its 3 geometric variables."""
     table = f.table
     if table.n_geometric != 3:
         raise DegreeError(f"hessian needs 3 geometric variables, table has {table.n_geometric}")
     x, y, z = table.geometric
-    rows = []
-    for a in (x, y, z):
-        row = []
-        for b in (x, y, z):
-            entry = partial(partial(f, a), b)
-            if scale != 1:
-                entry = entry * scale
-            row.append(entry)
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows), symmetric=True)
+    return PolyMatrix(tuple(tuple(partial(partial(f, a), b) for b in (x, y, z))
+                            for a in (x, y, z)))
 
 
 def det(m: PolyMatrix) -> Polynomial:
@@ -131,7 +113,7 @@ def adjugate(m: PolyMatrix) -> PolyMatrix:
         return minor if (i + j) % 2 == 0 else -minor
     # adjugate[i][j] = cofactor(j, i)
     rows = tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
-    return PolyMatrix(rows, symmetric=m.symmetric)
+    return PolyMatrix(rows)
 
 
 def dot(a: PolyMatrix, b: PolyMatrix) -> Polynomial:
@@ -149,8 +131,7 @@ def dot(a: PolyMatrix, b: PolyMatrix) -> Polynomial:
 _J_KINDS = ("J11", "J22", "J30", "J03")
 
 
-def j_bracket(kind: str, f: Polynomial, g: Polynomial,
-              scale: Fraction = Fraction(1)) -> Polynomial:
+def j_bracket(kind: str, f: Polynomial, g: Polynomial) -> Polynomial:
     """The four J-brackets of two quadratic ternary forms.
 
     ``J11 = <H(f), H(g)>``, ``J22 = <H*(f), H*(g)>``, ``J30 = det H(f)``,
@@ -164,12 +145,12 @@ def j_bracket(kind: str, f: Polynomial, g: Polynomial,
         if p.geometric_degree() > 2:
             raise DegreeError("J brackets are defined for quadratic forms")
     if kind == "J11":
-        return dot(hessian(f, scale), hessian(g, scale))
+        return dot(hessian(f), hessian(g))
     if kind == "J22":
-        return dot(adjugate(hessian(f, scale)), adjugate(hessian(g, scale)))
+        return dot(adjugate(hessian(f)), adjugate(hessian(g)))
     if kind == "J30":
-        return det(hessian(f, scale))
-    return det(hessian(g, scale))
+        return det(hessian(f))
+    return det(hessian(g))
 
 
 def _binary_checks(F: Polynomial, G: Polynomial, pair: tuple[str, str]):

@@ -14,10 +14,11 @@ the six invariants
     I9  = J11(tau, rho)          I12 = J03(rho)
     I15 = J30(tau)               I18 = J22(tau, rho)
 
-Conventions are pinned by exact reference values: the Hessian carries bare
-second partials (scale 1), and the ``1/2592 = 8/144^2`` correction inside
-``I6`` is the unique constant reproducing the reference tables of all four
-symmetric families, anchored at ``I6 = 13822`` for the Fermat quartic.
+Conventions are pinned by exact reference values, anchored at ``I6 = 13822``
+for the Fermat quartic: the Hessian carries bare second partials (halving it
+gives ``I6 = 1726`` there; see tests/test_dixmier.py), and the
+``1/2592 = 8/144^2`` correction inside ``I6`` is the unique constant
+reproducing the reference tables of all four symmetric families.
 
 All six invariants are polynomials in the curve parameters with no
 geometric content; everything here is exact rational arithmetic.
@@ -32,10 +33,6 @@ from . import diffcalc
 from .diffcalc import diff_pair, hessian, j_bracket
 from .errors import DegreeError
 from .polyring import Polynomial, VarTable, convert, homogenize, restrict_to_line
-
-# Hessian convention: bare second partials.  The alternative 1/2 scale fails
-# the Fermat anchor I6 = 13822 by a wide margin; see tests/test_dixmier.py.
-HESSIAN_SCALE = Fraction(1)
 
 # Coefficient of the I3^2 correction inside I6, equal to 8/144^2.  Fixed by
 # requiring I6 to match the reference tables exactly (it is the only rational
@@ -146,8 +143,6 @@ class InvariantSet:
     def as_dict(self) -> dict[int, Polynomial]:
         return {3: self.I3, 6: self.I6, 9: self.I9, 12: self.I12, 15: self.I15, 18: self.I18}
 
-    WEIGHTS = (3, 6, 9, 12, 15, 18)
-
 
 def _dual_names(table: VarTable) -> tuple[str, str]:
     taken = set(table.names)
@@ -189,7 +184,7 @@ def covariants(f, psi: Polynomial | None = None) -> tuple[Polynomial, Polynomial
         _, psi = contravariants(p)
     rho = diff_pair(p, psi)
     tau = diff_pair(rho, p)
-    hdet = diffcalc.det(hessian(p, HESSIAN_SCALE))
+    hdet = diffcalc.det(hessian(p))
     return rho, tau, hdet
 
 
@@ -206,10 +201,10 @@ def dixmier_invariants(f) -> InvariantSet:
 
     i3 = diff_pair(sigma, p)
     i6 = diff_pair(psi, hdet) - i3 * i3 * I6_CORRECTION
-    i9 = j_bracket("J11", tau, rho, HESSIAN_SCALE)
-    i12 = j_bracket("J03", rho, rho, HESSIAN_SCALE)
-    i15 = j_bracket("J30", tau, tau, HESSIAN_SCALE)
-    i18 = j_bracket("J22", tau, rho, HESSIAN_SCALE)
+    i9 = j_bracket("J11", tau, rho)
+    i12 = j_bracket("J03", rho, rho)
+    i15 = j_bracket("J30", tau, tau)
+    i18 = j_bracket("J22", tau, rho)
 
     inv = InvariantSet(i3, i6, i9, i12, i15, i18)
     for k, value in inv.as_dict().items():

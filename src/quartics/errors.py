@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all quartics modules, and the one check of a
-tolerance argument, which raises into it."""
+tolerance argument and the one translation of a float overflow into it."""
 
 import math
+from contextlib import contextmanager
 
 
 class QuarticsError(Exception):
@@ -53,3 +54,13 @@ def check_tolerance(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be a finite number > 0, got {value!r}")
     return value
+
+
+@contextmanager
+def overflow_as(error: type, subject: str):
+    """Re-raise an :class:`OverflowError` from the block as *error* naming *subject*:
+    a parameter, or an exact value computed from it, does not fit a double."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise error(f"{subject}: a value overflows double precision ({exc})") from None

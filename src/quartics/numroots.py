@@ -18,6 +18,7 @@ from .errors import DegreeError, RootFindingError
 _DK_SEED = 0.4 + 0.9j
 _DK_TOL = 1e-13
 _DK_MAX_ITER = 400
+_ODD_TOL = 1e-14  # odd-power coefficients up to this times the largest count as 0
 
 
 def _trim(coeffs) -> list[complex]:
@@ -42,14 +43,12 @@ def eval_deriv(coeffs, x: complex) -> complex:
     return total
 
 
-def newton_polish(coeffs, x: complex, steps: int = 1) -> complex:
-    """A fixed number of Newton steps; returns x unchanged when p'(x) vanishes."""
-    for _ in range(steps):
-        d = eval_deriv(coeffs, x)
-        if abs(d) == 0.0:
-            break
-        x = x - eval_poly(coeffs, x) / d
-    return x
+def newton_polish(coeffs, x: complex) -> complex:
+    """One Newton step; returns x unchanged when p'(x) vanishes."""
+    d = eval_deriv(coeffs, x)
+    if abs(d) == 0.0:
+        return x
+    return x - eval_poly(coeffs, x) / d
 
 
 def _sort_key(z: complex):
@@ -132,7 +131,7 @@ def with_multiplicity(root_list, tol: float = 1e-8) -> list[tuple[complex, int]]
     return out
 
 
-def biquadratic_roots(coeffs, odd_tol: float = 1e-14) -> list[complex]:
+def biquadratic_roots(coeffs) -> list[complex]:
     """Roots of a polynomial that is even in its variable.
 
     Solves in ``B = b^2`` and returns both square roots of every ``B``,
@@ -144,7 +143,7 @@ def biquadratic_roots(coeffs, odd_tol: float = 1e-14) -> list[complex]:
         raise DegreeError("root finding needs degree >= 1")
     scale = max(abs(v) for v in c)
     for k in range(1, len(c), 2):
-        if abs(c[k]) > odd_tol * scale:
+        if abs(c[k]) > _ODD_TOL * scale:
             raise DegreeError(f"coefficient of odd power {k} is not zero: {c[k]}")
     even = [c[k] for k in range(0, len(c), 2)]
     out: list[complex] = []

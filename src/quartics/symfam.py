@@ -44,15 +44,13 @@ X4_SLOTS: dict[str, tuple[str | None, ...]] = {
     "X96": (None, None, None),
 }
 
+#: X4's monomials x^2 y^2, y^2 z^2, z^2 x^2, in the order of its slots (r, s, u).
+_X4_MONOMIALS = ({"x": 2, "y": 2}, {"y": 2, "z": 2}, {"z": 2, "x": 2})
+
 GEOMETRIC = ("x", "y", "z")
 
-# Exponent triples (i, j, k) of x^i y^j z^k for each family parameter slot.
-_FAMILY_MONOMIALS: dict[str, tuple[tuple[tuple[int, int, int], ...], ...]] = {
-    "X4": (((2, 2, 0),), ((0, 2, 2),), ((2, 0, 2),)),
-    "X16": (((2, 2, 0),), ((0, 2, 2), (2, 0, 2))),
-    "X24": (((2, 2, 0), (0, 2, 2), (2, 0, 2)),),
-    "X96": (),
-}
+#: The variables of the monomial symmetric basis: X4's parameters.
+BASIS_NAMES = FAMILY_PARAMS["X4"]
 
 
 @dataclass(frozen=True)
@@ -76,11 +74,6 @@ class QuarticForm:
         return any(isinstance(p, str) for p in self.params)
 
 
-def family_table(family: str, symbolic: bool) -> VarTable:
-    params = FAMILY_PARAMS[family] if symbolic else ()
-    return VarTable(GEOMETRIC, params)
-
-
 def make_family(family: str, params: Sequence[Fraction | int | str] | None = None) -> QuarticForm:
     """Build one of the four family quartics.
 
@@ -97,17 +90,16 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
         if len(params) != len(names):
             raise DomainError(f"{family} takes {len(names)} parameter(s), got {len(params)}")
         values = tuple(Fraction(p) for p in params)
-    table = family_table(family, symbolic)
+    table = VarTable(GEOMETRIC, names if symbolic else ())
+    lookup = dict(zip(names, values))
     poly = Polynomial.zero(table)
     for v in GEOMETRIC:
         poly = poly + Polynomial.monomial(table, {v: 4})
-    for slot, monomials in enumerate(_FAMILY_MONOMIALS[family]):
-        if symbolic:
-            coeff = Polynomial.variable(table, names[slot])
-        else:
-            coeff = Polynomial.constant(table, values[slot])
-        for (i, j, k) in monomials:
-            poly = poly + coeff * Polynomial.monomial(table, {"x": i, "y": j, "z": k})
+    for slot, monomial in zip(X4_SLOTS[family], _X4_MONOMIALS):
+        if slot is not None:
+            coeff = (Polynomial.variable(table, slot) if symbolic
+                     else Polynomial.constant(table, lookup[slot]))
+            poly = poly + coeff * Polynomial.monomial(table, monomial)
     return QuarticForm(poly, family, values)
 
 
@@ -187,8 +179,16 @@ class Partition:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-def s_basis(partition: Partition | Sequence[int], table: VarTable | None = None,
-            names: tuple[str, str, str] = ("r", "s", "u")) -> Polynomial:
+def _basis_indices(table: VarTable) -> list[int]:
+    """Positions of r, s, u in *table*; :class:`DomainError` names a missing one."""
+    for name in BASIS_NAMES:
+        if name not in table.names:
+            raise DomainError(
+                f"the symmetric basis needs variable {name!r}; table has {table.names}")
+    return [table.index(n) for n in BASIS_NAMES]
+
+
+def s_basis(partition: Partition | Sequence[int], table: VarTable | None = None) -> Polynomial:
     """The monomial symmetric polynomial with leading term ``r^i1 s^i2 u^i3``.
 
     The orbit of the leading monomial under all six permutations, each
@@ -197,11 +197,11 @@ def s_basis(partition: Partition | Sequence[int], table: VarTable | None = None,
     if not isinstance(partition, Partition):
         partition = Partition(tuple(partition))
     if table is None:
-        table = VarTable(GEOMETRIC, names)
+        table = VarTable(GEOMETRIC, BASIS_NAMES)
     exps = partition.padded()
     poly = Polynomial.zero(table)
     for perm in sorted(set(itertools.permutations(exps))):
-        poly = poly + Polynomial.monomial(table, dict(zip(names, perm)))
+        poly = poly + Polynomial.monomial(table, dict(zip(BASIS_NAMES, perm)))
     return poly
 
 
@@ -216,8 +216,9 @@ class SymmetricDecomposition:
         return {p.parts: c for p, c in self.terms}
 
 
-def is_symmetric(p: Polynomial, names: tuple[str, str, str] = ("r", "s", "u")) -> bool:
-    idx = [p.table.index(n) for n in names]
+def is_symmetric(p: Polynomial) -> bool:
+    """Whether *p* is invariant under every permutation of (r, s, u)."""
+    idx = _basis_indices(p.table)
     for perm in itertools.permutations(range(3)):
         table = {}
         for exps, coeff in p.terms.items():
@@ -230,47 +231,43 @@ def is_symmetric(p: Polynomial, names: tuple[str, str, str] = ("r", "s", "u")) -
     return True
 
 
-def decompose_symmetric(p: Polynomial, names: tuple[str, str, str] = ("r", "s", "u")) -> SymmetricDecomposition:
-    """Expand a symmetric polynomial in *names* over the monomial symmetric basis.
+def decompose_symmetric(p: Polynomial) -> SymmetricDecomposition:
+    """Expand a polynomial symmetric in (r, s, u) over the monomial symmetric basis.
 
-    Greedy peel: repeatedly subtract ``coeff * S[partition]`` for the
-    graded-lex leading monomial until only the constant remains.  Raises
-    :class:`DomainError` if the input is not symmetric or involves other
-    variables.
+    The basis polynomials have pairwise disjoint supports, so the coefficient
+    of ``S[i1,i2,i3]`` is the coefficient of ``r^i1 s^i2 u^i3`` in *p*: one
+    pass over the terms reads off those whose exponents are weakly
+    decreasing.  Terms come back by descending degree, then partition.
+    Raises :class:`DomainError` if the input is not symmetric, involves
+    other variables, or lives over a table without r, s or u.
     """
-    extra = p.support_names() - set(names)
+    extra = p.support_names() - set(BASIS_NAMES)
     if extra:
         raise DomainError(f"polynomial involves non-basis variables {sorted(extra)}")
-    if not is_symmetric(p, names):
+    if not is_symmetric(p):
         raise DomainError("polynomial is not symmetric in the parameters")
-    idx = [p.table.index(n) for n in names]
-    remainder = p
+    idx = _basis_indices(p.table)
+    constant = Fraction(0)
     collected: list[tuple[Partition, Fraction]] = []
-    while True:
-        lead = None
-        for exps, coeff in remainder.terms.items():
-            key = (sum(exps), exps)
-            if sum(exps) and (lead is None or key > lead[0]):
-                lead = (key, exps, coeff)
-        if lead is None:
-            break
-        _, exps, coeff = lead
-        parts = tuple(sorted((exps[i] for i in idx if exps[i]), reverse=True))
-        part = Partition(parts)
-        collected.append((part, coeff))
-        remainder = remainder - s_basis(part, p.table, names) * coeff
-    constant = remainder.constant_value()
+    for exps, coeff in p.terms.items():
+        i1, i2, i3 = (exps[i] for i in idx)
+        if not i1 >= i2 >= i3:
+            continue
+        if i1:
+            collected.append((Partition(tuple(e for e in (i1, i2, i3) if e)), coeff))
+        else:
+            constant = coeff
     collected.sort(key=lambda pc: (sum(pc[0].parts), pc[0].padded()), reverse=True)
     return SymmetricDecomposition(constant, tuple(collected))
 
 
-def reconstruct(dec: SymmetricDecomposition, table: VarTable | None = None,
-                names: tuple[str, str, str] = ("r", "s", "u")) -> Polynomial:
+def reconstruct(dec: SymmetricDecomposition, table: VarTable | None = None) -> Polynomial:
+    """The polynomial ``constant + sum coeff * S[partition]`` of a decomposition."""
     if table is None:
-        table = VarTable(GEOMETRIC, names)
+        table = VarTable(GEOMETRIC, BASIS_NAMES)
     total = Polynomial.constant(table, dec.constant)
     for part, coeff in dec.terms:
-        total = total + s_basis(part, table, names) * coeff
+        total = total + s_basis(part, table) * coeff
     return total
 
 
@@ -318,13 +315,16 @@ def load_golden(family: str) -> dict[int, GoldenEntry]:
 
 def golden_polynomial(family: str, k: int, table: VarTable) -> Polynomial:
     """The reference table entry for I_k as a polynomial over *table*."""
-    entry = load_golden(family)[k]
+    return _entry_polynomial(family, load_golden(family)[k], table)
+
+
+def _entry_polynomial(family: str, entry: GoldenEntry, table: VarTable) -> Polynomial:
     names = FAMILY_PARAMS[family]
     total = Polynomial.zero(table)
     for exps, coeff in entry.coefficients:
         if family == "X4":
             basis = (
-                s_basis(Partition(exps), table, names)
+                s_basis(Partition(exps), table)
                 if exps
                 else Polynomial.constant(table, 1)
             )
@@ -358,9 +358,9 @@ def golden_compare(inv: InvariantSet, family: str) -> GoldenReport:
         raise DomainError(f"unknown family {family!r}")
     gamma: dict[int, Fraction | None] = {}
     failures: dict[int, str] = {}
-    computed = inv.as_dict()
-    for k, ours in computed.items():
-        table_poly = golden_polynomial(family, k, ours.table)
+    golden = load_golden(family)
+    for k, ours in inv.as_dict().items():
+        table_poly = _entry_polynomial(family, golden[k], ours.table)
         if table_poly.is_zero() and ours.is_zero():
             gamma[k] = None
             continue

@@ -13,7 +13,7 @@ from quartics.bitangent import (CHARTS, ProjLine, build_tangency_system,
                                 enumerate_bitangents, eval_scaled,
                                 perfect_square_fit, proj_distance,
                                 restriction_coefficients)
-from quartics.errors import DegeneracyError, DomainError
+from quartics.errors import DegeneracyError, DomainError, EnumerationError
 from quartics.numroots import eval_poly
 from quartics.polyring import Polynomial, VarTable, eval_exact
 from quartics.symfam import make_family
@@ -333,3 +333,13 @@ class TestDegeneracy:
     def test_wrong_arity(self):
         with pytest.raises(DomainError):
             enumerate_bitangents("X4", (1, 2))
+
+    @pytest.mark.parametrize("family,params", [
+        ("X24", ("1e100",)),
+        ("X16", ("1e155", 1)),
+        ("X4", (1, "1e200", 1)),
+        ("X4", ("1e400", 1, 1)),
+    ])
+    def test_double_overflow_is_an_enumeration_error(self, family, params):
+        with pytest.raises(EnumerationError, match="overflows double precision"):
+            enumerate_bitangents(family, tuple(Fraction(p) for p in params))

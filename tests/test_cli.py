@@ -108,6 +108,17 @@ class TestBitangents:
         assert out == "" and "28" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bitangents", "--family", "X24", "--params", "1e100"],
+    ["detrep", "--params", "3", "1e200", "1"],
+    ["detrep", "--params", "1e140", "1e140", "1e140"],
+])
+def test_double_overflow_exits_numeric(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_NUMERIC
+    assert out == "" and "overflows double precision" in err
+
+
 class TestDetrep:
     def test_solves(self, capsys):
         code, out, _ = run_cli(capsys, ["detrep", "--params", "1", "2", "3"])

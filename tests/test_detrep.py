@@ -9,7 +9,8 @@ import pytest
 from quartics.detrep import (E_SYSTEM, OEQ_SYSTEM, DetRep, check_normal_form,
                              compute_pq, determinant_expand, residuals_e_system,
                              solve_detrep, symbolic_pencil, _SYS_TABLE)
-from quartics.errors import DegeneracyError, DomainError, NormalizationError
+from quartics.errors import (DegeneracyError, DomainError, NormalizationError,
+                             SolverError)
 from quartics.numroots import roots
 from quartics.polyring import Polynomial, convert, substitute_values
 from quartics.symfam import make_family
@@ -127,6 +128,16 @@ class TestSolver:
         for r in (2, -2):
             with pytest.raises(DegeneracyError):
                 solve_detrep(r, 0, 0)
+
+    @pytest.mark.parametrize("rsu", [
+        (3, "1e200", 1),        # the t quadratic's coefficients do not fit a double
+        ("1e400", 1, 3),        # r itself does not
+        ("1e155", 1, 3),        # r does, r^2 does not
+        ("1e140", "1e140", "1e140"),  # every branch residual is NaN
+    ])
+    def test_double_overflow_is_a_solver_error(self, rsu):
+        with pytest.raises(SolverError, match="overflows double precision"):
+            solve_detrep(*(Fraction(v) for v in rsu))
 
     def test_squaring_consistency(self):
         # a branch passing the unsquared condition also satisfies its square

@@ -94,11 +94,6 @@ class TestHessian:
         assert h.entries[1][0] == Polynomial.constant(XYZ, 1)
         assert h.entries[0][0].is_zero()
 
-    def test_scale(self):
-        q = mono(XYZ, {"x": 2})
-        h = hessian(q, Fraction(1, 2))
-        assert h.entries[0][0] == Polynomial.constant(XYZ, 1)
-
 
 class TestAdjugate:
     def _matrix(self, rows):

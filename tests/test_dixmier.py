@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from quartics.dixmier import (HESSIAN_SCALE, I6_CORRECTION, BinaryQuartic,
-                              contravariants, covariants, delta_binary,
-                              dixmier_invariants, psi_binary, sigma_binary)
+from quartics.dixmier import (I6_CORRECTION, BinaryQuartic, contravariants,
+                              covariants, delta_binary, dixmier_invariants,
+                              psi_binary, sigma_binary)
 from quartics.diffcalc import det, diff_pair, hessian, transvectant
 from quartics.errors import DegreeError
 from quartics.polyring import (Polynomial, VarTable, compose_linear, convert,
@@ -208,13 +208,13 @@ class TestInvariants:
 
     def test_half_hessian_convention_would_fail(self):
         # the alternative 1/2 scale misses the I6 anchor by a wide margin,
-        # which is what pins HESSIAN_SCALE = 1
+        # which is what pins the bare second partials; det of the halved
+        # 3x3 Hessian is det(H) / 8
         f = make_family("X96")
         _, psi = contravariants(f)
-        halved = det(hessian(f.poly, Fraction(1, 2)))
+        halved = det(hessian(f.poly)) * Fraction(1, 8)
         i3 = diff_pair(contravariants(f)[0], f.poly)
         i6_half = diff_pair(psi, halved) - i3 * i3 * I6_CORRECTION
-        assert HESSIAN_SCALE == 1
         assert i6_half.constant_value() != 13822
         assert i6_half.constant_value() == 1726  # 13824/8 - 2
 

@@ -6,18 +6,71 @@ from fractions import Fraction
 
 import pytest
 
+from quartics import symfam
 from quartics.dixmier import InvariantSet, dixmier_invariants
 from quartics.errors import DomainError
 from quartics.polyring import Polynomial, VarTable
-from quartics.symfam import (Partition, decompose_symmetric, golden_compare,
+from quartics.symfam import (FAMILY_PARAMS, Partition, SymmetricDecomposition,
+                             decompose_symmetric, golden_compare,
                              golden_polynomial, is_symmetric, load_golden,
                              make_family, make_generic, reconstruct, s_basis)
+
+from conftest import random_fraction
 
 RSU = VarTable(("x", "y", "z"), ("r", "s", "u"))
 
 
 def mono(table, powers, c=1):
     return Polynomial.monomial(table, powers, c)
+
+
+def explicit_family(family, params, table):
+    """The family quartic written out monomial by monomial (module docstring)."""
+    def m(**powers):
+        return mono(table, powers)
+
+    def c(v):
+        return Polynomial.variable(table, v) if isinstance(v, str) else Polynomial.constant(table, v)
+
+    quartic = m(x=4) + m(y=4) + m(z=4)
+    if family == "X4":
+        r, s, u = params
+        return quartic + c(r) * m(x=2, y=2) + c(s) * m(y=2, z=2) + c(u) * m(z=2, x=2)
+    if family == "X16":
+        r, s = params
+        return quartic + c(r) * m(x=2, y=2) + c(s) * (m(y=2, z=2) + m(z=2, x=2))
+    if family == "X24":
+        (r,) = params
+        return quartic + c(r) * (m(x=2, y=2) + m(y=2, z=2) + m(z=2, x=2))
+    return quartic
+
+
+def peel_reference(p):
+    """Reference decomposition by greedy peeling: subtract ``coeff * S[partition]``
+    for the graded-lex leading monomial until only the constant remains, then
+    sort the terms as decompose_symmetric does."""
+    idx = [p.table.index(n) for n in ("r", "s", "u")]
+    remainder = p
+    collected = []
+    while True:
+        lead = None
+        for exps, coeff in remainder.terms.items():
+            key = (sum(exps), exps)
+            if sum(exps) and (lead is None or key > lead[0]):
+                lead = (key, exps, coeff)
+        if lead is None:
+            break
+        _, exps, coeff = lead
+        part = Partition(tuple(sorted((exps[i] for i in idx if exps[i]), reverse=True)))
+        collected.append((part, coeff))
+        remainder = remainder - s_basis(part, p.table) * coeff
+    collected.sort(key=lambda pc: (sum(pc[0].parts), pc[0].padded()), reverse=True)
+    return SymmetricDecomposition(remainder.constant_value(), tuple(collected))
+
+
+@pytest.fixture(scope="module")
+def family_invariants():
+    return {family: dixmier_invariants(make_family(family)) for family in FAMILY_PARAMS}
 
 
 class TestMakeFamily:
@@ -41,6 +94,20 @@ class TestMakeFamily:
                 + 5 * (mono(t, {"x": 2, "y": 2}) + mono(t, {"y": 2, "z": 2})
                        + mono(t, {"z": 2, "x": 2})))
         assert f == want
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_matches_explicit_monomials(self, family):
+        names = FAMILY_PARAMS[family]
+        f = make_family(family)
+        assert f.poly == explicit_family(family, names, f.poly.table)
+        assert (f.family, f.params) == (family, names)
+        rng = random.Random(62)
+        for trial in range(20):
+            # the first member puts 0 in every slot: no zero term may survive
+            params = tuple(Fraction(0) if trial == 0 else random_fraction(rng) for _ in names)
+            f = make_family(family, params)
+            assert f.poly == explicit_family(family, params, f.poly.table)
+            assert (f.family, f.params) == (family, params)
 
     def test_wrong_arity(self):
         with pytest.raises(DomainError):
@@ -124,6 +191,35 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose_symmetric(mono(RSU, {"r": 1}))
 
+    def test_table_without_basis_variable(self, family_invariants):
+        i3 = family_invariants["X16"].I3
+        for check in (decompose_symmetric, is_symmetric):
+            with pytest.raises(DomainError, match="needs variable 'u'"):
+                check(i3)
+        with pytest.raises(DomainError, match="needs variable 'r'"):
+            decompose_symmetric(family_invariants["X96"].I3)
+
+    def test_x4_invariants_match_peel(self, family_invariants):
+        for k, value in family_invariants["X4"].as_dict().items():
+            dec = decompose_symmetric(value)
+            assert dec == peel_reference(value), f"I{k}"
+            assert reconstruct(dec, value.table) == value
+
+    def test_random_match_peel(self):
+        rng = random.Random(63)
+        tables = (RSU, VarTable(("x", "y", "z"), ("u", "r", "s")),
+                  VarTable(("x", "y", "z"), ("t", "s", "u", "r")))
+        for trial in range(240):
+            table = tables[trial % len(tables)]
+            p = Polynomial.constant(table, rng.choice((0, random_fraction(rng))))
+            for _ in range(rng.randint(0, 7)):
+                parts = sorted((rng.randint(1, 6) for _ in range(rng.randint(1, 3))),
+                               reverse=True)
+                p = p + s_basis(parts, table) * random_fraction(rng)
+            dec = decompose_symmetric(p)
+            assert dec == peel_reference(p)
+            assert reconstruct(dec, table) == p
+
 
 class TestGolden:
     def test_tables_load(self):
@@ -160,6 +256,15 @@ class TestGolden:
         assert report.gamma[12] == 1
         assert report.gamma[15] == 1
         assert report.gamma[18] == 1
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_compare_parses_the_table_once(self, family, family_invariants, monkeypatch):
+        calls = []
+        real = symfam.load_golden
+        monkeypatch.setattr(symfam, "load_golden", lambda name: calls.append(name) or real(name))
+        report = golden_compare(family_invariants[family], family)
+        assert calls == [family]
+        assert report.ok
 
     def test_mismatch_is_reported(self):
         inv = dixmier_invariants(make_family("X24"))
