@@ -111,6 +111,13 @@ def cmd_invariants(args) -> dict:
         form = make_generic(params)
     else:
         form = make_family(family, params)
+    # flag misuse is reported before any invariant is computed
+    if args.decompose and (family != "X4" or not args.symbolic):
+        raise UsageError("--decompose applies to the symbolic X4 family")
+    if args.golden and family == "GENERIC":
+        raise UsageError("--golden applies to the named families")
+    if args.golden and not args.symbolic:
+        raise UsageError("--golden compares symbolic tables; pass --symbolic")
     inv = dixmier_invariants(form)
     payload = {
         "schema": SCHEMA,
@@ -121,8 +128,6 @@ def cmd_invariants(args) -> dict:
         "invariants": {f"I{k}": _poly_payload(v) for k, v in inv.as_dict().items()},
     }
     if args.decompose:
-        if family != "X4" or not args.symbolic:
-            raise UsageError("--decompose applies to the symbolic X4 family")
         tables = {}
         for k, v in inv.as_dict().items():
             dec = decompose_symmetric(v)
@@ -132,10 +137,6 @@ def cmd_invariants(args) -> dict:
             }
         payload["decomposition"] = tables
     if args.golden:
-        if family == "GENERIC":
-            raise UsageError("--golden applies to the named families")
-        if not args.symbolic:
-            raise UsageError("--golden compares symbolic tables; pass --symbolic")
         report = golden_compare(inv, family)
         payload["golden"] = {
             "family": family,

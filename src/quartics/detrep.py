@@ -285,6 +285,12 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
         branches = [b for b in branches if math.isfinite(b[0])]
         if not branches:
             raise OverflowError("every branch residual is infinite or NaN")
+        # p^2 q^2 = 1 by construction, but -w - r or w - r cancels for large |r|;
+        # checked after the overflow filter, so overflowing members keep that error
+        pq_identity = abs(p ** 2 * q ** 2 - 1)
+        if not pq_identity <= tol:      # written so that NaN fails too
+            raise SolverError(f"(r,s,u) = ({r},{s},{u}): pq_identity |p^2 q^2 - 1| = "
+                              f"{pq_identity:.3e} exceeds tol {tol:g}; p or q lost to cancellation")
         branches.sort(key=lambda item: (item[0], item[1].t_index, item[1].cd_swap, item[1].be_swap))
         scale = 1.0 + max(abs(float(v)) for v in (r, s, u))
         for residual, choice, (bb, cc, dd, ee) in branches:

@@ -35,14 +35,15 @@ def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     gnames = table.geometric
     result = Polynomial.zero(table)
     cache: dict[tuple, Polynomial] = {}
-    for exps, coeff in f.terms.items():
+    for exps, coeff in f.numerators.items():
         geo = exps[:ng]
         if geo not in cache:
             cache[geo] = multi_partial(g, {n: e for n, e in zip(gnames, geo) if e})
         diff = cache[geo]
         if diff.is_zero():
             continue
-        par_monomial = Polynomial(table, {(0,) * ng + exps[ng:]: coeff})
+        par_monomial = Polynomial.from_numerators(table, {(0,) * ng + exps[ng:]: coeff},
+                                                  f.denominator)
         result = result + par_monomial * diff
     return result
 

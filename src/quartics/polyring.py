@@ -8,11 +8,14 @@ splits the variables into two roles:
 * *parameters* (``r, s, u`` ...) -- ordinary commuting variables that ride
   along in the coefficients and are treated as scalars by the calculus.
 
-Coefficients are :class:`fractions.Fraction`, so all arithmetic is exact.
-Terms are stored sparsely as a map from exponent tuples to coefficients;
-zero coefficients are never stored.  The canonical term order used for
-display, hashing and deterministic evaluation is graded lexicographic with
-geometric variables before parameters.
+Coefficients are exact: nonzero ``int`` numerators keyed by exponent tuples
+over one positive ``int`` denominator, always reduced (the gcd of the
+denominator and all numerators is 1; zero has denominator 1), so the stored
+form is canonical and the ring operations run on ints, one gcd pass per
+result.  :attr:`Polynomial.terms` shows reduced :class:`fractions.Fraction`
+coefficients.  The canonical term order used for display, hashing and
+deterministic evaluation is graded lexicographic with geometric variables
+before parameters.
 
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: the compiled form for complex evaluation
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, perm
+from math import comb, gcd, lcm, perm
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -32,8 +36,9 @@ from .errors import DegreeError, DomainError, RoleError, TableMismatchError
 Rational = Fraction
 Exponents = tuple[int, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _grlex(item) -> tuple:
+    return sum(item[0]), item[0]
 
 
 @dataclass(frozen=True)
@@ -78,31 +83,41 @@ class VarTable:
 
 
 class Polynomial:
-    """A sparse exact polynomial attached to a :class:`VarTable`."""
+    """A sparse exact polynomial attached to a :class:`VarTable`: the int numerators
+    ``_num`` over the reduced denominator ``_den`` (see the module docstring)."""
 
-    __slots__ = ("table", "_terms", "_hash", "_compiled")
+    __slots__ = ("table", "_num", "_den", "_hash", "_compiled")
 
     def __init__(self, table: VarTable, terms: Mapping[Exponents, Fraction | int] | None = None):
-        self.table = table
         clean: dict[Exponents, Fraction] = {}
         n = len(table)
         for exps, coeff in (terms or {}).items():
             if len(exps) != n:
                 raise ValueError(f"exponent tuple {exps} does not match table of {n} variables")
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
             if c:
                 clean[tuple(exps)] = c
-        self._terms = clean
+        # over the lcm of the denominators the numerators come out reduced
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.table, self._den = table, den
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self._hash = self._compiled = None
 
     @classmethod
-    def _raw(cls, table: VarTable, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        """Trusted constructor: *terms* already normalized (no zeros, Fractions)."""
+    def from_numerators(cls, table: VarTable, num: dict[Exponents, int],
+                        den: int = 1) -> "Polynomial":
+        """``sum num[e] * x^e / den`` (*den* > 0), zero numerators dropped, gcd divided
+        out; the result may keep *num* itself, so the caller must not change it later."""
+        if 0 in num.values():
+            num = {e: c for e, c in num.items() if c}
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {e: c // g for e, c in num.items()}
         p = cls.__new__(cls)
-        p.table = table
-        p._terms = terms
+        p.table, p._num, p._den = table, num, den
         p._hash = p._compiled = None
         return p
 
@@ -110,20 +125,18 @@ class Polynomial:
 
     @classmethod
     def zero(cls, table: VarTable) -> "Polynomial":
-        return cls._raw(table, {})
+        return cls.from_numerators(table, {})
 
     @classmethod
     def constant(cls, table: VarTable, value) -> "Polynomial":
         c = Fraction(value)
-        if not c:
-            return cls.zero(table)
-        return cls._raw(table, {(0,) * len(table): c})
+        return cls.from_numerators(table, {(0,) * len(table): c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Polynomial":
         exps = [0] * len(table)
         exps[table.index(name)] = 1
-        return cls._raw(table, {tuple(exps): _ONE})
+        return cls.from_numerators(table, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, table: VarTable, powers: Mapping[str, int], coeff=1) -> "Polynomial":
@@ -136,76 +149,83 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
-        return MappingProxyType(self._terms)
+        """Read-only map from exponent tuples to reduced Fraction coefficients, built
+        on each access (:attr:`numerators` is the stored form)."""
+        den = self._den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self._num.items()})
+
+    @property
+    def numerators(self) -> Mapping[Exponents, int]:
+        """Read-only map from exponent tuples to the int numerators over :attr:`denominator`."""
+        return MappingProxyType(self._num)
+
+    @property
+    def denominator(self) -> int:
+        return self._den
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded-lex order (the canonical order)."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        den = self._den
+        return [(e, Fraction(c, den))
+                for e, c in sorted(self._num.items(), key=_grlex, reverse=True)]
 
     def compiled(self) -> tuple[tuple[complex, tuple[tuple[str, int], ...]], ...]:
-        """The canonical-order terms as ``(complex(float(coeff)), ((name, exp), ...))``
-        over the occurring variables, which :func:`eval_scaled` runs on; built once."""
+        """The canonical-order terms as ``(complex(coeff), ((name, exp), ...))``
+        over the occurring variables, which :func:`eval_scaled` runs on; built once.
+        ``num / den`` is correctly rounded, as ``float(Fraction)`` is."""
         if self._compiled is None:
+            den, names = self._den, self.table.names
             self._compiled = tuple(
-                (complex(float(c)), tuple((n, e) for n, e in zip(self.table.names, exps) if e))
-                for exps, c in self.sorted_terms())
+                (complex(c / den), tuple((n, e) for n, e in zip(names, exps) if e))
+                for exps, c in sorted(self._num.items(), key=_grlex, reverse=True))
         return self._compiled
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
+        return max((sum(e) for e in self._num), default=0)
 
     def geometric_degree(self) -> int:
         ng = self.table.n_geometric
-        return max((sum(e[:ng]) for e in self._terms), default=0)
+        return max((sum(e[:ng]) for e in self._num), default=0)
 
     def degree_in(self, name: str) -> int:
         i = self.table.index(name)
-        return max((e[i] for e in self._terms), default=0)
+        return max((e[i] for e in self._num), default=0)
 
     def is_geometric_homogeneous(self) -> bool:
         ng = self.table.n_geometric
-        degs = {sum(e[:ng]) for e in self._terms}
-        return len(degs) <= 1
+        return len({sum(e[:ng]) for e in self._num}) <= 1
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if any variable occurs)."""
-        if not self._terms:
-            return _ZERO
         zero = (0,) * len(self.table)
-        if set(self._terms) != {zero}:
+        if set(self._num) - {zero}:
             raise DegreeError(f"polynomial is not constant: {self}")
-        return self._terms[zero]
+        return Fraction(self._num.get(zero, 0), self._den)
 
     def coefficient(self, powers: Mapping[str, int]) -> Fraction:
         exps = [0] * len(self.table)
         for name, e in powers.items():
             exps[self.table.index(name)] = e
-        return self._terms.get(tuple(exps), _ZERO)
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def geometric_coefficients(self) -> dict[Exponents, "Polynomial"]:
         """Group terms by geometric exponents; values are parameter-only polynomials."""
         ng = self.table.n_geometric
         zero_geo = (0,) * ng
-        out: dict[Exponents, dict[Exponents, Fraction]] = {}
-        for exps, coeff in self._terms.items():
-            geo, par = exps[:ng], exps[ng:]
-            out.setdefault(geo, {})[zero_geo + par] = coeff
-        return {geo: Polynomial._raw(self.table, terms) for geo, terms in out.items()}
+        out: dict[Exponents, dict[Exponents, int]] = {}
+        for exps, coeff in self._num.items():
+            out.setdefault(exps[:ng], {})[zero_geo + exps[ng:]] = coeff
+        return {geo: Polynomial.from_numerators(self.table, num, self._den)
+                for geo, num in out.items()}
 
     def support_names(self) -> set[str]:
-        names = self.table.names
-        used: set[str] = set()
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(names[i])
-        return used
+        return {n for exps in self._num for n, e in zip(self.table.names, exps) if e}
 
     # -- ring operations ---------------------------------------------------
 
@@ -221,19 +241,19 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_table(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            c = out.get(exps, _ZERO) + coeff
-            if c:
-                out[exps] = c
-            elif exps in out:
-                del out[exps]
-        return Polynomial._raw(self.table, out)
+        # over the lcm of the two denominators: multipliers 1 when they agree
+        g = gcd(self._den, other._den)
+        ma, mb = other._den // g, self._den // g
+        out = dict(self._num) if ma == 1 else {e: c * ma for e, c in self._num.items()}
+        for exps, coeff in other._num.items():
+            out[exps] = out.get(exps, 0) + coeff * mb
+        return Polynomial.from_numerators(self.table, out, self._den * ma)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.table, {e: -c for e, c in self._terms.items()})
+        return Polynomial.from_numerators(self.table, {e: -c for e, c in self._num.items()},
+                                          self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -247,27 +267,23 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Polynomial.zero(self.table)
-            return Polynomial._raw(self.table, {e: k * c for e, k in self._terms.items()})
+            c = other.numerator
+            return Polynomial.from_numerators(self.table, {e: k * c for e, k in self._num.items()},
+                                              self._den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_table(other)
-        out: dict[Exponents, Fraction] = {}
-        if len(other._terms) > len(self._terms):
-            a, b = other._terms, self._terms
+        out: dict[Exponents, int] = {}
+        if len(other._num) > len(self._num):
+            a, b = other._num, self._num
         else:
-            a, b = self._terms, other._terms
+            a, b = self._num, other._num
+        b = b.items()
         for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                c = out.get(e, _ZERO) + ca * cb
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
-        return Polynomial._raw(self.table, out)
+            for eb, cb in b:
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return Polynomial.from_numerators(self.table, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -289,17 +305,19 @@ class Polynomial:
             other = Polynomial.constant(self.table, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.table == other.table and self._terms == other._terms
+        # the reduced form is canonical, so equal values have equal stored forms
+        return (self.table == other.table and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.table, tuple(sorted(self._terms.items()))))
+            self._hash = hash((self.table, tuple(sorted(self.terms.items()))))
         return self._hash
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         names = self.table.names
         parts = []
@@ -332,18 +350,10 @@ def partial(p: Polynomial, var: str, order: int = 1) -> Polynomial:
     if order == 0:
         return p
     i = p.table.index(var)
-    out: dict[Exponents, Fraction] = {}
-    for exps, coeff in p._terms.items():
-        e = exps[i]
-        if e < order:
-            continue
-        new = exps[:i] + (e - order,) + exps[i + 1:]
-        c = out.get(new, _ZERO) + coeff * perm(e, order)
-        if c:
-            out[new] = c
-        elif new in out:
-            del out[new]
-    return Polynomial._raw(p.table, out)
+    # lowering one exponent is injective, so no two terms collide
+    out = {exps[:i] + (e - order,) + exps[i + 1:]: coeff * perm(e, order)
+           for exps, coeff in p._num.items() if (e := exps[i]) >= order}
+    return Polynomial.from_numerators(p.table, out, p._den)
 
 
 def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
@@ -369,9 +379,9 @@ def substitute_linear(p: Polynomial, var: str, replacement: Polynomial) -> Polyn
         return powers[k]
 
     result = Polynomial.zero(p.table)
-    for exps, coeff in p._terms.items():
+    for exps, coeff in p._num.items():
         e = exps[i]
-        rest = Polynomial._raw(p.table, {exps[:i] + (0,) + exps[i + 1:]: coeff})
+        rest = Polynomial.from_numerators(p.table, {exps[:i] + (0,) + exps[i + 1:]: coeff}, p._den)
         result = result + (rest * rep_power(e) if e else rest)
     return result
 
@@ -388,16 +398,15 @@ def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
         raise ValueError(f"variable {var!r} already occurs in the polynomial")
     i = p.table.index(var)
     ng = p.table.n_geometric
-    out: dict[Exponents, Fraction] = {}
-    for exps, coeff in p._terms.items():
+    out: dict[Exponents, int] = {}
+    for exps, coeff in p._num.items():
         d = sum(exps[:ng])
         if d > target_degree:
             raise DegreeError(
                 f"term of geometric degree {d} exceeds target degree {target_degree}"
             )
-        new = exps[:i] + (target_degree - d,) + exps[i + 1:]
-        out[new] = coeff
-    return Polynomial._raw(p.table, out)
+        out[exps[:i] + (target_degree - d,) + exps[i + 1:]] = coeff
+    return Polynomial.from_numerators(p.table, out, p._den)
 
 
 def eval_scaled(p: Polynomial, point: Mapping[str, complex]) -> tuple[complex, float]:
@@ -406,8 +415,8 @@ def eval_scaled(p: Polynomial, point: Mapping[str, complex]) -> tuple[complex, f
     Sums in canonical term order over :meth:`Polynomial.compiled`, computing
     each ``variable ** exponent`` once; the summand scale measures cancellation.
     Every variable that actually occurs must be assigned.  Coefficients are
-    converted with correctly rounded Fraction-to-float division, so bounded
-    inputs evaluate to full double precision.
+    converted with correctly rounded integer division, so bounded inputs
+    evaluate to full double precision.
     """
     total = 0j
     scale = 0.0
@@ -433,18 +442,15 @@ def eval_complex(p: Polynomial, point: Mapping[str, complex]) -> complex:
 
 def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
     """Evaluate at an exact rational point."""
-    names = p.table.names
-    total = _ZERO
-    for exps, coeff in p._terms.items():
-        term = coeff
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            if names[i] not in point:
-                raise DomainError(f"variable {names[i]!r} not assigned")
-            term *= Fraction(point[names[i]]) ** e
+    total = 0
+    for exps, term in p._num.items():
+        for name, e in zip(p.table.names, exps):
+            if e:
+                if name not in point:
+                    raise DomainError(f"variable {name!r} not assigned")
+                term *= Fraction(point[name]) ** e
         total += term
-    return total
+    return Fraction(total, p._den)
 
 
 def substitute_values(p: Polynomial, values: Mapping[str, Fraction | int]) -> Polynomial:
@@ -470,22 +476,16 @@ def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = N
     targets = {n: rename.get(n, n) for n in used}
     if len(set(targets.values())) != len(targets):
         raise ValueError(f"renaming is not injective on the support: {targets}")
-    slot = {}
-    for old, new in targets.items():
-        slot[p.table.index(old)] = table.index(new)
-    out: dict[Exponents, Fraction] = {}
-    for exps, coeff in p._terms.items():
+    slot = {p.table.index(old): table.index(new) for old, new in targets.items()}
+    # an injective renaming maps distinct exponent tuples to distinct ones
+    out: dict[Exponents, int] = {}
+    for exps, coeff in p._num.items():
         new = [0] * len(table)
         for i, e in enumerate(exps):
             if e:
                 new[slot[i]] = e
-        key = tuple(new)
-        c = out.get(key, _ZERO) + coeff
-        if c:
-            out[key] = c
-        elif key in out:
-            del out[key]
-    return Polynomial._raw(table, out)
+        out[tuple(new)] = coeff
+    return Polynomial.from_numerators(table, out, p._den)
 
 
 def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, str],
@@ -498,7 +498,7 @@ def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, 
     iv, i0, i1, j0, j1 = (table.index(n) for n in (var, *pair, *unknowns))
     ng = table.n_geometric
     out = [{} for _ in range(5)]
-    for exps, coeff in p._terms.items():
+    for exps, coeff in p._num.items():
         k = exps[iv]
         if exps[i0] + exps[i1] + k != 4 or sum(exps[:ng]) != 4:
             raise DegreeError(f"not a quartic form in ({pair[0]},{pair[1]},{var}): {exps}")
@@ -508,8 +508,8 @@ def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, 
             key[j1] += k - m
             key = tuple(key)
             slot = out[exps[i1] + k - m]
-            slot[key] = slot.get(key, _ZERO) + coeff * ((-1) ** k * comb(k, m))
-    return [Polynomial(table, terms) for terms in out]
+            slot[key] = slot.get(key, 0) + coeff * ((-1) ** k * comb(k, m))
+    return [Polynomial.from_numerators(table, num, p._den) for num in out]
 
 
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence[Fraction | int]]) -> Polynomial:
@@ -539,8 +539,8 @@ def compose_linear(p: Polynomial, matrix: Sequence[Sequence[Fraction | int]]) ->
         return cache[(i, k)]
 
     result = Polynomial.zero(p.table)
-    for exps, coeff in p._terms.items():
-        factor = Polynomial._raw(p.table, {(0,) * ng + exps[ng:]: coeff})
+    for exps, coeff in p._num.items():
+        factor = Polynomial.from_numerators(p.table, {(0,) * ng + exps[ng:]: coeff}, p._den)
         for i in range(ng):
             if exps[i]:
                 factor = factor * image_power(i, exps[i])

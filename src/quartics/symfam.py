@@ -219,14 +219,15 @@ class SymmetricDecomposition:
 def is_symmetric(p: Polynomial) -> bool:
     """Whether *p* is invariant under every permutation of (r, s, u)."""
     idx = _basis_indices(p.table)
+    num = p.numerators
     for perm in itertools.permutations(range(3)):
         table = {}
-        for exps, coeff in p.terms.items():
+        for exps, coeff in num.items():
             new = list(exps)
             for a, b in zip(idx, perm):
                 new[a] = exps[idx[b]]
             table[tuple(new)] = coeff
-        if table != dict(p.terms):
+        if table != num:
             return False
     return True
 
@@ -249,10 +250,11 @@ def decompose_symmetric(p: Polynomial) -> SymmetricDecomposition:
     idx = _basis_indices(p.table)
     constant = Fraction(0)
     collected: list[tuple[Partition, Fraction]] = []
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.numerators.items():
         i1, i2, i3 = (exps[i] for i in idx)
         if not i1 >= i2 >= i3:
             continue
+        coeff = Fraction(coeff, p.denominator)
         if i1:
             collected.append((Partition(tuple(e for e in (i1, i2, i3) if e)), coeff))
         else:
@@ -369,7 +371,7 @@ def golden_compare(inv: InvariantSet, family: str) -> GoldenReport:
             gamma[k] = None
             continue
         lead_exps, lead_coeff = table_poly.sorted_terms()[0]
-        ratio = ours.terms.get(lead_exps, Fraction(0)) / lead_coeff
+        ratio = Fraction(ours.numerators.get(lead_exps, 0), ours.denominator) / lead_coeff
         diff = ours - table_poly * ratio
         if diff.is_zero():
             gamma[k] = ratio

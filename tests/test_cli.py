@@ -74,6 +74,36 @@ class TestInvariants:
         assert "parameter" in err
 
 
+DECOMPOSE_MISUSE = "--decompose applies to the symbolic X4 family"
+GOLDEN_GENERIC = "--golden applies to the named families"
+GOLDEN_NUMERIC = "--golden compares symbolic tables; pass --symbolic"
+GENERIC_PARAMS = ["--params", *(str(k + 1) for k in range(15))]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "X16", "--symbolic", "--decompose"], DECOMPOSE_MISUSE),
+    (["--family", "X24", "--symbolic", "--decompose"], DECOMPOSE_MISUSE),
+    (["--family", "X96", "--symbolic", "--decompose"], DECOMPOSE_MISUSE),
+    (["--family", "generic", *GENERIC_PARAMS, "--decompose"], DECOMPOSE_MISUSE),
+    (["--family", "X4", "--params", "1", "2", "3", "--decompose"], DECOMPOSE_MISUSE),
+    (["--family", "X96", "--decompose"], DECOMPOSE_MISUSE),
+    (["--family", "X4", "--params", "1", "2", "3", "--golden"], GOLDEN_NUMERIC),
+    (["--family", "X96", "--golden"], GOLDEN_NUMERIC),
+    (["--family", "generic", *GENERIC_PARAMS, "--golden"], GOLDEN_GENERIC),
+    # several misuses at once: the decompose check fires first, then the golden ones
+    (["--family", "X16", "--symbolic", "--decompose", "--golden"], DECOMPOSE_MISUSE),
+    (["--family", "X4", "--params", "1", "2", "3", "--decompose", "--golden"], DECOMPOSE_MISUSE),
+    (["--family", "generic", *GENERIC_PARAMS, "--decompose", "--golden"], DECOMPOSE_MISUSE),
+])
+def test_invariants_flag_misuse_is_reported_before_computing(capsys, monkeypatch, argv, message):
+    def refuse(form):
+        raise AssertionError("invariants computed before the flags were checked")
+
+    monkeypatch.setattr("quartics.cli.dixmier_invariants", refuse)
+    code, out, err = run_cli(capsys, ["invariants", *argv])
+    assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n")
+
+
 class TestBitangents:
     def test_x24_contains_rational_line(self, capsys):
         code, out, _ = run_cli(capsys, ["bitangents", "--family", "X24",
@@ -117,6 +147,15 @@ def test_double_overflow_exits_numeric(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == EXIT_NUMERIC
     assert out == "" and "overflows double precision" in err
+
+
+@pytest.mark.parametrize("params", ["1e100,1,3", "-1e100,1,3"])
+def test_detrep_cancelled_pq_exits_numeric(capsys, params):
+    # q (for r > 0) or p (for r < 0) cancels to 0 in double precision, so
+    # p^2 q^2 = 1 fails; the certificate is refused instead of printed
+    code, out, err = run_cli(capsys, ["detrep", f"--params={params}"])
+    assert code == EXIT_NUMERIC
+    assert out == "" and "pq_identity" in err
 
 
 class TestDetrep:

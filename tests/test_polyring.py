@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, gcd, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -351,3 +352,228 @@ class TestConvertCompose:
         p = mono(XYZ, {"x": 3, "y": 1})
         swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         assert compose_linear(p, swap) == mono(XYZ, {"y": 3, "x": 1})
+
+
+# -- the integer form against per-term Fraction arithmetic ---------------------
+#
+# The reference functions below are the per-term Fraction implementations that
+# the integer-numerator representation replaced.  They work on plain dicts from
+# exponent tuples to Fractions and are the oracle for every public view of the
+# results: terms, str, == and hash, and the compiled form.
+
+
+def _ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return _ref_clean(out)
+
+
+def _ref_scale(a, c):
+    return _ref_clean({e: k * Fraction(c) for e, k in a.items()})
+
+
+def _ref_partial(a, i, order):
+    out = {}
+    for exps, c in a.items():
+        if exps[i] >= order:
+            new = exps[:i] + (exps[i] - order,) + exps[i + 1:]
+            out[new] = out.get(new, Fraction(0)) + c * perm(exps[i], order)
+    return _ref_clean(out)
+
+
+def _ref_convert(a, src, dst, rename):
+    out = {}
+    for exps, c in a.items():
+        new = [0] * len(dst)
+        for name, e in zip(src.names, exps):
+            if e:
+                new[dst.index(rename.get(name, name))] = e
+        out[tuple(new)] = out.get(tuple(new), Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_homogenize(a, table, var, degree):
+    i, ng = table.index(var), table.n_geometric
+    return {exps[:i] + (degree - sum(exps[:ng]),) + exps[i + 1:]: c for exps, c in a.items()}
+
+
+def _ref_restrict(a, table, var, pair, unknowns):
+    iv, i0, i1, j0, j1 = (table.index(n) for n in (var, *pair, *unknowns))
+    ng = table.n_geometric
+    out = [{} for _ in range(5)]
+    for exps, c in a.items():
+        k = exps[iv]
+        for m in range(k + 1):
+            key = [0] * ng + list(exps[ng:])
+            key[j0] += m
+            key[j1] += k - m
+            slot = out[exps[i1] + k - m]
+            slot[tuple(key)] = slot.get(tuple(key), Fraction(0)) + c * (-1) ** k * comb(k, m)
+    return [_ref_clean(slot) for slot in out]
+
+
+def _ref_eval_exact(a, names, point):
+    total = Fraction(0)
+    for exps, c in a.items():
+        for name, e in zip(names, exps):
+            c *= Fraction(point[name]) ** e
+        total += c
+    return total
+
+
+def _ref_sorted(a):
+    return sorted(a.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+
+def _ref_str(table, a):
+    if not a:
+        return "0"
+    parts = []
+    for exps, c in _ref_sorted(a):
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(table.names, exps) if e]
+        mag = abs(c)
+        body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
+        parts.append(("-" if c < 0 else "+", body))
+    text = " ".join(f"{sign} {body}" for sign, body in parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _ref_compiled(table, a):
+    return tuple((complex(float(c)), tuple((n, e) for n, e in zip(table.names, exps) if e))
+                 for exps, c in _ref_sorted(a))
+
+
+def assert_matches_reference(got, table, want):
+    """*got* equals the per-term Fraction result *want* in every public view,
+    and its stored form is reduced."""
+    assert got.table == table
+    assert dict(got.terms) == want
+    for c in got.terms.values():
+        assert type(c) is Fraction and c and gcd(c.numerator, c.denominator) == 1
+    den = got.denominator
+    assert den > 0 and gcd(den, *got.numerators.values()) == 1
+    assert 0 not in got.numerators.values()
+    assert str(got) == _ref_str(table, want)
+    twin = Polynomial(table, want)
+    assert got == twin and hash(got) == hash(twin)
+    assert hash(got) == hash((table, tuple(sorted(want.items()))))
+    assert repr(got.compiled()) == repr(_ref_compiled(table, want))
+
+
+_DENS = (1, 1, 2, 3, 4, 6, 9, 12, 35, 1000003)
+
+
+def _random_terms(rng, table, n_terms, max_exp=3):
+    terms = {}
+    for _ in range(n_terms):
+        exps = tuple(rng.randint(0, max_exp) for _ in range(len(table)))
+        terms[exps] = Fraction(rng.randint(-30, 30), rng.choice(_DENS))
+    return _ref_clean(terms)
+
+
+def _random_form(rng, table, degree, n_terms):
+    """A form of geometric degree *degree* in x, y, z with parameter-valued coefficients."""
+    terms = {}
+    for _ in range(n_terms):
+        i = rng.randint(0, degree)
+        j = rng.randint(0, degree - i)
+        par = tuple(rng.randint(0, 2) for _ in table.parameters)
+        terms[(i, j, degree - i - j) + par] = Fraction(rng.randint(-30, 30), rng.choice(_DENS))
+    return _ref_clean(terms)
+
+
+class TestIntegerFormMatchesFractionReference:
+    N = 300
+
+    def test_sums_and_products(self):
+        rng = random.Random(60601)
+        for k in range(self.N):
+            table = PAR if k % 2 else XYZ
+            a = _random_terms(rng, table, rng.randint(0, 8))
+            b = _random_terms(rng, table, rng.randint(0, 8))
+            if k % 5 == 0:      # share most terms with opposite sign: cancellation
+                b = _ref_add(_ref_scale(a, -1), b if k % 10 else {})
+            pa, pb = Polynomial(table, a), Polynomial(table, b)
+            assert_matches_reference(pa + pb, table, _ref_add(a, b))
+            assert_matches_reference(pa - pb, table, _ref_add(a, _ref_scale(b, -1)))
+            assert_matches_reference(pa * pb, table, _ref_mul(a, b))
+            c = Fraction(rng.randint(-6, 6), rng.choice(_DENS))
+            assert_matches_reference(pa * c, table, _ref_scale(a, c))
+            assert_matches_reference(pa + c, table, _ref_add(a, _ref_clean({(0,) * len(table): c})))
+            assert_matches_reference(pa + -pa, table, {})
+
+    def test_products_that_cancel_to_zero_and_reduce(self):
+        x, y = var(XYZ, "x"), var(XYZ, "y")
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        got = (x * half + y * third) * (x * 6 - y * 4) - (x * x * 3 - y * y * Fraction(4, 3))
+        assert_matches_reference(got, XYZ, {})
+        assert got.denominator == 1 and not got.numerators
+        sixth = mono(XYZ, {"x": 1}, Fraction(1, 6)) + mono(XYZ, {"x": 1}, Fraction(1, 3))
+        assert_matches_reference(sixth, XYZ, {(1, 0, 0): Fraction(1, 2)})
+        assert sixth.denominator == 2
+
+    def test_partials(self):
+        rng = random.Random(60602)
+        for k in range(self.N):
+            a = _random_terms(rng, PAR, rng.randint(0, 8), max_exp=4)
+            name = "xyz"[k % 3]
+            order = k % 4
+            got = partial(Polynomial(PAR, a), name, order)
+            assert_matches_reference(got, PAR, _ref_partial(a, PAR.index(name), order))
+
+    def test_convert_and_homogenize(self):
+        rng = random.Random(60603)
+        src = VarTable(("x", "y", "z"), ("du", "dv", "r"))
+        dst = VarTable(("x", "y", "z"), ("r",))
+        rename = {"du": "x", "dv": "y"}
+        for _ in range(self.N):
+            terms = _random_terms(rng, src, rng.randint(0, 8))
+            a = _ref_clean({(0, 0, 0) + e[3:]: c for e, c in terms.items()})
+            pa = Polynomial(src, a)
+            moved = convert(pa, dst, rename)
+            assert_matches_reference(moved, dst, _ref_convert(a, src, dst, rename))
+            want = _ref_homogenize(_ref_convert(a, src, dst, rename), dst, "z", 8)
+            assert_matches_reference(homogenize(moved, "z", 8), dst, want)
+            assert_matches_reference(convert(pa, src), src, a)
+
+    def test_restrict_to_line(self):
+        rng = random.Random(60604)
+        line = TestRestrictToLine.LINE
+        for k in range(self.N):
+            a = _random_form(rng, PAR, 4, rng.randint(1, 12))
+            sub, pair = (("z", ("x", "y")), ("x", ("y", "z")), ("y", ("x", "z")))[k % 3]
+            got = restrict_to_line(Polynomial(PAR, a), line, sub, pair, ("a", "b"))
+            want = _ref_restrict(_ref_convert(a, PAR, line, {}), line, sub, pair, ("a", "b"))
+            for g, w in zip(got, want):
+                assert_matches_reference(g, line, w)
+
+    def test_eval_exact(self):
+        rng = random.Random(60605)
+        for _ in range(self.N):
+            a = _random_terms(rng, PAR, rng.randint(0, 10))
+            point = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for n in PAR.names}
+            got = eval_exact(Polynomial(PAR, a), point)
+            assert type(got) is Fraction and got == _ref_eval_exact(a, PAR.names, point)
+
+    def test_constructor_reduces_mixed_denominators(self):
+        p = Polynomial(XYZ, {(1, 0, 0): Fraction(3, 4), (0, 1, 0): Fraction(5, 6), (0, 0, 1): 0})
+        assert p.denominator == 12 and dict(p.numerators) == {(1, 0, 0): 9, (0, 1, 0): 10}
+        assert_matches_reference(p, XYZ, {(1, 0, 0): Fraction(3, 4), (0, 1, 0): Fraction(5, 6)})
+        assert Polynomial.zero(XYZ).denominator == Polynomial(XYZ, {(1, 0, 0): 0}).denominator == 1
+        q = Polynomial.from_numerators(XYZ, {(1, 0, 0): 6, (0, 1, 0): 0, (0, 0, 1): -4}, 8)
+        assert q.denominator == 4 and dict(q.numerators) == {(1, 0, 0): 3, (0, 0, 1): -2}
+        assert Polynomial.from_numerators(XYZ, {(1, 0, 0): 0}, 7) == Polynomial.zero(XYZ)
