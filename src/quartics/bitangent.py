@@ -8,10 +8,11 @@ five polynomial conditions; their eliminations split into the per-family
 components embedded in :mod:`quartics.components`.
 
 The enumeration solves those components in closed form (quadratics,
-biquadratics and one quartic resolvent), polishes the roots, then *certifies*
-every candidate line independently: the restricted quartic must fit a
-perfect square to ``tol`` and, for the general-position component of the
-three-parameter family, all ten ideal generators must vanish.  Candidates
+biquadratics, and a palindromic quartic resolvent that reduces to two
+quadratics), polishes the roots, then *certifies* every candidate line
+independently: the restricted quartic must fit a perfect square to ``tol``
+and, for the general-position component of the three-parameter family, all
+ten ideal generators must vanish.  Candidates
 from all charts are deduplicated projectively and the final count must be
 exactly 28 (a smooth plane quartic has exactly 28 bitangents).
 """
@@ -265,12 +266,8 @@ def _coeff_values(coeff_polys, params: dict) -> list[Fraction]:
 
 
 def _biq_roots(coeff_polys, params) -> list[complex]:
-    """Roots from ascending even-power coefficients (c0, c2, c4, ...)."""
-    even = _coeff_values(coeff_polys, params)
-    full = [0j] * (2 * len(even) - 1)
-    for k, c in enumerate(even):
-        full[2 * k] = complex(c)
-    return numroots.biquadratic_roots(full)
+    """Roots from ascending even-power coefficients (c0, c2, c4)."""
+    return numroots.biquadratic_roots(_coeff_values(coeff_polys, params))
 
 
 def _quad_b2_roots(coeff_polys, params) -> list[complex]:
@@ -291,11 +288,11 @@ def _solve_x4_chart(r, s, u):
     for a in _biq_roots(comp.X4_J3_BIQUADRATIC, params):
         out.append((a, 0j, "J3"))
 
-    quartic = [complex(v) for v in _coeff_values(comp.X4_J1_QUARTIC_B, params)]
+    quartic = _coeff_values(comp.X4_J1_QUARTIC_B, params)
     eliminant = [0j] * 9
     for k, c in enumerate(quartic):
-        eliminant[2 * k] = c
-    for big in numroots.roots(quartic):
+        eliminant[2 * k] = complex(c)
+    for big in numroots.palindromic_quartic_roots(*quartic[:3]):
         for b in (cmath.sqrt(big), -cmath.sqrt(big)):
             b = numroots.newton_polish(eliminant, b)
             point = {"b": b, **{k: complex(float(v)) for k, v in params.items()}}

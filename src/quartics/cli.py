@@ -27,8 +27,7 @@ from .bitangent import (DEFAULT_CERT_TOL, DEFAULT_DEDUPE_TOL,
 from .detrep import DEFAULT_SEED, DEFAULT_TOL, solve_detrep
 from .dixmier import dixmier_invariants
 from .errors import (DegeneracyError, DomainError, EnumerationError,
-                     NormalizationError, QuarticsError, RootFindingError,
-                     SolverError, check_tolerance)
+                     QuarticsError, SolverError, check_tolerance)
 from .polyring import Polynomial
 from .symfam import (FAMILY_PARAMS, decompose_symmetric, golden_compare,
                      make_family, make_generic)
@@ -252,7 +251,7 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"degenerate parameters: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (EnumerationError, RootFindingError, SolverError, NormalizationError) as exc:
+    except (EnumerationError, SolverError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     try:

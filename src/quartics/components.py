@@ -81,7 +81,9 @@ X4_J1_GENERATORS: tuple[Polynomial, ...] = (
     + 2 * _u * _a**2 + 2 * _s * _b**2 - _r**2 + 4,
 )
 
-#: Quartic resolvent of J1 in B = b^2 (ascending coefficients, palindromic).
+#: Quartic resolvent of J1 in B = b^2, ascending and palindromic (k0, k1, k2, k1, k0);
+#: W = B + 1/B turns it into two quadratics (numroots.palindromic_quartic_roots).
+#: k0 = -(r^2 + s^2 + u^2 - rsu - 4) vanishes only on the singular locus.
 X4_J1_QUARTIC_B: tuple[Polynomial, ...] = (
     -_u**2 + _r * _s * _u - _s**2 - _r**2 + 4,
     -2 * _s * _u**2 + _r * _s**2 * _u + 4 * _r * _u - 2 * _r**2 * _s,

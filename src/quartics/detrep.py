@@ -23,8 +23,7 @@ from fractions import Fraction
 
 from . import numroots
 from .diffcalc import det, matrix_from_rows
-from .errors import (DegeneracyError, NormalizationError, SolverError,
-                     check_tolerance, overflow_as)
+from .errors import DegeneracyError, SolverError, check_tolerance, overflow_as
 from .polyring import Polynomial, VarTable, eval_complex
 from .symfam import make_family
 
@@ -77,41 +76,22 @@ class DetRep:
         return (m[0][1], m[0][2], m[0][3], m[1][2], m[1][3], m[2][3])
 
 
-def check_normal_form(f) -> tuple[complex, complex, complex, complex]:
-    """Verify the x^4 coefficient is 1 and factor f(x, y, 0) = prod (x + beta_i y).
-
-    Returns the four beta values (numeric, deterministically sorted).
-    """
-    poly = f.poly if hasattr(f, "poly") else f
-    lead = poly.coefficient({"x": 4})
-    if lead != 1:
-        raise NormalizationError(f"coefficient of x^4 is {lead}, expected 1")
-    coeffs = []
-    for k in range(5):
-        c = poly.coefficient({"x": 4 - k, "y": k})
-        coeffs.append(complex(float(c)))
-    # f(t, 1, 0) has roots t_i = -beta_i; ascending coefficients in t
-    betas = [-t for t in numroots.roots(list(reversed(coeffs)))]
-    return tuple(sorted(betas, key=lambda z: (round(z.real, 8), round(z.imag, 8))))
-
-
 def compute_pq(r: Fraction | int) -> tuple[complex, complex]:
     """The factorization constants p, q of x^4 + r x^2 y^2 + y^4.
 
-    Principal square-root branches with the sign of ``q`` flipped when needed
-    so that ``p*q = 1``; then ``p^2 q^2 = 1`` and ``p^2 + q^2 = -r`` hold to
-    rounding error.  Degenerate at r = +-2 where p and q collide or vanish.
+    ``p^2`` and ``q^2`` are the roots of ``z^2 + r z + 1``.  ``p^2`` is the
+    one of larger modulus, whose formula ``(-r -+ sqrt(r^2 - 4))/2`` does
+    not cancel, and ``q = 1/p``; then ``p^2 q^2 = 1`` and ``p^2 + q^2 = -r``
+    hold to rounding error for every magnitude of ``r``.  Degenerate at
+    r = +-2 where p and q collide or vanish.
     """
     r = Fraction(r)
     if r == 2 or r == -2:
         raise DegeneracyError(f"r = {r}: repeated line pair in f(x,y,0) (double-conic locus)")
     rf = float(r)
     w = cmath.sqrt(rf * rf - 4.0)
-    p = cmath.sqrt(-w - rf) / cmath.sqrt(2.0)
-    q = cmath.sqrt(w - rf) / cmath.sqrt(2.0)
-    if abs(p * q - 1) > abs(p * q + 1):
-        q = -q
-    return p, q
+    p = cmath.sqrt(max((-rf - w) / 2, (-rf + w) / 2, key=abs))
+    return p, 1 / p
 
 
 # -- the reduced equation system, embedded once as exact polynomials ----------
@@ -285,12 +265,12 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
         branches = [b for b in branches if math.isfinite(b[0])]
         if not branches:
             raise OverflowError("every branch residual is infinite or NaN")
-        # p^2 q^2 = 1 by construction, but -w - r or w - r cancels for large |r|;
-        # checked after the overflow filter, so overflowing members keep that error
+        # p^2 q^2 = 1 up to rounding by construction; checked anyway, after the
+        # overflow filter, so overflowing members keep that error
         pq_identity = abs(p ** 2 * q ** 2 - 1)
         if not pq_identity <= tol:      # written so that NaN fails too
             raise SolverError(f"(r,s,u) = ({r},{s},{u}): pq_identity |p^2 q^2 - 1| = "
-                              f"{pq_identity:.3e} exceeds tol {tol:g}; p or q lost to cancellation")
+                              f"{pq_identity:.3e} exceeds tol {tol:g}")
         branches.sort(key=lambda item: (item[0], item[1].t_index, item[1].cd_swap, item[1].be_swap))
         scale = 1.0 + max(abs(float(v)) for v in (r, s, u))
         for residual, choice, (bb, cc, dd, ee) in branches:

@@ -25,10 +25,6 @@ class DomainError(QuarticsError):
     """An argument is outside the operation's domain (e.g. transvectant order)."""
 
 
-class NormalizationError(QuarticsError):
-    """A quartic does not satisfy the normal form required by a solver."""
-
-
 class DegeneracyError(QuarticsError):
     """Parameters lie on a degenerate locus where the construction breaks down.
 
@@ -41,7 +37,8 @@ class EnumerationError(QuarticsError):
 
 
 class RootFindingError(QuarticsError):
-    """The iterative complex root finder failed to converge."""
+    """A root finder failed to converge.  Every root is closed-form now, so
+    nothing raises it; it stays for callers that still catch it."""
 
 
 class SolverError(QuarticsError):

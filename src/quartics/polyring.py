@@ -169,6 +169,11 @@ class Polynomial:
         return [(e, Fraction(c, den))
                 for e, c in sorted(self._num.items(), key=_grlex, reverse=True)]
 
+    def leading_term(self) -> tuple[Exponents, Fraction]:
+        """The first of :meth:`sorted_terms`, without a ``Fraction`` for the others."""
+        exps, c = max(self._num.items(), key=_grlex)
+        return exps, Fraction(c, self._den)
+
     def compiled(self) -> tuple[tuple[complex, tuple[tuple[str, int], ...]], ...]:
         """The canonical-order terms as ``(complex(coeff), ((name, exp), ...))``
         over the occurring variables, which :func:`eval_scaled` runs on; built once.

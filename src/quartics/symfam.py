@@ -370,13 +370,13 @@ def golden_compare(inv: InvariantSet, family: str) -> GoldenReport:
             failures[k] = "one side identically zero, the other not"
             gamma[k] = None
             continue
-        lead_exps, lead_coeff = table_poly.sorted_terms()[0]
+        lead_exps, lead_coeff = table_poly.leading_term()
         ratio = Fraction(ours.numerators.get(lead_exps, 0), ours.denominator) / lead_coeff
         diff = ours - table_poly * ratio
         if diff.is_zero():
             gamma[k] = ratio
         else:
-            exps, coeff = diff.sorted_terms()[0]
+            exps, coeff = diff.leading_term()
             failures[k] = f"first differing monomial {exps}: residue {coeff}"
             gamma[k] = None
     return GoldenReport(family, gamma, failures)

@@ -8,14 +8,15 @@ from fractions import Fraction
 import pytest
 
 from quartics import components as comp
-from quartics.bitangent import (CHARTS, ProjLine, build_tangency_system,
+from quartics.bitangent import (CHARTS, DEFAULT_CERT_TOL, DEFAULT_DEDUPE_TOL,
+                                ProjLine, build_tangency_system,
                                 coordinate_type_count, dedupe_lines,
                                 enumerate_bitangents, eval_scaled,
                                 perfect_square_fit, proj_distance,
                                 restriction_coefficients)
 from quartics.errors import DegeneracyError, DomainError, EnumerationError
 from quartics.numroots import eval_poly
-from quartics.polyring import Polynomial, VarTable, eval_exact
+from quartics.polyring import Polynomial, VarTable, eval_complex, eval_exact
 from quartics.symfam import make_family
 
 
@@ -266,19 +267,30 @@ class TestEnumeration:
             done += 1
 
     def test_j1_eliminant_even_and_satisfied(self):
-        params = {"r": Fraction(1), "s": Fraction(3), "u": Fraction(5)}
-        quartic = [complex(float(eval_exact(c, params))) for c in comp.X4_J1_QUARTIC_B]
-        eliminant = [0j] * 9
-        for k, c in enumerate(quartic):
-            eliminant[2 * k] = c
-        certs = enumerate_bitangents("X4", (1, 3, 5))
-        j1_lines = [c for c in certs if c.source == "X4.J1" and c.chart == "XY"]
-        assert j1_lines
-        scale = max(abs(c) for c in eliminant)
-        for cert in j1_lines:
-            a, b, _ = cert.line.coefficients
-            assert abs(eval_poly(eliminant, b)) / scale < 1e-8
-            assert abs(eval_poly(eliminant, -b)) / scale < 1e-8  # even powers only
+        # a full-support bitangent lies on J1 in each chart: its coordinate b
+        # there solves the degree-8 eliminant (the resolvent in B = b^2) of the
+        # triple rotated into that chart, and so does -b
+        charts = (((0, 1, 2), lambda c: c[1] / c[2]),    # (a, b, 1)
+                  ((1, 2, 0), lambda c: c[2] / c[0]),    # (1, a, b)
+                  ((2, 0, 1), lambda c: c[0] / c[1]))    # (b, 1, a)
+        members = ((1, 3, 5), (Fraction(-7, 2), 4, Fraction(1, 3)),
+                   (Fraction(2623, 1000), Fraction(-3, 10), Fraction(1, 7)),
+                   (Fraction(30001, 3), Fraction(7, 3), Fraction(-11, 5)))
+        for triple in members:
+            certs = enumerate_bitangents("X4", triple)
+            j1_lines = [c.line.coefficients for c in certs if c.source == "X4.J1"]
+            assert len(j1_lines) == 16
+            for order, chart_b in charts:
+                params = {n: Fraction(triple[i]) for n, i in zip("rsu", order)}
+                quartic = [complex(float(eval_exact(c, params))) for c in comp.X4_J1_QUARTIC_B]
+                eliminant = [0j] * 9
+                for k, c in enumerate(quartic):
+                    eliminant[2 * k] = c
+                for coeffs in j1_lines:
+                    b = chart_b(coeffs)
+                    scale = sum(abs(c) * abs(b) ** k for k, c in enumerate(eliminant))
+                    assert abs(eval_poly(eliminant, b)) / scale < 1e-8
+                    assert abs(eval_poly(eliminant, -b)) / scale < 1e-8  # even powers only
 
     def test_x4_j1_generators_vanish(self):
         certs = enumerate_bitangents("X4", (1, 3, 5))
@@ -291,6 +303,28 @@ class TestEnumeration:
             for gen in comp.X4_J1_GENERATORS:
                 value, scale = eval_scaled(gen, point)
                 assert abs(value) / max(scale, 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("family,params", [
+    ("X24", (Fraction(-1) + Fraction(1, 10 ** 12),)),
+    ("X16", (Fraction(7000000000009, 9000000000000), Fraction(-5, 3))),
+])
+def test_near_locus_members_recertify(family, params):
+    # both gave 40 distinct lines while the J1 resolvent was solved iteratively;
+    # each line is re-certified with the other evaluator at ten times the
+    # tolerance, and the lines are pairwise apart, as the benchmark checks them
+    certs = enumerate_bitangents(family, params)
+    assert len(certs) == 28
+    form = make_family(family, params)
+    slots = {"XY": (0, 1), "YZ": (1, 2), "ZX": (0, 2)}
+    for cert in certs:
+        unknowns = CHARTS[cert.chart].unknowns
+        point = {n: cert.coefficients[i] for n, i in zip(unknowns, slots[cert.chart])}
+        values = [eval_complex(c, point) for c in restriction_coefficients(form, cert.chart)]
+        assert perfect_square_fit(values, 10 * DEFAULT_CERT_TOL) is not None
+    for i, a in enumerate(certs):
+        for b in certs[i + 1:]:
+            assert proj_distance(a.coefficients, b.coefficients) >= DEFAULT_DEDUPE_TOL
 
 
 class TestSymmetryEquivariance:

@@ -10,7 +10,7 @@ import pytest
 
 from quartics.cli import (EXIT_DEGENERATE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                           main, tolerance)
-from quartics.detrep import solve_detrep
+from quartics.detrep import DEFAULT_TOL, solve_detrep
 
 
 def run_cli(capsys, argv):
@@ -150,12 +150,14 @@ def test_double_overflow_exits_numeric(capsys, argv):
 
 
 @pytest.mark.parametrize("params", ["1e100,1,3", "-1e100,1,3"])
-def test_detrep_cancelled_pq_exits_numeric(capsys, params):
-    # q (for r > 0) or p (for r < 0) cancels to 0 in double precision, so
-    # p^2 q^2 = 1 fails; the certificate is refused instead of printed
-    code, out, err = run_cli(capsys, ["detrep", f"--params={params}"])
-    assert code == EXIT_NUMERIC
-    assert out == "" and "pq_identity" in err
+def test_detrep_large_r_certifies(capsys, params):
+    # p^2 is the root of z^2 + r z + 1 whose formula does not cancel and q = 1/p,
+    # so p^2 q^2 = 1 holds and the member certifies at |r| = 1e100
+    code, out, _ = run_cli(capsys, ["detrep", f"--params={params}"])
+    assert code == EXIT_OK
+    residuals = json.loads(out)["residuals"]
+    assert max(residuals[f"e{i}"] for i in range(1, 7)) <= DEFAULT_TOL
+    assert residuals["det"] <= DEFAULT_TOL
 
 
 class TestDetrep:

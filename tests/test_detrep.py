@@ -6,35 +6,38 @@ from fractions import Fraction
 
 import pytest
 
-from quartics.detrep import (E_SYSTEM, OEQ_SYSTEM, DetRep, check_normal_form,
-                             compute_pq, determinant_expand, residuals_e_system,
+from quartics.detrep import (E_SYSTEM, OEQ_SYSTEM, DetRep, compute_pq,
+                             determinant_expand, residuals_e_system,
                              solve_detrep, symbolic_pencil, _SYS_TABLE)
-from quartics.errors import (DegeneracyError, DomainError, NormalizationError,
-                             SolverError)
+from quartics.errors import DegeneracyError, DomainError, SolverError
 from quartics.numroots import roots
-from quartics.polyring import Polynomial, convert, substitute_values
+from quartics.polyring import Polynomial, convert, eval_complex, substitute_values
 from quartics.symfam import make_family
 
 from conftest import random_fraction
 
 
 class TestNormalForm:
+    """f(x, 0, 0) = x^4 and f(x, y, 0) = (x + py)(x - py)(x + qy)(x - qy)."""
+
+    @staticmethod
+    def _section_roots_vanish(family, params, p, q):
+        f = make_family(family, params).poly
+        assert f.coefficient({"x": 4}) == 1
+        for beta in (p, -p, q, -q):
+            # x = -beta y is a root of f(x, 1, 0)
+            assert abs(eval_complex(f, {"x": -beta, "y": 1, "z": 0})) < 1e-9
+
     def test_x4_beta_structure(self):
-        betas = check_normal_form(make_family("X4", (5, 1, 7)))
         p, q = compute_pq(5)
-        values = sorted([p, -p, q, -q], key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-        for got, want in zip(betas, values):
-            assert abs(got - want) < 1e-9
+        self._section_roots_vanish("X4", (5, 1, 7), p, q)
+        assert len({(round(v.real, 8), round(v.imag, 8)) for v in (p, -p, q, -q)}) == 4
 
     def test_fermat_betas_are_fourth_roots(self):
-        betas = check_normal_form(make_family("X96"))
-        for b in betas:
+        p, q = compute_pq(0)
+        self._section_roots_vanish("X96", (), p, q)
+        for b in (p, -p, q, -q):
             assert abs(b ** 4 + 1) < 1e-10
-
-    def test_rejects_scaled_leading_coefficient(self):
-        f = make_family("X96").poly * 2
-        with pytest.raises(NormalizationError):
-            check_normal_form(f)
 
 
 class TestComputePQ:
@@ -58,6 +61,15 @@ class TestComputePQ:
         for r in (2, -2):
             with pytest.raises(DegeneracyError):
                 compute_pq(r)
+
+    @pytest.mark.parametrize("r", [10 ** 4, -(10 ** 4), 222633, 10 ** 100, -(10 ** 100), 10 ** 150])
+    def test_identities_without_cancellation(self, r):
+        # q = 1/p and the larger root of z^2 + r z + 1 for p^2: nothing cancels
+        p, q = compute_pq(r)
+        assert abs(p * q - 1) < 1e-15
+        assert abs(p * p * q * q - 1) < 1e-15
+        assert abs(p * p + q * q + float(r)) < 1e-15 * abs(float(r))
+        assert abs(p) >= abs(q)
 
 
 class TestSolver:

@@ -1,13 +1,15 @@
-"""Root finder: correctness against residuals, determinism, structure guards."""
+"""Closed-form root finder: correctness against residuals, determinism,
+degree guards and the palindromic reduction."""
 
 import cmath
 import random
+from fractions import Fraction
 
 import pytest
 
 from quartics.errors import DegreeError
 from quartics.numroots import (biquadratic_roots, eval_poly, newton_polish,
-                               roots, with_multiplicity)
+                               palindromic_quartic_roots, roots)
 
 
 class TestRoots:
@@ -16,7 +18,7 @@ class TestRoots:
         assert got == sorted([1.0 + 0j, -1.0 + 0j], key=lambda z: (z.real, z.imag))
 
     def test_quartic_roots_of_minus_one(self):
-        got = roots([1, 0, 0, 0, 1])  # x^4 + 1
+        got = palindromic_quartic_roots(1, 0, 0)  # x^4 + 1
         for z in got:
             assert abs(z ** 4 + 1) < 1e-12
         assert len(got) == 4
@@ -25,7 +27,7 @@ class TestRoots:
     def test_family_biquadratic_roots_certify(self):
         # the a=0 component of X4 at (1, 2, 3): (u^2-4) b^4 + (2ru-4s) b^2 + r^2-4
         coeffs = [1 - 4, 0, 2 * 3 - 4 * 2, 0, 9 - 4]
-        got = roots([complex(c) for c in coeffs])
+        got = biquadratic_roots(coeffs[::2])
         assert len(got) == 4
         for z in got:
             assert abs(eval_poly(coeffs, z)) < 1e-10
@@ -33,7 +35,7 @@ class TestRoots:
     def test_residual_bound_random(self):
         rng = random.Random(41)
         for _ in range(30):
-            deg = rng.randint(1, 8)
+            deg = rng.randint(1, 2)
             coeffs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(deg)]
             coeffs.append(complex(rng.uniform(1, 3), rng.uniform(-1, 1)))
             got = roots(coeffs)
@@ -43,7 +45,7 @@ class TestRoots:
                 assert abs(eval_poly(coeffs, z)) / (1 + top) < 1e-10
 
     def test_determinism(self):
-        coeffs = [3 - 2j, 0.5, -1, 2j, 1]
+        coeffs = [3 - 2j, 0.5, 1]
         a = roots(coeffs)
         b = roots(coeffs)
         assert all(x == y for x, y in zip(a, b))
@@ -52,16 +54,37 @@ class TestRoots:
         with pytest.raises(DegreeError):
             roots([5])
 
-    def test_multiplicity_flags(self):
-        got = roots([1, 2, 1])  # (x+1)^2
-        flagged = with_multiplicity(got, 1e-5)
-        assert len(flagged) == 1
-        assert flagged[0][1] == 2
+    @pytest.mark.parametrize("coeffs", [[1, 0, 0, 1], [1, 0, 0, 0, 1], [0, 1, 2, 3, 0]])
+    def test_degree_three_and_up_rejected(self, coeffs):
+        with pytest.raises(DegreeError, match="degree 1 or 2"):
+            roots(coeffs)
+
+
+class TestPalindromic:
+    def test_reciprocal_pairs_random(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            k0, k1, k2 = (complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3))
+            coeffs = [k0, k1, k2, k1, k0]
+            got = palindromic_quartic_roots(k0, k1, k2)
+            assert len(got) == 4
+            top = max(abs(c) for c in coeffs)
+            for z in got:
+                assert abs(eval_poly(coeffs, z)) / (top * max(1, abs(z)) ** 4) < 1e-10
+                assert any(abs(z * w - 1) < 1e-9 for w in got)
+
+    def test_exact_middle_coefficient(self):
+        # k2 - 2 k0 is taken in the caller's exact arithmetic
+        # (in doubles 2e20 + 1 rounds to 2e20 and W would be 0): 1e20 W^2 + 1 = 0
+        got = palindromic_quartic_roots(Fraction(10 ** 20), Fraction(0), Fraction(2 * 10 ** 20 + 1))
+        assert len(got) == 4
+        for z in got:
+            assert abs(abs(z + 1 / z) - 1e-10) < 1e-16
 
 
 class TestBiquadratic:
     def test_integer_pairs(self):
-        got = biquadratic_roots([4, 0, -5, 0, 1])  # b^4 - 5 b^2 + 4
+        got = biquadratic_roots([4, -5, 1])  # b^4 - 5 b^2 + 4
         want = sorted([1, -1, 2, -2], key=lambda v: (round(v, 8),))
         assert len(got) == 4
         for z, w in zip(sorted(got, key=lambda z: (z.real, z.imag)),
@@ -69,7 +92,7 @@ class TestBiquadratic:
             assert abs(z - w) < 1e-12
 
     def test_unit_circle(self):
-        got = biquadratic_roots([1, 0, 0, 0, 1])  # b^4 + 1
+        got = biquadratic_roots([1, 0, 1])  # b^4 + 1
         assert len(got) == 4
         for z in got:
             assert abs(abs(z) - 1) < 1e-12
@@ -77,15 +100,10 @@ class TestBiquadratic:
     def test_sign_pairing(self):
         rng = random.Random(42)
         coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
-        full = [coeffs[0], 0, coeffs[1], 0, coeffs[2]]
-        got = biquadratic_roots(full)
+        got = biquadratic_roots(coeffs)
         assert len(got) == 4
         for z in got:
             assert any(abs(z + w) < 1e-9 for w in got)
-
-    def test_odd_coefficient_rejected(self):
-        with pytest.raises(DegreeError):
-            biquadratic_roots([1, 2, 1])
 
 
 class TestNewton:

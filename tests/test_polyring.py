@@ -472,6 +472,8 @@ def assert_matches_reference(got, table, want):
     assert got == twin and hash(got) == hash(twin)
     assert hash(got) == hash((table, tuple(sorted(want.items()))))
     assert repr(got.compiled()) == repr(_ref_compiled(table, want))
+    if want:
+        assert got.leading_term() == max(want.items(), key=lambda t: (sum(t[0]), t[0]))
 
 
 _DENS = (1, 1, 2, 3, 4, 6, 9, 12, 35, 1000003)
