@@ -28,12 +28,14 @@ from . import components as comp
 from . import numroots
 from .errors import DomainError, EnumerationError, check_tolerance, overflow_as
 from .polyring import (Polynomial, VarTable, eval_exact, eval_scaled,
-                       restrict_to_line)
+                       eval_scaled_many, restrict_to_line)
 from .symfam import (FAMILY_PARAMS, QuarticForm, make_family,
                      singular_locus_check, x4_triple)
 
 DEFAULT_CERT_TOL = 1e-9
 DEFAULT_DEDUPE_TOL = 1e-8
+#: absolute slack of a dedupe cell, far above the rounding of a modulus sum
+_CELL_MARGIN = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,8 @@ class ProjLine:
     @classmethod
     def from_coefficients(cls, coeffs) -> "ProjLine":
         c = [complex(v) for v in coeffs]
+        if not all(map(cmath.isfinite, c)):
+            raise DomainError(f"line coefficients are not all finite: {tuple(c)}")
         mags = [abs(v) for v in c]
         top = max(mags)
         if top == 0.0:
@@ -99,18 +103,22 @@ class ProjLine:
         )
 
 
-def _normalized(coeffs) -> tuple[tuple[complex, complex, complex], float]:
-    """A coefficient triple as complex numbers with its largest modulus."""
+def _normalized(coeffs) -> tuple[tuple[complex, complex, complex], float, float]:
+    """A coefficient triple as complex numbers, its largest modulus, and the
+    sum of its moduli over that largest one (in [1, 3])."""
     c = tuple(complex(v) for v in coeffs)
-    norm = max(abs(v) for v in c)
+    if not all(map(cmath.isfinite, c)):
+        raise DomainError("non-finite line in projective comparison")
+    mags = [abs(v) for v in c]
+    norm = max(mags)
     if norm == 0.0:
         raise DomainError("zero line in projective comparison")
-    return c, norm
+    return c, norm, sum([m / norm for m in mags])
 
 
 def _distance(p, q) -> float:
     """:func:`proj_distance` of two :func:`_normalized` triples."""
-    (p, np_), (q, nq) = p, q
+    (p, np_, _), (q, nq, _) = p, q
     norm = np_ * nq
     best = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -128,17 +136,36 @@ def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
 
     Items are :class:`ProjLine`, :class:`BitangentCert` or coefficient
     triples; the representatives come back in deterministic ``sort_key`` order.
-    Each line is normalized once, then compared with every representative.
+    A line is kept when no representative kept so far lies within *tol*.
+
+    Each line is normalized once and compared only with the representatives
+    that can lie within *tol*.  Write P = p / max|p_i| and Q = q / max|q_i|,
+    and let k be the slot of P's largest modulus, so |P_k| = 1.  If
+    d(p, q) < tol, the minor of slots k, j gives | |Q_j| - |P_j| |Q_k| | < tol
+    for every j; at the slot of Q's largest modulus this gives |Q_k| > 1 - tol,
+    so ||Q_k| - |P_k|| < tol and ||Q_j| - |P_j|| < 2 tol for j != k.  Hence the
+    modulus sums S = sum |P_i| and sum |Q_i| differ by less than 5 tol.  Every
+    representative sits in the cell floor(S / w) with w = 8 tol + 2^-40; a
+    match therefore lies in the line's own cell or one next to it, and the
+    absolute 2^-40 covers the float rounding of S and of the distance, which
+    a cell of width proportional to a tolerance near 1e-300 or 5e-324 would
+    not.  Since a line is kept exactly when no match exists, the decisions
+    (and the result) are those of comparing with every representative.
     """
     check_tolerance("tol", tol)
+    width = 8 * tol + _CELL_MARGIN
+    cells: dict[int, list] = {}
     reps = []
     for line in lines:
         if not isinstance(line, (ProjLine, BitangentCert)):
             line = ProjLine.from_coefficients(line)
         key = _normalized(line.coefficients)
-        if not any(_distance(key, r) < tol for _, r in reps):
-            reps.append((line, key))
-    return sorted((line for line, _ in reps), key=lambda l: l.sort_key())
+        cell = int(key[2] / width)
+        if not any(_distance(key, r) < tol
+                   for near in (cell - 1, cell, cell + 1) for r in cells.get(near, ())):
+            cells.setdefault(cell, []).append(key)
+            reps.append(line)
+    return sorted(reps, key=lambda l: l.sort_key())
 
 
 @dataclass(frozen=True)
@@ -210,11 +237,13 @@ def perfect_square_fit(coeffs, tol: float = DEFAULT_CERT_TOL):
     the three well-conditioned anchors (leading, trailing, middle) and keeps
     the branch with the smallest residual, the maximum coefficient mismatch
     normalized by ``max |c|``.  Returns ``(lam, residual)`` or ``None`` when
-    no branch fits below *tol*.
+    no branch fits below *tol* (a NaN residual never does) or a coefficient
+    is not finite.
     """
     c = [complex(v) for v in coeffs]
     top = max(abs(v) for v in c)
-    if top == 0.0:
+    # max() skips a NaN that is not first, so test every coefficient
+    if top == 0.0 or not all(map(cmath.isfinite, c)):
         return None
     candidates = []
     c40, c31, c22, c13, c04 = c
@@ -237,19 +266,9 @@ def perfect_square_fit(coeffs, tol: float = DEFAULT_CERT_TOL):
         l0, l1, l2 = lam
         fit = (l0 * l0, 2 * l0 * l1, l1 * l1 + 2 * l0 * l2, 2 * l1 * l2, l2 * l2)
         residual = max(abs(x - y) for x, y in zip(c, fit)) / top
-        if best is None or residual < best[1]:
+        if residual < tol and (best is None or residual < best[1]):
             best = (lam, residual)
-    if best is None or best[1] >= tol:
-        return None
     return best
-
-
-# -- numeric evaluation helpers ------------------------------------------------
-
-
-def generator_residual(poly: Polynomial, point) -> float:
-    value, scale = eval_scaled(poly, point)
-    return abs(value) / max(scale, 1.0)
 
 
 # -- per-family component solving ----------------------------------------------
@@ -411,14 +430,17 @@ CANDIDATE_SOURCES = {
 
 
 def _certify(fpoly: Polynomial, coeffs, tol: float, source: str):
-    """Perfect-square certification of a candidate line against ``fpoly``."""
+    """Perfect-square certification of a candidate line against ``fpoly``;
+    a candidate with a non-finite coordinate is rejected."""
+    if not all(map(cmath.isfinite, coeffs)):
+        return None
     line = ProjLine.from_coefficients(coeffs)
     chart = line.chart
     unknowns = CHARTS[chart].unknowns
     slots = _CHART_SLOTS[chart]
     point = {unknowns[0]: line.coefficients[slots[0]],
              unknowns[1]: line.coefficients[slots[1]]}
-    values = [eval_scaled(c, point)[0] for c in restriction_coefficients(fpoly, chart)]
+    values = [v for v, _ in eval_scaled_many(restriction_coefficients(fpoly, chart), point)]
     fit = perfect_square_fit(values, tol)
     if fit is None:
         return None
@@ -470,8 +492,9 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
                 if cert.source == "X4.J1":
                     c0, c1, c2 = cert.coefficients
                     point = {"a": c0 / c2, "b": c1 / c2, **cparams} if abs(c2) > 1e-12 else None
-                    if point is None or max(
-                            generator_residual(g, point) for g in comp.X4_J1_GENERATORS) >= tol:
+                    if point is None or not all(
+                            abs(v) / max(scale, 1.0) < tol
+                            for v, scale in eval_scaled_many(comp.X4_J1_GENERATORS, point)):
                         failures["X4.J1(generators)"] = failures.get("X4.J1(generators)", 0) + 1
                         continue
                 kept.append(cert)

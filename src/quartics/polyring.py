@@ -20,6 +20,11 @@ before parameters.
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: the compiled form for complex evaluation
 (:meth:`Polynomial.compiled`) is built lazily and idempotently, then kept.
+
+The one complex evaluator, :func:`eval_scaled_many`, computes each
+``complex(value) ** exponent`` of a point once, in one power table shared by
+all the polynomials it evaluates there; :func:`eval_scaled` and
+:func:`eval_complex` are its one-polynomial form.
 """
 
 from __future__ import annotations
@@ -176,7 +181,7 @@ class Polynomial:
 
     def compiled(self) -> tuple[tuple[complex, tuple[tuple[str, int], ...]], ...]:
         """The canonical-order terms as ``(complex(coeff), ((name, exp), ...))``
-        over the occurring variables, which :func:`eval_scaled` runs on; built once.
+        over the occurring variables, which :func:`eval_scaled_many` runs on; built once.
         ``num / den`` is correctly rounded, as ``float(Fraction)`` is."""
         if self._compiled is None:
             den, names = self._den, self.table.names
@@ -414,30 +419,44 @@ def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
     return Polynomial.from_numerators(p.table, out, p._den)
 
 
-def eval_scaled(p: Polynomial, point: Mapping[str, complex]) -> tuple[complex, float]:
-    """Evaluate at a complex point and report the largest summand modulus.
+def eval_scaled_many(polys: Sequence[Polynomial],
+                     point: Mapping[str, complex]) -> list[tuple[complex, float]]:
+    """Evaluate each polynomial at one complex point, with its largest summand modulus.
 
-    Sums in canonical term order over :meth:`Polynomial.compiled`, computing
-    each ``variable ** exponent`` once; the summand scale measures cancellation.
-    Every variable that actually occurs must be assigned.  Coefficients are
-    converted with correctly rounded integer division, so bounded inputs
-    evaluate to full double precision.
+    Sums in canonical term order over :meth:`Polynomial.compiled`; one power
+    table holds each ``variable ** exponent`` of the point, computed once for
+    all the polynomials, so each result is what the polynomial alone gives.
+    The summand scale measures cancellation.  Every variable that actually
+    occurs must be assigned.  Coefficients are converted with correctly
+    rounded integer division, so bounded inputs evaluate to full double
+    precision.
     """
-    total = 0j
-    scale = 0.0
     powers = {}
-    for term, monomial in p.compiled():
-        for factor in monomial:
-            power = powers.get(factor)
-            if power is None:
-                v = point.get(factor[0])
-                if v is None:
-                    raise DomainError(f"variable {factor[0]!r} not assigned")
-                power = powers[factor] = complex(v) ** factor[1]
-            term *= power
-        total += term
-        scale = max(scale, abs(term))
-    return total, scale
+    out = []
+    for p in polys:
+        total = 0j
+        scale = 0.0
+        for term, monomial in p.compiled():
+            for factor in monomial:
+                power = powers.get(factor)
+                if power is None:
+                    v = point.get(factor[0])
+                    if v is None:
+                        raise DomainError(f"variable {factor[0]!r} not assigned")
+                    power = powers[factor] = complex(v) ** factor[1]
+                term *= power
+            total += term
+            size = abs(term)
+            if size > scale:    # max(scale, size), which skips a NaN size
+                scale = size
+        out.append((total, scale))
+    return out
+
+
+def eval_scaled(p: Polynomial, point: Mapping[str, complex]) -> tuple[complex, float]:
+    """Value and largest summand modulus at a complex point: the one-polynomial
+    form of :func:`eval_scaled_many`."""
+    return eval_scaled_many((p,), point)[0]
 
 
 def eval_complex(p: Polynomial, point: Mapping[str, complex]) -> complex:
@@ -446,16 +465,27 @@ def eval_complex(p: Polynomial, point: Mapping[str, complex]) -> complex:
 
 
 def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
-    """Evaluate at an exact rational point."""
+    """Evaluate at an exact rational point, in ints: a variable of largest
+    exponent t in *p* and value n/d enters each term as n^e * d^(t - e), over
+    the one denominator ``p.denominator * prod d^t``."""
+    names = p.table.names
+    factors, den = [], p._den
+    for i, t in enumerate(map(max, zip(*p._num))):
+        if not t:
+            continue
+        if names[i] not in point:   # name the first unassigned in term order, then table order
+            name = next(n for exps in p._num for n, e in zip(names, exps) if e and n not in point)
+            raise DomainError(f"variable {name!r} not assigned")
+        v = point[names[i]]
+        v = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        factors.append((i, [v.numerator ** e * v.denominator ** (t - e) for e in range(t + 1)]))
+        den *= v.denominator ** t
     total = 0
     for exps, term in p._num.items():
-        for name, e in zip(p.table.names, exps):
-            if e:
-                if name not in point:
-                    raise DomainError(f"variable {name!r} not assigned")
-                term *= Fraction(point[name]) ** e
+        for i, powers in factors:
+            term *= powers[exps[i]]
         total += term
-    return Fraction(total, p._den)
+    return Fraction(total, den)
 
 
 def substitute_values(p: Polynomial, values: Mapping[str, Fraction | int]) -> Polynomial:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from quartics import bitangent
 from quartics import components as comp
 from quartics.bitangent import (CHARTS, DEFAULT_CERT_TOL, DEFAULT_DEDUPE_TOL,
                                 ProjLine, build_tangency_system,
@@ -18,6 +19,9 @@ from quartics.errors import DegeneracyError, DomainError, EnumerationError
 from quartics.numroots import eval_poly
 from quartics.polyring import Polynomial, VarTable, eval_complex, eval_exact
 from quartics.symfam import make_family
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 def mono(table, powers, c=1):
@@ -92,6 +96,17 @@ class TestPerfectSquareFit:
     def test_all_zero(self):
         assert perfect_square_fit([0, 0, 0, 0, 0]) is None
 
+    @pytest.mark.parametrize("coeffs", [
+        [1, NAN, 0, 0, 0],          # max() skips a NaN that is not first
+        [NAN, 0, 0, 0, 1],
+        [1, 2, 3, 2, complex(1, NAN)],
+        [1, 2, INF, 2, 1],
+        [1, -INF, 3, 2, 1],
+    ])
+    def test_non_finite_coefficient_is_no_fit(self, coeffs):
+        assert perfect_square_fit(coeffs) is None
+        assert perfect_square_fit(coeffs, 1e300) is None
+
 
 class TestDedupe:
     def test_scalar_multiples(self):
@@ -151,6 +166,94 @@ class TestDedupeExact:
         with pytest.raises(DomainError, match="^tol must be a finite number > 0"):
             dedupe_lines([(1, 0, 0)], value)
 
+    # dedupe_lines compares a line only with representatives whose modulus sum
+    # lies in a nearby cell; the inputs below put matches into neighbouring
+    # cells, into one shared cell, and across a change of pivot slot
+
+    @staticmethod
+    def _radial_copy(line, factor, tol):
+        """A copy whose two non-pivot moduli both grow by factor * tol: its
+        distance is factor * tol and its modulus sum grows by 2 * factor * tol."""
+        c = list(line.coefficients)
+        for j in range(3):
+            if j != line.pivot and c[j]:
+                c[j] *= 1 + factor * tol / abs(c[j])
+        return tuple(c)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_radial_copies_match_reference(self, seed):
+        rng = random.Random(100 + seed)
+        tol = 1e-8
+        lines = []
+        for _ in range(40):
+            line = ProjLine.from_coefficients(
+                [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)])
+            lines.append(line)
+            for factor in (0.45, 0.9, 2.0):
+                lines.append(self._radial_copy(line, factor, tol))
+        rng.shuffle(lines)
+        got = dedupe_lines(lines, tol)
+        assert got == _dedupe_reference(lines, tol)
+        assert len(got) == 2 * 40
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_tie_pivots_match_reference(self, seed):
+        # two slots of equal modulus: copies pick either slot as their pivot
+        rng = random.Random(200 + seed)
+        tol = 1e-8
+        lines = []
+        for _ in range(20):
+            w = cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+            c = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+            scale = complex(rng.uniform(0.1, 10), rng.uniform(-10, 10))
+            for eta in (0.0, 0.3 * tol, -0.3 * tol, 0.6 * tol, 3 * tol):
+                slots = [1, w * (1 + eta), c]
+                rng.shuffle(slots)
+                lines.append(tuple(v * scale for v in slots))
+        got = dedupe_lines(lines, tol)
+        assert got == _dedupe_reference(lines, tol)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sign_orbits_match_reference(self, seed):
+        # (+-a, +-b, 1) share their moduli, so the four lines share a cell
+        rng = random.Random(300 + seed)
+        tol = 1e-8
+        lines = []
+        for _ in range(10):
+            a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 1.5
+            b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 1.5
+            for sa in (1, -1):
+                for sb in (1, -1):
+                    line = ProjLine.from_coefficients((sa * a, sb * b, 1))
+                    lines.append(line)
+                    for factor in (0.5, 2.0):
+                        lines.append(self._radial_copy(line, factor, tol))
+        rng.shuffle(lines)
+        got = dedupe_lines(lines, tol)
+        assert got == _dedupe_reference(lines, tol)
+        assert len(got) == 2 * 40
+
+    @pytest.mark.parametrize("tol", [5e-324, 1e-300, 1e-8, 0.3, 1.0, 1e308])
+    def test_extreme_tolerances_match_reference(self, tol):
+        rng = random.Random(400)
+        lines = []
+        for _ in range(30):
+            line = ProjLine.from_coefficients(
+                [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)])
+            lines += [line, line.coefficients, self._radial_copy(line, 0.5, min(tol, 1e-3))]
+            scale = complex(rng.uniform(0.1, 10), rng.uniform(-10, 10))
+            lines.append(tuple(v * scale for v in line.coefficients))
+        rng.shuffle(lines)
+        assert dedupe_lines(lines, tol) == _dedupe_reference(lines, tol)
+
+    @pytest.mark.parametrize("bad", [(1, NAN, 3), (INF, 0, 1), (0, complex(0, NAN), 0)])
+    def test_non_finite_line_rejected(self, bad):
+        # NaN distances once read 0.0, which collapsed such lines into one
+        with pytest.raises(DomainError, match="not all finite"):
+            dedupe_lines([bad, bad])
+        with pytest.raises(DomainError, match="non-finite"):
+            dedupe_lines([ProjLine(tuple(complex(v) for v in bad))])
+
 
 class TestNormalization:
     def test_pivot_is_exact_one(self):
@@ -165,6 +268,30 @@ class TestNormalization:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             ProjLine.from_coefficients((0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [(1, NAN, 3), (NAN, 1, 0), (0, INF, 0), (1, 1, -INF),
+                                     (0, complex(0, NAN), 0)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="not all finite"):
+            ProjLine.from_coefficients(bad)
+
+
+class TestNonFiniteCandidate:
+    def test_certify_rejects(self):
+        poly = make_family("X24", (3,)).poly
+        for coeffs in ((NAN, 1 + 0j, 1 + 0j), (1 + 0j, complex(INF, 0), 1 + 0j)):
+            assert bitangent._certify(poly, coeffs, DEFAULT_CERT_TOL, "X24.J2") is None
+
+    def test_counted_under_its_source(self, monkeypatch):
+        def bad(_triple):
+            return [((complex(NAN, 0), 0.5 + 0j, 1 + 0j), "X24.bad")]
+
+        sources = bitangent.CANDIDATE_SOURCES["X24"]
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X24", (bad, *sources))
+        assert len(enumerate_bitangents("X24", (3,))) == 28
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X24", (bad,))
+        with pytest.raises(EnumerationError, match=r"rejected: \{'X24.bad': 1\}"):
+            enumerate_bitangents("X24", (3,))
 
 
 class TestRestrictionCache:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from quartics.errors import DegreeError, DomainError, RoleError, TableMismatchError
 from quartics.polyring import (Polynomial, VarTable, compose_linear,
                                convert, eval_complex, eval_exact, eval_scaled,
-                               homogenize,
+                               eval_scaled_many, homogenize,
                                partial, restrict_to_line, substitute_linear,
                                substitute_values)
 
@@ -271,6 +271,46 @@ class TestEvalScaledExact:
             else:
                 assert eval_scaled(p, point) == _eval_scaled_reference(p, point)
 
+    @staticmethod
+    def _overlapping(rng: random.Random) -> list[Polynomial]:
+        """1-6 polynomials whose terms come from one small pool of monomials,
+        so that they share variables and powers."""
+        pool = [tuple(rng.randint(0, 4) for _ in range(len(PAR))) for _ in range(12)]
+        return [Polynomial(PAR, {e: Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                             rng.randint(1, 10 ** 4))
+                                 for e in rng.sample(pool, rng.randint(1, 10))})
+                for _ in range(rng.randint(1, 6))]
+
+    def test_shared_power_table_matches_one_by_one(self):
+        rng = random.Random(20261019)
+        for k in range(300):
+            polys = self._overlapping(rng)
+            if k % 3:
+                point = {n: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for n in PAR.names}
+            else:
+                point = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for n in PAR.names}
+            got = eval_scaled_many(polys, point)
+            assert repr(got) == repr([_eval_scaled_reference(p, point) for p in polys])
+            assert repr(got) == repr([eval_scaled(p, point) for p in polys])
+
+    def test_shared_power_table_missing_variable_message(self):
+        rng = random.Random(6)
+        raised = 0
+        for _ in range(200):
+            polys = self._overlapping(rng)
+            kept = rng.sample(PAR.names, rng.randint(0, len(PAR) - 1))
+            point = {n: 0.5 - 0.25j for n in kept}
+            try:
+                want = [_eval_scaled_reference(p, point) for p in polys]
+            except DomainError as exc:
+                raised += 1
+                with pytest.raises(DomainError) as got:
+                    eval_scaled_many(polys, point)
+                assert str(got.value) == str(exc)
+            else:
+                assert eval_scaled_many(polys, point) == want
+        assert raised > 50
+
     def test_compiled_form_is_built_once(self):
         p = mono(PAR, {"x": 2, "r": 1}, Fraction(1, 3)) + 5
         assert p.compiled() is p.compiled()
@@ -435,6 +475,20 @@ def _ref_eval_exact(a, names, point):
     return total
 
 
+def _eval_exact_reference(p, point):
+    """The per-term ``Fraction`` evaluator that :func:`eval_exact` replaced: the
+    oracle for its value and for which unassigned variable its error names."""
+    total = 0
+    for exps, term in p.numerators.items():
+        for name, e in zip(p.table.names, exps):
+            if e:
+                if name not in point:
+                    raise DomainError(f"variable {name!r} not assigned")
+                term *= Fraction(point[name]) ** e
+        total += term
+    return Fraction(total, p.denominator)
+
+
 def _ref_sorted(a):
     return sorted(a.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
@@ -570,6 +624,41 @@ class TestIntegerFormMatchesFractionReference:
             point = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for n in PAR.names}
             got = eval_exact(Polynomial(PAR, a), point)
             assert type(got) is Fraction and got == _ref_eval_exact(a, PAR.names, point)
+
+    @pytest.mark.parametrize("kind", ["negative", "large denominator", "zero", "int", "mixed"])
+    def test_eval_exact_points(self, kind):
+        rng = random.Random(60606)
+        big = 10 ** 40 + 7
+        for _ in range(100):
+            p = Polynomial(PAR, _random_terms(rng, PAR, rng.randint(0, 12), max_exp=5))
+            values = {
+                "negative": lambda: Fraction(-rng.randint(1, 10 ** 6), rng.choice(_DENS)),
+                "large denominator": lambda: Fraction(rng.randint(-big, big), big + rng.randint(0, 9)),
+                "zero": lambda: rng.choice((0, Fraction(0), Fraction(3, 7))),
+                "int": lambda: rng.randint(-50, 50),
+                "mixed": lambda: rng.choice((-3, Fraction(-1, 10 ** 20), 0, "5/7", 0.375)),
+            }[kind]
+            point = {n: values() for n in PAR.names}
+            got = eval_exact(p, point)
+            assert type(got) is Fraction and got == _eval_exact_reference(p, point)
+
+    def test_eval_exact_names_the_same_unassigned_variable(self):
+        rng = random.Random(60607)
+        raised = 0
+        for _ in range(300):
+            p = Polynomial(PAR, _random_terms(rng, PAR, rng.randint(1, 10)))
+            kept = rng.sample(PAR.names, rng.randint(0, len(PAR) - 1))
+            point = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for n in kept}
+            try:
+                want = _eval_exact_reference(p, point)
+            except DomainError as exc:
+                raised += 1
+                with pytest.raises(DomainError) as got:
+                    eval_exact(p, point)
+                assert str(got.value) == str(exc)
+            else:
+                assert eval_exact(p, point) == want
+        assert raised > 100
 
     def test_constructor_reduces_mixed_denominators(self):
         p = Polynomial(XYZ, {(1, 0, 0): Fraction(3, 4), (0, 1, 0): Fraction(5, 6), (0, 0, 1): 0})
