@@ -2,14 +2,13 @@
 four symmetric families of plane quartic curves."""
 
 from .polyring import Polynomial, Rational, VarTable
-from .dixmier import BinaryQuartic, InvariantSet, dixmier_invariants
+from .dixmier import InvariantSet, dixmier_invariants
 from .symfam import QuarticForm, make_family, make_generic
 
 __all__ = [
     "Polynomial",
     "Rational",
     "VarTable",
-    "BinaryQuartic",
     "InvariantSet",
     "QuarticForm",
     "dixmier_invariants",

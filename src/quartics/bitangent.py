@@ -27,8 +27,8 @@ from functools import lru_cache
 from . import components as comp
 from . import numroots
 from .errors import DomainError, EnumerationError, check_tolerance, overflow_as
-from .polyring import (Polynomial, VarTable, eval_exact, eval_scaled,
-                       eval_scaled_many, restrict_to_line)
+from .polyring import Polynomial, VarTable, eval_exact, eval_scaled_many, restrict_to_line
+from .polyring import eval_scaled  # noqa: F401  (the acceptance tests and perfbench import it from here)
 from .symfam import (FAMILY_PARAMS, QuarticForm, make_family,
                      singular_locus_check, x4_triple)
 
@@ -41,25 +41,29 @@ _CELL_MARGIN = 2.0 ** -40
 @dataclass(frozen=True)
 class AffineChart:
     """One affine chart of the dual plane: the named coordinate's line
-    coefficient is normalized to 1 and the coordinate is eliminated."""
+    coefficient is normalized to 1 and the coordinate is eliminated.  The
+    line coefficients in ``slots`` are the values of the two ``unknowns``."""
 
     id: str
     normalized: str
     pair: tuple[str, str]
     unknowns: tuple[str, str]
+    slots: tuple[int, int]
+
+    def point(self, coefficients) -> dict:
+        """The chart point of a line: its coefficients in ``slots``, by unknown."""
+        return {self.unknowns[0]: coefficients[self.slots[0]],
+                self.unknowns[1]: coefficients[self.slots[1]]}
 
 
 CHARTS = {
-    "XY": AffineChart("XY", "z", ("x", "y"), ("a", "b")),
-    "YZ": AffineChart("YZ", "x", ("y", "z"), ("b", "c")),
-    "ZX": AffineChart("ZX", "y", ("x", "z"), ("a", "c")),
+    "XY": AffineChart("XY", "z", ("x", "y"), ("a", "b"), (0, 1)),
+    "YZ": AffineChart("YZ", "x", ("y", "z"), ("b", "c"), (1, 2)),
+    "ZX": AffineChart("ZX", "y", ("x", "z"), ("a", "c"), (0, 2)),
 }
 
 #: Chart of a line whose coefficient in the given slot is normalized to 1.
 _SLOT_CHART = {2: "XY", 0: "YZ", 1: "ZX"}
-
-#: Coefficient slots read off as the chart unknowns, in unknown order.
-_CHART_SLOTS = {"XY": (0, 1), "YZ": (1, 2), "ZX": (0, 2)}
 
 
 @dataclass(frozen=True)
@@ -298,6 +302,10 @@ def _quad_b2_roots(coeff_polys, params) -> list[complex]:
     return [root, -root]
 
 
+#: The (coefficient, rest) pairs of the J1 a^2 splits, flattened for one evaluation.
+_X4_J1_SPLIT_POLYS = tuple(p for split in comp.X4_J1_A2_SPLITS for p in split)
+
+
 def _solve_x4_chart(r, s, u):
     """Chart solutions (a, b, tag) of the three-parameter family."""
     params = {"r": r, "s": s, "u": u}
@@ -315,13 +323,12 @@ def _solve_x4_chart(r, s, u):
         for b in (cmath.sqrt(big), -cmath.sqrt(big)):
             b = numroots.newton_polish(eliminant, b)
             point = {"b": b, **{k: complex(float(v)) for k, v in params.items()}}
-            best = None
-            for coeff, rest in comp.X4_J1_A2_SPLITS:
-                cval, _ = eval_scaled(coeff, point)
-                rval, _ = eval_scaled(rest, point)
-                if best is None or abs(cval) > abs(best[0]):
-                    best = (cval, rval)
-            cval, rval = best
+            values = [v for v, _ in eval_scaled_many(_X4_J1_SPLIT_POLYS, point)]
+            # the first split of largest coefficient modulus; a NaN never replaces it
+            cval, rval = values[0], values[1]
+            for c, rest in zip(values[2::2], values[3::2]):
+                if abs(c) > abs(cval):
+                    cval, rval = c, rest
             if abs(cval) < 1e-12:
                 continue
             a2 = -rval / cval
@@ -411,6 +418,23 @@ def _x16_candidates(triple):
 
 
 _x4_candidates = _in_three_charts("X4", _solve_x4_chart)
+_x24_candidates = _in_three_charts("X24", lambda r, s, u: _solve_x24_chart(r))
+
+
+def _x4_diagonal_candidates(triple):
+    """X4 members with |r| = |s| = |u|, where the J1 resolvent has the double
+    root B = 1 and every a^2 split vanishes.  Such a member is X24(a) with
+    a = sign(rsu) |r| after x, y, z -> d_x x, y, d_z z, where d in {1, i} and
+    d_x^2 r = a = d_z^2 s; its lines are X24(a)'s with each coefficient
+    multiplied by its d."""
+    r, s, u = triple
+    if not abs(r) == abs(s) == abs(u):
+        return []
+    a = abs(r) if r * s * u >= 0 else -abs(r)
+    d = (1 if r == a else 1j, 1, 1 if s == a else 1j)
+    return [(tuple(c * k for c, k in zip(coeffs, d)), source)
+            for coeffs, source in _x24_candidates((a, a, a))]
+
 
 #: Candidate sources per family, each called with the member's X4 triple.
 #: The specialized families embed in the three-parameter one, whose
@@ -420,11 +444,12 @@ _x4_candidates = _in_three_charts("X4", _solve_x4_chart)
 #: perfect-square lift (its variety is only an upper bound for the projected
 #: ideal there), and certification would then leave holes that these
 #: candidates fill.  Family components come first, so deduplication keeps
-#: their tags for lines found both ways.
+#: their tags for lines found both ways.  X4's diagonal source is empty off
+#: |r| = |s| = |u| and keeps the X24 tags of the lines it finds there.
 CANDIDATE_SOURCES = {
-    "X4": (_x4_candidates,),
+    "X4": (_x4_candidates, _x4_diagonal_candidates),
     "X16": (_x16_candidates, _x4_candidates),
-    "X24": (_in_three_charts("X24", lambda r, s, u: _solve_x24_chart(r)), _x4_candidates),
+    "X24": (_x24_candidates, _x4_candidates),
     "X96": (_x96_candidates,),
 }
 
@@ -436,10 +461,7 @@ def _certify(fpoly: Polynomial, coeffs, tol: float, source: str):
         return None
     line = ProjLine.from_coefficients(coeffs)
     chart = line.chart
-    unknowns = CHARTS[chart].unknowns
-    slots = _CHART_SLOTS[chart]
-    point = {unknowns[0]: line.coefficients[slots[0]],
-             unknowns[1]: line.coefficients[slots[1]]}
+    point = CHARTS[chart].point(line.coefficients)
     values = [v for v, _ in eval_scaled_many(restriction_coefficients(fpoly, chart), point)]
     fit = perfect_square_fit(values, tol)
     if fit is None:

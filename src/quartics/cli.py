@@ -242,10 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.run(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError,) as exc:
+    except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegeneracyError as exc:

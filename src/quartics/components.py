@@ -99,32 +99,15 @@ X4_J2_BIQUADRATIC = (_r**2 - 4, 2 * _r * _u - 4 * _s, _u**2 - 4)   # a = 0
 X4_J3_BIQUADRATIC = (_r**2 - 4, 2 * _r * _s - 4 * _u, _s**2 - 4)   # b = 0
 
 
-def x4_j1_a_squared_splits():
-    """Generators of J1 that are linear in a^2, split as (coeff of a^2, rest).
-
-    Used to recover ``a`` for each root ``b`` of the resolvent; the solver
-    picks whichever split has the best-conditioned leading value.
-    """
-    splits = []
-    a2 = {"a": 2}
-    for gen in (X4_J1_GENERATORS[2], X4_J1_GENERATORS[3], X4_J1_GENERATORS[4]):
-        coeff = Polynomial.zero(TABLE_X4)
-        rest = Polynomial.zero(TABLE_X4)
-        ia = TABLE_X4.index("a")
-        for exps, c in gen.terms.items():
-            if exps[ia] == 2:
-                stripped = list(exps)
-                stripped[ia] = 0
-                coeff = coeff + Polynomial(TABLE_X4, {tuple(stripped): c})
-            elif exps[ia] == 0:
-                rest = rest + Polynomial(TABLE_X4, {exps: c})
-            else:
-                raise AssertionError("generator not linear in a^2")
-        splits.append((coeff, rest))
-    return splits
-
-
-X4_J1_A2_SPLITS = x4_j1_a_squared_splits()
+#: Generators of J1 that are linear in a^2, split as (coefficient of a^2, rest).
+#: They recover ``a`` for each root ``b`` of the resolvent; the solver picks
+#: whichever split has the best-conditioned leading value.  ``e[0]`` is the
+#: exponent of a, the first variable of TABLE_X4.
+X4_J1_A2_SPLITS: tuple[tuple[Polynomial, Polynomial], ...] = tuple(
+    tuple(Polynomial.from_numerators(TABLE_X4, {(0,) + e[1:]: c for e, c in gen.numerators.items()
+                                                if e[0] == k}, gen.denominator)
+          for k in (2, 0))
+    for gen in X4_J1_GENERATORS[2:5])
 
 
 # -- X16 ----------------------------------------------------------------------

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numroots
-from .diffcalc import det, matrix_from_rows
+from .diffcalc import det
 from .errors import DegeneracyError, SolverError, check_tolerance, overflow_as
-from .polyring import Polynomial, VarTable, eval_complex
+from .polyring import Polynomial, VarTable, eval_complex, eval_scaled_many
 from .symfam import make_family
 
 DEFAULT_TOL = 1e-8
@@ -168,7 +168,7 @@ def determinant_expand(A, B, C) -> Polynomial:
         [A[i][j] * x + B[i][j] * y + C[i][j] * z for j in range(n)]
         for i in range(n)
     ]
-    return det(matrix_from_rows(pencil))
+    return det(pencil)
 
 
 def _point_assignment(rep_values: dict, params: dict) -> dict:
@@ -183,11 +183,10 @@ def residuals_e_system(rep: DetRep, r, s, u) -> dict:
     values = {"p": rep.p, "q": rep.q, "a": a, "b": b, "c": c, "d": d, "e": e, "f": f}
     params = {"r": Fraction(r), "s": Fraction(s), "u": Fraction(u)}
     point = _point_assignment(values, params)
-    out = {}
-    for i, gen in enumerate(E_SYSTEM, start=1):
-        out[f"e{i}"] = abs(eval_complex(gen, point))
-    for i, gen in enumerate(OEQ_SYSTEM[:6], start=1):
-        out[f"oeq{i}"] = abs(eval_complex(gen, point))
+    moduli = [abs(v) for v, _ in eval_scaled_many(E_SYSTEM + OEQ_SYSTEM[:6], point)]
+    n = len(E_SYSTEM)
+    out = {f"e{i}": m for i, m in enumerate(moduli[:n], start=1)}
+    out.update({f"oeq{i}": m for i, m in enumerate(moduli[n:], start=1)})
     out["pq_identity"] = abs(rep.p ** 2 * rep.q ** 2 - 1)
     out["p2q2_sum"] = abs(rep.p ** 2 + rep.q ** 2 + float(Fraction(r)))
     return out
@@ -211,7 +210,7 @@ def _determinant_residual(rep: DetRep, r, s, u, seed: int) -> float:
     worst = 0.0
     for (x, y, z) in _certification_points(seed):
         pencil = [[x * a + y * b + z * c for a, b, c in zip(*row)] for row in rows]
-        value = det(matrix_from_rows(pencil))
+        value = det(pencil)
         fval = eval_complex(form.poly, {"x": x, "y": y, "z": z})
         worst = max(worst, abs(value - fval) / (1.0 + abs(fval)))
     return worst

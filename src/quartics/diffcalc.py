@@ -15,7 +15,6 @@ These are the computational primitives behind the quartic invariants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeError, DomainError, TableMismatchError
@@ -48,42 +47,24 @@ def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     return result
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """A square matrix of polynomials."""
-
-    entries: tuple[tuple[Polynomial, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("matrix is not square")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
-def matrix_from_rows(rows) -> PolyMatrix:
-    return PolyMatrix(tuple(tuple(row) for row in rows))
-
-
-def hessian(f: Polynomial) -> PolyMatrix:
-    """Matrix of bare second partials of ``f`` in its 3 geometric variables."""
+def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
+    """Rows of the matrix of bare second partials of ``f`` in its 3 geometric variables."""
     table = f.table
     if table.n_geometric != 3:
         raise DegreeError(f"hessian needs 3 geometric variables, table has {table.n_geometric}")
     x, y, z = table.geometric
-    return PolyMatrix(tuple(tuple(partial(partial(f, a), b) for b in (x, y, z))
-                            for a in (x, y, z)))
+    return tuple(tuple(partial(partial(f, a), b) for b in (x, y, z)) for a in (x, y, z))
 
 
-def det(m: PolyMatrix) -> Polynomial:
-    """Determinant by cofactor expansion (sizes up to 4 in practice).
+def det(rows):
+    """Determinant of a square matrix given by its rows, by cofactor expansion
+    (sizes up to 4 in practice).
 
     Exact for polynomial entries; complex entries give the numeric value.
     """
-    return _det_rows([list(row) for row in m.entries])
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    return _det_rows(rows)
 
 
 def _det_rows(rows):
@@ -99,33 +80,33 @@ def _det_rows(rows):
     return total
 
 
-def adjugate(m: PolyMatrix) -> PolyMatrix:
-    """Classical adjugate (transpose of cofactors) of a 3x3 matrix.
+def adjugate(m) -> tuple[tuple[Polynomial, ...], ...]:
+    """Rows of the classical adjugate (transpose of cofactors) of a 3x3 matrix
+    given by its rows.
 
     Satisfies ``m * adj(m) = det(m) * Id`` exactly.
     """
-    if m.size != 3:
+    if len(m) != 3:
         raise DegreeError("adjugate implemented for 3x3 matrices")
-    e = m.entries
     def cof(i, j):
         rows = [r for r in range(3) if r != i]
         cols = [c for c in range(3) if c != j]
-        minor = e[rows[0]][cols[0]] * e[rows[1]][cols[1]] - e[rows[0]][cols[1]] * e[rows[1]][cols[0]]
+        minor = m[rows[0]][cols[0]] * m[rows[1]][cols[1]] - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
         return minor if (i + j) % 2 == 0 else -minor
     # adjugate[i][j] = cofactor(j, i)
-    rows = tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
-    return PolyMatrix(rows)
+    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
 
-def dot(a: PolyMatrix, b: PolyMatrix) -> Polynomial:
-    """Matrix dot product ``sum_ij a[i][j] * b[j][i]`` (exact)."""
-    if a.size != b.size:
-        raise DegreeError(f"dot of {a.size}x{a.size} with {b.size}x{b.size}")
-    table = a.entries[0][0].table
-    total = Polynomial.zero(table)
-    for i in range(a.size):
-        for j in range(a.size):
-            total = total + a.entries[i][j] * b.entries[j][i]
+def dot(a, b) -> Polynomial:
+    """Matrix dot product ``sum_ij a[i][j] * b[j][i]`` of two square matrices
+    given by their rows (exact)."""
+    n = len(a)
+    if n != len(b):
+        raise DegreeError(f"dot of {n}x{n} with {len(b)}x{len(b)}")
+    total = Polynomial.zero(a[0][0].table)
+    for i in range(n):
+        for j in range(n):
+            total = total + a[i][j] * b[j][i]
     return total
 
 

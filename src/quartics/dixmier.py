@@ -44,51 +44,6 @@ def _as_poly(f) -> Polynomial:
     return f.poly if hasattr(f, "poly") else f
 
 
-@dataclass(frozen=True)
-class BinaryQuartic:
-    """Coefficients ``a0..a4`` of ``a0*x^4 + a1*x^3*y + ... + a4*y^4``.
-
-    Coefficients may themselves be polynomials (e.g. in line parameters), so
-    they are stored as :class:`Polynomial` values over a common table.
-    """
-
-    coefficients: tuple[Polynomial, Polynomial, Polynomial, Polynomial, Polynomial]
-    pair: tuple[str, str]
-
-    def __post_init__(self):
-        if len(self.coefficients) != 5:
-            raise ValueError("a binary quartic has exactly 5 coefficient slots")
-
-    @property
-    def table(self) -> VarTable:
-        return self.coefficients[0].table
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, pair: tuple[str, str] | None = None) -> "BinaryQuartic":
-        if len(pair or p.table.geometric) < 2:
-            raise DegreeError("a binary quartic needs two geometric variables")
-        x, y = pair or p.table.geometric[:2]
-        ix, iy = p.table.index(x), p.table.index(y)
-        slots = []
-        for i in range(5):
-            want = [0] * p.table.n_geometric
-            want[ix], want[iy] = 4 - i, i
-            slots.append(tuple(want))
-        groups = p.geometric_coefficients()
-        bad = set(groups) - set(slots)
-        if bad:
-            raise DegreeError(f"form has geometric monomials outside ({x},{y}) degree 4: {sorted(bad)}")
-        return cls(tuple(groups.get(s, Polynomial.zero(p.table)) for s in slots), (x, y))
-
-    def to_polynomial(self) -> Polynomial:
-        x, y = self.pair
-        table = self.table
-        total = Polynomial.zero(table)
-        for i, c in enumerate(self.coefficients):
-            total = total + c * Polynomial.monomial(table, {x: 4 - i, y: i})
-        return total
-
-
 def binary_invariants(a) -> tuple[Polynomial, Polynomial]:
     """``(Sigma, Psi)`` of ``a0*x^4 + a1*x^3*y + ... + a4*y^4`` in closed form::
 
@@ -103,29 +58,40 @@ def binary_invariants(a) -> tuple[Polynomial, Polynomial]:
     return sigma, psi
 
 
-def _binary_invariants_of(P) -> tuple[Polynomial, Polynomial]:
-    p, pair = (P.to_polynomial(), P.pair) if isinstance(P, BinaryQuartic) else (_as_poly(P), None)
-    return binary_invariants(BinaryQuartic.from_polynomial(p, pair).coefficients)
+def _binary_coefficients(P: Polynomial) -> list[Polynomial]:
+    """The coefficients ``a0..a4`` of the binary quartic ``P`` in the first two
+    geometric variables of its table."""
+    table = P.table
+    if table.n_geometric < 2:
+        raise DegreeError("a binary quartic needs two geometric variables")
+    x, y = table.geometric[:2]
+    pad = (0,) * (table.n_geometric - 2)
+    slots = [(4 - i, i) + pad for i in range(5)]
+    groups = P.geometric_coefficients()
+    bad = set(groups) - set(slots)
+    if bad:
+        raise DegreeError(f"form has geometric monomials outside ({x},{y}) degree 4: {sorted(bad)}")
+    return [groups.get(s, Polynomial.zero(table)) for s in slots]
 
 
-def sigma_binary(P) -> Polynomial:
+def sigma_binary(P: Polynomial) -> Polynomial:
     """Apolar invariant ``Sigma(P) = 1/2 (P,P)^4`` of a binary quartic."""
-    return _binary_invariants_of(P)[0]
+    return binary_invariants(_binary_coefficients(P))[0]
 
 
-def psi_binary(P) -> Polynomial:
+def psi_binary(P: Polynomial) -> Polynomial:
     """Catalecticant ``Psi(P) = 1/6 (P, (P,P)^2)^4`` of a binary quartic.
 
     ``(P,P)^2`` is the classical quartic covariant of ``P``; pairing it back
     against ``P`` gives the degree-3 invariant, normalized so that
     ``Sigma^3 - 27 Psi^2`` is the discriminant.
     """
-    return _binary_invariants_of(P)[1]
+    return binary_invariants(_binary_coefficients(P))[1]
 
 
-def delta_binary(P) -> Polynomial:
+def delta_binary(P: Polynomial) -> Polynomial:
     """Discriminant ``Delta(P) = Sigma(P)^3 - 27 Psi(P)^2`` (zero iff P has a repeated root)."""
-    s, t = _binary_invariants_of(P)
+    s, t = binary_invariants(_binary_coefficients(P))
     return s ** 3 - t ** 2 * 27
 
 

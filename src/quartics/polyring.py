@@ -375,25 +375,36 @@ def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
     return p
 
 
+def substitute(p: Polynomial, replacements: Mapping[str, Polynomial]) -> Polynomial:
+    """Substitute each replacement (same table) for its variable, all at once,
+    and re-expand exactly.  Terms are grouped by the exponents of the
+    substituted variables, and each power of a replacement is built once."""
+    table = p.table
+    subs = []
+    for var, replacement in replacements.items():
+        p._check_table(replacement)
+        subs.append((table.index(var), replacement, [Polynomial.constant(table, 1)]))
+    groups: dict[Exponents, dict[Exponents, int]] = {}
+    for exps, coeff in p._num.items():
+        rest = list(exps)
+        for i, _, _ in subs:
+            rest[i] = 0
+        groups.setdefault(tuple(exps[i] for i, _, _ in subs), {})[tuple(rest)] = coeff
+    result = Polynomial.zero(table)
+    for key, num in groups.items():
+        term = Polynomial.from_numerators(table, num, p._den)
+        for e, (_, replacement, powers) in zip(key, subs):
+            while len(powers) <= e:
+                powers.append(powers[-1] * replacement)
+            if e:
+                term = term * powers[e]
+        result = result + term
+    return result
+
+
 def substitute_linear(p: Polynomial, var: str, replacement: Polynomial) -> Polynomial:
     """Substitute *replacement* (same table) for *var* and re-expand exactly."""
-    p._check_table(replacement)
-    i = p.table.index(var)
-    if replacement == Polynomial.variable(p.table, var):
-        return p
-    powers: dict[int, Polynomial] = {0: Polynomial.constant(p.table, 1)}
-
-    def rep_power(k: int) -> Polynomial:
-        if k not in powers:
-            powers[k] = rep_power(k - 1) * replacement
-        return powers[k]
-
-    result = Polynomial.zero(p.table)
-    for exps, coeff in p._num.items():
-        e = exps[i]
-        rest = Polynomial.from_numerators(p.table, {exps[:i] + (0,) + exps[i + 1:]: coeff}, p._den)
-        result = result + (rest * rep_power(e) if e else rest)
-    return result
+    return substitute(p, {var: replacement})
 
 
 def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
@@ -490,12 +501,7 @@ def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
 
 def substitute_values(p: Polynomial, values: Mapping[str, Fraction | int]) -> Polynomial:
     """Replace some variables by exact rational constants."""
-    result = p
-    for name, value in values.items():
-        result = substitute_linear(
-            result, name, Polynomial.constant(p.table, Fraction(value))
-        )
-    return result
+    return substitute(p, {n: Polynomial.constant(p.table, v) for n, v in values.items()})
 
 
 def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = None) -> Polynomial:
@@ -553,31 +559,10 @@ def compose_linear(p: Polynomial, matrix: Sequence[Sequence[Fraction | int]]) ->
     Returns ``p(M x)`` where ``x`` is the column of geometric variables; the
     parameters are untouched.
     """
-    ng = p.table.n_geometric
+    table = p.table
+    ng = table.n_geometric
     if len(matrix) != ng or any(len(row) != ng for row in matrix):
         raise ValueError(f"matrix must be {ng}x{ng}")
-    gvars = [Polynomial.variable(p.table, n) for n in p.table.geometric]
-    images = []
-    for row in matrix:
-        img = Polynomial.zero(p.table)
-        for c, v in zip(row, gvars):
-            if c:
-                img = img + v * Fraction(c)
-        images.append(img)
-    cache: dict[tuple[int, int], Polynomial] = {}
-
-    def image_power(i: int, k: int) -> Polynomial:
-        if k == 0:
-            return Polynomial.constant(p.table, 1)
-        if (i, k) not in cache:
-            cache[(i, k)] = image_power(i, k - 1) * images[i]
-        return cache[(i, k)]
-
-    result = Polynomial.zero(p.table)
-    for exps, coeff in p._num.items():
-        factor = Polynomial.from_numerators(p.table, {(0,) * ng + exps[ng:]: coeff}, p._den)
-        for i in range(ng):
-            if exps[i]:
-                factor = factor * image_power(i, exps[i])
-        result = result + factor
-    return result
+    images = (sum((Polynomial.monomial(table, {n: 1}, c) for n, c in zip(table.geometric, row)),
+                  Polynomial.zero(table)) for row in matrix)
+    return substitute(p, dict(zip(table.geometric, images)))

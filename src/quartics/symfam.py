@@ -69,10 +69,6 @@ class QuarticForm:
         if self.poly.geometric_degree() != 4 or not self.poly.is_geometric_homogeneous():
             raise DomainError("a QuarticForm must be homogeneous of geometric degree 4")
 
-    @property
-    def symbolic(self) -> bool:
-        return any(isinstance(p, str) for p in self.params)
-
 
 def make_family(family: str, params: Sequence[Fraction | int | str] | None = None) -> QuarticForm:
     """Build one of the four family quartics.

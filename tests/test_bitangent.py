@@ -2,6 +2,7 @@
 certification for the bitangent machinery."""
 
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
@@ -50,13 +51,8 @@ class TestTangencySystem:
         f = make_family("X24", (3,))
         for cert in certs[:6]:
             gens = build_tangency_system(f, cert.chart)
-            unknowns = CHARTS[cert.chart].unknowns
-            slots = {"XY": (0, 1), "YZ": (1, 2), "ZX": (0, 2)}[cert.chart]
-            point = {
-                unknowns[0]: cert.line.coefficients[slots[0]],
-                unknowns[1]: cert.line.coefficients[slots[1]],
-                "l0": cert.lam[0], "l1": cert.lam[1], "l2": cert.lam[2],
-            }
+            point = {**CHARTS[cert.chart].point(cert.line.coefficients),
+                     "l0": cert.lam[0], "l1": cert.lam[1], "l2": cert.lam[2]}
             for gen in gens:
                 value, scale = eval_scaled(gen, point)
                 assert abs(value) / max(scale, 1.0) < 1e-9
@@ -276,6 +272,26 @@ class TestNormalization:
             ProjLine.from_coefficients(bad)
 
 
+class TestChartPoint:
+    def test_slots_match_the_literal_table(self):
+        # the table the acceptance test and the benchmark still spell out
+        literal = {"XY": (0, 1), "YZ": (1, 2), "ZX": (0, 2)}
+        coeffs = (2 + 1j, -3 + 0j, 0.5j)
+        for chart, slots in literal.items():
+            unknowns = CHARTS[chart].unknowns
+            assert CHARTS[chart].slots == slots
+            assert CHARTS[chart].point(coeffs) == {unknowns[0]: coeffs[slots[0]],
+                                                   unknowns[1]: coeffs[slots[1]]}
+
+    def test_normalized_slot_is_not_an_unknown(self):
+        # each chart's two slots are the coefficients left after normalizing one to 1
+        for chart, spec in CHARTS.items():
+            normalized = "xyz".index(spec.normalized)
+            assert sorted(spec.slots + (normalized,)) == [0, 1, 2]
+            line = ProjLine.from_coefficients([5.0 if i == normalized else 1.0 for i in range(3)])
+            assert line.chart == chart
+
+
 class TestNonFiniteCandidate:
     def test_certify_rejects(self):
         poly = make_family("X24", (3,)).poly
@@ -419,6 +435,13 @@ class TestEnumeration:
                     assert abs(eval_poly(eliminant, b)) / scale < 1e-8
                     assert abs(eval_poly(eliminant, -b)) / scale < 1e-8  # even powers only
 
+    def test_a2_splits_rebuild_their_generators(self):
+        a2 = mono(comp.TABLE_X4, {"a": 2})
+        assert len(comp.X4_J1_A2_SPLITS) == 3
+        for (coeff, rest), gen in zip(comp.X4_J1_A2_SPLITS, comp.X4_J1_GENERATORS[2:5]):
+            assert coeff.degree_in("a") == rest.degree_in("a") == 0 and coeff
+            assert coeff * a2 + rest == gen
+
     def test_x4_j1_generators_vanish(self):
         certs = enumerate_bitangents("X4", (1, 3, 5))
         cparams = {"r": 1.0 + 0j, "s": 3.0 + 0j, "u": 5.0 + 0j}
@@ -443,15 +466,51 @@ def test_near_locus_members_recertify(family, params):
     certs = enumerate_bitangents(family, params)
     assert len(certs) == 28
     form = make_family(family, params)
-    slots = {"XY": (0, 1), "YZ": (1, 2), "ZX": (0, 2)}
     for cert in certs:
-        unknowns = CHARTS[cert.chart].unknowns
-        point = {n: cert.coefficients[i] for n, i in zip(unknowns, slots[cert.chart])}
+        point = CHARTS[cert.chart].point(cert.coefficients)
         values = [eval_complex(c, point) for c in restriction_coefficients(form, cert.chart)]
         assert perfect_square_fit(values, 10 * DEFAULT_CERT_TOL) is not None
     for i, a in enumerate(certs):
         for b in certs[i + 1:]:
             assert proj_distance(a.coefficients, b.coefficients) >= DEFAULT_DEDUPE_TOL
+
+
+def _x4_diagonal_members(magnitudes):
+    """The smooth X4 members (r, s, u) with |r| = |s| = |u| in *magnitudes*."""
+    members = {tuple(sign * m for sign in signs)
+               for m in magnitudes for signs in itertools.product((1, -1), repeat=3)}
+    return sorted((r, s, u) for r, s, u in members
+                  if abs(r) != 2 and r * r + s * s + u * u - r * s * u - 4 != 0)
+
+
+class TestX4Diagonal:
+    """|r| = |s| = |u|: the J1 resolvent has the double root B = 1 there, and the
+    lines come from X24(a), a = sign(rsu) |r|, scaled by d = (d_x, 1, d_z)."""
+
+    GRID = _x4_diagonal_members([Fraction(k, 2) for k in range(10)])
+    EXTREMES = _x4_diagonal_members([Fraction(10 ** 6), Fraction(1, 1000)])
+
+    def test_grid_size(self):
+        # the members of the grid {k/2 : -9 <= k <= 9}^3 on the diagonal
+        assert len(self.GRID) == 61
+
+    def test_every_member_has_the_28_scaled_x24_lines(self):
+        x24 = {}
+        for r, s, u in self.GRID + self.EXTREMES:
+            a = abs(r) if r * s * u >= 0 else -abs(r)
+            if a not in x24:
+                x24[a] = [cert.coefficients for cert in enumerate_bitangents("X24", (a,))]
+            d = (1 if r == a else 1j, 1, 1 if s == a else 1j)
+            want = [tuple(c * k for c, k in zip(line, d)) for line in x24[a]]
+            got = [cert.coefficients for cert in enumerate_bitangents("X4", (r, s, u))]
+            assert len(got) == 28, (r, s, u)
+            for line in got:
+                assert min(proj_distance(line, w) for w in want) < DEFAULT_DEDUPE_TOL
+            for line in want:
+                assert min(proj_distance(line, g) for g in got) < DEFAULT_DEDUPE_TOL
+
+    def test_off_diagonal_source_is_empty(self):
+        assert bitangent._x4_diagonal_candidates((Fraction(1), Fraction(1), Fraction(3))) == []
 
 
 class TestSymmetryEquivariance:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quartics.diffcalc import (adjugate, det, diff_pair, dot, hessian,
-                               j_bracket, matrix_from_rows, transvectant)
+                               j_bracket, transvectant)
 from quartics.errors import DegreeError, DomainError
 from quartics.polyring import Polynomial, VarTable, convert, multi_partial, substitute_linear
 
@@ -74,84 +74,110 @@ class TestHessian:
     def test_fermat_diagonal(self):
         f = mono(XYZ, {"x": 4}) + mono(XYZ, {"y": 4}) + mono(XYZ, {"z": 4})
         h = hessian(f)
-        assert h.entries[0][0] == mono(XYZ, {"x": 2}, 12)
-        assert h.entries[1][1] == mono(XYZ, {"y": 2}, 12)
-        assert h.entries[2][2] == mono(XYZ, {"z": 2}, 12)
-        assert h.entries[0][1].is_zero()
+        assert h[0][0] == mono(XYZ, {"x": 2}, 12)
+        assert h[1][1] == mono(XYZ, {"y": 2}, 12)
+        assert h[2][2] == mono(XYZ, {"z": 2}, 12)
+        assert h[0][1].is_zero()
         assert det(h) == mono(XYZ, {"x": 2, "y": 2, "z": 2}, 1728)
 
     def test_quadratic_constant_entries(self):
         q = mono(XYZ, {"x": 2}, 3) + mono(XYZ, {"y": 2}, 5) + mono(XYZ, {"z": 2}, 7)
         h = hessian(q)
-        assert h.entries[0][0] == Polynomial.constant(XYZ, 6)
-        assert h.entries[1][1] == Polynomial.constant(XYZ, 10)
-        assert h.entries[2][2] == Polynomial.constant(XYZ, 14)
+        assert h[0][0] == Polynomial.constant(XYZ, 6)
+        assert h[1][1] == Polynomial.constant(XYZ, 10)
+        assert h[2][2] == Polynomial.constant(XYZ, 14)
 
     def test_off_diagonal(self):
         q = mono(XYZ, {"x": 1, "y": 1})
         h = hessian(q)
-        assert h.entries[0][1] == Polynomial.constant(XYZ, 1)
-        assert h.entries[1][0] == Polynomial.constant(XYZ, 1)
-        assert h.entries[0][0].is_zero()
+        assert h[0][1] == Polynomial.constant(XYZ, 1)
+        assert h[1][0] == Polynomial.constant(XYZ, 1)
+        assert h[0][0].is_zero()
+
+
+def constant_rows(rows, kind=tuple):
+    """A matrix of constant polynomials as a *kind* (tuple or list) of rows of that kind."""
+    return kind(kind(Polynomial.constant(XYZ, v) for v in row) for row in rows)
 
 
 class TestAdjugate:
-    def _matrix(self, rows):
-        return matrix_from_rows(
-            [[Polynomial.constant(XYZ, v) for v in row] for row in rows]
-        )
-
     def test_identity(self):
-        m = self._matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        adj = adjugate(m)
-        assert adj.entries == m.entries
+        for kind in (tuple, list):
+            m = constant_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], kind)
+            adj = adjugate(m)
+            assert adj == constant_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_diagonal(self):
-        m = self._matrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
+        m = constant_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
         adj = adjugate(m)
-        assert adj.entries[0][0] == Polynomial.constant(XYZ, 15)
-        assert adj.entries[1][1] == Polynomial.constant(XYZ, 10)
-        assert adj.entries[2][2] == Polynomial.constant(XYZ, 6)
+        assert adj[0][0] == Polynomial.constant(XYZ, 15)
+        assert adj[1][1] == Polynomial.constant(XYZ, 10)
+        assert adj[2][2] == Polynomial.constant(XYZ, 6)
 
     def test_fundamental_identity(self):
         rng = random.Random(21)
-        for _ in range(10):
+        for k in range(10):
             rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-            m = self._matrix(rows)
+            m = constant_rows(rows, (tuple, list)[k % 2])
             adj = adjugate(m)
             d = det(m)
             for i in range(3):
                 for j in range(3):
                     prod = Polynomial.zero(XYZ)
                     for k in range(3):
-                        prod = prod + m.entries[i][k] * adj.entries[k][j]
+                        prod = prod + m[i][k] * adj[k][j]
                     assert prod == (d if i == j else Polynomial.zero(XYZ))
 
 
+class TestDet:
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_integer_matrices(self, kind):
+        # against an independent determinant: Leibniz's permutation sum
+        rng = random.Random(23)
+        for n in (1, 2, 3, 4):
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            want = 0
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                term = (-1) ** inversions
+                for i, j in enumerate(perm):
+                    term *= rows[i][j]
+                want += term
+            assert det(constant_rows(rows, kind)) == Polynomial.constant(XYZ, want)
+
+    def test_complex_entries(self):
+        assert det([[1j, 2.0], [3.0, 4j]]) == -10.0
+
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_not_square(self, kind):
+        with pytest.raises(ValueError, match="not square"):
+            det(constant_rows([[1, 2, 3], [4, 5, 6]], kind))
+
+
 class TestDot:
-    def _diag(self, values):
-        return matrix_from_rows(
-            [[Polynomial.constant(XYZ, values[i] if i == j else 0) for j in range(3)]
-             for i in range(3)]
-        )
+    def _diag(self, values, kind=tuple):
+        return constant_rows([[values[i] if i == j else 0 for j in range(3)] for i in range(3)],
+                             kind)
 
     def test_identity_dot(self):
-        m = self._diag([1, 1, 1])
-        assert dot(m, m) == Polynomial.constant(XYZ, 3)
+        for kind in (tuple, list):
+            m = self._diag([1, 1, 1], kind)
+            assert dot(m, m) == Polynomial.constant(XYZ, 3)
 
     def test_diagonal_dot(self):
-        assert dot(self._diag([1, 2, 3]), self._diag([4, 5, 6])) == Polynomial.constant(XYZ, 32)
+        for kind in (tuple, list):
+            assert dot(self._diag([1, 2, 3], kind), self._diag([4, 5, 6])) == Polynomial.constant(XYZ, 32)
 
     def test_symmetry(self):
         rng = random.Random(22)
         for _ in range(5):
-            a = matrix_from_rows(
-                [[Polynomial.constant(XYZ, rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
-            )
-            b = matrix_from_rows(
-                [[Polynomial.constant(XYZ, rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
-            )
+            a = constant_rows([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
+            b = constant_rows([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)], list)
             assert dot(a, b) == dot(b, a)
+
+    def test_size_mismatch(self):
+        with pytest.raises(DegreeError):
+            dot(constant_rows([[1, 0], [0, 1]]), self._diag([1, 1, 1]))
 
 
 class TestJBracket:

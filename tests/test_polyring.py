@@ -11,8 +11,8 @@ from quartics.errors import DegreeError, DomainError, RoleError, TableMismatchEr
 from quartics.polyring import (Polynomial, VarTable, compose_linear,
                                convert, eval_complex, eval_exact, eval_scaled,
                                eval_scaled_many, homogenize,
-                               partial, restrict_to_line, substitute_linear,
-                               substitute_values)
+                               partial, restrict_to_line, substitute,
+                               substitute_linear, substitute_values)
 
 from conftest import XYZ, random_quartic
 
@@ -117,6 +117,74 @@ class TestSubstituteLinear:
     def test_identity_substitution(self):
         p = random_quartic(random.Random(2))
         assert substitute_linear(p, "z", var(XYZ, "z")) == p
+
+
+def _ref_substitute_linear(p, name, replacement):
+    """The per-term routine that :func:`substitute` replaced: one product per term."""
+    i = p.table.index(name)
+    result = Polynomial.zero(p.table)
+    for exps, coeff in p.terms.items():
+        rest = Polynomial(p.table, {exps[:i] + (0,) + exps[i + 1:]: coeff})
+        result = result + rest * replacement ** exps[i]
+    return result
+
+
+def _ref_substitute_values(p, values):
+    """The old one-variable-at-a-time substitution of constants."""
+    for name, value in values.items():
+        p = _ref_substitute_linear(p, name, Polynomial.constant(p.table, Fraction(value)))
+    return p
+
+
+def _ref_compose_linear(p, matrix):
+    """The old per-term composition with the images of the geometric variables."""
+    table = p.table
+    ng = table.n_geometric
+    gvars = [var(table, n) for n in table.geometric]
+    images = [sum((v * Fraction(c) for c, v in zip(row, gvars) if c), Polynomial.zero(table))
+              for row in matrix]
+    result = Polynomial.zero(table)
+    for exps, coeff in p.terms.items():
+        factor = Polynomial(table, {(0,) * ng + exps[ng:]: coeff})
+        for i in range(ng):
+            factor = factor * images[i] ** exps[i]
+        result = result + factor
+    return result
+
+
+class TestSubstitute:
+    def test_simultaneous_swap(self):
+        x, y = var(XYZ, "x"), var(XYZ, "y")
+        p = x ** 3 * y
+        assert substitute(p, {"x": y, "y": x}) == x * y ** 3
+        # one variable after the other is not a swap
+        assert substitute_linear(substitute_linear(p, "x", y), "y", x) == x ** 4
+
+    def test_matches_the_old_routines(self):
+        rng = random.Random(90901)
+        for k in range(200):
+            p = Polynomial(PAR, _random_terms(rng, PAR, rng.randint(0, 6), max_exp=2))
+            name = rng.choice(PAR.names)
+            rep = Polynomial(PAR, _random_terms(rng, PAR, rng.randint(0, 3), max_exp=1))
+            if k % 3 == 0:      # the replacement contains the substituted variable
+                rep = rep + var(PAR, name) * Fraction(rng.randint(-3, 3), rng.choice(_DENS))
+            want = _ref_substitute_linear(p, name, rep)
+            assert substitute_linear(p, name, rep) == want
+            assert substitute(p, {name: rep}) == want
+            values = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS))
+                      for n in rng.sample(PAR.names, rng.randint(0, 3))}
+            assert substitute_values(p, values) == _ref_substitute_values(p, values)
+            matrix = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(3)]
+                      for _ in range(3)]
+            assert compose_linear(p, matrix) == _ref_compose_linear(p, matrix)
+
+    def test_table_mismatch(self):
+        with pytest.raises(TableMismatchError):
+            substitute(mono(XYZ, {"x": 2}), {"x": var(PAR, "y")})
+
+    def test_unknown_variable(self):
+        with pytest.raises(KeyError, match="unknown variable 'w'"):
+            substitute(mono(XYZ, {"x": 2}), {"w": var(XYZ, "y")})
 
 
 class TestRestrictToLine:
