@@ -330,6 +330,8 @@ def _solve_x4_chart(r, s, u):
                 if abs(c) > abs(cval):
                     cval, rval = c, rest
             if abs(cval) < 1e-12:
+                # no usable split: a NaN candidate that _certify rejects under "J1(split)"
+                out.append((cmath.nan, b, "J1(split)"))
                 continue
             a2 = -rval / cval
             a = cmath.sqrt(a2)
@@ -341,9 +343,10 @@ def _solve_x4_chart(r, s, u):
 def _solve_x16_chart(r, s):
     params = {"r": r, "s": s}
     out = []
-    for b in _biq_roots(comp.X16_J1_BIQUADRATIC, params):
+    axis = _biq_roots(comp.X16_J1_BIQUADRATIC, params)
+    for b in axis:
         out.append((0j, b, "J1"))
-    for a in _biq_roots(comp.X16_J2_BIQUADRATIC, params):
+    for a in axis:
         out.append((a, 0j, "J2"))
     for b in _biq_roots(comp.X16_J56_BIQUADRATIC, params):
         out.append((-b, b, "J5"))
@@ -358,9 +361,10 @@ def _solve_x16_chart(r, s):
 def _solve_x24_chart(r):
     params = {"r": r}
     out = []
-    for b in _biq_roots(comp.X24_J2_BIQUADRATIC, params):
+    axis = _biq_roots(comp.X24_J2_BIQUADRATIC, params)
+    for b in axis:
         out.append((0j, b, "J2"))
-    for a in _biq_roots(comp.X24_J2_BIQUADRATIC, params):
+    for a in axis:
         out.append((a, 0j, "J3"))
     for tag, a, b in comp.X24_RATIONAL_POINTS:
         out.append((complex(a), complex(b), tag))
@@ -379,12 +383,14 @@ _EIGHTH_ROOTS = tuple(cmath.exp(1j * cmath.pi * k / 4) for k in range(8))
 
 
 def _x96_candidates(_triple):
-    """The closed-form list: Fermat's 28 lines need no parameters."""
+    """The closed-form list: Fermat's 28 lines need no parameters.  The 16
+    general lines have fourth roots of unity as coefficients and the 12 axis
+    lines a primitive eighth root w (w^4 = -1)."""
     out = []
-    for za in _EIGHTH_ROOTS:
-        for zb in _EIGHTH_ROOTS:
+    for za in _EIGHTH_ROOTS[::2]:
+        for zb in _EIGHTH_ROOTS[::2]:
             out.append(((za, zb, 1.0 + 0j), "X96.full"))
-    for w in _EIGHTH_ROOTS:
+    for w in _EIGHTH_ROOTS[1::2]:
         for pattern in ((0, 1, w), (0, w, 1), (1, 0, w), (w, 0, 1), (1, w, 0), (w, 1, 0)):
             out.append((tuple(complex(v) for v in pattern), "X96.axis"))
     return out
@@ -437,19 +443,18 @@ def _x4_diagonal_candidates(triple):
 
 
 #: Candidate sources per family, each called with the member's X4 triple.
-#: The specialized families embed in the three-parameter one, whose
-#: resultant-based general component is solved in all three charts; it is a
-#: supplementary source.  On thin parameter loci a specialized
-#: two-generator component description can pick up points with no
-#: perfect-square lift (its variety is only an upper bound for the projected
-#: ideal there), and certification would then leave holes that these
-#: candidates fill.  Family components come first, so deduplication keeps
-#: their tags for lines found both ways.  X4's diagonal source is empty off
-#: |r| = |s| = |u| and keeps the X24 tags of the lines it finds there.
+#: Family components come first, so deduplication keeps their tags for lines
+#: found both ways.  X16 also runs X4's components, solved in all three
+#: charts: on a sweep of 1,561 members they supplied 348 X4.J1 and 2 X4.J2/J3
+#: lines to 58 members that certify, each of which fails without them (53
+#: with X16.J7 candidates rejected: on thin parameter loci a specialized
+#: component description picks up points with no perfect-square lift).  X4's
+#: diagonal source is empty off |r| = |s| = |u| and keeps the X24 tags of the
+#: lines it finds there.  X24's own 72 candidates already give all 28 lines.
 CANDIDATE_SOURCES = {
     "X4": (_x4_candidates, _x4_diagonal_candidates),
     "X16": (_x16_candidates, _x4_candidates),
-    "X24": (_x24_candidates, _x4_candidates),
+    "X24": (_x24_candidates,),
     "X96": (_x96_candidates,),
 }
 
@@ -478,19 +483,14 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
     :class:`EnumerationError` (with per-component diagnostics) if
     certification and projective deduplication do not end at exactly 28
     distinct lines or if a value overflows double precision, and
-    :class:`DomainError` on a tolerance that is not a finite number > 0.
+    :class:`DomainError` on an unknown family, a wrong parameter count or a
+    tolerance that is not a finite number > 0.
     """
     check_tolerance("tol", tol)
     check_tolerance("dedupe_tol", dedupe_tol)
-    if family not in FAMILY_PARAMS:
-        raise DomainError(f"unknown family {family!r}")
-    params = tuple(Fraction(p) for p in params)
-    if len(params) != len(FAMILY_PARAMS[family]):
-        raise DomainError(
-            f"{family} takes {len(FAMILY_PARAMS[family])} parameter(s), got {len(params)}"
-        )
+    form = make_family(family, tuple(params))
+    params = form.params
     singular_locus_check(family, params)
-    form = make_family(family, params)
     triple = x4_triple(family, params)
     member = f"{family}{tuple(str(v) for v in params)}"
 

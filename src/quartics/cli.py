@@ -150,11 +150,8 @@ def cmd_invariants(args) -> dict:
 
 
 def cmd_bitangents(args) -> dict:
-    family = args.family.upper()
-    if family not in FAMILY_PARAMS:
-        raise UsageError(f"bitangents supports the named families, not {args.family!r}")
-    params = _parse_params(family, args.params, False) or []
-    certs = enumerate_bitangents(family, params, tol=args.tol, dedupe_tol=args.dedupe_tol)
+    params = _parse_params(args.family, args.params, False)
+    certs = enumerate_bitangents(args.family, params, tol=args.tol, dedupe_tol=args.dedupe_tol)
     coord, general = coordinate_type_count(certs)
     lines = []
     for cert in certs:

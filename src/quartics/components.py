@@ -114,9 +114,8 @@ X4_J1_A2_SPLITS: tuple[tuple[Polynomial, Polynomial], ...] = tuple(
 
 _a, _b, _r, _s = _vars(TABLE_X16)
 
-#: (component tag, kind, data) for the (a, b) chart; see bitangent._solve_x16.
-X16_J1_BIQUADRATIC = (_r**2 - 4, 2 * _r * _s - 4 * _s, _s**2 - 4)       # a = 0
-X16_J2_BIQUADRATIC = (_r**2 - 4, 2 * _r * _s - 4 * _s, _s**2 - 4)       # b = 0
+#: (component tag, kind, data) for the (a, b) chart; see bitangent._solve_x16_chart.
+X16_J1_BIQUADRATIC = (_r**2 - 4, 2 * _r * _s - 4 * _s, _s**2 - 4)       # a = 0, and also b = 0
 X16_J56_BIQUADRATIC = (2 - _r, 2 * _s - _r * _s, _s**2 - _r - 2)        # a = -b / a = b
 X16_J7_BIQUADRATIC = (_r + 2 - _s**2, _r * _s - 2 * _s, _r - 2)         # a^2 = -s - b^2
 #: Lines with zero z-coefficient (x + b*y = 0), seen from the x-normalized

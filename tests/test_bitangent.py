@@ -309,6 +309,13 @@ class TestNonFiniteCandidate:
         with pytest.raises(EnumerationError, match=r"rejected: \{'X24.bad': 1\}"):
             enumerate_bitangents("X24", (3,))
 
+    def test_j1_root_without_a_split_is_counted(self, monkeypatch):
+        # at (1, 1, 1) the J1 resolvent's double root B = 1 makes every a^2
+        # split vanish; without the diagonal source the error names the cause
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X4", (bitangent._x4_candidates,))
+        with pytest.raises(EnumerationError, match=r"rejected: \{'X4.J1\(split\)': 12\}"):
+            enumerate_bitangents("X4", (1, 1, 1))
+
 
 class TestRestrictionCache:
     def test_cached_coefficients_are_frozen(self):
@@ -335,6 +342,14 @@ class TestEnumeration:
         axis = [c for c in certs if any(abs(v) <= 1e-9 for v in c.line.coefficients)]
         assert len(full) == 16 and len(axis) == 12
         assert all(c.residual < 1e-9 for c in certs)
+
+    def test_x96_candidates_all_certify(self):
+        candidates = bitangent._x96_candidates(None)
+        sources = [source for _, source in candidates]
+        assert (sources.count("X96.full"), sources.count("X96.axis")) == (16, 24)
+        poly = make_family("X96").poly
+        for coeffs, source in candidates:
+            assert bitangent._certify(poly, coeffs, DEFAULT_CERT_TOL, source) is not None
 
     def test_x24_rational_lines(self):
         certs = enumerate_bitangents("X24", (1,))
@@ -513,6 +528,29 @@ class TestX4Diagonal:
         assert bitangent._x4_diagonal_candidates((Fraction(1), Fraction(1), Fraction(3))) == []
 
 
+class TestX24OwnComponents:
+    """X24 takes its lines from its own 72 candidates in three charts only."""
+
+    def test_no_supplementary_source(self):
+        assert bitangent.CANDIDATE_SOURCES["X24"] == (bitangent._x24_candidates,)
+
+    @pytest.mark.parametrize("r", [
+        *(2 + sign * Fraction(1, 10 ** k) for k in range(9, 14) for sign in (1, -1)
+          if (k, sign) != (10, -1)),
+        Fraction(-10 ** 14), Fraction(4 * 10 ** 13), Fraction(-4 * 10 ** 13),
+        Fraction(-2 * 10 ** 14), Fraction(-10 ** 16),
+    ])
+    def test_edge_members_certify(self, r):
+        # each over-counted (40 or 52 lines) while X4's components also ran on X24
+        assert len(enumerate_bitangents("X24", (r,))) == 28
+
+    @pytest.mark.parametrize("r,count", [(4 * 10 ** 16, 22), (10 ** 100, 13)])
+    def test_past_the_dedupe_limit_undercounts(self, r, count):
+        # the closest distinct lines are 2/sqrt(r) apart, below dedupe_tol here
+        with pytest.raises(EnumerationError, match=f"{count} distinct certified lines"):
+            enumerate_bitangents("X24", (Fraction(r),))
+
+
 class TestSymmetryEquivariance:
     def _match(self, certs_a, certs_b, mapping):
         for cert in certs_a:
@@ -555,7 +593,7 @@ class TestDegeneracy:
             enumerate_bitangents("X4", (1, 2))
 
     @pytest.mark.parametrize("family,params", [
-        ("X24", ("1e100",)),
+        ("X24", ("1e400",)),
         ("X16", ("1e155", 1)),
         ("X4", (1, "1e200", 1)),
         ("X4", ("1e400", 1, 1)),

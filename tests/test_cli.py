@@ -139,7 +139,7 @@ class TestBitangents:
 
 
 @pytest.mark.parametrize("argv", [
-    ["bitangents", "--family", "X24", "--params", "1e100"],
+    ["bitangents", "--family", "X24", "--params", "1e400"],
     ["detrep", "--params", "3", "1e200", "1"],
     ["detrep", "--params", "1e140", "1e140", "1e140"],
 ])
