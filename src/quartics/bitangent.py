@@ -11,10 +11,12 @@ The enumeration solves those components in closed form (quadratics,
 biquadratics, and a palindromic quartic resolvent that reduces to two
 quadratics), polishes the roots, then *certifies* every candidate line
 independently: the restricted quartic must fit a perfect square to ``tol``
-and, for the general-position component of the three-parameter family, all
-ten ideal generators must vanish.  Candidates
-from all charts are deduplicated projectively and the final count must be
-exactly 28 (a smooth plane quartic has exactly 28 bitangents).
+and, for a candidate from the general-position component of the
+three-parameter family (whichever family's member it is tried on), all ten
+ideal generators must vanish.  Candidates come in passes: a family's own
+components first, then supplements that run only when the lines certified
+so far do not deduplicate projectively to exactly 28 (a smooth plane
+quartic has exactly 28 bitangents), which the final count must be.
 """
 
 from __future__ import annotations
@@ -306,15 +308,23 @@ def _quad_b2_roots(coeff_polys, params) -> list[complex]:
 _X4_J1_SPLIT_POLYS = tuple(p for split in comp.X4_J1_A2_SPLITS for p in split)
 
 
-def _solve_x4_chart(r, s, u):
-    """Chart solutions (a, b, tag) of the three-parameter family."""
+def _solve_x4_axes(r, s, u):
+    """Chart solutions (a, b, tag) of the three-parameter family on the chart's
+    axes: the J2 and J3 biquadratics."""
     params = {"r": r, "s": s, "u": u}
     out = []
     for b in _biq_roots(comp.X4_J2_BIQUADRATIC, params):
         out.append((0j, b, "J2"))
     for a in _biq_roots(comp.X4_J3_BIQUADRATIC, params):
         out.append((a, 0j, "J3"))
+    return out
 
+
+def _solve_x4_j1(r, s, u):
+    """Chart solutions (a, b, tag) of the three-parameter family's general
+    component J1: the palindromic resolvent in b, then a^2 from a split."""
+    params = {"r": r, "s": s, "u": u}
+    out = []
     quartic = _coeff_values(comp.X4_J1_QUARTIC_B, params)
     eliminant = [0j] * 9
     for k, c in enumerate(quartic):
@@ -338,6 +348,11 @@ def _solve_x4_chart(r, s, u):
             out.append((a, b, "J1"))
             out.append((-a, b, "J1"))
     return out
+
+
+def _solve_x4_chart(r, s, u):
+    """Chart solutions (a, b, tag) of the three-parameter family."""
+    return _solve_x4_axes(r, s, u) + _solve_x4_j1(r, s, u)
 
 
 def _solve_x16_chart(r, s):
@@ -406,11 +421,11 @@ _CHART_ROTATIONS = (
 )
 
 
-def _in_three_charts(family: str, solve):
-    """A candidate source: the chart solver on the rotated triple in every chart."""
+def _in_charts(family: str, solve, rotations=_CHART_ROTATIONS):
+    """A candidate source: the chart solver on the rotated triple in each chart."""
     def source(triple):
         return [(embed(a, b), f"{family}.{tag}")
-                for order, embed in _CHART_ROTATIONS
+                for order, embed in rotations
                 for a, b, tag in solve(*(triple[i] for i in order))]
     return source
 
@@ -423,8 +438,11 @@ def _x16_candidates(triple):
     return out
 
 
-_x4_candidates = _in_three_charts("X4", _solve_x4_chart)
-_x24_candidates = _in_three_charts("X24", lambda r, s, u: _solve_x24_chart(r))
+_x4_candidates = _in_charts("X4", _solve_x4_chart)
+_x4_xy_candidates = _in_charts("X4", _solve_x4_chart, _CHART_ROTATIONS[:1])
+_x4_axis_candidates = _in_charts("X4", _solve_x4_axes, _CHART_ROTATIONS[1:])
+_x4_j1_candidates = _in_charts("X4", _solve_x4_j1, _CHART_ROTATIONS[1:])
+_x24_candidates = _in_charts("X24", lambda r, s, u: _solve_x24_chart(r))
 
 
 def _x4_diagonal_candidates(triple):
@@ -442,21 +460,50 @@ def _x4_diagonal_candidates(triple):
             for coeffs, source in _x24_candidates((a, a, a))]
 
 
-#: Candidate sources per family, each called with the member's X4 triple.
-#: Family components come first, so deduplication keeps their tags for lines
-#: found both ways.  X16 also runs X4's components, solved in all three
-#: charts: on a sweep of 1,561 members they supplied 348 X4.J1 and 2 X4.J2/J3
-#: lines to 58 members that certify, each of which fails without them (53
-#: with X16.J7 candidates rejected: on thin parameter loci a specialized
-#: component description picks up points with no perfect-square lift).  X4's
-#: diagonal source is empty off |r| = |s| = |u| and keeps the X24 tags of the
-#: lines it finds there.  X24's own 72 candidates already give all 28 lines.
+#: Candidate passes per family, each a tuple of sources called with the
+#: member's X4 triple.  A pass after the first runs only when the lines
+#: certified so far do not dedupe to exactly 28.  Family components come
+#: first, so deduplication keeps their tags for lines found both ways.  The
+#: run counts below are over the first 300 certify inputs of seeds 1-10.
+#:
+#: X16's second pass is X4's components, solved in all three charts: on a
+#: sweep of 1,561 members they supplied 348 X4.J1 and 2 X4.J2/J3 lines to
+#: 58 members that certify, each of which fails without them (53 with X16.J7
+#: candidates rejected: on thin parameter loci a specialized component
+#: description picks up points with no perfect-square lift).  Those are the
+#: members it runs for: 102 of 1,000 X16 members, 29 of which then certify.
+#: Run on every member, it also brought near-tangent X4.J1 lines that
+#: over-counted (44 lines on two certify members).
+#:
+#: X4's first pass is chart XY's full solve, whose J1 gives the 16 general
+#: lines, the J2/J3 components of charts YZ and ZX, which give the four
+#: lines with a zero z coefficient, and the diagonal source (empty off
+#: |r| = |s| = |u|; it keeps the X24 tags of the lines it finds there).  The
+#: J1 components of YZ and ZX repeat XY's general lines, and near the
+#: singular surface they also add false ones (32-line over-counts), so they
+#: run second: for 197 of 1,000 X4 members, 119 of which then certify.
+#:
+#: X24's own 72 candidates already give all 28 lines.
 CANDIDATE_SOURCES = {
-    "X4": (_x4_candidates, _x4_diagonal_candidates),
-    "X16": (_x16_candidates, _x4_candidates),
-    "X24": (_x24_candidates,),
-    "X96": (_x96_candidates,),
+    "X4": ((_x4_xy_candidates, _x4_axis_candidates, _x4_diagonal_candidates),
+           (_x4_j1_candidates,)),
+    "X16": ((_x16_candidates,), (_x4_candidates,)),
+    "X24": ((_x24_candidates,),),
+    "X96": ((_x96_candidates,),),
 }
+
+
+def _kills_x4_j1_generators(cert: BitangentCert, triple, tol: float) -> bool:
+    """Whether a line from X4's general component J1 also kills all ten ideal
+    generators in chart XY; one with a vanishing z coefficient cannot be
+    checked there and fails."""
+    c0, c1, c2 = cert.coefficients
+    if not abs(c2) > 1e-12:
+        return False
+    point = {"a": c0 / c2, "b": c1 / c2,
+             **{k: complex(float(v)) for k, v in zip(FAMILY_PARAMS["X4"], triple)}}
+    return all(abs(v) / max(scale, 1.0) < tol
+               for v, scale in eval_scaled_many(comp.X4_J1_GENERATORS, point))
 
 
 def _certify(fpoly: Polynomial, coeffs, tol: float, source: str):
@@ -496,37 +543,30 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
 
     certified: list[BitangentCert] = []
     failures: dict[str, int] = {}
+    gated = 0
     with overflow_as(EnumerationError, member):
-        candidates = [c for source in CANDIDATE_SOURCES[family] for c in source(triple)]
-        for coeffs, source in candidates:
-            cert = _certify(form.poly, coeffs, tol, source)
-            if cert is None:
-                failures[source] = failures.get(source, 0) + 1
-                continue
-            certified.append(cert)
+        for sources in CANDIDATE_SOURCES[family]:
+            for source in sources:
+                for coeffs, tag in source(triple):
+                    cert = _certify(form.poly, coeffs, tol, tag)
+                    if cert is None:
+                        failures[tag] = failures.get(tag, 0) + 1
+                    elif tag == "X4.J1" and not _kills_x4_j1_generators(cert, triple, tol):
+                        # a general-position X4 line, whatever the family, must
+                        # also kill the J1 generators
+                        gated += 1
+                    else:
+                        certified.append(cert)
+            reps = dedupe_lines(certified, dedupe_tol)
+            if len(reps) == 28:
+                break
 
-        # general-position candidates of X4 must also kill all ten ideal generators
-        # in chart XY; one with a vanishing z coefficient cannot be checked there
-        if family == "X4":
-            kept = []
-            cparams = {k: complex(float(v)) for k, v in zip(FAMILY_PARAMS["X4"], triple)}
-            for cert in certified:
-                if cert.source == "X4.J1":
-                    c0, c1, c2 = cert.coefficients
-                    point = {"a": c0 / c2, "b": c1 / c2, **cparams} if abs(c2) > 1e-12 else None
-                    if point is None or not all(
-                            abs(v) / max(scale, 1.0) < tol
-                            for v, scale in eval_scaled_many(comp.X4_J1_GENERATORS, point)):
-                        failures["X4.J1(generators)"] = failures.get("X4.J1(generators)", 0) + 1
-                        continue
-                kept.append(cert)
-            certified = kept
-
-    reps = dedupe_lines(certified, dedupe_tol)
     if len(reps) != 28:
         counts: dict[str, int] = {}
         for c in reps:
             counts[c.source] = counts.get(c.source, 0) + 1
+        if gated:
+            failures["X4.J1(generators)"] = gated
         raise EnumerationError(
             f"{member}: {len(reps)} distinct certified lines instead of 28 "
             f"(by component: {counts}; rejected: {failures})"

@@ -302,17 +302,17 @@ class TestNonFiniteCandidate:
         def bad(_triple):
             return [((complex(NAN, 0), 0.5 + 0j, 1 + 0j), "X24.bad")]
 
-        sources = bitangent.CANDIDATE_SOURCES["X24"]
-        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X24", (bad, *sources))
+        (sources,) = bitangent.CANDIDATE_SOURCES["X24"]
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X24", ((bad, *sources),))
         assert len(enumerate_bitangents("X24", (3,))) == 28
-        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X24", (bad,))
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X24", ((bad,),))
         with pytest.raises(EnumerationError, match=r"rejected: \{'X24.bad': 1\}"):
             enumerate_bitangents("X24", (3,))
 
     def test_j1_root_without_a_split_is_counted(self, monkeypatch):
         # at (1, 1, 1) the J1 resolvent's double root B = 1 makes every a^2
         # split vanish; without the diagonal source the error names the cause
-        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X4", (bitangent._x4_candidates,))
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X4", ((bitangent._x4_candidates,),))
         with pytest.raises(EnumerationError, match=r"rejected: \{'X4.J1\(split\)': 12\}"):
             enumerate_bitangents("X4", (1, 1, 1))
 
@@ -532,7 +532,7 @@ class TestX24OwnComponents:
     """X24 takes its lines from its own 72 candidates in three charts only."""
 
     def test_no_supplementary_source(self):
-        assert bitangent.CANDIDATE_SOURCES["X24"] == (bitangent._x24_candidates,)
+        assert bitangent.CANDIDATE_SOURCES["X24"] == ((bitangent._x24_candidates,),)
 
     @pytest.mark.parametrize("r", [
         *(2 + sign * Fraction(1, 10 ** k) for k in range(9, 14) for sign in (1, -1)
@@ -549,6 +549,61 @@ class TestX24OwnComponents:
         # the closest distinct lines are 2/sqrt(r) apart, below dedupe_tol here
         with pytest.raises(EnumerationError, match=f"{count} distinct certified lines"):
             enumerate_bitangents("X24", (Fraction(r),))
+
+
+class TestCertifyPasses:
+    """A family's supplementary pass runs only when its own lines fall short."""
+
+    @pytest.mark.parametrize("params", [
+        (Fraction(-1345661, 250), Fraction(359, 200)),
+        (Fraction(-659999, 125), Fraction(-923, 500)),
+    ])
+    def test_x16_members_no_longer_overcount(self, params):
+        # each ended with 44 lines while X4's ungated J1 lines ran on every X16 member
+        certs = enumerate_bitangents("X16", params)
+        assert len(certs) == 28
+        assert all(c.source.startswith("X16.") for c in certs)
+
+    def test_x4_j1_gate_applies_to_x16(self, monkeypatch):
+        # 16 X4.J1 candidates fit a square on this X16 member but miss the generators
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X16", ((bitangent._x4_candidates,),))
+        with pytest.raises(EnumerationError,
+                           match=r"rejected: \{'X4.J1': 24, 'X4.J1\(generators\)': 16\}"):
+            enumerate_bitangents("X16", (Fraction(-1345661, 250), Fraction(359, 200)))
+
+    @pytest.mark.parametrize("family,params", [("X16", (1, 3)), ("X4", (1, 3, 5))])
+    def test_second_pass_runs_only_on_demand(self, monkeypatch, family, params):
+        def boom(_triple):
+            raise AssertionError("the second pass ran")
+
+        first, _second = bitangent.CANDIDATE_SOURCES[family]
+        want = enumerate_bitangents(family, params)
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, family, (first, (boom,)))
+        got = enumerate_bitangents(family, params)
+        assert len(got) == 28
+        assert [repr(c) for c in got] == [repr(c) for c in want]
+
+    def test_failure_counts_every_pass_that_ran(self, monkeypatch):
+        params = (Fraction(222633), Fraction(30, 7), Fraction(30, 7))
+        with pytest.raises(EnumerationError,
+                           match=r"rejected: \{'X4.J1': 8, 'X4.J1\(generators\)': 32\}\)$"):
+            enumerate_bitangents("X4", params)
+        first, _second = bitangent.CANDIDATE_SOURCES["X4"]
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X4", (first,))
+        with pytest.raises(EnumerationError,
+                           match=r"rejected: \{'X4.J1\(generators\)': 16\}\)$"):
+            enumerate_bitangents("X4", params)
+
+    def test_x4_first_pass_is_chart_xy_and_the_axes(self):
+        triple = (Fraction(1), Fraction(3), Fraction(5))
+        (xy, axes, diagonal), (j1,) = bitangent.CANDIDATE_SOURCES["X4"]
+        assert diagonal is bitangent._x4_diagonal_candidates
+        # together the two passes list exactly X4's three-chart candidates
+        by_chart = sorted(xy(triple) + axes(triple) + j1(triple), key=repr)
+        assert by_chart == sorted(bitangent._x4_candidates(triple), key=repr)
+        assert {source for _, source in axes(triple)} == {"X4.J2", "X4.J3"}
+        assert {source for _, source in j1(triple)} == {"X4.J1"}
+        assert all(coeffs[2] == 1 for coeffs, _ in xy(triple))
 
 
 class TestSymmetryEquivariance:

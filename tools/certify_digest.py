@@ -14,7 +14,11 @@ Run from the root of a checkout:
     python tools/certify_digest.py --seeds 7 8 --members 300
 
 The digest is the only line on stdout; member and failure counts go to
-stderr.
+stderr.  ``--per-member`` prints instead one line per member: seed, index
+in the generator, member, ``ok`` or ``fail``, and the sha256 of its record.
+A ``diff`` of that listing from two checkouts names the members that moved:
+
+    python tools/certify_digest.py --seeds 7 8 --members 300 --per-member
 """
 
 from __future__ import annotations
@@ -56,18 +60,25 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--members", type=int, required=True,
                         help="generator inputs per seed")
+    parser.add_argument("--per-member", action="store_true",
+                        help="one line per member instead of the single digest")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
     digest = hashlib.sha256()
     count = failed = 0
     for seed in args.seeds:
-        for record, bad in member_records(seed, args.members):
+        for index, (record, bad) in enumerate(member_records(seed, args.members)):
             digest.update(record.encode() + b"\0")
             count += 1
             failed += bad
+            if args.per_member:
+                member = record.split("\n", 1)[0]
+                print(seed, index, member, "fail" if bad else "ok",
+                      hashlib.sha256(record.encode()).hexdigest())
     print(f"{count} members, {failed} failed solves", file=sys.stderr)
-    print(digest.hexdigest())
+    if not args.per_member:
+        print(digest.hexdigest())
     return 0
 
 
