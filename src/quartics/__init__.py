@@ -1,13 +1,12 @@
 """Exact invariants, bitangents and determinantal representations for the
 four symmetric families of plane quartic curves."""
 
-from .polyring import Polynomial, Rational, VarTable
+from .polyring import Polynomial, VarTable
 from .dixmier import InvariantSet, dixmier_invariants
 from .symfam import QuarticForm, make_family, make_generic
 
 __all__ = [
     "Polynomial",
-    "Rational",
     "VarTable",
     "InvariantSet",
     "QuarticForm",

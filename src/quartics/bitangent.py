@@ -65,7 +65,7 @@ CHARTS = {
 }
 
 #: Chart of a line whose coefficient in the given slot is normalized to 1.
-_SLOT_CHART = {2: "XY", 0: "YZ", 1: "ZX"}
+_SLOT_CHART = {"xyz".index(c.normalized): c.id for c in CHARTS.values()}
 
 
 @dataclass(frozen=True)
@@ -281,13 +281,7 @@ def perfect_square_fit(coeffs, tol: float = DEFAULT_CERT_TOL):
 
 
 def _coeff_values(coeff_polys, params: dict) -> list[Fraction]:
-    out = []
-    for c in coeff_polys:
-        if isinstance(c, Polynomial):
-            out.append(eval_exact(c, params))
-        else:
-            out.append(Fraction(c))
-    return out
+    return [eval_exact(c, params) for c in coeff_polys]
 
 
 def _biq_roots(coeff_polys, params) -> list[complex]:
@@ -348,11 +342,6 @@ def _solve_x4_j1(r, s, u):
             out.append((a, b, "J1"))
             out.append((-a, b, "J1"))
     return out
-
-
-def _solve_x4_chart(r, s, u):
-    """Chart solutions (a, b, tag) of the three-parameter family."""
-    return _solve_x4_axes(r, s, u) + _solve_x4_j1(r, s, u)
 
 
 def _solve_x16_chart(r, s):
@@ -421,11 +410,12 @@ _CHART_ROTATIONS = (
 )
 
 
-def _in_charts(family: str, solve, rotations=_CHART_ROTATIONS):
-    """A candidate source: the chart solver on the rotated triple in each chart."""
+def _in_charts(family: str, solvers, rotations=_CHART_ROTATIONS):
+    """A candidate source: in each chart, the chart solvers in turn on the rotated triple."""
     def source(triple):
         return [(embed(a, b), f"{family}.{tag}")
                 for order, embed in rotations
+                for solve in solvers
                 for a, b, tag in solve(*(triple[i] for i in order))]
     return source
 
@@ -438,11 +428,10 @@ def _x16_candidates(triple):
     return out
 
 
-_x4_candidates = _in_charts("X4", _solve_x4_chart)
-_x4_xy_candidates = _in_charts("X4", _solve_x4_chart, _CHART_ROTATIONS[:1])
-_x4_axis_candidates = _in_charts("X4", _solve_x4_axes, _CHART_ROTATIONS[1:])
-_x4_j1_candidates = _in_charts("X4", _solve_x4_j1, _CHART_ROTATIONS[1:])
-_x24_candidates = _in_charts("X24", lambda r, s, u: _solve_x24_chart(r))
+_x4_xy_candidates = _in_charts("X4", (_solve_x4_axes, _solve_x4_j1), _CHART_ROTATIONS[:1])
+_x4_axis_candidates = _in_charts("X4", (_solve_x4_axes,), _CHART_ROTATIONS[1:])
+_x4_j1_candidates = _in_charts("X4", (_solve_x4_j1,), _CHART_ROTATIONS[1:])
+_x24_candidates = _in_charts("X24", (lambda r, s, u: _solve_x24_chart(r),))
 
 
 def _x4_diagonal_candidates(triple):
@@ -466,15 +455,6 @@ def _x4_diagonal_candidates(triple):
 #: first, so deduplication keeps their tags for lines found both ways.  The
 #: run counts below are over the first 300 certify inputs of seeds 1-10.
 #:
-#: X16's second pass is X4's components, solved in all three charts: on a
-#: sweep of 1,561 members they supplied 348 X4.J1 and 2 X4.J2/J3 lines to
-#: 58 members that certify, each of which fails without them (53 with X16.J7
-#: candidates rejected: on thin parameter loci a specialized component
-#: description picks up points with no perfect-square lift).  Those are the
-#: members it runs for: 102 of 1,000 X16 members, 29 of which then certify.
-#: Run on every member, it also brought near-tangent X4.J1 lines that
-#: over-counted (44 lines on two certify members).
-#:
 #: X4's first pass is chart XY's full solve, whose J1 gives the 16 general
 #: lines, the J2/J3 components of charts YZ and ZX, which give the four
 #: lines with a zero z coefficient, and the diagonal source (empty off
@@ -482,12 +462,19 @@ def _x4_diagonal_candidates(triple):
 #: J1 components of YZ and ZX repeat XY's general lines, and near the
 #: singular surface they also add false ones (32-line over-counts), so they
 #: run second: for 197 of 1,000 X4 members, 119 of which then certify.
+_X4_PASSES = ((_x4_xy_candidates, _x4_axis_candidates, _x4_diagonal_candidates),
+              (_x4_j1_candidates,))
+
+#: X16(r, s) is X4(r, s, s), so its later passes are X4's.  They rescue
+#: members whose X16.J7 candidates have no perfect-square lift on thin loci
+#: (53 of the 58 rescued in a sweep of 1,561).  X4's first pass runs for 102
+#: of 1,000 X16 members (22 then certify), its second for 80 (7 certify).
+#: Run on every member, they let near-tangent X4.J1 lines over-count.
 #:
 #: X24's own 72 candidates already give all 28 lines.
 CANDIDATE_SOURCES = {
-    "X4": ((_x4_xy_candidates, _x4_axis_candidates, _x4_diagonal_candidates),
-           (_x4_j1_candidates,)),
-    "X16": ((_x16_candidates,), (_x4_candidates,)),
+    "X4": _X4_PASSES,
+    "X16": ((_x16_candidates,), *_X4_PASSES),
     "X24": ((_x24_candidates,),),
     "X96": ((_x96_candidates,),),
 }
@@ -541,11 +528,12 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
     triple = x4_triple(family, params)
     member = f"{family}{tuple(str(v) for v in params)}"
 
-    certified: list[BitangentCert] = []
+    reps: list[BitangentCert] = []
     failures: dict[str, int] = {}
     gated = 0
     with overflow_as(EnumerationError, member):
         for sources in CANDIDATE_SOURCES[family]:
+            certified: list[BitangentCert] = []
             for source in sources:
                 for coeffs, tag in source(triple):
                     cert = _certify(form.poly, coeffs, tol, tag)
@@ -557,7 +545,9 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
                         gated += 1
                     else:
                         certified.append(cert)
-            reps = dedupe_lines(certified, dedupe_tol)
+            # kept lines never match one another and precede the pass's lines, so
+            # this keeps and orders exactly what a dedupe of every certified line would
+            reps = dedupe_lines(reps + certified, dedupe_tol)
             if len(reps) == 28:
                 break
 

@@ -102,7 +102,7 @@ def _parse_params(family: str, raw: list[str] | None, symbolic: bool):
 
 
 def cmd_invariants(args) -> dict:
-    family = args.family.upper() if args.family != "generic" else "GENERIC"
+    family = args.family if args.family != "generic" else "GENERIC"
     params = _parse_params(family, args.params, args.symbolic)
     if family == "GENERIC":
         if args.symbolic:
@@ -205,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_inv = sub.add_parser("invariants", help="the six quartic invariants")
-    p_inv.add_argument("--family", required=True,
-                       choices=["X4", "X16", "X24", "X96", "generic"])
+    p_inv.add_argument("--family", required=True, choices=[*FAMILY_PARAMS, "generic"])
     p_inv.add_argument("--params", nargs="*", metavar="Q",
                        help="exact rationals like 3 or 7/2; negatives via "
                             "--params=-7/2,0,1")
@@ -219,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(run=cmd_invariants)
 
     p_bit = sub.add_parser("bitangents", help="all 28 certified bitangents")
-    p_bit.add_argument("--family", required=True, choices=["X4", "X16", "X24", "X96"])
+    p_bit.add_argument("--family", required=True, choices=list(FAMILY_PARAMS))
     p_bit.add_argument("--params", nargs="*", metavar="Q")
     p_bit.add_argument("--tol", type=tolerance, default=DEFAULT_CERT_TOL)
     p_bit.add_argument("--dedupe-tol", type=tolerance, default=DEFAULT_DEDUPE_TOL)

@@ -114,7 +114,7 @@ X4_J1_A2_SPLITS: tuple[tuple[Polynomial, Polynomial], ...] = tuple(
 
 _a, _b, _r, _s = _vars(TABLE_X16)
 
-#: (component tag, kind, data) for the (a, b) chart; see bitangent._solve_x16_chart.
+#: Ascending coefficients of (b^0, b^2, b^4) in the (a, b) chart.
 X16_J1_BIQUADRATIC = (_r**2 - 4, 2 * _r * _s - 4 * _s, _s**2 - 4)       # a = 0, and also b = 0
 X16_J56_BIQUADRATIC = (2 - _r, 2 * _s - _r * _s, _s**2 - _r - 2)        # a = -b / a = b
 X16_J7_BIQUADRATIC = (_r + 2 - _s**2, _r * _s - 2 * _s, _r - 2)         # a^2 = -s - b^2
@@ -134,5 +134,6 @@ X24_RATIONAL_POINTS = (                            # (tag, a, b)
     ("J7", -1, -1),
     ("J8", 1, 1),
 )
-X24_J69_QUADRATIC = (1, _r + 1)                    # (r+1) b^2 + 1, a = -/+ b
-X24_J10_13_QUADRATIC = (_r + 1, 1)                 # b^2 + r + 1 with a = -/+ 1
+_one = Polynomial.constant(TABLE_X24, 1)
+X24_J69_QUADRATIC = (_one, _r + 1)                 # (r+1) b^2 + 1, a = -/+ b
+X24_J10_13_QUADRATIC = (_r + 1, _one)              # b^2 + r + 1 with a = -/+ 1

@@ -38,7 +38,6 @@ from typing import Mapping, Sequence
 
 from .errors import DegreeError, DomainError, RoleError, TableMismatchError
 
-Rational = Fraction
 Exponents = tuple[int, ...]
 
 

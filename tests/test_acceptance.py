@@ -117,13 +117,8 @@ def _certify_generators(family, params, certs, tol=1e-9):
     form = make_family(family, params)
     for cert in certs:
         gens = build_tangency_system(form, cert.chart)
-        unknowns = CHARTS[cert.chart].unknowns
-        slots = {"XY": (0, 1), "YZ": (1, 2), "ZX": (0, 2)}[cert.chart]
-        point = {
-            unknowns[0]: cert.line.coefficients[slots[0]],
-            unknowns[1]: cert.line.coefficients[slots[1]],
-            "l0": cert.lam[0], "l1": cert.lam[1], "l2": cert.lam[2],
-        }
+        point = {**CHARTS[cert.chart].point(cert.line.coefficients),
+                 "l0": cert.lam[0], "l1": cert.lam[1], "l2": cert.lam[2]}
         for gen in gens:
             value, scale = eval_scaled(gen, point)
             assert abs(value) / max(scale, 1.0) < tol

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quartics import bitangent
 from quartics import components as comp
@@ -135,6 +136,12 @@ def _dedupe_reference(lines, tol):
     return sorted(reps, key=lambda l: l.sort_key())
 
 
+#: Coefficient triples with exact repeats, rescalings and copies within and
+#: beyond the dedupe tolerance of one another.
+_LINES = st.tuples(*[st.sampled_from([0, 1, -1, 2, 1j, -0.5j, 1 + 1e-9, 2 + 3e-9j, 1e-7, 2e-8])] * 3
+                   ).filter(any)
+
+
 class TestDedupeExact:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_pairwise_reference(self, seed):
@@ -242,6 +249,14 @@ class TestDedupeExact:
         rng.shuffle(lines)
         assert dedupe_lines(lines, tol) == _dedupe_reference(lines, tol)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_LINES, max_size=12), st.lists(_LINES, max_size=12))
+    def test_dedupe_onto_kept_lines(self, first, rest):
+        # enumerate_bitangents dedupes each pass onto the lines kept before it
+        kept = dedupe_lines(first)
+        assert dedupe_lines(kept + rest) == dedupe_lines(first + rest)
+        assert dedupe_lines(first + rest) == _dedupe_reference(first + rest, DEFAULT_DEDUPE_TOL)
+
     @pytest.mark.parametrize("bad", [(1, NAN, 3), (INF, 0, 1), (0, complex(0, NAN), 0)])
     def test_non_finite_line_rejected(self, bad):
         # NaN distances once read 0.0, which collapsed such lines into one
@@ -274,7 +289,7 @@ class TestNormalization:
 
 class TestChartPoint:
     def test_slots_match_the_literal_table(self):
-        # the table the acceptance test and the benchmark still spell out
+        # the table the benchmark still spells out
         literal = {"XY": (0, 1), "YZ": (1, 2), "ZX": (0, 2)}
         coeffs = (2 + 1j, -3 + 0j, 0.5j)
         for chart, slots in literal.items():
@@ -290,6 +305,10 @@ class TestChartPoint:
             assert sorted(spec.slots + (normalized,)) == [0, 1, 2]
             line = ProjLine.from_coefficients([5.0 if i == normalized else 1.0 for i in range(3)])
             assert line.chart == chart
+
+
+#: X4's components solved in all three charts, as one candidate source.
+_X4_ALL_CHARTS = bitangent._in_charts("X4", (bitangent._solve_x4_axes, bitangent._solve_x4_j1))
 
 
 class TestNonFiniteCandidate:
@@ -312,7 +331,7 @@ class TestNonFiniteCandidate:
     def test_j1_root_without_a_split_is_counted(self, monkeypatch):
         # at (1, 1, 1) the J1 resolvent's double root B = 1 makes every a^2
         # split vanish; without the diagonal source the error names the cause
-        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X4", ((bitangent._x4_candidates,),))
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X4", ((_X4_ALL_CHARTS,),))
         with pytest.raises(EnumerationError, match=r"rejected: \{'X4.J1\(split\)': 12\}"):
             enumerate_bitangents("X4", (1, 1, 1))
 
@@ -566,17 +585,38 @@ class TestCertifyPasses:
 
     def test_x4_j1_gate_applies_to_x16(self, monkeypatch):
         # 16 X4.J1 candidates fit a square on this X16 member but miss the generators
-        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X16", ((bitangent._x4_candidates,),))
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X16", ((_X4_ALL_CHARTS,),))
         with pytest.raises(EnumerationError,
                            match=r"rejected: \{'X4.J1': 24, 'X4.J1\(generators\)': 16\}"):
             enumerate_bitangents("X16", (Fraction(-1345661, 250), Fraction(359, 200)))
+
+    def test_x16_later_passes_are_x4s(self):
+        x16, x4 = bitangent.CANDIDATE_SOURCES["X16"], bitangent.CANDIDATE_SOURCES["X4"]
+        assert x16[0] == (bitangent._x16_candidates,)
+        assert len(x16[1:]) == len(x4)
+        assert all(ours is theirs for ours, theirs in zip(x16[1:], x4))
+
+    @pytest.mark.parametrize("params", [
+        (Fraction(72427220723057861402841, 77051528410000000000), Fraction(21552737, 702232)),
+        (Fraction(43806083247582231728761, 824792728761000000), Fraction(-209302969, 908181)),
+    ])
+    def test_x16_near_singular_members_stop_after_x4s_first_pass(self, monkeypatch, params):
+        # each ended with 32 lines while X4's YZ/ZX J1 lines ran in one pass with the rest
+        def boom(_triple):
+            raise AssertionError("X4's second pass ran")
+
+        own, x4_first, _x4_second = bitangent.CANDIDATE_SOURCES["X16"]
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X16", (own, x4_first, (boom,)))
+        certs = enumerate_bitangents("X16", params)
+        assert len(certs) == 28
+        assert {c.source for c in certs if c.source.startswith("X4.")} == {"X4.J1"}
 
     @pytest.mark.parametrize("family,params", [("X16", (1, 3)), ("X4", (1, 3, 5))])
     def test_second_pass_runs_only_on_demand(self, monkeypatch, family, params):
         def boom(_triple):
             raise AssertionError("the second pass ran")
 
-        first, _second = bitangent.CANDIDATE_SOURCES[family]
+        first = bitangent.CANDIDATE_SOURCES[family][0]
         want = enumerate_bitangents(family, params)
         monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, family, (first, (boom,)))
         got = enumerate_bitangents(family, params)
@@ -600,7 +640,7 @@ class TestCertifyPasses:
         assert diagonal is bitangent._x4_diagonal_candidates
         # together the two passes list exactly X4's three-chart candidates
         by_chart = sorted(xy(triple) + axes(triple) + j1(triple), key=repr)
-        assert by_chart == sorted(bitangent._x4_candidates(triple), key=repr)
+        assert by_chart == sorted(_X4_ALL_CHARTS(triple), key=repr)
         assert {source for _, source in axes(triple)} == {"X4.J2", "X4.J3"}
         assert {source for _, source in j1(triple)} == {"X4.J1"}
         assert all(coeffs[2] == 1 for coeffs, _ in xy(triple))

@@ -43,6 +43,8 @@ MEMBERS = (
     ("X16", ("7000000001/1000000000", "3")),
     ("X16", ("7000000000001/1000000000000", "3")),
     ("X16", ("7000000000009/9000000000000", "-5/3")),
+    ("X16", ("10", "-1")),
+    ("X16", ("1743/1000", "-44027/20")),
     ("X24", ("-1/3",)),
     ("X24", ("4321/10",)),
     ("X24", ("-999999/1000000",)),
