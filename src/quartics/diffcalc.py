@@ -29,21 +29,12 @@ def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     """
     if f.table != g.table:
         raise TableMismatchError("diff_pair operands use different variable tables")
-    table = f.table
-    ng = table.n_geometric
-    gnames = table.geometric
-    result = Polynomial.zero(table)
-    cache: dict[tuple, Polynomial] = {}
-    for exps, coeff in f.numerators.items():
-        geo = exps[:ng]
-        if geo not in cache:
-            cache[geo] = multi_partial(g, {n: e for n, e in zip(gnames, geo) if e})
-        diff = cache[geo]
-        if diff.is_zero():
-            continue
-        par_monomial = Polynomial.from_numerators(table, {(0,) * ng + exps[ng:]: coeff},
-                                                  f.denominator)
-        result = result + par_monomial * diff
+    gnames = f.table.geometric
+    result = Polynomial.zero(f.table)
+    for geo, coeff in f.geometric_coefficients().items():
+        diff = multi_partial(g, {n: e for n, e in zip(gnames, geo) if e})
+        if diff:
+            result = result + coeff * diff
     return result
 
 
@@ -110,29 +101,20 @@ def dot(a, b) -> Polynomial:
     return total
 
 
-_J_KINDS = ("J11", "J22", "J30", "J03")
-
-
-def j_bracket(kind: str, f: Polynomial, g: Polynomial) -> Polynomial:
-    """The four J-brackets of two quadratic ternary forms.
+def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
+    """The four J-brackets ``(J11, J22, J30, J03)`` of two quadratic ternary forms.
 
     ``J11 = <H(f), H(g)>``, ``J22 = <H*(f), H*(g)>``, ``J30 = det H(f)``,
-    ``J03 = det H(g)``.  The Hessians of quadratics have constant entries.
-    Degenerate inputs of geometric degree below 2 are allowed (their second
-    partials simply vanish); degree above 2 is an error.
+    ``J03 = det H(g)``, all from one Hessian of each form.  The Hessians of
+    quadratics have constant entries.  Degenerate inputs of geometric degree
+    below 2 are allowed (their second partials simply vanish); degree above 2
+    is an error.
     """
-    if kind not in _J_KINDS:
-        raise DomainError(f"unknown J bracket {kind!r}; expected one of {_J_KINDS}")
     for p in (f, g):
         if p.geometric_degree() > 2:
             raise DegreeError("J brackets are defined for quadratic forms")
-    if kind == "J11":
-        return dot(hessian(f), hessian(g))
-    if kind == "J22":
-        return dot(adjugate(hessian(f)), adjugate(hessian(g)))
-    if kind == "J30":
-        return det(hessian(f))
-    return det(hessian(g))
+    hf, hg = hessian(f), hessian(g)
+    return dot(hf, hg), dot(adjugate(hf), adjugate(hg)), det(hf), det(hg)
 
 
 def _binary_checks(F: Polynomial, G: Polynomial, pair: tuple[str, str]):

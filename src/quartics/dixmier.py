@@ -1,18 +1,23 @@
 """The Dixmier invariant pipeline for ternary quartics.
 
 The construction restricts a quartic ``f(x, y, z)`` to the pencil of lines
-``z = -u*x - v*y``, takes the two classical invariants of the resulting
+``z = -u*x - v*y`` and takes the two classical invariants of the resulting
 binary quartic (``Sigma``, the apolar invariant, and ``Psi``, the
-catalecticant) in closed form, and homogenizes them into the contravariants
-``sigma`` (degree 4) and ``psi`` (degree 6).  The public pairing
+catalecticant) in closed form.  They are polynomials in the line coordinates
+``(u, v)``, which are the dual coordinates, so they are written in ``(x, y)``
+from the start and homogenized with ``z`` into the contravariants ``sigma``
+(degree 4) and ``psi`` (degree 6).  The public pairing
 ``diffcalc.transvectant`` is the tests' oracle for the closed forms.  Pairing
 back against ``f`` produces the quadratic covariants ``rho`` and ``tau``, and
 the six invariants
 
     I3  = D_sigma(f)
     I6  = D_psi(det H(f)) - I3^2 / 2592
-    I9  = J11(tau, rho)          I12 = J03(rho)
-    I15 = J30(tau)               I18 = J22(tau, rho)
+    I9  = J11(tau, rho)          I12 = J03(tau, rho) = det H(rho)
+    I18 = J22(tau, rho)          I15 = J30(tau, rho) = det H(tau)
+
+where the four J-brackets come from one :func:`~quartics.diffcalc.j_bracket`
+call, which builds one Hessian of each covariant.
 
 Conventions are pinned by exact reference values, anchored at ``I6 = 13822``
 for the Fermat quartic: the Hessian carries bare second partials (halving it
@@ -29,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import diffcalc
-from .diffcalc import diff_pair, hessian, j_bracket
+from .diffcalc import det, diff_pair, hessian, j_bracket
 from .errors import DegreeError
-from .polyring import Polynomial, VarTable, convert, homogenize, restrict_to_line
+from .polyring import Polynomial, homogenize, restrict_to_line
 
 # Coefficient of the I3^2 correction inside I6, equal to 8/144^2.  Fixed by
 # requiring I6 to match the reference tables exactly (it is the only rational
@@ -110,36 +114,23 @@ class InvariantSet:
         return {3: self.I3, 6: self.I6, 9: self.I9, 12: self.I12, 15: self.I15, 18: self.I18}
 
 
-def _dual_names(table: VarTable) -> tuple[str, str]:
-    taken = set(table.names)
-    u, v = "du", "dv"
-    while u in taken or v in taken:
-        u, v = u + "_", v + "_"
-    return u, v
-
-
 def contravariants(f) -> tuple[Polynomial, Polynomial]:
     """The contravariants ``sigma`` (quartic) and ``psi`` (sextic) of a ternary quartic.
 
-    Restrict ``f`` to ``z = -u*x - v*y`` over fresh dual parameters ``(u, v)``,
-    evaluate :func:`binary_invariants` on the five coefficients, promote
-    ``(u, v)`` to the first two geometric coordinates, homogenize with the
-    third to degrees 4 and 6, and return both forms in the table of ``f``.
+    Restrict ``f`` to the line ``z = -u*x - v*y`` and evaluate
+    :func:`binary_invariants` on the five coefficients.  Those are
+    polynomials in the line coordinates ``(u, v)``, which are the dual
+    coordinates, so :func:`restrict_to_line` writes them as ``(x, y)`` of the
+    table of ``f``; homogenizing with ``z`` to degrees 4 and 6 gives both
+    forms in that table.
     """
     p = _as_poly(f)
     table = p.table
     if table.n_geometric != 3 or p.geometric_degree() != 4 or not p.is_geometric_homogeneous():
         raise DegreeError("contravariants need a homogeneous ternary quartic")
     x, y, z = table.geometric
-    du, dv = _dual_names(table)
-    work = VarTable(table.geometric, table.parameters + (du, dv))
-    sig, psi = binary_invariants(restrict_to_line(p, work, z, (x, y), (du, dv)))
-
-    def promote(expr: Polynomial, degree: int) -> Polynomial:
-        dual = convert(expr, work, {du: x, dv: y})
-        return convert(homogenize(dual, z, degree), table)
-
-    return promote(sig, 4), promote(psi, 6)
+    sig, psi = binary_invariants(restrict_to_line(p, table, z, (x, y), (x, y)))
+    return homogenize(sig, z, 4), homogenize(psi, z, 6)
 
 
 def covariants(f, psi: Polynomial | None = None) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -150,7 +141,7 @@ def covariants(f, psi: Polynomial | None = None) -> tuple[Polynomial, Polynomial
         _, psi = contravariants(p)
     rho = diff_pair(p, psi)
     tau = diff_pair(rho, p)
-    hdet = diffcalc.det(hessian(p))
+    hdet = det(hessian(p))
     return rho, tau, hdet
 
 
@@ -167,10 +158,7 @@ def dixmier_invariants(f) -> InvariantSet:
 
     i3 = diff_pair(sigma, p)
     i6 = diff_pair(psi, hdet) - i3 * i3 * I6_CORRECTION
-    i9 = j_bracket("J11", tau, rho)
-    i12 = j_bracket("J03", rho, rho)
-    i15 = j_bracket("J30", tau, tau)
-    i18 = j_bracket("J22", tau, rho)
+    i9, i18, i15, i12 = j_bracket(tau, rho)
 
     inv = InvariantSet(i3, i6, i9, i12, i15, i18)
     for k, value in inv.as_dict().items():

@@ -532,8 +532,10 @@ def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, 
                      unknowns: tuple[str, str]) -> list[Polynomial]:
     """The coefficients of ``pair[0]^4, pair[0]^3 pair[1], ..., pair[1]^4`` of the
     quartic form *p* on the line ``var = -u1*pair[0] - u2*pair[1]``, over *table*
-    (the table of *p* plus the *unknowns* ``(u1, u2)``).  Each power of *var*
-    is expanded binomially, so no polynomial is multiplied."""
+    (the table of *p* plus the *unknowns* ``(u1, u2)``).  The unknowns may be
+    the pair itself, over the table of *p*: the coefficients carry no pair
+    content, so ``u1, u2`` are then written as ``pair[0], pair[1]``.  Each
+    power of *var* is expanded binomially, so no polynomial is multiplied."""
     p = convert(p, table)
     iv, i0, i1, j0, j1 = (table.index(n) for n in (var, *pair, *unknowns))
     ng = table.n_geometric

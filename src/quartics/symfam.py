@@ -144,11 +144,9 @@ def make_generic(coeffs: Sequence[Fraction | int]) -> QuarticForm:
     """A generic numeric quartic from its 15 coefficients in graded-lex monomial order."""
     if len(coeffs) != 15:
         raise DomainError(f"a generic quartic takes 15 coefficients, got {len(coeffs)}")
-    table = VarTable(GEOMETRIC)
-    poly = Polynomial.zero(table)
-    for (i, j, k), c in zip(GENERIC_MONOMIALS, coeffs):
-        poly = poly + Polynomial.monomial(table, {"x": i, "y": j, "z": k}, Fraction(c))
-    return QuarticForm(poly, "GENERIC", tuple(Fraction(c) for c in coeffs))
+    values = tuple(Fraction(c) for c in coeffs)
+    poly = Polynomial(VarTable(GEOMETRIC), dict(zip(GENERIC_MONOMIALS, values)))
+    return QuarticForm(poly, "GENERIC", values)
 
 
 # -- monomial symmetric basis ------------------------------------------------
@@ -175,13 +173,35 @@ class Partition:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-def _basis_indices(table: VarTable) -> list[int]:
-    """Positions of r, s, u in *table*; :class:`DomainError` names a missing one."""
-    for name in BASIS_NAMES:
+def _indices(table: VarTable, family: str = "X4") -> list[int]:
+    """Positions of the family's parameters in *table* (X4's are the basis
+    variables r, s, u); :class:`DomainError` names a missing one."""
+    owner = "the symmetric basis" if family == "X4" else f"the {family} table"
+    for name in FAMILY_PARAMS[family]:
         if name not in table.names:
-            raise DomainError(
-                f"the symmetric basis needs variable {name!r}; table has {table.names}")
-    return [table.index(n) for n in BASIS_NAMES]
+            raise DomainError(f"{owner} needs variable {name!r}; table has {table.names}")
+    return [table.index(n) for n in FAMILY_PARAMS[family]]
+
+
+def _expand_orbits(rows, table: VarTable, family: str = "X4", scale=1) -> Polynomial:
+    """``scale * sum coeff * m(key)`` over the ``(key, coeff)`` *rows*, as one polynomial
+    over *table*; key ``()`` is the constant 1.
+
+    For X4, ``m(key)`` is ``S[key]``: the orbit of ``r^i1 s^i2 u^i3`` under the six
+    permutations of (r, s, u), each distinct monomial once.  For the other families
+    it is the plain monomial in their parameters.
+    """
+    idx = _indices(table, family)
+    terms = {}
+    for key, coeff in rows:
+        padded = tuple(key) + (0,) * (len(idx) - len(key))
+        for perm in set(itertools.permutations(padded)) if family == "X4" else (padded,):
+            exps = [0] * len(table)
+            for i, e in zip(idx, perm):
+                exps[i] = e
+            exps = tuple(exps)
+            terms[exps] = terms.get(exps, 0) + coeff * scale
+    return Polynomial(table, terms)
 
 
 def s_basis(partition: Partition | Sequence[int], table: VarTable | None = None) -> Polynomial:
@@ -192,13 +212,7 @@ def s_basis(partition: Partition | Sequence[int], table: VarTable | None = None)
     """
     if not isinstance(partition, Partition):
         partition = Partition(tuple(partition))
-    if table is None:
-        table = VarTable(GEOMETRIC, BASIS_NAMES)
-    exps = partition.padded()
-    poly = Polynomial.zero(table)
-    for perm in sorted(set(itertools.permutations(exps))):
-        poly = poly + Polynomial.monomial(table, dict(zip(BASIS_NAMES, perm)))
-    return poly
+    return _expand_orbits(((partition.parts, 1),), table or VarTable(GEOMETRIC, BASIS_NAMES))
 
 
 @dataclass(frozen=True)
@@ -214,7 +228,7 @@ class SymmetricDecomposition:
 
 def is_symmetric(p: Polynomial) -> bool:
     """Whether *p* is invariant under every permutation of (r, s, u)."""
-    idx = _basis_indices(p.table)
+    idx = _indices(p.table)
     num = p.numerators
     for perm in itertools.permutations(range(3)):
         table = {}
@@ -243,7 +257,7 @@ def decompose_symmetric(p: Polynomial) -> SymmetricDecomposition:
         raise DomainError(f"polynomial involves non-basis variables {sorted(extra)}")
     if not is_symmetric(p):
         raise DomainError("polynomial is not symmetric in the parameters")
-    idx = _basis_indices(p.table)
+    idx = _indices(p.table)
     constant = Fraction(0)
     collected: list[tuple[Partition, Fraction]] = []
     for exps, coeff in p.numerators.items():
@@ -261,12 +275,8 @@ def decompose_symmetric(p: Polynomial) -> SymmetricDecomposition:
 
 def reconstruct(dec: SymmetricDecomposition, table: VarTable | None = None) -> Polynomial:
     """The polynomial ``constant + sum coeff * S[partition]`` of a decomposition."""
-    if table is None:
-        table = VarTable(GEOMETRIC, BASIS_NAMES)
-    total = Polynomial.constant(table, dec.constant)
-    for part, coeff in dec.terms:
-        total = total + s_basis(part, table) * coeff
-    return total
+    rows = (((), dec.constant), *((part.parts, coeff) for part, coeff in dec.terms))
+    return _expand_orbits(rows, table or VarTable(GEOMETRIC, BASIS_NAMES))
 
 
 # -- reference ("golden") tables ---------------------------------------------
@@ -313,23 +323,8 @@ def load_golden(family: str) -> dict[int, GoldenEntry]:
 
 def golden_polynomial(family: str, k: int, table: VarTable) -> Polynomial:
     """The reference table entry for I_k as a polynomial over *table*."""
-    return _entry_polynomial(family, load_golden(family)[k], table)
-
-
-def _entry_polynomial(family: str, entry: GoldenEntry, table: VarTable) -> Polynomial:
-    names = FAMILY_PARAMS[family]
-    total = Polynomial.zero(table)
-    for exps, coeff in entry.coefficients:
-        if family == "X4":
-            basis = (
-                s_basis(Partition(exps), table)
-                if exps
-                else Polynomial.constant(table, 1)
-            )
-        else:
-            basis = Polynomial.monomial(table, dict(zip(names, exps)))
-        total = total + basis * coeff
-    return total * entry.prefactor
+    entry = load_golden(family)[k]
+    return _expand_orbits(entry.coefficients, table, family, entry.prefactor)
 
 
 @dataclass(frozen=True)
@@ -358,7 +353,7 @@ def golden_compare(inv: InvariantSet, family: str) -> GoldenReport:
     failures: dict[int, str] = {}
     golden = load_golden(family)
     for k, ours in inv.as_dict().items():
-        table_poly = _entry_polynomial(family, golden[k], ours.table)
+        table_poly = _expand_orbits(golden[k].coefficients, ours.table, family, golden[k].prefactor)
         if table_poly.is_zero() and ours.is_zero():
             gamma[k] = None
             continue

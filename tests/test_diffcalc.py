@@ -180,21 +180,60 @@ class TestDot:
             dot(constant_rows([[1, 0], [0, 1]]), self._diag([1, 1, 1]))
 
 
+XYZ_PQ = VarTable(("x", "y", "z"), ("p", "q"))
+
+
+def random_low_form(rng, table, degree):
+    """A ternary form of geometric degree at most *degree* (possibly zero) whose
+    coefficients are small rationals times random monomials in the parameters."""
+    poly = Polynomial.zero(table)
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            if rng.random() < 0.6:
+                powers = dict(zip(("x", "y", "z"), (i, j, degree - i - j)))
+                powers.update((n, rng.randint(0, 2)) for n in table.parameters)
+                poly = poly + mono(table, powers, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    return poly
+
+
+def _sphere():
+    return mono(XYZ, {"x": 2}) + mono(XYZ, {"y": 2}) + mono(XYZ, {"z": 2})
+
+
+def _seeded_pair(seed):
+    rng = random.Random(seed)
+    table = (XYZ, XYZ_PQ)[seed % 2]
+    return (random_low_form(rng, table, rng.choice((0, 1, 2, 2, 2))),
+            random_low_form(rng, table, rng.choice((0, 1, 2, 2, 2))))
+
+
+#: (f, g, hand values of (J11, J22, J30, J03) or None): the sphere gives
+#: <2I, 2I> = 12, <4I, 4I> = 48 and det 2I = 8; x^2 and y^2 give all zeros;
+#: the seeded pairs mix quadratics, linear forms and constants, with and
+#: without parameter coefficients
+J_CASES = {
+    "sphere": (_sphere(), _sphere(), (12, 48, 8, 8)),
+    "disjoint_squares": (mono(XYZ, {"x": 2}), mono(XYZ, {"y": 2}), (0, 0, 0, 0)),
+    **{f"seed{seed}": (*_seeded_pair(seed), None) for seed in range(12)},
+}
+
+
 class TestJBracket:
-    def test_j30(self):
-        q = mono(XYZ, {"x": 2}) + mono(XYZ, {"y": 2}) + mono(XYZ, {"z": 2})
-        assert j_bracket("J30", q, q) == Polynomial.constant(XYZ, 8)
-
-    def test_j11_disjoint_squares(self):
-        assert j_bracket("J11", mono(XYZ, {"x": 2}), mono(XYZ, {"y": 2})).is_zero()
-
-    def test_j22_sphere(self):
-        q = mono(XYZ, {"x": 2}) + mono(XYZ, {"y": 2}) + mono(XYZ, {"z": 2})
-        assert j_bracket("J22", q, q) == Polynomial.constant(XYZ, 48)
+    @pytest.mark.parametrize("case", sorted(J_CASES))
+    def test_matches_hessian_route(self, case):
+        f, g, hand = J_CASES[case]
+        hf, hg = hessian(f), hessian(g)
+        want = (dot(hf, hg), dot(adjugate(hf), adjugate(hg)), det(hf), det(hg))
+        got = j_bracket(f, g)
+        assert got == want
+        if hand is not None:
+            assert got == tuple(Polynomial.constant(XYZ, v) for v in hand)
 
     def test_degree_guard(self):
         with pytest.raises(DegreeError):
-            j_bracket("J11", mono(XYZ, {"x": 3}), mono(XYZ, {"y": 2}))
+            j_bracket(mono(XYZ, {"x": 3}), mono(XYZ, {"y": 2}))
+        with pytest.raises(DegreeError):
+            j_bracket(mono(XYZ, {"x": 2}), mono(XYZ, {"y": 3}))
 
 
 def transvectant_oracle(F, G, k):

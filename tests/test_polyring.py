@@ -219,6 +219,22 @@ class TestRestrictToLine:
         a, b = var(t, "a"), var(t, "b")
         assert got == [1 + a**4, 4 * a**3 * b, 6 * a**2 * b**2, 4 * a * b**3, 1 + b**4]
 
+    @pytest.mark.parametrize("table", [XYZ, PAR], ids=["plain", "parameters"])
+    def test_pair_as_unknowns(self, table):
+        """Naming the unknowns after the pair gives what fresh unknowns give,
+        renamed onto the pair (the contravariants' route)."""
+        rng = random.Random(6)
+        wide = VarTable(table.geometric, table.parameters + ("a", "b"))
+        for _ in range(6):
+            p = random_quartic(rng, table)
+            for _ in range(3 if table.parameters else 0):
+                powers = {"x": 1, "y": 1, "z": 2, rng.choice("rsu"): rng.randint(1, 3)}
+                p = p + mono(table, powers, rng.randint(-3, 3))
+            for sub, pair in (("z", ("x", "y")), ("x", ("y", "z")), ("y", ("x", "z"))):
+                fresh = restrict_to_line(p, wide, sub, pair, ("a", "b"))
+                want = [convert(c, table, {"a": pair[0], "b": pair[1]}) for c in fresh]
+                assert restrict_to_line(p, table, sub, pair, pair) == want
+
     @pytest.mark.parametrize("powers", [{"x": 3}, {"z": 5}])
     def test_non_quartic_rejected(self, powers):
         p = mono(PAR, {"y": 4}) + mono(PAR, powers)

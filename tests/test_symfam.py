@@ -68,6 +68,41 @@ def peel_reference(p):
     return SymmetricDecomposition(remainder.constant_value(), tuple(collected))
 
 
+def entry_oracle(family, entry, table):
+    """A reference table entry built term by term: ``s_basis(part) * coeff`` for
+    X4, plain monomials in the family's parameters otherwise."""
+    total = Polynomial.zero(table)
+    for exps, coeff in entry.coefficients:
+        if family != "X4":
+            basis = mono(table, dict(zip(FAMILY_PARAMS[family], exps)))
+        else:
+            basis = s_basis(exps, table) if exps else Polynomial.constant(table, 1)
+        total = total + basis * coeff
+    return total * entry.prefactor
+
+
+def compare_oracle(inv, family):
+    """``(gamma, failures)`` of golden_compare, from :func:`entry_oracle` and the
+    leading term of the full canonical term list."""
+    gamma, failures = {}, {}
+    for k, ours in inv.as_dict().items():
+        ref = entry_oracle(family, load_golden(family)[k], ours.table)
+        gamma[k] = None
+        if ref.is_zero() or ours.is_zero():
+            if not (ref.is_zero() and ours.is_zero()):
+                failures[k] = "one side identically zero, the other not"
+            continue
+        lead, c = ref.sorted_terms()[0]
+        ratio = ours.terms.get(lead, Fraction(0)) / c
+        diff = ours - ref * ratio
+        if diff.is_zero():
+            gamma[k] = ratio
+        else:
+            exps, residue = diff.sorted_terms()[0]
+            failures[k] = f"first differing monomial {exps}: residue {residue}"
+    return gamma, failures
+
+
 @pytest.fixture(scope="module")
 def family_invariants():
     return {family: dixmier_invariants(make_family(family)) for family in FAMILY_PARAMS}
@@ -151,6 +186,10 @@ class TestSBasis:
         for parts in ((3,), (2, 1), (4, 2, 1), (5, 5, 2)):
             assert is_symmetric(s_basis(parts, RSU))
 
+    def test_table_without_basis_variable(self):
+        with pytest.raises(DomainError, match="needs variable 'u'"):
+            s_basis((2, 1), VarTable(("x", "y", "z"), ("r", "s")))
+
     def test_partition_validation(self):
         with pytest.raises(DomainError):
             Partition((1, 2))
@@ -186,6 +225,11 @@ class TestDecompose:
                 p = p + s_basis(parts, RSU) * Fraction(rng.randint(-6, 6), rng.randint(1, 3))
             dec = decompose_symmetric(p)
             assert reconstruct(dec, RSU) == p
+
+    def test_reconstruct_without_basis_variable(self):
+        dec = decompose_symmetric(6 * s_basis((2,), RSU) + 72)
+        with pytest.raises(DomainError, match="needs variable 's'"):
+            reconstruct(dec, VarTable(("x", "y", "z"), ("r", "u")))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
@@ -265,6 +309,45 @@ class TestGolden:
         report = golden_compare(family_invariants[family], family)
         assert calls == [family]
         assert report.ok
+
+    @pytest.mark.parametrize("source, family, message", [
+        (("X4", (1, 2, 3)), "X4", "symmetric basis needs variable 'r'"),
+        (("X24", None), "X16", "X16 table needs variable 's'"),
+    ], ids=["numeric-X4", "X24-as-X16"])
+    def test_missing_family_parameter_is_named(self, source, family, message):
+        inv = dixmier_invariants(make_family(*source))
+        with pytest.raises(DomainError, match=message):
+            golden_compare(inv, family)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_doctored_invariants_match_oracle(self, family, family_invariants):
+        inv = family_invariants[family]
+        table = inv.I3.table
+        rng = random.Random(640 + sorted(FAMILY_PARAMS).index(family))
+        names = FAMILY_PARAMS[family]
+
+        def nonzero():
+            return random_fraction(rng) or Fraction(1, 7)
+
+        def added_monomial(v):
+            powers = {n: rng.randint(0, 5) for n in names}
+            return v + mono(table, powers, nonzero())
+
+        doctorings = {
+            "constant shift": lambda v: v + nonzero(),
+            "added monomial": added_monomial,
+            "rational rescale": lambda v: v * nonzero(),
+            "zeroed": lambda v: Polynomial.zero(table),
+        }
+        for label, doctor in doctorings.items():
+            for _ in range(3):
+                values = inv.as_dict()
+                k = rng.choice(sorted(values))
+                values[k] = doctor(values[k])
+                doctored = InvariantSet(*(values[j] for j in (3, 6, 9, 12, 15, 18)))
+                report = golden_compare(doctored, family)
+                assert (report.gamma, report.failures) == compare_oracle(doctored, family), \
+                    (label, k)
 
     def test_mismatch_is_reported(self):
         inv = dixmier_invariants(make_family("X24"))
