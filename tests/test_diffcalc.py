@@ -229,6 +229,14 @@ class TestJBracket:
         if hand is not None:
             assert got == tuple(Polynomial.constant(XYZ, v) for v in hand)
 
+    def test_j30(self):
+        _, _, j30, j03 = j_bracket(_sphere(), _sphere())
+        assert j30 == j03 == Polynomial.constant(XYZ, 8)
+
+    def test_j22_sphere(self):
+        _, j22, _, _ = j_bracket(_sphere(), _sphere())
+        assert j22 == Polynomial.constant(XYZ, 48)
+
     def test_degree_guard(self):
         with pytest.raises(DegreeError):
             j_bracket(mono(XYZ, {"x": 3}), mono(XYZ, {"y": 2}))
