@@ -18,11 +18,13 @@ per-invariant constant ratio or the first mismatch.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .dixmier import InvariantSet
 from .errors import DegeneracyError, DomainError
@@ -227,18 +229,21 @@ class SymmetricDecomposition:
 
 
 def is_symmetric(p: Polynomial) -> bool:
-    """Whether *p* is invariant under every permutation of (r, s, u)."""
-    idx = _indices(p.table)
+    """Whether *p* is invariant under every permutation of (r, s, u).
+
+    The transpositions (r s) and (s u) generate all six permutations, and one
+    that sends every term to a term with the same coefficient maps the finite
+    support onto itself, so it fixes *p*: two lookups per term decide it.
+    """
+    r, s, u = _indices(p.table)
     num = p.numerators
-    for perm in itertools.permutations(range(3)):
-        table = {}
-        for exps, coeff in num.items():
-            new = list(exps)
-            for a, b in zip(idx, perm):
-                new[a] = exps[idx[b]]
-            table[tuple(new)] = coeff
-        if table != num:
-            return False
+    for exps, coeff in num.items():
+        for a, b in ((r, s), (s, u)):
+            if exps[a] != exps[b]:
+                swapped = list(exps)
+                swapped[a], swapped[b] = exps[b], exps[a]
+                if num.get(tuple(swapped)) != coeff:
+                    return False
     return True
 
 
@@ -284,47 +289,84 @@ def reconstruct(dec: SymmetricDecomposition, table: VarTable | None = None) -> P
 
 @dataclass(frozen=True)
 class GoldenEntry:
+    """One invariant of a family's reference table: ``prefactor * sum coeff * m(key)``
+    over the ``(key, coeff)`` rows, as :func:`_expand_orbits` reads them."""
+
     prefactor: Fraction
     coefficients: tuple[tuple[tuple[int, ...], Fraction], ...]
+    family: str
+    _expanded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def polynomial(self, table: VarTable) -> Polynomial:
+        """The entry as a polynomial over *table*, expanded on the first request
+        for that table and kept with the entry."""
+        poly = self._expanded.get(table)
+        if poly is None:
+            poly = _expand_orbits(self.coefficients, table, self.family, self.prefactor)
+            self._expanded[table] = poly
+        return poly
 
 
-def load_golden(family: str) -> dict[int, GoldenEntry]:
-    """Parse a family's reference invariant table from the data directory.
+#: The degrees k of the Dixmier invariants I_k, the labels of a reference table.
+_DEGREES = (3, 6, 9, 12, 15, 18)
 
-    Format, one entry per line: ``I<k> prefactor <rational>`` or
-    ``I<k> <key> <rational>`` where ``<key>`` is ``const`` or a bracketed
-    exponent list ``[i1,i2,...]`` (a partition for X4's symmetric basis,
-    plain monomial exponents otherwise).
-    """
-    text = (
-        resources.files("quartics")
-        .joinpath(f"data/golden/{family}.txt")
-        .read_text(encoding="utf-8")
-    )
+
+def _parse_golden(family: str, text: str) -> Mapping[int, GoldenEntry]:
+    """The entries of a reference table *text*; a line that does not parse, a
+    label other than ``I<k>`` for an invariant degree k, an X4 key that is not a
+    :class:`Partition`, or another family's key with more exponents than the
+    family has parameters is a :class:`DomainError`."""
+    arity = len(FAMILY_PARAMS[family])
     pre: dict[int, Fraction] = {}
     rows: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        label, key, value = line.split()
-        k = int(label[1:])
-        coeff = Fraction(value)
-        if key == "prefactor":
-            pre[k] = coeff
-            continue
-        exps = () if key == "const" else tuple(int(t) for t in key.strip("[]").split(",") if t)
+        try:
+            label, key, value = line.split()
+            k = int(label[1:])
+            if label[0] != "I" or k not in _DEGREES:
+                raise DomainError(f"expected a label I<k> with k in {_DEGREES}")
+            coeff = Fraction(value)
+            if key == "prefactor":
+                pre[k] = coeff
+                continue
+            exps = () if key == "const" else tuple(int(t) for t in key.strip("[]").split(",") if t)
+            if family == "X4":
+                Partition(exps)
+            elif len(exps) > arity or any(e < 0 for e in exps):
+                raise DomainError(f"expected at most {arity} non-negative exponents")
+        except (ValueError, ZeroDivisionError, DomainError) as exc:
+            raise DomainError(f"{family} table: malformed line {line!r} ({exc})") from None
         rows.setdefault(k, []).append((exps, coeff))
-    out = {}
-    for k in (3, 6, 9, 12, 15, 18):
-        out[k] = GoldenEntry(pre.get(k, Fraction(1)), tuple(rows.get(k, [])))
-    return out
+    return MappingProxyType({k: GoldenEntry(pre.get(k, Fraction(1)), tuple(rows.get(k, [])), family)
+                             for k in _DEGREES})
+
+
+@functools.cache
+def load_golden(family: str) -> Mapping[int, GoldenEntry]:
+    """A family's reference invariant table from the data directory, parsed once
+    per process; the mapping is read-only because every caller shares it.
+
+    Format, one entry per line: ``I<k> prefactor <rational>`` or
+    ``I<k> <key> <rational>`` where ``<key>`` is ``const`` or a bracketed
+    exponent list ``[i1,i2,...]`` (a partition for X4's symmetric basis,
+    plain monomial exponents otherwise).  An unknown family is a :class:`DomainError`.
+    """
+    if family not in FAMILY_PARAMS:
+        raise DomainError(f"unknown family {family!r}")
+    text = (
+        resources.files("quartics")
+        .joinpath(f"data/golden/{family}.txt")
+        .read_text(encoding="utf-8")
+    )
+    return _parse_golden(family, text)
 
 
 def golden_polynomial(family: str, k: int, table: VarTable) -> Polynomial:
     """The reference table entry for I_k as a polynomial over *table*."""
-    entry = load_golden(family)[k]
-    return _expand_orbits(entry.coefficients, table, family, entry.prefactor)
+    return load_golden(family)[k].polynomial(table)
 
 
 @dataclass(frozen=True)
@@ -347,13 +389,11 @@ class GoldenReport:
 
 def golden_compare(inv: InvariantSet, family: str) -> GoldenReport:
     """Test ``computed I_k == gamma_k * table I_k`` for a single rational gamma_k."""
-    if family not in FAMILY_PARAMS:
-        raise DomainError(f"unknown family {family!r}")
     gamma: dict[int, Fraction | None] = {}
     failures: dict[int, str] = {}
     golden = load_golden(family)
     for k, ours in inv.as_dict().items():
-        table_poly = _expand_orbits(golden[k].coefficients, ours.table, family, golden[k].prefactor)
+        table_poly = golden[k].polynomial(ours.table)
         if table_poly.is_zero() and ours.is_zero():
             gamma[k] = None
             continue

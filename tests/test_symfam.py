@@ -1,7 +1,9 @@
 """Family constructors, the monomial symmetric basis, and reference-table
 comparison."""
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,6 +103,23 @@ def compare_oracle(inv, family):
             exps, residue = diff.sorted_terms()[0]
             failures[k] = f"first differing monomial {exps}: residue {residue}"
     return gamma, failures
+
+
+def permuted(p, perm):
+    """*p* with r, s, u moved to the positions of ``perm[0]``, ``perm[1]``, ``perm[2]``."""
+    idx = [p.table.index(n) for n in ("r", "s", "u")]
+    out = {}
+    for exps, coeff in p.terms.items():
+        new = list(exps)
+        for a, b in zip(idx, perm):
+            new[idx[b]] = exps[a]
+        out[tuple(new)] = coeff
+    return Polynomial(p.table, out)
+
+
+def six_permutation_symmetric(p):
+    """Symmetry by definition: *p* equals each of its six permuted copies."""
+    return all(permuted(p, perm) == p for perm in itertools.permutations(range(3)))
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +250,42 @@ class TestDecompose:
         with pytest.raises(DomainError, match="needs variable 's'"):
             reconstruct(dec, VarTable(("x", "y", "z"), ("r", "u")))
 
+    def test_is_symmetric_matches_six_permutations(self):
+        """Random polynomials averaged over a subgroup of S3: the trivial group,
+        one transposition, the cyclic group, or all of S3."""
+        rng = random.Random(65)
+        tables = (RSU, VarTable(("x", "y", "z"), ("t", "s", "u", "r")))
+        subgroups = {
+            "trivial": [(0, 1, 2)],
+            "(r s)": [(0, 1, 2), (1, 0, 2)],
+            "(s u)": [(0, 1, 2), (0, 2, 1)],
+            "(r u)": [(0, 1, 2), (2, 1, 0)],
+            "cyclic": [(0, 1, 2), (1, 2, 0), (2, 0, 1)],
+            "S3": list(itertools.permutations(range(3))),
+        }
+        seen = {}
+        for trial in range(180):
+            table = tables[trial % len(tables)]
+            label = sorted(subgroups)[trial % len(subgroups)]
+            q = Polynomial.zero(table)
+            for _ in range(rng.randint(1, 4)):
+                powers = {n: rng.randint(0, 3) for n in table.names if rng.random() < 0.6}
+                q = q + mono(table, powers, random_fraction(rng))
+            p = Polynomial.zero(table)
+            for perm in subgroups[label]:
+                p = p + permuted(q, perm)
+            want = six_permutation_symmetric(p)
+            assert is_symmetric(p) == want, (label, p.terms)
+            seen.setdefault(label, set()).add(want)
+        assert seen["S3"] == {True}
+        assert all(False in seen[label] for label in subgroups if label != "S3")
+        r, s, u = (Polynomial.variable(RSU, n) for n in ("r", "s", "u"))
+        cyclic = r ** 2 * s + s ** 2 * u + u ** 2 * r
+        assert permuted(cyclic, (1, 2, 0)) == cyclic
+        assert not is_symmetric(cyclic)
+        assert permuted(r + s, (1, 0, 2)) == r + s
+        assert not is_symmetric(r + s)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
             decompose_symmetric(mono(RSU, {"r": 1}))
@@ -300,6 +355,52 @@ class TestGolden:
         assert report.gamma[12] == 1
         assert report.gamma[15] == 1
         assert report.gamma[18] == 1
+
+    def test_table_is_read_only_and_parsed_once(self):
+        table = load_golden("X4")
+        assert load_golden("X4") is table
+        with pytest.raises(TypeError):
+            table[3] = table[6]
+
+    def test_one_expansion_per_table(self, family_invariants):
+        table = family_invariants["X16"].I3.table
+        assert golden_polynomial("X16", 9, table) is load_golden("X16")[9].polynomial(table)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_cold_and_warm_cache_agree(self, family, family_invariants):
+        load_golden.cache_clear()
+        cold = golden_compare(family_invariants[family], family)
+        assert load_golden.cache_info().misses == 1
+        warm = golden_compare(family_invariants[family], family)
+        assert load_golden.cache_info().hits == 1
+        assert warm == cold
+        assert (cold.gamma, cold.failures) == compare_oracle(family_invariants[family], family)
+
+    def test_unknown_family(self, family_invariants):
+        with pytest.raises(DomainError, match="unknown family 'X8'"):
+            golden_polynomial("X8", 3, RSU)
+        with pytest.raises(DomainError, match="unknown family 'X8'"):
+            golden_compare(family_invariants["X4"], "X8")
+
+    @pytest.mark.parametrize("family, line", [
+        ("X4", "I3 [1,2] 5"),
+        ("X4", "I3 [2,0] 5"),
+        ("X4", "I3 [1,1,1,1] 5"),
+        ("X4", "I3 [x] 5"),
+        ("X16", "I6 [1,2,0] 5"),
+        ("X16", "I6 [-1,2] 5"),
+        ("X24", "I9 [2,2] 5"),
+        ("X96", "I12 [1] 5"),
+        ("X24", "I9 [2] 5 7"),
+        ("X24", "I9 [2] 5/0"),
+        ("X24", "I7 [2] 5"),
+        ("X24", "J9 [2] 5"),
+    ])
+    def test_malformed_key_is_rejected(self, family, line):
+        good = "# a comment\nI3 prefactor 1/2\nI3 const 4\n"
+        assert symfam._parse_golden(family, good)[3].prefactor == Fraction(1, 2)
+        with pytest.raises(DomainError, match=rf"^{family} table: malformed line '{re.escape(line)}'"):
+            symfam._parse_golden(family, good + line + "\n")
 
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     def test_compare_parses_the_table_once(self, family, family_invariants, monkeypatch):
