@@ -8,18 +8,17 @@ splits the variables into two roles:
 * *parameters* (``r, s, u`` ...) -- ordinary commuting variables that ride
   along in the coefficients and are treated as scalars by the calculus.
 
-Coefficients are exact: nonzero ``int`` numerators keyed by exponent tuples
-over one positive ``int`` denominator, always reduced (the gcd of the
-denominator and all numerators is 1; zero has denominator 1), so the stored
-form is canonical and the ring operations run on ints, one gcd pass per
-result.  :attr:`Polynomial.terms` shows reduced :class:`fractions.Fraction`
-coefficients.  The canonical term order used for display, hashing and
-deterministic evaluation is graded lexicographic with geometric variables
-before parameters.
-
-Values are immutable once constructed (``terms`` is a read-only view) and
-safe to share between threads: the compiled form for complex evaluation
-(:meth:`Polynomial.compiled`) is built lazily and idempotently, then kept.
+The stored form is canonical: nonzero ``int`` numerators over one reduced
+positive ``int`` denominator (zero has denominator 1), each keyed by one
+packed ``int`` per monomial (Monagan and Pearce, CASC 2007): 16-bit fields,
+the total degree in the top one, then the exponents in table order.  So a
+monomial product is one integer addition, and the int order of the keys is
+the canonical term order (graded lex, geometric variables before
+parameters).  An exponent or total degree above 65,535 is a
+:class:`DegreeError`, checked on construction and before each product,
+never wrapped.  The public views (``terms``, ``numerators``, ...) are keyed
+by exponent tuples.  Values are immutable and safe to share between threads;
+the compiled form for complex evaluation is built once, then kept.
 
 The one complex evaluator, :func:`eval_scaled_many`, computes each
 ``complex(value) ** exponent`` of a point once, in one power table shared by
@@ -29,20 +28,25 @@ all the polynomials it evaluates there; :func:`eval_scaled` and
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, lcm, perm
-from operator import add
+from operator import or_
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DegreeError, DomainError, RoleError, TableMismatchError
 
 Exponents = tuple[int, ...]
+_LIMIT = 0xFFFF     # the largest exponent or total degree a field holds, and its mask
 
 
-def _grlex(item) -> tuple:
-    return sum(item[0]), item[0]
+def _check_degree(degree: int) -> int:
+    if degree > _LIMIT:
+        raise DegreeError(f"degree {degree} exceeds the packing limit {_LIMIT}")
+    return degree
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,8 @@ class VarTable:
     geometric: tuple[str, ...]
     parameters: tuple[str, ...] = ()
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    _layout: struct.Struct = field(init=False, repr=False, compare=False, hash=False)
+    _top: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         geometric = tuple(self.geometric)
@@ -64,6 +70,25 @@ class VarTable:
         if len(set(names)) != len(names):
             raise ValueError(f"variable names not unique: {names}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        # a key's bytes: the degree field (skipped by the layout), then the exponents
+        object.__setattr__(self, "_layout", struct.Struct(f">2x{len(names)}H"))
+        object.__setattr__(self, "_top", 16 * len(names))   # the shift of the degree field
+
+    def _pack(self, exps) -> int:
+        """The key of an exponent vector: the total degree, then the exponents."""
+        if len(exps) != len(self):
+            raise ValueError(f"exponent tuple {exps} does not match table of {len(self)} variables")
+        if min(exps) < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        degree = _check_degree(sum(exps))
+        return (degree << self._top) + int.from_bytes(self._layout.pack(*exps), "big")
+
+    def _unpack(self, keys) -> list[Exponents]:
+        size, unpack = self._layout.size, self._layout.unpack
+        return [unpack(k.to_bytes(size, "big")) for k in keys]
+
+    def _shift(self, name: str) -> int:
+        return self._top - 16 * (self.index(name) + 1)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -88,32 +113,28 @@ class VarTable:
 
 class Polynomial:
     """A sparse exact polynomial attached to a :class:`VarTable`: the int numerators
-    ``_num`` over the reduced denominator ``_den`` (see the module docstring)."""
+    ``_num`` by packed monomial over the reduced denominator ``_den`` (module docstring)."""
 
     __slots__ = ("table", "_num", "_den", "_hash", "_compiled")
 
     def __init__(self, table: VarTable, terms: Mapping[Exponents, Fraction | int] | None = None):
-        clean: dict[Exponents, Fraction] = {}
-        n = len(table)
-        for exps, coeff in (terms or {}).items():
-            if len(exps) != n:
-                raise ValueError(f"exponent tuple {exps} does not match table of {n} variables")
-            if min(exps) < 0:
-                raise ValueError(f"negative exponent in {exps}")
-            c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
-            if c:
-                clean[tuple(exps)] = c
+        clean = {table._pack(exps): c if isinstance(c, (int, Fraction)) else Fraction(c)
+                 for exps, c in (terms or {}).items()}
         # over the lcm of the denominators the numerators come out reduced
         den = lcm(*(c.denominator for c in clean.values()))
-        self.table, self._den = table, den
-        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-        self._hash = self._compiled = None
+        self.table, self._den, self._hash, self._compiled = table, den, None, None
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
 
     @classmethod
-    def from_numerators(cls, table: VarTable, num: dict[Exponents, int],
+    def from_numerators(cls, table: VarTable, num: Mapping[Exponents, int],
                         den: int = 1) -> "Polynomial":
-        """``sum num[e] * x^e / den`` (*den* > 0), zero numerators dropped, gcd divided
-        out; the result may keep *num* itself, so the caller must not change it later."""
+        """``sum num[e] * x^e / den`` (*den* > 0), reduced; each exponent tuple is packed
+        into one key, and an exponent or degree above 65,535 is a :class:`DegreeError`."""
+        return cls._from_packed(table, {table._pack(e): c for e, c in num.items()}, den)
+
+    @classmethod
+    def _from_packed(cls, table: VarTable, num: dict[int, int], den: int = 1) -> "Polynomial":
+        """:meth:`from_numerators` over packed keys; may keep *num*, so do not change it later."""
         if 0 in num.values():
             num = {e: c for e, c in num.items() if c}
         g = gcd(den, *num.values())
@@ -121,61 +142,62 @@ class Polynomial:
             den //= g
             num = {e: c // g for e, c in num.items()}
         p = cls.__new__(cls)
-        p.table, p._num, p._den = table, num, den
-        p._hash = p._compiled = None
+        p.table, p._num, p._den, p._hash, p._compiled = table, num, den, None, None
         return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, table: VarTable) -> "Polynomial":
-        return cls.from_numerators(table, {})
+        return cls._from_packed(table, {})
 
     @classmethod
     def constant(cls, table: VarTable, value) -> "Polynomial":
         c = Fraction(value)
-        return cls.from_numerators(table, {(0,) * len(table): c.numerator}, c.denominator)
+        return cls._from_packed(table, {0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Polynomial":
-        exps = [0] * len(table)
-        exps[table.index(name)] = 1
-        return cls.from_numerators(table, {tuple(exps): 1})
+        return cls.monomial(table, {name: 1})
 
     @classmethod
     def monomial(cls, table: VarTable, powers: Mapping[str, int], coeff=1) -> "Polynomial":
         exps = [0] * len(table)
         for name, e in powers.items():
             exps[table.index(name)] = e
-        return cls(table, {tuple(exps): coeff})
+        c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+        return cls._from_packed(table, {table._pack(exps): c.numerator}, c.denominator)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
         """Read-only map from exponent tuples to reduced Fraction coefficients, built
-        on each access (:attr:`numerators` is the stored form)."""
-        den = self._den
-        return MappingProxyType({e: Fraction(c, den) for e, c in self._num.items()})
+        on each access by unpacking the stored keys."""
+        return MappingProxyType({e: Fraction(c, self._den) for e, c in self._items(self._num)})
 
     @property
     def numerators(self) -> Mapping[Exponents, int]:
-        """Read-only map from exponent tuples to the int numerators over :attr:`denominator`."""
-        return MappingProxyType(self._num)
+        """Read-only map from exponent tuples to the int numerators over
+        :attr:`denominator`, built on each access by unpacking the stored keys."""
+        return MappingProxyType(dict(self._items(self._num)))
 
     @property
     def denominator(self) -> int:
         return self._den
 
+    def _items(self, keys) -> Iterator[tuple[Exponents, int]]:
+        """``(exponents, numerator)`` of the stored *keys*, in their order."""
+        return zip(self.table._unpack(keys), map(self._num.__getitem__, keys))
+
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded-lex order (the canonical order)."""
         den = self._den
-        return [(e, Fraction(c, den))
-                for e, c in sorted(self._num.items(), key=_grlex, reverse=True)]
+        return [(e, Fraction(c, den)) for e, c in self._items(sorted(self._num, reverse=True))]
 
     def leading_term(self) -> tuple[Exponents, Fraction]:
         """The first of :meth:`sorted_terms`, without a ``Fraction`` for the others."""
-        exps, c = max(self._num.items(), key=_grlex)
+        ((exps, c),) = self._items((max(self._num),))
         return exps, Fraction(c, self._den)
 
     def compiled(self) -> tuple[tuple[complex, tuple[tuple[str, int], ...]], ...]:
@@ -186,7 +208,7 @@ class Polynomial:
             den, names = self._den, self.table.names
             self._compiled = tuple(
                 (complex(c / den), tuple((n, e) for n, e in zip(names, exps) if e))
-                for exps, c in sorted(self._num.items(), key=_grlex, reverse=True))
+                for exps, c in self._items(sorted(self._num, reverse=True)))
         return self._compiled
 
     def is_zero(self) -> bool:
@@ -196,45 +218,47 @@ class Polynomial:
         return bool(self._num)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self._num), default=0)
+        return max(self._num, default=0) >> self.table._top
+
+    def _geometric_degrees(self) -> set[int]:
+        if not self.table.parameters:   # then the degree field is the geometric degree
+            return {key >> self.table._top for key in self._num}
+        return {sum(exps[:self.table.n_geometric]) for exps in self.table._unpack(self._num)}
 
     def geometric_degree(self) -> int:
-        ng = self.table.n_geometric
-        return max((sum(e[:ng]) for e in self._num), default=0)
+        return max(self._geometric_degrees(), default=0)
 
     def degree_in(self, name: str) -> int:
-        i = self.table.index(name)
-        return max((e[i] for e in self._num), default=0)
+        shift = self.table._shift(name)
+        return max(((k >> shift) & _LIMIT for k in self._num), default=0)
 
     def is_geometric_homogeneous(self) -> bool:
-        ng = self.table.n_geometric
-        return len({sum(e[:ng]) for e in self._num}) <= 1
+        return len(self._geometric_degrees()) <= 1
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if any variable occurs)."""
-        zero = (0,) * len(self.table)
-        if set(self._num) - {zero}:
+        if self._num.keys() - {0}:
             raise DegreeError(f"polynomial is not constant: {self}")
-        return Fraction(self._num.get(zero, 0), self._den)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def coefficient(self, powers: Mapping[str, int]) -> Fraction:
         exps = [0] * len(self.table)
         for name, e in powers.items():
             exps[self.table.index(name)] = e
-        return Fraction(self._num.get(tuple(exps), 0), self._den)
+        return Fraction(self._num.get(self.table._pack(exps), 0), self._den)
 
     def geometric_coefficients(self) -> dict[Exponents, "Polynomial"]:
         """Group terms by geometric exponents; values are parameter-only polynomials."""
-        ng = self.table.n_geometric
-        zero_geo = (0,) * ng
-        out: dict[Exponents, dict[Exponents, int]] = {}
-        for exps, coeff in self._num.items():
-            out.setdefault(exps[:ng], {})[zero_geo + exps[ng:]] = coeff
-        return {geo: Polynomial.from_numerators(self.table, num, self._den)
-                for geo, num in out.items()}
+        table, ng, top = self.table, self.table.n_geometric, self.table._top
+        params = (1 << 16 * len(table.parameters)) - 1     # the parameter fields of a key
+        out: dict[Exponents, dict[int, int]] = {}
+        for exps, (key, coeff) in zip(table._unpack(self._num), self._num.items()):
+            out.setdefault(exps[:ng], {})[(sum(exps[ng:]) << top) + (key & params)] = coeff
+        return {geo: Polynomial._from_packed(table, num, self._den) for geo, num in out.items()}
 
     def support_names(self) -> set[str]:
-        return {n for exps in self._num for n, e in zip(self.table.names, exps) if e}
+        occurring = reduce(or_, self._num, 0)    # a field is nonzero where its variable occurs
+        return {n for n in self.table.names if (occurring >> self.table._shift(n)) & _LIMIT}
 
     # -- ring operations ---------------------------------------------------
 
@@ -254,22 +278,17 @@ class Polynomial:
         g = gcd(self._den, other._den)
         ma, mb = other._den // g, self._den // g
         out = dict(self._num) if ma == 1 else {e: c * ma for e, c in self._num.items()}
-        for exps, coeff in other._num.items():
-            out[exps] = out.get(exps, 0) + coeff * mb
-        return Polynomial.from_numerators(self.table, out, self._den * ma)
+        for key, coeff in other._num.items():
+            out[key] = out.get(key, 0) + coeff * mb
+        return Polynomial._from_packed(self.table, out, self._den * ma)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial.from_numerators(self.table, {e: -c for e, c in self._num.items()},
-                                          self._den)
+        return Polynomial._from_packed(self.table, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.table, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.__add__(-other)
+        return self + -other if isinstance(other, (int, Fraction, Polynomial)) else NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -277,30 +296,29 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = other.numerator
-            return Polynomial.from_numerators(self.table, {e: k * c for e, k in self._num.items()},
-                                              self._den * other.denominator)
+            return Polynomial._from_packed(self.table, {e: k * c for e, k in self._num.items()},
+                                           self._den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_table(other)
-        out: dict[Exponents, int] = {}
-        if len(other._num) > len(self._num):
-            a, b = other._num, self._num
-        else:
-            a, b = self._num, other._num
-        b = b.items()
+        a, b, top = self._num, other._num, self.table._top
+        if len(b) > len(a):
+            a, b = b, a
+        # the degrees add, so a product that fits the top field fits every field
+        _check_degree((max(a, default=0) >> top) + (max(b, default=0) >> top))
+        out, b = {}, b.items()
         for ea, ca in a.items():
             for eb, cb in b:
-                e = tuple(map(add, ea, eb))
+                e = ea + eb
                 out[e] = out.get(e, 0) + ca * cb
-        return Polynomial.from_numerators(self.table, out, self._den * other._den)
+        return Polynomial._from_packed(self.table, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.table, 1)
-        base = self
+        result, base = Polynomial.constant(self.table, 1), self
         while n:
             if n & 1:
                 result = result * base
@@ -328,19 +346,13 @@ class Polynomial:
     def __str__(self) -> str:
         if not self._num:
             return "0"
-        names = self.table.names
         parts = []
         for exps, coeff in self.sorted_terms():
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, exps)
-                if e
-            ]
+            factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(self.table.names, exps) if e]
             mag = coeff if coeff > 0 else -coeff
             body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        text = " ".join(f"{sign} {body}" for sign, body in parts)
+            parts.append(f"{'-' if coeff < 0 else '+'} {body}")
+        text = " ".join(parts)
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
@@ -358,11 +370,12 @@ def partial(p: Polynomial, var: str, order: int = 1) -> Polynomial:
         raise RoleError(f"cannot differentiate with respect to parameter {var!r}")
     if order == 0:
         return p
-    i = p.table.index(var)
+    shift = p.table._shift(var)
+    step = (order << p.table._top) + (order << shift)     # the degree and var's exponent
     # lowering one exponent is injective, so no two terms collide
-    out = {exps[:i] + (e - order,) + exps[i + 1:]: coeff * perm(e, order)
-           for exps, coeff in p._num.items() if (e := exps[i]) >= order}
-    return Polynomial.from_numerators(p.table, out, p._den)
+    out = {key - step: coeff * perm(e, order)
+           for key, coeff in p._num.items() if (e := (key >> shift) & _LIMIT) >= order}
+    return Polynomial._from_packed(p.table, out, p._den)
 
 
 def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
@@ -378,21 +391,20 @@ def substitute(p: Polynomial, replacements: Mapping[str, Polynomial]) -> Polynom
     """Substitute each replacement (same table) for its variable, all at once,
     and re-expand exactly.  Terms are grouped by the exponents of the
     substituted variables, and each power of a replacement is built once."""
-    table = p.table
-    subs = []
+    table, shifts, subs = p.table, [], []
     for var, replacement in replacements.items():
         p._check_table(replacement)
-        subs.append((table.index(var), replacement, [Polynomial.constant(table, 1)]))
-    groups: dict[Exponents, dict[Exponents, int]] = {}
-    for exps, coeff in p._num.items():
-        rest = list(exps)
-        for i, _, _ in subs:
-            rest[i] = 0
-        groups.setdefault(tuple(exps[i] for i, _, _ in subs), {})[tuple(rest)] = coeff
+        shifts.append(table._shift(var))
+        subs.append((replacement, [Polynomial.constant(table, 1)]))
+    groups: dict[Exponents, dict[int, int]] = {}
+    for key, coeff in p._num.items():
+        exps = tuple((key >> shift) & _LIMIT for shift in shifts)
+        rest = key - sum(e << shift for e, shift in zip(exps, shifts)) - (sum(exps) << table._top)
+        groups.setdefault(exps, {})[rest] = coeff
     result = Polynomial.zero(table)
-    for key, num in groups.items():
-        term = Polynomial.from_numerators(table, num, p._den)
-        for e, (_, replacement, powers) in zip(key, subs):
+    for exps, num in groups.items():
+        term = Polynomial._from_packed(table, num, p._den)
+        for e, (replacement, powers) in zip(exps, subs):
             while len(powers) <= e:
                 powers.append(powers[-1] * replacement)
             if e:
@@ -407,45 +419,38 @@ def substitute_linear(p: Polynomial, var: str, replacement: Polynomial) -> Polyn
 
 
 def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
-    """Pad every term with ``var``-powers so the geometric degree is *target_degree*.
-
-    Requires ``var`` to be geometric and absent from *p*; parameter content is
-    ignored by the degree count.
-    """
+    """Pad every term with ``var``-powers so the geometric degree is *target_degree*;
+    ``var`` must be geometric and absent from *p*, and parameters do not count."""
     if not p.table.is_geometric(var):
         raise RoleError(f"homogenization variable {var!r} must be geometric")
     if p.degree_in(var):
         raise ValueError(f"variable {var!r} already occurs in the polynomial")
-    i = p.table.index(var)
-    ng = p.table.n_geometric
-    out: dict[Exponents, int] = {}
-    for exps, coeff in p._num.items():
-        d = sum(exps[:ng])
+    table, top, shift = p.table, p.table._top, p.table._shift(var)
+    out: dict[int, int] = {}
+    for exps, (key, coeff) in zip(table._unpack(p._num), p._num.items()):
+        d = sum(exps[:table.n_geometric])
         if d > target_degree:
-            raise DegreeError(
-                f"term of geometric degree {d} exceeds target degree {target_degree}"
-            )
-        out[exps[:i] + (target_degree - d,) + exps[i + 1:]] = coeff
-    return Polynomial.from_numerators(p.table, out, p._den)
+            raise DegreeError(f"term of geometric degree {d} exceeds target degree {target_degree}")
+        pad = target_degree - d
+        _check_degree((key >> top) + pad)
+        out[key + (pad << top) + (pad << shift)] = coeff
+    return Polynomial._from_packed(table, out, p._den)
 
 
 def eval_scaled_many(polys: Sequence[Polynomial],
                      point: Mapping[str, complex]) -> list[tuple[complex, float]]:
-    """Evaluate each polynomial at one complex point, with its largest summand modulus.
+    """Evaluate each polynomial at one complex point, with its largest summand
+    modulus (which measures cancellation).
 
-    Sums in canonical term order over :meth:`Polynomial.compiled`; one power
-    table holds each ``variable ** exponent`` of the point, computed once for
-    all the polynomials, so each result is what the polynomial alone gives.
-    The summand scale measures cancellation.  Every variable that actually
-    occurs must be assigned.  Coefficients are converted with correctly
-    rounded integer division, so bounded inputs evaluate to full double
-    precision.
+    Sums in canonical term order over :meth:`Polynomial.compiled`, with one table
+    of the point's powers shared by all the polynomials, so each result is what
+    the polynomial alone gives.  Every occurring variable must be assigned.
+    Coefficients are correctly rounded, so bounded inputs evaluate to full
+    double precision.
     """
-    powers = {}
-    out = []
+    powers, out = {}, []
     for p in polys:
-        total = 0j
-        scale = 0.0
+        total, scale = 0j, 0.0
         for term, monomial in p.compiled():
             for factor in monomial:
                 power = powers.get(factor)
@@ -464,8 +469,7 @@ def eval_scaled_many(polys: Sequence[Polynomial],
 
 
 def eval_scaled(p: Polynomial, point: Mapping[str, complex]) -> tuple[complex, float]:
-    """Value and largest summand modulus at a complex point: the one-polynomial
-    form of :func:`eval_scaled_many`."""
+    """Value and largest summand modulus at a complex point: :func:`eval_scaled_many` of one."""
     return eval_scaled_many((p,), point)[0]
 
 
@@ -475,25 +479,27 @@ def eval_complex(p: Polynomial, point: Mapping[str, complex]) -> complex:
 
 
 def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
-    """Evaluate at an exact rational point, in ints: a variable of largest
-    exponent t in *p* and value n/d enters each term as n^e * d^(t - e), over
-    the one denominator ``p.denominator * prod d^t``."""
-    names = p.table.names
-    factors, den = [], p._den
-    for i, t in enumerate(map(max, zip(*p._num))):
-        if not t:
+    """Evaluate at an exact rational point, in ints: a variable of value n/d enters
+    each term as n^e * d^(t - e), over the one denominator ``p.denominator * prod d^t``,
+    where t bounds its exponents in *p* (a larger t gives the same value)."""
+    table, names, factors, den = p.table, p.table.names, [], p._den
+    occurring, shift = reduce(or_, p._num, 0), table._top
+    for name in names:
+        shift -= 16     # name's field: in the OR of the keys it bounds name's exponents
+        if not (t := (occurring >> shift) & _LIMIT):
             continue
-        if names[i] not in point:   # name the first unassigned in term order, then table order
-            name = next(n for exps in p._num for n, e in zip(names, exps) if e and n not in point)
+        if name not in point:   # name the first unassigned in term order, then table order
+            name = next(n for exps in table._unpack(p._num) for n, e in zip(names, exps)
+                        if e and n not in point)
             raise DomainError(f"variable {name!r} not assigned")
-        v = point[names[i]]
+        v = point[name]
         v = v if isinstance(v, (int, Fraction)) else Fraction(v)
-        factors.append((i, [v.numerator ** e * v.denominator ** (t - e) for e in range(t + 1)]))
+        factors.append((shift, [v.numerator ** e * v.denominator ** (t - e) for e in range(t + 1)]))
         den *= v.denominator ** t
     total = 0
-    for exps, term in p._num.items():
-        for i, powers in factors:
-            term *= powers[exps[i]]
+    for key, term in p._num.items():
+        for shift, powers in factors:
+            term *= powers[(key >> shift) & _LIMIT]
         total += term
     return Fraction(total, den)
 
@@ -511,21 +517,18 @@ def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = N
     Renaming may change a variable's role, which is how dual parameters are
     promoted to geometric coordinates.
     """
-    rename = dict(rename or {})
-    used = p.support_names()
-    targets = {n: rename.get(n, n) for n in used}
+    targets = {n: (rename or {}).get(n, n) for n in p.support_names()}
     if len(set(targets.values())) != len(targets):
         raise ValueError(f"renaming is not injective on the support: {targets}")
-    slot = {p.table.index(old): table.index(new) for old, new in targets.items()}
-    # an injective renaming maps distinct exponent tuples to distinct ones
-    out: dict[Exponents, int] = {}
-    for exps, coeff in p._num.items():
-        new = [0] * len(table)
-        for i, e in enumerate(exps):
-            if e:
-                new[slot[i]] = e
-        out[tuple(new)] = coeff
-    return Polynomial.from_numerators(table, out, p._den)
+    moves = [(p.table._shift(old), table._shift(new)) for old, new in targets.items()]
+    # an injective renaming maps distinct keys to distinct ones, of the same degree
+    out: dict[int, int] = {}
+    for key, coeff in p._num.items():
+        new = (key >> p.table._top) << table._top
+        for old_shift, new_shift in moves:
+            new += ((key >> old_shift) & _LIMIT) << new_shift
+        out[new] = coeff
+    return Polynomial._from_packed(table, out, p._den)
 
 
 def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, str],
@@ -537,31 +540,28 @@ def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, 
     content, so ``u1, u2`` are then written as ``pair[0], pair[1]``.  Each
     power of *var* is expanded binomially, so no polynomial is multiplied."""
     p = convert(p, table)
-    iv, i0, i1, j0, j1 = (table.index(n) for n in (var, *pair, *unknowns))
-    ng = table.n_geometric
+    iv, i0, i1 = (table.index(n) for n in (var, *pair))
+    s0, s1 = map(table._shift, unknowns)
+    ng, top = table.n_geometric, table._top
+    params = (1 << 16 * len(table.parameters)) - 1     # the parameter fields of a key
     out = [{} for _ in range(5)]
-    for exps, coeff in p._num.items():
+    for exps, (key, coeff) in zip(table._unpack(p._num), p._num.items()):
         k = exps[iv]
         if exps[i0] + exps[i1] + k != 4 or sum(exps[:ng]) != 4:
             raise DegreeError(f"not a quartic form in ({pair[0]},{pair[1]},{var}): {exps}")
+        # the parameter part of the term, of degree deg - 4, times the unknowns' k
+        rest = (key & params) + (((key >> top) - 4 + k) << top)
         for m in range(k + 1):
-            key = [0] * ng + list(exps[ng:])
-            key[j0] += m
-            key[j1] += k - m
-            key = tuple(key)
+            new = rest + (m << s0) + ((k - m) << s1)
             slot = out[exps[i1] + k - m]
-            slot[key] = slot.get(key, 0) + coeff * ((-1) ** k * comb(k, m))
-    return [Polynomial.from_numerators(table, num, p._den) for num in out]
+            slot[new] = slot.get(new, 0) + coeff * ((-1) ** k * comb(k, m))
+    return [Polynomial._from_packed(table, num, p._den) for num in out]
 
 
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence[Fraction | int]]) -> Polynomial:
-    """Exact substitution of the geometric variables by ``matrix`` times themselves.
-
-    Returns ``p(M x)`` where ``x`` is the column of geometric variables; the
-    parameters are untouched.
-    """
-    table = p.table
-    ng = table.n_geometric
+    """``p(M x)``, exactly, where ``x`` is the column of geometric variables and
+    ``M`` the *matrix*; the parameters are untouched."""
+    table, ng = p.table, p.table.n_geometric
     if len(matrix) != ng or any(len(row) != ng for row in matrix):
         raise ValueError(f"matrix must be {ng}x{ng}")
     images = (sum((Polynomial.monomial(table, {n: 1}, c) for n, c in zip(table.geometric, row)),

@@ -235,8 +235,11 @@ def is_symmetric(p: Polynomial) -> bool:
     that sends every term to a term with the same coefficient maps the finite
     support onto itself, so it fixes *p*: two lookups per term decide it.
     """
-    r, s, u = _indices(p.table)
-    num = p.numerators
+    return _is_symmetric(p.numerators, _indices(p.table))
+
+
+def _is_symmetric(num: Mapping[tuple[int, ...], int], idx: Sequence[int]) -> bool:
+    r, s, u = idx
     for exps, coeff in num.items():
         for a, b in ((r, s), (s, u)):
             if exps[a] != exps[b]:
@@ -260,12 +263,13 @@ def decompose_symmetric(p: Polynomial) -> SymmetricDecomposition:
     extra = p.support_names() - set(BASIS_NAMES)
     if extra:
         raise DomainError(f"polynomial involves non-basis variables {sorted(extra)}")
-    if not is_symmetric(p):
-        raise DomainError("polynomial is not symmetric in the parameters")
     idx = _indices(p.table)
+    num = p.numerators
+    if not _is_symmetric(num, idx):
+        raise DomainError("polynomial is not symmetric in the parameters")
     constant = Fraction(0)
     collected: list[tuple[Partition, Fraction]] = []
-    for exps, coeff in p.numerators.items():
+    for exps, coeff in num.items():
         i1, i2, i3 = (exps[i] for i in idx)
         if not i1 >= i2 >= i3:
             continue
@@ -365,8 +369,12 @@ def load_golden(family: str) -> Mapping[int, GoldenEntry]:
 
 
 def golden_polynomial(family: str, k: int, table: VarTable) -> Polynomial:
-    """The reference table entry for I_k as a polynomial over *table*."""
-    return load_golden(family)[k].polynomial(table)
+    """The reference table entry for I_k as a polynomial over *table*; a *k* that
+    is not an invariant degree is a :class:`DomainError`."""
+    entries = load_golden(family)
+    if k not in entries:
+        raise DomainError(f"no invariant of degree {k!r}: the degrees are {_DEGREES}")
+    return entries[k].polynomial(table)
 
 
 @dataclass(frozen=True)
@@ -402,7 +410,7 @@ def golden_compare(inv: InvariantSet, family: str) -> GoldenReport:
             gamma[k] = None
             continue
         lead_exps, lead_coeff = table_poly.leading_term()
-        ratio = Fraction(ours.numerators.get(lead_exps, 0), ours.denominator) / lead_coeff
+        ratio = ours.coefficient(dict(zip(ours.table.names, lead_exps))) / lead_coeff
         diff = ours - table_poly * ratio
         if diff.is_zero():
             gamma[k] = ratio

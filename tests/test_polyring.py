@@ -752,3 +752,283 @@ class TestIntegerFormMatchesFractionReference:
         q = Polynomial.from_numerators(XYZ, {(1, 0, 0): 6, (0, 1, 0): 0, (0, 0, 1): -4}, 8)
         assert q.denominator == 4 and dict(q.numerators) == {(1, 0, 0): 3, (0, 0, 1): -2}
         assert Polynomial.from_numerators(XYZ, {(1, 0, 0): 0}, 7) == Polynomial.zero(XYZ)
+
+
+# -- the packed stored form ---------------------------------------------------
+#
+# Each monomial is stored as one int with a 16-bit field per exponent and one
+# for the total degree; the views above stay keyed by exponent tuples.  The
+# tests below pin the range check at the field limit and compare every
+# operation that works on the packed keys with the exponent-tuple reference
+# functions above, on tables of 6 and 7 variables and with exponents both small
+# and near the limit.
+
+LIMIT = 65535
+SEVEN = VarTable(("x", "y", "z"), ("a", "b", "c", "d"))
+
+
+class TestPackingLimit:
+    @pytest.mark.parametrize("table", [XYZ, PAR, SEVEN])
+    def test_largest_exponent_round_trips(self, table):
+        for i in range(len(table)):
+            exps = tuple(LIMIT if j == i else 0 for j in range(len(table)))
+            p = Polynomial(table, {exps: Fraction(-3, 7)})
+            assert dict(p.terms) == {exps: Fraction(-3, 7)}
+            assert dict(p.numerators) == {exps: -3} and p.denominator == 7
+            assert p.sorted_terms() == [(exps, Fraction(-3, 7))]
+            assert p.total_degree() == p.degree_in(table.names[i]) == LIMIT
+        spread = (LIMIT - 6 * 9000,) + (9000,) * 6
+        p = Polynomial.from_numerators(SEVEN, {spread: 5, (0,) * 7: 1})
+        assert dict(p.numerators) == {spread: 5, (0,) * 7: 1}
+        assert p.leading_term() == (spread, 5) and p.total_degree() == LIMIT
+
+    @pytest.mark.parametrize("exps", [(LIMIT + 1, 0, 0), (0, 0, 2 ** 20),
+                                      (40000, 30000, 0), (LIMIT, 1, 0)])
+    def test_above_the_limit_is_a_degree_error(self, exps):
+        for build in (lambda: Polynomial(XYZ, {exps: 1}),
+                      lambda: Polynomial.from_numerators(XYZ, {exps: 1}),
+                      lambda: mono(XYZ, dict(zip("xyz", exps)))):
+            with pytest.raises(DegreeError, match="65535"):
+                build()
+
+    def test_products_and_powers_that_cross_the_limit(self):
+        x, y = var(PAR, "x"), var(PAR, "y")
+        r = var(PAR, "r")
+        big = x ** 40000
+        with pytest.raises(DegreeError, match="65535"):
+            big * big
+        with pytest.raises(DegreeError, match="65535"):
+            x ** (LIMIT + 1)
+        with pytest.raises(DegreeError, match="65535"):
+            (x ** 32768) * (y ** 32768)     # no single exponent crosses, the degree does
+        with pytest.raises(DegreeError, match="65535"):
+            (x ** 40000 + 1) * (r ** 30000 + y)
+        assert x ** LIMIT == mono(PAR, {"x": LIMIT})
+        assert (x ** 30000) * (r ** 35535) == mono(PAR, {"x": 30000, "r": 35535})
+        assert (x ** 40000 + 1) * (r ** 25535 - 1) == (mono(PAR, {"x": 40000, "r": 25535})
+                                                        - x ** 40000 + r ** 25535 - 1)
+
+    def test_homogenize_across_the_limit(self):
+        p = mono(PAR, {"x": 1, "r": LIMIT - 5})
+        assert homogenize(p, "z", 5) == mono(PAR, {"x": 1, "z": 4, "r": LIMIT - 5})
+        with pytest.raises(DegreeError, match="65535"):
+            homogenize(p, "z", 6)
+
+    def test_negative_and_wrong_length_are_value_errors(self):
+        for exps in [(-1, 0, 0), (0, 0, -LIMIT), (1, 0), (0, 0, 0, 0)]:
+            with pytest.raises(ValueError):
+                Polynomial(XYZ, {exps: 1})
+            with pytest.raises(ValueError):
+                Polynomial.from_numerators(XYZ, {exps: 1})
+
+    def test_from_numerators_reads_tuple_keys(self):
+        num = {(1, 0, 0, 2, 0, 0): 6, (0, 1, 0, 0, 0, 0): 0, (0, 0, 0, 0, 0, 1): -4}
+        q = Polynomial.from_numerators(PAR, num, 8)
+        assert q.denominator == 4
+        assert dict(q.numerators) == {(1, 0, 0, 2, 0, 0): 3, (0, 0, 0, 0, 0, 1): -2}
+        assert q == Polynomial(PAR, {(1, 0, 0, 2, 0, 0): Fraction(3, 4),
+                                     (0, 0, 0, 0, 0, 1): Fraction(-1, 2)})
+        num[(1, 0, 0, 2, 0, 0)] = 7       # the caller's dict is not kept
+        assert dict(q.numerators) == {(1, 0, 0, 2, 0, 0): 3, (0, 0, 0, 0, 0, 1): -2}
+        with pytest.raises(TypeError):
+            q.numerators[(0, 0, 0, 0, 0, 1)] = 1
+
+
+def _exponents(n, top):
+    """Exponent tuples of length *n* and total degree at most *top*: small ones, and
+    ones whose degree is within 20 of *top*, nearly all of it in one variable."""
+    small = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+
+    def lift(args):
+        exps, i, degree = args
+        exps[i] += degree - sum(exps)
+        return tuple(exps)
+
+    return st.one_of(small.map(tuple),
+                     st.tuples(small, st.integers(0, n - 1), st.integers(top - 20, top)).map(lift))
+
+
+_coefficients = st.builds(Fraction, st.integers(-30, 30), st.sampled_from(_DENS))
+
+
+def _terms(table, top=LIMIT, max_size=6):
+    return st.dictionaries(_exponents(len(table), top), _coefficients,
+                           max_size=max_size).map(_ref_clean)
+
+
+def _degree(terms):
+    return max((sum(e) for e in terms), default=0)
+
+
+def _merged(pairs):
+    """Exponent-tuple terms from ``(exps, coeff)`` pairs whose exponents may repeat."""
+    out = {}
+    for e, c in pairs:
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_monomial_power(a, e, n):
+    out = {(0,) * n: Fraction(1)}
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_substitute(a, table, replacements):
+    total = {}
+    for exps, c in a.items():
+        rest = list(exps)
+        term = None
+        for name, rep in replacements.items():
+            rest[table.index(name)] = 0
+            power = _ref_monomial_power(rep, exps[table.index(name)], len(table))
+            term = power if term is None else _ref_mul(term, power)
+        total = _ref_add(total, _ref_mul({tuple(rest): c}, term))
+    return total
+
+
+def _ref_geometric_coefficients(a, table):
+    ng = table.n_geometric
+    out = {}
+    for exps, c in a.items():
+        out.setdefault(exps[:ng], {})[(0,) * ng + exps[ng:]] = c
+    return out
+
+
+_TABLES = pytest.mark.parametrize("table", [PAR, SEVEN], ids=["PAR", "SEVEN"])
+_PROPERTY = settings(max_examples=40, deadline=None)
+
+
+class TestPackedFormMatchesTupleReference:
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_products(self, table, data):
+        a, b = (data.draw(_terms(table, LIMIT // 2 + 10)) for _ in range(2))
+        want = _ref_mul(a, b)
+        pa, pb = Polynomial(table, a), Polynomial(table, b)
+        if _degree(want) > LIMIT:
+            with pytest.raises(DegreeError, match="65535"):
+                pa * pb
+        else:
+            assert_matches_reference(pa * pb, table, want)
+
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_powers(self, table, data):
+        a = data.draw(_terms(table, LIMIT // 3 + 10, max_size=3))
+        n = data.draw(st.integers(0, 3))
+        want = _ref_monomial_power(a, n, len(table))
+        if _degree(want) > LIMIT:
+            with pytest.raises(DegreeError, match="65535"):
+                Polynomial(table, a) ** n
+        else:
+            assert_matches_reference(Polynomial(table, a) ** n, table, want)
+
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_partial(self, table, data):
+        a = data.draw(_terms(table))
+        name = data.draw(st.sampled_from(table.geometric))
+        order = data.draw(st.one_of(st.integers(0, 4), st.integers(LIMIT - 25, LIMIT + 1)))
+        got = partial(Polynomial(table, a), name, order)
+        want = _ref_partial(a, table.index(name), order)
+        if order < 5:
+            assert_matches_reference(got, table, want)
+        else:   # coefficients near 65535! have no float or short decimal form
+            assert dict(got.terms) == want and got.total_degree() == _degree(want)
+
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_homogenize(self, table, data):
+        iz, ng = table.index("z"), table.n_geometric
+        a = _merged((e[:iz] + (0,) + e[iz + 1:], c) for e, c in data.draw(_terms(table)).items())
+        target = max((sum(e[:ng]) for e in a), default=0) + data.draw(
+            st.one_of(st.integers(0, 5), st.integers(LIMIT - 40, LIMIT)))
+        want = _ref_homogenize(a, table, "z", target)
+        if _degree(want) > LIMIT:
+            with pytest.raises(DegreeError, match="65535"):
+                homogenize(Polynomial(table, a), "z", target)
+        else:
+            assert_matches_reference(homogenize(Polynomial(table, a), "z", target), table, want)
+
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_substitute(self, table, data):
+        names = data.draw(st.sampled_from([("x",), ("y", "x"), ("z", "r" if table is PAR else "d")]))
+        slots = [table.index(n) for n in names]
+        # the substituted exponents stay small, so each power is a few products
+        a = _merged((tuple(e % 4 if i in slots else e for i, e in enumerate(exps)), c)
+                    for exps, c in data.draw(_terms(table)).items())
+        linear = st.sampled_from([tuple(int(i == j) for j in range(len(table)))
+                                  for i in range(-1, len(table))])
+        reps = {n: data.draw(st.dictionaries(linear, _coefficients, max_size=3).map(_ref_clean))
+                for n in names}
+        got = substitute(Polynomial(table, a), {n: Polynomial(table, r) for n, r in reps.items()})
+        assert_matches_reference(got, table, _ref_substitute(a, table, reps))
+
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_convert(self, table, data):
+        a = data.draw(_terms(table))
+        # roles swapped, orders reversed, one variable renamed and one added
+        dst = VarTable(tuple(reversed(table.parameters)),
+                       tuple(reversed(table.geometric[1:])) + ("x2", "extra"))
+        rename = {"x": "x2"}
+        got = convert(Polynomial(table, a), dst, rename)
+        assert_matches_reference(got, dst, _ref_convert(a, table, dst, rename))
+        assert_matches_reference(convert(got, table, {"x2": "x"}), table, a)
+
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_geometric_coefficients(self, table, data):
+        a = data.draw(_terms(table))
+        got = Polynomial(table, a).geometric_coefficients()
+        want = _ref_geometric_coefficients(a, table)
+        assert list(got) == list(want)
+        for geo, w in want.items():
+            assert_matches_reference(got[geo], table, w)
+
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_restrict_to_line(self, table, data):
+        geo = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda ij: sum(ij) <= 4)
+        pars = _exponents(len(table.parameters), LIMIT - 4)
+        form = st.dictionaries(st.tuples(geo, pars), _coefficients, max_size=8)
+        a = _ref_clean({(i, j, 4 - i - j) + p: c for ((i, j), p), c in data.draw(form).items()})
+        line = VarTable(table.geometric, table.parameters + ("t1", "t2"))
+        got = restrict_to_line(Polynomial(table, a), line, "z", ("x", "y"), ("t1", "t2"))
+        want = _ref_restrict(_ref_convert(a, table, line, {}), line, "z", ("x", "y"), ("t1", "t2"))
+        for g, w in zip(got, want):
+            assert_matches_reference(g, line, w)
+        got = restrict_to_line(Polynomial(table, a), table, "x", ("y", "z"), ("y", "z"))
+        for g, w in zip(got, _ref_restrict(a, table, "x", ("y", "z"), ("y", "z"))):
+            assert_matches_reference(g, table, w)
+
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_eval_exact(self, table, data):
+        a = data.draw(_terms(table))
+        # near the limit only 0 and ±1 keep the powers small
+        large = max((max(e) for e in a), default=0) > 12
+        value = st.sampled_from([0, 1, -1, Fraction(-1)]) if large else _coefficients
+        point = {n: data.draw(value) for n in table.names}
+        got = eval_exact(Polynomial(table, a), point)
+        assert type(got) is Fraction and got == _ref_eval_exact(a, table.names, point)
+
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_sorted_terms_are_descending_by_degree_then_exponents(self, table, data):
+        a = data.draw(_terms(table, max_size=10))
+        want = sorted(a.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        assert Polynomial(table, a).sorted_terms() == want

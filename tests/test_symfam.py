@@ -382,6 +382,12 @@ class TestGolden:
         with pytest.raises(DomainError, match="unknown family 'X8'"):
             golden_compare(family_invariants["X4"], "X8")
 
+    @pytest.mark.parametrize("family", ["X4", "X24"])
+    @pytest.mark.parametrize("k", [0, 4, 21, -3, "3"])
+    def test_degree_that_is_not_an_invariant(self, family, k):
+        with pytest.raises(DomainError, match=re.escape("(3, 6, 9, 12, 15, 18)")):
+            golden_polynomial(family, k, RSU)
+
     @pytest.mark.parametrize("family, line", [
         ("X4", "I3 [1,2] 5"),
         ("X4", "I3 [2,0] 5"),
