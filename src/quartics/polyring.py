@@ -8,17 +8,26 @@ splits the variables into two roles:
 * *parameters* (``r, s, u`` ...) -- ordinary commuting variables that ride
   along in the coefficients and are treated as scalars by the calculus.
 
-The stored form is canonical: nonzero ``int`` numerators over one reduced
-positive ``int`` denominator (zero has denominator 1), each keyed by one
-packed ``int`` per monomial (Monagan and Pearce, CASC 2007): 16-bit fields,
-the total degree in the top one, then the exponents in table order.  So a
-monomial product is one integer addition, and the int order of the keys is
-the canonical term order (graded lex, geometric variables before
-parameters).  An exponent or total degree above 65,535 is a
-:class:`DegreeError`, checked on construction and before each product,
-never wrapped.  The public views (``terms``, ``numerators``, ...) are keyed
-by exponent tuples.  Values are immutable and safe to share between threads;
-the compiled form for complex evaluation is built once, then kept.
+Coefficients are exact: nonzero ``int`` numerators keyed by monomial over
+one positive ``int`` denominator, always reduced (the gcd of the
+denominator and all numerators is 1; zero has denominator 1), so the stored
+form is canonical and the ring operations run on ints, one gcd pass per
+result.  :attr:`Polynomial.terms` shows reduced :class:`fractions.Fraction`
+coefficients.  The canonical term order used for display, hashing and
+deterministic evaluation is graded lexicographic with geometric variables
+before parameters.
+
+Each monomial is stored as one packed ``int`` (Monagan and Pearce, CASC
+2007): 16-bit fields, the total degree in the top one, then the exponents in
+table order.  So a monomial product is one integer addition, and the int
+order of the keys is the canonical term order.  An exponent or total degree
+above 65,535 is a :class:`DegreeError`, checked on construction and before
+each product, never wrapped.  The public views (``terms``, ``numerators``,
+``sorted_terms``, ...) are keyed by exponent tuples.
+
+Values are immutable once constructed (``terms`` is a read-only view) and
+safe to share between threads: the compiled form for complex evaluation
+(:meth:`Polynomial.compiled`) is built lazily and idempotently, then kept.
 
 The one complex evaluator, :func:`eval_scaled_many`, computes each
 ``complex(value) ** exponent`` of a point once, in one power table shared by
@@ -122,14 +131,16 @@ class Polynomial:
                  for exps, c in (terms or {}).items()}
         # over the lcm of the denominators the numerators come out reduced
         den = lcm(*(c.denominator for c in clean.values()))
-        self.table, self._den, self._hash, self._compiled = table, den, None, None
+        self.table, self._den = table, den
         self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
+        self._hash = self._compiled = None
 
     @classmethod
     def from_numerators(cls, table: VarTable, num: Mapping[Exponents, int],
                         den: int = 1) -> "Polynomial":
-        """``sum num[e] * x^e / den`` (*den* > 0), reduced; each exponent tuple is packed
-        into one key, and an exponent or degree above 65,535 is a :class:`DegreeError`."""
+        """``sum num[e] * x^e / den`` (*den* > 0), zero numerators dropped, gcd divided
+        out; each exponent tuple is packed into one key, and an exponent or degree
+        above 65,535 is a :class:`DegreeError`."""
         return cls._from_packed(table, {table._pack(e): c for e, c in num.items()}, den)
 
     @classmethod
@@ -142,7 +153,8 @@ class Polynomial:
             den //= g
             num = {e: c // g for e, c in num.items()}
         p = cls.__new__(cls)
-        p.table, p._num, p._den, p._hash, p._compiled = table, num, den, None, None
+        p.table, p._num, p._den = table, num, den
+        p._hash = p._compiled = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -158,7 +170,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Polynomial":
-        return cls.monomial(table, {name: 1})
+        exps = [0] * len(table)
+        exps[table.index(name)] = 1
+        return cls._from_packed(table, {table._pack(exps): 1})
 
     @classmethod
     def monomial(cls, table: VarTable, powers: Mapping[str, int], coeff=1) -> "Polynomial":
@@ -249,12 +263,14 @@ class Polynomial:
 
     def geometric_coefficients(self) -> dict[Exponents, "Polynomial"]:
         """Group terms by geometric exponents; values are parameter-only polynomials."""
-        table, ng, top = self.table, self.table.n_geometric, self.table._top
+        table = self.table
+        ng = table.n_geometric
         params = (1 << 16 * len(table.parameters)) - 1     # the parameter fields of a key
         out: dict[Exponents, dict[int, int]] = {}
         for exps, (key, coeff) in zip(table._unpack(self._num), self._num.items()):
-            out.setdefault(exps[:ng], {})[(sum(exps[ng:]) << top) + (key & params)] = coeff
-        return {geo: Polynomial._from_packed(table, num, self._den) for geo, num in out.items()}
+            out.setdefault(exps[:ng], {})[(sum(exps[ng:]) << table._top) + (key & params)] = coeff
+        return {geo: Polynomial._from_packed(table, num, self._den)
+                for geo, num in out.items()}
 
     def support_names(self) -> set[str]:
         occurring = reduce(or_, self._num, 0)    # a field is nonzero where its variable occurs
@@ -285,10 +301,15 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._from_packed(self.table, {e: -c for e, c in self._num.items()}, self._den)
+        return Polynomial._from_packed(self.table, {e: -c for e, c in self._num.items()},
+                                       self._den)
 
     def __sub__(self, other):
-        return self + -other if isinstance(other, (int, Fraction, Polynomial)) else NotImplemented
+        if isinstance(other, (int, Fraction)):
+            other = Polynomial.constant(self.table, other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -301,12 +322,15 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_table(other)
-        a, b, top = self._num, other._num, self.table._top
-        if len(b) > len(a):
-            a, b = b, a
+        out: dict[int, int] = {}
+        if len(other._num) > len(self._num):
+            a, b = other._num, self._num
+        else:
+            a, b = self._num, other._num
         # the degrees add, so a product that fits the top field fits every field
+        top = self.table._top
         _check_degree((max(a, default=0) >> top) + (max(b, default=0) >> top))
-        out, b = {}, b.items()
+        b = b.items()
         for ea, ca in a.items():
             for eb, cb in b:
                 e = ea + eb
@@ -318,7 +342,8 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result, base = Polynomial.constant(self.table, 1), self
+        result = Polynomial.constant(self.table, 1)
+        base = self
         while n:
             if n & 1:
                 result = result * base
@@ -346,13 +371,19 @@ class Polynomial:
     def __str__(self) -> str:
         if not self._num:
             return "0"
+        names = self.table.names
         parts = []
         for exps, coeff in self.sorted_terms():
-            factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(self.table.names, exps) if e]
+            factors = [
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(names, exps)
+                if e
+            ]
             mag = coeff if coeff > 0 else -coeff
             body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
-            parts.append(f"{'-' if coeff < 0 else '+'} {body}")
-        text = " ".join(parts)
+            sign = "-" if coeff < 0 else "+"
+            parts.append((sign, body))
+        text = " ".join(f"{sign} {body}" for sign, body in parts)
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
@@ -391,7 +422,8 @@ def substitute(p: Polynomial, replacements: Mapping[str, Polynomial]) -> Polynom
     """Substitute each replacement (same table) for its variable, all at once,
     and re-expand exactly.  Terms are grouped by the exponents of the
     substituted variables, and each power of a replacement is built once."""
-    table, shifts, subs = p.table, [], []
+    table = p.table
+    shifts, subs = [], []
     for var, replacement in replacements.items():
         p._check_table(replacement)
         shifts.append(table._shift(var))
@@ -419,18 +451,25 @@ def substitute_linear(p: Polynomial, var: str, replacement: Polynomial) -> Polyn
 
 
 def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
-    """Pad every term with ``var``-powers so the geometric degree is *target_degree*;
-    ``var`` must be geometric and absent from *p*, and parameters do not count."""
+    """Pad every term with ``var``-powers so the geometric degree is *target_degree*.
+
+    Requires ``var`` to be geometric and absent from *p*; parameter content is
+    ignored by the degree count.
+    """
     if not p.table.is_geometric(var):
         raise RoleError(f"homogenization variable {var!r} must be geometric")
     if p.degree_in(var):
         raise ValueError(f"variable {var!r} already occurs in the polynomial")
-    table, top, shift = p.table, p.table._top, p.table._shift(var)
+    table = p.table
+    top, shift = table._top, table._shift(var)
+    ng = table.n_geometric
     out: dict[int, int] = {}
     for exps, (key, coeff) in zip(table._unpack(p._num), p._num.items()):
-        d = sum(exps[:table.n_geometric])
+        d = sum(exps[:ng])
         if d > target_degree:
-            raise DegreeError(f"term of geometric degree {d} exceeds target degree {target_degree}")
+            raise DegreeError(
+                f"term of geometric degree {d} exceeds target degree {target_degree}"
+            )
         pad = target_degree - d
         _check_degree((key >> top) + pad)
         out[key + (pad << top) + (pad << shift)] = coeff
@@ -439,18 +478,21 @@ def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
 
 def eval_scaled_many(polys: Sequence[Polynomial],
                      point: Mapping[str, complex]) -> list[tuple[complex, float]]:
-    """Evaluate each polynomial at one complex point, with its largest summand
-    modulus (which measures cancellation).
+    """Evaluate each polynomial at one complex point, with its largest summand modulus.
 
-    Sums in canonical term order over :meth:`Polynomial.compiled`, with one table
-    of the point's powers shared by all the polynomials, so each result is what
-    the polynomial alone gives.  Every occurring variable must be assigned.
-    Coefficients are correctly rounded, so bounded inputs evaluate to full
-    double precision.
+    Sums in canonical term order over :meth:`Polynomial.compiled`; one power
+    table holds each ``variable ** exponent`` of the point, computed once for
+    all the polynomials, so each result is what the polynomial alone gives.
+    The summand scale measures cancellation.  Every variable that actually
+    occurs must be assigned.  Coefficients are converted with correctly
+    rounded integer division, so bounded inputs evaluate to full double
+    precision.
     """
-    powers, out = {}, []
+    powers = {}
+    out = []
     for p in polys:
-        total, scale = 0j, 0.0
+        total = 0j
+        scale = 0.0
         for term, monomial in p.compiled():
             for factor in monomial:
                 power = powers.get(factor)
@@ -469,7 +511,8 @@ def eval_scaled_many(polys: Sequence[Polynomial],
 
 
 def eval_scaled(p: Polynomial, point: Mapping[str, complex]) -> tuple[complex, float]:
-    """Value and largest summand modulus at a complex point: :func:`eval_scaled_many` of one."""
+    """Value and largest summand modulus at a complex point: the one-polynomial
+    form of :func:`eval_scaled_many`."""
     return eval_scaled_many((p,), point)[0]
 
 
@@ -482,7 +525,9 @@ def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
     """Evaluate at an exact rational point, in ints: a variable of value n/d enters
     each term as n^e * d^(t - e), over the one denominator ``p.denominator * prod d^t``,
     where t bounds its exponents in *p* (a larger t gives the same value)."""
-    table, names, factors, den = p.table, p.table.names, [], p._den
+    table = p.table
+    names = table.names
+    factors, den = [], p._den
     occurring, shift = reduce(or_, p._num, 0), table._top
     for name in names:
         shift -= 16     # name's field: in the OR of the keys it bounds name's exponents
@@ -517,7 +562,9 @@ def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = N
     Renaming may change a variable's role, which is how dual parameters are
     promoted to geometric coordinates.
     """
-    targets = {n: (rename or {}).get(n, n) for n in p.support_names()}
+    rename = dict(rename or {})
+    used = p.support_names()
+    targets = {n: rename.get(n, n) for n in used}
     if len(set(targets.values())) != len(targets):
         raise ValueError(f"renaming is not injective on the support: {targets}")
     moves = [(p.table._shift(old), table._shift(new)) for old, new in targets.items()]
@@ -559,9 +606,13 @@ def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, 
 
 
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence[Fraction | int]]) -> Polynomial:
-    """``p(M x)``, exactly, where ``x`` is the column of geometric variables and
-    ``M`` the *matrix*; the parameters are untouched."""
-    table, ng = p.table, p.table.n_geometric
+    """Exact substitution of the geometric variables by ``matrix`` times themselves.
+
+    Returns ``p(M x)`` where ``x`` is the column of geometric variables; the
+    parameters are untouched.
+    """
+    table = p.table
+    ng = table.n_geometric
     if len(matrix) != ng or any(len(row) != ng for row in matrix):
         raise ValueError(f"matrix must be {ng}x{ng}")
     images = (sum((Polynomial.monomial(table, {n: 1}, c) for n, c in zip(table.geometric, row)),

@@ -7,10 +7,10 @@ The digest covers, in a fixed order:
 * the golden report of each family's invariants, and of a doctored copy whose
   I3 and I12 are shifted, so the report names two differing monomials;
 * the S-basis decomposition of each X4 invariant;
-* the invariants of the first ``--generic`` seeded generic quartics of the
+* the invariants of the first ``GENERIC`` seeded generic quartics of the
   benchmark's ``numeric`` generator (``perfbench/workloads.py``, imported, not
-  changed), per seed;
-* the invariants of ``--members`` seeded rational members of each family per
+  changed), for each of ``SEEDS``;
+* the invariants of ``MEMBERS`` seeded rational members of each family per
   seed, about one in ten parameters being +-2 (singular members).
 
 Each value enters as its ``str`` or ``repr``: exact, canonical and in term
@@ -19,14 +19,13 @@ change that claims identical output is checked by running this in both.
 
 Run from the root of a checkout:
 
-    python tools/exact_digest.py --seeds 1 2 --generic 40 --members 25
+    python tools/exact_digest.py
 
 The digest is the only line on stdout; the record count goes to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 import random
@@ -35,6 +34,9 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2)
+GENERIC = 40   # generic quartics of the numeric generator per seed
+MEMBERS = 25   # rational members per family per seed
 
 
 def _invariants(inv) -> str:
@@ -84,19 +86,12 @@ def member_records(seed: int, count: int):
             yield f"{family}{tuple(map(str, params))}\n{_invariants(inv)}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--generic", type=int, default=40,
-                        help="generic quartics of the numeric generator per seed")
-    parser.add_argument("--members", type=int, default=25,
-                        help="rational members per family per seed")
-    args = parser.parse_args(argv)
+def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
     records = itertools.chain(symbolic_records(), *(
-        itertools.chain(generic_records(seed, args.generic), member_records(seed, args.members))
-        for seed in args.seeds))
+        itertools.chain(generic_records(seed, GENERIC), member_records(seed, MEMBERS))
+        for seed in SEEDS))
     digest = hashlib.sha256()
     count = 0
     for count, record in enumerate(records, 1):
