@@ -22,6 +22,7 @@ quartic has exactly 28 bitangents), which the final count must be.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -110,8 +111,11 @@ class ProjLine:
 
 
 def _normalized(coeffs) -> tuple[tuple[complex, complex, complex], float, float]:
-    """A coefficient triple as complex numbers, its largest modulus, and the
-    sum of its moduli over that largest one (in [1, 3])."""
+    """A coefficient triple as complex numbers scaled by a power of two to a
+    largest modulus in [1/2, 1) (at least 2^-51 when it is subnormal), that
+    largest modulus, and the sum of the moduli over it (in [1, 3]).  The
+    scaling is exact, and it keeps the products of :func:`_distance` from
+    overflowing or underflowing."""
     c = tuple(complex(v) for v in coeffs)
     if not all(map(cmath.isfinite, c)):
         raise DomainError("non-finite line in projective comparison")
@@ -119,7 +123,9 @@ def _normalized(coeffs) -> tuple[tuple[complex, complex, complex], float, float]
     norm = max(mags)
     if norm == 0.0:
         raise DomainError("zero line in projective comparison")
-    return c, norm, sum([m / norm for m in mags])
+    scale = math.ldexp(1.0, min(-math.frexp(norm)[1], 1023))    # 2^1024 overflows
+    c0, c1, c2 = c
+    return (c0 * scale, c1 * scale, c2 * scale), norm * scale, sum([m / norm for m in mags])
 
 
 def _distance(p, q) -> float:
@@ -244,8 +250,10 @@ def perfect_square_fit(coeffs, tol: float = DEFAULT_CERT_TOL):
     the branch with the smallest residual, the maximum coefficient mismatch
     normalized by ``max |c|``.  Returns ``(lam, residual)`` or ``None`` when
     no branch fits below *tol* (a NaN residual never does) or a coefficient
-    is not finite.
+    is not finite.  A *tol* that is not a finite number > 0 raises
+    :class:`DomainError`.
     """
+    check_tolerance("tol", tol)
     c = [complex(v) for v in coeffs]
     top = max(abs(v) for v in c)
     # max() skips a NaN that is not first, so test every coefficient

@@ -26,8 +26,8 @@ from .bitangent import (DEFAULT_CERT_TOL, DEFAULT_DEDUPE_TOL,
                         coordinate_type_count, enumerate_bitangents)
 from .detrep import DEFAULT_SEED, DEFAULT_TOL, solve_detrep
 from .dixmier import dixmier_invariants
-from .errors import (DegeneracyError, DomainError, EnumerationError,
-                     QuarticsError, SolverError, check_tolerance)
+from .errors import (DegeneracyError, DomainError, EnumerationError, SolverError,
+                     check_tolerance)
 from .polyring import Polynomial
 from .symfam import (FAMILY_PARAMS, decompose_symmetric, golden_compare,
                      make_family, make_generic)
@@ -40,15 +40,11 @@ EXIT_NUMERIC = 4
 SCHEMA = f"quartics/{__version__}"
 
 
-class UsageError(QuarticsError):
-    pass
-
-
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse rational {text!r}: {exc}") from None
+        raise DomainError(f"cannot parse rational {text!r}: {exc}") from None
 
 
 def tolerance(text: str) -> float:
@@ -90,14 +86,14 @@ def _emit(payload: dict) -> None:
 def _parse_params(family: str, raw: list[str] | None, symbolic: bool):
     if symbolic:
         if raw:
-            raise UsageError("--symbolic takes no --params")
+            raise DomainError("--symbolic takes no --params")
         return None
     # tokens may be comma-joined ("--params=-7/2,0,1" sidesteps argparse's
     # refusal of leading-dash fractions)
     tokens = [t for item in (raw or []) for t in item.split(",") if t]
     want = 15 if family == "GENERIC" else len(FAMILY_PARAMS[family])
     if len(tokens) != want:
-        raise UsageError(f"{family} needs {want} parameter(s), got {len(tokens)}")
+        raise DomainError(f"{family} needs {want} parameter(s), got {len(tokens)}")
     return [_fraction(t) for t in tokens]
 
 
@@ -106,17 +102,17 @@ def cmd_invariants(args) -> dict:
     params = _parse_params(family, args.params, args.symbolic)
     if family == "GENERIC":
         if args.symbolic:
-            raise UsageError("generic quartics are numeric only")
+            raise DomainError("generic quartics are numeric only")
         form = make_generic(params)
     else:
         form = make_family(family, params)
     # flag misuse is reported before any invariant is computed
     if args.decompose and (family != "X4" or not args.symbolic):
-        raise UsageError("--decompose applies to the symbolic X4 family")
+        raise DomainError("--decompose applies to the symbolic X4 family")
     if args.golden and family == "GENERIC":
-        raise UsageError("--golden applies to the named families")
+        raise DomainError("--golden applies to the named families")
     if args.golden and not args.symbolic:
-        raise UsageError("--golden compares symbolic tables; pass --symbolic")
+        raise DomainError("--golden compares symbolic tables; pass --symbolic")
     inv = dixmier_invariants(form)
     payload = {
         "schema": SCHEMA,
@@ -238,7 +234,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.run(args)
-    except (UsageError, DomainError) as exc:
+    except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegeneracyError as exc:

@@ -85,12 +85,12 @@ X4_J1_GENERATORS: tuple[Polynomial, ...] = (
 #: W = B + 1/B turns it into two quadratics (numroots.palindromic_quartic_roots).
 #: k0 = -(r^2 + s^2 + u^2 - rsu - 4) vanishes only on the singular locus.
 X4_J1_QUARTIC_B: tuple[Polynomial, ...] = (
-    -_u**2 + _r * _s * _u - _s**2 - _r**2 + 4,
-    -2 * _s * _u**2 + _r * _s**2 * _u + 4 * _r * _u - 2 * _r**2 * _s,
+    _k0 := -_u**2 + _r * _s * _u - _s**2 - _r**2 + 4,
+    _k1 := -2 * _s * _u**2 + _r * _s**2 * _u + 4 * _r * _u - 2 * _r**2 * _s,
     -_s**2 * _u**2 - 2 * _u**2 + 6 * _r * _s * _u - _r**2 * _s**2
     + 2 * _s**2 - 2 * _r**2 - 8,
-    -2 * _s * _u**2 + _r * _s**2 * _u + 4 * _r * _u - 2 * _r**2 * _s,
-    -_u**2 + _r * _s * _u - _s**2 - _r**2 + 4,
+    _k1,
+    _k0,
 )
 
 #: Coordinate-type components: a biquadratic in one coefficient, the other 0.

@@ -99,12 +99,8 @@ def compute_pq(r: Fraction | int) -> tuple[complex, complex]:
 _SYS_TABLE = VarTable(("x", "y", "z"), ("p", "q", "a", "b", "c", "d", "e", "f", "r", "s", "u"))
 
 
-def _v(name: str) -> Polynomial:
-    return Polynomial.variable(_SYS_TABLE, name)
-
-
 _P, _Q, _A, _B, _C, _D, _E, _F, _R, _S, _U = (
-    _v(n) for n in ("p", "q", "a", "b", "c", "d", "e", "f", "r", "s", "u")
+    Polynomial.variable(_SYS_TABLE, n) for n in _SYS_TABLE.parameters
 )
 
 #: The six conditions on the off-diagonal unknowns (all must vanish; the
@@ -171,18 +167,11 @@ def determinant_expand(A, B, C) -> Polynomial:
     return det(pencil)
 
 
-def _point_assignment(rep_values: dict, params: dict) -> dict:
-    point = {k: complex(v) for k, v in rep_values.items()}
-    point.update({k: complex(float(v)) for k, v in params.items()})
-    return point
-
-
 def residuals_e_system(rep: DetRep, r, s, u) -> dict:
     """Residuals of the six reduced conditions and the raw system at the rep."""
     a, b, d, c, e, f = rep.off_diagonal()
-    values = {"p": rep.p, "q": rep.q, "a": a, "b": b, "c": c, "d": d, "e": e, "f": f}
-    params = {"r": Fraction(r), "s": Fraction(s), "u": Fraction(u)}
-    point = _point_assignment(values, params)
+    point = {"p": rep.p, "q": rep.q, "a": a, "b": b, "c": c, "d": d, "e": e, "f": f,
+             "r": float(Fraction(r)), "s": float(Fraction(s)), "u": float(Fraction(u))}
     moduli = [abs(v) for v, _ in eval_scaled_many(E_SYSTEM + OEQ_SYSTEM[:6], point)]
     n = len(E_SYSTEM)
     out = {f"e{i}": m for i, m in enumerate(moduli[:n], start=1)}
@@ -192,23 +181,15 @@ def residuals_e_system(rep: DetRep, r, s, u) -> dict:
     return out
 
 
-def _certification_points(seed: int):
-    rng = random.Random(seed)
-    scale = 1 / 2 ** 0.5
-    points = []
-    for _ in range(N_CERT_POINTS):
-        points.append(tuple(
-            complex(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
-            for _ in range(3)
-        ))
-    return points
-
-
 def _determinant_residual(rep: DetRep, r, s, u, seed: int) -> float:
     form = make_family("X4", (Fraction(r), Fraction(s), Fraction(u)))
     rows = tuple(zip(rep.a_matrix, rep.b_matrix, rep.c_matrix))
+    rng = random.Random(seed)
+    scale = 1 / 2 ** 0.5
     worst = 0.0
-    for (x, y, z) in _certification_points(seed):
+    for _ in range(N_CERT_POINTS):
+        x, y, z = (complex(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
+                   for _ in range(3))
         pencil = [[x * a + y * b + z * c for a, b, c in zip(*row)] for row in rows]
         value = det(pencil)
         fval = eval_complex(form.poly, {"x": x, "y": y, "z": z})

@@ -170,9 +170,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Polynomial":
-        exps = [0] * len(table)
-        exps[table.index(name)] = 1
-        return cls._from_packed(table, {table._pack(exps): 1})
+        return cls.monomial(table, {name: 1})
 
     @classmethod
     def monomial(cls, table: VarTable, powers: Mapping[str, int], coeff=1) -> "Polynomial":
@@ -524,14 +522,15 @@ def eval_complex(p: Polynomial, point: Mapping[str, complex]) -> complex:
 def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
     """Evaluate at an exact rational point, in ints: a variable of value n/d enters
     each term as n^e * d^(t - e), over the one denominator ``p.denominator * prod d^t``,
-    where t bounds its exponents in *p* (a larger t gives the same value)."""
+    where t is its largest exponent in *p*; only the powers of exponents that
+    occur are built."""
     table = p.table
     names = table.names
     factors, den = [], p._den
     occurring, shift = reduce(or_, p._num, 0), table._top
     for name in names:
-        shift -= 16     # name's field: in the OR of the keys it bounds name's exponents
-        if not (t := (occurring >> shift) & _LIMIT):
+        shift -= 16     # name's field: nonzero in the OR of the keys where name occurs
+        if not (occurring >> shift) & _LIMIT:
             continue
         if name not in point:   # name the first unassigned in term order, then table order
             name = next(n for exps in table._unpack(p._num) for n, e in zip(names, exps)
@@ -539,8 +538,10 @@ def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
             raise DomainError(f"variable {name!r} not assigned")
         v = point[name]
         v = v if isinstance(v, (int, Fraction)) else Fraction(v)
-        factors.append((shift, [v.numerator ** e * v.denominator ** (t - e) for e in range(t + 1)]))
-        den *= v.denominator ** t
+        exps = {(key >> shift) & _LIMIT for key in p._num}
+        n, d, t = v.numerator, v.denominator, max(exps)
+        factors.append((shift, {e: n ** e * d ** (t - e) for e in exps}))
+        den *= d ** t
     total = 0
     for key, term in p._num.items():
         for shift, powers in factors:

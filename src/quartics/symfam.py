@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .dixmier import InvariantSet
 from .errors import DegeneracyError, DomainError
 from .polyring import Polynomial, VarTable
 
@@ -298,17 +297,6 @@ class GoldenEntry:
 
     prefactor: Fraction
     coefficients: tuple[tuple[tuple[int, ...], Fraction], ...]
-    family: str
-    _expanded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def polynomial(self, table: VarTable) -> Polynomial:
-        """The entry as a polynomial over *table*, expanded on the first request
-        for that table and kept with the entry."""
-        poly = self._expanded.get(table)
-        if poly is None:
-            poly = _expand_orbits(self.coefficients, table, self.family, self.prefactor)
-            self._expanded[table] = poly
-        return poly
 
 
 #: The degrees k of the Dixmier invariants I_k, the labels of a reference table.
@@ -344,7 +332,7 @@ def _parse_golden(family: str, text: str) -> Mapping[int, GoldenEntry]:
         except (ValueError, ZeroDivisionError, DomainError) as exc:
             raise DomainError(f"{family} table: malformed line {line!r} ({exc})") from None
         rows.setdefault(k, []).append((exps, coeff))
-    return MappingProxyType({k: GoldenEntry(pre.get(k, Fraction(1)), tuple(rows.get(k, [])), family)
+    return MappingProxyType({k: GoldenEntry(pre.get(k, Fraction(1)), tuple(rows.get(k, [])))
                              for k in _DEGREES})
 
 
@@ -368,13 +356,15 @@ def load_golden(family: str) -> Mapping[int, GoldenEntry]:
     return _parse_golden(family, text)
 
 
+@functools.cache
 def golden_polynomial(family: str, k: int, table: VarTable) -> Polynomial:
-    """The reference table entry for I_k as a polynomial over *table*; a *k* that
-    is not an invariant degree is a :class:`DomainError`."""
+    """The reference table entry for I_k over *table*, expanded once per (family, k,
+    table); a *k* that is not an invariant degree is a :class:`DomainError`."""
     entries = load_golden(family)
     if k not in entries:
         raise DomainError(f"no invariant of degree {k!r}: the degrees are {_DEGREES}")
-    return entries[k].polynomial(table)
+    entry = entries[k]
+    return _expand_orbits(entry.coefficients, table, family, entry.prefactor)
 
 
 @dataclass(frozen=True)
@@ -395,13 +385,12 @@ class GoldenReport:
         return not self.failures
 
 
-def golden_compare(inv: InvariantSet, family: str) -> GoldenReport:
+def golden_compare(inv, family: str) -> GoldenReport:
     """Test ``computed I_k == gamma_k * table I_k`` for a single rational gamma_k."""
     gamma: dict[int, Fraction | None] = {}
     failures: dict[int, str] = {}
-    golden = load_golden(family)
     for k, ours in inv.as_dict().items():
-        table_poly = golden[k].polynomial(ours.table)
+        table_poly = golden_polynomial(family, k, ours.table)
         if table_poly.is_zero() and ours.is_zero():
             gamma[k] = None
             continue

@@ -104,6 +104,13 @@ class TestPerfectSquareFit:
         assert perfect_square_fit(coeffs) is None
         assert perfect_square_fit(coeffs, 1e300) is None
 
+    @pytest.mark.parametrize("value", [NAN, INF, -INF, 0.0, -1.0])
+    def test_bad_tolerance_rejected(self, value):
+        square = [1, 2, 1.5, 0.5, 0.0625]   # (x^2 + xy + y^2/4)^2
+        assert perfect_square_fit(square) is not None
+        with pytest.raises(DomainError, match="^tol must be a finite number > 0"):
+            perfect_square_fit(square, value)
+
 
 class TestDedupe:
     def test_scalar_multiples(self):
@@ -122,6 +129,25 @@ class TestDedupe:
     def test_projective_distance(self):
         assert proj_distance((1, 2, 3), (2, 4, 6)) < 1e-15
         assert proj_distance((1, 0, 0), (0, 1, 0)) > 0.5
+
+    @pytest.mark.parametrize("p, q, want", [
+        ((1e200, 0, 0), (0, 1e200, 0), 1.0),        # the minors overflowed to inf / inf
+        ((1e200, 0, 0), (1e200, 1e199, 0), 0.1),
+        ((1e-170, 0, 0), (0, 1e-170, 0), 1.0),      # the norms' product underflowed to 0
+        ((5e-324, 0, 0), (0, 5e-324, 0), 1.0),      # subnormal
+        ((1e-310, 0, 0), (1e-310, 1e-310, 0), 1.0),
+    ])
+    def test_distance_at_extreme_magnitudes(self, p, q, want):
+        assert proj_distance(p, q) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_distance_is_invariant_under_power_of_two_scaling(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            p, q = ([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)] for _ in "pq")
+            want = proj_distance(p, q)
+            for a, b in ((900, -900), (-900, 900), (900, 900), (-900, -900)):
+                assert proj_distance([v * 2.0 ** a for v in p], [v * 2.0 ** b for v in q]) == want
 
 
 def _dedupe_reference(lines, tol):

@@ -119,39 +119,6 @@ class TestSubstituteLinear:
         assert substitute_linear(p, "z", var(XYZ, "z")) == p
 
 
-def _ref_substitute_linear(p, name, replacement):
-    """The per-term routine that :func:`substitute` replaced: one product per term."""
-    i = p.table.index(name)
-    result = Polynomial.zero(p.table)
-    for exps, coeff in p.terms.items():
-        rest = Polynomial(p.table, {exps[:i] + (0,) + exps[i + 1:]: coeff})
-        result = result + rest * replacement ** exps[i]
-    return result
-
-
-def _ref_substitute_values(p, values):
-    """The old one-variable-at-a-time substitution of constants."""
-    for name, value in values.items():
-        p = _ref_substitute_linear(p, name, Polynomial.constant(p.table, Fraction(value)))
-    return p
-
-
-def _ref_compose_linear(p, matrix):
-    """The old per-term composition with the images of the geometric variables."""
-    table = p.table
-    ng = table.n_geometric
-    gvars = [var(table, n) for n in table.geometric]
-    images = [sum((v * Fraction(c) for c, v in zip(row, gvars) if c), Polynomial.zero(table))
-              for row in matrix]
-    result = Polynomial.zero(table)
-    for exps, coeff in p.terms.items():
-        factor = Polynomial(table, {(0,) * ng + exps[ng:]: coeff})
-        for i in range(ng):
-            factor = factor * images[i] ** exps[i]
-        result = result + factor
-    return result
-
-
 class TestSubstitute:
     def test_simultaneous_swap(self):
         x, y = var(XYZ, "x"), var(XYZ, "y")
@@ -161,22 +128,29 @@ class TestSubstitute:
         assert substitute_linear(substitute_linear(p, "x", y), "y", x) == x ** 4
 
     def test_matches_the_old_routines(self):
+        """substitute_linear, substitute_values and compose_linear against the
+        dict-based :func:`_ref_substitute`."""
         rng = random.Random(90901)
+        unit = {n: tuple(int(m == n) for m in PAR.names) for n in PAR.names}
         for k in range(200):
-            p = Polynomial(PAR, _random_terms(rng, PAR, rng.randint(0, 6), max_exp=2))
+            a = _random_terms(rng, PAR, rng.randint(0, 6), max_exp=2)
+            p = Polynomial(PAR, a)
             name = rng.choice(PAR.names)
-            rep = Polynomial(PAR, _random_terms(rng, PAR, rng.randint(0, 3), max_exp=1))
+            rep = _random_terms(rng, PAR, rng.randint(0, 3), max_exp=1)
             if k % 3 == 0:      # the replacement contains the substituted variable
-                rep = rep + var(PAR, name) * Fraction(rng.randint(-3, 3), rng.choice(_DENS))
-            want = _ref_substitute_linear(p, name, rep)
-            assert substitute_linear(p, name, rep) == want
-            assert substitute(p, {name: rep}) == want
+                rep = _ref_add(rep, {unit[name]: Fraction(rng.randint(-3, 3), rng.choice(_DENS))})
+            want = Polynomial(PAR, _ref_substitute(a, PAR, {name: rep}))
+            assert substitute_linear(p, name, Polynomial(PAR, rep)) == want
+            assert substitute(p, {name: Polynomial(PAR, rep)}) == want
             values = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS))
                       for n in rng.sample(PAR.names, rng.randint(0, 3))}
-            assert substitute_values(p, values) == _ref_substitute_values(p, values)
+            constants = {n: _ref_clean({(0,) * len(PAR): v}) for n, v in values.items()}
+            assert substitute_values(p, values) == Polynomial(PAR, _ref_substitute(a, PAR, constants))
             matrix = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(3)]
                       for _ in range(3)]
-            assert compose_linear(p, matrix) == _ref_compose_linear(p, matrix)
+            images = {n: _ref_clean({unit[m]: c for m, c in zip(PAR.geometric, row)})
+                      for n, row in zip(PAR.geometric, matrix)}
+            assert compose_linear(p, matrix) == Polynomial(PAR, _ref_substitute(a, PAR, images))
 
     def test_table_mismatch(self):
         with pytest.raises(TableMismatchError):
@@ -550,27 +524,19 @@ def _ref_restrict(a, table, var, pair, unknowns):
     return [_ref_clean(slot) for slot in out]
 
 
-def _ref_eval_exact(a, names, point):
+def _eval_exact_reference(a, names, point):
+    """The per-term ``Fraction`` evaluator of the terms *a* over the variables
+    *names*: the oracle for the value of :func:`eval_exact` and, given a
+    polynomial's terms in their order, for which unassigned variable its error names."""
     total = Fraction(0)
     for exps, c in a.items():
         for name, e in zip(names, exps):
-            c *= Fraction(point[name]) ** e
-        total += c
-    return total
-
-
-def _eval_exact_reference(p, point):
-    """The per-term ``Fraction`` evaluator that :func:`eval_exact` replaced: the
-    oracle for its value and for which unassigned variable its error names."""
-    total = 0
-    for exps, term in p.numerators.items():
-        for name, e in zip(p.table.names, exps):
             if e:
                 if name not in point:
                     raise DomainError(f"variable {name!r} not assigned")
-                term *= Fraction(point[name]) ** e
-        total += term
-    return Fraction(total, p.denominator)
+                c *= Fraction(point[name]) ** e
+        total += c
+    return total
 
 
 def _ref_sorted(a):
@@ -707,7 +673,7 @@ class TestIntegerFormMatchesFractionReference:
             a = _random_terms(rng, PAR, rng.randint(0, 10))
             point = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for n in PAR.names}
             got = eval_exact(Polynomial(PAR, a), point)
-            assert type(got) is Fraction and got == _ref_eval_exact(a, PAR.names, point)
+            assert type(got) is Fraction and got == _eval_exact_reference(a, PAR.names, point)
 
     @pytest.mark.parametrize("kind", ["negative", "large denominator", "zero", "int", "mixed"])
     def test_eval_exact_points(self, kind):
@@ -724,7 +690,7 @@ class TestIntegerFormMatchesFractionReference:
             }[kind]
             point = {n: values() for n in PAR.names}
             got = eval_exact(p, point)
-            assert type(got) is Fraction and got == _eval_exact_reference(p, point)
+            assert type(got) is Fraction and got == _eval_exact_reference(p.terms, PAR.names, point)
 
     def test_eval_exact_names_the_same_unassigned_variable(self):
         rng = random.Random(60607)
@@ -734,7 +700,7 @@ class TestIntegerFormMatchesFractionReference:
             kept = rng.sample(PAR.names, rng.randint(0, len(PAR) - 1))
             point = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for n in kept}
             try:
-                want = _eval_exact_reference(p, point)
+                want = _eval_exact_reference(p.terms, PAR.names, point)
             except DomainError as exc:
                 raised += 1
                 with pytest.raises(DomainError) as got:
@@ -879,11 +845,10 @@ def _ref_substitute(a, table, replacements):
     total = {}
     for exps, c in a.items():
         rest = list(exps)
-        term = None
+        term = {(0,) * len(table): Fraction(1)}
         for name, rep in replacements.items():
             rest[table.index(name)] = 0
-            power = _ref_monomial_power(rep, exps[table.index(name)], len(table))
-            term = power if term is None else _ref_mul(term, power)
+            term = _ref_mul(term, _ref_monomial_power(rep, exps[table.index(name)], len(table)))
         total = _ref_add(total, _ref_mul({tuple(rest): c}, term))
     return total
 
@@ -1023,7 +988,7 @@ class TestPackedFormMatchesTupleReference:
         value = st.sampled_from([0, 1, -1, Fraction(-1)]) if large else _coefficients
         point = {n: data.draw(value) for n in table.names}
         got = eval_exact(Polynomial(table, a), point)
-        assert type(got) is Fraction and got == _ref_eval_exact(a, table.names, point)
+        assert type(got) is Fraction and got == _eval_exact_reference(a, table.names, point)
 
     @_TABLES
     @_PROPERTY

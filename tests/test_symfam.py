@@ -364,15 +364,27 @@ class TestGolden:
 
     def test_one_expansion_per_table(self, family_invariants):
         table = family_invariants["X16"].I3.table
-        assert golden_polynomial("X16", 9, table) is load_golden("X16")[9].polynomial(table)
+        load_golden.cache_clear()
+        golden_polynomial.cache_clear()
+        first = golden_polynomial("X16", 9, table)
+        # an equal table made afresh is the same key
+        assert golden_polynomial("X16", 9, VarTable(table.geometric, table.parameters)) is first
+        assert golden_polynomial.cache_info()[:2] == (1, 1)     # (hits, misses)
+        golden_polynomial("X16", 9, RSU)
+        golden_polynomial("X16", 12, table)
+        assert golden_polynomial.cache_info()[:2] == (1, 3)
+        assert load_golden.cache_info().misses == 1
 
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     def test_cold_and_warm_cache_agree(self, family, family_invariants):
         load_golden.cache_clear()
+        golden_polynomial.cache_clear()
         cold = golden_compare(family_invariants[family], family)
         assert load_golden.cache_info().misses == 1
+        assert golden_polynomial.cache_info()[:2] == (0, 6)
         warm = golden_compare(family_invariants[family], family)
-        assert load_golden.cache_info().hits == 1
+        assert golden_polynomial.cache_info()[:2] == (6, 6)
+        assert load_golden.cache_info().misses == 1
         assert warm == cold
         assert (cold.gamma, cold.failures) == compare_oracle(family_invariants[family], family)
 
@@ -409,12 +421,15 @@ class TestGolden:
             symfam._parse_golden(family, good + line + "\n")
 
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
-    def test_compare_parses_the_table_once(self, family, family_invariants, monkeypatch):
-        calls = []
-        real = symfam.load_golden
-        monkeypatch.setattr(symfam, "load_golden", lambda name: calls.append(name) or real(name))
+    def test_compare_parses_the_table_once(self, family, family_invariants):
+        load_golden.cache_clear()
+        golden_polynomial.cache_clear()
         report = golden_compare(family_invariants[family], family)
-        assert calls == [family]
+        assert load_golden.cache_info().misses == 1
+        # with every entry expanded, a fresh comparison does not read the table
+        load_golden.cache_clear()
+        assert golden_compare(family_invariants[family], family) == report
+        assert load_golden.cache_info()[:2] == (0, 0)
         assert report.ok
 
     @pytest.mark.parametrize("source, family, message", [
