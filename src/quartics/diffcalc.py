@@ -30,12 +30,9 @@ def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.table != g.table:
         raise TableMismatchError("diff_pair operands use different variable tables")
     gnames = f.table.geometric
-    result = Polynomial.zero(f.table)
-    for geo, coeff in f.geometric_coefficients().items():
-        diff = multi_partial(g, {n: e for n, e in zip(gnames, geo) if e})
-        if diff:
-            result = result + coeff * diff
-    return result
+    return Polynomial.sum_of_products(f.table, (
+        (1, coeff, multi_partial(g, {n: e for n, e in zip(gnames, geo) if e}))
+        for geo, coeff in f.geometric_coefficients().items()))
 
 
 def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
@@ -53,7 +50,7 @@ def det(rows):
 
     Exact for polynomial entries; complex entries give the numeric value.
     """
-    if any(len(row) != len(rows) for row in rows):
+    if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix is not square")
     return _det_rows(rows)
 
@@ -61,13 +58,14 @@ def det(rows):
 def _det_rows(rows):
     if len(rows) == 1:
         return rows[0][0]
+    terms = [(-1 if j % 2 else 1, entry, _det_rows([row[:j] + row[j + 1:] for row in rows[1:]]))
+             for j, entry in enumerate(rows[0]) if entry]
+    if isinstance(rows[0][0], Polynomial):
+        return Polynomial.sum_of_products(rows[0][0].table, terms)
     total = 0 * rows[0][0]
-    for j, entry in enumerate(rows[0]):
-        if not entry:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = entry * _det_rows(minor)
-        total = total + (term if j % 2 == 0 else -term)
+    for sign, entry, minor in terms:    # not sum(): newer Pythons compensate its float sums
+        term = entry * minor
+        total = total + (term if sign > 0 else -term)
     return total
 
 
@@ -77,13 +75,12 @@ def adjugate(m) -> tuple[tuple[Polynomial, ...], ...]:
 
     Satisfies ``m * adj(m) = det(m) * Id`` exactly.
     """
-    if len(m) != 3:
+    if len(m) != 3 or any(len(row) != 3 for row in m):
         raise DegreeError("adjugate implemented for 3x3 matrices")
-    def cof(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        minor = m[rows[0]][cols[0]] * m[rows[1]][cols[1]] - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-        return minor if (i + j) % 2 == 0 else -minor
+    def cof(i, j):      # from the cyclically next rows and columns, so the sign is built in
+        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        return Polynomial.sum_of_products(
+            m[0][0].table, ((1, m[i1][j1], m[i2][j2]), (-1, m[i1][j2], m[i2][j1])))
     # adjugate[i][j] = cofactor(j, i)
     return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
@@ -92,13 +89,10 @@ def dot(a, b) -> Polynomial:
     """Matrix dot product ``sum_ij a[i][j] * b[j][i]`` of two square matrices
     given by their rows (exact)."""
     n = len(a)
-    if n != len(b):
-        raise DegreeError(f"dot of {n}x{n} with {len(b)}x{len(b)}")
-    total = Polynomial.zero(a[0][0].table)
-    for i in range(n):
-        for j in range(n):
-            total = total + a[i][j] * b[j][i]
-    return total
+    if not n or any(len(m) != n or any(len(row) != n for row in m) for m in (a, b)):
+        raise DegreeError("dot needs two n x n matrices with n >= 1")
+    return Polynomial.sum_of_products(
+        a[0][0].table, ((1, a[i][j], b[j][i]) for i in range(n) for j in range(n)))
 
 
 def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
@@ -115,16 +109,6 @@ def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
             raise DegreeError("J brackets are defined for quadratic forms")
     hf, hg = hessian(f), hessian(g)
     return dot(hf, hg), dot(adjugate(hf), adjugate(hg)), det(hf), det(hg)
-
-
-def _binary_checks(F: Polynomial, G: Polynomial, pair: tuple[str, str]):
-    x, y = pair
-    for p, label in ((F, "F"), (G, "G")):
-        extra = {n for n in p.support_names() if p.table.is_geometric(n)} - {x, y}
-        if extra:
-            raise DegreeError(f"{label} is not a binary form in ({x},{y}): uses {sorted(extra)}")
-        if not p.is_geometric_homogeneous():
-            raise DegreeError(f"{label} is not homogeneous in ({x},{y})")
 
 
 def transvectant(F: Polynomial, G: Polynomial, k: int,
@@ -148,20 +132,18 @@ def transvectant(F: Polynomial, G: Polynomial, k: int,
     x, y = pair
     if F.is_zero() or G.is_zero():
         return Polynomial.zero(F.table)
-    _binary_checks(F, G, pair)
+    for p, label in ((F, "F"), (G, "G")):
+        extra = {n for n in p.support_names() if p.table.is_geometric(n)} - {x, y}
+        if extra:
+            raise DegreeError(f"{label} is not a binary form in ({x},{y}): uses {sorted(extra)}")
+        if not p.is_geometric_homogeneous():
+            raise DegreeError(f"{label} is not homogeneous in ({x},{y})")
     r = F.geometric_degree()
     s = G.geometric_degree()
     if k < 0 or k > min(r, s):
         raise DomainError(f"transvectant order {k} exceeds min(deg F, deg G) = {min(r, s)}")
-    table = F.table
-    total = Polynomial.zero(table)
-    for m in range(k + 1):
-        dF = multi_partial(F, {x: k - m, y: m})
-        dG = multi_partial(G, {x: m, y: k - m})
-        term = dF * dG * Fraction((-1) ** m * math.comb(k, m))
-        total = total + term
-    scale = Fraction(
-        math.factorial(r - k) * math.factorial(s - k),
-        math.factorial(r) * math.factorial(s),
-    )
-    return total * scale
+    scale = Fraction(1, math.perm(r, k) * math.perm(s, k))     # (r-k)!(s-k)!/(r!s!)
+    return Polynomial.sum_of_products(F.table, (
+        ((-1) ** m * math.comb(k, m) * scale,
+         multi_partial(F, {x: k - m, y: m}), multi_partial(G, {x: m, y: k - m}))
+        for m in range(k + 1)))

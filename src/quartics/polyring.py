@@ -25,6 +25,11 @@ above 65,535 is a :class:`DegreeError`, checked on construction and before
 each product, never wrapped.  The public views (``terms``, ``numerators``,
 ``sorted_terms``, ...) are keyed by exponent tuples.
 
+The one product loop, :meth:`Polynomial.sum_of_products`, adds scaled products
+``c * a * b`` into one dict and normalizes once (as Monagan and Pearce form a
+sum of products); ``a * b`` is its one-product case, and sums of products are
+formed in one call, without a running total of normalized terms.
+
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: the compiled form for complex evaluation
 (:meth:`Polynomial.compiled`) is built lazily and idempotently, then kept.
@@ -56,6 +61,13 @@ def _check_degree(degree: int) -> int:
     if degree > _LIMIT:
         raise DegreeError(f"degree {degree} exceeds the packing limit {_LIMIT}")
     return degree
+
+
+def _check_table(table: "VarTable", p: "Polynomial"):
+    if p.table is not table and p.table != table:
+        raise TableMismatchError(
+            f"cannot combine polynomials over {table.names} and {p.table.names}"
+        )
 
 
 @dataclass(frozen=True)
@@ -276,18 +288,12 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_table(self, other: "Polynomial"):
-        if self.table != other.table:
-            raise TableMismatchError(
-                f"cannot combine polynomials over {self.table.names} and {other.table.names}"
-            )
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.table, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_table(other)
+        _check_table(self.table, other)
         # over the lcm of the two denominators: multipliers 1 when they agree
         g = gcd(self._den, other._den)
         ma, mb = other._den // g, self._den // g
@@ -319,21 +325,31 @@ class Polynomial:
                                            self._den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_table(other)
+        return Polynomial.sum_of_products(self.table, ((1, self, other),))
+
+    @staticmethod
+    def sum_of_products(table: VarTable, products) -> "Polynomial":
+        """``sum c * a * b`` over the ``(c, a, b)`` of *products* (*c* an int or ``Fraction``,
+        *a*, *b* over *table*), in one dict over the lcm of the denominators with one gcd
+        pass; an empty list gives zero over *table*."""
+        products = list(products)
+        den = lcm(*[c.denominator * a._den * b._den for c, a, b in products])
+        top = table._top
         out: dict[int, int] = {}
-        if len(other._num) > len(self._num):
-            a, b = other._num, self._num
-        else:
-            a, b = self._num, other._num
-        # the degrees add, so a product that fits the top field fits every field
-        top = self.table._top
-        _check_degree((max(a, default=0) >> top) + (max(b, default=0) >> top))
-        b = b.items()
-        for ea, ca in a.items():
-            for eb, cb in b:
-                e = ea + eb
-                out[e] = out.get(e, 0) + ca * cb
-        return Polynomial._from_packed(self.table, out, self._den * other._den)
+        for c, a, b in products:
+            _check_table(table, a)
+            _check_table(table, b)
+            scale = c.numerator * (den // (c.denominator * a._den * b._den))
+            a, b = (b._num, a._num) if len(b._num) > len(a._num) else (a._num, b._num)
+            # the degrees add, so a product that fits the top field fits every field
+            _check_degree((max(a, default=0) >> top) + (max(b, default=0) >> top))
+            b = b.items()
+            for ea, ca in a.items():
+                ca *= scale
+                for eb, cb in b:
+                    e = ea + eb
+                    out[e] = out.get(e, 0) + ca * cb
+        return Polynomial._from_packed(table, out, den)
 
     __rmul__ = __mul__
 
@@ -421,26 +437,27 @@ def substitute(p: Polynomial, replacements: Mapping[str, Polynomial]) -> Polynom
     and re-expand exactly.  Terms are grouped by the exponents of the
     substituted variables, and each power of a replacement is built once."""
     table = p.table
+    one = Polynomial.constant(table, 1)
     shifts, subs = [], []
     for var, replacement in replacements.items():
-        p._check_table(replacement)
+        _check_table(table, replacement)
         shifts.append(table._shift(var))
-        subs.append((replacement, [Polynomial.constant(table, 1)]))
+        subs.append((replacement, [one]))
     groups: dict[Exponents, dict[int, int]] = {}
     for key, coeff in p._num.items():
         exps = tuple((key >> shift) & _LIMIT for shift in shifts)
         rest = key - sum(e << shift for e, shift in zip(exps, shifts)) - (sum(exps) << table._top)
         groups.setdefault(exps, {})[rest] = coeff
-    result = Polynomial.zero(table)
+    products = []
     for exps, num in groups.items():
-        term = Polynomial._from_packed(table, num, p._den)
+        image = one
         for e, (replacement, powers) in zip(exps, subs):
             while len(powers) <= e:
                 powers.append(powers[-1] * replacement)
             if e:
-                term = term * powers[e]
-        result = result + term
-    return result
+                image = image * powers[e]
+        products.append((1, Polynomial._from_packed(table, num, p._den), image))
+    return Polynomial.sum_of_products(table, products)
 
 
 def substitute_linear(p: Polynomial, var: str, replacement: Polynomial) -> Polynomial:
@@ -560,8 +577,7 @@ def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = N
 
     Every variable with nonzero support must map (injectively) onto a
     variable of the new table; variables that never occur may be dropped.
-    Renaming may change a variable's role, which is how dual parameters are
-    promoted to geometric coordinates.
+    Renaming may change a variable's role.
     """
     rename = dict(rename or {})
     used = p.support_names()

@@ -89,15 +89,14 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
         values = tuple(Fraction(p) for p in params)
     table = VarTable(GEOMETRIC, names if symbolic else ())
     lookup = dict(zip(names, values))
-    poly = Polynomial.zero(table)
-    for v in GEOMETRIC:
-        poly = poly + Polynomial.monomial(table, {v: 4})
+    one = Polynomial.constant(table, 1)
+    products = [(1, Polynomial.monomial(table, {v: 4}), one) for v in GEOMETRIC]
     for slot, monomial in zip(X4_SLOTS[family], _X4_MONOMIALS):
         if slot is not None:
             coeff = (Polynomial.variable(table, slot) if symbolic
                      else Polynomial.constant(table, lookup[slot]))
-            poly = poly + coeff * Polynomial.monomial(table, monomial)
-    return QuarticForm(poly, family, values)
+            products.append((1, coeff, Polynomial.monomial(table, monomial)))
+    return QuarticForm(Polynomial.sum_of_products(table, products), family, values)
 
 
 def x4_triple(family: str, params: Sequence[Fraction]) -> tuple[Fraction, ...]:

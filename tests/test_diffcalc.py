@@ -114,6 +114,11 @@ class TestAdjugate:
         assert adj[1][1] == Polynomial.constant(XYZ, 10)
         assert adj[2][2] == Polynomial.constant(XYZ, 6)
 
+    def test_3x4_is_a_degree_error(self):
+        # not read as its leading 3x3 block
+        with pytest.raises(DegreeError):
+            adjugate(constant_rows([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]))
+
     def test_fundamental_identity(self):
         rng = random.Random(21)
         for k in range(10):
@@ -130,6 +135,10 @@ class TestAdjugate:
 
 
 class TestDet:
+    def test_empty_is_not_square(self):
+        with pytest.raises(ValueError, match="not square"):
+            det(())
+
     @pytest.mark.parametrize("kind", [tuple, list])
     def test_integer_matrices(self, kind):
         # against an independent determinant: Leibniz's permutation sum
@@ -178,6 +187,13 @@ class TestDot:
     def test_size_mismatch(self):
         with pytest.raises(DegreeError):
             dot(constant_rows([[1, 0], [0, 1]]), self._diag([1, 1, 1]))
+
+    def test_2x3_and_empty_are_degree_errors(self):
+        m = constant_rows([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DegreeError):
+            dot(m, m)
+        with pytest.raises(DegreeError):
+            dot((), ())
 
 
 XYZ_PQ = VarTable(("x", "y", "z"), ("p", "q"))
@@ -318,3 +334,32 @@ class TestTransvectant:
         if F.is_zero() or G.is_zero() or F.geometric_degree() < 4 or G.geometric_degree() < 4:
             return
         assert transvectant(F + G, G, 2) == transvectant(F, G, 2) + transvectant(G, G, 2)
+
+
+def _det_left_to_right(rows):
+    """The cofactor expansion with a running total, its signed terms added left to right."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0 * rows[0][0]
+    for j, entry in enumerate(rows[0]):
+        if not entry:
+            continue
+        term = entry * _det_left_to_right([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_complex_det_is_bit_identical_to_the_left_to_right_sum(seed):
+    # magnitudes from 1e-8 to 1e8 and some zero entries, so that any other order
+    # of the additions rounds differently
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.15:
+            return 0j
+        scale = 10.0 ** rng.randint(-8, 8)
+        return complex(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
+
+    rows = [[entry() for _ in range(4)] for _ in range(4)]
+    assert repr(det(rows)) == repr(_det_left_to_right(rows))

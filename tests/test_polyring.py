@@ -997,3 +997,100 @@ class TestPackedFormMatchesTupleReference:
         a = data.draw(_terms(table, max_size=10))
         want = sorted(a.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
         assert Polynomial(table, a).sorted_terms() == want
+
+
+# Polynomial.sum_of_products adds every scaled product into one dict and
+# normalizes once.  The reference is the running total it replaces: one
+# per-term Fraction product per (c, a, b), scaled and added in turn.
+
+def _ref_sum_of_products(products):
+    total = {}
+    for c, a, b in products:
+        total = _ref_add(total, _ref_scale(_ref_mul(a, b), c))
+    return total
+
+
+_scales = st.one_of(st.integers(-5, 5), _coefficients)
+
+
+class TestSumOfProducts:
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_matches_the_running_total(self, table, data):
+        # operands up to half the limit, so some products cross it
+        products = data.draw(st.lists(st.tuples(_scales, _terms(table, LIMIT // 2 + 10),
+                                                _terms(table, LIMIT // 2 + 10)), max_size=4))
+        polys = [(c, Polynomial(table, a), Polynomial(table, b)) for c, a, b in products]
+        if any(_degree(_ref_mul(a, b)) > LIMIT for _, a, b in products):
+            with pytest.raises(DegreeError, match="65535"):
+                Polynomial.sum_of_products(table, polys)
+        else:
+            want = _ref_sum_of_products(products)
+            assert_matches_reference(Polynomial.sum_of_products(table, polys), table, want)
+            assert_matches_reference(Polynomial.sum_of_products(table, iter(polys)), table, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_mixed_denominators(self, seed):
+        rng = random.Random(seed)
+        table = (PAR, SEVEN)[seed % 2]
+        products = []
+        for _ in range(rng.randint(1, 6)):
+            c = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.choice(_DENS))])
+            a, b = ({tuple(rng.randint(0, 3) for _ in table.names):
+                     Fraction(rng.randint(-20, 20), rng.choice(_DENS)) for _ in range(rng.randint(0, 5))}
+                    for _ in range(2))
+            products.append((c, _ref_clean(a), _ref_clean(b)))
+        got = Polynomial.sum_of_products(
+            table, [(c, Polynomial(table, a), Polynomial(table, b)) for c, a, b in products])
+        assert_matches_reference(got, table, _ref_sum_of_products(products))
+
+    def test_empty_list_is_zero_over_the_table(self):
+        for table in (XYZ, PAR, SEVEN):
+            got = Polynomial.sum_of_products(table, [])
+            assert got.is_zero() and got.table == table and got.denominator == 1
+            assert got == Polynomial.zero(table)
+
+    def test_cancellation_to_zero_has_denominator_one(self):
+        a = Polynomial(PAR, {(1, 0, 0, 2, 0, 0): Fraction(3, 7), (0, 0, 0, 0, 0, 1): Fraction(-1, 6)})
+        b = Polynomial(PAR, {(0, 1, 0, 0, 0, 0): Fraction(5, 4), (0, 0, 0, 0, 0, 0): Fraction(2, 9)})
+        for products in ([(1, a, b), (-1, b, a)],
+                         [(Fraction(1, 3), a, b), (Fraction(-2, 6), b, a)],
+                         [(2, a, a), (Fraction(1, 5), b, b), (-2, a, a), (Fraction(-1, 5), b, b)]):
+            got = Polynomial.sum_of_products(PAR, products)
+            assert got.is_zero() and got.denominator == 1 and dict(got.numerators) == {}
+
+    def test_int_and_fraction_scales_over_mixed_denominators(self):
+        a = Polynomial(PAR, {(1, 0, 0, 0, 0, 0): Fraction(1, 6), (0, 0, 0, 1, 0, 0): Fraction(5, 4)})
+        b = Polynomial(PAR, {(0, 1, 0, 0, 0, 0): Fraction(7, 35), (0, 0, 0, 0, 0, 0): 3})
+        got = Polynomial.sum_of_products(PAR, [(4, a, b), (Fraction(4, 9), b, b), (-3, a, a)])
+        want = _ref_sum_of_products([(4, dict(a.terms), dict(b.terms)),
+                                     (Fraction(4, 9), dict(b.terms), dict(b.terms)),
+                                     (-3, dict(a.terms), dict(a.terms))])
+        assert_matches_reference(got, PAR, want)
+        assert got == 4 * (a * b) + Fraction(4, 9) * (b * b) - 3 * (a * a)
+
+    def test_product_is_the_one_product_case(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            a, b = (random_quartic(rng) for _ in range(2))
+            one = Polynomial.sum_of_products(XYZ, [(1, a, b)])
+            assert a * b == one and list((a * b).numerators) == list(one.numerators)
+
+    def test_table_mismatch(self):
+        a, b = mono(PAR, {"x": 1}), mono(PAR, {"r": 2}, Fraction(1, 3))
+        foreign = mono(SEVEN, {"x": 1})
+        for products in ([(1, a, foreign)], [(1, foreign, a)], [(1, a, b), (2, b, foreign)]):
+            with pytest.raises(TableMismatchError):
+                Polynomial.sum_of_products(PAR, products)
+        with pytest.raises(TableMismatchError):
+            Polynomial.sum_of_products(SEVEN, [(1, a, b)])
+
+    def test_degree_error_exactly_past_the_limit(self):
+        x, r = var(PAR, "x"), var(PAR, "r")
+        fits = [(1, x ** 30000, r ** 35535), (-1, r ** 35535, x ** 30000), (2, x, x)]
+        assert Polynomial.sum_of_products(PAR, fits) == 2 * x ** 2
+        # the second product crosses even though its scale is zero and the sum cancels
+        for c in (1, 0):
+            with pytest.raises(DegreeError, match="65535"):
+                Polynomial.sum_of_products(PAR, [(1, x, x), (c, x ** 30000, r ** 35536)])
