@@ -312,12 +312,11 @@ _X4_J1_SPLIT_POLYS = tuple(p for split in comp.X4_J1_A2_SPLITS for p in split)
 
 def _solve_x4_axes(r, s, u):
     """Chart solutions (a, b, tag) of the three-parameter family on the chart's
-    axes: the J2 and J3 biquadratics."""
-    params = {"r": r, "s": s, "u": u}
+    axes: the J2 biquadratic, and for J3 the same at (r, u, s)."""
     out = []
-    for b in _biq_roots(comp.X4_J2_BIQUADRATIC, params):
+    for b in _biq_roots(comp.X4_J2_BIQUADRATIC, {"r": r, "s": s, "u": u}):
         out.append((0j, b, "J2"))
-    for a in _biq_roots(comp.X4_J3_BIQUADRATIC, params):
+    for a in _biq_roots(comp.X4_J2_BIQUADRATIC, {"r": r, "s": u, "u": s}):
         out.append((a, 0j, "J3"))
     return out
 
@@ -327,14 +326,15 @@ def _solve_x4_j1(r, s, u):
     component J1: the palindromic resolvent in b, then a^2 from a split."""
     params = {"r": r, "s": s, "u": u}
     out = []
-    quartic = _coeff_values(comp.X4_J1_QUARTIC_B, params)
+    quartic = _coeff_values(comp.X4_J1_QUARTIC_B[:3], params)
+    quartic += quartic[1::-1]       # palindromic: (k0, k1, k2, k1, k0)
     eliminant = [0j] * 9
     for k, c in enumerate(quartic):
         eliminant[2 * k] = complex(c)
+    point = {k: complex(float(v)) for k, v in params.items()}
     for big in numroots.palindromic_quartic_roots(*quartic[:3]):
         for b in (cmath.sqrt(big), -cmath.sqrt(big)):
-            b = numroots.newton_polish(eliminant, b)
-            point = {"b": b, **{k: complex(float(v)) for k, v in params.items()}}
+            point["b"] = b = numroots.newton_polish(eliminant, b)
             values = [v for v, _ in eval_scaled_many(_X4_J1_SPLIT_POLYS, point)]
             # the first split of largest coefficient modulus; a NaN never replaces it
             cval, rval = values[0], values[1]
@@ -355,7 +355,7 @@ def _solve_x4_j1(r, s, u):
 def _solve_x16_chart(r, s):
     params = {"r": r, "s": s}
     out = []
-    axis = _biq_roots(comp.X16_J1_BIQUADRATIC, params)
+    axis = _biq_roots(comp.X4_J2_BIQUADRATIC, {"r": r, "s": s, "u": s})
     for b in axis:
         out.append((0j, b, "J1"))
     for a in axis:
@@ -431,7 +431,7 @@ def _in_charts(family: str, solvers, rotations=_CHART_ROTATIONS):
 def _x16_candidates(triple):
     r, s, _ = triple
     out = [((a, b, 1 + 0j), f"X16.{tag}") for a, b, tag in _solve_x16_chart(r, s)]
-    for b in _biq_roots(comp.X16_XY_BIQUADRATIC, {"r": r, "s": s}):
+    for b in _biq_roots(comp.X4_J2_BIQUADRATIC, {"r": s, "s": r, "u": s}):
         out.append(((1 + 0j, b, 0j), "X16.J1''"))
     return out
 

@@ -27,7 +27,7 @@ from .bitangent import (DEFAULT_CERT_TOL, DEFAULT_DEDUPE_TOL,
 from .detrep import DEFAULT_SEED, DEFAULT_TOL, solve_detrep
 from .dixmier import dixmier_invariants
 from .errors import (DegeneracyError, DomainError, EnumerationError, SolverError,
-                     check_tolerance)
+                     check_tolerance, rational)
 from .polyring import Polynomial
 from .symfam import (FAMILY_PARAMS, decompose_symmetric, golden_compare,
                      make_family, make_generic)
@@ -38,13 +38,6 @@ EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 
 SCHEMA = f"quartics/{__version__}"
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse rational {text!r}: {exc}") from None
 
 
 def tolerance(text: str) -> float:
@@ -94,7 +87,7 @@ def _parse_params(family: str, raw: list[str] | None, symbolic: bool):
     want = 15 if family == "GENERIC" else len(FAMILY_PARAMS[family])
     if len(tokens) != want:
         raise DomainError(f"{family} needs {want} parameter(s), got {len(tokens)}")
-    return [_fraction(t) for t in tokens]
+    return [rational(t) for t in tokens]
 
 
 def cmd_invariants(args) -> dict:

@@ -5,7 +5,8 @@ ideal in ``K[a, b]`` (parameters adjoined).  Its primary decomposition for
 each family was computed once with a Groebner engine and is embedded here
 as exact polynomials; the enumeration code solves the components and then
 *certifies* every candidate line numerically, so these tables are inputs to
-be checked, not trusted blindly.
+be checked, not trusted blindly.  A component that is another one at
+permuted or specialized parameters is not stored again.
 
 All polynomials live over tables whose geometric slots are the line
 coefficients ``(a, b)`` and whose parameters are the family parameters.
@@ -93,10 +94,10 @@ X4_J1_QUARTIC_B: tuple[Polynomial, ...] = (
     _k0,
 )
 
-#: Coordinate-type components: a biquadratic in one coefficient, the other 0.
-#: Ascending coefficients of (b^0, b^2, b^4).
-X4_J2_BIQUADRATIC = (_r**2 - 4, 2 * _r * _u - 4 * _s, _u**2 - 4)   # a = 0
-X4_J3_BIQUADRATIC = (_r**2 - 4, 2 * _r * _s - 4 * _u, _s**2 - 4)   # b = 0
+#: The coordinate-type component J2 (a = 0): ascending coefficients of (b^0, b^2, b^4).
+#: At (r, u, s) it is J3 (b = 0; x <-> y swaps s and u), at (r, s, s) X16's J1 and J2,
+#: and at (s, r, s) X16's lines x + b*y = 0.
+X4_J2_BIQUADRATIC = (_r**2 - 4, 2 * _r * _u - 4 * _s, _u**2 - 4)
 
 
 #: Generators of J1 that are linear in a^2, split as (coefficient of a^2, rest).
@@ -115,12 +116,8 @@ X4_J1_A2_SPLITS: tuple[tuple[Polynomial, Polynomial], ...] = tuple(
 _a, _b, _r, _s = _vars(TABLE_X16)
 
 #: Ascending coefficients of (b^0, b^2, b^4) in the (a, b) chart.
-X16_J1_BIQUADRATIC = (_r**2 - 4, 2 * _r * _s - 4 * _s, _s**2 - 4)       # a = 0, and also b = 0
 X16_J56_BIQUADRATIC = (2 - _r, 2 * _s - _r * _s, _s**2 - _r - 2)        # a = -b / a = b
 X16_J7_BIQUADRATIC = (_r + 2 - _s**2, _r * _s - 2 * _s, _r - 2)         # a^2 = -s - b^2
-#: Lines with zero z-coefficient (x + b*y = 0), seen from the x-normalized
-#: chart; the u = s specialization of X4's analogous component.
-X16_XY_BIQUADRATIC = (_s**2 - 4, 2 * _s**2 - 4 * _r, _s**2 - 4)
 
 
 # -- X24 ----------------------------------------------------------------------

@@ -20,11 +20,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import numroots
 from .diffcalc import det
-from .errors import DegeneracyError, SolverError, check_tolerance, overflow_as
-from .polyring import Polynomial, VarTable, eval_complex, eval_scaled_many
+from .errors import DegeneracyError, SolverError, check_tolerance, overflow_as, rational
+from .polyring import Polynomial, VarTable, convert, eval_complex, eval_scaled_many
 from .symfam import make_family
 
 DEFAULT_TOL = 1e-8
@@ -54,13 +55,11 @@ class DetRep:
 
     @property
     def a_matrix(self) -> tuple[tuple[complex, ...], ...]:
-        return tuple(tuple(1.0 + 0j if i == j else 0j for j in range(4)) for i in range(4))
+        return _pencil(1.0 + 0j, 0j, self.b_diagonal, self.off_diagonal())[0]
 
     @property
     def b_matrix(self) -> tuple[tuple[complex, ...], ...]:
-        return tuple(
-            tuple(self.b_diagonal[i] if i == j else 0j for j in range(4)) for i in range(4)
-        )
+        return _pencil(1.0 + 0j, 0j, self.b_diagonal, self.off_diagonal())[1]
 
     @property
     def p(self) -> complex:
@@ -94,42 +93,22 @@ def compute_pq(r: Fraction | int) -> tuple[complex, complex]:
     return p, 1 / p
 
 
-# -- the reduced equation system, embedded once as exact polynomials ----------
+def _pencil(one, zero, diagonal, off_diagonal):
+    """The pencil's coefficient matrices (A, B, C): A the identity, B the
+    *diagonal* and C the zero-diagonal symmetric matrix whose entries
+    (c12, c13, c14, c23, c24, c34) are *off_diagonal* = (a, b, d, c, e, f)."""
+    a, b, d, c, e, f = off_diagonal
+    return (tuple(tuple(one if i == j else zero for j in range(4)) for i in range(4)),
+            tuple(tuple(diagonal[i] if i == j else zero for j in range(4)) for i in range(4)),
+            ((zero, a, b, d), (a, zero, c, e), (b, c, zero, f), (d, e, f, zero)))
+
+
+# -- the equation systems, derived exactly from the symbolic pencil -----------
 
 _SYS_TABLE = VarTable(("x", "y", "z"), ("p", "q", "a", "b", "c", "d", "e", "f", "r", "s", "u"))
 
-
 _P, _Q, _A, _B, _C, _D, _E, _F, _R, _S, _U = (
     Polynomial.variable(_SYS_TABLE, n) for n in _SYS_TABLE.parameters
-)
-
-#: The six conditions on the off-diagonal unknowns (all must vanish; the
-#: right-hand sides of the inhomogeneous ones are moved to the left).
-E_SYSTEM: tuple[Polynomial, ...] = (
-    (_B**2 - _E**2) * (_Q + _P) + (_C**2 - _D**2) * (_Q - _P),
-    _A**2 * _Q**2 - _B**2 + _C**2 + _D**2 - _E**2 + _F**2 * _P**2 - _S,
-    _F**2 + _E**2 + _D**2 + _C**2 + _B**2 + _A**2 + _U,
-    _A * _D * _E * _Q - _A * _B * _C * _Q + _C * _E * _F * _P - _B * _D * _F * _P,
-    _C * _E * _F + _B * _D * _F + _A * _D * _E + _A * _B * _C,
-    _A**2 * _F**2 - 2 * _A * _B * _E * _F - 2 * _A * _C * _D * _F + _B**2 * _E**2
-    - 2 * _B * _C * _D * _E + _C**2 * _D**2 - 1,
-)
-
-#: The raw coefficient-comparison system before the p*q = 1 simplification;
-#: the last two entries are the identities satisfied by p and q themselves.
-OEQ_SYSTEM: tuple[Polynomial, ...] = (
-    -_E**2 * _Q - _D**2 * _Q + _C**2 * _Q + _B**2 * _Q
-    - _E**2 * _P + _D**2 * _P - _C**2 * _P + _B**2 * _P,
-    -_S + _A**2 * _Q**2 - _E**2 * _P * _Q + _D**2 * _P * _Q + _C**2 * _P * _Q
-    - _B**2 * _P * _Q + _F**2 * _P**2,
-    -_U - _F**2 - _E**2 - _D**2 - _C**2 - _B**2 - _A**2,
-    2 * _A * _D * _E * _Q - 2 * _A * _B * _C * _Q + 2 * _C * _E * _F * _P
-    - 2 * _B * _D * _F * _P,
-    2 * _C * _E * _F + 2 * _B * _D * _F + 2 * _A * _D * _E + 2 * _A * _B * _C,
-    _A**2 * _F**2 - 2 * _A * _B * _E * _F - 2 * _A * _C * _D * _F + _B**2 * _E**2
-    - 2 * _B * _C * _D * _E + _C**2 * _D**2 - 1,
-    -_R - _Q**2 - _P**2,
-    _P**2 * _Q**2 - 1,
 )
 
 
@@ -137,18 +116,8 @@ def symbolic_pencil():
     """The coefficient matrices (A, B, C) of the symbolic pencil: A the
     identity, B the diagonal of p, -p, q, -q and C the zero-diagonal
     symmetric matrix of the six unknowns."""
-    one = Polynomial.constant(_SYS_TABLE, 1)
-    zero = Polynomial.zero(_SYS_TABLE)
-    a_rows = tuple(tuple(one if i == j else zero for j in range(4)) for i in range(4))
-    diag = (_P, -_P, _Q, -_Q)
-    b_rows = tuple(tuple(diag[i] if i == j else zero for j in range(4)) for i in range(4))
-    c_rows = (
-        (zero, _A, _B, _D),
-        (_A, zero, _C, _E),
-        (_B, _C, zero, _F),
-        (_D, _E, _F, zero),
-    )
-    return a_rows, b_rows, c_rows
+    return _pencil(Polynomial.constant(_SYS_TABLE, 1), Polynomial.zero(_SYS_TABLE),
+                   (_P, -_P, _Q, -_Q), (_A, _B, _D, _C, _E, _F))
 
 
 def determinant_expand(A, B, C) -> Polynomial:
@@ -165,6 +134,26 @@ def determinant_expand(A, B, C) -> Polynomial:
         for i in range(n)
     ]
     return det(pencil)
+
+
+#: The raw coefficient-comparison system: the coefficients of det(xA + yB + zC) - f
+#: at x y z^2, y^2 z^2, x^2 z^2, y z^3, x z^3, z^4, x^2 y^2 and y^4 (all must
+#: vanish); the last two are the identities satisfied by p and q themselves.
+OEQ_SYSTEM: tuple[Polynomial, ...] = itemgetter(
+    (1, 1, 2), (0, 2, 2), (2, 0, 2), (0, 1, 3), (1, 0, 3), (0, 0, 4), (2, 2, 0), (0, 4, 0))(
+    (determinant_expand(*symbolic_pencil())
+     - convert(make_family("X4").poly, _SYS_TABLE)).geometric_coefficients())
+
+#: The six reduced conditions on the off-diagonal unknowns: the raw rows up
+#: to sign and a factor 2, except the second, simplified by p*q = 1.
+E_SYSTEM: tuple[Polynomial, ...] = (
+    OEQ_SYSTEM[0],
+    _A**2 * _Q**2 - _B**2 + _C**2 + _D**2 - _E**2 + _F**2 * _P**2 - _S,
+    -OEQ_SYSTEM[2],
+    OEQ_SYSTEM[3] * Fraction(1, 2),
+    OEQ_SYSTEM[4] * Fraction(1, 2),
+    OEQ_SYSTEM[5],
+)
 
 
 def residuals_e_system(rep: DetRep, r, s, u) -> dict:
@@ -207,11 +196,12 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
     assignments are enumerated; a branch survives only if the unsquared
     linear condition holds, and the minimal-residual surviving branch is
     certified against ``det(xA + yB + zC) = f`` at seeded random points.
-    A *tol* that is not a finite number > 0 raises :class:`DomainError`; a
-    value that overflows double precision raises :class:`SolverError`.
+    A *tol* that is not a finite number > 0 or a parameter that is not a
+    rational raises :class:`DomainError`; a value that overflows double
+    precision raises :class:`SolverError`.
     """
     check_tolerance("tol", tol)
-    r, s, u = Fraction(r), Fraction(s), Fraction(u)
+    r, s, u = map(rational, (r, s, u))
     with overflow_as(SolverError, f"(r,s,u) = ({r},{s},{u})"):
         p, q = compute_pq(r)
         kappa = Fraction(r + 2, r - 2)
@@ -256,13 +246,9 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
         for residual, choice, (bb, cc, dd, ee) in branches:
             if residual > tol * scale:
                 continue
-            c_matrix = (
-                (0j, 0j, bb, dd),
-                (0j, 0j, cc, ee),
-                (bb, cc, 0j, 0j),
-                (dd, ee, 0j, 0j),
-            )
-            rep = DetRep((p, -p, q, -q), c_matrix, choice, {})
+            diagonal = (p, -p, q, -q)
+            c_matrix = _pencil(1.0 + 0j, 0j, diagonal, (0j, bb, dd, cc, ee, 0j))[2]
+            rep = DetRep(diagonal, c_matrix, choice, {})
             res = residuals_e_system(rep, r, s, u)
             if not all(res[f"e{i}"] <= tol for i in range(1, 7)):
                 continue

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all quartics modules, and the one check of a
-tolerance argument and the one translation of a float overflow into it."""
+"""Exception hierarchy shared by all quartics modules, the one conversion of an
+outside rational, the one check of a tolerance argument and the one translation
+of a float overflow into it."""
 
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 
 class QuarticsError(Exception):
@@ -43,6 +45,15 @@ class RootFindingError(QuarticsError):
 
 class SolverError(QuarticsError):
     """No branch of a finite solver enumeration certified against the input."""
+
+
+def rational(value) -> Fraction:
+    """*value* (an int, a ``Fraction``, a finite float or a string like "7/2") as a
+    ``Fraction``; anything else raises :class:`DomainError` naming it."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise DomainError(f"cannot parse rational {value!r}: {exc}") from None
 
 
 def check_tolerance(name: str, value: float) -> float:

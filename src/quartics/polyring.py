@@ -356,15 +356,14 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.table, 1)
-        base = self
+        result, base = None, self
         while n:
-            if n & 1:
-                result = result * base
+            if n & 1:       # the first factor starts the product: no factor 1
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return Polynomial.constant(self.table, 1) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -26,7 +26,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import DegeneracyError, DomainError
+from .errors import DegeneracyError, DomainError, rational
 from .polyring import Polynomial, VarTable
 
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
@@ -75,7 +75,8 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
     """Build one of the four family quartics.
 
     ``params=None`` gives the symbolic form (parameters stay variables);
-    otherwise exactly the family's arity of exact rationals is required.
+    otherwise exactly the family's arity of exact rationals is required, and
+    a value that is not one raises :class:`DomainError`.
     """
     if family not in FAMILY_PARAMS:
         raise DomainError(f"unknown family {family!r}; expected one of {sorted(FAMILY_PARAMS)}")
@@ -86,7 +87,7 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
     else:
         if len(params) != len(names):
             raise DomainError(f"{family} takes {len(names)} parameter(s), got {len(params)}")
-        values = tuple(Fraction(p) for p in params)
+        values = tuple(map(rational, params))
     table = VarTable(GEOMETRIC, names if symbolic else ())
     lookup = dict(zip(names, values))
     one = Polynomial.constant(table, 1)
@@ -144,7 +145,7 @@ def make_generic(coeffs: Sequence[Fraction | int]) -> QuarticForm:
     """A generic numeric quartic from its 15 coefficients in graded-lex monomial order."""
     if len(coeffs) != 15:
         raise DomainError(f"a generic quartic takes 15 coefficients, got {len(coeffs)}")
-    values = tuple(Fraction(c) for c in coeffs)
+    values = tuple(map(rational, coeffs))
     poly = Polynomial(VarTable(GEOMETRIC), dict(zip(GENERIC_MONOMIALS, values)))
     return QuarticForm(poly, "GENERIC", values)
 

@@ -19,7 +19,8 @@ from quartics.bitangent import (CHARTS, DEFAULT_CERT_TOL, DEFAULT_DEDUPE_TOL,
                                 restriction_coefficients)
 from quartics.errors import DegeneracyError, DomainError, EnumerationError
 from quartics.numroots import eval_poly
-from quartics.polyring import Polynomial, VarTable, eval_complex, eval_exact
+from quartics.polyring import (Polynomial, VarTable, convert, eval_complex, eval_exact,
+                               substitute)
 from quartics.symfam import make_family
 
 
@@ -513,6 +514,44 @@ class TestEnumeration:
             for gen in comp.X4_J1_GENERATORS:
                 value, scale = eval_scaled(gen, point)
                 assert abs(value) / max(scale, 1.0) < 1e-9
+
+
+class TestCoordinateBiquadratic:
+    """X4's J2 biquadratic is the one stored coordinate-type biquadratic; the
+    solvers evaluate it at permuted parameters for X4's J3 and X16's J1, J2
+    and J1''.  The literals below are those biquadratics written out."""
+
+    @staticmethod
+    def _references():
+        r, s, u = (var(comp.TABLE_X4, n) for n in "rsu")
+        r16, s16 = (var(comp.TABLE_X16, n) for n in "rs")
+        return (
+            # X4's J3 (b = 0) at (r, s, u), from J2 at (r, u, s)
+            ((r**2 - 4, 2 * r * s - 4 * u, s**2 - 4), {"s": u, "u": s}, lambda r, s, u: (r, u, s)),
+            # X16's J1/J2 (a = 0, b = 0), from J2 at (r, s, s)
+            ((r16**2 - 4, 2 * r16 * s16 - 4 * s16, s16**2 - 4), {"u": s},
+             lambda r, s, u: (r, s, s)),
+            # X16's lines x + b*y = 0 (J1''), from J2 at (s, r, s)
+            ((s16**2 - 4, 2 * s16**2 - 4 * r16, s16**2 - 4), {"r": s, "s": r, "u": s},
+             lambda r, s, u: (s, r, s)),
+        )
+
+    def test_equal_symbolically(self):
+        for literal, renaming, _ in self._references():
+            table = literal[0].table
+            derived = tuple(convert(substitute(c, renaming), table)
+                            for c in comp.X4_J2_BIQUADRATIC)
+            assert derived == literal
+
+    def test_equal_at_seeded_rational_points(self):
+        rng = random.Random(18)
+        for _ in range(50):
+            r, s, u = (Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(3))
+            for literal, _, permute in self._references():
+                point = dict(zip("rsu", (r, s, u)))
+                derived = [eval_exact(c, dict(zip("rsu", permute(r, s, u))))
+                           for c in comp.X4_J2_BIQUADRATIC]
+                assert derived == [eval_exact(c, point) for c in literal]
 
 
 @pytest.mark.parametrize("family,params", [

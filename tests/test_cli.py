@@ -67,6 +67,17 @@ class TestInvariants:
         data = json.loads(out)
         assert set(data["invariants"]) == {"I3", "I6", "I9", "I12", "I15", "I18"}
 
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--family", "X4", "--params", "x", "1", "1"],
+        ["invariants", "--family", "generic", "--params", "x", *["1"] * 14],
+        ["bitangents", "--family", "X24", "--params", "x"],
+        ["detrep", "--params", "1", "x", "1"],
+    ])
+    def test_usage_bad_rational(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: cannot parse rational 'x': Invalid literal for Fraction: 'x'\n"
+
     def test_usage_bad_arity(self, capsys):
         code, _, err = run_cli(capsys, ["invariants", "--family", "X4",
                                         "--params", "1", "2"])

@@ -1,7 +1,9 @@
 """Determinantal representation solver: normal form, branch construction,
 residual certification and the symbolic determinant expansion."""
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -136,6 +138,13 @@ class TestSolver:
         assert a.c_matrix == b.c_matrix
         assert a.b_diagonal == b.b_diagonal
 
+    @pytest.mark.parametrize("rsu", [("x", 1, 1), (1, "nan", 1), (1, 2, None),
+                                     (float("inf"), 1, 1), (1, "1/0", 3)])
+    def test_non_rational_parameter_is_a_domain_error(self, rsu):
+        bad = next(v for v in rsu if not isinstance(v, int))
+        with pytest.raises(DomainError, match=f"^cannot parse rational {re.escape(repr(bad))}"):
+            solve_detrep(*rsu)
+
     def test_degenerate_r(self):
         for r in (2, -2):
             with pytest.raises(DegeneracyError):
@@ -227,3 +236,51 @@ class TestSymbolicDeterminant:
         assert set(groups) == set(slots)
         for key, want in slots.items():
             assert groups[key] == want
+
+
+def _var(name):
+    return Polynomial.variable(_SYS_TABLE, name)
+
+
+class TestDerivedSystems:
+    """OEQ_SYSTEM and E_SYSTEM are derived from the package's own pencil; these
+    checks rebuild them without ``symbolic_pencil``, ``det`` or
+    ``determinant_expand``."""
+
+    def test_leibniz_determinant_minus_f_is_the_raw_system(self):
+        x, y, z, p, q, a, b, c, d, e, f, r, s, u = map(_var, _SYS_TABLE.names)
+        zero = Polynomial.zero(_SYS_TABLE)
+        pencil = (
+            (x + y * p, z * a, z * b, z * d),
+            (z * a, x - y * p, z * c, z * e),
+            (z * b, z * c, x + y * q, z * f),
+            (z * d, z * e, z * f, x - y * q),
+        )
+        det = zero
+        for perm in itertools.permutations(range(4)):
+            inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+            term = Polynomial.constant(_SYS_TABLE, (-1) ** inversions)
+            for i in range(4):
+                term = term * pencil[i][perm[i]]
+            det = det + term
+        quartic = (x**4 + y**4 + z**4 + r * x**2 * y**2 + s * y**2 * z**2
+                   + u * z**2 * x**2)
+        groups = {k: v for k, v in (det - quartic).geometric_coefficients().items()
+                  if not v.is_zero()}
+        slots = ((1, 1, 2), (0, 2, 2), (2, 0, 2), (0, 1, 3), (1, 0, 3), (0, 0, 4),
+                 (2, 2, 0), (0, 4, 0))
+        assert set(groups) == set(slots)
+        for key, row in zip(slots, OEQ_SYSTEM, strict=True):
+            assert groups[key] == row
+
+    def test_reduced_rows_are_the_raw_rows(self):
+        P, Q, B, C, D, E = map(_var, "pqbcde")
+        oeq, e_sys = OEQ_SYSTEM, E_SYSTEM
+        assert len(e_sys) == 6
+        assert e_sys[0] == oeq[0]
+        # the one row simplified by p*q = 1
+        assert e_sys[1] - oeq[1] == (1 - P * Q) * (C**2 + D**2 - B**2 - E**2)
+        assert e_sys[2] == -oeq[2]
+        assert 2 * e_sys[3] == oeq[3]
+        assert 2 * e_sys[4] == oeq[4]
+        assert e_sys[5] == oeq[5]

@@ -73,6 +73,51 @@ class TestMul:
         assert (p * Polynomial.zero(XYZ)).is_zero()
 
 
+class TestPow:
+    @staticmethod
+    def _bases():
+        rng = random.Random(3)
+        x, r = var(PAR, "x"), var(PAR, "r")
+        return [Polynomial.zero(PAR), Polynomial.constant(PAR, Fraction(-2, 3)),
+                x, Fraction(1, 2) * x - 3 * r, random_quartic(rng), random_quartic(rng)]
+
+    def test_matches_the_repeated_product(self):
+        for p in self._bases():
+            want = Polynomial.constant(p.table, 1)
+            for n in range(10):
+                got = p ** n
+                assert got == want and got.table == p.table
+                want = want * p
+
+    def test_zeroth_power_is_one_over_the_table(self):
+        for table in (XYZ, PAR, SEVEN):
+            for p in (Polynomial.zero(table), var(table, "x") + 2):
+                one = p ** 0
+                assert one == Polynomial.constant(table, 1) and one.table == table
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError, match="negative power"):
+            var(PAR, "x") ** -1
+
+    def test_no_product_has_the_factor_one(self, monkeypatch):
+        formed = []
+        inner = Polynomial.sum_of_products
+
+        def counting(table, products):
+            products = list(products)
+            formed.extend(products)
+            return inner(table, products)
+
+        monkeypatch.setattr(Polynomial, "sum_of_products", staticmethod(counting))
+        for p in self._bases()[1:]:
+            formed.clear()
+            assert p ** 1 == p and formed == []
+            for n in range(2, 10):
+                p ** n
+            one = Polynomial.constant(p.table, 1)
+            assert formed and not any(a == one or b == one for _, a, b in formed)
+
+
 class TestPartial:
     def test_fourth_derivative(self):
         assert partial(mono(XYZ, {"x": 4}), "x", 4) == Polynomial.constant(XYZ, 24)

@@ -176,6 +176,21 @@ class TestMakeFamily:
         with pytest.raises(DomainError):
             make_generic([1, 2, 3])
 
+    @pytest.mark.parametrize("bad", ["a", "nan", "1/0", None, float("nan"), float("inf"), 1j])
+    def test_non_rational_value_is_a_domain_error(self, bad):
+        message = f"^cannot parse rational {re.escape(repr(bad))}"
+        with pytest.raises(DomainError, match=message):
+            make_family("X4", [bad, 1, 1])
+        with pytest.raises(DomainError, match=message):
+            make_family("X24", [bad])
+        with pytest.raises(DomainError, match=message):
+            make_generic([1] * 14 + [bad])
+
+    def test_rationals_in_every_form_are_accepted(self):
+        want = make_family("X4", (Fraction(7, 2), -3, Fraction(1, 4))).poly
+        assert make_family("X4", ("7/2", "-3", 0.25)).poly == want
+        assert make_generic(["1/3"] * 15).params == (Fraction(1, 3),) * 15
+
 
 class TestSBasis:
     def test_s21(self):

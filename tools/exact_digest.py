@@ -11,7 +11,10 @@ The digest covers, in a fixed order:
   benchmark's ``numeric`` generator (``perfbench/workloads.py``, imported, not
   changed), for each of ``SEEDS``;
 * the invariants of ``MEMBERS`` seeded rational members of each family per
-  seed, about one in ten parameters being +-2 (singular members).
+  seed, about one in ten parameters being +-2 (singular members);
+* the embedded algebra: every polynomial of ``detrep.E_SYSTEM`` and
+  ``detrep.OEQ_SYSTEM``, and of the ``COMPONENTS`` constants of
+  ``quartics.components``.
 
 Each value enters as its ``str`` or ``repr``: exact, canonical and in term
 order.  Two checkouts whose exact path agrees print the same digest, so a
@@ -37,6 +40,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 GENERIC = 40   # generic quartics of the numeric generator per seed
 MEMBERS = 25   # rational members per family per seed
+#: the bitangent component constants covered, by name
+COMPONENTS = ("X4_J1_GENERATORS", "X4_J1_QUARTIC_B", "X4_J2_BIQUADRATIC", "X4_J1_A2_SPLITS",
+              "X16_J56_BIQUADRATIC", "X16_J7_BIQUADRATIC", "X24_J2_BIQUADRATIC",
+              "X24_RATIONAL_POINTS", "X24_J69_QUADRATIC", "X24_J10_13_QUADRATIC")
 
 
 def _invariants(inv) -> str:
@@ -86,10 +93,28 @@ def member_records(seed: int, count: int):
             yield f"{family}{tuple(map(str, params))}\n{_invariants(inv)}"
 
 
+def _flat(value):
+    """The entries of nested tuples, in order."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _flat(item)
+    else:
+        yield value
+
+
+def embedded_records():
+    from quartics import components, detrep
+
+    for name in ("E_SYSTEM", "OEQ_SYSTEM"):
+        yield "\n".join(f"detrep.{name}[{i}] = {p}" for i, p in enumerate(getattr(detrep, name)))
+    for name in COMPONENTS:
+        yield "\n".join(f"components.{name} {value}" for value in _flat(getattr(components, name)))
+
+
 def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-    records = itertools.chain(symbolic_records(), *(
+    records = itertools.chain(symbolic_records(), embedded_records(), *(
         itertools.chain(generic_records(seed, GENERIC), member_records(seed, MEMBERS))
         for seed in SEEDS))
     digest = hashlib.sha256()
