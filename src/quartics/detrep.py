@@ -84,7 +84,7 @@ def compute_pq(r: Fraction | int) -> tuple[complex, complex]:
     hold to rounding error for every magnitude of ``r``.  Degenerate at
     r = +-2 where p and q collide or vanish.
     """
-    r = Fraction(r)
+    r = rational(r)
     if r == 2 or r == -2:
         raise DegeneracyError(f"r = {r}: repeated line pair in f(x,y,0) (double-conic locus)")
     rf = float(r)
@@ -159,19 +159,20 @@ E_SYSTEM: tuple[Polynomial, ...] = (
 def residuals_e_system(rep: DetRep, r, s, u) -> dict:
     """Residuals of the six reduced conditions and the raw system at the rep."""
     a, b, d, c, e, f = rep.off_diagonal()
+    r, s, u = (float(rational(v)) for v in (r, s, u))
     point = {"p": rep.p, "q": rep.q, "a": a, "b": b, "c": c, "d": d, "e": e, "f": f,
-             "r": float(Fraction(r)), "s": float(Fraction(s)), "u": float(Fraction(u))}
+             "r": r, "s": s, "u": u}
     moduli = [abs(v) for v, _ in eval_scaled_many(E_SYSTEM + OEQ_SYSTEM[:6], point)]
     n = len(E_SYSTEM)
     out = {f"e{i}": m for i, m in enumerate(moduli[:n], start=1)}
     out.update({f"oeq{i}": m for i, m in enumerate(moduli[n:], start=1)})
     out["pq_identity"] = abs(rep.p ** 2 * rep.q ** 2 - 1)
-    out["p2q2_sum"] = abs(rep.p ** 2 + rep.q ** 2 + float(Fraction(r)))
+    out["p2q2_sum"] = abs(rep.p ** 2 + rep.q ** 2 + r)
     return out
 
 
 def _determinant_residual(rep: DetRep, r, s, u, seed: int) -> float:
-    form = make_family("X4", (Fraction(r), Fraction(s), Fraction(u)))
+    form = make_family("X4", (r, s, u))     # converted by errors.rational
     rows = tuple(zip(rep.a_matrix, rep.b_matrix, rep.c_matrix))
     rng = random.Random(seed)
     scale = 1 / 2 ** 0.5

@@ -10,6 +10,10 @@ These are the computational primitives behind the quartic invariants:
   pinned by the Fermat anchor ``I6 = 13822`` (see :mod:`quartics.dixmier`).
 * ``transvectant(F, G, k)`` is the classical bilinear pairing of two binary
   forms, computed by direct binomial expansion of the Cayley operator.
+
+``diff_pair`` and ``hessian`` are one pass over the packed keys
+(:mod:`quartics.polyring`) with one normalization per result (per distinct
+Hessian entry), and build no intermediate polynomial.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegreeError, DomainError, TableMismatchError
-from .polyring import Polynomial, multi_partial, partial
+from .polyring import Polynomial, _pairing, _second_partial, multi_partial
 
 
 def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -29,19 +33,16 @@ def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     """
     if f.table != g.table:
         raise TableMismatchError("diff_pair operands use different variable tables")
-    gnames = f.table.geometric
-    return Polynomial.sum_of_products(f.table, (
-        (1, coeff, multi_partial(g, {n: e for n, e in zip(gnames, geo) if e}))
-        for geo, coeff in f.geometric_coefficients().items()))
+    return _pairing(f, g)
 
 
 def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
     """Rows of the matrix of bare second partials of ``f`` in its 3 geometric variables."""
-    table = f.table
-    if table.n_geometric != 3:
-        raise DegreeError(f"hessian needs 3 geometric variables, table has {table.n_geometric}")
-    x, y, z = table.geometric
-    return tuple(tuple(partial(partial(f, a), b) for b in (x, y, z)) for a in (x, y, z))
+    if f.table.n_geometric != 3:
+        raise DegreeError(f"hessian needs 3 geometric variables, table has {f.table.n_geometric}")
+    x = f.table.geometric
+    h = {(i, j): _second_partial(f, x[i], x[j]) for i in range(3) for j in range(i, 3)}
+    return tuple(tuple(h[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
 
 
 def det(rows):

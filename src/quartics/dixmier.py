@@ -52,13 +52,19 @@ def binary_invariants(a) -> tuple[Polynomial, Polynomial]:
     """``(Sigma, Psi)`` of ``a0*x^4 + a1*x^3*y + ... + a4*y^4`` in closed form::
 
         Sigma = a0 a4 - a1 a3 / 4 + a2^2 / 12
-        Psi   = a0 a2 a4 / 6 - a0 a3^2 / 16 - a1^2 a4 / 16 + a1 a2 a3 / 48 - a2^3 / 216
+        Psi   = a2 (a0 a4 / 6 + a1 a3 / 48 - a2^2 / 216) - a0 a3^2 / 16 - a1^2 a4 / 16
+
+    each sum of products (and Psi's bracket) formed in one
+    :meth:`~quartics.polyring.Polynomial.sum_of_products` call.
     """
     a0, a1, a2, a3, a4 = a
-    a04, a13, a22 = a0 * a4, a1 * a3, a2 * a2
-    sigma = a04 - a13 * Fraction(1, 4) + a22 * Fraction(1, 12)
-    psi = (a2 * (a04 * Fraction(1, 6) + a13 * Fraction(1, 48) - a22 * Fraction(1, 216))
-           - (a0 * (a3 * a3) + (a1 * a1) * a4) * Fraction(1, 16))
+    table = a0.table
+    sigma = Polynomial.sum_of_products(
+        table, ((1, a0, a4), (Fraction(-1, 4), a1, a3), (Fraction(1, 12), a2, a2)))
+    bracket = Polynomial.sum_of_products(
+        table, ((Fraction(1, 6), a0, a4), (Fraction(1, 48), a1, a3), (Fraction(-1, 216), a2, a2)))
+    psi = Polynomial.sum_of_products(
+        table, ((1, a2, bracket), (Fraction(-1, 16), a0, a3 * a3), (Fraction(-1, 16), a1 * a1, a4)))
     return sigma, psi
 
 

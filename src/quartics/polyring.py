@@ -422,6 +422,39 @@ def partial(p: Polynomial, var: str, order: int = 1) -> Polynomial:
     return Polynomial._from_packed(p.table, out, p._den)
 
 
+def _pairing(f: Polynomial, g: Polynomial) -> Polynomial:
+    """``D_f(g)`` in one pass: terms of *f* and *g* with geometric exponents a <= b give
+    ``f_num * g_num * prod perm(b_i, a_i)`` at ``f_key + g_key - 2 key(x^a)``."""
+    table, ng = f.table, f.table.n_geometric
+    groups: dict[Exponents, list[tuple[int, int]]] = {}     # f's terms by their a
+    for exps, term in zip(table._unpack(f._num), f._num.items()):
+        groups.setdefault(exps[:ng], []).append(term)
+    gterms = list(zip(table._unpack(g._num), g._num.items()))
+    out: dict[int, int] = {}
+    for a, terms in groups.items():
+        need = [(i, e) for i, e in enumerate(a) if e]
+        twice = 2 * table._pack(a + (0,) * (len(table) - ng))
+        for b, (gkey, c) in gterms:
+            for i, e in need:
+                if b[i] < e:
+                    break
+                c *= perm(b[i], e)
+            else:
+                for key, fc in terms:
+                    out[k] = out.get(k := gkey + key - twice, 0) + fc * c
+    _check_degree(max(out, default=0) >> table._top)    # out keeps every product's key
+    return Polynomial._from_packed(table, out, f._den * g._den)
+
+
+def _second_partial(p: Polynomial, a: str, b: str) -> Polynomial:
+    """d^2 p / da db in one pass: ``e_a (e_a - 1)`` or ``e_a e_b`` times each term, lowered."""
+    sa, sb = p.table._shift(a), p.table._shift(b)
+    step = (2 << p.table._top) + (1 << sa) + (1 << sb)
+    out = {key - step: coeff * c for key, coeff in p._num.items()
+           if (c := ((key >> sa) & _LIMIT) * (((key >> sb) & _LIMIT) - (a == b))) > 0}
+    return Polynomial._from_packed(p.table, out, p._den)
+
+
 def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
     """Apply several iterated partials at once (they commute)."""
     for var, k in orders.items():

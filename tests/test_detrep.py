@@ -10,7 +10,7 @@ import pytest
 
 from quartics.detrep import (E_SYSTEM, OEQ_SYSTEM, DetRep, compute_pq,
                              determinant_expand, residuals_e_system,
-                             solve_detrep, symbolic_pencil, _SYS_TABLE)
+                             solve_detrep, symbolic_pencil, _determinant_residual, _SYS_TABLE)
 from quartics.errors import DegeneracyError, DomainError, SolverError
 from quartics.numroots import roots
 from quartics.polyring import Polynomial, convert, eval_complex, substitute_values
@@ -149,6 +149,19 @@ class TestSolver:
         for r in (2, -2):
             with pytest.raises(DegeneracyError):
                 solve_detrep(r, 0, 0)
+
+    @pytest.mark.parametrize("bad", ["x", "nan", None, float("inf"), "1/0"])
+    def test_helpers_name_a_non_rational_parameter(self, bad):
+        # compute_pq and both residual checks convert their parameters as
+        # solve_detrep does, so a bad value is a DomainError, never a bare ValueError
+        rep = solve_detrep(1, 3, 5)
+        calls = [lambda: compute_pq(bad),
+                 lambda: residuals_e_system(rep, bad, 1, 5),
+                 lambda: residuals_e_system(rep, 1, 3, bad),
+                 lambda: _determinant_residual(rep, 1, bad, 5, 0)]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"^cannot parse rational {re.escape(repr(bad))}"):
+                call()
 
     @pytest.mark.parametrize("rsu", [
         (3, "1e200", 1),        # the t quadratic's coefficients do not fit a double

@@ -7,12 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from quartics.diffcalc import (adjugate, det, diff_pair, dot, hessian,
                                j_bracket, transvectant)
-from quartics.errors import DegreeError, DomainError
-from quartics.polyring import Polynomial, VarTable, convert, multi_partial, substitute_linear
+from quartics.errors import DegreeError, DomainError, TableMismatchError
+from quartics.polyring import (Polynomial, VarTable, convert, multi_partial, partial,
+                               substitute_linear)
 
 from conftest import XY, XYZ, random_binary_form, random_quartic
 
@@ -93,6 +94,155 @@ class TestHessian:
         assert h[0][1] == Polynomial.constant(XYZ, 1)
         assert h[1][0] == Polynomial.constant(XYZ, 1)
         assert h[0][0].is_zero()
+
+
+# diff_pair and hessian each run one pass over the packed keys.  The references
+# are the routes they replaced: a sum of products over multi_partial for
+# diff_pair, partial(partial(f, a), b) for each Hessian entry.  The stored forms
+# (table, denominator, numerators) must be equal, and a DegreeError must come
+# on exactly the inputs where the reference raises one.
+
+PAR = VarTable(("x", "y", "z"), ("r", "s", "u"))
+SEVEN = VarTable(("x", "y", "z"), ("a", "b", "c", "d"))
+LIMIT = 65535
+
+
+def reference_diff_pair(f, g):
+    if f.table != g.table:
+        raise TableMismatchError("operands use different variable tables")
+    names = f.table.geometric
+    return Polynomial.sum_of_products(f.table, (
+        (1, coeff, multi_partial(g, {n: e for n, e in zip(names, geo) if e}))
+        for geo, coeff in f.geometric_coefficients().items()))
+
+
+def reference_hessian(f):
+    names = f.table.geometric
+    return tuple(tuple(partial(partial(f, a), b) for b in names) for a in names)
+
+
+def assert_same_stored_form(got, want):
+    assert got.table == want.table
+    assert got.denominator == want.denominator
+    assert dict(got.numerators) == dict(want.numerators)
+
+
+def outcome(call, *args):
+    """The result, or DegreeError (the class) if the call raised one."""
+    try:
+        return call(*args)
+    except DegreeError:
+        return DegreeError
+
+
+def assert_pairing_matches_reference(f, g):
+    got, want = outcome(diff_pair, f, g), outcome(reference_diff_pair, f, g)
+    if want is DegreeError or got is DegreeError:
+        assert got is want
+    else:
+        assert_same_stored_form(got, want)
+
+
+_DENOMINATORS = (1, 1, 2, 3, 4, 6, 9, 35, 1000003)
+
+
+def forms(table, geometric):
+    """Polynomials over *table* whose geometric exponents are drawn from *geometric*,
+    with mixed denominators; at most one parameter exponent per term is near half
+    the packing limit, so that some pairings cross it."""
+    def lift(args):
+        exps, big = args
+        if big is None or not table.parameters:
+            return exps
+        slot, e = 3 + big[0] % len(table.parameters), big[1]
+        return exps[:slot] + (e,) + exps[slot + 1:]
+    small = st.tuples(*[geometric] * 3, *[st.integers(0, 2)] * len(table.parameters))
+    big = st.none() | st.tuples(st.integers(0, 3), st.integers(LIMIT // 2 - 3, LIMIT // 2 + 3))
+    coeff = st.builds(Fraction, st.integers(-30, 30), st.sampled_from(_DENOMINATORS))
+    terms = st.dictionaries(st.tuples(small, big).map(lift), coeff, max_size=8)
+    return terms.map(lambda t: Polynomial(table, t))
+
+
+_THREE_TABLES = pytest.mark.parametrize("table", [XYZ, PAR, SEVEN], ids=["XYZ", "PAR", "SEVEN"])
+# the explain phase is left out: it spent 40-55 s of about a minute reporting one failure
+_NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
+
+
+class TestFusedOperatorsMatchTheOldRoutes:
+    @_THREE_TABLES
+    @settings(max_examples=60, deadline=None, phases=_NO_EXPLAIN)
+    @given(data=st.data())
+    def test_diff_pair(self, table, data):
+        # exponents up to 4 in f and 7 in g: neither is homogeneous, and many
+        # terms of f divide no term of g, so terms or all of the result vanish
+        f = data.draw(forms(table, st.integers(0, 4)))
+        g = data.draw(forms(table, st.integers(0, 7)))
+        assert_pairing_matches_reference(f, g)
+
+    @_THREE_TABLES
+    @settings(max_examples=40, deadline=None, phases=_NO_EXPLAIN)
+    @given(data=st.data())
+    def test_hessian(self, table, data):
+        f = data.draw(forms(table, st.integers(0, 6)))
+        got, want = hessian(f), reference_hessian(f)
+        for i, j in itertools.product(range(3), repeat=2):
+            assert_same_stored_form(got[i][j], want[i][j])
+            assert got[i][j] is got[j][i]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_pairings_of_the_pipeline_shapes(self, seed):
+        # quartic against sextic and sextic against sextic, as rho and I6 pair them
+        rng = random.Random(seed)
+        table = (XYZ, PAR)[seed % 2]
+        f, g, h = (random_low_form(rng, table, d) for d in (4, 6, 6))
+        for a, b in ((f, g), (g, h), (f, f), (g, f)):
+            assert_pairing_matches_reference(a, b)
+
+    def test_zero_operands(self):
+        for table in (XYZ, PAR, SEVEN):
+            zero, x2 = Polynomial.zero(table), mono(table, {"x": 2}, Fraction(3, 7))
+            for f, g in ((zero, x2), (x2, zero), (zero, zero)):
+                got = diff_pair(f, g)
+                assert got == zero and got.denominator == 1
+            assert all(entry == zero for row in hessian(zero) for entry in row)
+
+    def test_higher_degree_operator_gives_zero(self):
+        f = mono(PAR, {"x": 2, "y": 1, "r": 3}, Fraction(5, 3))
+        g = mono(PAR, {"x": 2, "s": 1}, 7) + mono(PAR, {"y": 4}, Fraction(-1, 2))
+        got = diff_pair(f, g)
+        assert got.is_zero() and got.denominator == 1
+
+    def test_mixed_denominators(self):
+        f = mono(PAR, {"x": 1, "r": 1}, Fraction(3, 4)) + mono(PAR, {"y": 1}, Fraction(-5, 6))
+        g = mono(PAR, {"x": 2, "y": 1, "s": 2}, Fraction(7, 10)) + mono(PAR, {"y": 3}, Fraction(1, 9))
+        # d_x g * 3r/4 - d_y g * 5/6
+        want = (mono(PAR, {"x": 1, "y": 1, "r": 1, "s": 2}, Fraction(21, 20))
+                - mono(PAR, {"x": 2, "s": 2}, Fraction(7, 12))
+                - mono(PAR, {"y": 2}, Fraction(5, 18)))
+        assert_same_stored_form(diff_pair(f, g), want)
+        assert_pairing_matches_reference(f, g)
+
+    def test_table_mismatch(self):
+        with pytest.raises(TableMismatchError):
+            diff_pair(mono(PAR, {"x": 1}), mono(SEVEN, {"x": 1}))
+        with pytest.raises(TableMismatchError):
+            diff_pair(mono(XYZ, {"x": 1}), mono(PAR, {"x": 2}))
+
+    def test_degree_error_at_the_packing_limit(self):
+        # the parameter parts multiply: r^32768 * r^32768 crosses the limit, in one
+        # field or spread over two, while the geometric part only falls
+        f = mono(PAR, {"x": 1, "r": 32768})
+        for g in (mono(PAR, {"x": 3, "r": 32768}), mono(PAR, {"x": 1, "s": 32768})):
+            assert outcome(reference_diff_pair, f, g) is DegreeError
+            with pytest.raises(DegreeError, match="65535"):
+                diff_pair(f, g)
+        at_limit = mono(PAR, {"x": 1, "s": LIMIT - 32768})
+        assert_same_stored_form(diff_pair(f, at_limit),
+                                mono(PAR, {"r": 32768, "s": LIMIT - 32768}))
+
+    def test_hessian_needs_three_geometric_variables(self):
+        with pytest.raises(DegreeError, match="3 geometric"):
+            hessian(mono(XY, {"x": 2}))
 
 
 def constant_rows(rows, kind=tuple):
