@@ -32,8 +32,7 @@ from . import numroots
 from .errors import DomainError, EnumerationError, check_tolerance, overflow_as
 from .polyring import Polynomial, VarTable, eval_exact, eval_scaled_many, restrict_to_line
 from .polyring import eval_scaled  # noqa: F401  (the acceptance tests and perfbench import it from here)
-from .symfam import (FAMILY_PARAMS, QuarticForm, make_family,
-                     singular_locus_check, x4_triple)
+from .symfam import FAMILY_PARAMS, make_family, singular_locus_check, x4_triple
 
 DEFAULT_CERT_TOL = 1e-9
 DEFAULT_DEDUPE_TOL = 1e-8
@@ -216,7 +215,7 @@ def restriction_coefficients(f, chart: str) -> tuple[Polynomial, ...]:
     chart unknowns and the family parameters.  The tuple is shared through a
     cache, so it is immutable.
     """
-    poly = f.poly if isinstance(f, QuarticForm) else f
+    poly = getattr(f, "poly", f)
     return _restriction_coefficients_cached(poly, chart)
 
 

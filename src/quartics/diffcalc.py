@@ -5,15 +5,18 @@ These are the computational primitives behind the quartic invariants:
 * ``diff_pair(f, g)`` applies the differential operator determined by ``f``
   to ``g``: each term ``c * x1^i1 ... xn^in`` of ``f`` contributes
   ``c * d^(i1+...+in) g / dx1^i1 ... dxn^in``.  Only geometric variables
-  differentiate; parameter content of ``f`` multiplies through.
+  differentiate; parameter content of ``f`` multiplies through.  It is owned
+  by :mod:`quartics.polyring`, with ``multi_partial``, and imported here so
+  that the invariant pipeline finds all its operators in one module.
 * ``hessian(f)`` builds the matrix of bare second partials, the convention
   pinned by the Fermat anchor ``I6 = 13822`` (see :mod:`quartics.dixmier`).
 * ``transvectant(F, G, k)`` is the classical bilinear pairing of two binary
   forms, computed by direct binomial expansion of the Cayley operator.
 
-``diff_pair`` and ``hessian`` are one pass over the packed keys
-(:mod:`quartics.polyring`) with one normalization per result (per distinct
-Hessian entry), and build no intermediate polynomial.
+``diff_pair`` is one pass over the packed keys of both operands, and each
+distinct Hessian entry is one ``multi_partial``: one pass over the keys of
+``f``.  Each has one normalization per result and builds no intermediate
+polynomial.
 """
 
 from __future__ import annotations
@@ -22,18 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegreeError, DomainError, TableMismatchError
-from .polyring import Polynomial, _pairing, _second_partial, multi_partial
-
-
-def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Apply the differential operator of ``f`` to ``g`` (exact).
-
-    If the geometric degree of ``f`` exceeds that of ``g`` the result is 0;
-    over-differentiation vanishes term by term, so no precondition is needed.
-    """
-    if f.table != g.table:
-        raise TableMismatchError("diff_pair operands use different variable tables")
-    return _pairing(f, g)
+from .polyring import Polynomial, diff_pair, multi_partial  # noqa: F401  (re-exports diff_pair)
 
 
 def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
@@ -41,7 +33,8 @@ def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
     if f.table.n_geometric != 3:
         raise DegreeError(f"hessian needs 3 geometric variables, table has {f.table.n_geometric}")
     x = f.table.geometric
-    h = {(i, j): _second_partial(f, x[i], x[j]) for i in range(3) for j in range(i, 3)}
+    h = {(i, j): multi_partial(f, {x[i]: 2} if i == j else {x[i]: 1, x[j]: 1})
+         for i in range(3) for j in range(i, 3)}
     return tuple(tuple(h[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
 
 

@@ -44,10 +44,6 @@ from .polyring import Polynomial, homogenize, restrict_to_line
 I6_CORRECTION = Fraction(8, 144 ** 2)
 
 
-def _as_poly(f) -> Polynomial:
-    return f.poly if hasattr(f, "poly") else f
-
-
 def binary_invariants(a) -> tuple[Polynomial, Polynomial]:
     """``(Sigma, Psi)`` of ``a0*x^4 + a1*x^3*y + ... + a4*y^4`` in closed form::
 
@@ -130,7 +126,7 @@ def contravariants(f) -> tuple[Polynomial, Polynomial]:
     table of ``f``; homogenizing with ``z`` to degrees 4 and 6 gives both
     forms in that table.
     """
-    p = _as_poly(f)
+    p = getattr(f, "poly", f)
     table = p.table
     if table.n_geometric != 3 or p.geometric_degree() != 4 or not p.is_geometric_homogeneous():
         raise DegreeError("contravariants need a homogeneous ternary quartic")
@@ -142,7 +138,7 @@ def contravariants(f) -> tuple[Polynomial, Polynomial]:
 def covariants(f, psi: Polynomial | None = None) -> tuple[Polynomial, Polynomial, Polynomial]:
     """The quadratic covariants ``rho = D_f(psi)``, ``tau = D_rho(f)`` and
     the Hessian determinant ``det H(f)`` (a sextic)."""
-    p = _as_poly(f)
+    p = getattr(f, "poly", f)
     if psi is None:
         _, psi = contravariants(p)
     rho = diff_pair(p, psi)
@@ -158,7 +154,7 @@ def dixmier_invariants(f) -> InvariantSet:
     :class:`Polynomial`; parameter-valued coefficients are fine, in which
     case the invariants are polynomials in those parameters.
     """
-    p = _as_poly(f)
+    p = getattr(f, "poly", f)
     sigma, psi = contravariants(p)
     rho, tau, hdet = covariants(p, psi)
 

@@ -30,6 +30,11 @@ The one product loop, :meth:`Polynomial.sum_of_products`, adds scaled products
 sum of products); ``a * b`` is its one-product case, and sums of products are
 formed in one call, without a running total of normalized terms.
 
+All differentiation lives here, in two one-pass kernels: :func:`multi_partial`
+applies a monomial operator ``d^a`` (``partial`` is its one-variable case, and
+each entry of :func:`quartics.diffcalc.hessian` is one call), and
+:func:`diff_pair` applies the operator of a whole polynomial.
+
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: the compiled form for complex evaluation
 (:meth:`Polynomial.compiled`) is built lazily and idempotently, then kept.
@@ -407,24 +412,41 @@ class Polynomial:
 
 
 def partial(p: Polynomial, var: str, order: int = 1) -> Polynomial:
-    """Iterated exact partial derivative with respect to a geometric variable."""
-    if order < 0:
-        raise ValueError("negative differentiation order")
-    if not p.table.is_geometric(var):
-        raise RoleError(f"cannot differentiate with respect to parameter {var!r}")
-    if order == 0:
-        return p
-    shift = p.table._shift(var)
-    step = (order << p.table._top) + (order << shift)     # the degree and var's exponent
-    # lowering one exponent is injective, so no two terms collide
-    out = {key - step: coeff * perm(e, order)
-           for key, coeff in p._num.items() if (e := (key >> shift) & _LIMIT) >= order}
-    return Polynomial._from_packed(p.table, out, p._den)
+    """The exact *order*-th partial by a geometric variable (one-variable :func:`multi_partial`)."""
+    return multi_partial(p, {var: order})
 
 
-def _pairing(f: Polynomial, g: Polynomial) -> Polynomial:
-    """``D_f(g)`` in one pass: terms of *f* and *g* with geometric exponents a <= b give
-    ``f_num * g_num * prod perm(b_i, a_i)`` at ``f_key + g_key - 2 key(x^a)``."""
+def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
+    """The partial ``d^a p`` of the orders ``a`` by geometric variable, in one pass: each
+    term with exponents b >= a gives ``num * prod perm(b_i, a_i)`` at ``key - key(x^a)``."""
+    table = p.table
+    steps, lower = [], 0
+    for var, k in orders.items():
+        if k < 0:
+            raise ValueError("negative differentiation order")
+        if not table.is_geometric(var):
+            raise RoleError(f"cannot differentiate with respect to parameter {var!r}")
+        if k:
+            shift = table._shift(var)
+            steps.append((shift, k))
+            # an order above 65,535 spills out of its field, but no key is lowered by it
+            lower += (k << table._top) + (k << shift)
+    out = {}
+    for key, coeff in p._num.items():
+        for shift, k in steps:
+            if (e := (key >> shift) & _LIMIT) < k:
+                break
+            coeff *= perm(e, k)
+        else:   # lowering the exponents is injective, so no two terms collide
+            out[key - lower] = coeff
+    return Polynomial._from_packed(table, out, p._den)
+
+
+def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
+    """``D_f(g)``, the differential operator of *f* applied to *g*, in one pass: terms of
+    *f* and *g* with geometric exponents a <= b give ``f_num * g_num * prod perm(b_i, a_i)``
+    at ``f_key + g_key - 2 key(x^a)``; the other pairs of terms vanish."""
+    _check_table(f.table, g)
     table, ng = f.table, f.table.n_geometric
     groups: dict[Exponents, list[tuple[int, int]]] = {}     # f's terms by their a
     for exps, term in zip(table._unpack(f._num), f._num.items()):
@@ -444,24 +466,6 @@ def _pairing(f: Polynomial, g: Polynomial) -> Polynomial:
                     out[k] = out.get(k := gkey + key - twice, 0) + fc * c
     _check_degree(max(out, default=0) >> table._top)    # out keeps every product's key
     return Polynomial._from_packed(table, out, f._den * g._den)
-
-
-def _second_partial(p: Polynomial, a: str, b: str) -> Polynomial:
-    """d^2 p / da db in one pass: ``e_a (e_a - 1)`` or ``e_a e_b`` times each term, lowered."""
-    sa, sb = p.table._shift(a), p.table._shift(b)
-    step = (2 << p.table._top) + (1 << sa) + (1 << sb)
-    out = {key - step: coeff * c for key, coeff in p._num.items()
-           if (c := ((key >> sa) & _LIMIT) * (((key >> sb) & _LIMIT) - (a == b))) > 0}
-    return Polynomial._from_packed(p.table, out, p._den)
-
-
-def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
-    """Apply several iterated partials at once (they commute)."""
-    for var, k in orders.items():
-        p = partial(p, var, k)
-        if p.is_zero():
-            break
-    return p
 
 
 def substitute(p: Polynomial, replacements: Mapping[str, Polynomial]) -> Polynomial:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import perm
 
 from quartics.polyring import Polynomial, VarTable
 
@@ -40,6 +41,17 @@ def random_binary_form(rng: random.Random, degree: int, table: VarTable = XY) ->
                 poly = poly + Polynomial.monomial(table, {"x": degree - i, "y": i}, c)
         if not poly.is_zero():
             return poly
+
+
+def ref_partial(terms, i, order):
+    """The *order*-th partial in variable slot *i* of a dict from exponent tuples to
+    Fractions, term by term: the exponent-tuple oracle of the differentiation kernels."""
+    out = {}
+    for exps, c in terms.items():
+        if exps[i] >= order:
+            new = exps[:i] + (exps[i] - order,) + exps[i + 1:]
+            out[new] = out.get(new, Fraction(0)) + c * perm(exps[i], order)
+    return {e: c for e, c in out.items() if c}
 
 
 def random_unimodular(rng: random.Random, size: int = 3):

@@ -131,6 +131,11 @@ class TestDedupe:
         assert proj_distance((1, 2, 3), (2, 4, 6)) < 1e-15
         assert proj_distance((1, 0, 0), (0, 1, 0)) > 0.5
 
+    def test_zero_line_is_a_domain_error(self):
+        for p, q in (((0, 0, 0), (1, 2, 3)), ((1, 2, 3), (0.0, 0j, -0.0))):
+            with pytest.raises(DomainError, match="zero line"):
+                proj_distance(p, q)
+
     @pytest.mark.parametrize("p, q, want", [
         ((1e200, 0, 0), (0, 1e200, 0), 1.0),        # the minors overflowed to inf / inf
         ((1e200, 0, 0), (1e200, 1e199, 0), 0.1),
@@ -654,6 +659,17 @@ class TestCertifyPasses:
         with pytest.raises(EnumerationError,
                            match=r"rejected: \{'X4.J1': 24, 'X4.J1\(generators\)': 16\}"):
             enumerate_bitangents("X16", (Fraction(-1345661, 250), Fraction(359, 200)))
+
+    def test_x4_j1_gate_fails_a_line_without_z(self):
+        # the generators are checked in chart XY, at (a, b) = (c0 / c2, c1 / c2)
+        triple = (Fraction(1), Fraction(1), Fraction(3))
+        certs = [c for c in enumerate_bitangents("X4", triple) if c.source == "X4.J1"]
+        assert certs and all(bitangent._kills_x4_j1_generators(c, triple, DEFAULT_CERT_TOL)
+                             for c in certs)
+        for c2 in (0, 1e-13):
+            line = bitangent.BitangentCert(ProjLine.from_coefficients((1, 0.5, c2)),
+                                           (1, 0, 0), 0.0, "X4.J1", "XY")
+            assert not bitangent._kills_x4_j1_generators(line, triple, DEFAULT_CERT_TOL)
 
     def test_x16_later_passes_are_x4s(self):
         x16, x4 = bitangent.CANDIDATE_SOURCES["X16"], bitangent.CANDIDATE_SOURCES["X4"]

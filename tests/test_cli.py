@@ -84,6 +84,15 @@ class TestInvariants:
         assert code == EXIT_USAGE
         assert "parameter" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "generic", "--symbolic"], "generic quartics are numeric only"),
+        (["--family", "X4", "--symbolic", "--params", "1", "2", "3"],
+         "--symbolic takes no --params"),
+    ])
+    def test_usage_symbolic_misuse(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, ["invariants", *argv])
+        assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n")
+
 
 DECOMPOSE_MISUSE = "--decompose applies to the symbolic X4 family"
 GOLDEN_GENERIC = "--golden applies to the named families"

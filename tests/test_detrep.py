@@ -145,6 +145,12 @@ class TestSolver:
         with pytest.raises(DomainError, match=f"^cannot parse rational {re.escape(repr(bad))}"):
             solve_detrep(*rsu)
 
+    def test_pq_identity_above_the_tolerance_is_a_solver_error(self):
+        # |p^2 q^2 - 1| is a rounding error of about 1e-16, so tol 1e-20 cannot hold
+        want = r"pq_identity \|p\^2 q\^2 - 1\| = .* exceeds tol 1e-20"
+        with pytest.raises(SolverError, match=want):
+            solve_detrep(1, 2, 3, tol=1e-20)
+
     def test_degenerate_r(self):
         for r in (2, -2):
             with pytest.raises(DegeneracyError):

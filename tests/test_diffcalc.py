@@ -12,10 +12,10 @@ from hypothesis import Phase, given, settings, strategies as st
 from quartics.diffcalc import (adjugate, det, diff_pair, dot, hessian,
                                j_bracket, transvectant)
 from quartics.errors import DegreeError, DomainError, TableMismatchError
-from quartics.polyring import (Polynomial, VarTable, convert, multi_partial, partial,
+from quartics.polyring import (Polynomial, VarTable, convert, multi_partial,
                                substitute_linear)
 
-from conftest import XY, XYZ, random_binary_form, random_quartic
+from conftest import XY, XYZ, random_binary_form, random_quartic, ref_partial
 
 
 def mono(table, powers, c=1):
@@ -97,10 +97,12 @@ class TestHessian:
 
 
 # diff_pair and hessian each run one pass over the packed keys.  The references
-# are the routes they replaced: a sum of products over multi_partial for
-# diff_pair, partial(partial(f, a), b) for each Hessian entry.  The stored forms
-# (table, denominator, numerators) must be equal, and a DegreeError must come
-# on exactly the inputs where the reference raises one.
+# are other routes: a sum of products over multi_partial for diff_pair (itself
+# checked against the exponent-tuple partials in test_polyring.py), and for
+# each Hessian entry two exponent-tuple partials of conftest, which share no
+# code with the kernels.  The stored forms (table, denominator, numerators)
+# must be equal, and a DegreeError must come on exactly the inputs where the
+# reference raises one.
 
 PAR = VarTable(("x", "y", "z"), ("r", "s", "u"))
 SEVEN = VarTable(("x", "y", "z"), ("a", "b", "c", "d"))
@@ -117,8 +119,9 @@ def reference_diff_pair(f, g):
 
 
 def reference_hessian(f):
-    names = f.table.geometric
-    return tuple(tuple(partial(partial(f, a), b) for b in names) for a in names)
+    terms, slots = dict(f.terms), [f.table.index(n) for n in f.table.geometric]
+    return tuple(tuple(Polynomial(f.table, ref_partial(ref_partial(terms, a, 1), b, 1))
+                       for b in slots) for a in slots)
 
 
 def assert_same_stored_form(got, want):
@@ -458,6 +461,28 @@ class TestTransvectant:
         rng = random.Random(33)
         with pytest.raises(DomainError):
             transvectant(random_binary_form(rng, 2), random_binary_form(rng, 4), 3)
+
+    def test_operand_checks(self):
+        F = mono(XY, {"x": 2}) + mono(XY, {"y": 2})
+        with pytest.raises(TableMismatchError):
+            transvectant(F, mono(XYZ, {"x": 2}), 1)
+        line = VarTable(("x",), ("a",))
+        with pytest.raises(DegreeError, match="fewer than two geometric"):
+            transvectant(mono(line, {"x": 1}), mono(line, {"x": 1}), 0)
+        ternary = mono(XYZ, {"x": 1, "z": 1})
+        with pytest.raises(DegreeError, match=r"F is not a binary form in \(x,y\): uses \['z'\]"):
+            transvectant(ternary, mono(XYZ, {"y": 2}), 1)
+        with pytest.raises(DegreeError, match=r"G is not homogeneous in \(x,y\)"):
+            transvectant(F, mono(XY, {"x": 2}) + mono(XY, {"y": 1}), 1)
+        with pytest.raises(DomainError, match="order -1"):
+            transvectant(F, F, -1)
+
+    def test_zero_operand_gives_zero(self):
+        zero = Polynomial.zero(XY)
+        F = mono(XY, {"x": 2, "y": 1}, 3)
+        for a, b in ((zero, F), (F, zero), (zero, zero)):
+            got = transvectant(a, b, 0)
+            assert got.is_zero() and got.table == XY
 
     def test_matches_two_point_oracle(self):
         rng = random.Random(34)

@@ -15,7 +15,8 @@ from quartics.polyring import (Polynomial, VarTable, compose_linear, convert,
                                homogenize, substitute_linear, substitute_values)
 from quartics.symfam import make_family
 
-from conftest import XY, random_binary_form, random_fraction, random_quartic, random_unimodular
+from conftest import (XY, XYZ, random_binary_form, random_fraction, random_quartic,
+                      random_unimodular)
 
 PQ = VarTable(("x", "y"), ("p", "q"))
 XYZ_PQ = VarTable(("x", "y", "z"), ("p", "q"))
@@ -160,6 +161,15 @@ class TestContravariants:
             s0, p0 = contravariants(f)
             assert s1 == compose_linear(s0, swap)
             assert p1 == compose_linear(p0, swap)
+
+    @pytest.mark.parametrize("form", [
+        mono(XYZ, {"x": 3}) + mono(XYZ, {"y": 2, "z": 1}),      # a cubic
+        mono(XYZ, {"x": 4}) + mono(XYZ, {"y": 3}),              # not homogeneous
+        mono(XY, {"x": 4}) + mono(XY, {"y": 4}),                # binary
+    ])
+    def test_non_quartic_rejected(self, form):
+        with pytest.raises(DegreeError, match="homogeneous ternary quartic"):
+            contravariants(form)
 
     def test_psi_symmetric_for_fermat(self):
         _, psi = contravariants(make_family("X96"))

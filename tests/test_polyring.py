@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, gcd, perm
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from quartics.errors import DegreeError, DomainError, RoleError, TableMismatchError
 from quartics.polyring import (Polynomial, VarTable, compose_linear,
                                convert, eval_complex, eval_exact, eval_scaled,
-                               eval_scaled_many, homogenize,
+                               eval_scaled_many, homogenize, multi_partial,
                                partial, restrict_to_line, substitute,
                                substitute_linear, substitute_values)
 
-from conftest import XYZ, random_quartic
+from conftest import XYZ, random_quartic, ref_partial
 
 PAR = VarTable(("x", "y", "z"), ("r", "s", "u"))
 
@@ -25,6 +25,41 @@ def mono(table, powers, c=1):
 
 def var(table, name):
     return Polynomial.variable(table, name)
+
+
+class TestInputChecks:
+    def test_var_table_needs_a_geometric_variable(self):
+        with pytest.raises(ValueError, match="at least one geometric"):
+            VarTable((), ("r",))
+
+    @pytest.mark.parametrize("geometric, parameters", [(("x", "x"), ()), (("x", "y"), ("y",))])
+    def test_var_table_names_are_unique(self, geometric, parameters):
+        with pytest.raises(ValueError, match="not unique"):
+            VarTable(geometric, parameters)
+
+    def test_constant_value_of_a_non_constant(self):
+        assert mono(PAR, {}, Fraction(-3, 4)).constant_value() == Fraction(-3, 4)
+        assert Polynomial.zero(PAR).constant_value() == 0
+        for p in (var(PAR, "x"), var(PAR, "r") + 1):
+            with pytest.raises(DegreeError, match="not constant"):
+                p.constant_value()
+
+    @pytest.mark.parametrize("op", [
+        lambda p: p + "a", lambda p: "a" + p, lambda p: p - "a", lambda p: "a" - p,
+        lambda p: p * "a", lambda p: p * 1.5, lambda p: 1.5 + p])
+    def test_foreign_operands_are_type_errors(self, op):
+        with pytest.raises(TypeError):
+            op(var(PAR, "x") + 1)
+
+    def test_foreign_operands_are_not_equal(self):
+        p = var(PAR, "x") + 1
+        assert (p == "a") is False and (p != "a") is True
+        assert p != None and p != [p]     # noqa: E711
+        assert Polynomial.constant(PAR, 2) == 2 and Polynomial.constant(PAR, 2) != "2"
+
+    def test_repr(self):
+        assert repr(mono(PAR, {"x": 2, "r": 1}, Fraction(-3, 2))) == "Polynomial(-3/2*x^2*r)"
+        assert repr(Polynomial.zero(XYZ)) == "Polynomial(0)"
 
 
 class TestAdd:
@@ -141,6 +176,22 @@ class TestPartial:
     def test_parameter_differentiation_rejected(self):
         with pytest.raises(RoleError):
             partial(mono(PAR, {"r": 1}), "r")
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="negative differentiation order"):
+            partial(mono(XYZ, {"x": 2}), "x", -1)
+        with pytest.raises(ValueError, match="negative differentiation order"):
+            multi_partial(mono(XYZ, {"x": 2}), {"x": 1, "y": -1})
+
+    def test_multi_partial_checks_every_variable(self):
+        # the x order alone already gives zero; the checks still cover r and y
+        p = mono(PAR, {"x": 2, "r": 1})
+        with pytest.raises(RoleError, match="'r'"):
+            multi_partial(p, {"x": 5, "r": 1})
+        with pytest.raises(RoleError, match="'s'"):
+            multi_partial(p, {"s": 0})
+        with pytest.raises(ValueError, match="negative"):
+            multi_partial(p, {"x": 5, "y": -2})
 
 
 class TestSubstituteLinear:
@@ -280,6 +331,12 @@ class TestHomogenize:
         t = VarTable(("u", "v", "w"))
         with pytest.raises(DegreeError):
             homogenize(mono(t, {"u": 3}), "w", 2)
+
+    def test_parameter_or_present_variable_rejected(self):
+        with pytest.raises(RoleError, match="must be geometric"):
+            homogenize(mono(PAR, {"x": 1}), "r", 2)
+        with pytest.raises(ValueError, match="already occurs"):
+            homogenize(mono(PAR, {"x": 1, "z": 1}), "z", 3)
 
     def test_roundtrip(self):
         # homogenize then set the new variable to 1 recovers the input
@@ -496,6 +553,19 @@ class TestConvertCompose:
         swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         assert compose_linear(p, swap) == mono(XYZ, {"y": 3, "x": 1})
 
+    def test_convert_must_be_injective_on_the_support(self):
+        p = var(XYZ, "x") + var(XYZ, "y")
+        with pytest.raises(ValueError, match="not injective"):
+            convert(p, XYZ, {"x": "y"})
+        # a variable that does not occur may share a target
+        assert convert(var(XYZ, "x"), XYZ, {"x": "y", "z": "y"}) == var(XYZ, "y")
+
+    def test_compose_linear_needs_a_square_geometric_matrix(self):
+        p = mono(XYZ, {"x": 3, "y": 1})
+        for matrix in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0]]):
+            with pytest.raises(ValueError, match="3x3"):
+                compose_linear(p, matrix)
+
 
 # -- the integer form against per-term Fraction arithmetic ---------------------
 #
@@ -527,15 +597,6 @@ def _ref_mul(a, b):
 
 def _ref_scale(a, c):
     return _ref_clean({e: k * Fraction(c) for e, k in a.items()})
-
-
-def _ref_partial(a, i, order):
-    out = {}
-    for exps, c in a.items():
-        if exps[i] >= order:
-            new = exps[:i] + (exps[i] - order,) + exps[i + 1:]
-            out[new] = out.get(new, Fraction(0)) + c * perm(exps[i], order)
-    return _ref_clean(out)
 
 
 def _ref_convert(a, src, dst, rename):
@@ -684,7 +745,7 @@ class TestIntegerFormMatchesFractionReference:
             name = "xyz"[k % 3]
             order = k % 4
             got = partial(Polynomial(PAR, a), name, order)
-            assert_matches_reference(got, PAR, _ref_partial(a, PAR.index(name), order))
+            assert_matches_reference(got, PAR, ref_partial(a, PAR.index(name), order))
 
     def test_convert_and_homogenize(self):
         rng = random.Random(60603)
@@ -945,11 +1006,47 @@ class TestPackedFormMatchesTupleReference:
         name = data.draw(st.sampled_from(table.geometric))
         order = data.draw(st.one_of(st.integers(0, 4), st.integers(LIMIT - 25, LIMIT + 1)))
         got = partial(Polynomial(table, a), name, order)
-        want = _ref_partial(a, table.index(name), order)
+        want = ref_partial(a, table.index(name), order)
         if order < 5:
             assert_matches_reference(got, table, want)
         else:   # coefficients near 65535! have no float or short decimal form
             assert dict(got.terms) == want and got.total_degree() == _degree(want)
+
+    @_TABLES
+    @_PROPERTY
+    @given(data=st.data())
+    def test_multi_partial(self, table, data):
+        # against one tuple partial per variable, in turn; orders of 0, up to the
+        # term exponents and past them, and past the packing limit
+        a = data.draw(_terms(table))
+        order = st.one_of(st.integers(0, 4), st.integers(LIMIT - 25, LIMIT + 3))
+        orders = data.draw(st.dictionaries(st.sampled_from(table.geometric), order, max_size=3))
+        got = multi_partial(Polynomial(table, a), orders)
+        want = a
+        for name, k in orders.items():
+            want = ref_partial(want, table.index(name), k)
+        if max(orders.values(), default=0) < 5:
+            assert_matches_reference(got, table, want)
+        else:   # coefficients near 65535! have no float or short decimal form
+            assert dict(got.terms) == want and got.total_degree() == _degree(want)
+
+    def test_multi_partial_edge_orders(self):
+        for table in (PAR, SEVEN):
+            top = tuple(LIMIT if n == "z" else 0 for n in table.names)
+            a = {top: Fraction(5, 3), (3, 1, 0) + (2,) * len(table.parameters): Fraction(-7, 4),
+                 (1, 0, 0) + (0,) * len(table.parameters): Fraction(1, 6)}
+            p = Polynomial(table, a)
+            for orders in ({}, {"x": 0}, {"x": 0, "y": 0, "z": 0}):
+                assert_matches_reference(multi_partial(p, orders), table, a)
+            for orders in ({"x": 4}, {"z": LIMIT + 1}, {"x": 1, "y": 1, "z": 1},
+                           {"x": LIMIT + 1, "y": 2 ** 20}):
+                got = multi_partial(p, orders)
+                assert got.is_zero() and got.denominator == 1
+            want = {(2, 0, 0) + (2,) * len(table.parameters): Fraction(-21, 4)}
+            assert_matches_reference(multi_partial(p, {"x": 1, "y": 1}), table, want)
+            want = {(0,) * len(table): Fraction(-7, 4) * 3 * 2}
+            q = Polynomial(table, {(3, 1, 0) + (0,) * len(table.parameters): Fraction(-7, 4)})
+            assert_matches_reference(multi_partial(q, {"y": 1, "x": 3}), table, want)
 
     @_TABLES
     @_PROPERTY

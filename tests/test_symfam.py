@@ -12,7 +12,7 @@ from quartics import symfam
 from quartics.dixmier import InvariantSet, dixmier_invariants
 from quartics.errors import DomainError
 from quartics.polyring import Polynomial, VarTable
-from quartics.symfam import (FAMILY_PARAMS, Partition, SymmetricDecomposition,
+from quartics.symfam import (FAMILY_PARAMS, Partition, QuarticForm, SymmetricDecomposition,
                              decompose_symmetric, golden_compare,
                              golden_polynomial, is_symmetric, load_golden,
                              make_family, make_generic, reconstruct, s_basis)
@@ -169,6 +169,16 @@ class TestMakeFamily:
         with pytest.raises(DomainError):
             make_family("X96", (1,))
 
+    def test_unknown_family(self):
+        with pytest.raises(DomainError, match="unknown family 'X5'"):
+            make_family("X5")
+
+    @pytest.mark.parametrize("powers", [[{"x": 3}], [{"x": 4}, {"y": 3}], [{"r": 4}]])
+    def test_quartic_form_needs_a_homogeneous_quartic(self, powers):
+        poly = sum((mono(RSU, m) for m in powers), Polynomial.zero(RSU))
+        with pytest.raises(DomainError, match="homogeneous of geometric degree 4"):
+            QuarticForm(poly, "X4", ())
+
     def test_generic(self):
         q = make_generic(list(range(1, 16)))
         assert q.poly.geometric_degree() == 4
@@ -304,6 +314,11 @@ class TestDecompose:
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
             decompose_symmetric(mono(RSU, {"r": 1}))
+
+    def test_rejects_geometric_variables(self):
+        for powers in ({"x": 1}, {"y": 2, "r": 1}, {"z": 4}):
+            with pytest.raises(DomainError, match="non-basis variables"):
+                decompose_symmetric(mono(RSU, powers))
 
     def test_table_without_basis_variable(self, family_invariants):
         i3 = family_invariants["X16"].I3

@@ -15,6 +15,10 @@ The digest covers, in a fixed order:
 * the embedded algebra: every polynomial of ``detrep.E_SYSTEM`` and
   ``detrep.OEQ_SYSTEM``, and of the ``COMPONENTS`` constants of
   ``quartics.components``.
+* the differential calculus on its own: ``partial``, ``multi_partial``,
+  ``diff_pair``, ``hessian`` and ``transvectant`` (k = 2, 4) on each of X4,
+  X16, X24 and X96 and the first ``CALCULUS`` generic quartics of seed 1, and
+  on their contravariants sigma and psi.
 
 Each value enters as its ``str`` or ``repr``: exact, canonical and in term
 order.  Two checkouts whose exact path agrees print the same digest, so a
@@ -40,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 GENERIC = 40   # generic quartics of the numeric generator per seed
 MEMBERS = 25   # rational members per family per seed
+CALCULUS = 10  # generic quartics of seed 1 whose calculus operators are covered
 #: the bitangent component constants covered, by name
 COMPONENTS = ("X4_J1_GENERATORS", "X4_J1_QUARTIC_B", "X4_J2_BIQUADRATIC", "X4_J1_A2_SPLITS",
               "X16_J56_BIQUADRATIC", "X16_J7_BIQUADRATIC", "X24_J2_BIQUADRATIC",
@@ -111,12 +116,46 @@ def embedded_records():
         yield "\n".join(f"components.{name} {value}" for value in _flat(getattr(components, name)))
 
 
+def calculus_records(count: int):
+    """The calculus operators on the symbolic families and the first *count* generic
+    quartics of seed 1, each with its contravariants; the binary forms of the
+    transvectants are the restrictions to z = 0."""
+    import workloads
+    from quartics import dixmier, symfam
+    from quartics.diffcalc import diff_pair, hessian, transvectant
+    from quartics.polyring import multi_partial, partial, substitute_values
+
+    forms = [(family, symfam.make_family(family)) for family in sorted(symfam.FAMILY_PARAMS)]
+    forms += [(f"generic {tuple(map(str, coeffs))}", symfam.make_generic(coeffs))
+              for coeffs, _matrix in itertools.islice(workloads.Numeric().inputs(1), count)]
+    for label, form in forms:
+        f = form.poly
+        sigma, psi = dixmier.contravariants(f)
+        x, y, z = f.table.geometric
+        binary = [substitute_values(p, {z: 0}) for p in (f, sigma, psi)]
+        values = {
+            **{f"partial {p} {v}^{k}": partial(q, v, k) for p, q in (("f", f), ("psi", psi))
+               for v in (x, y, z) for k in (1, 2)},
+            "multi_partial f x y z^2": multi_partial(f, {x: 1, y: 1, z: 2}),
+            "multi_partial psi x^2 y^2 z": multi_partial(psi, {x: 2, y: 2, z: 1}),
+            "diff_pair f psi": diff_pair(f, psi),
+            "diff_pair sigma f": diff_pair(sigma, f),
+            "diff_pair f f": diff_pair(f, f),
+            **{f"hessian {p}": hessian(q) for p, q in (("f", f), ("sigma", sigma))},
+            **{f"transvectant f {p} {k}": transvectant(binary[0], b, k)
+               for p, b in (("f", binary[0]), ("sigma", binary[1]), ("psi", binary[2]))
+               for k in (2, 4)},
+        }
+        yield "\n".join(f"{label} {name} = {value}" for name, value in values.items())
+
+
 def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-    records = itertools.chain(symbolic_records(), embedded_records(), *(
-        itertools.chain(generic_records(seed, GENERIC), member_records(seed, MEMBERS))
-        for seed in SEEDS))
+    records = itertools.chain(
+        symbolic_records(), embedded_records(), calculus_records(CALCULUS),
+        *(itertools.chain(generic_records(seed, GENERIC), member_records(seed, MEMBERS))
+          for seed in SEEDS))
     digest = hashlib.sha256()
     count = 0
     for count, record in enumerate(records, 1):
