@@ -9,19 +9,23 @@ components embedded in :mod:`quartics.components`.
 
 The enumeration solves those components in closed form (quadratics,
 biquadratics, and a palindromic quartic resolvent that reduces to two
-quadratics), polishes the roots, then *certifies* every candidate line
-independently: the restricted quartic must fit a perfect square to ``tol``
-and, for a candidate from the general-position component of the
-three-parameter family (whichever family's member it is tried on), all ten
-ideal generators must vanish.  Candidates come in passes: a family's own
-components first, then supplements that run only when the lines certified
-so far do not deduplicate projectively to exactly 28 (a smooth plane
-quartic has exactly 28 bitangents), which the final count must be.
+quadratics), polishes the roots, then deduplicates and certifies each
+candidate line: a candidate within ``dedupe_tol`` of a line already kept is
+skipped, and any other is *certified* independently: the restricted quartic
+must fit a perfect square to ``tol`` and, for a candidate from the
+general-position component of the three-parameter family (whichever
+family's member it is tried on), all ten ideal generators must vanish.  So
+each distinct line is certified once, and the kept lines are those of
+certifying every candidate and deduplicating afterwards.  Candidates come in
+passes: a family's own components first, then supplements that run only when
+the lines kept so far are not exactly 28 (a smooth plane quartic has exactly
+28 bitangents), which the final count must be.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,10 +113,10 @@ class ProjLine:
         )
 
 
-def _normalized(coeffs) -> tuple[tuple[complex, complex, complex], float, float]:
+def _normalized(coeffs) -> tuple[tuple[complex, complex, complex], float, tuple[float, ...]]:
     """A coefficient triple as complex numbers scaled by a power of two to a
     largest modulus in [1/2, 1) (at least 2^-51 when it is subnormal), that
-    largest modulus, and the sum of the moduli over it (in [1, 3]).  The
+    largest modulus, and the three moduli over it (each in [0, 1]).  The
     scaling is exact, and it keeps the products of :func:`_distance` from
     overflowing or underflowing."""
     c = tuple(complex(v) for v in coeffs)
@@ -124,7 +128,7 @@ def _normalized(coeffs) -> tuple[tuple[complex, complex, complex], float, float]
         raise DomainError("zero line in projective comparison")
     scale = math.ldexp(1.0, min(-math.frexp(norm)[1], 1023))    # 2^1024 overflows
     c0, c1, c2 = c
-    return (c0 * scale, c1 * scale, c2 * scale), norm * scale, sum([m / norm for m in mags])
+    return (c0 * scale, c1 * scale, c2 * scale), norm * scale, tuple([m / norm for m in mags])
 
 
 def _distance(p, q) -> float:
@@ -142,6 +146,35 @@ def proj_distance(p, q) -> float:
     return _distance(_normalized(p), _normalized(q))
 
 
+class _LineSet:
+    """The one projective dedupe: the lines kept so far, each :func:`_normalized`
+    once and filed in the cell of its modulus sum (see :func:`dedupe_lines`)."""
+
+    def __init__(self, tol: float):
+        self._tol = tol
+        self._width = 8 * tol + _CELL_MARGIN
+        self._slack = 2 * tol + _CELL_MARGIN
+        self._cells: dict[int, list] = {}
+
+    def fresh(self, coefficients):
+        """The key of a line for :meth:`keep`, or None when a kept line lies within tol."""
+        key = _normalized(coefficients)
+        m0, m1, m2 = key[2]
+        cell = int(sum(key[2]) / self._width)
+        slack, tol = self._slack, self._tol
+        for near in (cell - 1, cell, cell + 1):
+            for rep in self._cells.get(near, ()):
+                r0, r1, r2 = rep[2]
+                if (abs(m0 - r0) < slack and abs(m1 - r1) < slack and abs(m2 - r2) < slack
+                        and _distance(key, rep) < tol):
+                    return None
+        return cell, key
+
+    def keep(self, key) -> None:
+        cell, line = key
+        self._cells.setdefault(cell, []).append(line)
+
+
 def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
     """Collapse projectively equal lines, keeping the first of each class.
 
@@ -157,24 +190,24 @@ def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
     so ||Q_k| - |P_k|| < tol and ||Q_j| - |P_j|| < 2 tol for j != k.  Hence the
     modulus sums S = sum |P_i| and sum |Q_i| differ by less than 5 tol.  Every
     representative sits in the cell floor(S / w) with w = 8 tol + 2^-40; a
-    match therefore lies in the line's own cell or one next to it, and the
-    absolute 2^-40 covers the float rounding of S and of the distance, which
-    a cell of width proportional to a tolerance near 1e-300 or 5e-324 would
-    not.  Since a line is kept exactly when no match exists, the decisions
-    (and the result) are those of comparing with every representative.
+    match therefore lies in the line's own cell or one next to it, and within
+    it each of its moduli |Q_j| lies within 2 tol + 2^-40 of |P_j|, so the
+    distance is computed only for a representative that passes both tests.
+    The absolute 2^-40 covers the float rounding of S, of the moduli and of
+    the distance, which a margin proportional to a tolerance near 1e-300 or
+    5e-324 would not.  Since a line is kept exactly when no match exists, the
+    decisions (and the result) are those of comparing with every
+    representative.
     """
     check_tolerance("tol", tol)
-    width = 8 * tol + _CELL_MARGIN
-    cells: dict[int, list] = {}
+    seen = _LineSet(tol)
     reps = []
     for line in lines:
         if not isinstance(line, (ProjLine, BitangentCert)):
             line = ProjLine.from_coefficients(line)
-        key = _normalized(line.coefficients)
-        cell = int(key[2] / width)
-        if not any(_distance(key, r) < tol
-                   for near in (cell - 1, cell, cell + 1) for r in cells.get(near, ())):
-            cells.setdefault(cell, []).append(key)
+        key = seen.fresh(line.coefficients)
+        if key is not None:
+            seen.keep(key)
             reps.append(line)
     return sorted(reps, key=lambda l: l.sort_key())
 
@@ -277,8 +310,10 @@ def perfect_square_fit(coeffs, tol: float = DEFAULT_CERT_TOL):
     best = None
     for lam in candidates:
         l0, l1, l2 = lam
-        fit = (l0 * l0, 2 * l0 * l1, l1 * l1 + 2 * l0 * l2, 2 * l1 * l2, l2 * l2)
-        residual = max(abs(x - y) for x, y in zip(c, fit)) / top
+        # the coefficients of (l0 x^2 + l1 xy + l2 y^2)^2 subtracted from c40..c04
+        residual = max(abs(c40 - l0 * l0), abs(c31 - 2 * l0 * l1),
+                       abs(c22 - (l1 * l1 + 2 * l0 * l2)), abs(c13 - 2 * l1 * l2),
+                       abs(c04 - l2 * l2)) / top
         if residual < tol and (best is None or residual < best[1]):
             best = (lam, residual)
     return best
@@ -341,7 +376,7 @@ def _solve_x4_j1(r, s, u):
                 if abs(c) > abs(cval):
                     cval, rval = c, rest
             if abs(cval) < 1e-12:
-                # no usable split: a NaN candidate that _certify rejects under "J1(split)"
+                # no usable split: a NaN candidate, rejected under "J1(split)"
                 out.append((cmath.nan, b, "J1(split)"))
                 continue
             a2 = -rval / cval
@@ -500,12 +535,8 @@ def _kills_x4_j1_generators(cert: BitangentCert, triple, tol: float) -> bool:
                for v, scale in eval_scaled_many(comp.X4_J1_GENERATORS, point))
 
 
-def _certify(fpoly: Polynomial, coeffs, tol: float, source: str):
-    """Perfect-square certification of a candidate line against ``fpoly``;
-    a candidate with a non-finite coordinate is rejected."""
-    if not all(map(cmath.isfinite, coeffs)):
-        return None
-    line = ProjLine.from_coefficients(coeffs)
+def _certify(fpoly: Polynomial, line: ProjLine, tol: float, source: str):
+    """Perfect-square certification of a normalized candidate line against ``fpoly``."""
     chart = line.chart
     point = CHARTS[chart].point(line.coefficients)
     values = [v for v, _ in eval_scaled_many(restriction_coefficients(fpoly, chart), point)]
@@ -526,6 +557,12 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
     distinct lines or if a value overflows double precision, and
     :class:`DomainError` on an unknown family, a wrong parameter count or a
     tolerance that is not a finite number > 0.
+
+    A candidate within *dedupe_tol* of a line kept so far is skipped: a
+    dedupe of every certified line, in candidate order, would drop it whether
+    or not it certifies.  The skipped candidates are certified only when the
+    count is not 28, so that the error counts every rejected candidate, its
+    sources in candidate order.
     """
     check_tolerance("tol", tol)
     check_tolerance("dedupe_tol", dedupe_tol)
@@ -535,33 +572,57 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
     triple = x4_triple(family, params)
     member = f"{family}{tuple(str(v) for v in params)}"
 
+    seen = _LineSet(dedupe_tol)
     reps: list[BitangentCert] = []
-    failures: dict[str, int] = {}
+    rejected: list[tuple[int, str]] = []        # (candidate index, source) of each failure
+    skipped: list[tuple[int, ProjLine, str]] = []
     gated = 0
+
+    def certify(index: int, line: ProjLine, source: str):
+        """The certificate of a candidate, or None once its rejection is counted."""
+        nonlocal gated
+        cert = _certify(form.poly, line, tol, source)
+        if cert is None:
+            rejected.append((index, source))
+        elif source == "X4.J1" and not _kills_x4_j1_generators(cert, triple, tol):
+            # a general-position X4 line, whatever the family, must also kill
+            # the J1 generators
+            gated += 1
+        else:
+            return cert
+        return None
+
+    index = itertools.count()
     with overflow_as(EnumerationError, member):
         for sources in CANDIDATE_SOURCES[family]:
-            certified: list[BitangentCert] = []
+            kept: list[BitangentCert] = []
             for source in sources:
                 for coeffs, tag in source(triple):
-                    cert = _certify(form.poly, coeffs, tol, tag)
-                    if cert is None:
-                        failures[tag] = failures.get(tag, 0) + 1
-                    elif tag == "X4.J1" and not _kills_x4_j1_generators(cert, triple, tol):
-                        # a general-position X4 line, whatever the family, must
-                        # also kill the J1 generators
-                        gated += 1
-                    else:
-                        certified.append(cert)
-            # kept lines never match one another and precede the pass's lines, so
-            # this keeps and orders exactly what a dedupe of every certified line would
-            reps = dedupe_lines(reps + certified, dedupe_tol)
+                    i = next(index)
+                    if not all(map(cmath.isfinite, coeffs)):
+                        rejected.append((i, tag))
+                        continue
+                    line = ProjLine.from_coefficients(coeffs)
+                    key = seen.fresh(line.coefficients)
+                    if key is None:
+                        skipped.append((i, line, tag))
+                    elif (cert := certify(i, line, tag)) is not None:
+                        seen.keep(key)
+                        kept.append(cert)
+            reps = sorted(reps + kept, key=BitangentCert.sort_key)
             if len(reps) == 28:
                 break
+        if len(reps) != 28:
+            for i, line, tag in skipped:
+                certify(i, line, tag)
 
     if len(reps) != 28:
         counts: dict[str, int] = {}
         for c in reps:
             counts[c.source] = counts.get(c.source, 0) + 1
+        failures: dict[str, int] = {}
+        for _, tag in sorted(rejected):
+            failures[tag] = failures.get(tag, 0) + 1
         if gated:
             failures["X4.J1(generators)"] = gated
         raise EnumerationError(

@@ -40,27 +40,40 @@ def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
 
 def det(rows):
     """Determinant of a square matrix given by its rows, by cofactor expansion
-    (sizes up to 4 in practice).
+    along the first row (sizes up to 4 in practice).
 
-    Exact for polynomial entries; complex entries give the numeric value.
+    The minor of the rows below a row on a set of columns is the same on every
+    expansion path that reaches it, so each is expanded once and kept.  A zero
+    entry is skipped, and complex terms are added left to right (not by
+    ``sum``: newer Pythons compensate its float sums).  Exact for polynomial
+    entries; complex entries give the numeric value.
     """
-    if not rows or any(len(row) != len(rows) for row in rows):
+    n = len(rows)
+    if not rows or any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    return _det_rows(rows)
+    minors = {(c,): entry for c, entry in enumerate(rows[-1])}
 
+    def minor(cols):
+        """The determinant of the last ``len(cols)`` rows on the columns *cols*."""
+        row = rows[n - len(cols)]
+        terms = []
+        for j, c in enumerate(cols):
+            if entry := row[c]:
+                rest = cols[:j] + cols[j + 1:]
+                if (sub := minors.get(rest)) is None:
+                    sub = minors[rest] = minor(rest)
+                terms.append((-1 if j % 2 else 1, entry, sub))
+        first = row[cols[0]]
+        if isinstance(first, Polynomial):
+            return Polynomial.sum_of_products(first.table, terms)
+        total = 0 * first
+        for sign, entry, sub in terms:
+            term = entry * sub
+            total = total + (term if sign > 0 else -term)
+        return total
 
-def _det_rows(rows):
-    if len(rows) == 1:
-        return rows[0][0]
-    terms = [(-1 if j % 2 else 1, entry, _det_rows([row[:j] + row[j + 1:] for row in rows[1:]]))
-             for j, entry in enumerate(rows[0]) if entry]
-    if isinstance(rows[0][0], Polynomial):
-        return Polynomial.sum_of_products(rows[0][0].table, terms)
-    total = 0 * rows[0][0]
-    for sign, entry, minor in terms:    # not sum(): newer Pythons compensate its float sums
-        term = entry * minor
-        total = total + (term if sign > 0 else -term)
-    return total
+    cols = tuple(range(n))
+    return minors[cols] if n == 1 else minor(cols)
 
 
 def adjugate(m) -> tuple[tuple[Polynomial, ...], ...]:
@@ -115,7 +128,8 @@ def transvectant(F: Polynomial, G: Polynomial, k: int,
                   sum_m C(k,m) (-1)^m  dx^(k-m) dy^m F  *  dx^m dy^(k-m) G
 
     which is the binomial expansion of the Cayley operator power.  Requires
-    ``k <= min(r, s)``.
+    ``0 <= k <= min(r, s)``, where a zero operand counts as having the other
+    operand's degree; the transvectant with a zero operand is zero.
     """
     if F.table != G.table:
         raise TableMismatchError("transvectant operands use different variable tables")
@@ -124,18 +138,18 @@ def transvectant(F: Polynomial, G: Polynomial, k: int,
         if len(pair) < 2:
             raise DegreeError("table has fewer than two geometric variables")
     x, y = pair
-    if F.is_zero() or G.is_zero():
-        return Polynomial.zero(F.table)
     for p, label in ((F, "F"), (G, "G")):
         extra = {n for n in p.support_names() if p.table.is_geometric(n)} - {x, y}
         if extra:
             raise DegreeError(f"{label} is not a binary form in ({x},{y}): uses {sorted(extra)}")
         if not p.is_geometric_homogeneous():
             raise DegreeError(f"{label} is not homogeneous in ({x},{y})")
-    r = F.geometric_degree()
-    s = G.geometric_degree()
+    r = (F or G).geometric_degree()
+    s = (G or F).geometric_degree()
     if k < 0 or k > min(r, s):
         raise DomainError(f"transvectant order {k} exceeds min(deg F, deg G) = {min(r, s)}")
+    if F.is_zero() or G.is_zero():
+        return Polynomial.zero(F.table)
     scale = Fraction(1, math.perm(r, k) * math.perm(s, k))     # (r-k)!(s-k)!/(r!s!)
     return Polynomial.sum_of_products(F.table, (
         ((-1) ** m * math.comb(k, m) * scale,

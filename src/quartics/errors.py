@@ -23,8 +23,15 @@ class DegreeError(QuarticsError):
     """An operand has the wrong degree for the requested operation."""
 
 
-class DomainError(QuarticsError):
-    """An argument is outside the operation's domain (e.g. transvectant order)."""
+class DomainError(QuarticsError, KeyError):
+    """An argument is outside the operation's domain (e.g. transvectant order or
+    an unknown variable name).
+
+    It is also a :class:`KeyError`, which an unknown variable name raised before,
+    so ``except KeyError`` still catches that.  Its message is the plain text:
+    ``KeyError.__str__`` would quote it."""
+
+    __str__ = BaseException.__str__
 
 
 class DegeneracyError(QuarticsError):

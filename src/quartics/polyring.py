@@ -50,7 +50,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm, perm
 from operator import or_
 from types import MappingProxyType
@@ -131,7 +131,7 @@ class VarTable:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"unknown variable {name!r} (table has {self.names})") from None
+            raise DomainError(f"unknown variable {name!r} (table has {self.names})") from None
 
     def is_geometric(self, name: str) -> bool:
         return self.index(name) < len(self.geometric)
@@ -416,12 +416,12 @@ def partial(p: Polynomial, var: str, order: int = 1) -> Polynomial:
     return multi_partial(p, {var: order})
 
 
-def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
-    """The partial ``d^a p`` of the orders ``a`` by geometric variable, in one pass: each
-    term with exponents b >= a gives ``num * prod perm(b_i, a_i)`` at ``key - key(x^a)``."""
-    table = p.table
+@lru_cache(maxsize=256)
+def _lowering(table: VarTable, orders: tuple[tuple[str, int], ...]):
+    """The operator ``d^a`` of :func:`multi_partial` over *table*, checked once: its
+    steps ``(shift, a_i)`` (the nonzero orders) and the key ``key(x^a)`` it lowers by."""
     steps, lower = [], 0
-    for var, k in orders.items():
+    for var, k in orders:
         if k < 0:
             raise ValueError("negative differentiation order")
         if not table.is_geometric(var):
@@ -431,6 +431,14 @@ def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
             steps.append((shift, k))
             # an order above 65,535 spills out of its field, but no key is lowered by it
             lower += (k << table._top) + (k << shift)
+    return tuple(steps), lower
+
+
+def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
+    """The partial ``d^a p`` of the orders ``a`` by geometric variable, in one pass: each
+    term with exponents b >= a gives ``num * prod perm(b_i, a_i)`` at ``key - key(x^a)``."""
+    table = p.table
+    steps, lower = _lowering(table, tuple(orders.items()))
     out = {}
     for key, coeff in p._num.items():
         for shift, k in steps:

@@ -17,11 +17,14 @@ from quartics.bitangent import (CHARTS, DEFAULT_CERT_TOL, DEFAULT_DEDUPE_TOL,
                                 enumerate_bitangents, eval_scaled,
                                 perfect_square_fit, proj_distance,
                                 restriction_coefficients)
-from quartics.errors import DegeneracyError, DomainError, EnumerationError
+from quartics.errors import (DegeneracyError, DomainError, EnumerationError, QuarticsError,
+                             overflow_as)
 from quartics.numroots import eval_poly
 from quartics.polyring import (Polynomial, VarTable, convert, eval_complex, eval_exact,
                                substitute)
-from quartics.symfam import make_family
+from quartics.symfam import FAMILY_PARAMS, make_family, singular_locus_check, x4_triple
+
+from test_certify_fixture import MEMBERS
 
 
 NAN, INF = float("nan"), float("inf")
@@ -281,6 +284,29 @@ class TestDedupeExact:
         rng.shuffle(lines)
         assert dedupe_lines(lines, tol) == _dedupe_reference(lines, tol)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_copies_near_tol_in_every_direction_match_reference(self, seed):
+        # each non-pivot slot moved by 0.99 tol in a random direction: the minors
+        # through the pivot are 0.99 tol, the third one up to about 2 tol, so
+        # some copies match and some do not, and the moduli pre-check must let
+        # every match through to the distance
+        rng = random.Random(500 + seed)
+        tol = 1e-8
+        lines = []
+        for _ in range(30):
+            line = ProjLine.from_coefficients(
+                [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)])
+            lines.append(line)
+            for _ in range(3):
+                lines.append(tuple(
+                    v if j == line.pivot
+                    else v + 0.99 * tol * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+                    for j, v in enumerate(line.coefficients)))
+        rng.shuffle(lines)
+        got = dedupe_lines(lines, tol)
+        assert got == _dedupe_reference(lines, tol)
+        assert 30 < len(got) < 120
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_LINES, max_size=12), st.lists(_LINES, max_size=12))
     def test_dedupe_onto_kept_lines(self, first, rest):
@@ -344,10 +370,23 @@ _X4_ALL_CHARTS = bitangent._in_charts("X4", (bitangent._solve_x4_axes, bitangent
 
 
 class TestNonFiniteCandidate:
-    def test_certify_rejects(self):
-        poly = make_family("X24", (3,)).poly
-        for coeffs in ((NAN, 1 + 0j, 1 + 0j), (1 + 0j, complex(INF, 0), 1 + 0j)):
-            assert bitangent._certify(poly, coeffs, DEFAULT_CERT_TOL, "X24.J2") is None
+    def test_certify_rejects(self, monkeypatch):
+        # such a candidate cannot be normalized, so it is rejected before
+        # certification: it never reaches _certify and counts under its source
+        bad = ((NAN, 1 + 0j, 1 + 0j), (1 + 0j, complex(INF, 0), 1 + 0j))
+        for coeffs in bad:
+            with pytest.raises(DomainError, match="not all finite"):
+                ProjLine.from_coefficients(coeffs)
+        certified = []
+        certify = bitangent._certify
+        monkeypatch.setattr(bitangent, "_certify",
+                            lambda poly, line, *rest: certified.append(line)
+                            or certify(poly, line, *rest))
+        monkeypatch.setitem(bitangent.CANDIDATE_SOURCES, "X24",
+                            (((lambda _triple: [(c, "X24.J2") for c in bad]),),))
+        with pytest.raises(EnumerationError, match=r"rejected: \{'X24.J2': 2\}"):
+            enumerate_bitangents("X24", (3,))
+        assert certified == []
 
     def test_counted_under_its_source(self, monkeypatch):
         def bad(_triple):
@@ -400,7 +439,8 @@ class TestEnumeration:
         assert (sources.count("X96.full"), sources.count("X96.axis")) == (16, 24)
         poly = make_family("X96").poly
         for coeffs, source in candidates:
-            assert bitangent._certify(poly, coeffs, DEFAULT_CERT_TOL, source) is not None
+            line = ProjLine.from_coefficients(coeffs)
+            assert bitangent._certify(poly, line, DEFAULT_CERT_TOL, source) is not None
 
     def test_x24_rational_lines(self):
         certs = enumerate_bitangents("X24", (1,))
@@ -725,6 +765,119 @@ class TestCertifyPasses:
         assert {source for _, source in axes(triple)} == {"X4.J2", "X4.J3"}
         assert {source for _, source in j1(triple)} == {"X4.J1"}
         assert all(coeffs[2] == 1 for coeffs, _ in xy(triple))
+
+
+def _enumerate_reference(family, params, tol=DEFAULT_CERT_TOL, dedupe_tol=DEFAULT_DEDUPE_TOL):
+    """The enumeration as it ran before candidates were deduplicated first, from
+    the module's own pieces: every candidate of every pass that runs goes through
+    ``_certify`` and the J1 gate, then each pass is deduplicated onto the lines
+    kept before it."""
+    form = make_family(family, tuple(params))
+    singular_locus_check(family, form.params)
+    triple = x4_triple(family, form.params)
+    member = f"{family}{tuple(str(v) for v in form.params)}"
+    reps, failures, gated = [], {}, 0
+    with overflow_as(EnumerationError, member):
+        for sources in bitangent.CANDIDATE_SOURCES[family]:
+            certified = []
+            for source in sources:
+                for coeffs, tag in source(triple):
+                    cert = None
+                    if all(map(cmath.isfinite, coeffs)):
+                        cert = bitangent._certify(form.poly, ProjLine.from_coefficients(coeffs),
+                                                  tol, tag)
+                    if cert is None:
+                        failures[tag] = failures.get(tag, 0) + 1
+                    elif tag == "X4.J1" and not bitangent._kills_x4_j1_generators(cert, triple,
+                                                                                   tol):
+                        gated += 1
+                    else:
+                        certified.append(cert)
+            reps = dedupe_lines(reps + certified, dedupe_tol)
+            if len(reps) == 28:
+                break
+    if len(reps) != 28:
+        counts = {}
+        for c in reps:
+            counts[c.source] = counts.get(c.source, 0) + 1
+        if gated:
+            failures["X4.J1(generators)"] = gated
+        raise EnumerationError(f"{member}: {len(reps)} distinct certified lines instead of 28 "
+                               f"(by component: {counts}; rejected: {failures})")
+    return reps
+
+
+def _outcome(call, *args):
+    try:
+        return repr(call(*args))
+    except QuarticsError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _far_members(seed, count):
+    """Seeded members of each family with parameters of size 1e-1..1e3."""
+    rng = random.Random(seed)
+
+    def value():
+        return Fraction(rng.choice((1, -1)) * rng.randint(100, 10 ** 6), 1000)
+
+    return [(family, tuple(value() for _ in FAMILY_PARAMS[family]))
+            for _ in range(count) for family in ("X4", "X16", "X24")]
+
+
+class TestDedupeBeforeCertification:
+    """Each distinct line is certified once; the answers are those of certifying
+    every candidate and deduplicating each pass afterwards."""
+
+    @pytest.mark.parametrize("family,raw", MEMBERS)
+    def test_fixture_members_match_the_reference(self, family, raw):
+        params = tuple(Fraction(p) for p in raw)
+        assert (_outcome(enumerate_bitangents, family, params)
+                == _outcome(_enumerate_reference, family, params))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_far_members_match_the_reference(self, seed):
+        for family, params in _far_members(seed, 6):
+            assert (_outcome(enumerate_bitangents, family, params)
+                    == _outcome(_enumerate_reference, family, params)), (family, params)
+
+    def test_failing_member_counts_its_skipped_duplicates(self, monkeypatch):
+        # this member ends with 24 lines; 8 of its rejected candidates lie within
+        # dedupe_tol of a line kept before them, so they are certified only after
+        # the last pass, and the error counts them where the reference does
+        params = (Fraction(61, 125), Fraction(6557379, 1000))
+        want = _outcome(_enumerate_reference, "X16", params)
+        assert want.startswith("EnumerationError: X16('61/125', '6557379/1000'): 24 distinct")
+        skipped, rejected = [], []
+        fresh, certify = bitangent._LineSet.fresh, bitangent._certify
+
+        def recording_fresh(self, coefficients):
+            key = fresh(self, coefficients)
+            if key is None:
+                skipped.append(coefficients)
+            return key
+
+        def recording_certify(poly, line, *rest):
+            cert = certify(poly, line, *rest)
+            if cert is None and any(line.coefficients is c for c in skipped):
+                rejected.append(line)
+            return cert
+
+        monkeypatch.setattr(bitangent._LineSet, "fresh", recording_fresh)
+        monkeypatch.setattr(bitangent, "_certify", recording_certify)
+        assert _outcome(enumerate_bitangents, "X16", params) == want
+        assert len(rejected) == 8
+
+    def test_passing_member_certifies_each_line_once(self, monkeypatch):
+        lines = []
+        certify = bitangent._certify
+        monkeypatch.setattr(bitangent, "_certify",
+                            lambda poly, line, *rest: lines.append(line)
+                            or certify(poly, line, *rest))
+        assert len(enumerate_bitangents("X24", (3,))) == 28
+        assert len(lines) == 28
+        assert all(proj_distance(a.coefficients, b.coefficients) >= DEFAULT_DEDUPE_TOL
+                   for a, b in itertools.combinations(lines, 2))
 
 
 class TestSymmetryEquivariance:

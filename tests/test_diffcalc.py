@@ -478,11 +478,31 @@ class TestTransvectant:
             transvectant(F, F, -1)
 
     def test_zero_operand_gives_zero(self):
+        # a zero operand counts as having the other operand's degree, so the
+        # order is checked as for (F, F, k); zero has degree 0
         zero = Polynomial.zero(XY)
         F = mono(XY, {"x": 2, "y": 1}, 3)
         for a, b in ((zero, F), (F, zero), (zero, zero)):
             got = transvectant(a, b, 0)
             assert got.is_zero() and got.table == XY
+        for a, b in ((zero, F), (F, zero)):
+            for k in range(4):
+                got = transvectant(a, b, k)
+                assert got.is_zero() and got.table == XY
+        for k in (7, 4, -1):
+            with pytest.raises(DomainError) as want:
+                transvectant(F, F, k)
+            for a, b in ((zero, F), (F, zero)):
+                with pytest.raises(DomainError) as got:
+                    transvectant(a, b, k)
+                assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError, match=r"order 1 exceeds min\(deg F, deg G\) = 0"):
+            transvectant(zero, zero, 1)
+
+    def test_zero_operand_still_checks_the_other(self):
+        zero = Polynomial.zero(XYZ)
+        with pytest.raises(DegreeError, match=r"G is not a binary form in \(x,y\): uses \['z'\]"):
+            transvectant(zero, mono(XYZ, {"z": 2}), 0)
 
     def test_matches_two_point_oracle(self):
         rng = random.Random(34)
@@ -512,7 +532,8 @@ class TestTransvectant:
 
 
 def _det_left_to_right(rows):
-    """The cofactor expansion with a running total, its signed terms added left to right."""
+    """The recursive Laplace expansion along the first row, with a running total, its
+    signed terms added left to right: each minor is expanded again on every path."""
     if len(rows) == 1:
         return rows[0][0]
     total = 0 * rows[0][0]
@@ -538,3 +559,38 @@ def test_complex_det_is_bit_identical_to_the_left_to_right_sum(seed):
 
     rows = [[entry() for _ in range(4)] for _ in range(4)]
     assert repr(det(rows)) == repr(_det_left_to_right(rows))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_complex_det_of_detreps_pattern_is_bit_identical(seed):
+    # the detrep pencil x*I + y*B + z*C: B diagonal, C with a zero diagonal and
+    # a = f = 0, so the entries (0, 1), (1, 0), (2, 3) and (3, 2) vanish
+    rng = random.Random(100 + seed)
+
+    def value():
+        scale = 10.0 ** rng.randint(-8, 8)
+        return complex(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
+
+    x, y, z = value(), value(), value()
+    p, q = value(), value()
+    b, c, d, e = value(), value(), value(), value()
+    a_m = [[1.0 + 0j if i == j else 0j for j in range(4)] for i in range(4)]
+    b_m = [[(p, -p, q, -q)[i] if i == j else 0j for j in range(4)] for i in range(4)]
+    c_m = [[0j, 0j, b, d], [0j, 0j, c, e], [b, c, 0j, 0j], [d, e, 0j, 0j]]
+    rows = [[x * a_m[i][j] + y * b_m[i][j] + z * c_m[i][j] for j in range(4)]
+            for i in range(4)]
+    assert [rows[i][j] == 0 for i, j in ((0, 1), (1, 0), (2, 3), (3, 2))] == [True] * 4
+    assert repr(det(rows)) == repr(_det_left_to_right(rows))
+
+
+def test_symbolic_pencil_det_equals_the_recursive_expansion():
+    from quartics.detrep import symbolic_pencil
+
+    a_m, b_m, c_m = symbolic_pencil()
+    table = a_m[0][0].table
+    x, y, z = (Polynomial.variable(table, n) for n in "xyz")
+    rows = [[a_m[i][j] * x + b_m[i][j] * y + c_m[i][j] * z for j in range(4)]
+            for i in range(4)]
+    got = det(rows)
+    assert got == _det_left_to_right(rows)
+    assert got.geometric_degree() == 4

@@ -193,6 +193,48 @@ class TestPartial:
         with pytest.raises(ValueError, match="negative"):
             multi_partial(p, {"x": 5, "y": -2})
 
+    def test_checks_hold_on_every_call(self):
+        # the checked operator is cached per table and orders; a failed check is not
+        p = mono(PAR, {"x": 2, "r": 1})
+        for _ in range(2):
+            with pytest.raises(RoleError, match="'r'"):
+                multi_partial(p, {"r": 1})
+            with pytest.raises(ValueError, match="negative"):
+                multi_partial(p, {"x": -1})
+            assert multi_partial(p, {"x": 1}) == mono(PAR, {"x": 1, "r": 1}, 2)
+        # equal orders over equal tables of other objects give the same operator
+        twin = VarTable(PAR.geometric, PAR.parameters)
+        q = mono(twin, {"x": 2, "r": 1})
+        assert multi_partial(q, {"x": 1}) == mono(twin, {"x": 1, "r": 1}, 2)
+
+
+class TestUnknownVariable:
+    """An unknown name raises a :class:`DomainError`, which is also a KeyError,
+    with the plain message (KeyError's ``__str__`` would quote it)."""
+
+    MESSAGE = "unknown variable 'w' (table has ('x', 'y', 'z', 'r', 's', 'u'))"
+
+    @pytest.mark.parametrize("call", [
+        lambda p: partial(p, "w"),
+        lambda p: multi_partial(p, {"x": 1, "w": 1}),
+        lambda p: homogenize(p, "w", 4),
+        lambda p: Polynomial.monomial(PAR, {"w": 1}),
+        lambda p: p.coefficient({"w": 1}),
+        lambda p: PAR.index("w"),
+    ])
+    def test_type_and_message(self, call):
+        with pytest.raises(DomainError) as info:
+            call(mono(PAR, {"x": 2, "r": 1}))
+        assert type(info.value) is DomainError
+        assert isinstance(info.value, KeyError)
+        assert str(info.value) == self.MESSAGE
+        assert info.value.args == (self.MESSAGE,)
+
+    def test_other_domain_errors_keep_their_text(self):
+        assert str(DomainError("tol must be a finite number > 0, got nan")) == \
+            "tol must be a finite number > 0, got nan"
+        assert str(DomainError()) == ""
+
 
 class TestSubstituteLinear:
     def test_fermat_restriction(self):
