@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,32 +76,33 @@ _SLOT_CHART = {"xyz".index(c.normalized): c.id for c in CHARTS.values()}
 class ProjLine:
     """A projective line with deterministically normalized complex coefficients.
 
-    The coefficient of largest modulus (first such slot on ties) is scaled
-    to exactly 1.
+    :meth:`from_coefficients` scales the coefficient of largest modulus (first
+    such slot on ties) to exactly 1, so every modulus is at most 1 up to
+    rounding; the constructor takes only a triple already in that form.  The
+    three moduli are computed and checked once, when the line is built; they
+    stay out of ``repr`` and equality.
     """
 
     coefficients: tuple[complex, complex, complex]
+    moduli: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        moduli = _moduli(self.coefficients)
+        if not abs(max(moduli) - 1.0) < _CELL_MARGIN:     # the dedupe's cells need it
+            raise DomainError(f"line {self.coefficients} is not normalized: use from_coefficients")
+        object.__setattr__(self, "moduli", moduli)
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "ProjLine":
-        c = [complex(v) for v in coeffs]
-        if not all(map(cmath.isfinite, c)):
-            raise DomainError(f"line coefficients are not all finite: {tuple(c)}")
-        mags = [abs(v) for v in c]
-        top = max(mags)
-        if top == 0.0:
-            raise DomainError("all line coefficients are zero")
-        k = mags.index(top)
-        pivot = c[k]
-        out = tuple(v / pivot for v in c)
+        c = tuple(map(complex, coeffs))
+        mags = _moduli(c)
+        k = mags.index(max(mags))
         # exact unit in the pivot slot
-        out = out[:k] + (1.0 + 0.0j,) + out[k + 1:]
-        return cls(out)
+        return cls(tuple(1.0 + 0.0j if i == k else v / c[k] for i, v in enumerate(c)))
 
     @property
     def pivot(self) -> int:
-        mags = [abs(v) for v in self.coefficients]
-        return mags.index(max(mags))
+        return self.moduli.index(max(self.moduli))
 
     @property
     def chart(self) -> str:
@@ -113,42 +114,37 @@ class ProjLine:
         )
 
 
-def _normalized(coeffs) -> tuple[tuple[complex, complex, complex], float, tuple[float, ...]]:
-    """A coefficient triple as complex numbers scaled by a power of two to a
-    largest modulus in [1/2, 1) (at least 2^-51 when it is subnormal), that
-    largest modulus, and the three moduli over it (each in [0, 1]).  The
-    scaling is exact, and it keeps the products of :func:`_distance` from
-    overflowing or underflowing."""
-    c = tuple(complex(v) for v in coeffs)
-    if not all(map(cmath.isfinite, c)):
-        raise DomainError("non-finite line in projective comparison")
-    mags = [abs(v) for v in c]
-    norm = max(mags)
-    if norm == 0.0:
-        raise DomainError("zero line in projective comparison")
-    scale = math.ldexp(1.0, min(-math.frexp(norm)[1], 1023))    # 2^1024 overflows
-    c0, c1, c2 = c
-    return (c0 * scale, c1 * scale, c2 * scale), norm * scale, tuple([m / norm for m in mags])
+def _moduli(coefficients) -> tuple[float, ...]:
+    """The moduli of a line's coefficients, which must be three, finite and
+    not all zero (else :class:`DomainError`)."""
+    if len(coefficients) != 3:
+        raise DomainError(f"a line has 3 coefficients, got {len(coefficients)}")
+    mags = tuple(map(abs, coefficients))
+    if not all(map(math.isfinite, mags)):
+        raise DomainError(f"non-finite line: coefficients not all finite: {tuple(coefficients)}")
+    if max(mags) == 0.0:
+        raise DomainError("zero line: all coefficients are zero")
+    return mags
 
 
-def _distance(p, q) -> float:
-    """:func:`proj_distance` of two :func:`_normalized` triples."""
-    (p, np_, _), (q, nq, _) = p, q
-    norm = np_ * nq
-    best = 0.0
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        best = max(best, abs(p[i] * q[j] - p[j] * q[i]) / norm)
-    return best
+def _distance(p: ProjLine, q: ProjLine) -> float:
+    """:func:`proj_distance` of two lines.  Their largest moduli are 1 up to
+    rounding, so no minor overflows."""
+    (p0, p1, p2), (q0, q1, q2) = p.coefficients, q.coefficients
+    minor = max(abs(p0 * q1 - p1 * q0), abs(p0 * q2 - p2 * q0), abs(p1 * q2 - p2 * q1))
+    return minor / (max(p.moduli) * max(q.moduli))
 
 
 def proj_distance(p, q) -> float:
-    """Projective distance of two coefficient triples: the largest normalized 2x2 minor."""
-    return _distance(_normalized(p), _normalized(q))
+    """Projective distance of two coefficient triples: the largest 2x2 minor
+    of their :meth:`ProjLine.from_coefficients` lines, over the product of
+    their largest moduli."""
+    return _distance(ProjLine.from_coefficients(p), ProjLine.from_coefficients(q))
 
 
 class _LineSet:
-    """The one projective dedupe: the lines kept so far, each :func:`_normalized`
-    once and filed in the cell of its modulus sum (see :func:`dedupe_lines`)."""
+    """The one projective dedupe: the lines kept so far, each filed in the cell
+    of its modulus sum (see :func:`dedupe_lines`)."""
 
     def __init__(self, tol: float):
         self._tol = tol
@@ -156,22 +152,20 @@ class _LineSet:
         self._slack = 2 * tol + _CELL_MARGIN
         self._cells: dict[int, list] = {}
 
-    def fresh(self, coefficients):
-        """The key of a line for :meth:`keep`, or None when a kept line lies within tol."""
-        key = _normalized(coefficients)
-        m0, m1, m2 = key[2]
-        cell = int(sum(key[2]) / self._width)
+    def fresh(self, line: ProjLine) -> int | None:
+        """The cell of a line for :meth:`keep`, or None when a kept line lies within tol."""
+        m0, m1, m2 = line.moduli
+        cell = int((m0 + m1 + m2) / self._width)
         slack, tol = self._slack, self._tol
         for near in (cell - 1, cell, cell + 1):
             for rep in self._cells.get(near, ()):
-                r0, r1, r2 = rep[2]
+                r0, r1, r2 = rep.moduli
                 if (abs(m0 - r0) < slack and abs(m1 - r1) < slack and abs(m2 - r2) < slack
-                        and _distance(key, rep) < tol):
+                        and _distance(line, rep) < tol):
                     return None
-        return cell, key
+        return cell
 
-    def keep(self, key) -> None:
-        cell, line = key
+    def keep(self, line: ProjLine, cell: int) -> None:
         self._cells.setdefault(cell, []).append(line)
 
 
@@ -182,10 +176,10 @@ def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
     triples; the representatives come back in deterministic ``sort_key`` order.
     A line is kept when no representative kept so far lies within *tol*.
 
-    Each line is normalized once and compared only with the representatives
-    that can lie within *tol*.  Write P = p / max|p_i| and Q = q / max|q_i|,
-    and let k be the slot of P's largest modulus, so |P_k| = 1.  If
-    d(p, q) < tol, the minor of slots k, j gives | |Q_j| - |P_j| |Q_k| | < tol
+    Each line is normalized once, to its :class:`ProjLine` P, and compared
+    only with the representatives Q that can lie within *tol*.  Let k be the
+    slot of P's largest modulus, so |P_k| = 1 up to rounding.  If
+    d(P, Q) < tol, the minor of slots k, j gives | |Q_j| - |P_j| |Q_k| | < tol
     for every j; at the slot of Q's largest modulus this gives |Q_k| > 1 - tol,
     so ||Q_k| - |P_k|| < tol and ||Q_j| - |P_j|| < 2 tol for j != k.  Hence the
     modulus sums S = sum |P_i| and sum |Q_i| differ by less than 5 tol.  Every
@@ -193,11 +187,11 @@ def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
     match therefore lies in the line's own cell or one next to it, and within
     it each of its moduli |Q_j| lies within 2 tol + 2^-40 of |P_j|, so the
     distance is computed only for a representative that passes both tests.
-    The absolute 2^-40 covers the float rounding of S, of the moduli and of
-    the distance, which a margin proportional to a tolerance near 1e-300 or
-    5e-324 would not.  Since a line is kept exactly when no match exists, the
-    decisions (and the result) are those of comparing with every
-    representative.
+    The absolute 2^-40 covers the float rounding of S, of the moduli (|P_k|
+    among them) and of the distance, which a margin proportional to a
+    tolerance near 1e-300 or 5e-324 would not.  Since a line is kept exactly
+    when no match exists, the decisions (and the result) are those of
+    comparing with every representative.
     """
     check_tolerance("tol", tol)
     seen = _LineSet(tol)
@@ -205,9 +199,10 @@ def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
     for line in lines:
         if not isinstance(line, (ProjLine, BitangentCert)):
             line = ProjLine.from_coefficients(line)
-        key = seen.fresh(line.coefficients)
-        if key is not None:
-            seen.keep(key)
+        proj = line.line if isinstance(line, BitangentCert) else line
+        cell = seen.fresh(proj)
+        if cell is not None:
+            seen.keep(proj, cell)
             reps.append(line)
     return sorted(reps, key=lambda l: l.sort_key())
 
@@ -246,8 +241,11 @@ def restriction_coefficients(f, chart: str) -> tuple[Polynomial, ...]:
     Returned in the order ``v1^4, v1^3 v2, v1^2 v2^2, v1 v2^3, v2^4`` where
     ``(v1, v2)`` is the chart's binary pair; entries are polynomials in the
     chart unknowns and the family parameters.  The tuple is shared through a
-    cache, so it is immutable.
+    cache, so it is immutable.  A chart not in :data:`CHARTS` raises
+    :class:`DomainError`.
     """
+    if not (isinstance(chart, str) and chart in CHARTS):     # a list is not hashable
+        raise DomainError(f"unknown chart {chart!r}; the charts are {', '.join(CHARTS)}")
     poly = getattr(f, "poly", f)
     return _restriction_coefficients_cached(poly, chart)
 
@@ -282,11 +280,13 @@ def perfect_square_fit(coeffs, tol: float = DEFAULT_CERT_TOL):
     the branch with the smallest residual, the maximum coefficient mismatch
     normalized by ``max |c|``.  Returns ``(lam, residual)`` or ``None`` when
     no branch fits below *tol* (a NaN residual never does) or a coefficient
-    is not finite.  A *tol* that is not a finite number > 0 raises
-    :class:`DomainError`.
+    is not finite.  A *tol* that is not a finite number > 0, or a count of
+    coefficients other than five, raises :class:`DomainError`.
     """
     check_tolerance("tol", tol)
     c = [complex(v) for v in coeffs]
+    if len(c) != 5:
+        raise DomainError(f"a square fit takes 5 coefficients, got {len(c)}")
     top = max(abs(v) for v in c)
     # max() skips a NaN that is not first, so test every coefficient
     if top == 0.0 or not all(map(cmath.isfinite, c)):
@@ -595,7 +595,6 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
     index = itertools.count()
     with overflow_as(EnumerationError, member):
         for sources in CANDIDATE_SOURCES[family]:
-            kept: list[BitangentCert] = []
             for source in sources:
                 for coeffs, tag in source(triple):
                     i = next(index)
@@ -603,15 +602,15 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
                         rejected.append((i, tag))
                         continue
                     line = ProjLine.from_coefficients(coeffs)
-                    key = seen.fresh(line.coefficients)
-                    if key is None:
+                    cell = seen.fresh(line)
+                    if cell is None:
                         skipped.append((i, line, tag))
                     elif (cert := certify(i, line, tag)) is not None:
-                        seen.keep(key)
-                        kept.append(cert)
-            reps = sorted(reps + kept, key=BitangentCert.sort_key)
+                        seen.keep(line, cell)
+                        reps.append(cert)
             if len(reps) == 28:
                 break
+        reps.sort(key=BitangentCert.sort_key)
         if len(reps) != 28:
             for i, line, tag in skipped:
                 certify(i, line, tag)

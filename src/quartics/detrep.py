@@ -24,7 +24,8 @@ from operator import itemgetter
 
 from . import numroots
 from .diffcalc import det
-from .errors import DegeneracyError, SolverError, check_tolerance, overflow_as, rational
+from .errors import (DegeneracyError, DomainError, SolverError, check_tolerance, overflow_as,
+                     rational)
 from .polyring import Polynomial, VarTable, convert, eval_complex, eval_scaled_many
 from .symfam import make_family
 
@@ -197,11 +198,15 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
     assignments are enumerated; a branch survives only if the unsquared
     linear condition holds, and the minimal-residual surviving branch is
     certified against ``det(xA + yB + zC) = f`` at seeded random points.
-    A *tol* that is not a finite number > 0 or a parameter that is not a
-    rational raises :class:`DomainError`; a value that overflows double
-    precision raises :class:`SolverError`.
+    A *tol* that is not a finite number > 0, a parameter that is not a
+    rational or a *seed* that is not an int (the points, and so ``det``'s
+    residual, must not change between identical calls) raises
+    :class:`DomainError`; a value that overflows double precision raises
+    :class:`SolverError`.
     """
     check_tolerance("tol", tol)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DomainError(f"seed must be an int, got {seed!r}")
     r, s, u = map(rational, (r, s, u))
     with overflow_as(SolverError, f"(r,s,u) = ({r},{s},{u})"):
         p, q = compute_pq(r)

@@ -4,6 +4,7 @@ certification for the bitangent machinery."""
 import cmath
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,16 @@ class TestTangencySystem:
         with pytest.raises(DomainError, match=repr(name)):
             build_tangency_system(f, "YZ")
 
+    @pytest.mark.parametrize("chart", ["QQ", "xy", "", "Y Z", ["XY"], None])
+    def test_unknown_chart_is_a_domain_error(self, chart):
+        # both raised a bare KeyError from the chart table (TypeError for a list)
+        f = make_family("X24", (3,))
+        want = f"^unknown chart {re.escape(repr(chart))}; the charts are XY, YZ, ZX$"
+        with pytest.raises(DomainError, match=want):
+            restriction_coefficients(f, chart)
+        with pytest.raises(DomainError, match=want):
+            build_tangency_system(f, chart)
+
 
 class TestPerfectSquareFit:
     def test_exact_square(self):
@@ -114,6 +125,12 @@ class TestPerfectSquareFit:
         assert perfect_square_fit(square) is not None
         with pytest.raises(DomainError, match="^tol must be a finite number > 0"):
             perfect_square_fit(square, value)
+
+    @pytest.mark.parametrize("n", [0, 3, 4, 6])
+    def test_fit_takes_five_coefficients(self, n):
+        # four raised a bare ValueError from unpacking, and none one from max()
+        with pytest.raises(DomainError, match=f"^a square fit takes 5 coefficients, got {n}$"):
+            perfect_square_fit([1] * n)
 
 
 class TestDedupe:
@@ -343,6 +360,37 @@ class TestNormalization:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError, match="not all finite"):
             ProjLine.from_coefficients(bad)
+
+    @pytest.mark.parametrize("coeffs", [(), (1,), (1, 2), (1, 2, 3, 4)])
+    def test_a_line_has_three_coefficients(self, coeffs):
+        # two coefficients made a line with two slots, and four a line whose
+        # .chart raised a bare KeyError; proj_distance and dedupe_lines raised
+        # a bare ValueError from unpacking
+        want = f"^a line has 3 coefficients, got {len(coeffs)}$"
+        calls = [lambda: ProjLine.from_coefficients(coeffs),
+                 lambda: ProjLine(tuple(map(complex, coeffs))),
+                 lambda: proj_distance(coeffs, (1, 0, 0)),
+                 lambda: proj_distance((1, 0, 0), coeffs),
+                 lambda: dedupe_lines([(1, 0, 0), coeffs])]
+        for call in calls:
+            with pytest.raises(DomainError, match=want):
+                call()
+
+    def test_constructor_takes_only_the_normal_form(self):
+        # the dedupe files a line by its moduli, which holds only when the
+        # largest is 1
+        line = ProjLine.from_coefficients((3, 1 + 1j, 2))
+        assert ProjLine(line.coefficients) == line
+        for coeffs in ((2, 0, 0), (0.5, 0.25j, 0), (1e200, 1, 0)):
+            with pytest.raises(DomainError, match="is not normalized"):
+                ProjLine(coeffs)
+
+    def test_moduli_are_those_of_the_coefficients(self):
+        line = ProjLine.from_coefficients((3, 1 + 1j, 2j))
+        assert line.moduli == tuple(abs(v) for v in line.coefficients)
+        assert "moduli" not in repr(line)
+        twin = ProjLine(line.coefficients)
+        assert twin == line and hash(twin) == hash(line)
 
 
 class TestChartPoint:
@@ -851,15 +899,15 @@ class TestDedupeBeforeCertification:
         skipped, rejected = [], []
         fresh, certify = bitangent._LineSet.fresh, bitangent._certify
 
-        def recording_fresh(self, coefficients):
-            key = fresh(self, coefficients)
-            if key is None:
-                skipped.append(coefficients)
-            return key
+        def recording_fresh(self, line):
+            cell = fresh(self, line)
+            if cell is None:
+                skipped.append(line)
+            return cell
 
         def recording_certify(poly, line, *rest):
             cert = certify(poly, line, *rest)
-            if cert is None and any(line.coefficients is c for c in skipped):
+            if cert is None and any(line is s for s in skipped):
                 rejected.append(line)
             return cert
 

@@ -131,6 +131,17 @@ class TestSolver:
             assert rep.residuals["det"] < 1e-8
             done += 1
 
+    @pytest.mark.parametrize("seed", [None, 2.5, True, False, "7", Fraction(3)])
+    def test_seed_that_is_not_an_int_is_a_domain_error(self, seed):
+        # seed=None drew the det points from the system's randomness, so two
+        # identical calls gave different residuals
+        with pytest.raises(DomainError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+            solve_detrep(1, 2, 3, seed=seed)
+
+    def test_int_seed_gives_the_same_residuals(self):
+        a, b = (solve_detrep(1, 2, 3, seed=2 ** 70) for _ in "ab")
+        assert a.residuals == b.residuals
+
     def test_determinism(self):
         a = solve_detrep(3, -1, Fraction(7, 2))
         b = solve_detrep(3, -1, Fraction(7, 2))

@@ -10,14 +10,15 @@ import pytest
 
 from quartics import symfam
 from quartics.dixmier import InvariantSet, dixmier_invariants
-from quartics.errors import DomainError
+from quartics.errors import DegeneracyError, DomainError
 from quartics.polyring import Polynomial, VarTable
 from quartics.symfam import (FAMILY_PARAMS, Partition, QuarticForm, SymmetricDecomposition,
                              decompose_symmetric, golden_compare,
                              golden_polynomial, is_symmetric, load_golden,
-                             make_family, make_generic, reconstruct, s_basis)
+                             make_family, make_generic, reconstruct, s_basis,
+                             singular_locus_check)
 
-from conftest import random_fraction
+from conftest import pencil_resultant, quartic_discriminant, random_fraction
 
 RSU = VarTable(("x", "y", "z"), ("r", "s", "u"))
 
@@ -507,3 +508,101 @@ class TestGolden:
         report = golden_compare(doctored, "X24")
         assert not report.ok
         assert 3 in report.failures
+
+
+def _disc(family, params):
+    return quartic_discriminant(make_family(family, params).poly.terms)
+
+
+def _raises(family, params) -> bool:
+    try:
+        singular_locus_check(family, tuple(map(Fraction, params)))
+    except DegeneracyError:
+        return True
+    return False
+
+
+def _rational(rng, avoid=()):
+    """A seeded small rational not in *avoid*."""
+    while (v := random_fraction(rng, span=9, den=5)) in avoid:
+        pass
+    return v
+
+
+class TestDiscriminantOracle:
+    """``singular_locus_check`` against the exact discriminant (Macaulay's
+    resultant of f_x, f_y, f_z in conftest.py): it raises exactly when the
+    discriminant vanishes, on seeded points of each locus and off them."""
+
+    def _on_locus(self, family, params):
+        assert _disc(family, params) == 0, (family, params)
+        assert _raises(family, params), (family, params)
+
+    def test_oracle_is_the_factored_discriminant(self):
+        # on X4 the resultant is 2^34 ((r^2-4)(s^2-4)(u^2-4))^2 (r^2+s^2+u^2-rsu-4)^4,
+        # so the Fermat quartic's is 2^54
+        rng = random.Random(11)
+        for _ in range(4):
+            r, s, u = (_rational(rng) for _ in range(3))
+            want = (2 ** 34 * ((r * r - 4) * (s * s - 4) * (u * u - 4)) ** 2
+                    * (r * r + s * s + u * u - r * s * u - 4) ** 4)
+            assert _disc("X4", (r, s, u)) == want
+        assert _disc("X96", ()) == 2 ** 54
+
+    @pytest.mark.parametrize("family, params", [("X4", (1, 3, 5)), ("X96", ()),
+                                                 ("X16", (Fraction(7, 2), -1))])
+    def test_pencil_gives_the_same_value(self, family, params):
+        # the fallback where Macaulay's extraneous minor vanishes, at members
+        # where it does not
+        terms = make_family(family, params).poly.terms
+        assert pencil_resultant(terms) == quartic_discriminant(terms) != 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_fricke_points(self, seed):
+        # r = a + 1/a, s = b + 1/b, u = ab + 1/(ab) lies on r^2+s^2+u^2-rsu-4 = 0
+        rng = random.Random(seed)
+        for _ in range(4):
+            a, b = _rational(rng, (0,)), _rational(rng, (0,))
+            self._on_locus("X4", (a + 1 / a, b + 1 / b, a * b + 1 / (a * b)))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_plus_minus_two_planes(self, seed):
+        rng = random.Random(10 + seed)
+        for slot in range(3):
+            for two in (2, -2):
+                triple = [_rational(rng) for _ in range(3)]
+                triple[slot] = two
+                self._on_locus("X4", tuple(triple))
+        for two in (2, -2):
+            self._on_locus("X16", (two, _rational(rng)))
+            self._on_locus("X16", (_rational(rng), two))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_x16_parabola(self, seed):
+        # X16's triple (r, s, s) meets the surface on r = 2 and r = s^2 - 2
+        rng = random.Random(20 + seed)
+        for _ in range(3):
+            s = _rational(rng)
+            self._on_locus("X16", (s * s - 2, s))
+
+    def test_x24_integers(self):
+        # X24's triple (r, r, r) meets the surface on r = -1 and r = 2 (twice)
+        # and the planes on r = +-2; every other integer is a smooth member
+        zeros = [r for r in range(-6, 7) if _disc("X24", (r,)) == 0]
+        assert zeros == [-2, -1, 2]
+        assert [r for r in range(-6, 7) if _raises("X24", (r,))] == zeros
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_points_agree(self, seed):
+        # random rationals other than +-2: nearly all miss the surface
+        rng = random.Random(30 + seed)
+        points = [("X96", ())]
+        for family, arity in (("X4", 3), ("X16", 2), ("X24", 1)):
+            points += [(family, tuple(_rational(rng, (2, -2)) for _ in range(arity)))
+                       for _ in range(4)]
+        smooth = 0
+        for family, params in points:
+            disc = _disc(family, params)
+            assert _raises(family, params) == (disc == 0), (family, params)
+            smooth += disc != 0
+        assert smooth >= len(points) - 2
