@@ -27,14 +27,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import components as comp
 from . import numroots
 from .errors import DomainError, EnumerationError, check_tolerance, overflow_as
-from .polyring import Polynomial, VarTable, eval_exact, eval_scaled_many, restrict_to_line
+from .polyring import Polynomial, VarTable, _Record, eval_exact, eval_scaled_many, restrict_to_line
 from .polyring import eval_scaled  # noqa: F401  (the acceptance tests and perfbench import it from here)
 from .symfam import FAMILY_PARAMS, make_family, singular_locus_check, x4_triple
 
@@ -44,17 +43,16 @@ DEFAULT_DEDUPE_TOL = 1e-8
 _CELL_MARGIN = 2.0 ** -40
 
 
-@dataclass(frozen=True)
-class AffineChart:
+class AffineChart(_Record):
     """One affine chart of the dual plane: the named coordinate's line
     coefficient is normalized to 1 and the coordinate is eliminated.  The
     line coefficients in ``slots`` are the values of the two ``unknowns``."""
 
-    id: str
-    normalized: str
-    pair: tuple[str, str]
-    unknowns: tuple[str, str]
-    slots: tuple[int, int]
+    __slots__ = _fields = ("id", "normalized", "pair", "unknowns", "slots")
+
+    def __init__(self, id: str, normalized: str, pair: tuple[str, str],
+                 unknowns: tuple[str, str], slots: tuple[int, int]):
+        self._assign(id, normalized, pair, unknowns, slots)
 
     def point(self, coefficients) -> dict:
         """The chart point of a line: its coefficients in ``slots``, by unknown."""
@@ -72,8 +70,7 @@ CHARTS = {
 _SLOT_CHART = {"xyz".index(c.normalized): c.id for c in CHARTS.values()}
 
 
-@dataclass(frozen=True)
-class ProjLine:
+class ProjLine(_Record):
     """A projective line with deterministically normalized complex coefficients.
 
     :meth:`from_coefficients` scales the coefficient of largest modulus (first
@@ -83,19 +80,26 @@ class ProjLine:
     stay out of ``repr`` and equality.
     """
 
-    coefficients: tuple[complex, complex, complex]
-    moduli: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    _fields = ("coefficients",)
+    __slots__ = _fields + ("moduli",)
 
-    def __post_init__(self):
-        moduli = _moduli(self.coefficients)
+    def __init__(self, coefficients: tuple[complex, complex, complex]):
+        try:
+            moduli = _moduli(coefficients)
+        except OverflowError:       # a modulus above the largest double is not normalized
+            moduli = (math.inf,)
         if not abs(max(moduli) - 1.0) < _CELL_MARGIN:     # the dedupe's cells need it
-            raise DomainError(f"line {self.coefficients} is not normalized: use from_coefficients")
+            raise DomainError(f"line {coefficients} is not normalized: use from_coefficients")
+        object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "moduli", moduli)
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "ProjLine":
         c = tuple(map(complex, coeffs))
-        mags = _moduli(c)
+        try:
+            mags = _moduli(c)
+        except OverflowError:       # a modulus above the largest double: the line of c / 4
+            return cls.from_coefficients(_scaled(c, -2))
         k = mags.index(max(mags))
         # exact unit in the pivot slot
         return cls(tuple(1.0 + 0.0j if i == k else v / c[k] for i, v in enumerate(c)))
@@ -125,6 +129,11 @@ def _moduli(coefficients) -> tuple[float, ...]:
     if max(mags) == 0.0:
         raise DomainError("zero line: all coefficients are zero")
     return mags
+
+
+def _scaled(c, e: int) -> tuple[complex, ...]:
+    """*c* times 2**e part by part (no 0 * inf NaN), exact within the normal range."""
+    return tuple(complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) for v in c)
 
 
 def _distance(p: ProjLine, q: ProjLine) -> float:
@@ -207,15 +216,19 @@ def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
     return sorted(reps, key=lambda l: l.sort_key())
 
 
-@dataclass(frozen=True)
-class BitangentCert:
+class BitangentCert(_Record):
     """A certified bitangent: the line, its perfect-square fit and residuals."""
 
-    line: ProjLine
-    lam: tuple[complex, complex, complex]
-    residual: float
-    source: str
-    chart: str
+    __slots__ = _fields = ("line", "lam", "residual", "source", "chart")
+
+    def __init__(self, line: ProjLine, lam: tuple[complex, complex, complex], residual: float,
+                 source: str, chart: str):
+        put = object.__setattr__     # as fast as a generated __init__: certify builds many
+        put(self, "line", line)
+        put(self, "lam", lam)
+        put(self, "residual", residual)
+        put(self, "source", source)
+        put(self, "chart", chart)
 
     @property
     def coefficients(self) -> tuple[complex, complex, complex]:
@@ -281,12 +294,23 @@ def perfect_square_fit(coeffs, tol: float = DEFAULT_CERT_TOL):
     normalized by ``max |c|``.  Returns ``(lam, residual)`` or ``None`` when
     no branch fits below *tol* (a NaN residual never does) or a coefficient
     is not finite.  A *tol* that is not a finite number > 0, or a count of
-    coefficients other than five, raises :class:`DomainError`.
+    coefficients other than five, raises :class:`DomainError`.  Coefficients
+    whose moduli overflow a double are fitted divided by 4^512.
     """
     check_tolerance("tol", tol)
     c = [complex(v) for v in coeffs]
     if len(c) != 5:
         raise DomainError(f"a square fit takes 5 coefficients, got {len(c)}")
+    try:
+        return _square_fit(c, tol)
+    except OverflowError:       # a modulus above the largest double
+        # fit c / 4^512, whose moduli are at most 2, and scale the square root back
+        fit = _square_fit(_scaled(c, -1024), tol)
+        return fit and (_scaled(fit[0], 512), fit[1])
+
+
+def _square_fit(c: list[complex], tol: float):
+    """:func:`perfect_square_fit` of five complex coefficients."""
     top = max(abs(v) for v in c)
     # max() skips a NaN that is not first, so test every coefficient
     if top == 0.0 or not all(map(cmath.isfinite, c)):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -26,7 +25,7 @@ from . import numroots
 from .diffcalc import det
 from .errors import (DegeneracyError, DomainError, SolverError, check_tolerance, overflow_as,
                      rational)
-from .polyring import Polynomial, VarTable, convert, eval_complex, eval_scaled_many
+from .polyring import Polynomial, VarTable, _Record, convert, eval_complex, eval_scaled_many
 from .symfam import make_family
 
 DEFAULT_TOL = 1e-8
@@ -34,25 +33,25 @@ DEFAULT_SEED = 20240
 N_CERT_POINTS = 50
 
 
-@dataclass(frozen=True)
-class BranchChoice:
+class BranchChoice(_Record):
     """One resolution of the either-or steps: which root of the ``t`` quadratic,
     and which of the two quadratic roots is assigned to ``c^2`` resp. ``b^2``."""
 
-    t_index: int
-    cd_swap: bool
-    be_swap: bool
+    __slots__ = _fields = ("t_index", "cd_swap", "be_swap")
+
+    def __init__(self, t_index: int, cd_swap: bool, be_swap: bool):
+        self._assign(t_index, cd_swap, be_swap)
 
 
-@dataclass(frozen=True)
-class DetRep:
+class DetRep(_Record):
     """A certified representation: A = Id, B = diag(p,-p,q,-q), C symmetric
     with zero diagonal, plus the residual record of the defining equations."""
 
-    b_diagonal: tuple[complex, complex, complex, complex]
-    c_matrix: tuple[tuple[complex, ...], ...]
-    branch: BranchChoice
-    residuals: dict
+    __slots__ = _fields = ("b_diagonal", "c_matrix", "branch", "residuals")
+
+    def __init__(self, b_diagonal: tuple[complex, complex, complex, complex],
+                 c_matrix: tuple[tuple[complex, ...], ...], branch: BranchChoice, residuals: dict):
+        self._assign(b_diagonal, c_matrix, branch, residuals)
 
     @property
     def a_matrix(self) -> tuple[tuple[complex, ...], ...]:

@@ -31,12 +31,11 @@ geometric content; everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffcalc import det, diff_pair, hessian, j_bracket
 from .errors import DegreeError
-from .polyring import Polynomial, homogenize, restrict_to_line
+from .polyring import Polynomial, _Record, homogenize, restrict_to_line
 
 # Coefficient of the I3^2 correction inside I6, equal to 8/144^2.  Fixed by
 # requiring I6 to match the reference tables exactly (it is the only rational
@@ -101,16 +100,14 @@ def delta_binary(P: Polynomial) -> Polynomial:
     return s ** 3 - t ** 2 * 27
 
 
-@dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(_Record):
     """The six quartic invariants as exact polynomials in the curve parameters."""
 
-    I3: Polynomial
-    I6: Polynomial
-    I9: Polynomial
-    I12: Polynomial
-    I15: Polynomial
-    I18: Polynomial
+    __slots__ = _fields = ("I3", "I6", "I9", "I12", "I15", "I18")
+
+    def __init__(self, I3: Polynomial, I6: Polynomial, I9: Polynomial, I12: Polynomial,
+                 I15: Polynomial, I18: Polynomial):
+        self._assign(I3, I6, I9, I12, I15, I18)
 
     def as_dict(self) -> dict[int, Polynomial]:
         return {3: self.I3, 6: self.I6, 9: self.I9, 12: self.I12, 15: self.I15, 18: self.I18}

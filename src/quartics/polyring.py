@@ -48,7 +48,6 @@ all the polynomials it evaluates there; :func:`eval_scaled` and
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm, perm
@@ -75,30 +74,69 @@ def _check_table(table: "VarTable", p: "Polynomial"):
         )
 
 
-@dataclass(frozen=True)
-class VarTable:
+class _Record:
+    """An immutable record: equality (same class, equal fields), hash and the repr
+    ``Name(field=value, ...)`` over the ``_fields`` tuple of a subclass, which sets
+    its ``__slots__`` in ``__init__``; assignment and ``del`` raise AttributeError."""
+
+    __slots__ = ()
+
+    def _assign(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class VarTable(_Record):
     """An ordered list of variable names split into geometric and parameter roles."""
 
-    geometric: tuple[str, ...]
-    parameters: tuple[str, ...] = ()
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
-    _layout: struct.Struct = field(init=False, repr=False, compare=False, hash=False)
-    _top: int = field(init=False, repr=False, compare=False, hash=False)
+    _fields = ("geometric", "parameters")
+    __slots__ = _fields + ("_index", "_layout", "_top", "_hash")
 
-    def __post_init__(self):
-        geometric = tuple(self.geometric)
-        parameters = tuple(self.parameters)
-        object.__setattr__(self, "geometric", geometric)
-        object.__setattr__(self, "parameters", parameters)
+    def __init__(self, geometric: tuple[str, ...], parameters: tuple[str, ...] = ()):
+        geometric, parameters = tuple(geometric), tuple(parameters)
         if not geometric:
             raise ValueError("a VarTable needs at least one geometric variable")
         names = geometric + parameters
         if len(set(names)) != len(names):
             raise ValueError(f"variable names not unique: {names}")
+        self._assign(geometric, parameters)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         # a key's bytes: the degree field (skipped by the layout), then the exponents
         object.__setattr__(self, "_layout", struct.Struct(f">2x{len(names)}H"))
         object.__setattr__(self, "_top", 16 * len(names))   # the shift of the degree field
+        # the operator caches hash a table on every call: hash it once
+        object.__setattr__(self, "_hash", hash((geometric, parameters)))
+
+    def __eq__(self, other):
+        if other.__class__ is not VarTable:
+            return NotImplemented
+        return self.geometric == other.geometric and self.parameters == other.parameters
+
+    def __hash__(self):
+        return self._hash
 
     def _pack(self, exps) -> int:
         """The key of an exponent vector: the total degree, then the exponents."""

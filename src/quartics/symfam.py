@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DegeneracyError, DomainError, rational
-from .polyring import Polynomial, VarTable
+from .polyring import Polynomial, VarTable, _Record
 
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
     "X4": ("r", "s", "u"),
@@ -54,21 +53,19 @@ GEOMETRIC = ("x", "y", "z")
 BASIS_NAMES = FAMILY_PARAMS["X4"]
 
 
-@dataclass(frozen=True)
-class QuarticForm:
+class QuarticForm(_Record):
     """A ternary quartic with family metadata.
 
     ``params`` holds the parameter bindings: variable names for a symbolic
     form, exact rationals for a numeric one.
     """
 
-    poly: Polynomial
-    family: str
-    params: tuple
+    __slots__ = _fields = ("poly", "family", "params")
 
-    def __post_init__(self):
-        if self.poly.geometric_degree() != 4 or not self.poly.is_geometric_homogeneous():
+    def __init__(self, poly: Polynomial, family: str, params: tuple):
+        if poly.geometric_degree() != 4 or not poly.is_geometric_homogeneous():
             raise DomainError("a QuarticForm must be homogeneous of geometric degree 4")
+        self._assign(poly, family, params)
 
 
 def make_family(family: str, params: Sequence[Fraction | int | str] | None = None) -> QuarticForm:
@@ -153,14 +150,13 @@ def make_generic(coeffs: Sequence[Fraction | int]) -> QuarticForm:
 # -- monomial symmetric basis ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A weakly decreasing tuple of at most 3 positive integers."""
 
-    parts: tuple[int, ...]
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
         object.__setattr__(self, "parts", parts)
         if len(parts) > 3 or any(p < 1 for p in parts):
             raise DomainError(f"invalid partition {parts}")
@@ -216,12 +212,13 @@ def s_basis(partition: Partition | Sequence[int], table: VarTable | None = None)
     return _expand_orbits(((partition.parts, 1),), table or VarTable(GEOMETRIC, BASIS_NAMES))
 
 
-@dataclass(frozen=True)
-class SymmetricDecomposition:
+class SymmetricDecomposition(_Record):
     """An expansion ``constant + sum coeff * S[partition]``."""
 
-    constant: Fraction
-    terms: tuple[tuple[Partition, Fraction], ...]
+    __slots__ = _fields = ("constant", "terms")
+
+    def __init__(self, constant: Fraction, terms: tuple[tuple[Partition, Fraction], ...]):
+        self._assign(constant, terms)
 
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return {p.parts: c for p, c in self.terms}
@@ -290,13 +287,15 @@ def reconstruct(dec: SymmetricDecomposition, table: VarTable | None = None) -> P
 # -- reference ("golden") tables ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoldenEntry:
+class GoldenEntry(_Record):
     """One invariant of a family's reference table: ``prefactor * sum coeff * m(key)``
     over the ``(key, coeff)`` rows, as :func:`_expand_orbits` reads them."""
 
-    prefactor: Fraction
-    coefficients: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = _fields = ("prefactor", "coefficients")
+
+    def __init__(self, prefactor: Fraction,
+                 coefficients: tuple[tuple[tuple[int, ...], Fraction], ...]):
+        self._assign(prefactor, coefficients)
 
 
 #: The degrees k of the Dixmier invariants I_k, the labels of a reference table.
@@ -367,8 +366,7 @@ def golden_polynomial(family: str, k: int, table: VarTable) -> Polynomial:
     return _expand_orbits(entry.coefficients, table, family, entry.prefactor)
 
 
-@dataclass(frozen=True)
-class GoldenReport:
+class GoldenReport(_Record):
     """Per-invariant comparison against a family's reference table.
 
     ``gamma[k]`` is the constant ratio computed/table when both sides are
@@ -376,9 +374,10 @@ class GoldenReport:
     to ``failures`` with the first differing monomial.
     """
 
-    family: str
-    gamma: dict[int, Fraction | None]
-    failures: dict[int, str]
+    __slots__ = _fields = ("family", "gamma", "failures")
+
+    def __init__(self, family: str, gamma: dict[int, Fraction | None], failures: dict[int, str]):
+        self._assign(family, gamma, failures)
 
     @property
     def ok(self) -> bool:

@@ -126,6 +126,18 @@ class TestPerfectSquareFit:
         with pytest.raises(DomainError, match="^tol must be a finite number > 0"):
             perfect_square_fit(square, value)
 
+    def test_modulus_above_the_largest_double(self):
+        # abs() of such a coefficient raised a bare OverflowError
+        big = 1.5e308 + 1.5e308j
+        l0 = cmath.sqrt(big)
+        lam, residual = perfect_square_fit([big, 0, 0, 0, 1])
+        assert abs(lam[0] / l0 - 1) < 1e-15 and lam[1] == 0 and residual < 1e-300
+        # (l0 x^2 + 3 xy + 5 y^2)^2 with l0^2 = big fits exactly
+        lam, residual = perfect_square_fit([big, 6 * l0, 9 + 10 * l0, 30, 25])
+        assert abs(lam[0] / l0 - 1) < 1e-15 and lam[1:] == (3, 5) and residual < 1e-15
+        assert perfect_square_fit([big, 0, 1, 0, big]) is None
+        assert perfect_square_fit([big, NAN, 0, 0, 1]) is None
+
     @pytest.mark.parametrize("n", [0, 3, 4, 6])
     def test_fit_takes_five_coefficients(self, n):
         # four raised a bare ValueError from unpacking, and none one from max()
@@ -384,6 +396,21 @@ class TestNormalization:
         for coeffs in ((2, 0, 0), (0.5, 0.25j, 0), (1e200, 1, 0)):
             with pytest.raises(DomainError, match="is not normalized"):
                 ProjLine(coeffs)
+
+    def test_modulus_above_the_largest_double(self):
+        # abs() of such a coefficient raised a bare OverflowError; the line is
+        # that of the coefficients over 4, which do not overflow
+        big = 1.5e308 + 1.5e308j
+        assert proj_distance((big, 0, 0), (1, 0, 0)) == 0.0
+        assert proj_distance((big, 0, 0), (0, 1, 0)) == 1.0
+        line = ProjLine.from_coefficients((big, big / 2, 2 ** 970))
+        assert line.coefficients[:2] == (1, 0.5) and line.moduli[2] < 1e-16
+        kept = dedupe_lines([(big, big, 0), (1, 1, 0), (0, big, 1)])
+        assert [line.coefficients[:2] for line in kept] == [(0, 1), (1, 1)]
+        with pytest.raises(DomainError, match="not all finite"):
+            ProjLine.from_coefficients((big, NAN, 0))
+        with pytest.raises(DomainError, match="is not normalized"):
+            ProjLine((big, 0, 0))
 
     def test_moduli_are_those_of_the_coefficients(self):
         line = ProjLine.from_coefficients((3, 1 + 1j, 2j))

@@ -256,11 +256,14 @@ class TestEnvelope:
         assert a.stdout == b.stdout and a.stdout
 
     def test_runs_without_numpy(self):
+        # nor dataclasses: the records are plain slotted classes, and its import
+        # (inspect, ast, dis, tokenize) is most of a cold start's stdlib cost
         script = (
             "import sys\n"
-            "sys.modules['numpy'] = None\n"
+            "sys.modules['numpy'] = sys.modules['dataclasses'] = None\n"
             "import quartics.cli as cli\n"
-            "sys.exit(cli.main(['detrep', '--params', '1', '2', '3'])"
+            "sys.exit(cli.main(['invariants', '--family', 'X24', '--symbolic', '--golden'])"
+            " or cli.main(['detrep', '--params', '1', '2', '3'])"
             " or cli.main(['bitangents', '--family', 'X96']))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True)

@@ -67,7 +67,8 @@ def symbolic_records():
                         for k in inv.as_dict())
         yield f"{family} report {symfam.golden_compare(inv, family)!r}"
         shift = Polynomial.monomial(table, {table.names[-1]: 2}, Fraction(3, 2))
-        doctored = dixmier.InvariantSet(**{**vars(inv), "I3": inv.I3 + 1, "I12": inv.I12 + shift})
+        values = {**inv.as_dict(), 3: inv.I3 + 1, 12: inv.I12 + shift}
+        doctored = dixmier.InvariantSet(*values.values())
         yield f"{family} doctored report {symfam.golden_compare(doctored, family)!r}"
         if family == "X4":
             yield "\n".join(f"X4 S-basis I{k} = {symfam.decompose_symmetric(value)!r}"
