@@ -263,7 +263,7 @@ def restriction_coefficients(f, chart: str) -> tuple[Polynomial, ...]:
     return _restriction_coefficients_cached(poly, chart)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=len(CHARTS))
 def _restriction_coefficients_cached(poly: Polynomial, chart: str) -> tuple[Polynomial, ...]:
     spec = CHARTS[chart]
     return tuple(restrict_to_line(poly, _chart_table(poly.table, chart), spec.normalized,
@@ -356,10 +356,8 @@ def _biq_roots(coeff_polys, params) -> list[complex]:
 
 
 def _quad_b2_roots(coeff_polys, params) -> list[complex]:
-    """Roots b of c0 + c1 b^2 = 0 (both square roots of the single b^2)."""
+    """Both roots b of c0 + c1 b^2 = 0; c1 is 1 or r + 1, and r = -1 is X24's singular locus."""
     c0, c1 = _coeff_values(coeff_polys, params)
-    if c1 == 0:
-        raise EnumerationError("component quadratic degenerates: leading coefficient 0")
     root = cmath.sqrt(complex(-c0 / c1))
     return [root, -root]
 
@@ -563,7 +561,7 @@ def _certify(fpoly: Polynomial, line: ProjLine, tol: float, source: str):
     """Perfect-square certification of a normalized candidate line against ``fpoly``."""
     chart = line.chart
     point = CHARTS[chart].point(line.coefficients)
-    values = [v for v, _ in eval_scaled_many(restriction_coefficients(fpoly, chart), point)]
+    values = [v for v, _ in eval_scaled_many(_restriction_coefficients_cached(fpoly, chart), point)]
     fit = perfect_square_fit(values, tol)
     if fit is None:
         return None

@@ -50,7 +50,7 @@ def det(rows):
     """
     n = len(rows)
     if not rows or any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
+        raise DomainError("matrix is not square")
     minors = {(c,): entry for c, entry in enumerate(rows[-1])}
 
     def minor(cols):

@@ -23,13 +23,13 @@ class DegreeError(QuarticsError):
     """An operand has the wrong degree for the requested operation."""
 
 
-class DomainError(QuarticsError, KeyError):
+class DomainError(QuarticsError, KeyError, ValueError):
     """An argument is outside the operation's domain (e.g. transvectant order or
     an unknown variable name).
 
-    It is also a :class:`KeyError`, which an unknown variable name raised before,
-    so ``except KeyError`` still catches that.  Its message is the plain text:
-    ``KeyError.__str__`` would quote it."""
+    It is also a :class:`KeyError` and a :class:`ValueError`, which it replaced,
+    so ``except KeyError`` and ``except ValueError`` still catch it.  Its message
+    is the plain text: ``KeyError.__str__`` would quote it."""
 
     __str__ = BaseException.__str__
 

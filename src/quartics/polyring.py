@@ -118,10 +118,10 @@ class VarTable(_Record):
     def __init__(self, geometric: tuple[str, ...], parameters: tuple[str, ...] = ()):
         geometric, parameters = tuple(geometric), tuple(parameters)
         if not geometric:
-            raise ValueError("a VarTable needs at least one geometric variable")
+            raise DomainError("a VarTable needs at least one geometric variable")
         names = geometric + parameters
         if len(set(names)) != len(names):
-            raise ValueError(f"variable names not unique: {names}")
+            raise DomainError(f"variable names not unique: {names}")
         self._assign(geometric, parameters)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         # a key's bytes: the degree field (skipped by the layout), then the exponents
@@ -141,9 +141,9 @@ class VarTable(_Record):
     def _pack(self, exps) -> int:
         """The key of an exponent vector: the total degree, then the exponents."""
         if len(exps) != len(self):
-            raise ValueError(f"exponent tuple {exps} does not match table of {len(self)} variables")
+            raise DomainError(f"exponent tuple {exps} does not match table of {len(self)} variables")
         if min(exps) < 0:
-            raise ValueError(f"negative exponent in {exps}")
+            raise DomainError(f"negative exponent in {exps}")
         degree = _check_degree(sum(exps))
         return (degree << self._top) + int.from_bytes(self._layout.pack(*exps), "big")
 
@@ -398,7 +398,7 @@ class Polynomial:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power")
+            raise DomainError("negative power")
         result, base = None, self
         while n:
             if n & 1:       # the first factor starts the product: no factor 1
@@ -461,7 +461,7 @@ def _lowering(table: VarTable, orders: tuple[tuple[str, int], ...]):
     steps, lower = [], 0
     for var, k in orders:
         if k < 0:
-            raise ValueError("negative differentiation order")
+            raise DomainError("negative differentiation order")
         if not table.is_geometric(var):
             raise RoleError(f"cannot differentiate with respect to parameter {var!r}")
         if k:
@@ -556,7 +556,7 @@ def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
     if not p.table.is_geometric(var):
         raise RoleError(f"homogenization variable {var!r} must be geometric")
     if p.degree_in(var):
-        raise ValueError(f"variable {var!r} already occurs in the polynomial")
+        raise DomainError(f"variable {var!r} already occurs in the polynomial")
     table = p.table
     top, shift = table._top, table._shift(var)
     ng = table.n_geometric
@@ -665,7 +665,7 @@ def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = N
     used = p.support_names()
     targets = {n: rename.get(n, n) for n in used}
     if len(set(targets.values())) != len(targets):
-        raise ValueError(f"renaming is not injective on the support: {targets}")
+        raise DomainError(f"renaming is not injective on the support: {targets}")
     moves = [(p.table._shift(old), table._shift(new)) for old, new in targets.items()]
     # an injective renaming maps distinct keys to distinct ones, of the same degree
     out: dict[int, int] = {}
@@ -713,7 +713,7 @@ def compose_linear(p: Polynomial, matrix: Sequence[Sequence[Fraction | int]]) ->
     table = p.table
     ng = table.n_geometric
     if len(matrix) != ng or any(len(row) != ng for row in matrix):
-        raise ValueError(f"matrix must be {ng}x{ng}")
+        raise DomainError(f"matrix must be {ng}x{ng}")
     images = (sum((Polynomial.monomial(table, {n: 1}, c) for n, c in zip(table.geometric, row)),
                   Polynomial.zero(table)) for row in matrix)
     return substitute(p, dict(zip(table.geometric, images)))

@@ -28,13 +28,6 @@ from typing import Mapping, Sequence
 from .errors import DegeneracyError, DomainError, rational
 from .polyring import Polynomial, VarTable, _Record
 
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "X4": ("r", "s", "u"),
-    "X16": ("r", "s"),
-    "X24": ("r",),
-    "X96": (),
-}
-
 #: Each family as a specialization of X4: the family parameter in each of
 #: X4's slots (r, s, u); ``None`` is the constant 0.
 X4_SLOTS: dict[str, tuple[str | None, ...]] = {
@@ -43,6 +36,10 @@ X4_SLOTS: dict[str, tuple[str | None, ...]] = {
     "X24": ("r", "r", "r"),
     "X96": (None, None, None),
 }
+
+#: Each family's parameters, in the order they first fill X4's slots.
+FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
+    family: tuple(dict.fromkeys(filter(None, slots))) for family, slots in X4_SLOTS.items()}
 
 #: X4's monomials x^2 y^2, y^2 z^2, z^2 x^2, in the order of its slots (r, s, u).
 _X4_MONOMIALS = ({"x": 2, "y": 2}, {"y": 2, "z": 2}, {"z": 2, "x": 2})

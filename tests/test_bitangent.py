@@ -491,6 +491,15 @@ class TestRestrictionCache:
             coeffs[0] = coeffs[4]
         assert list(restriction_coefficients(f, "XY")) == before
 
+    def test_members_evicting_each_other_give_the_same_lines(self):
+        # the cache holds one member's charts; the next member evicts them
+        cache = bitangent._restriction_coefficients_cached
+        a = ("X4", (Fraction(1, 3), 3, Fraction(-5, 7)))
+        first = repr(enumerate_bitangents(*a))
+        enumerate_bitangents("X16", (Fraction(1, 3), 5))
+        assert repr(enumerate_bitangents(*a)) == first
+        assert cache.cache_info().currsize <= 3
+
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
 @pytest.mark.parametrize("keyword", ["tol", "dedupe_tol"])

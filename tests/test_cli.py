@@ -1,6 +1,7 @@
 """CLI surface: JSON payloads, exit codes, round-trips and determinism."""
 
 import argparse
+import io
 import json
 import subprocess
 import sys
@@ -268,6 +269,19 @@ class TestEnvelope:
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
+
+    def test_broken_pipe_closes_stderr(self, monkeypatch):
+        # a reader that went away (quartics ... | head -c 1): the payload is
+        # dropped and stderr closed, so the exit prints no second traceback
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["invariants", "--family", "X96"]) == EXIT_OK
+        assert err.closed
 
     def test_unknown_family_exits_two(self):
         argv = [sys.executable, "-m", "quartics.cli", "invariants", "--family", "X7"]

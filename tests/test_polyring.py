@@ -7,7 +7,9 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartics.errors import DegreeError, DomainError, RoleError, TableMismatchError
+from quartics.diffcalc import det
+from quartics.errors import (DegreeError, DomainError, QuarticsError, RoleError,
+                             TableMismatchError)
 from quartics.polyring import (Polynomial, VarTable, compose_linear,
                                convert, eval_complex, eval_exact, eval_scaled,
                                eval_scaled_many, homogenize, multi_partial,
@@ -1278,3 +1280,26 @@ class TestSumOfProducts:
         for c in (1, 0):
             with pytest.raises(DegreeError, match="65535"):
                 Polynomial.sum_of_products(PAR, [(1, x, x), (c, x ** 30000, r ** 35536)])
+
+
+# each malformed argument that raised a plain ValueError, which ``except
+# QuarticsError`` missed; the error is still a ValueError for older callers
+MALFORMED = {
+    "at least one geometric": lambda: VarTable(()),
+    "not unique": lambda: VarTable(("x", "x")),
+    "does not match": lambda: Polynomial(XYZ, {(1, 0): 1}),
+    "negative exponent": lambda: Polynomial(XYZ, {(-1, 0, 0): 1}),
+    "negative power": lambda: var(XYZ, "x") ** -1,
+    "negative differentiation": lambda: multi_partial(var(XYZ, "x"), {"x": -1}),
+    "already occurs": lambda: homogenize(var(XYZ, "z"), "z", 2),
+    "not injective": lambda: convert(var(XYZ, "x") + var(XYZ, "y"), XYZ, {"x": "y"}),
+    "3x3": lambda: compose_linear(var(XYZ, "x"), [[1, 0], [0, 1]]),
+    "not square": lambda: det(()),
+}
+
+
+@pytest.mark.parametrize("message", MALFORMED)
+def test_malformed_arguments_are_quartics_errors(message):
+    with pytest.raises(QuarticsError, match=message) as info:
+        MALFORMED[message]()
+    assert isinstance(info.value, ValueError)
