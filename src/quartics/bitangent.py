@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,10 +50,6 @@ class AffineChart(_Record):
     line coefficients in ``slots`` are the values of the two ``unknowns``."""
 
     __slots__ = _fields = ("id", "normalized", "pair", "unknowns", "slots")
-
-    def __init__(self, id: str, normalized: str, pair: tuple[str, str],
-                 unknowns: tuple[str, str], slots: tuple[int, int]):
-        self._assign(id, normalized, pair, unknowns, slots)
 
     def point(self, coefficients) -> dict:
         """The chart point of a line: its coefficients in ``slots``, by unknown."""
@@ -596,20 +593,18 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
 
     seen = _LineSet(dedupe_tol)
     reps: list[BitangentCert] = []
-    rejected: list[tuple[int, str]] = []        # (candidate index, source) of each failure
+    rejected: list[tuple[float, str]] = []      # (candidate index, source) of each failure
     skipped: list[tuple[int, ProjLine, str]] = []
-    gated = 0
 
     def certify(index: int, line: ProjLine, source: str):
         """The certificate of a candidate, or None once its rejection is counted."""
-        nonlocal gated
         cert = _certify(form.poly, line, tol, source)
         if cert is None:
             rejected.append((index, source))
         elif source == "X4.J1" and not _kills_x4_j1_generators(cert, triple, tol):
             # a general-position X4 line, whatever the family, must also kill
-            # the J1 generators
-            gated += 1
+            # the J1 generators; index inf sorts it after the other failures
+            rejected.append((math.inf, "X4.J1(generators)"))
         else:
             return cert
         return None
@@ -638,14 +633,8 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
                 certify(i, line, tag)
 
     if len(reps) != 28:
-        counts: dict[str, int] = {}
-        for c in reps:
-            counts[c.source] = counts.get(c.source, 0) + 1
-        failures: dict[str, int] = {}
-        for _, tag in sorted(rejected):
-            failures[tag] = failures.get(tag, 0) + 1
-        if gated:
-            failures["X4.J1(generators)"] = gated
+        counts = dict(Counter(c.source for c in reps))
+        failures = dict(Counter(tag for _, tag in sorted(rejected)))
         raise EnumerationError(
             f"{member}: {len(reps)} distinct certified lines instead of 28 "
             f"(by component: {counts}; rejected: {failures})"

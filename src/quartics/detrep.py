@@ -39,19 +39,12 @@ class BranchChoice(_Record):
 
     __slots__ = _fields = ("t_index", "cd_swap", "be_swap")
 
-    def __init__(self, t_index: int, cd_swap: bool, be_swap: bool):
-        self._assign(t_index, cd_swap, be_swap)
-
 
 class DetRep(_Record):
     """A certified representation: A = Id, B = diag(p,-p,q,-q), C symmetric
     with zero diagonal, plus the residual record of the defining equations."""
 
     __slots__ = _fields = ("b_diagonal", "c_matrix", "branch", "residuals")
-
-    def __init__(self, b_diagonal: tuple[complex, complex, complex, complex],
-                 c_matrix: tuple[tuple[complex, ...], ...], branch: BranchChoice, residuals: dict):
-        self._assign(b_diagonal, c_matrix, branch, residuals)
 
     @property
     def a_matrix(self) -> tuple[tuple[complex, ...], ...]:
@@ -156,19 +149,22 @@ E_SYSTEM: tuple[Polynomial, ...] = (
 )
 
 
+#: The rows of :func:`residuals_e_system` and their keys: the six reduced conditions,
+#: the first six raw rows, then the identities p^2 q^2 - 1 and -p^2 - q^2 - r of p and q.
+_RESIDUAL_ROWS = E_SYSTEM + OEQ_SYSTEM[:6] + (OEQ_SYSTEM[7], OEQ_SYSTEM[6])
+_RESIDUAL_KEYS = (*(f"e{i}" for i in range(1, 7)), *(f"oeq{i}" for i in range(1, 7)),
+                  "pq_identity", "p2q2_sum")
+
+
 def residuals_e_system(rep: DetRep, r, s, u) -> dict:
-    """Residuals of the six reduced conditions and the raw system at the rep."""
+    """Residuals of the six reduced conditions, the raw system and the identities
+    of p and q at the rep."""
     a, b, d, c, e, f = rep.off_diagonal()
     r, s, u = (float(rational(v)) for v in (r, s, u))
     point = {"p": rep.p, "q": rep.q, "a": a, "b": b, "c": c, "d": d, "e": e, "f": f,
              "r": r, "s": s, "u": u}
-    moduli = [abs(v) for v, _ in eval_scaled_many(E_SYSTEM + OEQ_SYSTEM[:6], point)]
-    n = len(E_SYSTEM)
-    out = {f"e{i}": m for i, m in enumerate(moduli[:n], start=1)}
-    out.update({f"oeq{i}": m for i, m in enumerate(moduli[n:], start=1)})
-    out["pq_identity"] = abs(rep.p ** 2 * rep.q ** 2 - 1)
-    out["p2q2_sum"] = abs(rep.p ** 2 + rep.q ** 2 + r)
-    return out
+    return {key: abs(v) for key, (v, _) in
+            zip(_RESIDUAL_KEYS, eval_scaled_many(_RESIDUAL_ROWS, point))}
 
 
 def _determinant_residual(rep: DetRep, r, s, u, seed: int) -> float:
@@ -242,7 +238,7 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
             raise OverflowError("every branch residual is infinite or NaN")
         # p^2 q^2 = 1 up to rounding by construction; checked anyway, after the
         # overflow filter, so overflowing members keep that error
-        pq_identity = abs(p ** 2 * q ** 2 - 1)
+        pq_identity = abs(eval_scaled_many((OEQ_SYSTEM[7],), {"p": p, "q": q})[0][0])
         if not pq_identity <= tol:      # written so that NaN fails too
             raise SolverError(f"(r,s,u) = ({r},{s},{u}): pq_identity |p^2 q^2 - 1| = "
                               f"{pq_identity:.3e} exceeds tol {tol:g}")
@@ -253,14 +249,15 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
                 continue
             diagonal = (p, -p, q, -q)
             c_matrix = _pencil(1.0 + 0j, 0j, diagonal, (0j, bb, dd, cc, ee, 0j))[2]
-            rep = DetRep(diagonal, c_matrix, choice, {})
-            res = residuals_e_system(rep, r, s, u)
+            res = {}
+            rep = DetRep(diagonal, c_matrix, choice, res)
+            res.update(residuals_e_system(rep, r, s, u))
             if not all(res[f"e{i}"] <= tol for i in range(1, 7)):
                 continue
             det_res = _determinant_residual(rep, r, s, u, seed)
             if det_res < tol:
                 res["det"] = det_res
-                return DetRep(rep.b_diagonal, rep.c_matrix, choice, res)
+                return rep
         raise SolverError(
             f"no branch certified for (r,s,u) = ({r},{s},{u}); "
             f"best unsquared-condition residual {branches[0][0]:.3e}"

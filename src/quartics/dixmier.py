@@ -105,10 +105,6 @@ class InvariantSet(_Record):
 
     __slots__ = _fields = ("I3", "I6", "I9", "I12", "I15", "I18")
 
-    def __init__(self, I3: Polynomial, I6: Polynomial, I9: Polynomial, I12: Polynomial,
-                 I15: Polynomial, I18: Polynomial):
-        self._assign(I3, I6, I9, I12, I15, I18)
-
     def as_dict(self) -> dict[int, Polynomial]:
         return {3: self.I3, 6: self.I6, 9: self.I9, 12: self.I12, 15: self.I15, 18: self.I18}
 

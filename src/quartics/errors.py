@@ -64,11 +64,15 @@ def rational(value) -> Fraction:
 
 
 def check_tolerance(name: str, value: float) -> float:
-    """Return *value* if it is a finite number > 0, else raise :class:`DomainError`
-    naming the parameter *name* (a NaN tolerance would pass every comparison)."""
-    if not (math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a finite number > 0, got {value!r}")
-    return value
+    """Return *value* if it is a finite real number > 0 and not a bool, else raise
+    :class:`DomainError` naming the parameter *name* (a NaN tolerance would pass
+    every comparison)."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value) and value > 0:
+            return value
+    except TypeError:       # math.isfinite takes only real numbers
+        pass
+    raise DomainError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @contextmanager

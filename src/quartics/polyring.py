@@ -55,7 +55,7 @@ from operator import or_
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DegreeError, DomainError, RoleError, TableMismatchError
+from .errors import DegreeError, DomainError, RoleError, TableMismatchError, rational
 
 Exponents = tuple[int, ...]
 _LIMIT = 0xFFFF     # the largest exponent or total degree a field holds, and its mask
@@ -76,13 +76,20 @@ def _check_table(table: "VarTable", p: "Polynomial"):
 
 class _Record:
     """An immutable record: equality (same class, equal fields), hash and the repr
-    ``Name(field=value, ...)`` over the ``_fields`` tuple of a subclass, which sets
-    its ``__slots__`` in ``__init__``; assignment and ``del`` raise AttributeError."""
+    ``Name(field=value, ...)`` over the ``_fields`` tuple of a subclass, whose
+    ``__slots__`` the constructor binds by position, then by name (a field missing,
+    unknown or given twice is a TypeError); assignment and ``del`` raise AttributeError."""
 
     __slots__ = ()
 
-    def _assign(self, *values):
-        for name, value in zip(self._fields, values):
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:   # the fields after the positional ones, in order; a name left over is an error
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(fields)}: "
+                            f"got {len(values)} of them, and {sorted(named)} besides")
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -122,7 +129,7 @@ class VarTable(_Record):
         names = geometric + parameters
         if len(set(names)) != len(names):
             raise DomainError(f"variable names not unique: {names}")
-        self._assign(geometric, parameters)
+        super().__init__(geometric, parameters)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         # a key's bytes: the degree field (skipped by the layout), then the exponents
         object.__setattr__(self, "_layout", struct.Struct(f">2x{len(names)}H"))
@@ -632,11 +639,11 @@ def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
         if not (occurring >> shift) & _LIMIT:
             continue
         if name not in point:   # name the first unassigned in term order, then table order
-            name = next(n for exps in table._unpack(p._num) for n, e in zip(names, exps)
-                        if e and n not in point)
+            name = next(n for exps in table._unpack(sorted(p._num, reverse=True))
+                        for n, e in zip(names, exps) if e and n not in point)
             raise DomainError(f"variable {name!r} not assigned")
         v = point[name]
-        v = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        v = v if isinstance(v, (int, Fraction)) else rational(v)
         exps = {(key >> shift) & _LIMIT for key in p._num}
         n, d, t = v.numerator, v.denominator, max(exps)
         factors.append((shift, {e: n ** e * d ** (t - e) for e in exps}))

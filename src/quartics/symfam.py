@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from fractions import Fraction
-from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -62,7 +62,18 @@ class QuarticForm(_Record):
     def __init__(self, poly: Polynomial, family: str, params: tuple):
         if poly.geometric_degree() != 4 or not poly.is_geometric_homogeneous():
             raise DomainError("a QuarticForm must be homogeneous of geometric degree 4")
-        self._assign(poly, family, params)
+        super().__init__(poly, family, params)
+
+
+def _family_names(family: str, params: Sequence | None) -> tuple[str, ...]:
+    """The family's parameter names; an unknown family, or *params* (unless None) of
+    another count, is a :class:`DomainError`."""
+    if family not in FAMILY_PARAMS:
+        raise DomainError(f"unknown family {family!r}; expected one of {sorted(FAMILY_PARAMS)}")
+    names = FAMILY_PARAMS[family]
+    if params is not None and len(params) != len(names):
+        raise DomainError(f"{family} takes {len(names)} parameter(s), got {len(params)}")
+    return names
 
 
 def make_family(family: str, params: Sequence[Fraction | int | str] | None = None) -> QuarticForm:
@@ -72,16 +83,9 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
     otherwise exactly the family's arity of exact rationals is required, and
     a value that is not one raises :class:`DomainError`.
     """
-    if family not in FAMILY_PARAMS:
-        raise DomainError(f"unknown family {family!r}; expected one of {sorted(FAMILY_PARAMS)}")
-    names = FAMILY_PARAMS[family]
+    names = _family_names(family, params)
     symbolic = params is None
-    if symbolic:
-        values: tuple = names
-    else:
-        if len(params) != len(names):
-            raise DomainError(f"{family} takes {len(names)} parameter(s), got {len(params)}")
-        values = tuple(map(rational, params))
+    values = names if symbolic else tuple(map(rational, params))
     table = VarTable(GEOMETRIC, names if symbolic else ())
     lookup = dict(zip(names, values))
     one = Polynomial.constant(table, 1)
@@ -95,13 +99,15 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
 
 
 def x4_triple(family: str, params: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The member's parameters as the X4 triple (r, s, u) it specializes."""
-    lookup = dict(zip(FAMILY_PARAMS[family], params))
+    """The member's parameters as the X4 triple (r, s, u) it specializes; an unknown
+    family or a wrong parameter count is a :class:`DomainError`."""
+    lookup = dict(zip(_family_names(family, params), params))
     return tuple(lookup.get(name, Fraction(0)) for name in X4_SLOTS[family])
 
 
 def singular_locus_check(family: str, params: Sequence[Fraction]):
-    """Raise :class:`DegeneracyError` when the family member is singular.
+    """Raise :class:`DegeneracyError` when the family member is singular (and
+    :class:`DomainError` where :func:`x4_triple` does).
 
     On the X4 triple the smooth locus is cut out exactly by: no parameter
     equal to +-2 (a coordinate-section of the curve becomes a perfect
@@ -214,9 +220,6 @@ class SymmetricDecomposition(_Record):
 
     __slots__ = _fields = ("constant", "terms")
 
-    def __init__(self, constant: Fraction, terms: tuple[tuple[Partition, Fraction], ...]):
-        self._assign(constant, terms)
-
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return {p.parts: c for p, c in self.terms}
 
@@ -290,10 +293,6 @@ class GoldenEntry(_Record):
 
     __slots__ = _fields = ("prefactor", "coefficients")
 
-    def __init__(self, prefactor: Fraction,
-                 coefficients: tuple[tuple[tuple[int, ...], Fraction], ...]):
-        self._assign(prefactor, coefficients)
-
 
 #: The degrees k of the Dixmier invariants I_k, the labels of a reference table.
 _DEGREES = (3, 6, 9, 12, 15, 18)
@@ -342,14 +341,11 @@ def load_golden(family: str) -> Mapping[int, GoldenEntry]:
     exponent list ``[i1,i2,...]`` (a partition for X4's symmetric basis,
     plain monomial exponents otherwise).  An unknown family is a :class:`DomainError`.
     """
-    if family not in FAMILY_PARAMS:
-        raise DomainError(f"unknown family {family!r}")
-    text = (
-        resources.files("quartics")
-        .joinpath(f"data/golden/{family}.txt")
-        .read_text(encoding="utf-8")
-    )
-    return _parse_golden(family, text)
+    _family_names(family, None)
+    # a plain read next to the module: importlib.resources imports inspect from 3.12 on
+    with open(os.path.join(os.path.dirname(__file__), "data", "golden", f"{family}.txt"),
+              encoding="utf-8") as table:
+        return _parse_golden(family, table.read())
 
 
 @functools.cache
@@ -372,9 +368,6 @@ class GoldenReport(_Record):
     """
 
     __slots__ = _fields = ("family", "gamma", "failures")
-
-    def __init__(self, family: str, gamma: dict[int, Fraction | None], failures: dict[int, str]):
-        self._assign(family, gamma, failures)
 
     @property
     def ok(self) -> bool:

@@ -18,6 +18,7 @@ from quartics.bitangent import (CHARTS, DEFAULT_CERT_TOL, DEFAULT_DEDUPE_TOL,
                                 enumerate_bitangents, eval_scaled,
                                 perfect_square_fit, proj_distance,
                                 restriction_coefficients)
+from quartics.detrep import solve_detrep
 from quartics.errors import (DegeneracyError, DomainError, EnumerationError, QuarticsError,
                              overflow_as)
 from quartics.numroots import eval_poly
@@ -506,6 +507,25 @@ class TestRestrictionCache:
 def test_enumeration_rejects_bad_tolerance(keyword, value):
     with pytest.raises(DomainError, match=f"^{keyword} must be a finite number > 0"):
         enumerate_bitangents("X4", (1, 3, 5), **{keyword: value})
+
+
+#: every tolerance parameter of the package, as a call that passes it the value
+TOLERANCES = {
+    "enumerate_bitangents tol": lambda v: enumerate_bitangents("X24", (1,), tol=v),
+    "enumerate_bitangents dedupe_tol": lambda v: enumerate_bitangents("X24", (1,), dedupe_tol=v),
+    "dedupe_lines tol": lambda v: dedupe_lines([(1, 0, 0)], tol=v),
+    "perfect_square_fit tol": lambda v: perfect_square_fit([1, 0, 0, 0, 1], tol=v),
+    "solve_detrep tol": lambda v: solve_detrep(1, 3, 5, tol=v),
+}
+
+
+@pytest.mark.parametrize("value", ["1e-9", None, 1j, True])
+@pytest.mark.parametrize("parameter", sorted(TOLERANCES))
+def test_tolerance_that_is_not_a_number_is_a_domain_error(parameter, value):
+    keyword = parameter.split()[1]
+    message = f"^{keyword} must be a finite number > 0, got {re.escape(repr(value))}$"
+    with pytest.raises(DomainError, match=message):
+        TOLERANCES[parameter](value)
 
 
 class TestEnumeration:

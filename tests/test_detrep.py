@@ -90,6 +90,14 @@ class TestSolver:
         t = c * d
         assert min(abs(t - complex(-0.5, 0.5)), abs(t - complex(-0.5, -0.5))) < 1e-10
 
+    def test_residual_keys_in_order(self):
+        # repr(DetRep) shows this order, and the certify digest hashes that repr
+        rep = solve_detrep(1, 3, 5)
+        assert list(rep.residuals) == [*(f"e{i}" for i in range(1, 7)),
+                                       *(f"oeq{i}" for i in range(1, 7)),
+                                       "pq_identity", "p2q2_sum", "det"]
+        assert list(residuals_e_system(rep, 1, 3, 5)) == list(rep.residuals)[:-1]
+
     @pytest.mark.parametrize("rsu", [(0, 0, 0), (1, 2, 3), (5, 1, 7),
                                      (Fraction(9, 2), -3, Fraction(22, 7))])
     def test_certified(self, rsu):
@@ -314,3 +322,9 @@ class TestDerivedSystems:
         assert 2 * e_sys[3] == oeq[3]
         assert 2 * e_sys[4] == oeq[4]
         assert e_sys[5] == oeq[5]
+
+    def test_last_raw_rows_are_the_identities_of_p_and_q(self):
+        # residuals_e_system reports them as pq_identity and p2q2_sum
+        P, Q, R = map(_var, "pqr")
+        assert OEQ_SYSTEM[7] == P**2 * Q**2 - 1
+        assert OEQ_SYSTEM[6] == -(P**2 + Q**2 + R)

@@ -417,6 +417,24 @@ class TestEval:
         with pytest.raises(DomainError):
             eval_complex(mono(XYZ, {"x": 1}), {"y": 1, "z": 1})
 
+    def test_equal_polynomials_name_the_same_unassigned_variable(self):
+        # stored in the order of their terms, but scanned in canonical order
+        x, y = (mono(XYZ, {n: 1}) for n in "xy")
+        first, second = x + y ** 2, y ** 2 + x
+        assert first == second
+        for p in (first, second):
+            for evaluate in (eval_exact, eval_complex):
+                with pytest.raises(DomainError, match="^variable 'y' not assigned$"):
+                    evaluate(p, {"z": 1})
+
+    @pytest.mark.parametrize("bad", ["q", "1/0", None, 1j])
+    def test_exact_point_value_that_is_not_rational(self, bad):
+        from quartics.symfam import make_family
+
+        point = {"x": 1, "y": 1, "z": 1, "r": bad, "s": 2, "u": 3}
+        with pytest.raises(DomainError, match="^cannot parse rational"):
+            eval_exact(make_family("X4").poly, point)
+
 
 def _eval_scaled_reference(p, point):
     """The per-term evaluator that :func:`eval_scaled` replaced: it sorts the
@@ -677,7 +695,7 @@ def _ref_restrict(a, table, var, pair, unknowns):
 def _eval_exact_reference(a, names, point):
     """The per-term ``Fraction`` evaluator of the terms *a* over the variables
     *names*: the oracle for the value of :func:`eval_exact` and, given a
-    polynomial's terms in their order, for which unassigned variable its error names."""
+    polynomial's terms in canonical order, for which unassigned variable its error names."""
     total = Fraction(0)
     for exps, c in a.items():
         for name, e in zip(names, exps):
@@ -850,7 +868,7 @@ class TestIntegerFormMatchesFractionReference:
             kept = rng.sample(PAR.names, rng.randint(0, len(PAR) - 1))
             point = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for n in kept}
             try:
-                want = _eval_exact_reference(p.terms, PAR.names, point)
+                want = _eval_exact_reference(dict(p.sorted_terms()), PAR.names, point)
             except DomainError as exc:
                 raised += 1
                 with pytest.raises(DomainError) as got:

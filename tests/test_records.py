@@ -89,6 +89,7 @@ def test_record_behaviour(name):
         assert hash(a) == hash(b) and len({a, b}) == 1
     values = tuple(getattr(a, field) for field in FIELDS[name])
     assert type(a)(*values) == a
+    assert type(a)(**dict(zip(FIELDS[name], values))) == a
     assert repr(a) == f"{name}(" + ", ".join(
         f"{field}={value!r}" for field, value in zip(FIELDS[name], values)) + ")"
     # another record class, or the plain tuple of the fields, is never equal
@@ -104,6 +105,29 @@ def test_record_behaviour(name):
     assert a == b and repr(a) == repr(b)
     twin = copy.copy(a)
     assert twin == a and repr(twin) == repr(a)
+
+
+#: the records that bind their fields with the base's constructor
+SHARED_BINDING = sorted(set(RECORDS) - {"VarTable", "ProjLine", "BitangentCert", "QuarticForm",
+                                        "Partition"})
+
+
+@pytest.mark.parametrize("name", SHARED_BINDING)
+def test_binding_names_the_fields(name):
+    a = RECORDS[name]()
+    fields = FIELDS[name]
+    values = tuple(getattr(a, field) for field in fields)
+    message = f"^{name} takes the fields {', '.join(fields)}: got "
+    for args, kwargs in [
+        (values[:-1], {}),                                  # the last field missing
+        (values + (None,), {}),                             # one value too many
+        (values, {"extra": None}),                          # an unknown field
+        (values, {fields[0]: values[0]}),                   # the first field given twice
+    ]:
+        with pytest.raises(TypeError, match=message):
+            type(a)(*args, **kwargs)
+    # any split between position and name binds the same record
+    assert type(a)(*values[:1], **dict(zip(fields[1:], values[1:]))) == a
 
 
 @pytest.mark.parametrize("name", sorted(REPRS))

@@ -174,6 +174,20 @@ class TestMakeFamily:
         with pytest.raises(DomainError, match="unknown family 'X5'"):
             make_family("X5")
 
+    @pytest.mark.parametrize("call", [symfam.x4_triple, singular_locus_check])
+    @pytest.mark.parametrize("family, params, message", [
+        ("X5", (Fraction(1),), "^unknown family 'X5'"),
+        ("X4", (Fraction(1),), r"^X4 takes 3 parameter\(s\), got 1$"),
+        ("X24", (Fraction(1), Fraction(3)), r"^X24 takes 1 parameter\(s\), got 2$"),
+        ("X96", (Fraction(1),), r"^X96 takes 0 parameter\(s\), got 1$"),
+    ], ids=["unknown", "X4-short", "X24-long", "X96-extra"])
+    def test_triple_checks_the_family_and_the_count(self, call, family, params, message):
+        # the errors of make_family; a short tuple was padded with zeros
+        with pytest.raises(DomainError, match=message):
+            make_family(family, params)
+        with pytest.raises(DomainError, match=message):
+            call(family, params)
+
     @pytest.mark.parametrize("powers", [[{"x": 3}], [{"x": 4}, {"y": 3}], [{"r": 4}]])
     def test_quartic_form_needs_a_homogeneous_quartic(self, powers):
         poly = sum((mono(RSU, m) for m in powers), Polynomial.zero(RSU))
