@@ -161,13 +161,21 @@ class _LineSet:
     def fresh(self, line: ProjLine) -> int | None:
         """The cell of a line for :meth:`keep`, or None when a kept line lies within tol."""
         m0, m1, m2 = line.moduli
+        p0, p1, p2 = p = line.coefficients
+        pivot = line.pivot
+        unit = p[pivot]     # exactly 1 for a line from from_coefficients
         cell = int((m0 + m1 + m2) / self._width)
         slack, tol = self._slack, self._tol
         for near in (cell - 1, cell, cell + 1):
             for rep in self._cells.get(near, ()):
                 r0, r1, r2 = rep.moduli
-                if (abs(m0 - r0) < slack and abs(m1 - r1) < slack and abs(m2 - r2) < slack
-                        and _distance(line, rep) < tol):
+                if not (abs(m0 - r0) < slack and abs(m1 - r1) < slack and abs(m2 - r2) < slack):
+                    continue
+                q0, q1, q2 = q = rep.coefficients
+                if unit == q[pivot] == 1 and not (abs(q0 - p0) < slack and abs(q1 - p1) < slack
+                                                  and abs(q2 - p2) < slack):
+                    continue
+                if _distance(line, rep) < tol:
                     return None
         return cell
 
@@ -195,9 +203,20 @@ def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
     distance is computed only for a representative that passes both tests.
     The absolute 2^-40 covers the float rounding of S, of the moduli (|P_k|
     among them) and of the distance, which a margin proportional to a
-    tolerance near 1e-300 or 5e-324 would not.  Since a line is kept exactly
-    when no match exists, the decisions (and the result) are those of
-    comparing with every representative.
+    tolerance near 1e-300 or 5e-324 would not.
+
+    A representative that passes both tests is compared by its coefficients
+    next, when P and Q both hold exactly 1 in slot k (the unit that
+    :meth:`ProjLine.from_coefficients` puts in the pivot slot).  Then a product
+    with that unit is exact, so the minor of slots k, j is Q_j - P_j up to sign,
+    rounded as the difference is; the distance divides the largest minor by
+    the product of the largest moduli, each in [1, 1 + 2^-40); and a quotient
+    rounded below tol is a quotient below tol.  So d(P, Q) < tol gives
+    |Q_j - P_j| < 2 tol for every j, and a representative with some
+    |Q_j - P_j| >= 2 tol + 2^-40 is no match.  This parts the lines (+-a, +-b, 1)
+    of a sign orbit, which share all three moduli, without a distance.  Since
+    a line is kept exactly when no match exists, the decisions (and the result)
+    are those of comparing with every representative.
     """
     check_tolerance("tol", tol)
     seen = _LineSet(tol)

@@ -19,6 +19,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 from . import numroots
@@ -167,19 +168,31 @@ def residuals_e_system(rep: DetRep, r, s, u) -> dict:
             zip(_RESIDUAL_KEYS, eval_scaled_many(_RESIDUAL_ROWS, point))}
 
 
-def _determinant_residual(rep: DetRep, r, s, u, seed: int) -> float:
-    form = make_family("X4", (r, s, u))     # converted by errors.rational
-    rows = tuple(zip(rep.a_matrix, rep.b_matrix, rep.c_matrix))
+@lru_cache(maxsize=4)
+def _certificate_points(seed: int) -> tuple[tuple[complex, complex, complex], ...]:
+    """The seeded random points (x, y, z) of :func:`_determinant_residual`, drawn once
+    per seed: each coordinate's real and imaginary parts uniform in [-1, 1] / sqrt(2)."""
     rng = random.Random(seed)
     scale = 1 / 2 ** 0.5
+    return tuple(tuple(complex(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
+                       for _ in range(3))
+                 for _ in range(N_CERT_POINTS))
+
+
+def _determinant_residual(rep: DetRep, r, s, u, seed: int) -> float:
+    """The largest |det(xA + yB + zC) - f| / (1 + |f|) over the seeded points; NaN
+    when a point's residual is NaN, so that the certificate fails."""
+    form = make_family("X4", (r, s, u))     # converted by errors.rational
+    rows = tuple(zip(rep.a_matrix, rep.b_matrix, rep.c_matrix))
     worst = 0.0
-    for _ in range(N_CERT_POINTS):
-        x, y, z = (complex(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
-                   for _ in range(3))
+    for x, y, z in _certificate_points(seed):
         pencil = [[x * a + y * b + z * c for a, b, c in zip(*row)] for row in rows]
         value = det(pencil)
         fval = eval_complex(form.poly, {"x": x, "y": y, "z": z})
-        worst = max(worst, abs(value - fval) / (1.0 + abs(fval)))
+        residual = abs(value - fval) / (1.0 + abs(fval))
+        if math.isnan(residual):    # max() would skip it
+            return residual
+        worst = max(worst, residual)
     return worst
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 from .errors import DegreeError, DomainError, TableMismatchError
 from .polyring import Polynomial, diff_pair, multi_partial  # noqa: F401  (re-exports diff_pair)
@@ -38,42 +40,58 @@ def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
     return tuple(tuple(h[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
 
 
+@lru_cache(maxsize=64)
+def _expansion(n: int, zero: tuple[bool, ...]):
+    """The cofactor expansion of an n x n determinant whose entry (i, j) is zero
+    when ``zero[i * n + j]``, as steps for one bottom-up pass: for each set of
+    columns that the expansion along the first row reaches through nonzero
+    entries, smaller sets first, as ``(row, mask, lowest column, terms)``: the
+    mask's bits are the columns, and each term ``(column, odd, rest)`` is a
+    nonzero entry of the row and the mask of the minor it multiplies."""
+    needed = {(1 << n) - 1}
+    steps = []
+    for size in range(n, 1, -1):
+        row = n - size
+        for cols in combinations(range(n), size):
+            mask = sum(1 << c for c in cols)
+            if mask in needed:
+                terms = tuple((c, j % 2, mask - (1 << c)) for j, c in enumerate(cols)
+                              if not zero[row * n + c])
+                needed.update(rest for _, _, rest in terms)
+                steps.append((row, mask, cols[0], terms))
+    return steps[::-1]
+
+
 def det(rows):
     """Determinant of a square matrix given by its rows, by cofactor expansion
-    along the first row (sizes up to 4 in practice).
+    along the first row.
 
-    The minor of the rows below a row on a set of columns is the same on every
-    expansion path that reaches it, so each is expanded once and kept.  A zero
-    entry is skipped, and complex terms are added left to right (not by
+    One bottom-up pass: the minors of the last row are its entries, and each
+    minor of the last k rows on k columns that the expansion reaches is formed
+    once, from the minors of the rows below it, before any of k + 1 columns.
+    Which minors are reached, through which nonzero entries, depends only on
+    where the zeros are, so the steps are worked out once per pattern of zeros
+    and kept (a bounded cache).  Complex terms are added left to right (not by
     ``sum``: newer Pythons compensate its float sums).  Exact for polynomial
     entries; complex entries give the numeric value.
     """
     n = len(rows)
     if not rows or any(len(row) != n for row in rows):
         raise DomainError("matrix is not square")
-    minors = {(c,): entry for c, entry in enumerate(rows[-1])}
-
-    def minor(cols):
-        """The determinant of the last ``len(cols)`` rows on the columns *cols*."""
-        row = rows[n - len(cols)]
-        terms = []
-        for j, c in enumerate(cols):
-            if entry := row[c]:
-                rest = cols[:j] + cols[j + 1:]
-                if (sub := minors.get(rest)) is None:
-                    sub = minors[rest] = minor(rest)
-                terms.append((-1 if j % 2 else 1, entry, sub))
-        first = row[cols[0]]
+    minors = {1 << c: entry for c, entry in enumerate(rows[-1])}
+    for r, mask, low, terms in _expansion(n, tuple([not entry for row in rows for entry in row])):
+        row = rows[r]
+        first = row[low]
         if isinstance(first, Polynomial):
-            return Polynomial.sum_of_products(first.table, terms)
-        total = 0 * first
-        for sign, entry, sub in terms:
-            term = entry * sub
-            total = total + (term if sign > 0 else -term)
-        return total
-
-    cols = tuple(range(n))
-    return minors[cols] if n == 1 else minor(cols)
+            total = Polynomial.sum_of_products(first.table, [
+                (-1 if odd else 1, row[c], minors[rest]) for c, odd, rest in terms])
+        else:
+            total = 0 * first
+            for c, odd, rest in terms:
+                term = row[c] * minors[rest]
+                total = total + (-term if odd else term)
+        minors[mask] = total
+    return minors[(1 << n) - 1]
 
 
 def adjugate(m) -> tuple[tuple[Polynomial, ...], ...]:

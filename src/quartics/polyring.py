@@ -40,9 +40,13 @@ safe to share between threads: the compiled form for complex evaluation
 (:meth:`Polynomial.compiled`) is built lazily and idempotently, then kept.
 
 The one complex evaluator, :func:`eval_scaled_many`, computes each
-``complex(value) ** exponent`` of a point once, in one power table shared by
-all the polynomials it evaluates there; :func:`eval_scaled` and
-:func:`eval_complex` are its one-polynomial form.
+``complex(value) ** exponent`` of a point once, shared by all the polynomials
+it evaluates there; :func:`eval_scaled` and :func:`eval_complex` are its
+one-polynomial form.  It runs straight-line Python generated once per *shape*
+(the monomials of each polynomial in the set, without the coefficients, which
+are passed as data) and kept in bounded caches, so that the restriction
+coefficients of every member of a family share one function.  Generating it
+costs about 12 us per term (compiling the source), paid once per process.
 """
 
 from __future__ import annotations
@@ -276,13 +280,18 @@ class Polynomial:
 
     def compiled(self) -> tuple[tuple[complex, tuple[tuple[str, int], ...]], ...]:
         """The canonical-order terms as ``(complex(coeff), ((name, exp), ...))``
-        over the occurring variables, which :func:`eval_scaled_many` runs on; built once.
-        ``num / den`` is correctly rounded, as ``float(Fraction)`` is."""
-        if self._compiled is None:
-            den, names = self._den, self.table.names
-            self._compiled = tuple(
-                (complex(c / den), tuple((n, e) for n, e in zip(names, exps) if e))
-                for exps, c in self._items(sorted(self._num, reverse=True)))
+        over the occurring variables.  Built once, with what :func:`eval_scaled_many`
+        runs on: the tuple of coefficients and the shape, the monomials as one
+        :class:`_Shape` per table and monomials, of which a bounded cache keeps the
+        last 256.  ``num / den`` is correctly rounded, as ``float(Fraction)`` is."""
+        return (self._compiled or self._compile())[2]
+
+    def _compile(self):
+        """``(shape, coefficients, terms)``, kept as ``_compiled``; see :meth:`compiled`."""
+        keys = sorted(self._num, reverse=True)
+        shape, den, num = _shape(self.table, tuple(keys)), self._den, self._num
+        coefficients = tuple([complex(num[key] / den) for key in keys])
+        self._compiled = (shape, coefficients, tuple(zip(coefficients, shape.layout)))
         return self._compiled
 
     def is_zero(self) -> bool:
@@ -580,38 +589,125 @@ def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
     return Polynomial._from_packed(table, out, p._den)
 
 
+class _Shape:
+    """A compiled polynomial's monomials, ``((name, exp), ...)`` per term in canonical
+    order; one object per table and monomials (:func:`_shape`), so that a tuple of
+    shapes is a key hashed by identity."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self, layout):
+        self.layout = layout
+
+
+#: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
+#: sets of them and 6 generated functions, which stay with room to spare; a caller
+#: who evaluates ever new shapes keeps at most 64 functions, about 0.5 kB per term.
+_SHAPES, _SETS, _GENERATED = 256, 64, 64
+_SUM_CHUNK = 64     # terms summed in one expression: the compiler recurses once per +
+
+
+@lru_cache(maxsize=_SHAPES)
+def _shape(table: VarTable, keys: tuple[int, ...]) -> _Shape:
+    names = table.names
+    return _Shape(tuple(tuple((n, e) for n, e in zip(names, exps) if e)
+                        for exps in table._unpack(keys)))
+
+
+@lru_cache(maxsize=_SETS)
+def _evaluator(shapes: tuple[_Shape, ...]):
+    """``(evaluate, names)`` for polynomials of *shapes*: the variables in the order
+    they first appear, and the function generated for the layouts numbered in that
+    order, which sets that differ only in the names (a family's charts) share."""
+    names = {}
+    layouts = tuple(tuple(tuple((names.setdefault(name, len(names)), e) for name, e in monomial)
+                          for monomial in shape.layout)
+                    for shape in shapes)
+    return _generated(layouts), tuple(names)
+
+
+@lru_cache(maxsize=_GENERATED)
+def _generated(layouts):
+    namespace = {"missing": _missing}
+    exec(compile(_evaluator_source(layouts), "<eval_scaled_many>", "exec"), namespace)
+    return namespace["evaluate"]
+
+
+def _missing(name: str):
+    raise DomainError(f"variable {name!r} not assigned")
+
+
+def _evaluator_source(layouts) -> str:
+    """Python source of ``evaluate(forms, point, names)``: the loop of
+    :func:`eval_scaled_many` unrolled for polynomials of *layouts*, whose variables
+    are numbered and named ``names[i]``.  Per polynomial, one ``max`` over ``0.0`` and
+    the moduli of its terms, each term formed in its argument left to right, each
+    variable looked up and each power computed where the loop first needs it (so an
+    error is raised where the loop raises it); then ``0j + t0 + t1 + ...``."""
+    lines, targets, results = [], [], []
+    variables, powers = set(), {}
+    k = 0
+    for i, layout in enumerate(layouts):
+        first, moduli = k, []
+        for monomial in layout:
+            factors = [f"k{k}"]
+            for v, e in monomial:
+                power = powers.get((v, e))
+                if power is None:
+                    value = f"v{v}"
+                    if v not in variables:
+                        variables.add(v)
+                        value = (f"(v{v} := complex(v{v} if (v{v} := get(n{v})) is not None"
+                                 f" else missing(n{v})))")
+                    power = powers[v, e] = f"p{len(powers)}"
+                    factors.append(f"({power} := {value} ** {e})")
+                else:
+                    factors.append(power)
+            moduli.append(f"abs(t{k} := {' * '.join(factors)})")
+            k += 1
+        targets.append(f"(_, ({''.join(f'k{j}, ' for j in range(first, k))}), _)")
+        if not moduli:
+            results.append("(0j, 0.0)")
+            continue
+        lines.append(f"s{i} = max({', '.join(['0.0', *moduli])})")
+        total = "0j"
+        for start in range(first, k, _SUM_CHUNK):
+            lines.append(f"r{i} = " + " + ".join(
+                [total, *(f"t{t}" for t in range(start, min(start + _SUM_CHUNK, k)))]))
+            total = f"r{i}"
+        results.append(f"({total}, s{i})")
+    lines = ["get = point.get", f"[{', '.join(targets)}] = forms",
+             f"[{', '.join(f'n{v}' for v in range(len(variables)))}] = names", *lines,
+             f"return [{', '.join(results)}]"]
+    return "def evaluate(forms, point, names):\n" + "".join(f" {line}\n" for line in lines)
+
+
 def eval_scaled_many(polys: Sequence[Polynomial],
                      point: Mapping[str, complex]) -> list[tuple[complex, float]]:
     """Evaluate each polynomial at one complex point, with its largest summand modulus.
 
-    Sums in canonical term order over :meth:`Polynomial.compiled`; one power
-    table holds each ``variable ** exponent`` of the point, computed once for
-    all the polynomials, so each result is what the polynomial alone gives.
-    The summand scale measures cancellation.  Every variable that actually
-    occurs must be assigned.  Coefficients are converted with correctly
-    rounded integer division, so bounded inputs evaluate to full double
-    precision.
+    The result is that of this loop over each polynomial's :meth:`~Polynomial.compiled`
+    terms, with each power of the point computed once for all the polynomials::
+
+        for coefficient, monomial in p.compiled():
+            term = coefficient
+            for name, e in monomial:    # the first time: complex(point[name]) ** e
+                term *= power[name, e]
+            total += term               # from 0j
+            if abs(term) > scale:       # from 0.0, so a NaN modulus is skipped
+                scale = abs(term)
+
+    It runs as straight-line code with the coefficients as data, generated on
+    first use per set of shapes (:class:`_Shape`) and kept for the last 64 sets
+    (the bounds are at ``_SHAPES``): the same operations in the same order, so
+    the same floats bit for bit and the same first error.  A variable that
+    occurs but is not assigned (missing or ``None``) raises :class:`DomainError`.
+    The scale measures cancellation.  Coefficients are correctly rounded, so
+    bounded inputs evaluate to full double precision.
     """
-    powers = {}
-    out = []
-    for p in polys:
-        total = 0j
-        scale = 0.0
-        for term, monomial in p.compiled():
-            for factor in monomial:
-                power = powers.get(factor)
-                if power is None:
-                    v = point.get(factor[0])
-                    if v is None:
-                        raise DomainError(f"variable {factor[0]!r} not assigned")
-                    power = powers[factor] = complex(v) ** factor[1]
-                term *= power
-            total += term
-            size = abs(term)
-            if size > scale:    # max(scale, size), which skips a NaN size
-                scale = size
-        out.append((total, scale))
-    return out
+    forms = [p._compiled or p._compile() for p in polys]
+    evaluate, names = _evaluator(tuple([form[0] for form in forms]))
+    return evaluate(forms, point, names)
 
 
 def eval_scaled(p: Polynomial, point: Mapping[str, complex]) -> tuple[complex, float]:

@@ -83,8 +83,9 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
     otherwise exactly the family's arity of exact rationals is required, and
     a value that is not one raises :class:`DomainError`.
     """
-    names = _family_names(family, params)
     symbolic = params is None
+    params = None if symbolic else tuple(params)
+    names = _family_names(family, params)
     values = names if symbolic else tuple(map(rational, params))
     table = VarTable(GEOMETRIC, names if symbolic else ())
     lookup = dict(zip(names, values))
@@ -101,6 +102,7 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
 def x4_triple(family: str, params: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The member's parameters as the X4 triple (r, s, u) it specializes; an unknown
     family or a wrong parameter count is a :class:`DomainError`."""
+    params = tuple(params)
     lookup = dict(zip(_family_names(family, params), params))
     return tuple(lookup.get(name, Fraction(0)) for name in X4_SLOTS[family])
 
@@ -115,6 +117,7 @@ def singular_locus_check(family: str, params: Sequence[Fraction]):
     double conic) and ``r^2+s^2+u^2 - r*s*u - 4 != 0`` (the locus where the
     curve acquires a singular point with all coordinates nonzero).
     """
+    params = tuple(params)
     triple = x4_triple(family, params)
     for name, value in zip(X4_SLOTS[family], triple):
         if value == 2 or value == -2:

@@ -2,13 +2,14 @@
 residual certification and the symbolic determinant expansion."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from quartics.detrep import (E_SYSTEM, OEQ_SYSTEM, DetRep, compute_pq,
+from quartics.detrep import (DEFAULT_SEED, DEFAULT_TOL, E_SYSTEM, OEQ_SYSTEM, DetRep, compute_pq,
                              determinant_expand, residuals_e_system,
                              solve_detrep, symbolic_pencil, _determinant_residual, _SYS_TABLE)
 from quartics.errors import DegeneracyError, DomainError, SolverError
@@ -209,6 +210,18 @@ class TestSolver:
 
 
 class TestResiduals:
+    def test_a_nan_point_residual_fails_the_certificate(self):
+        # C entries of 1e300: det(xA + yB + zC) overflows to inf - inf = NaN at the
+        # points, which max() would skip, leaving a residual of 0.0
+        rep = solve_detrep(3, 5, 7)
+        huge = DetRep(rep.b_diagonal, tuple(tuple(0j if i == j else 1e300 + 0j for j in range(4))
+                                            for i in range(4)), rep.branch, {})
+        residual = _determinant_residual(huge, 3, 5, 7, DEFAULT_SEED)
+        assert math.isnan(residual)
+        assert not residual < DEFAULT_TOL
+        # a finite one still gets its largest point residual, the certificate's
+        assert _determinant_residual(rep, 3, 5, 7, DEFAULT_SEED) == rep.residuals["det"]
+
     def test_perturbation_first_order(self):
         rep = solve_detrep(5, 1, 7)
         a, b, d, c, e, f = rep.off_diagonal()

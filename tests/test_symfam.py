@@ -174,6 +174,15 @@ class TestMakeFamily:
         with pytest.raises(DomainError, match="unknown family 'X5'"):
             make_family("X5")
 
+    def test_parameters_from_an_iterator(self):
+        # counted and read once each, like a tuple's
+        assert make_family("X24", iter([1])) == make_family("X24", (1,))
+        assert symfam.x4_triple("X16", iter([1, 3])) == (1, 3, 3)
+        with pytest.raises(DomainError, match=r"^X24 takes 1 parameter\(s\), got 2$"):
+            make_family("X24", iter([1, 2]))
+        with pytest.raises(DegeneracyError, match=r"^X24\('-1',\): singular curve"):
+            singular_locus_check("X24", iter([-1]))
+
     @pytest.mark.parametrize("call", [symfam.x4_triple, singular_locus_check])
     @pytest.mark.parametrize("family, params, message", [
         ("X5", (Fraction(1),), "^unknown family 'X5'"),
