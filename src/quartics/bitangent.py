@@ -73,12 +73,14 @@ class ProjLine(_Record):
     :meth:`from_coefficients` scales the coefficient of largest modulus (first
     such slot on ties) to exactly 1, so every modulus is at most 1 up to
     rounding; the constructor takes only a triple already in that form.  The
-    three moduli are computed and checked once, when the line is built; they
-    stay out of ``repr`` and equality.
+    three moduli, the ``pivot`` (the first slot of largest modulus, which on a
+    near tie need not be the slot holding the exact 1) and its ``chart`` are
+    computed once, when the line is built; they stay out of ``repr`` and
+    equality.
     """
 
     _fields = ("coefficients",)
-    __slots__ = _fields + ("moduli",)
+    __slots__ = _fields + ("moduli", "pivot", "chart")
 
     def __init__(self, coefficients: tuple[complex, complex, complex]):
         try:
@@ -87,8 +89,11 @@ class ProjLine(_Record):
             moduli = (math.inf,)
         if not abs(max(moduli) - 1.0) < _CELL_MARGIN:     # the dedupe's cells need it
             raise DomainError(f"line {coefficients} is not normalized: use from_coefficients")
+        pivot = moduli.index(max(moduli))
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "chart", _SLOT_CHART[pivot])
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "ProjLine":
@@ -101,18 +106,8 @@ class ProjLine(_Record):
         # exact unit in the pivot slot
         return cls(tuple(1.0 + 0.0j if i == k else v / c[k] for i, v in enumerate(c)))
 
-    @property
-    def pivot(self) -> int:
-        return self.moduli.index(max(self.moduli))
-
-    @property
-    def chart(self) -> str:
-        return _SLOT_CHART[self.pivot]
-
     def sort_key(self):
-        return tuple(
-            (round(v.real, 9), round(v.imag, 9)) for v in self.coefficients
-        )
+        return tuple((round(v.real, 9), round(v.imag, 9)) for v in self.coefficients)
 
 
 def _moduli(coefficients) -> tuple[float, ...]:

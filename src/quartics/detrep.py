@@ -196,16 +196,25 @@ def _determinant_residual(rep: DetRep, r, s, u, seed: int) -> float:
     return worst
 
 
+def _root_pair(first: complex, second: complex, product: complex) -> tuple[complex, complex]:
+    """(x, y) with x^2 = *first* and x y = *product*: x the principal square root, y =
+    *product* / x, or the principal square root of *second* when |x| <= 1e-150."""
+    x = cmath.sqrt(first)
+    return x, (product / x if abs(x) > 1e-150 else cmath.sqrt(second))
+
+
 def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> DetRep:
     """A certified symmetric determinantal representation of the family member.
 
     Follows the finite construction: ``a = f = 0``; ``t = c*d`` from the
     quadratic ``((r+2)/(r-2)) ((u-s)^2/4 - 4 t^2) + 4 (t+1)^2 - (u+s)^2/4 = 0``;
     ``b*e = t + 1``; ``(c^2, d^2)`` the roots of ``w^2 + ((u-s)/2) w + t^2``
-    and ``(b^2, e^2)`` of ``w^2 + ((u+s)/2) w + (t+1)^2``.  All branch
-    assignments are enumerated; a branch survives only if the unsquared
-    linear condition holds, and the minimal-residual surviving branch is
-    certified against ``det(xA + yB + zC) = f`` at seeded random points.
+    and ``(b^2, e^2)`` of ``w^2 + ((u+s)/2) w + (t+1)^2``, each pair in both
+    orders.  Branches are tried by increasing residual of the unsquared linear
+    condition (ties in generation order) up to ``tol * (1 + max(|r|,|s|,|u|))``;
+    the first whose six reduced conditions are at most *tol* and whose
+    ``det(xA + yB + zC) = f`` holds to *tol* at seeded random points is returned
+    with its residuals (:func:`residuals_e_system`'s, then ``"det"``).
     A *tol* that is not a finite number > 0, a parameter that is not a
     rational or a *seed* that is not an int (the points, and so ``det``'s
     residual, must not change between identical calls) raises
@@ -223,23 +232,17 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
         up_half = complex(float(Fraction(u + s, 2)))
 
         # quadratic in t: (4 - 4*kappa) t^2 + 8 t + (kappa*(u-s)^2/4 + 4 - (u+s)^2/4)
-        c2 = Fraction(4) - 4 * kappa
-        c1 = Fraction(8)
         c0 = kappa * Fraction(u - s, 2) ** 2 + 4 - Fraction(u + s, 2) ** 2
-        t_roots = numroots.roots([complex(float(c0)), complex(float(c1)), complex(float(c2))])
+        t_roots = numroots.roots([complex(float(c0)), 8 + 0j, complex(float(4 - 4 * kappa))])
 
         branches = []
         for ti, t in enumerate(t_roots):
-            cd_roots = numroots.roots([t * t, us_half, 1.0 + 0j])
-            be_roots = numroots.roots([(t + 1) * (t + 1), up_half, 1.0 + 0j])
-            for cd_swap in (False, True):
-                c2v, d2v = (cd_roots[1], cd_roots[0]) if cd_swap else (cd_roots[0], cd_roots[1])
-                for be_swap in (False, True):
-                    b2v, e2v = (be_roots[1], be_roots[0]) if be_swap else (be_roots[0], be_roots[1])
-                    cc = cmath.sqrt(c2v)
-                    dd = t / cc if abs(cc) > 1e-150 else cmath.sqrt(d2v)
-                    bb = cmath.sqrt(b2v)
-                    ee = (t + 1) / bb if abs(bb) > 1e-150 else cmath.sqrt(e2v)
+            w_cd = numroots.roots([t * t, us_half, 1.0 + 0j])
+            w_be = numroots.roots([(t + 1) * (t + 1), up_half, 1.0 + 0j])
+            cd_pairs = (_root_pair(*w_cd, t), _root_pair(*w_cd[::-1], t))
+            be_pairs = (_root_pair(*w_be, t + 1), _root_pair(*w_be[::-1], t + 1))
+            for cd_swap, (cc, dd) in zip((False, True), cd_pairs):
+                for be_swap, (bb, ee) in zip((False, True), be_pairs):
                     e1 = (bb * bb - ee * ee) * (q + p) + (cc * cc - dd * dd) * (q - p)
                     e6 = abs((bb * ee - cc * dd) ** 2 - 1)
                     branches.append((abs(e1) + e6, BranchChoice(ti, cd_swap, be_swap),
@@ -255,23 +258,19 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
         if not pq_identity <= tol:      # written so that NaN fails too
             raise SolverError(f"(r,s,u) = ({r},{s},{u}): pq_identity |p^2 q^2 - 1| = "
                               f"{pq_identity:.3e} exceeds tol {tol:g}")
-        branches.sort(key=lambda item: (item[0], item[1].t_index, item[1].cd_swap, item[1].be_swap))
+        branches.sort(key=itemgetter(0))    # stable: ties stay in (t_index, cd_swap, be_swap) order
         scale = 1.0 + max(abs(float(v)) for v in (r, s, u))
+        diagonal = (p, -p, q, -q)
         for residual, choice, (bb, cc, dd, ee) in branches:
-            if residual > tol * scale:
-                continue
-            diagonal = (p, -p, q, -q)
+            if residual > tol * scale:      # so is every later one
+                break
             c_matrix = _pencil(1.0 + 0j, 0j, diagonal, (0j, bb, dd, cc, ee, 0j))[2]
-            res = {}
-            rep = DetRep(diagonal, c_matrix, choice, res)
-            res.update(residuals_e_system(rep, r, s, u))
+            trial = DetRep(diagonal, c_matrix, choice, None)    # residuals not known yet
+            res = residuals_e_system(trial, r, s, u)
             if not all(res[f"e{i}"] <= tol for i in range(1, 7)):
                 continue
-            det_res = _determinant_residual(rep, r, s, u, seed)
+            det_res = _determinant_residual(trial, r, s, u, seed)
             if det_res < tol:
-                res["det"] = det_res
-                return rep
-        raise SolverError(
-            f"no branch certified for (r,s,u) = ({r},{s},{u}); "
-            f"best unsquared-condition residual {branches[0][0]:.3e}"
-        )
+                return DetRep(diagonal, c_matrix, choice, {**res, "det": det_res})
+        raise SolverError(f"no branch certified for (r,s,u) = ({r},{s},{u}); "
+                          f"best unsquared-condition residual {branches[0][0]:.3e}")

@@ -56,8 +56,10 @@ class SolverError(QuarticsError):
 
 def rational(value) -> Fraction:
     """*value* (an int, a ``Fraction``, a finite float or a string like "7/2") as a
-    ``Fraction``; anything else raises :class:`DomainError` naming it."""
+    ``Fraction``; anything else, a bool too, raises :class:`DomainError` naming it."""
     try:
+        if isinstance(value, bool):     # Fraction(True) would be 1
+            raise TypeError("a bool is not a rational")
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"cannot parse rational {value!r}: {exc}") from None

@@ -413,6 +413,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             raise DomainError("negative power")
         result, base = None, self
@@ -435,7 +437,7 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.table, tuple(sorted(self.terms.items()))))
+            self._hash = hash((self.table, self._den, frozenset(self._num.items())))
         return self._hash
 
     # -- display -----------------------------------------------------------
@@ -739,7 +741,8 @@ def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
                         for n, e in zip(names, exps) if e and n not in point)
             raise DomainError(f"variable {name!r} not assigned")
         v = point[name]
-        v = v if isinstance(v, (int, Fraction)) else rational(v)
+        if type(v) not in (int, Fraction):      # a bool too: rational rejects it
+            v = rational(v)
         exps = {(key >> shift) & _LIMIT for key in p._num}
         n, d, t = v.numerator, v.denominator, max(exps)
         factors.append((shift, {e: n ** e * d ** (t - e) for e in exps}))

@@ -2,7 +2,9 @@
 certification for the bitangent machinery."""
 
 import cmath
+import copy
 import itertools
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -359,6 +361,19 @@ class TestNormalization:
         line = ProjLine.from_coefficients((3, 1 + 1j, 2))
         assert line.coefficients[0] == 1.0 + 0j
         assert line.pivot == 0 and line.chart == "YZ"
+
+    @pytest.mark.parametrize("coeffs, pivot", [((3, 1 + 1j, 2), 0), ((0.5, -4j, 1), 1),
+                                                ((1, 1, 1), 0), ((0, 1e-300, 2), 2)])
+    def test_pivot_and_chart_are_stored_when_built(self, coeffs, pivot):
+        line = ProjLine.from_coefficients(coeffs)
+        assert line.pivot == pivot and line.chart == {0: "YZ", 1: "ZX", 2: "XY"}[pivot]
+        # kept in slots, read without a call; a copy or a pickled line rebuilds them
+        assert "pivot" in ProjLine.__slots__ and "chart" in ProjLine.__slots__
+        for twin in (copy.copy(line), pickle.loads(pickle.dumps(line))):
+            assert twin == line and (twin.pivot, twin.chart) == (line.pivot, line.chart)
+        for name in ("pivot", "chart"):
+            with pytest.raises(AttributeError):
+                setattr(line, name, 0)
 
     def test_tie_takes_first(self):
         line = ProjLine.from_coefficients((1, 1j, 0))

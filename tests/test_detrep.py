@@ -159,9 +159,10 @@ class TestSolver:
         assert a.b_diagonal == b.b_diagonal
 
     @pytest.mark.parametrize("rsu", [("x", 1, 1), (1, "nan", 1), (1, 2, None),
-                                     (float("inf"), 1, 1), (1, "1/0", 3)])
+                                     (float("inf"), 1, 1), (1, "1/0", 3),
+                                     (True, 3, 5), (1, False, 3)])
     def test_non_rational_parameter_is_a_domain_error(self, rsu):
-        bad = next(v for v in rsu if not isinstance(v, int))
+        bad = next(v for v in rsu if type(v) is not int)     # a bool is an int
         with pytest.raises(DomainError, match=f"^cannot parse rational {re.escape(repr(bad))}"):
             solve_detrep(*rsu)
 
@@ -176,7 +177,7 @@ class TestSolver:
             with pytest.raises(DegeneracyError):
                 solve_detrep(r, 0, 0)
 
-    @pytest.mark.parametrize("bad", ["x", "nan", None, float("inf"), "1/0"])
+    @pytest.mark.parametrize("bad", ["x", "nan", None, float("inf"), "1/0", True])
     def test_helpers_name_a_non_rational_parameter(self, bad):
         # compute_pq and both residual checks convert their parameters as
         # solve_detrep does, so a bad value is a DomainError, never a bare ValueError

@@ -136,6 +136,16 @@ class TestPow:
         with pytest.raises(ValueError, match="negative power"):
             var(PAR, "x") ** -1
 
+    def test_exponent_that_is_not_an_int(self):
+        x = var(PAR, "x")
+        # Fraction.__rpow__ takes an integral Fraction back to an int power
+        assert x ** Fraction(2) == x * x
+        with pytest.raises(DomainError, match="^negative power$"):
+            x ** Fraction(-1)
+        # a foreign exponent is NotImplemented, so Python's error names ** and the types
+        with pytest.raises(TypeError, match=r"\*\*.*'Polynomial' and 'float'"):
+            x ** 2.0
+
     def test_no_product_has_the_factor_one(self, monkeypatch):
         formed = []
         inner = Polynomial.sum_of_products
@@ -427,7 +437,7 @@ class TestEval:
                 with pytest.raises(DomainError, match="^variable 'y' not assigned$"):
                     evaluate(p, {"z": 1})
 
-    @pytest.mark.parametrize("bad", ["q", "1/0", None, 1j])
+    @pytest.mark.parametrize("bad", ["q", "1/0", None, 1j, True])
     def test_exact_point_value_that_is_not_rational(self, bad):
         from quartics.symfam import make_family
 
@@ -537,6 +547,18 @@ class TestEvalScaledExact:
         p = mono(PAR, {"x": 2, "r": 1}, Fraction(1, 3)) + 5
         assert p.compiled() is p.compiled()
         assert p.compiled() == ((complex(1 / 3), (("x", 2), ("r", 1))), (5 + 0j, ()))
+
+
+class TestHash:
+    def test_equal_polynomials_built_by_different_routes_hash_equal(self):
+        x, r = var(PAR, "x"), var(PAR, "r")
+        routes = [
+            x * x + Fraction(1, 2) * r - x * x + Fraction(1, 2) * r + x * x,     # a sum
+            (x + r) * (x - r) + r * r + r,                                      # a product
+            Polynomial.from_numerators(PAR, {(2, 0, 0, 0, 0, 0): 6, (0, 0, 0, 1, 0, 0): 6}, 6),
+        ]
+        assert all(p == routes[0] for p in routes)
+        assert len({hash(p) for p in routes}) == 1 and len(set(routes)) == 1
 
 
 class TestImmutability:
@@ -742,7 +764,8 @@ def assert_matches_reference(got, table, want):
     assert str(got) == _ref_str(table, want)
     twin = Polynomial(table, want)
     assert got == twin and hash(got) == hash(twin)
-    assert hash(got) == hash((table, tuple(sorted(want.items()))))
+    # the hash reads the canonical stored form, not the terms view
+    assert hash(got) == hash((table, den, frozenset(got._num.items())))
     assert repr(got.compiled()) == repr(_ref_compiled(table, want))
     if want:
         assert got.leading_term() == max(want.items(), key=lambda t: (sum(t[0]), t[0]))

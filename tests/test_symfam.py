@@ -210,7 +210,8 @@ class TestMakeFamily:
         with pytest.raises(DomainError):
             make_generic([1, 2, 3])
 
-    @pytest.mark.parametrize("bad", ["a", "nan", "1/0", None, float("nan"), float("inf"), 1j])
+    @pytest.mark.parametrize("bad", ["a", "nan", "1/0", None, float("nan"), float("inf"), 1j,
+                                     True, False])
     def test_non_rational_value_is_a_domain_error(self, bad):
         message = f"^cannot parse rational {re.escape(repr(bad))}"
         with pytest.raises(DomainError, match=message):
