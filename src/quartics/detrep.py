@@ -49,11 +49,11 @@ class DetRep(_Record):
 
     @property
     def a_matrix(self) -> tuple[tuple[complex, ...], ...]:
-        return _pencil(1.0 + 0j, 0j, self.b_diagonal, self.off_diagonal())[0]
+        return _diagonal((1.0 + 0j,) * 4, 0j)
 
     @property
     def b_matrix(self) -> tuple[tuple[complex, ...], ...]:
-        return _pencil(1.0 + 0j, 0j, self.b_diagonal, self.off_diagonal())[1]
+        return _diagonal(self.b_diagonal, 0j)
 
     @property
     def p(self) -> complex:
@@ -87,13 +87,17 @@ def compute_pq(r: Fraction | int) -> tuple[complex, complex]:
     return p, 1 / p
 
 
+def _diagonal(diagonal, zero):
+    """The 4x4 matrix with *diagonal* on its diagonal and *zero* elsewhere."""
+    return tuple(tuple(diagonal[i] if i == j else zero for j in range(4)) for i in range(4))
+
+
 def _pencil(one, zero, diagonal, off_diagonal):
     """The pencil's coefficient matrices (A, B, C): A the identity, B the
     *diagonal* and C the zero-diagonal symmetric matrix whose entries
     (c12, c13, c14, c23, c24, c34) are *off_diagonal* = (a, b, d, c, e, f)."""
     a, b, d, c, e, f = off_diagonal
-    return (tuple(tuple(one if i == j else zero for j in range(4)) for i in range(4)),
-            tuple(tuple(diagonal[i] if i == j else zero for j in range(4)) for i in range(4)),
+    return (_diagonal((one,) * 4, zero), _diagonal(diagonal, zero),
             ((zero, a, b, d), (a, zero, c, e), (b, c, zero, f), (d, e, f, zero)))
 
 
@@ -179,16 +183,15 @@ def _certificate_points(seed: int) -> tuple[tuple[complex, complex, complex], ..
                  for _ in range(N_CERT_POINTS))
 
 
-def _determinant_residual(rep: DetRep, r, s, u, seed: int) -> float:
-    """The largest |det(xA + yB + zC) - f| / (1 + |f|) over the seeded points; NaN
-    when a point's residual is NaN, so that the certificate fails."""
-    form = make_family("X4", (r, s, u))     # converted by errors.rational
+def _determinant_residual(rep: DetRep, quartic: Polynomial, seed: int) -> float:
+    """The largest |det(xA + yB + zC) - f| / (1 + |f|) over the seeded points, f the
+    member *quartic*; NaN when a point's residual is NaN, so that the certificate fails."""
     rows = tuple(zip(rep.a_matrix, rep.b_matrix, rep.c_matrix))
     worst = 0.0
     for x, y, z in _certificate_points(seed):
         pencil = [[x * a + y * b + z * c for a, b, c in zip(*row)] for row in rows]
         value = det(pencil)
-        fval = eval_complex(form.poly, {"x": x, "y": y, "z": z})
+        fval = eval_complex(quartic, {"x": x, "y": y, "z": z})
         residual = abs(value - fval) / (1.0 + abs(fval))
         if math.isnan(residual):    # max() would skip it
             return residual
@@ -261,6 +264,7 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
         branches.sort(key=itemgetter(0))    # stable: ties stay in (t_index, cd_swap, be_swap) order
         scale = 1.0 + max(abs(float(v)) for v in (r, s, u))
         diagonal = (p, -p, q, -q)
+        quartic = make_family("X4", (r, s, u)).poly     # for the determinant check
         for residual, choice, (bb, cc, dd, ee) in branches:
             if residual > tol * scale:      # so is every later one
                 break
@@ -269,7 +273,7 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
             res = residuals_e_system(trial, r, s, u)
             if not all(res[f"e{i}"] <= tol for i in range(1, 7)):
                 continue
-            det_res = _determinant_residual(trial, r, s, u, seed)
+            det_res = _determinant_residual(trial, quartic, seed)
             if det_res < tol:
                 return DetRep(diagonal, c_matrix, choice, {**res, "det": det_res})
         raise SolverError(f"no branch certified for (r,s,u) = ({r},{s},{u}); "

@@ -13,10 +13,13 @@ These are the computational primitives behind the quartic invariants:
 * ``transvectant(F, G, k)`` is the classical bilinear pairing of two binary
   forms, computed by direct binomial expansion of the Cayley operator.
 
-``diff_pair`` is one pass over the packed keys of both operands, and each
+``diff_pair`` meets each geometric monomial of ``f`` with the monomials of
+``g`` of at least its degree, the one of equal degree by one lookup, and each
 distinct Hessian entry is one ``multi_partial``: one pass over the keys of
 ``f``.  Each has one normalization per result and builds no intermediate
-polynomial.
+polynomial.  ``j_bracket`` forms the six distinct entries and cofactors of
+each symmetric Hessian once and contracts them, an off-diagonal product with
+weight 2, in four sums of products.
 """
 
 from __future__ import annotations
@@ -94,46 +97,44 @@ def det(rows):
     return minors[(1 << n) - 1]
 
 
-def adjugate(m) -> tuple[tuple[Polynomial, ...], ...]:
-    """Rows of the classical adjugate (transpose of cofactors) of a 3x3 matrix
-    given by its rows.
+#: The upper triangle of a symmetric 3x3 matrix, and the weight of each entry in a
+#: full contraction: an off-diagonal entry stands for two equal products.
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_WEIGHTS = (1, 2, 2, 1, 2, 1)
 
-    Satisfies ``m * adj(m) = det(m) * Id`` exactly.
-    """
-    if len(m) != 3 or any(len(row) != 3 for row in m):
-        raise DegreeError("adjugate implemented for 3x3 matrices")
-    def cof(i, j):      # from the cyclically next rows and columns, so the sign is built in
+
+def _hessian_and_cofactors(p: Polynomial) -> tuple[list[Polynomial], list[Polynomial]]:
+    """The six distinct entries of the symmetric Hessian of *p* and its six distinct
+    cofactors, both in the order of ``_UPPER``, each formed once."""
+    h = hessian(p)
+    entries = [h[i][j] for i, j in _UPPER]
+    cofactors = []
+    for i, j in _UPPER:     # from the cyclically next rows and columns: the sign is built in
         i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-        return Polynomial.sum_of_products(
-            m[0][0].table, ((1, m[i1][j1], m[i2][j2]), (-1, m[i1][j2], m[i2][j1])))
-    # adjugate[i][j] = cofactor(j, i)
-    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
-
-
-def dot(a, b) -> Polynomial:
-    """Matrix dot product ``sum_ij a[i][j] * b[j][i]`` of two square matrices
-    given by their rows (exact)."""
-    n = len(a)
-    if not n or any(len(m) != n or any(len(row) != n for row in m) for m in (a, b)):
-        raise DegreeError("dot needs two n x n matrices with n >= 1")
-    return Polynomial.sum_of_products(
-        a[0][0].table, ((1, a[i][j], b[j][i]) for i in range(n) for j in range(n)))
+        cofactors.append(Polynomial.sum_of_products(
+            p.table, ((1, h[i1][j1], h[i2][j2]), (-1, h[i1][j2], h[i2][j1]))))
+    return entries, cofactors
 
 
 def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
     """The four J-brackets ``(J11, J22, J30, J03)`` of two quadratic ternary forms.
 
     ``J11 = <H(f), H(g)>``, ``J22 = <H*(f), H*(g)>``, ``J30 = det H(f)``,
-    ``J03 = det H(g)``, all from one Hessian of each form.  The Hessians of
-    quadratics have constant entries.  Degenerate inputs of geometric degree
-    below 2 are allowed (their second partials simply vanish); degree above 2
-    is an error.
+    ``J03 = det H(g)``, ``H*`` the adjugate.  Each symmetric Hessian's six
+    distinct entries and cofactors are formed once; an off-diagonal product
+    weighs 2 in ``<a, b> = sum_ij a_ij b_ji``, and a determinant is its first
+    row against that row's cofactors.  The Hessians of quadratics have constant
+    entries.  Degenerate inputs of geometric degree below 2 are allowed (their
+    second partials simply vanish); degree above 2 is an error.
     """
     for p in (f, g):
         if p.geometric_degree() > 2:
             raise DegreeError("J brackets are defined for quadratic forms")
-    hf, hg = hessian(f), hessian(g)
-    return dot(hf, hg), dot(adjugate(hf), adjugate(hg)), det(hf), det(hg)
+    (hf, cf), (hg, cg) = _hessian_and_cofactors(f), _hessian_and_cofactors(g)
+    return (Polynomial.sum_of_products(f.table, zip(_WEIGHTS, hf, hg)),
+            Polynomial.sum_of_products(f.table, zip(_WEIGHTS, cf, cg)),
+            Polynomial.sum_of_products(f.table, zip((1, 1, 1), hf, cf)),
+            Polynomial.sum_of_products(g.table, zip((1, 1, 1), hg, cg)))
 
 
 def transvectant(F: Polynomial, G: Polynomial, k: int,

@@ -17,7 +17,8 @@ the six invariants
     I18 = J22(tau, rho)          I15 = J30(tau, rho) = det H(tau)
 
 where the four J-brackets come from one :func:`~quartics.diffcalc.j_bracket`
-call, which builds one Hessian of each covariant.
+call, which forms the six distinct Hessian entries and cofactors of each
+covariant once.
 
 Conventions are pinned by exact reference values, anchored at ``I6 = 13822``
 for the Fermat quartic: the Hessian carries bare second partials (halving it

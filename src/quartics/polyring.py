@@ -21,19 +21,20 @@ Each monomial is stored as one packed ``int`` (Monagan and Pearce, CASC
 2007): 16-bit fields, the total degree in the top one, then the exponents in
 table order.  So a monomial product is one integer addition, and the int
 order of the keys is the canonical term order.  An exponent or total degree
-above 65,535 is a :class:`DegreeError`, checked on construction and before
-each product, never wrapped.  The public views (``terms``, ``numerators``,
-``sorted_terms``, ...) are keyed by exponent tuples.
+above 65,535 is a :class:`DegreeError`, checked on construction and on the
+keys each product loop forms, never wrapped.  The public views (``terms``,
+``numerators``, ``sorted_terms``, ...) are keyed by exponent tuples.
 
 The one product loop, :meth:`Polynomial.sum_of_products`, adds scaled products
 ``c * a * b`` into one dict and normalizes once (as Monagan and Pearce form a
-sum of products); ``a * b`` is its one-product case, and sums of products are
-formed in one call, without a running total of normalized terms.
+sum of products), skipping zero operands; ``a * b`` is its one-product case,
+and sums of products are formed in one call, without a running total.
 
 All differentiation lives here, in two one-pass kernels: :func:`multi_partial`
 applies a monomial operator ``d^a`` (``partial`` is its one-variable case, and
 each entry of :func:`quartics.diffcalc.hessian` is one call), and
-:func:`diff_pair` applies the operator of a whole polynomial.
+:func:`diff_pair` applies the operator of a whole polynomial, whose monomials
+meet those of equal degree by lookup.
 
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: the compiled form for complex evaluation
@@ -44,7 +45,7 @@ The one complex evaluator, :func:`eval_scaled_many`, computes each
 it evaluates there; :func:`eval_scaled` and :func:`eval_complex` are its
 one-polynomial form.  It runs straight-line Python generated once per *shape*
 (the monomials of each polynomial in the set, without the coefficients, which
-are passed as data) and kept in bounded caches, so that the restriction
+are passed as data) and kept in caches, so that the restriction
 coefficients of every member of a family share one function.  Generating it
 costs about 12 us per term (compiling the source), paid once per process.
 """
@@ -52,6 +53,7 @@ costs about 12 us per term (compiling the source), paid once per process.
 from __future__ import annotations
 
 import struct
+import weakref
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm, perm
@@ -390,24 +392,26 @@ class Polynomial:
     def sum_of_products(table: VarTable, products) -> "Polynomial":
         """``sum c * a * b`` over the ``(c, a, b)`` of *products* (*c* an int or ``Fraction``,
         *a*, *b* over *table*), in one dict over the lcm of the denominators with one gcd
-        pass; an empty list gives zero over *table*."""
-        products = list(products)
-        den = lcm(*[c.denominator * a._den * b._den for c, a, b in products])
-        top = table._top
-        out: dict[int, int] = {}
+        pass; a product with a zero polynomial factor adds no key and is skipped once both
+        tables are checked, and an empty sum gives zero over *table*."""
+        live = []
         for c, a, b in products:
             _check_table(table, a)
             _check_table(table, b)
+            if a._num and b._num:
+                live.append((c, a, b))
+        den = lcm(*[c.denominator * a._den * b._den for c, a, b in live])
+        out: dict[int, int] = {}
+        for c, a, b in live:
             scale = c.numerator * (den // (c.denominator * a._den * b._den))
             a, b = (b._num, a._num) if len(b._num) > len(a._num) else (a._num, b._num)
-            # the degrees add, so a product that fits the top field fits every field
-            _check_degree((max(a, default=0) >> top) + (max(b, default=0) >> top))
             b = b.items()
             for ea, ca in a.items():
                 ca *= scale
                 for eb, cb in b:
                     e = ea + eb
                     out[e] = out.get(e, 0) + ca * cb
+        _check_degree(max(out, default=0) >> table._top)    # out keeps every product's key
         return Polynomial._from_packed(table, out, den)
 
     __rmul__ = __mul__
@@ -507,27 +511,37 @@ def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
 
 
 def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
-    """``D_f(g)``, the differential operator of *f* applied to *g*, in one pass: terms of
-    *f* and *g* with geometric exponents a <= b give ``f_num * g_num * prod perm(b_i, a_i)``
-    at ``f_key + g_key - 2 key(x^a)``; the other pairs of terms vanish."""
+    """``D_f(g)``, the differential operator of *f* applied to *g*: terms of *f* and *g*
+    with geometric exponents a <= b give ``f_num * g_num * prod perm(b_i, a_i)`` at
+    ``f_key + g_key - 2 key(x^a)``; the other pairs of terms vanish.  With *g*'s terms
+    filed by geometric degree and b, each a meets the b of its degree by one lookup and
+    those of higher degrees by a scan, and each weight is formed once per (a, b)."""
     _check_table(f.table, g)
     table, ng = f.table, f.table.n_geometric
     groups: dict[Exponents, list[tuple[int, int]]] = {}     # f's terms by their a
     for exps, term in zip(table._unpack(f._num), f._num.items()):
         groups.setdefault(exps[:ng], []).append(term)
-    gterms = list(zip(table._unpack(g._num), g._num.items()))
+    by_degree: dict[int, dict[Exponents, list[tuple[int, int]]]] = {}
+    for exps, term in zip(table._unpack(g._num), g._num.items()):
+        by_degree.setdefault(sum(exps[:ng]), {}).setdefault(exps[:ng], []).append(term)
     out: dict[int, int] = {}
-    for a, terms in groups.items():
-        need = [(i, e) for i, e in enumerate(a) if e]
+    for a, fterms in groups.items():
+        degree, need = sum(a), [(i, e) for i, e in enumerate(a) if e]
         twice = 2 * table._pack(a + (0,) * (len(table) - ng))
-        for b, (gkey, c) in gterms:
-            for i, e in need:
-                if b[i] < e:
-                    break
-                c *= perm(b[i], e)
-            else:
-                for key, fc in terms:
-                    out[k] = out.get(k := gkey + key - twice, 0) + fc * c
+        for d, monomials in by_degree.items():     # b >= a of a's degree is b = a
+            pairs = (monomials.items() if d > degree else
+                     ((a, monomials[a]),) if d == degree and a in monomials else ())
+            for b, gterms in pairs:
+                weight = 1
+                for i, e in need:
+                    if b[i] < e:
+                        break
+                    weight *= perm(b[i], e)
+                else:
+                    for gkey, c in gterms:
+                        gkey, c = gkey - twice, c * weight
+                        for key, fc in fterms:
+                            out[k] = out.get(k := gkey + key, 0) + fc * c
     _check_degree(max(out, default=0) >> table._top)    # out keeps every product's key
     return Polynomial._from_packed(table, out, f._den * g._den)
 
@@ -603,9 +617,10 @@ class _Shape:
 
 
 #: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
-#: sets of them and 6 generated functions, which stay with room to spare; a caller
-#: who evaluates ever new shapes keeps at most 64 functions, about 0.5 kB per term.
-_SHAPES, _SETS, _GENERATED = 256, 64, 64
+#: sets of them and 6 generated functions, which stay with room to spare.  A function
+#: lives while a cached set (or a caller) holds it, so each layout has one at a time,
+#: and a caller who evaluates ever new shapes keeps about 64, about 0.5 kB per term.
+_SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 _SUM_CHUNK = 64     # terms summed in one expression: the compiler recurses once per +
 
 
@@ -628,11 +643,13 @@ def _evaluator(shapes: tuple[_Shape, ...]):
     return _generated(layouts), tuple(names)
 
 
-@lru_cache(maxsize=_GENERATED)
 def _generated(layouts):
-    namespace = {"missing": _missing}
-    exec(compile(_evaluator_source(layouts), "<eval_scaled_many>", "exec"), namespace)
-    return namespace["evaluate"]
+    if (evaluate := _GENERATED.get(layouts)) is None:
+        namespace = {"missing": _missing}
+        exec(compile(_evaluator_source(layouts), "<eval_scaled_many>", "exec"), namespace)
+        # popped: no cycle through its globals outlives the last holder
+        evaluate = _GENERATED[layouts] = namespace.pop("evaluate")
+    return evaluate
 
 
 def _missing(name: str):

@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DegeneracyError, DomainError, rational
-from .polyring import Polynomial, VarTable, _Record
+from .polyring import _LIMIT, Polynomial, VarTable, _Record
 
 #: Each family as a specialization of X4: the family parameter in each of
 #: X4's slots (r, s, u); ``None`` is the constant 0.
@@ -232,20 +232,17 @@ def is_symmetric(p: Polynomial) -> bool:
 
     The transpositions (r s) and (s u) generate all six permutations, and one
     that sends every term to a term with the same coefficient maps the finite
-    support onto itself, so it fixes *p*: two lookups per term decide it.
+    support onto itself, so it fixes *p*: two lookups per term decide it.  On
+    the packed keys, swapping the fields at shifts a and b, of exponents e_a
+    and e_b, moves a key by ``(e_b - e_a) * (2^a - 2^b)``.
     """
-    return _is_symmetric(p.numerators, _indices(p.table))
-
-
-def _is_symmetric(num: Mapping[tuple[int, ...], int], idx: Sequence[int]) -> bool:
-    r, s, u = idx
-    for exps, coeff in num.items():
-        for a, b in ((r, s), (s, u)):
-            if exps[a] != exps[b]:
-                swapped = list(exps)
-                swapped[a], swapped[b] = exps[b], exps[a]
-                if num.get(tuple(swapped)) != coeff:
-                    return False
+    _indices(p.table)   # a table without r, s or u is a DomainError
+    num, (sr, ss, su) = p._num, map(p.table._shift, BASIS_NAMES)
+    step_rs, step_su = (1 << sr) - (1 << ss), (1 << ss) - (1 << su)
+    for key, c in num.items():
+        er, es, eu = (key >> sr) & _LIMIT, (key >> ss) & _LIMIT, (key >> su) & _LIMIT
+        if num.get(key + (es - er) * step_rs) != c or num.get(key + (eu - es) * step_su) != c:
+            return False
     return True
 
 
@@ -254,31 +251,31 @@ def decompose_symmetric(p: Polynomial) -> SymmetricDecomposition:
 
     The basis polynomials have pairwise disjoint supports, so the coefficient
     of ``S[i1,i2,i3]`` is the coefficient of ``r^i1 s^i2 u^i3`` in *p*: one
-    pass over the terms reads off those whose exponents are weakly
-    decreasing.  Terms come back by descending degree, then partition.
-    Raises :class:`DomainError` if the input is not symmetric, involves
-    other variables, or lives over a table without r, s or u.
+    pass over the packed keys, after :func:`is_symmetric`'s over the same keys,
+    reads off those whose exponents are weakly decreasing.  Terms come back by
+    descending degree, then partition.  Raises :class:`DomainError` if the
+    input is not symmetric, involves other variables, or lives over a table
+    without r, s or u.
     """
     extra = p.support_names() - set(BASIS_NAMES)
     if extra:
         raise DomainError(f"polynomial involves non-basis variables {sorted(extra)}")
-    idx = _indices(p.table)
-    num = p.numerators
-    if not _is_symmetric(num, idx):
+    if not is_symmetric(p):
         raise DomainError("polynomial is not symmetric in the parameters")
+    sr, ss, su = map(p.table._shift, BASIS_NAMES)
     constant = Fraction(0)
-    collected: list[tuple[Partition, Fraction]] = []
-    for exps, coeff in num.items():
-        i1, i2, i3 = (exps[i] for i in idx)
+    collected: list[tuple[tuple[int, ...], Fraction]] = []
+    for key, coeff in p._num.items():
+        i1, i2, i3 = (key >> sr) & _LIMIT, (key >> ss) & _LIMIT, (key >> su) & _LIMIT
         if not i1 >= i2 >= i3:
             continue
-        coeff = Fraction(coeff, p.denominator)
         if i1:
-            collected.append((Partition(tuple(e for e in (i1, i2, i3) if e)), coeff))
+            collected.append(((i1 + i2 + i3, i1, i2, i3), Fraction(coeff, p.denominator)))
         else:
-            constant = coeff
-    collected.sort(key=lambda pc: (sum(pc[0].parts), pc[0].padded()), reverse=True)
-    return SymmetricDecomposition(constant, tuple(collected))
+            constant = Fraction(coeff, p.denominator)
+    collected.sort(reverse=True)
+    return SymmetricDecomposition(constant, tuple(
+        (Partition(tuple(e for e in order[1:] if e)), coeff) for order, coeff in collected))
 
 
 def reconstruct(dec: SymmetricDecomposition, table: VarTable | None = None) -> Polynomial:
@@ -392,11 +389,11 @@ def golden_compare(inv, family: str) -> GoldenReport:
             continue
         lead_exps, lead_coeff = table_poly.leading_term()
         ratio = ours.coefficient(dict(zip(ours.table.names, lead_exps))) / lead_coeff
-        diff = ours - table_poly * ratio
-        if diff.is_zero():
+        scaled = table_poly * ratio
+        if ours == scaled:
             gamma[k] = ratio
-        else:
-            exps, coeff = diff.leading_term()
+        else:   # the difference is formed only to name where it is
+            exps, coeff = (ours - scaled).leading_term()
             failures[k] = f"first differing monomial {exps}: residue {coeff}"
             gamma[k] = None
     return GoldenReport(family, gamma, failures)

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from math import gcd, perm, prod
 
+from quartics.errors import DegreeError
 from quartics.polyring import Polynomial, VarTable
 
 XYZ = VarTable(("x", "y", "z"))
@@ -52,6 +53,34 @@ def ref_partial(terms, i, order):
             new = exps[:i] + (exps[i] - order,) + exps[i + 1:]
             out[new] = out.get(new, Fraction(0)) + c * perm(exps[i], order)
     return {e: c for e, c in out.items() if c}
+
+
+def adjugate(m) -> tuple[tuple[Polynomial, ...], ...]:
+    """Rows of the classical adjugate (transpose of cofactors) of a 3x3 matrix
+    given by its rows, each cofactor one sum of products: the route to
+    ``J22`` that ``diffcalc.j_bracket`` replaced.
+
+    Satisfies ``m * adj(m) = det(m) * Id`` exactly.
+    """
+    if len(m) != 3 or any(len(row) != 3 for row in m):
+        raise DegreeError("adjugate implemented for 3x3 matrices")
+    def cof(i, j):      # from the cyclically next rows and columns, so the sign is built in
+        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        return Polynomial.sum_of_products(
+            m[0][0].table, ((1, m[i1][j1], m[i2][j2]), (-1, m[i1][j2], m[i2][j1])))
+    # adjugate[i][j] = cofactor(j, i)
+    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+
+
+def dot(a, b) -> Polynomial:
+    """Matrix dot product ``sum_ij a[i][j] * b[j][i]`` of two square matrices
+    given by their rows (exact), all n^2 products: the route to ``J11`` and
+    ``J22`` that ``diffcalc.j_bracket`` replaced."""
+    n = len(a)
+    if not n or any(len(m) != n or any(len(row) != n for row in m) for m in (a, b)):
+        raise DegreeError("dot needs two n x n matrices with n >= 1")
+    return Polynomial.sum_of_products(
+        a[0][0].table, ((1, a[i][j], b[j][i]) for i in range(n) for j in range(n)))
 
 
 def random_unimodular(rng: random.Random, size: int = 3):

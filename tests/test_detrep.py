@@ -120,6 +120,9 @@ class TestSolver:
             tuple(1.0 + 0j if i == j else 0j for j in range(4)) for i in range(4)
         )
         diag = rep.b_diagonal
+        assert rep.b_matrix == tuple(
+            tuple(diag[i] if i == j else 0j for j in range(4)) for i in range(4)
+        )
         assert abs(diag[0] + diag[1]) < 1e-15 and abs(diag[2] + diag[3]) < 1e-15
         for i in range(4):
             assert rep.c_matrix[i][i] == 0
@@ -179,13 +182,13 @@ class TestSolver:
 
     @pytest.mark.parametrize("bad", ["x", "nan", None, float("inf"), "1/0", True])
     def test_helpers_name_a_non_rational_parameter(self, bad):
-        # compute_pq and both residual checks convert their parameters as
-        # solve_detrep does, so a bad value is a DomainError, never a bare ValueError
+        # compute_pq and residuals_e_system convert their parameters as solve_detrep
+        # does, so a bad value is a DomainError, never a bare ValueError
         rep = solve_detrep(1, 3, 5)
         calls = [lambda: compute_pq(bad),
                  lambda: residuals_e_system(rep, bad, 1, 5),
                  lambda: residuals_e_system(rep, 1, 3, bad),
-                 lambda: _determinant_residual(rep, 1, bad, 5, 0)]
+                 lambda: solve_detrep(1, bad, 5)]
         for call in calls:
             with pytest.raises(DomainError, match=f"^cannot parse rational {re.escape(repr(bad))}"):
                 call()
@@ -217,11 +220,12 @@ class TestResiduals:
         rep = solve_detrep(3, 5, 7)
         huge = DetRep(rep.b_diagonal, tuple(tuple(0j if i == j else 1e300 + 0j for j in range(4))
                                             for i in range(4)), rep.branch, {})
-        residual = _determinant_residual(huge, 3, 5, 7, DEFAULT_SEED)
+        quartic = make_family("X4", (3, 5, 7)).poly
+        residual = _determinant_residual(huge, quartic, DEFAULT_SEED)
         assert math.isnan(residual)
         assert not residual < DEFAULT_TOL
         # a finite one still gets its largest point residual, the certificate's
-        assert _determinant_residual(rep, 3, 5, 7, DEFAULT_SEED) == rep.residuals["det"]
+        assert _determinant_residual(rep, quartic, DEFAULT_SEED) == rep.residuals["det"]
 
     def test_perturbation_first_order(self):
         rep = solve_detrep(5, 1, 7)

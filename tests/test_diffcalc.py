@@ -9,13 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from quartics.diffcalc import (adjugate, det, diff_pair, dot, hessian,
-                               j_bracket, transvectant)
+from quartics.diffcalc import det, diff_pair, hessian, j_bracket, transvectant
 from quartics.errors import DegreeError, DomainError, TableMismatchError
 from quartics.polyring import (Polynomial, VarTable, convert, multi_partial,
                                substitute_linear)
 
-from conftest import XY, XYZ, random_binary_form, random_quartic, ref_partial
+from conftest import XY, XYZ, adjugate, dot, random_binary_form, random_quartic, ref_partial
 
 
 def mono(table, powers, c=1):

@@ -1,22 +1,33 @@
-"""The straight-line numeric kernels against the loops they replaced.
+"""The rewritten kernels against the loops they replaced.
 
 ``eval_scaled_many`` runs generated straight-line code and ``det`` expands
-its minors in one bottom-up pass.  The reference oracles below are the
-interpreter loop and the memoized recursive expansion they replaced, in the
-standard library only.  Floats must agree in ``repr`` (so signed zeros and
-NaN count), errors in type and message, and exact determinants exactly.
+its minors in one bottom-up pass; ``sum_of_products`` skips zero operands,
+``j_bracket`` forms each distinct Hessian entry and cofactor once, ``diff_pair``
+looks up the equal-degree monomials, and ``decompose_symmetric`` and
+``is_symmetric`` work on the packed keys.  The reference oracles below are the
+interpreter loop, the memoized recursive expansion, the full-matrix J-brackets,
+the scan over every pair of terms and the exponent-tuple symmetry check they
+replaced, in the standard library only.  Floats must agree in ``repr`` (so
+signed zeros and NaN count), errors in type and message, and exact results
+in their stored form.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartics.diffcalc import det
-from quartics.errors import DomainError
+from quartics.diffcalc import det, diff_pair, hessian, j_bracket
+from quartics.errors import DegreeError, DomainError, TableMismatchError
 from quartics.polyring import Polynomial, VarTable, eval_scaled_many
+from quartics.symfam import (Partition, SymmetricDecomposition, decompose_symmetric,
+                             is_symmetric)
+
+from conftest import adjugate, dot
 
 TABLE = VarTable(("x", "y", "z"), ("r", "s"))
 
@@ -188,6 +199,29 @@ class TestEvalScaledMany:
             got.add(evaluate)
         assert len(got) == 1
 
+    def test_charts_share_one_evaluator_after_many_new_layouts(self):
+        # one chart's set stays cached while more than 64 new layouts are generated
+        # and evaluated; the other two charts must still get its function
+        from quartics.bitangent import CHARTS, restriction_coefficients
+        from quartics.polyring import _evaluator
+        from quartics.symfam import make_family
+
+        form = make_family("X4", (3, Fraction(5, 2), -7))
+        charts = list(CHARTS.values())
+        sets = [restriction_coefficients(form, chart.id) for chart in charts]
+        points = [dict.fromkeys(chart.unknowns, 0.25 - 1j) for chart in charts]
+        eval_scaled_many(sets[0], points[0])
+        for k in range(80):
+            fresh = Polynomial.monomial(TABLE, {"x": 1000 + k, "y": 3})
+            eval_scaled_many([fresh], {"x": 0.5, "y": 0.5})
+            eval_scaled_many(sets[0], points[0])
+        got = set()
+        for coeffs, point in zip(sets, points):
+            assert repr(eval_scaled_many(coeffs, point)) == repr(
+                interpreted_eval_scaled_many(coeffs, point))
+            got.add(_evaluator(tuple(p._compiled[0] for p in coeffs))[0])
+        assert len(got) == 1
+
     def test_empty_set(self):
         assert eval_scaled_many((), {}) == []
 
@@ -242,3 +276,313 @@ class TestDet:
     @pytest.mark.parametrize("rows", [[[2]], [[1, 2], [3, 4]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]])
     def test_integer_matrices(self, rows):
         assert det(rows) == memoized_det(rows)
+
+
+# -- the exact kernels -----------------------------------------------------------
+
+
+def exact_outcome(call, *args):
+    """The stored form (table, denominator, numerators) of each polynomial of the
+    result, or its ``repr``; the type and message of a ``DomainError`` or
+    ``TableMismatchError``; only the type of a ``DegreeError`` (the degree it names
+    is the first one found, which depends on the order of the work)."""
+    try:
+        got = call(*args)
+    except DegreeError:
+        return "DegreeError"
+    except (DomainError, TableMismatchError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    polys = got if isinstance(got, tuple) else (got,)
+    if not all(isinstance(p, Polynomial) for p in polys):
+        return repr(got)
+    return [(p.table, p.denominator, dict(p.numerators)) for p in polys]
+
+
+def expanded_sum_of_products(table, products):
+    """``sum c * a * b`` expanded term by term over the exponent tuples of ``terms``,
+    every table checked before any product."""
+    products = list(products)
+    for _, a, b in products:
+        for p in (a, b):
+            if p.table != table:
+                raise TableMismatchError(
+                    f"cannot combine polynomials over {table.names} and {p.table.names}")
+    out = {}
+    for c, a, b in products:
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + c * ca * cb
+    return Polynomial(table, out)
+
+
+def full_matrix_j_bracket(f, g):
+    """The four J-brackets from the full Hessians: the dot product of the Hessians
+    and of their adjugates, and the two determinants."""
+    for p in (f, g):
+        if p.geometric_degree() > 2:
+            raise DegreeError("J brackets are defined for quadratic forms")
+    hf, hg = hessian(f), hessian(g)
+    return dot(hf, hg), dot(adjugate(hf), adjugate(hg)), memoized_det(hf), memoized_det(hg)
+
+
+def scanned_diff_pair(f, g):
+    """``D_f(g)`` by scanning every term of *g* for each geometric monomial a of *f*:
+    terms whose geometric exponents b >= a give ``f_c * g_c * prod perm(b_i, a_i)``
+    at the exponents of the f term plus b minus 2a."""
+    if f.table != g.table:
+        raise TableMismatchError(
+            f"cannot combine polynomials over {f.table.names} and {g.table.names}")
+    ng = f.table.n_geometric
+    groups = {}
+    for exps, c in f.numerators.items():
+        groups.setdefault(exps[:ng], []).append((exps, c))
+    out = {}
+    for a, terms in groups.items():
+        for b, c in g.numerators.items():
+            for i, e in enumerate(a):
+                if b[i] < e:
+                    break
+                c *= perm(b[i], e)
+            else:
+                for exps, fc in terms:
+                    k = tuple(x + y - 2 * (a[i] if i < ng else 0)
+                              for i, (x, y) in enumerate(zip(exps, b)))
+                    out[k] = out.get(k, 0) + fc * c
+    return Polynomial.from_numerators(f.table, out, f.denominator * g.denominator)
+
+
+def _basis_indices(table):
+    for name in ("r", "s", "u"):
+        if name not in table.names:
+            raise DomainError(f"the symmetric basis needs variable {name!r}; table has {table.names}")
+    return [table.index(n) for n in ("r", "s", "u")]
+
+
+def tuple_is_symmetric(p):
+    """The transpositions (r s) and (s u) on each exponent tuple, two lookups per term."""
+    num, (r, s, u) = p.numerators, _basis_indices(p.table)
+    for exps, coeff in num.items():
+        for a, b in ((r, s), (s, u)):
+            if exps[a] != exps[b]:
+                swapped = list(exps)
+                swapped[a], swapped[b] = exps[b], exps[a]
+                if num.get(tuple(swapped)) != coeff:
+                    return False
+    return True
+
+
+def tuple_decompose_symmetric(p):
+    """The S-basis coefficients read off the weakly decreasing exponent tuples."""
+    extra = p.support_names() - {"r", "s", "u"}
+    if extra:
+        raise DomainError(f"polynomial involves non-basis variables {sorted(extra)}")
+    idx = _basis_indices(p.table)
+    if not tuple_is_symmetric(p):
+        raise DomainError("polynomial is not symmetric in the parameters")
+    constant = Fraction(0)
+    collected = []
+    for exps, coeff in p.numerators.items():
+        i1, i2, i3 = (exps[i] for i in idx)
+        if not i1 >= i2 >= i3:
+            continue
+        coeff = Fraction(coeff, p.denominator)
+        if i1:
+            collected.append((Partition(tuple(e for e in (i1, i2, i3) if e)), coeff))
+        else:
+            constant = coeff
+    collected.sort(key=lambda pc: (sum(pc[0].parts), pc[0].padded()), reverse=True)
+    return SymmetricDecomposition(constant, tuple(collected))
+
+
+PQ = VarTable(("x", "y", "z"), ("p", "q"))
+XYZ = VarTable(("x", "y", "z"))
+_SMALL = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@st.composite
+def forms(draw, table, max_degree, max_terms=6, homogeneous=False):
+    """A polynomial over *table* of geometric degree at most *max_degree* (one degree
+    for all terms when *homogeneous*), with parameter powers up to 2; zero at times."""
+    names, ng = table.names, table.n_geometric
+    degree = draw(st.integers(0, max_degree))
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        d = degree if homogeneous else draw(st.integers(0, max_degree))
+        geo = [0] * ng
+        for _ in range(d):
+            geo[draw(st.integers(0, ng - 1))] += 1
+        params = [draw(st.integers(0, 2)) for _ in names[ng:]]
+        terms[tuple(geo + params)] = draw(_SMALL)
+    return Polynomial(table, terms)
+
+
+class TestSumOfProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_expansion(self, data):
+        table = data.draw(st.sampled_from([PQ, XYZ]))
+        products = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            c = data.draw(st.one_of(st.integers(-3, 3), _SMALL))
+            # zero operands often, and now and then one over another table
+            a, b = (data.draw(st.one_of(forms(table, 3), st.just(Polynomial.zero(table)),
+                                        st.sampled_from([Polynomial.zero(XYZ if table is PQ else PQ),
+                                                         Polynomial.constant(PQ, 2)])))
+                    for _ in range(2))
+            products.append((c, a, b))
+        want = exact_outcome(expanded_sum_of_products, table, products)
+        assert exact_outcome(Polynomial.sum_of_products, table, products) == want
+        assert exact_outcome(Polynomial.sum_of_products, table, iter(products)) == want
+
+    def test_every_nonzero_product_counts(self):
+        # single-term and constant operands, zero ones between them
+        x, p = Polynomial.variable(PQ, "x"), Polynomial.variable(PQ, "p")
+        zero, two = Polynomial.zero(PQ), Polynomial.constant(PQ, 2)
+        products = [(1, x, p), (3, zero, x), (1, two, two), (-1, p, zero), (5, x, x), (0, x, p)]
+        for k in range(len(products) + 1):
+            assert (Polynomial.sum_of_products(PQ, products[:k])
+                    == expanded_sum_of_products(PQ, products[:k]))
+
+    def test_a_zero_over_another_table_is_a_mismatch(self):
+        x = Polynomial.variable(PQ, "x")
+        for products in ([(1, x, Polynomial.zero(XYZ))], [(1, Polynomial.zero(XYZ), x)],
+                         [(1, x, x), (2, Polynomial.zero(PQ), Polynomial.zero(XYZ))]):
+            want = exact_outcome(expanded_sum_of_products, PQ, products)
+            assert want.startswith("TableMismatchError")
+            assert exact_outcome(Polynomial.sum_of_products, PQ, products) == want
+
+
+#: Quadratics as j_bracket meets them: with parameter coefficients or without,
+#: with cross terms, of geometric degree below 2, and zero.
+_QUADRATICS = st.one_of(forms(PQ, 2, homogeneous=True), forms(PQ, 2), forms(PQ, 1),
+                        st.just(Polynomial.zero(PQ)))
+
+
+class TestJBracket:
+    @settings(max_examples=150, deadline=None)
+    @given(_QUADRATICS, _QUADRATICS)
+    def test_matches_the_full_matrices(self, f, g):
+        assert exact_outcome(j_bracket, f, g) == exact_outcome(full_matrix_j_bracket, f, g)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_general_quadratics(self, seed):
+        # all six monomials, every off-diagonal Hessian entry nonzero
+        rng = random.Random(seed)
+        table = (XYZ, PQ)[seed % 2]
+        def quadratic():
+            return Polynomial(table, {tuple(e + (rng.randint(0, 2),) * len(table.parameters)):
+                                      Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                                      for e in itertools.product(range(3), repeat=3) if sum(e) == 2})
+        f, g = quadratic(), quadratic()
+        assert all(entry for row in hessian(f) for entry in row)
+        assert exact_outcome(j_bracket, f, g) == exact_outcome(full_matrix_j_bracket, f, g)
+
+    @pytest.mark.parametrize("f, g", [
+        (Polynomial.variable(PQ, "x"), Polynomial.zero(XYZ)),           # a zero over another table
+        (Polynomial.zero(PQ), Polynomial.zero(XYZ)),
+        (Polynomial.variable(PQ, "p") ** 3, Polynomial.variable(XYZ, "z") ** 3),  # degree first
+        (Polynomial.variable(PQ, "x"), Polynomial.variable(XYZ, "y") ** 3),
+        (Polynomial.variable(VarTable(("x", "y")), "x"), Polynomial.zero(PQ)),    # 3 geometric
+    ])
+    def test_errors_in_the_same_order(self, f, g):
+        want = exact_outcome(full_matrix_j_bracket, f, g)
+        assert "Error" in str(want)
+        assert exact_outcome(j_bracket, f, g) == want
+
+
+class TestDiffPair:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_scan(self, data):
+        # mixed degrees and non-homogeneous operands, zero at times
+        table = data.draw(st.sampled_from([PQ, XYZ]))
+        f = data.draw(forms(table, 4, max_terms=8))
+        g = data.draw(forms(table, 6, max_terms=10))
+        assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_higher_degree_operands(self, seed):
+        # each monomial of f of degree d against g's monomials of degree d, d + 1 and d + 2
+        rng = random.Random(seed)
+        table = (XYZ, PQ)[seed % 2]
+        def form(degrees, count):
+            terms = {}
+            for _ in range(count):
+                geo = [0, 0, 0]
+                for _ in range(rng.choice(degrees)):
+                    geo[rng.randrange(3)] += 1
+                terms[tuple(geo) + tuple(rng.randint(0, 1) for _ in table.parameters)] = \
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            return Polynomial(table, terms)
+        f, g = form((1, 2), 6), form((1, 2, 3, 4), 25)
+        assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+        assert exact_outcome(diff_pair, g, f) == exact_outcome(scanned_diff_pair, g, f)
+
+    def test_zero_operands_and_other_tables(self):
+        x = Polynomial.variable(PQ, "x")
+        for f, g in ((x, Polynomial.zero(PQ)), (Polynomial.zero(PQ), x),
+                     (x, Polynomial.zero(XYZ)), (Polynomial.zero(XYZ), x)):
+            assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+
+    def test_degree_past_the_limit(self):
+        f, g = Polynomial.variable(PQ, "p") ** 40000, Polynomial.variable(PQ, "q") ** 30000
+        assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g) \
+            == "DegreeError"
+
+
+RSU = VarTable(("x", "y", "z"), ("r", "s", "u"))
+#: r, s, u in another order and between other parameters, and tables missing one
+_BASIS_TABLES = [RSU, VarTable(("x", "y", "z"), ("u", "r", "s")),
+                 VarTable(("x",), ("a", "s", "r", "b", "u")), VarTable(("x", "y", "z"), ("r", "s")),
+                 VarTable(("x", "y", "z"), ("s", "u"))]
+
+
+@st.composite
+def basis_polynomials(draw):
+    """A polynomial in the basis variables of one of ``_BASIS_TABLES``: a sum of
+    orbits under the permutations of (r, s, u), so symmetric, or one of them with a
+    coefficient changed, a term dropped or a term in another variable added."""
+    table = draw(st.sampled_from(_BASIS_TABLES))
+    names = [n for n in ("r", "s", "u") if n in table.names]
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        leading = [draw(st.integers(0, 4)) for _ in names]
+        coeff = draw(_SMALL)
+        for perm_ in set(itertools.permutations(leading)):
+            exps = [0] * len(table)
+            for name, e in zip(names, perm_):
+                exps[table.index(name)] = e
+            terms[tuple(exps)] = coeff
+    change = draw(st.sampled_from(["none", "none", "coefficient", "drop", "other"]))
+    if terms and change == "coefficient":
+        key = draw(st.sampled_from(sorted(terms)))
+        terms[key] += 1
+    elif terms and change == "drop":
+        del terms[draw(st.sampled_from(sorted(terms)))]
+    elif change == "other":
+        exps = [0] * len(table)
+        exps[draw(st.integers(0, len(table) - 1))] = draw(st.integers(1, 2))
+        terms[tuple(exps)] = draw(_SMALL)
+    return Polynomial(table, terms)
+
+
+class TestSymmetric:
+    @settings(max_examples=200, deadline=None)
+    @given(basis_polynomials())
+    def test_matches_the_tuple_check(self, p):
+        assert exact_outcome(is_symmetric, p) == exact_outcome(tuple_is_symmetric, p)
+        assert (exact_outcome(decompose_symmetric, p)
+                == exact_outcome(tuple_decompose_symmetric, p))
+
+    def test_x4_invariants(self):
+        from quartics.dixmier import dixmier_invariants
+        from quartics.symfam import make_family
+
+        for value in dixmier_invariants(make_family("X4")).as_dict().values():
+            assert is_symmetric(value)
+            assert decompose_symmetric(value) == tuple_decompose_symmetric(value)
+            shifted = value + Polynomial.monomial(value.table, {"r": 1, "s": 2})
+            assert not is_symmetric(shifted)
+            assert exact_outcome(decompose_symmetric, shifted) == exact_outcome(
+                tuple_decompose_symmetric, shifted)
