@@ -42,6 +42,8 @@ DEFAULT_CERT_TOL = 1e-9
 DEFAULT_DEDUPE_TOL = 1e-8
 #: absolute slack of a dedupe cell, far above the rounding of a modulus sum
 _CELL_MARGIN = 2.0 ** -40
+#: the largest coefficient modulus below which a square fit drops a candidate early
+_PRUNED_TOP = 2.0 ** 844
 
 
 class AffineChart(_Record):
@@ -322,7 +324,7 @@ def perfect_square_fit(coeffs, tol: float = DEFAULT_CERT_TOL):
 
 def _square_fit(c: list[complex], tol: float):
     """:func:`perfect_square_fit` of five complex coefficients."""
-    top = max(abs(v) for v in c)
+    top = max(map(abs, c))
     # max() skips a NaN that is not first, so test every coefficient
     if top == 0.0 or not all(map(cmath.isfinite, c)):
         return None
@@ -342,15 +344,35 @@ def _square_fit(c: list[complex], tol: float):
     if abs(c22) > 1e-18 * top:
         l1 = cmath.sqrt(c22)
         candidates.append((c31 / (2 * l1), l1, c13 / (2 * l1)))
-    best = None
+    # A candidate's residual, the largest of its five mismatches (max() keeps a NaN
+    # only in first place) over top, must be below the limit: tol, then the best
+    # residual so far.  Division by top is monotone, so a candidate is dropped at its
+    # first mismatch over top that is not below the limit (the first even when NaN, a
+    # later one unless NaN), and one that passes all five is below it.  Each mismatch
+    # is below 2^174 top, so below _PRUNED_TOP no abs() that is skipped could have
+    # raised OverflowError; at or above it every abs() runs and the residual decides.
+    best, limit, prune = None, tol, top < _PRUNED_TOP
     for lam in candidates:
         l0, l1, l2 = lam
         # the coefficients of (l0 x^2 + l1 xy + l2 y^2)^2 subtracted from c40..c04
-        residual = max(abs(c40 - l0 * l0), abs(c31 - 2 * l0 * l1),
-                       abs(c22 - (l1 * l1 + 2 * l0 * l2)), abs(c13 - 2 * l1 * l2),
-                       abs(c04 - l2 * l2)) / top
-        if residual < tol and (best is None or residual < best[1]):
-            best = (lam, residual)
+        m0 = abs(c40 - l0 * l0)
+        if prune and not m0 / top < limit:
+            continue
+        m1 = abs(c31 - 2 * l0 * l1)
+        if prune and m1 / top >= limit:
+            continue
+        m2 = abs(c22 - (l1 * l1 + 2 * l0 * l2))
+        if prune and m2 / top >= limit:
+            continue
+        m3 = abs(c13 - 2 * l1 * l2)
+        if prune and m3 / top >= limit:
+            continue
+        m4 = abs(c04 - l2 * l2)
+        if prune and m4 / top >= limit:
+            continue
+        residual = max(m0, m1, m2, m3, m4) / top
+        if prune or residual < limit:
+            best, limit = (lam, residual), residual
     return best
 
 
@@ -506,7 +528,16 @@ def _x16_candidates(triple):
 _x4_xy_candidates = _in_charts("X4", (_solve_x4_axes, _solve_x4_j1), _CHART_ROTATIONS[:1])
 _x4_axis_candidates = _in_charts("X4", (_solve_x4_axes,), _CHART_ROTATIONS[1:])
 _x4_j1_candidates = _in_charts("X4", (_solve_x4_j1,), _CHART_ROTATIONS[1:])
-_x24_candidates = _in_charts("X24", (lambda r, s, u: _solve_x24_chart(r),))
+
+
+def _x24_candidates(triple):
+    """X24's chart solutions in each chart of :data:`_CHART_ROTATIONS`, a chart's at
+    the first entry of its rotated triple.  X24's triple is (r, r, r), so the three
+    charts solve the same system: each distinct entry is solved once, in that order."""
+    solved = {r: _solve_x24_chart(r) for r in dict.fromkeys(triple)}
+    return [(embed(a, b), f"X24.{tag}")
+            for order, embed in _CHART_ROTATIONS
+            for a, b, tag in solved[triple[order[0]]]]
 
 
 def _x4_diagonal_candidates(triple):

@@ -23,10 +23,10 @@ from functools import lru_cache
 from operator import itemgetter
 
 from . import numroots
-from .diffcalc import det
+from .diffcalc import _pencil_det, det
 from .errors import (DegeneracyError, DomainError, SolverError, check_tolerance, overflow_as,
                      rational)
-from .polyring import Polynomial, VarTable, _Record, convert, eval_complex, eval_scaled_many
+from .polyring import Polynomial, VarTable, _Record, convert, eval_scaled_many
 from .symfam import make_family
 
 DEFAULT_TOL = 1e-8
@@ -185,13 +185,18 @@ def _certificate_points(seed: int) -> tuple[tuple[complex, complex, complex], ..
 
 def _determinant_residual(rep: DetRep, quartic: Polynomial, seed: int) -> float:
     """The largest |det(xA + yB + zC) - f| / (1 + |f|) over the seeded points, f the
-    member *quartic*; NaN when a point's residual is NaN, so that the certificate fails."""
-    rows = tuple(zip(rep.a_matrix, rep.b_matrix, rep.c_matrix))
+    member *quartic*; NaN when a point's residual is NaN, so that the certificate fails.
+    The pencil's entries and :func:`det` of them are one generated function per zero
+    pattern (``diffcalc._pencil_det``), first the pattern of the coefficients; each
+    point's entries are checked against it."""
+    entries = [entry for row in zip(rep.a_matrix, rep.b_matrix, rep.c_matrix)
+               for entry in zip(*row)]      # (a, b, c) of each pencil entry, row by row
+    coefficients = [v for entry in entries for v in entry]
+    determinant = _pencil_det(tuple([not any(entry) for entry in entries]))
     worst = 0.0
     for x, y, z in _certificate_points(seed):
-        pencil = [[x * a + y * b + z * c for a, b, c in zip(*row)] for row in rows]
-        value = det(pencil)
-        fval = eval_complex(quartic, {"x": x, "y": y, "z": z})
+        value = determinant(coefficients, x, y, z)
+        fval = eval_scaled_many((quartic,), {"x": x, "y": y, "z": z})[0][0]
         residual = abs(value - fval) / (1.0 + abs(fval))
         if math.isnan(residual):    # max() would skip it
             return residual

@@ -97,6 +97,36 @@ def det(rows):
     return minors[(1 << n) - 1]
 
 
+@lru_cache(maxsize=64)
+def _pencil_det(zero: tuple[bool, ...]):
+    """``determinant(k, x, y, z)``: :func:`det` of the complex pencil whose entry
+    ``i * n + j`` is ``x * a + y * b + z * c``, with ``(a, b, c) = k[3 * (i * n + j):]``,
+    as straight-line code for the entries that are zero where *zero* says.  It forms
+    the entries, then checks their zeros and hands a point of another pattern to that
+    pattern's function; else it runs :func:`det`'s steps with the entries unrolled, the
+    same operations in the same order, so the value is ``det``'s bit for bit.  One
+    function per pattern, generated on first use and kept for the last 64."""
+    n = math.isqrt(len(zero))
+    size = n * n
+    entries = ["e%d" % k for k in range(size)]
+    lines = ["[%s] = k" % ", ".join("a%d, b%d, c%d" % (k, k, k) for k in range(size)),
+             *("e%d = x * a%d + y * b%d + z * c%d" % (k, k, k, k) for k in range(size)),
+             "if %s:" % " or ".join(e if is_zero else "not " + e
+                                   for e, is_zero in zip(entries, zero)),
+             " return dispatch((%s,))(k, x, y, z)" % ", ".join("not " + e for e in entries)]
+    minors = {1 << c: entries[(n - 1) * n + c] for c in range(n)}
+    for r, mask, low, terms in _expansion(n, zero):
+        minors[mask] = "m%d" % mask
+        lines.append("m%d = 0 * %s" % (mask, entries[r * n + low]) + "".join(
+            " + %s(%s * %s)" % ("-" if odd else "", entries[r * n + c], minors[rest])
+            for c, odd, rest in terms))
+    lines.append("return " + minors[(1 << n) - 1])
+    namespace = {"dispatch": _pencil_det}
+    exec(compile("def determinant(k, x, y, z):\n" + "".join(f" {line}\n" for line in lines),
+                 "<pencil_det>", "exec"), namespace)
+    return namespace.pop("determinant")
+
+
 #: The upper triangle of a symmetric 3x3 matrix, and the weight of each entry in a
 #: full contraction: an off-diagonal entry stands for two equal products.
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))

@@ -520,10 +520,18 @@ def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     table, ng = f.table, f.table.n_geometric
     groups: dict[Exponents, list[tuple[int, int]]] = {}     # f's terms by their a
     for exps, term in zip(table._unpack(f._num), f._num.items()):
-        groups.setdefault(exps[:ng], []).append(term)
+        if (terms := groups.get(a := exps[:ng])) is None:
+            groups[a] = [term]
+        else:
+            terms.append(term)
     by_degree: dict[int, dict[Exponents, list[tuple[int, int]]]] = {}
     for exps, term in zip(table._unpack(g._num), g._num.items()):
-        by_degree.setdefault(sum(exps[:ng]), {}).setdefault(exps[:ng], []).append(term)
+        if (monomials := by_degree.get(d := sum(b := exps[:ng]))) is None:
+            by_degree[d] = {b: [term]}
+        elif (terms := monomials.get(b)) is None:
+            monomials[b] = [term]
+        else:
+            terms.append(term)
     out: dict[int, int] = {}
     for a, fterms in groups.items():
         degree, need = sum(a), [(i, e) for i, e in enumerate(a) if e]
@@ -620,6 +628,7 @@ class _Shape:
 #: sets of them and 6 generated functions, which stay with room to spare.  A function
 #: lives while a cached set (or a caller) holds it, so each layout has one at a time,
 #: and a caller who evaluates ever new shapes keeps about 64, about 0.5 kB per term.
+#: :func:`_exact_plan` keeps as many polynomials as :func:`_shape` keeps shapes.
 _SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 _SUM_CHUNK = 64     # terms summed in one expression: the compiler recurses once per +
 
@@ -740,34 +749,49 @@ def eval_complex(p: Polynomial, point: Mapping[str, complex]) -> complex:
     return eval_scaled(p, point)[0]
 
 
+@lru_cache(maxsize=_SHAPES)
+def _exact_plan(p: Polynomial):
+    """``(variables, terms)`` of :func:`eval_exact` for *p*, worked out once per
+    polynomial (a bounded cache): each occurring variable in table order with the
+    exponents of it that occur and the largest, t; each term's numerator with its
+    exponent of each of those variables."""
+    table = p.table
+    occurring, shift = reduce(or_, p._num, 0), table._top
+    variables, shifts = [], []
+    for name in table.names:
+        shift -= 16     # name's field: nonzero in the OR of the keys where name occurs
+        if (occurring >> shift) & _LIMIT:
+            exps = {(key >> shift) & _LIMIT for key in p._num}
+            variables.append((name, tuple(exps), max(exps)))
+            shifts.append(shift)
+    return tuple(variables), tuple([(c, tuple([(key >> s) & _LIMIT for s in shifts]))
+                                    for key, c in p._num.items()])
+
+
 def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:
     """Evaluate at an exact rational point, in ints: a variable of value n/d enters
     each term as n^e * d^(t - e), over the one denominator ``p.denominator * prod d^t``,
     where t is its largest exponent in *p*; only the powers of exponents that
-    occur are built."""
-    table = p.table
-    names = table.names
+    occur are built.  Which variables occur, and with which exponents, is worked out
+    once per polynomial."""
+    variables, terms = _exact_plan(p)
     factors, den = [], p._den
-    occurring, shift = reduce(or_, p._num, 0), table._top
-    for name in names:
-        shift -= 16     # name's field: nonzero in the OR of the keys where name occurs
-        if not (occurring >> shift) & _LIMIT:
-            continue
+    for name, exps, t in variables:
         if name not in point:   # name the first unassigned in term order, then table order
-            name = next(n for exps in table._unpack(sorted(p._num, reverse=True))
-                        for n, e in zip(names, exps) if e and n not in point)
+            table = p.table
+            name = next(n for key in table._unpack(sorted(p._num, reverse=True))
+                        for n, e in zip(table.names, key) if e and n not in point)
             raise DomainError(f"variable {name!r} not assigned")
         v = point[name]
         if type(v) not in (int, Fraction):      # a bool too: rational rejects it
             v = rational(v)
-        exps = {(key >> shift) & _LIMIT for key in p._num}
-        n, d, t = v.numerator, v.denominator, max(exps)
-        factors.append((shift, {e: n ** e * d ** (t - e) for e in exps}))
+        n, d = v.numerator, v.denominator
+        factors.append({e: n ** e * d ** (t - e) for e in exps})
         den *= d ** t
     total = 0
-    for key, term in p._num.items():
-        for shift, powers in factors:
-            term *= powers[(key >> shift) & _LIMIT]
+    for term, exps in terms:
+        for powers, e in zip(factors, exps):
+            term *= powers[e]
         total += term
     return Fraction(total, den)
 

@@ -3,12 +3,15 @@ small independent oracles."""
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from fractions import Fraction
 from math import gcd, perm, prod
 
+from quartics.diffcalc import det
 from quartics.errors import DegreeError
-from quartics.polyring import Polynomial, VarTable
+from quartics.polyring import Polynomial, VarTable, eval_complex
 
 XYZ = VarTable(("x", "y", "z"))
 XY = VarTable(("x", "y"))
@@ -81,6 +84,57 @@ def dot(a, b) -> Polynomial:
         raise DegreeError("dot needs two n x n matrices with n >= 1")
     return Polynomial.sum_of_products(
         a[0][0].table, ((1, a[i][j], b[j][i]) for i in range(n) for j in range(n)))
+
+
+def interpreted_determinant_residual(rep, quartic, points) -> float:
+    """The largest |det(xA + yB + zC) - f| / (1 + |f|) over *points*, NaN at the first
+    NaN residual: the pencil formed entry by entry, :func:`quartics.diffcalc.det` and
+    one ``eval_complex`` per point, the loop that ``detrep._determinant_residual``'s
+    generated certificate replaced."""
+    rows = tuple(zip(rep.a_matrix, rep.b_matrix, rep.c_matrix))
+    worst = 0.0
+    for x, y, z in points:
+        pencil = [[x * a + y * b + z * c for a, b, c in zip(*row)] for row in rows]
+        value = det(pencil)
+        fval = eval_complex(quartic, {"x": x, "y": y, "z": z})
+        residual = abs(value - fval) / (1.0 + abs(fval))
+        if math.isnan(residual):    # max() would skip it
+            return residual
+        worst = max(worst, residual)
+    return worst
+
+
+def unpruned_square_fit(c: list[complex], tol: float):
+    """``bitangent._square_fit`` without its early exits: every candidate's five
+    mismatches in full, one ``max`` over them, then the comparison with tol and the
+    best residual so far."""
+    top = max(abs(v) for v in c)
+    if top == 0.0 or not all(map(cmath.isfinite, c)):
+        return None
+    candidates = []
+    c40, c31, c22, c13, c04 = c
+    if abs(c40) > 1e-18 * top:
+        l0 = cmath.sqrt(c40)
+        l1 = c31 / (2 * l0)
+        candidates.append((l0, l1, (c22 - l1 * l1) / (2 * l0)))
+        for sign in (1, -1):
+            candidates.append((l0, l1, sign * cmath.sqrt(c04)))
+    if abs(c04) > 1e-18 * top:
+        l2 = cmath.sqrt(c04)
+        l1 = c13 / (2 * l2)
+        candidates.append(((c22 - l1 * l1) / (2 * l2), l1, l2))
+    if abs(c22) > 1e-18 * top:
+        l1 = cmath.sqrt(c22)
+        candidates.append((c31 / (2 * l1), l1, c13 / (2 * l1)))
+    best = None
+    for lam in candidates:
+        l0, l1, l2 = lam
+        residual = max(abs(c40 - l0 * l0), abs(c31 - 2 * l0 * l1),
+                       abs(c22 - (l1 * l1 + 2 * l0 * l2)), abs(c13 - 2 * l1 * l2),
+                       abs(c04 - l2 * l2)) / top
+        if residual < tol and (best is None or residual < best[1]):
+            best = (lam, residual)
+    return best
 
 
 def random_unimodular(rng: random.Random, size: int = 3):

@@ -4,17 +4,23 @@
 its minors in one bottom-up pass; ``sum_of_products`` skips zero operands,
 ``j_bracket`` forms each distinct Hessian entry and cofactor once, ``diff_pair``
 looks up the equal-degree monomials, and ``decompose_symmetric`` and
-``is_symmetric`` work on the packed keys.  The reference oracles below are the
-interpreter loop, the memoized recursive expansion, the full-matrix J-brackets,
-the scan over every pair of terms and the exponent-tuple symmetry check they
-replaced, in the standard library only.  Floats must agree in ``repr`` (so
-signed zeros and NaN count), errors in type and message, and exact results
-in their stored form.
+``is_symmetric`` work on the packed keys.  Detrep's determinant certificate is
+generated straight-line code, the square fit drops a candidate at its first
+mismatch that rules it out, ``eval_exact`` keeps a plan per polynomial, and X24
+solves its chart system once.  The reference oracles below are the interpreter
+loop, the memoized recursive expansion, the full-matrix J-brackets, the scan
+over every pair of terms, the exponent-tuple symmetry check, the interpreted
+certificate loop and the unpruned fit (both in ``conftest``), a sum of
+``Fraction`` terms and the three chart solves they replaced, in the standard
+library only.  Floats must agree in ``repr`` (so signed zeros and NaN count),
+errors in type and message, and exact results in their stored form.
 """
 
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import perm
 
@@ -586,3 +592,297 @@ class TestSymmetric:
             assert not is_symmetric(shifted)
             assert exact_outcome(decompose_symmetric, shifted) == exact_outcome(
                 tuple_decompose_symmetric, shifted)
+
+
+# -- detrep's determinant certificate ---------------------------------------------
+
+#: Parts of pencil coefficients: signed zeros, a subnormal that the points' coordinates
+#: (moduli below 1) can round to zero, huge values, infinities and NaN.
+_PENCIL_PARTS = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e-310, 1e300, math.inf, -math.inf, math.nan]
+_PENCIL_FLOATS = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+_PENCIL_VALUES = st.one_of(
+    st.just(0j), _PENCIL_FLOATS, _PENCIL_FLOATS, _PENCIL_FLOATS,
+    st.builds(complex, st.sampled_from(_PENCIL_PARTS), st.sampled_from(_PENCIL_PARTS)))
+_POINT_VALUES = st.one_of(st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)),
+                          st.sampled_from([0j, complex(-0.0, 0.0), complex(1e-200, -1e-200)]))
+
+
+def _pencil_rows(n, coefficients, x, y, z):
+    """The rows of x*A + y*B + z*C, entry by entry, as the certificate forms them."""
+    return [[x * a + y * b + z * c for a, b, c in
+             zip(*[iter(coefficients[3 * n * i:3 * n * (i + 1)])] * 3)] for i in range(n)]
+
+
+class TestDeterminantCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_generated_determinant_matches_det(self, n, data):
+        from quartics.diffcalc import _pencil_det
+
+        coefficients = data.draw(st.lists(_PENCIL_VALUES, min_size=3 * n * n,
+                                          max_size=3 * n * n))
+        x, y, z = (data.draw(_POINT_VALUES) for _ in range(3))
+        want = repr(det(_pencil_rows(n, coefficients, x, y, z)))
+        # the pattern of the coefficients, as detrep guesses it, and one drawn at random:
+        # a point whose entries have other zeros goes to that pattern's function
+        guessed = tuple(not (a or b or c) for a, b, c in zip(*[iter(coefficients)] * 3))
+        drawn = tuple(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        for zero in (guessed, drawn):
+            assert repr(_pencil_det(zero)(coefficients, x, y, z)) == want
+
+    def test_many_dense_pencils(self):
+        # dense 4 x 4 pencils of detrep's shape, with one to three extra zeros in C,
+        # at the certificate's points
+        from quartics.detrep import _certificate_points
+        from quartics.diffcalc import _pencil_det
+
+        rng = random.Random(29)
+        points = _certificate_points(20240)
+        for _ in range(300):
+            def value():
+                return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            coefficients = []
+            zeros = rng.sample(range(16), rng.randint(1, 3))
+            for i in range(4):
+                for j in range(4):
+                    coefficients += [1.0 + 0j if i == j else 0j, value() if i == j else 0j,
+                                     0j if 4 * i + j in zeros else value()]
+            guessed = tuple(not (a or b or c) for a, b, c in zip(*[iter(coefficients)] * 3))
+            determinant = _pencil_det(guessed)
+            for x, y, z in rng.sample(points, 5):
+                assert repr(determinant(coefficients, x, y, z)) == repr(
+                    det(_pencil_rows(4, coefficients, x, y, z)))
+
+    def test_a_fresh_process_generates_one_determinant(self):
+        # nothing is generated at import, and a solve generates the function of the
+        # one zero pattern its branches share
+        script = ("from quartics import cli, detrep\n"
+                  "from quartics.diffcalc import _pencil_det\n"
+                  "assert _pencil_det.cache_info().currsize == 0\n"
+                  "detrep.solve_detrep(1, 5, 7)\n"
+                  "print(_pencil_det.cache_info().misses)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_PENCIL_VALUES, min_size=4, max_size=4),
+           st.lists(_PENCIL_VALUES, min_size=16, max_size=16),
+           st.tuples(*(st.fractions(-50, 50, max_denominator=9) for _ in range(3))),
+           st.sampled_from([20240, 1, 7]))
+    def test_residual_matches_the_interpreted_loop(self, diagonal, c_entries, params, seed):
+        from quartics.detrep import DetRep, _certificate_points, _determinant_residual
+        from quartics.symfam import make_family
+
+        from conftest import interpreted_determinant_residual
+
+        c_matrix = tuple(tuple(c_entries[4 * i:4 * i + 4]) for i in range(4))
+        rep = DetRep(tuple(diagonal), c_matrix, None, None)
+        quartic = make_family("X4", params).poly
+        assert outcome(_determinant_residual, rep, quartic, seed) == outcome(
+            interpreted_determinant_residual, rep, quartic, _certificate_points(seed))
+
+    @pytest.mark.parametrize("params", [
+        (Fraction(50, 17), 3, 7), (Fraction(50, 17), 7, 3), (Fraction(50, 17), -3, -7),
+        (3, 5, 7), (Fraction(-9, 2), Fraction(1, 3), 11), (1000, -3, Fraction(7, 5))])
+    def test_members(self, params):
+        # t = 0 solves the t quadratic of X4(50/17, 3, 7) exactly, so c * d = 0 and C
+        # has a zero beyond a = f = 0; the others have only those two
+        from quartics.detrep import _certificate_points, _determinant_residual, solve_detrep
+        from quartics.symfam import make_family
+
+        from conftest import interpreted_determinant_residual
+
+        rep = solve_detrep(*params)
+        zeros = sum(not v for v in rep.off_diagonal())
+        assert zeros == (3 if params[0] == Fraction(50, 17) else 2)
+        quartic = make_family("X4", params).poly
+        want = interpreted_determinant_residual(rep, quartic, _certificate_points(20240))
+        assert repr(rep.residuals["det"]) == repr(want)
+        assert repr(_determinant_residual(rep, quartic, 20240)) == repr(want)
+
+
+# -- the square fit ----------------------------------------------------------------
+
+_GAUSSIAN = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+_FIT_SCALES = [1.0, 1.0, 1e-300, 1e150, 2.0 ** 850, 1e300, 1.5e308]
+
+
+def _square(lam):
+    l0, l1, l2 = lam
+    return [l0 * l0, 2 * l0 * l1, l1 * l1 + 2 * l0 * l2, 2 * l1 * l2, l2 * l2]
+
+
+@st.composite
+def fit_coefficients(draw):
+    """Five coefficients: small Gaussian integers (many exact ties between the
+    candidates), exact and near squares, each at times scaled up to the overflow
+    range, or with a non-finite part."""
+    kind = draw(st.sampled_from(["gaussian", "square", "near square", "floats", "special"]))
+    if kind == "gaussian":
+        c = draw(st.lists(_GAUSSIAN, min_size=5, max_size=5))
+    elif kind in ("square", "near square"):
+        part = st.one_of(_GAUSSIAN, st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
+        c = _square(draw(st.tuples(part, part, part)))
+        if kind == "near square":
+            k = draw(st.integers(0, 4))
+            c[k] += draw(st.sampled_from([1e-15, 1e-12, 1e-10, 1e-9, 1e-6])) * (1 + abs(c[k]))
+    elif kind == "floats":
+        part = st.floats(-4, 4)
+        c = draw(st.lists(st.builds(complex, part, part), min_size=5, max_size=5))
+    else:
+        parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, math.nan, 1e308])
+        c = draw(st.lists(st.builds(complex, parts, parts), min_size=5, max_size=5))
+    scale = draw(st.sampled_from(_FIT_SCALES))
+    return [v * scale for v in c]
+
+
+def _unpruned_perfect_square_fit(coeffs, tol):
+    """``perfect_square_fit`` over the unpruned fit, its overflow path included."""
+    from quartics.bitangent import _scaled
+
+    from conftest import unpruned_square_fit
+
+    c = [complex(v) for v in coeffs]
+    try:
+        return unpruned_square_fit(c, tol)
+    except OverflowError:
+        fit = unpruned_square_fit(_scaled(c, -1024), tol)
+        return fit and (_scaled(fit[0], 512), fit[1])
+
+
+class TestSquareFit:
+    @settings(max_examples=600, deadline=None)
+    @given(fit_coefficients(), st.sampled_from([1e-9, 1e-6, 0.5, 1.0, 10.0, 1e300]))
+    def test_matches_the_unpruned_fit(self, c, tol):
+        from quartics.bitangent import _square_fit, perfect_square_fit
+
+        from conftest import unpruned_square_fit
+
+        assert outcome(_square_fit, c, tol) == outcome(unpruned_square_fit, c, tol)
+        assert outcome(perfect_square_fit, c, tol) == outcome(
+            _unpruned_perfect_square_fit, c, tol)
+
+    def test_overflow_in_a_mismatch(self):
+        # every coefficient's modulus is finite, one mismatch's is not: the unpruned
+        # fit raises, and perfect_square_fit fits the scaled coefficients instead
+        from quartics.bitangent import _square_fit, perfect_square_fit
+
+        from conftest import unpruned_square_fit
+
+        c = [1e308 + 0j, 0j, 0j, 0j, 1e308j]
+        assert outcome(unpruned_square_fit, c, 1e-9).startswith("OverflowError")
+        assert outcome(_square_fit, c, 1e-9) == outcome(unpruned_square_fit, c, 1e-9)
+        assert repr(perfect_square_fit(c, 1e-9)) == repr(_unpruned_perfect_square_fit(c, 1e-9))
+
+    def test_overflow_in_a_skipped_mismatch(self):
+        # a candidate that an early exit would drop before its overflowing mismatch: at
+        # this size every abs() runs, so the fit raises as the unpruned one does
+        from quartics.bitangent import _PRUNED_TOP, _square_fit, perfect_square_fit
+
+        from conftest import unpruned_square_fit
+
+        c = [1.7e299 + 1.7000000000000003e294j, 1.7e300 - 1.6999999999999999e305j, 1.7e289j,
+             -1.7e308j, -1.6999999999999999e305 + 1.7e300j]
+        assert max(map(abs, c)) >= _PRUNED_TOP
+        assert outcome(unpruned_square_fit, c, 1e-3).startswith("OverflowError")
+        assert outcome(_square_fit, c, 1e-3) == outcome(unpruned_square_fit, c, 1e-3)
+        assert repr(perfect_square_fit(c, 1e-3)) == repr(_unpruned_perfect_square_fit(c, 1e-3))
+
+    def test_ties_keep_the_first_candidate(self):
+        # (1, 0, 0) and (0, 0, 1) both fit x^4 + y^4 with residual 1, the second with
+        # its largest mismatch first: the first candidate is kept
+        from quartics.bitangent import _square_fit
+
+        from conftest import unpruned_square_fit
+
+        c = [1 + 0j, 0j, 0j, 0j, 1 + 0j]
+        assert repr(_square_fit(c, 10.0)) == repr(unpruned_square_fit(c, 10.0))
+        assert _square_fit(c, 10.0) == ((1, 0, 0), 1.0)
+
+
+# -- exact values of the fixed component polynomials --------------------------------
+
+
+def _component_polynomials():
+    """Every polynomial that ``quartics.components`` holds, tuples flattened."""
+    from quartics import components
+
+    def flatten(value):
+        if isinstance(value, Polynomial):
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from flatten(item)
+
+    return [p for name, value in vars(components).items() if name.isupper()
+            for p in flatten(value)]
+
+
+def summed_eval_exact(p, point):
+    """The value of *p* at *point* as a sum of ``Fraction`` terms."""
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        for name, e in zip(p.table.names, exps):
+            c *= Fraction(point[name]) ** e
+        total += c
+    return total
+
+
+_EXACT_VALUES = st.sampled_from([
+    0, 1, -1, Fraction(-7, 3), Fraction(12345, 1000), -4, 2,
+    10 ** 30, -10 ** 30 + 1, Fraction(10 ** 30, 7), Fraction(-3, 10 ** 30), Fraction(1, 10 ** 30)])
+
+
+class TestComponentValues:
+    def test_every_table(self):
+        from quartics import components
+
+        polys = _component_polynomials()
+        assert len(polys) == 37 and {p.table for p in polys} == {
+            components.TABLE_X4, components.TABLE_X16, components.TABLE_X24}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_fraction_sum(self, data):
+        from quartics.polyring import eval_exact
+
+        for p in _component_polynomials():
+            point = {name: data.draw(_EXACT_VALUES) for name in p.table.names}
+            want = summed_eval_exact(p, point)
+            for _ in range(2):      # the plan of the first call, then the kept one
+                got = eval_exact(p, point)
+                assert type(got) is Fraction and got == want
+
+
+# -- X24's candidates ----------------------------------------------------------------
+
+
+def three_chart_solves(triple):
+    """X24's candidates with the chart system solved once per chart."""
+    from quartics.bitangent import _CHART_ROTATIONS, _solve_x24_chart
+
+    return [(embed(a, b), f"X24.{tag}")
+            for order, embed in _CHART_ROTATIONS
+            for a, b, tag in _solve_x24_chart(triple[order[0]])]
+
+
+class TestX24Candidates:
+    @pytest.mark.parametrize("triple", [
+        (3, 3, 3), (Fraction(-7, 2),) * 3, (Fraction(1001, 1000),) * 3, (10 ** 4,) * 3,
+        (1, 3, 5), (Fraction(2, 3), -7, Fraction(2, 3)), (5, 5, Fraction(1, 9))])
+    def test_matches_three_chart_solves(self, triple):
+        from quartics.bitangent import _x24_candidates
+
+        got = _x24_candidates(triple)
+        assert len(got) == 72 and repr(got) == repr(three_chart_solves(triple))
+
+    def test_solves_each_distinct_entry_once(self, monkeypatch):
+        from quartics import bitangent
+
+        calls = []
+        solve = bitangent._solve_x24_chart
+        monkeypatch.setattr(bitangent, "_solve_x24_chart", lambda r: calls.append(r) or solve(r))
+        bitangent._x24_candidates((Fraction(5, 2),) * 3)
+        bitangent._x24_candidates((1, 3, 1))
+        assert calls == [Fraction(5, 2), 1, 3]
