@@ -29,7 +29,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import components as comp
 from . import numroots
@@ -395,8 +395,11 @@ def _quad_b2_roots(coeff_polys, params) -> list[complex]:
     return [root, -root]
 
 
-#: The (coefficient, rest) pairs of the J1 a^2 splits, flattened for one evaluation.
-_X4_J1_SPLIT_POLYS = tuple(p for split in comp.X4_J1_A2_SPLITS for p in split)
+@cache
+def _x4_j1_split_polys() -> tuple[Polynomial, ...]:
+    """The (coefficient, rest) pairs of the J1 a^2 splits, flattened for one
+    evaluation; built on first use, as the component tables are."""
+    return tuple(p for split in comp.X4_J1_A2_SPLITS for p in split)
 
 
 def _solve_x4_axes(r, s, u):
@@ -415,6 +418,7 @@ def _solve_x4_j1(r, s, u):
     component J1: the palindromic resolvent in b, then a^2 from a split."""
     params = {"r": r, "s": s, "u": u}
     out = []
+    split_polys = _x4_j1_split_polys()
     quartic = _coeff_values(comp.X4_J1_QUARTIC_B[:3], params)
     quartic += quartic[1::-1]       # palindromic: (k0, k1, k2, k1, k0)
     eliminant = [0j] * 9
@@ -424,7 +428,7 @@ def _solve_x4_j1(r, s, u):
     for big in numroots.palindromic_quartic_roots(*quartic[:3]):
         for b in (cmath.sqrt(big), -cmath.sqrt(big)):
             point["b"] = b = numroots.newton_polish(eliminant, b)
-            values = [v for v, _ in eval_scaled_many(_X4_J1_SPLIT_POLYS, point)]
+            values = [v for v, _ in eval_scaled_many(split_polys, point)]
             # the first split of largest coefficient modulus; a NaN never replaces it
             cval, rval = values[0], values[1]
             for c, rest in zip(values[2::2], values[3::2]):

@@ -66,9 +66,14 @@ def _poly_payload(p: Polynomial):
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ": "), indent=1,
-              allow_nan=False)
-    sys.stdout.write("\n")
+    """Print *payload* as strict JSON with one write: the whole text is built
+    first, so a NaN or an infinity raises SolverError before any byte is out."""
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise SolverError(f"the answer is not finite: {exc}") from None
+    sys.stdout.write(text + "\n")
 
 
 def _parse_params(family: str, raw: list[str] | None, symbolic: bool):
@@ -221,7 +226,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.run(args)
+        _emit(args.run(args))
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -231,8 +236,6 @@ def main(argv=None) -> int:
     except (EnumerationError, SolverError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    try:
-        _emit(payload)
     except BrokenPipeError:
         sys.stderr.close()
     return EXIT_OK

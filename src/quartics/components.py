@@ -10,127 +10,150 @@ permuted or specialized parameters is not stored again.
 
 All polynomials live over tables whose geometric slots are the line
 coefficients ``(a, b)`` and whose parameters are the family parameters.
+
+The three ``TABLE_*`` variable tables are built at import.  The ten component
+tables are built together on the first read of any of them (``components.X``
+or ``from quartics.components import X``) and are then bound as ordinary
+module globals: only the bitangent enumeration pays for their polynomial
+arithmetic, not an import for another command.
 """
 
 from __future__ import annotations
 
-from .polyring import Polynomial, VarTable
+from functools import cache
+
+from .polyring import Polynomial, VarTable, _lazy_globals
 
 TABLE_X4 = VarTable(("a", "b"), ("r", "s", "u"))
 TABLE_X16 = VarTable(("a", "b"), ("r", "s"))
 TABLE_X24 = VarTable(("a", "b"), ("r",))
+
+#: The component tables, in the order :func:`_tables` builds them.
+_LAZY = ("X4_J1_GENERATORS", "X4_J1_QUARTIC_B", "X4_J2_BIQUADRATIC", "X4_J1_A2_SPLITS",
+         "X16_J56_BIQUADRATIC", "X16_J7_BIQUADRATIC", "X24_J2_BIQUADRATIC",
+         "X24_RATIONAL_POINTS", "X24_J69_QUADRATIC", "X24_J10_13_QUADRATIC")
 
 
 def _vars(table: VarTable):
     return [Polynomial.variable(table, n) for n in table.names]
 
 
-# -- X4: three components in the (a, b) chart --------------------------------
+@cache
+def _tables() -> dict[str, tuple]:
+    """The component tables by name, each a tuple of polynomials (of pairs of them
+    for the splits, of ``(tag, a, b)`` for the rational points)."""
+    # -- X4: three components in the (a, b) chart ----------------------------
 
-_a, _b, _r, _s, _u = _vars(TABLE_X4)
+    a, b, r, s, u = _vars(TABLE_X4)
 
-#: The ten generators of the general-position component J1.
-X4_J1_GENERATORS: tuple[Polynomial, ...] = (
-    _s**2 * _a**4 - _u**2 * _b**4 + _s**2 * _u * _a**2 - _s * _u**2 * _b**2
-    - 4 * _a**4 + 4 * _b**4 - 4 * _u * _a**2 + 4 * _s * _b**2 + _s**2 - _u**2,
+    # The ten generators of the general-position component J1.
+    x4_j1_generators = (
+        s**2 * a**4 - u**2 * b**4 + s**2 * u * a**2 - s * u**2 * b**2
+        - 4 * a**4 + 4 * b**4 - 4 * u * a**2 + 4 * s * b**2 + s**2 - u**2,
 
-    _r * _u**2 * _a**2 * _b**2 - _r**2 * _a**4 + _u**2 * _a**4 + _u**2 * _b**4
-    - _r**2 * _u * _a**2 - 4 * _r * _a**2 * _b**2 - 4 * _b**4 + 4 * _u * _a**2
-    - _r**2 + 4,
+        r * u**2 * a**2 * b**2 - r**2 * a**4 + u**2 * a**4 + u**2 * b**4
+        - r**2 * u * a**2 - 4 * r * a**2 * b**2 - 4 * b**4 + 4 * u * a**2
+        - r**2 + 4,
 
-    _r * _s**2 * _a**2 * _b**2 - _r**2 * _b**4 + _s**2 * _b**4 + _u**2 * _b**4
-    - _s**2 * _u * _a**2 - _r**2 * _s * _b**2 + _s * _u**2 * _b**2
-    - 4 * _r * _a**2 * _b**2 - 4 * _b**4 + 4 * _u * _a**2 - _r**2 - _s**2
-    + _u**2 + 4,
+        r * s**2 * a**2 * b**2 - r**2 * b**4 + s**2 * b**4 + u**2 * b**4
+        - s**2 * u * a**2 - r**2 * s * b**2 + s * u**2 * b**2
+        - 4 * r * a**2 * b**2 - 4 * b**4 + 4 * u * a**2 - r**2 - s**2
+        + u**2 + 4,
 
-    _s * _u * _a**2 * _b**4 + _u**2 * _b**6 + _s * _u**2 * _b**4
-    - 2 * _r * _a**2 * _b**4 - 2 * _r * _s * _a**2 * _b**2 - _r * _u * _b**4
-    - 4 * _b**6 - _r * _s * _u * _b**2 + 4 * _u * _a**2 * _b**2
-    - 2 * _s * _b**4 + _s * _u * _a**2 + _u**2 * _b**2 - 2 * _r * _a**2
-    - _r * _u + 4 * _b**2 + 2 * _s,
+        s * u * a**2 * b**4 + u**2 * b**6 + s * u**2 * b**4
+        - 2 * r * a**2 * b**4 - 2 * r * s * a**2 * b**2 - r * u * b**4
+        - 4 * b**6 - r * s * u * b**2 + 4 * u * a**2 * b**2
+        - 2 * s * b**4 + s * u * a**2 + u**2 * b**2 - 2 * r * a**2
+        - r * u + 4 * b**2 + 2 * s,
 
-    _s**2 * _a**2 * _b**4 + _s * _u * _b**6 + _s**2 * _u * _b**4
-    - 2 * _r * _b**6 - 3 * _r * _s * _b**4 - 4 * _a**2 * _b**4
-    - _r * _s**2 * _b**2 + 2 * _u * _b**4 - _s**2 * _a**2
-    + 3 * _s * _u * _b**2 - 2 * _r * _b**2 - _r * _s + 4 * _a**2 + 2 * _u,
+        s**2 * a**2 * b**4 + s * u * b**6 + s**2 * u * b**4
+        - 2 * r * b**6 - 3 * r * s * b**4 - 4 * a**2 * b**4
+        - r * s**2 * b**2 + 2 * u * b**4 - s**2 * a**2
+        + 3 * s * u * b**2 - 2 * r * b**2 - r * s + 4 * a**2 + 2 * u,
 
-    _r * _s * _a**2 * _b**4 - _r * _u * _b**6 - _r * _s * _u * _b**4
-    - 2 * _u * _a**2 * _b**4 + 2 * _s * _b**6 - 2 * _s * _u * _a**2 * _b**2
-    + _r**2 * _b**4 + _r**2 * _s * _b**2 + 4 * _r * _a**2 * _b**2
-    + _r * _s * _a**2 - _r * _u * _b**2 + 4 * _b**4 - 2 * _u * _a**2
-    - 2 * _s * _b**2 + _r**2 - 4,
+        r * s * a**2 * b**4 - r * u * b**6 - r * s * u * b**4
+        - 2 * u * a**2 * b**4 + 2 * s * b**6 - 2 * s * u * a**2 * b**2
+        + r**2 * b**4 + r**2 * s * b**2 + 4 * r * a**2 * b**2
+        + r * s * a**2 - r * u * b**2 + 4 * b**4 - 2 * u * a**2
+        - 2 * s * b**2 + r**2 - 4,
 
-    _s * _u * _a**4 * _b**2 + _u**2 * _a**2 * _b**4 + _s * _u**2 * _a**2 * _b**2
-    - 2 * _r * _a**4 * _b**2 - _r * _s * _a**4 - 2 * _r * _u * _a**2 * _b**2
-    - 4 * _a**2 * _b**4 - _r * _s * _u * _a**2 + 2 * _u * _a**4 + _u**2 * _a**2
-    + _s * _u * _b**2 - 2 * _r * _b**2 - _r * _s + 4 * _a**2 + 2 * _u,
+        s * u * a**4 * b**2 + u**2 * a**2 * b**4 + s * u**2 * a**2 * b**2
+        - 2 * r * a**4 * b**2 - r * s * a**4 - 2 * r * u * a**2 * b**2
+        - 4 * a**2 * b**4 - r * s * u * a**2 + 2 * u * a**4 + u**2 * a**2
+        + s * u * b**2 - 2 * r * b**2 - r * s + 4 * a**2 + 2 * u,
 
-    _r * _s * _a**4 * _b**2 - _r * _u * _a**2 * _b**4 - 2 * _u * _a**4 * _b**2
-    + 2 * _s * _a**2 * _b**4 - _s * _u * _a**4 + _s * _u * _b**4
-    + 2 * _r * _a**4 - 2 * _r * _b**4 + _r * _u * _a**2 - _r * _s * _b**2
-    - 2 * _s * _a**2 + 2 * _u * _b**2,
+        r * s * a**4 * b**2 - r * u * a**2 * b**4 - 2 * u * a**4 * b**2
+        + 2 * s * a**2 * b**4 - s * u * a**4 + s * u * b**4
+        + 2 * r * a**4 - 2 * r * b**4 + r * u * a**2 - r * s * b**2
+        - 2 * s * a**2 + 2 * u * b**2,
 
-    _s * _u * _a**6 + _u**2 * _a**4 * _b**2 + _s * _u**2 * _a**4
-    - 2 * _r * _a**6 - 3 * _r * _u * _a**4 - 4 * _a**4 * _b**2
-    - _r * _u**2 * _a**2 + 2 * _s * _a**4 + 3 * _s * _u * _a**2
-    - _u**2 * _b**2 - 2 * _r * _a**2 - _r * _u + 4 * _b**2 + 2 * _s,
+        s * u * a**6 + u**2 * a**4 * b**2 + s * u**2 * a**4
+        - 2 * r * a**6 - 3 * r * u * a**4 - 4 * a**4 * b**2
+        - r * u**2 * a**2 + 2 * s * a**4 + 3 * s * u * a**2
+        - u**2 * b**2 - 2 * r * a**2 - r * u + 4 * b**2 + 2 * s,
 
-    _r * _s * _a**6 - _r * _u * _a**4 * _b**2 + _r * _s * _u * _a**4
-    - 2 * _u * _a**6 + 2 * _s * _a**4 * _b**2 - _r**2 * _a**4
-    + 2 * _s * _u * _a**2 * _b**2 - _r**2 * _u * _a**2
-    - 4 * _r * _a**2 * _b**2 + _r * _s * _a**2 - 4 * _a**4 - _r * _u * _b**2
-    + 2 * _u * _a**2 + 2 * _s * _b**2 - _r**2 + 4,
-)
+        r * s * a**6 - r * u * a**4 * b**2 + r * s * u * a**4
+        - 2 * u * a**6 + 2 * s * a**4 * b**2 - r**2 * a**4
+        + 2 * s * u * a**2 * b**2 - r**2 * u * a**2
+        - 4 * r * a**2 * b**2 + r * s * a**2 - 4 * a**4 - r * u * b**2
+        + 2 * u * a**2 + 2 * s * b**2 - r**2 + 4,
+    )
 
-#: Quartic resolvent of J1 in B = b^2, ascending and palindromic (k0, k1, k2, k1, k0);
-#: W = B + 1/B turns it into two quadratics (numroots.palindromic_quartic_roots).
-#: k0 = -(r^2 + s^2 + u^2 - rsu - 4) vanishes only on the singular locus.
-X4_J1_QUARTIC_B: tuple[Polynomial, ...] = (
-    _k0 := -_u**2 + _r * _s * _u - _s**2 - _r**2 + 4,
-    _k1 := -2 * _s * _u**2 + _r * _s**2 * _u + 4 * _r * _u - 2 * _r**2 * _s,
-    -_s**2 * _u**2 - 2 * _u**2 + 6 * _r * _s * _u - _r**2 * _s**2
-    + 2 * _s**2 - 2 * _r**2 - 8,
-    _k1,
-    _k0,
-)
+    # Quartic resolvent of J1 in B = b^2, ascending and palindromic (k0, k1, k2, k1, k0);
+    # W = B + 1/B turns it into two quadratics (numroots.palindromic_quartic_roots).
+    # k0 = -(r^2 + s^2 + u^2 - rsu - 4) vanishes only on the singular locus.
+    x4_j1_quartic_b = (
+        k0 := -u**2 + r * s * u - s**2 - r**2 + 4,
+        k1 := -2 * s * u**2 + r * s**2 * u + 4 * r * u - 2 * r**2 * s,
+        -s**2 * u**2 - 2 * u**2 + 6 * r * s * u - r**2 * s**2
+        + 2 * s**2 - 2 * r**2 - 8,
+        k1,
+        k0,
+    )
 
-#: The coordinate-type component J2 (a = 0): ascending coefficients of (b^0, b^2, b^4).
-#: At (r, u, s) it is J3 (b = 0; x <-> y swaps s and u), at (r, s, s) X16's J1 and J2,
-#: and at (s, r, s) X16's lines x + b*y = 0.
-X4_J2_BIQUADRATIC = (_r**2 - 4, 2 * _r * _u - 4 * _s, _u**2 - 4)
+    # The coordinate-type component J2 (a = 0): ascending coefficients of (b^0, b^2, b^4).
+    # At (r, u, s) it is J3 (b = 0; x <-> y swaps s and u), at (r, s, s) X16's J1 and J2,
+    # and at (s, r, s) X16's lines x + b*y = 0.
+    x4_j2_biquadratic = (r**2 - 4, 2 * r * u - 4 * s, u**2 - 4)
+
+    # Generators of J1 that are linear in a^2, split as (coefficient of a^2, rest).
+    # They recover ``a`` for each root ``b`` of the resolvent; the solver picks
+    # whichever split has the best-conditioned leading value.  ``e[0]`` is the
+    # exponent of a, the first variable of TABLE_X4.
+    x4_j1_a2_splits = tuple(
+        tuple(Polynomial.from_numerators(TABLE_X4, {(0,) + e[1:]: c
+                                                    for e, c in gen.numerators.items()
+                                                    if e[0] == k}, gen.denominator)
+              for k in (2, 0))
+        for gen in x4_j1_generators[2:5])
+
+    # -- X16 ------------------------------------------------------------------
+
+    a, b, r, s = _vars(TABLE_X16)
+
+    # Ascending coefficients of (b^0, b^2, b^4) in the (a, b) chart.
+    x16_j56_biquadratic = (2 - r, 2 * s - r * s, s**2 - r - 2)     # a = -b / a = b
+    x16_j7_biquadratic = (r + 2 - s**2, r * s - 2 * s, r - 2)      # a^2 = -s - b^2
+
+    # -- X24 ------------------------------------------------------------------
+
+    a, b, r = _vars(TABLE_X24)
+
+    x24_j2_biquadratic = (r + 2, 2 * r, r + 2)     # a = 0, and also the x+b*y lines
+    x24_rational_points = (                         # (tag, a, b)
+        ("J4", 1, -1),
+        ("J5", -1, 1),
+        ("J7", -1, -1),
+        ("J8", 1, 1),
+    )
+    one = Polynomial.constant(TABLE_X24, 1)
+    x24_j69_quadratic = (one, r + 1)               # (r+1) b^2 + 1, a = -/+ b
+    x24_j10_13_quadratic = (r + 1, one)            # b^2 + r + 1 with a = -/+ 1
+
+    return dict(zip(_LAZY, (
+        x4_j1_generators, x4_j1_quartic_b, x4_j2_biquadratic, x4_j1_a2_splits,
+        x16_j56_biquadratic, x16_j7_biquadratic, x24_j2_biquadratic, x24_rational_points,
+        x24_j69_quadratic, x24_j10_13_quadratic), strict=True))
 
 
-#: Generators of J1 that are linear in a^2, split as (coefficient of a^2, rest).
-#: They recover ``a`` for each root ``b`` of the resolvent; the solver picks
-#: whichever split has the best-conditioned leading value.  ``e[0]`` is the
-#: exponent of a, the first variable of TABLE_X4.
-X4_J1_A2_SPLITS: tuple[tuple[Polynomial, Polynomial], ...] = tuple(
-    tuple(Polynomial.from_numerators(TABLE_X4, {(0,) + e[1:]: c for e, c in gen.numerators.items()
-                                                if e[0] == k}, gen.denominator)
-          for k in (2, 0))
-    for gen in X4_J1_GENERATORS[2:5])
-
-
-# -- X16 ----------------------------------------------------------------------
-
-_a, _b, _r, _s = _vars(TABLE_X16)
-
-#: Ascending coefficients of (b^0, b^2, b^4) in the (a, b) chart.
-X16_J56_BIQUADRATIC = (2 - _r, 2 * _s - _r * _s, _s**2 - _r - 2)        # a = -b / a = b
-X16_J7_BIQUADRATIC = (_r + 2 - _s**2, _r * _s - 2 * _s, _r - 2)         # a^2 = -s - b^2
-
-
-# -- X24 ----------------------------------------------------------------------
-
-_a, _b, _r = _vars(TABLE_X24)
-
-X24_J2_BIQUADRATIC = (_r + 2, 2 * _r, _r + 2)      # a = 0, and also the x+b*y lines
-X24_RATIONAL_POINTS = (                            # (tag, a, b)
-    ("J4", 1, -1),
-    ("J5", -1, 1),
-    ("J7", -1, -1),
-    ("J8", 1, 1),
-)
-_one = Polynomial.constant(TABLE_X24, 1)
-X24_J69_QUADRATIC = (_one, _r + 1)                 # (r+1) b^2 + 1, a = -/+ b
-X24_J10_13_QUADRATIC = (_r + 1, _one)              # b^2 + r + 1 with a = -/+ 1
+__getattr__, __dir__ = _lazy_globals(globals(), _LAZY, _tables)

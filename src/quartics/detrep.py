@@ -11,6 +11,12 @@ them vanish (``a = f = 0``) and the rest reduce to one quadratic in
 branch choices, filters with the *unsquared* linear condition that the
 squaring step of the reduction would otherwise blur, and certifies the
 winning branch against the determinant identity at seeded random points.
+
+The systems ``OEQ_SYSTEM`` and ``E_SYSTEM`` are derived exactly from the
+symbolic pencil on first use: the first read of either (``detrep.E_SYSTEM``,
+``from quartics.detrep import E_SYSTEM``) or the first solve or residual
+check builds both, and binds them as ordinary module globals; an import for
+another command does not pay for that polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -19,14 +25,14 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import itemgetter
 
 from . import numroots
 from .diffcalc import _pencil_det, det
 from .errors import (DegeneracyError, DomainError, SolverError, check_tolerance, overflow_as,
                      rational)
-from .polyring import Polynomial, VarTable, _Record, convert, eval_scaled_many
+from .polyring import Polynomial, VarTable, _lazy_globals, _Record, convert, eval_scaled_many
 from .symfam import make_family
 
 DEFAULT_TOL = 1e-8
@@ -134,29 +140,36 @@ def determinant_expand(A, B, C) -> Polynomial:
     return det(pencil)
 
 
-#: The raw coefficient-comparison system: the coefficients of det(xA + yB + zC) - f
-#: at x y z^2, y^2 z^2, x^2 z^2, y z^3, x z^3, z^4, x^2 y^2 and y^4 (all must
-#: vanish); the last two are the identities satisfied by p and q themselves.
-OEQ_SYSTEM: tuple[Polynomial, ...] = itemgetter(
-    (1, 1, 2), (0, 2, 2), (2, 0, 2), (0, 1, 3), (1, 0, 3), (0, 0, 4), (2, 2, 0), (0, 4, 0))(
-    (determinant_expand(*symbolic_pencil())
-     - convert(make_family("X4").poly, _SYS_TABLE)).geometric_coefficients())
+@cache
+def _systems() -> dict[str, tuple[Polynomial, ...]]:
+    """``OEQ_SYSTEM``, ``E_SYSTEM`` and ``_RESIDUAL_ROWS`` by name."""
+    # OEQ_SYSTEM, the raw coefficient-comparison system: the coefficients of
+    # det(xA + yB + zC) - f at x y z^2, y^2 z^2, x^2 z^2, y z^3, x z^3, z^4, x^2 y^2
+    # and y^4 (all must vanish); the last two are the identities satisfied by p and q.
+    oeq = itemgetter(
+        (1, 1, 2), (0, 2, 2), (2, 0, 2), (0, 1, 3), (1, 0, 3), (0, 0, 4), (2, 2, 0), (0, 4, 0))(
+        (determinant_expand(*symbolic_pencil())
+         - convert(make_family("X4").poly, _SYS_TABLE)).geometric_coefficients())
+    # E_SYSTEM, the six reduced conditions on the off-diagonal unknowns: the raw
+    # rows up to sign and a factor 2, except the second, simplified by p*q = 1.
+    e_system = (
+        oeq[0],
+        _A**2 * _Q**2 - _B**2 + _C**2 + _D**2 - _E**2 + _F**2 * _P**2 - _S,
+        -oeq[2],
+        oeq[3] * Fraction(1, 2),
+        oeq[4] * Fraction(1, 2),
+        oeq[5],
+    )
+    # _RESIDUAL_ROWS, the rows of residuals_e_system in the order of _RESIDUAL_KEYS:
+    # the six reduced conditions, the first six raw rows, then the identities
+    # p^2 q^2 - 1 and -p^2 - q^2 - r of p and q.
+    return {"OEQ_SYSTEM": oeq, "E_SYSTEM": e_system,
+            "_RESIDUAL_ROWS": e_system + oeq[:6] + (oeq[7], oeq[6])}
 
-#: The six reduced conditions on the off-diagonal unknowns: the raw rows up
-#: to sign and a factor 2, except the second, simplified by p*q = 1.
-E_SYSTEM: tuple[Polynomial, ...] = (
-    OEQ_SYSTEM[0],
-    _A**2 * _Q**2 - _B**2 + _C**2 + _D**2 - _E**2 + _F**2 * _P**2 - _S,
-    -OEQ_SYSTEM[2],
-    OEQ_SYSTEM[3] * Fraction(1, 2),
-    OEQ_SYSTEM[4] * Fraction(1, 2),
-    OEQ_SYSTEM[5],
-)
 
-
-#: The rows of :func:`residuals_e_system` and their keys: the six reduced conditions,
-#: the first six raw rows, then the identities p^2 q^2 - 1 and -p^2 - q^2 - r of p and q.
-_RESIDUAL_ROWS = E_SYSTEM + OEQ_SYSTEM[:6] + (OEQ_SYSTEM[7], OEQ_SYSTEM[6])
+__getattr__, __dir__ = _lazy_globals(globals(), ("OEQ_SYSTEM", "E_SYSTEM", "_RESIDUAL_ROWS"),
+                                     _systems)
+#: The keys of :func:`residuals_e_system`, one for each of the residual rows.
 _RESIDUAL_KEYS = (*(f"e{i}" for i in range(1, 7)), *(f"oeq{i}" for i in range(1, 7)),
                   "pq_identity", "p2q2_sum")
 
@@ -169,7 +182,7 @@ def residuals_e_system(rep: DetRep, r, s, u) -> dict:
     point = {"p": rep.p, "q": rep.q, "a": a, "b": b, "c": c, "d": d, "e": e, "f": f,
              "r": r, "s": s, "u": u}
     return {key: abs(v) for key, (v, _) in
-            zip(_RESIDUAL_KEYS, eval_scaled_many(_RESIDUAL_ROWS, point))}
+            zip(_RESIDUAL_KEYS, eval_scaled_many(_systems()["_RESIDUAL_ROWS"], point))}
 
 
 @lru_cache(maxsize=4)
@@ -262,7 +275,7 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
             raise OverflowError("every branch residual is infinite or NaN")
         # p^2 q^2 = 1 up to rounding by construction; checked anyway, after the
         # overflow filter, so overflowing members keep that error
-        pq_identity = abs(eval_scaled_many((OEQ_SYSTEM[7],), {"p": p, "q": q})[0][0])
+        pq_identity = abs(eval_scaled_many((_systems()["OEQ_SYSTEM"][7],), {"p": p, "q": q})[0][0])
         if not pq_identity <= tol:      # written so that NaN fails too
             raise SolverError(f"(r,s,u) = ({r},{s},{u}): pq_identity |p^2 q^2 - 1| = "
                               f"{pq_identity:.3e} exceeds tol {tol:g}")

@@ -122,6 +122,26 @@ class _Record:
         return type(self), self._values()
 
 
+def _lazy_globals(namespace: dict, names: tuple[str, ...], build):
+    """A module's ``__getattr__`` and ``__dir__`` for constants built on first use.
+
+    The first read of one of *names* calls ``build()``, which returns all of them
+    by name, and binds them in *namespace*, the module's globals: later reads are
+    plain attribute lookups that never reach ``__getattr__``.  Code in the module
+    itself does not go through ``__getattr__`` and calls ``build()``."""
+
+    def __getattr__(name: str):
+        if name in names:
+            namespace.update(build())
+            return namespace[name]
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+
+    def __dir__():
+        return sorted({*namespace, *names})
+
+    return __getattr__, __dir__
+
+
 class VarTable(_Record):
     """An ordered list of variable names split into geometric and parameter roles."""
 

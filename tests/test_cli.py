@@ -3,12 +3,14 @@
 import argparse
 import io
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from quartics import cli, components, detrep
 from quartics.cli import (EXIT_DEGENERATE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                           main, tolerance)
 from quartics.detrep import DEFAULT_TOL, solve_detrep
@@ -283,7 +285,73 @@ class TestEnvelope:
         assert main(["invariants", "--family", "X96"]) == EXIT_OK
         assert err.closed
 
+    def test_payload_is_one_write(self, monkeypatch):
+        # with write-through stdout (python -u) each write is a system call
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["invariants", "--family", "X96"]) == EXIT_OK
+        assert len(writes) == 1 and writes[0].endswith("}\n")
+        assert json.loads(writes[0])["command"] == "invariants"
+
+    def test_non_finite_answer_prints_no_partial_json(self, capsys, monkeypatch):
+        # strict JSON has no NaN; "command" sorts before the NaN, so a streaming
+        # encoder would have printed it before failing
+        monkeypatch.setattr(cli, "cmd_detrep",
+                            lambda args: {"command": "detrep", "residuals": {"det": math.nan}})
+        code, out, err = run_cli(capsys, ["detrep", "--params", "1", "2", "3"])
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("numeric failure: ") and "Traceback" not in err
+
     def test_unknown_family_exits_two(self):
         argv = [sys.executable, "-m", "quartics.cli", "invariants", "--family", "X7"]
         proc = subprocess.run(argv, capture_output=True)
         assert proc.returncode == 2
+
+
+#: Run in a fresh interpreter: the import of the CLI builds no table and generates
+#: no evaluator; then each table, on its first read, is its builder's polynomials,
+#: bound once in the module dict.
+COLD_IMPORT = """
+import sys
+import quartics.cli
+from quartics import bitangent, components, detrep, polyring
+
+assert {"quartics.components", "quartics.detrep"} <= set(sys.modules)
+lazy = {components: (components._tables, components._LAZY),
+        detrep: (detrep._systems, ("OEQ_SYSTEM", "E_SYSTEM", "_RESIDUAL_ROWS"))}
+for module, (build, names) in lazy.items():
+    assert not hasattr(module, "NOT_A_TABLE")
+    assert not set(names) & set(vars(module)), module
+    assert build.cache_info().currsize == 0, module
+assert bitangent._x4_j1_split_polys.cache_info().currsize == 0
+assert len(polyring._GENERATED) == 0
+for module, (build, names) in lazy.items():
+    fresh = build.__wrapped__()
+    for name in names:
+        value = getattr(module, name)
+        assert value == fresh[name], name
+        assert getattr(module, name) is value is vars(module)[name], name
+    assert build.cache_info().currsize == 1, module
+"""
+
+
+class TestColdStart:
+    def test_import_builds_no_table(self):
+        proc = subprocess.run([sys.executable, "-c", COLD_IMPORT], capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    @pytest.mark.parametrize("module", [components, detrep])
+    def test_unknown_name_is_an_attribute_error(self, module):
+        name = "NOT_A_TABLE"
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(module, name)
+
+    def test_dir_lists_the_lazy_tables(self):
+        assert set(components._LAZY) <= set(dir(components))
+        assert {"OEQ_SYSTEM", "E_SYSTEM"} <= set(dir(detrep))

@@ -815,8 +815,9 @@ def _component_polynomials():
             for item in value:
                 yield from flatten(item)
 
-    return [p for name, value in vars(components).items() if name.isupper()
-            for p in flatten(value)]
+    # dir(), not vars(): a table is in the module dict only once it has been read
+    return [p for name in dir(components) if name.isupper()
+            for p in flatten(getattr(components, name))]
 
 
 def summed_eval_exact(p, point):

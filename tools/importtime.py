@@ -72,4 +72,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # the reader went away (| head -1): exit quietly, as the CLI does
+        sys.stderr.close()
