@@ -30,7 +30,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegreeError, DomainError, TableMismatchError
-from .polyring import Polynomial, diff_pair, multi_partial  # noqa: F401  (re-exports diff_pair)
+from .polyring import (Polynomial, _generated, diff_pair,  # noqa: F401  (re-exports diff_pair)
+                       multi_partial)
 
 
 def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
@@ -105,7 +106,8 @@ def _pencil_det(zero: tuple[bool, ...]):
     the entries, then checks their zeros and hands a point of another pattern to that
     pattern's function; else it runs :func:`det`'s steps with the entries unrolled, the
     same operations in the same order, so the value is ``det``'s bit for bit.  One
-    function per pattern, generated on first use and kept for the last 64."""
+    function per pattern, generated on first use (``polyring._generated``) and kept
+    for the last 64."""
     n = math.isqrt(len(zero))
     size = n * n
     entries = ["e%d" % k for k in range(size)]
@@ -121,10 +123,7 @@ def _pencil_det(zero: tuple[bool, ...]):
             " + %s(%s * %s)" % ("-" if odd else "", entries[r * n + c], minors[rest])
             for c, odd, rest in terms))
     lines.append("return " + minors[(1 << n) - 1])
-    namespace = {"dispatch": _pencil_det}
-    exec(compile("def determinant(k, x, y, z):\n" + "".join(f" {line}\n" for line in lines),
-                 "<pencil_det>", "exec"), namespace)
-    return namespace.pop("determinant")
+    return _generated("k, x, y, z", lines, {"dispatch": _pencil_det})
 
 
 #: The upper triangle of a symmetric 3x3 matrix, and the weight of each entry in a

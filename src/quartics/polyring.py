@@ -37,17 +37,16 @@ each entry of :func:`quartics.diffcalc.hessian` is one call), and
 meet those of equal degree by lookup.
 
 Values are immutable once constructed (``terms`` is a read-only view) and
-safe to share between threads: the compiled form for complex evaluation
-(:meth:`Polynomial.compiled`) is built lazily and idempotently, then kept.
+safe to share between threads: what evaluation keeps of one is built lazily.
 
-The one complex evaluator, :func:`eval_scaled_many`, computes each
-``complex(value) ** exponent`` of a point once, shared by all the polynomials
-it evaluates there; :func:`eval_scaled` and :func:`eval_complex` are its
-one-polynomial form.  It runs straight-line Python generated once per *shape*
-(the monomials of each polynomial in the set, without the coefficients, which
-are passed as data) and kept in caches, so that the restriction
-coefficients of every member of a family share one function.  Generating it
-costs about 12 us per term (compiling the source), paid once per process.
+The one complex evaluator, :func:`eval_scaled_many`, is the per-term loop over
+the canonical terms, with each ``complex(value) ** exponent`` of a point
+computed once for all the polynomials it evaluates there (:func:`eval_scaled`
+and :func:`eval_complex` are its one-polynomial form).  It runs straight-line
+Python from :func:`_generated`, the package's one code generator, once per set
+of *shapes* (the monomials, without the coefficients, which are passed as
+data), so the restriction coefficients of every member of a family share one
+function; compiling it costs about 12 us per term, once per process.
 """
 
 from __future__ import annotations
@@ -300,20 +299,15 @@ class Polynomial:
         ((exps, c),) = self._items((max(self._num),))
         return exps, Fraction(c, self._den)
 
-    def compiled(self) -> tuple[tuple[complex, tuple[tuple[str, int], ...]], ...]:
-        """The canonical-order terms as ``(complex(coeff), ((name, exp), ...))``
-        over the occurring variables.  Built once, with what :func:`eval_scaled_many`
-        runs on: the tuple of coefficients and the shape, the monomials as one
-        :class:`_Shape` per table and monomials, of which a bounded cache keeps the
-        last 256.  ``num / den`` is correctly rounded, as ``float(Fraction)`` is."""
-        return (self._compiled or self._compile())[2]
-
     def _compile(self):
-        """``(shape, coefficients, terms)``, kept as ``_compiled``; see :meth:`compiled`."""
+        """``(shape, coefficients)``, what :func:`eval_scaled_many` runs on, built once
+        and kept as ``_compiled``: the :class:`_Shape` of the canonical-order terms and
+        their coefficients as complex numbers (``num / den`` is correctly rounded, as
+        ``float(Fraction)`` is)."""
         keys = sorted(self._num, reverse=True)
-        shape, den, num = _shape(self.table, tuple(keys)), self._den, self._num
-        coefficients = tuple([complex(num[key] / den) for key in keys])
-        self._compiled = (shape, coefficients, tuple(zip(coefficients, shape.layout)))
+        den, num = self._den, self._num
+        self._compiled = (_shape(self.table, tuple(keys)),
+                          tuple([complex(num[key] / den) for key in keys]))
         return self._compiled
 
     def is_zero(self) -> bool:
@@ -634,9 +628,9 @@ def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
 
 
 class _Shape:
-    """A compiled polynomial's monomials, ``((name, exp), ...)`` per term in canonical
-    order; one object per table and monomials (:func:`_shape`), so that a tuple of
-    shapes is a key hashed by identity."""
+    """A polynomial's monomials, ``((name, exp), ...)`` per term in canonical order;
+    one object per table and monomials (:func:`_shape`), so that a tuple of shapes
+    is a key hashed by identity."""
 
     __slots__ = ("layout",)
 
@@ -645,12 +639,24 @@ class _Shape:
 
 
 #: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
-#: sets of them and 6 generated functions, which stay with room to spare.  A function
-#: lives while a cached set (or a caller) holds it, so each layout has one at a time,
-#: and a caller who evaluates ever new shapes keeps about 64, about 0.5 kB per term.
+#: sets of them and 6 generated functions, which stay with room to spare.
 #: :func:`_exact_plan` keeps as many polynomials as :func:`_shape` keeps shapes.
 _SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 _SUM_CHUNK = 64     # terms summed in one expression: the compiler recurses once per +
+
+
+def _generated(parameters: str, lines: list[str], namespace: dict):
+    """The function of *parameters* and body *lines*, compiled with the globals
+    *namespace*: the package's one code generator.  One function per source while
+    anything holds it: ``_GENERATED`` maps each source weakly to its function, and
+    the callers' bounded caches (:func:`_evaluator`, ``diffcalc._pencil_det``) hold
+    them, so a caller of ever new sources keeps about as many as its cache."""
+    source = f"def generated({parameters}):\n" + "".join(f" {line}\n" for line in lines)
+    if (function := _GENERATED.get(source)) is None:
+        exec(compile(source, "<generated>", "exec"), namespace)
+        # popped: no cycle through its globals outlives the last holder
+        function = _GENERATED[source] = namespace.pop("generated")
+    return function
 
 
 @lru_cache(maxsize=_SHAPES)
@@ -669,24 +675,16 @@ def _evaluator(shapes: tuple[_Shape, ...]):
     layouts = tuple(tuple(tuple((names.setdefault(name, len(names)), e) for name, e in monomial)
                           for monomial in shape.layout)
                     for shape in shapes)
-    return _generated(layouts), tuple(names)
-
-
-def _generated(layouts):
-    if (evaluate := _GENERATED.get(layouts)) is None:
-        namespace = {"missing": _missing}
-        exec(compile(_evaluator_source(layouts), "<eval_scaled_many>", "exec"), namespace)
-        # popped: no cycle through its globals outlives the last holder
-        evaluate = _GENERATED[layouts] = namespace.pop("evaluate")
-    return evaluate
+    return _generated("forms, point, names", _evaluator_body(layouts),
+                      {"missing": _missing}), tuple(names)
 
 
 def _missing(name: str):
     raise DomainError(f"variable {name!r} not assigned")
 
 
-def _evaluator_source(layouts) -> str:
-    """Python source of ``evaluate(forms, point, names)``: the loop of
+def _evaluator_body(layouts) -> list[str]:
+    """The body of ``evaluate(forms, point, names)``: the loop of
     :func:`eval_scaled_many` unrolled for polynomials of *layouts*, whose variables
     are numbered and named ``names[i]``.  Per polynomial, one ``max`` over ``0.0`` and
     the moduli of its terms, each term formed in its argument left to right, each
@@ -713,7 +711,7 @@ def _evaluator_source(layouts) -> str:
                     factors.append(power)
             moduli.append(f"abs(t{k} := {' * '.join(factors)})")
             k += 1
-        targets.append(f"(_, ({''.join(f'k{j}, ' for j in range(first, k))}), _)")
+        targets.append(f"(_, ({''.join(f'k{j}, ' for j in range(first, k))}))")
         if not moduli:
             results.append("(0j, 0.0)")
             continue
@@ -724,23 +722,24 @@ def _evaluator_source(layouts) -> str:
                 [total, *(f"t{t}" for t in range(start, min(start + _SUM_CHUNK, k)))]))
             total = f"r{i}"
         results.append(f"({total}, s{i})")
-    lines = ["get = point.get", f"[{', '.join(targets)}] = forms",
-             f"[{', '.join(f'n{v}' for v in range(len(variables)))}] = names", *lines,
-             f"return [{', '.join(results)}]"]
-    return "def evaluate(forms, point, names):\n" + "".join(f" {line}\n" for line in lines)
+    return ["get = point.get", f"[{', '.join(targets)}] = forms",
+            f"[{', '.join(f'n{v}' for v in range(len(variables)))}] = names", *lines,
+            f"return [{', '.join(results)}]"]
 
 
 def eval_scaled_many(polys: Sequence[Polynomial],
                      point: Mapping[str, complex]) -> list[tuple[complex, float]]:
     """Evaluate each polynomial at one complex point, with its largest summand modulus.
 
-    The result is that of this loop over each polynomial's :meth:`~Polynomial.compiled`
-    terms, with each power of the point computed once for all the polynomials::
+    The result is that of the per-term loop over each polynomial's terms in
+    canonical order, with each power of the point computed once for all the
+    polynomials::
 
-        for coefficient, monomial in p.compiled():
-            term = coefficient
-            for name, e in monomial:    # the first time: complex(point[name]) ** e
-                term *= power[name, e]
+        for exponents, coeff in p.sorted_terms():
+            term = complex(float(coeff))
+            for name, e in zip(p.table.names, exponents):
+                if e:                   # the first time: complex(point[name]) ** e
+                    term *= power[name, e]
             total += term               # from 0j
             if abs(term) > scale:       # from 0.0, so a NaN modulus is skipped
                 scale = abs(term)

@@ -1,5 +1,10 @@
 """Shared helpers for the test suite: seeded random algebra objects and
-small independent oracles."""
+small independent oracles.
+
+Every property test draws one ``st.randoms(use_true_random=False)`` per example
+and builds its inputs from it: drawing nested strategies cost most of the
+suite's time.  A failure found that way shrinks worse than one from drawn
+values (Hypothesis shrinks the random calls, not the polynomial)."""
 
 from __future__ import annotations
 
@@ -9,12 +14,25 @@ import random
 from fractions import Fraction
 from math import gcd, perm, prod
 
+from hypothesis import settings, strategies as st
+
 from quartics.diffcalc import det
 from quartics.errors import DegreeError
 from quartics.polyring import Polynomial, VarTable, eval_complex
 
+# one profile for the whole suite: an example's time depends on the host, so no deadline
+settings.register_profile("quartics", deadline=None)
+settings.load_profile("quartics")
+
+#: What every property test draws: one random source per example.
+RANDOMS = st.randoms(use_true_random=False)
+
 XYZ = VarTable(("x", "y", "z"))
 XY = VarTable(("x", "y"))
+PAR = VarTable(("x", "y", "z"), ("r", "s", "u"))
+SEVEN = VarTable(("x", "y", "z"), ("a", "b", "c", "d"))
+LIMIT = 65535       # the largest exponent or total degree of a packed monomial
+DENOMINATORS = (1, 1, 2, 3, 4, 6, 9, 12, 35, 1000003)
 
 
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -45,6 +63,25 @@ def random_binary_form(rng: random.Random, degree: int, table: VarTable = XY) ->
                 poly = poly + Polynomial.monomial(table, {"x": degree - i, "y": i}, c)
         if not poly.is_zero():
             return poly
+
+
+def random_exponents(rng: random.Random, n: int, top: int = LIMIT, small: int = 4) -> tuple:
+    """An exponent tuple of length *n*: each exponent up to *small*, or, half the
+    time, of total degree within 20 of *top*, nearly all of it in one variable."""
+    exps = [rng.randint(0, small) for _ in range(n)]
+    if n and rng.random() < 0.5:
+        exps[rng.randrange(n)] += max(0, rng.randint(top - 20, top) - sum(exps))
+    return tuple(exps)
+
+
+def random_terms(rng: random.Random, table: VarTable, top: int = LIMIT, max_size: int = 8,
+                 small: int = 4) -> dict:
+    """Up to *max_size* terms over *table*, exponents from :func:`random_exponents`
+    and coefficients n / d with |n| <= 30 over mixed denominators, zeros dropped."""
+    terms = {random_exponents(rng, len(table), top, small):
+             Fraction(rng.randint(-30, 30), rng.choice(DENOMINATORS))
+             for _ in range(rng.randint(0, max_size))}
+    return {e: c for e, c in terms.items() if c}
 
 
 def ref_partial(terms, i, order):

@@ -339,7 +339,7 @@ class TestDedupeExact:
         assert got == _dedupe_reference(lines, tol)
         assert 30 < len(got) < 120
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(_LINES, max_size=12), st.lists(_LINES, max_size=12))
     def test_dedupe_onto_kept_lines(self, first, rest):
         # enumerate_bitangents dedupes each pass onto the lines kept before it

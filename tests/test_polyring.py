@@ -10,16 +10,12 @@ from hypothesis import given, settings, strategies as st
 from quartics.diffcalc import det
 from quartics.errors import (DegreeError, DomainError, QuarticsError, RoleError,
                              TableMismatchError)
-from quartics.polyring import (Polynomial, VarTable, compose_linear,
-                               convert, eval_complex, eval_exact, eval_scaled,
-                               eval_scaled_many, homogenize, multi_partial,
-                               partial, restrict_to_line, substitute,
-                               substitute_linear, substitute_values)
+from quartics.polyring import (Polynomial, VarTable, compose_linear, convert, eval_complex,
+                               eval_exact, homogenize, multi_partial, partial, restrict_to_line,
+                               substitute, substitute_linear, substitute_values)
 
-from conftest import XYZ, random_quartic, ref_partial
-
-PAR = VarTable(("x", "y", "z"), ("r", "s", "u"))
-
+from conftest import (DENOMINATORS, LIMIT, PAR, RANDOMS, SEVEN, XYZ, random_exponents,
+                      random_quartic, random_terms, ref_partial)
 
 def mono(table, powers, c=1):
     return Polynomial.monomial(table, powers, c)
@@ -277,31 +273,6 @@ class TestSubstitute:
         # one variable after the other is not a swap
         assert substitute_linear(substitute_linear(p, "x", y), "y", x) == x ** 4
 
-    def test_matches_the_old_routines(self):
-        """substitute_linear, substitute_values and compose_linear against the
-        dict-based :func:`_ref_substitute`."""
-        rng = random.Random(90901)
-        unit = {n: tuple(int(m == n) for m in PAR.names) for n in PAR.names}
-        for k in range(200):
-            a = _random_terms(rng, PAR, rng.randint(0, 6), max_exp=2)
-            p = Polynomial(PAR, a)
-            name = rng.choice(PAR.names)
-            rep = _random_terms(rng, PAR, rng.randint(0, 3), max_exp=1)
-            if k % 3 == 0:      # the replacement contains the substituted variable
-                rep = _ref_add(rep, {unit[name]: Fraction(rng.randint(-3, 3), rng.choice(_DENS))})
-            want = Polynomial(PAR, _ref_substitute(a, PAR, {name: rep}))
-            assert substitute_linear(p, name, Polynomial(PAR, rep)) == want
-            assert substitute(p, {name: Polynomial(PAR, rep)}) == want
-            values = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS))
-                      for n in rng.sample(PAR.names, rng.randint(0, 3))}
-            constants = {n: _ref_clean({(0,) * len(PAR): v}) for n, v in values.items()}
-            assert substitute_values(p, values) == Polynomial(PAR, _ref_substitute(a, PAR, constants))
-            matrix = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(3)]
-                      for _ in range(3)]
-            images = {n: _ref_clean({unit[m]: c for m, c in zip(PAR.geometric, row)})
-                      for n, row in zip(PAR.geometric, matrix)}
-            assert compose_linear(p, matrix) == Polynomial(PAR, _ref_substitute(a, PAR, images))
-
     def test_table_mismatch(self):
         with pytest.raises(TableMismatchError):
             substitute(mono(XYZ, {"x": 2}), {"x": var(PAR, "y")})
@@ -446,109 +417,6 @@ class TestEval:
             eval_exact(make_family("X4").poly, point)
 
 
-def _eval_scaled_reference(p, point):
-    """The per-term evaluator that :func:`eval_scaled` replaced: it sorts the
-    terms and converts every coefficient on each call.  The oracle for exact
-    equality of values, scales and error messages."""
-    names = p.table.names
-    total = 0j
-    scale = 0.0
-    for exps, coeff in p.sorted_terms():
-        term = complex(float(coeff))
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            v = point.get(names[i])
-            if v is None:
-                raise DomainError(f"variable {names[i]!r} not assigned")
-            term *= complex(v) ** e
-        total += term
-        scale = max(scale, abs(term))
-    return total, scale
-
-
-def _random_parametric(rng: random.Random) -> Polynomial:
-    terms = {}
-    for _ in range(rng.randint(1, 30)):
-        exps = tuple(rng.randint(0, 4) for _ in range(len(PAR)))
-        terms[exps] = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
-    return Polynomial(PAR, terms)
-
-
-class TestEvalScaledExact:
-    def test_matches_reference_bit_for_bit(self):
-        rng = random.Random(20261018)
-        for k in range(300):
-            p = _random_parametric(rng)
-            if k % 3:
-                point = {n: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for n in PAR.names}
-            else:
-                point = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for n in PAR.names}
-            want = repr(_eval_scaled_reference(p, point))
-            assert repr(eval_scaled(p, point)) == want      # compiles on first use
-            assert repr(eval_scaled(p, point)) == want      # runs on the kept form
-
-    def test_missing_variable_message(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            p = _random_parametric(rng)
-            kept = rng.sample(PAR.names, rng.randint(0, len(PAR) - 1))
-            point = {n: 0.5 - 0.25j for n in kept}
-            try:
-                _eval_scaled_reference(p, point)
-            except DomainError as exc:
-                with pytest.raises(DomainError) as got:
-                    eval_scaled(p, point)
-                assert str(got.value) == str(exc)
-            else:
-                assert eval_scaled(p, point) == _eval_scaled_reference(p, point)
-
-    @staticmethod
-    def _overlapping(rng: random.Random) -> list[Polynomial]:
-        """1-6 polynomials whose terms come from one small pool of monomials,
-        so that they share variables and powers."""
-        pool = [tuple(rng.randint(0, 4) for _ in range(len(PAR))) for _ in range(12)]
-        return [Polynomial(PAR, {e: Fraction(rng.randint(-10 ** 6, 10 ** 6),
-                                             rng.randint(1, 10 ** 4))
-                                 for e in rng.sample(pool, rng.randint(1, 10))})
-                for _ in range(rng.randint(1, 6))]
-
-    def test_shared_power_table_matches_one_by_one(self):
-        rng = random.Random(20261019)
-        for k in range(300):
-            polys = self._overlapping(rng)
-            if k % 3:
-                point = {n: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for n in PAR.names}
-            else:
-                point = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for n in PAR.names}
-            got = eval_scaled_many(polys, point)
-            assert repr(got) == repr([_eval_scaled_reference(p, point) for p in polys])
-            assert repr(got) == repr([eval_scaled(p, point) for p in polys])
-
-    def test_shared_power_table_missing_variable_message(self):
-        rng = random.Random(6)
-        raised = 0
-        for _ in range(200):
-            polys = self._overlapping(rng)
-            kept = rng.sample(PAR.names, rng.randint(0, len(PAR) - 1))
-            point = {n: 0.5 - 0.25j for n in kept}
-            try:
-                want = [_eval_scaled_reference(p, point) for p in polys]
-            except DomainError as exc:
-                raised += 1
-                with pytest.raises(DomainError) as got:
-                    eval_scaled_many(polys, point)
-                assert str(got.value) == str(exc)
-            else:
-                assert eval_scaled_many(polys, point) == want
-        assert raised > 50
-
-    def test_compiled_form_is_built_once(self):
-        p = mono(PAR, {"x": 2, "r": 1}, Fraction(1, 3)) + 5
-        assert p.compiled() is p.compiled()
-        assert p.compiled() == ((complex(1 / 3), (("x", 2), ("r", 1))), (5 + 0j, ()))
-
-
 class TestHash:
     def test_equal_polynomials_built_by_different_routes_hash_equal(self):
         x, r = var(PAR, "x"), var(PAR, "r")
@@ -586,23 +454,23 @@ def poly_strategy(table=XYZ, max_terms=4, max_exp=2):
 
 
 class TestProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(poly_strategy(), poly_strategy(), poly_strategy())
     def test_distributivity(self, p, q, r):
         assert (p + q) * r == p * r + q * r
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(poly_strategy(), poly_strategy())
     def test_commutativity(self, p, q):
         assert p * q == q * p
         assert p + q == q + p
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(poly_strategy())
     def test_partials_commute(self, p):
         assert partial(partial(p, "x"), "y") == partial(partial(p, "y"), "x")
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(poly_strategy(max_exp=1), poly_strategy(max_exp=1))
     def test_substitution_is_ring_hom(self, p, q):
         rep = var(XYZ, "x") + 2 * var(XYZ, "y")
@@ -610,7 +478,7 @@ class TestProperties:
         rhs = substitute_linear(p, "z", rep) * substitute_linear(q, "z", rep)
         assert lhs == rhs
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(poly_strategy(), poly_strategy())
     def test_eval_additive(self, p, q):
         point = {"x": 0.7 + 0.2j, "y": -0.3 + 0.9j, "z": 0.1 - 0.5j}
@@ -651,12 +519,15 @@ class TestConvertCompose:
                 compose_linear(p, matrix)
 
 
-# -- the integer form against per-term Fraction arithmetic ---------------------
+# -- the ring operations against per-term Fraction arithmetic -------------------
 #
 # The reference functions below are the per-term Fraction implementations that
-# the integer-numerator representation replaced.  They work on plain dicts from
-# exponent tuples to Fractions and are the oracle for every public view of the
-# results: terms, str, == and hash, and the compiled form.
+# the packed integer-numerator representation replaced.  They work on plain
+# dicts from exponent tuples to Fractions and are the oracle for every public
+# view of the results: terms, str, == and hash.  Each property test builds its
+# inputs from one random source (see ``conftest``), on tables of 6 and 7
+# variables (and of 3 for sums and products), with mixed denominators and with
+# exponents both small and near the packing limit of the stored form.
 
 
 def _ref_clean(terms):
@@ -714,19 +585,31 @@ def _ref_restrict(a, table, var, pair, unknowns):
     return [_ref_clean(slot) for slot in out]
 
 
-def _eval_exact_reference(a, names, point):
-    """The per-term ``Fraction`` evaluator of the terms *a* over the variables
-    *names*: the oracle for the value of :func:`eval_exact` and, given a
-    polynomial's terms in canonical order, for which unassigned variable its error names."""
-    total = Fraction(0)
+def _ref_monomial_power(a, e, n):
+    out = {(0,) * n: Fraction(1)}
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_substitute(a, table, replacements):
+    total = {}
     for exps, c in a.items():
-        for name, e in zip(names, exps):
-            if e:
-                if name not in point:
-                    raise DomainError(f"variable {name!r} not assigned")
-                c *= Fraction(point[name]) ** e
-        total += c
+        rest = list(exps)
+        term = {(0,) * len(table): Fraction(1)}
+        for name, rep in replacements.items():
+            rest[table.index(name)] = 0
+            term = _ref_mul(term, _ref_monomial_power(rep, exps[table.index(name)], len(table)))
+        total = _ref_add(total, _ref_mul({tuple(rest): c}, term))
     return total
+
+
+def _ref_geometric_coefficients(a, table):
+    ng = table.n_geometric
+    out = {}
+    for exps, c in a.items():
+        out.setdefault(exps[:ng], {})[(0,) * ng + exps[ng:]] = c
+    return out
 
 
 def _ref_sorted(a):
@@ -746,11 +629,6 @@ def _ref_str(table, a):
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def _ref_compiled(table, a):
-    return tuple((complex(float(c)), tuple((n, e) for n, e in zip(table.names, exps) if e))
-                 for exps, c in _ref_sorted(a))
-
-
 def assert_matches_reference(got, table, want):
     """*got* equals the per-term Fraction result *want* in every public view,
     and its stored form is reduced."""
@@ -766,52 +644,57 @@ def assert_matches_reference(got, table, want):
     assert got == twin and hash(got) == hash(twin)
     # the hash reads the canonical stored form, not the terms view
     assert hash(got) == hash((table, den, frozenset(got._num.items())))
-    assert repr(got.compiled()) == repr(_ref_compiled(table, want))
     if want:
         assert got.leading_term() == max(want.items(), key=lambda t: (sum(t[0]), t[0]))
 
 
-_DENS = (1, 1, 2, 3, 4, 6, 9, 12, 35, 1000003)
+def _degree(terms):
+    return max((sum(e) for e in terms), default=0)
 
 
-def _random_terms(rng, table, n_terms, max_exp=3):
-    terms = {}
-    for _ in range(n_terms):
-        exps = tuple(rng.randint(0, max_exp) for _ in range(len(table)))
-        terms[exps] = Fraction(rng.randint(-30, 30), rng.choice(_DENS))
-    return _ref_clean(terms)
+def _merged(pairs):
+    """Exponent-tuple terms from ``(exps, coeff)`` pairs whose exponents may repeat."""
+    out = {}
+    for e, c in pairs:
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_clean(out)
 
 
-def _random_form(rng, table, degree, n_terms):
-    """A form of geometric degree *degree* in x, y, z with parameter-valued coefficients."""
-    terms = {}
-    for _ in range(n_terms):
-        i = rng.randint(0, degree)
-        j = rng.randint(0, degree - i)
-        par = tuple(rng.randint(0, 2) for _ in table.parameters)
-        terms[(i, j, degree - i - j) + par] = Fraction(rng.randint(-30, 30), rng.choice(_DENS))
-    return _ref_clean(terms)
+def _assert_partial_matches(got, table, want, orders):
+    if max(orders, default=0) < 5:
+        assert_matches_reference(got, table, want)
+    else:   # coefficients near 65535! have no short decimal form
+        assert dict(got.terms) == want and got.total_degree() == _degree(want)
 
 
-class TestIntegerFormMatchesFractionReference:
-    N = 300
+_TABLES = pytest.mark.parametrize("table", [PAR, SEVEN], ids=["PAR", "SEVEN"])
+_PROPERTY = settings(max_examples=40)
+#: The three ways to restrict a quartic to a line: the variable solved for and the pair
+_LINE_CHARTS = (("z", ("x", "y")), ("x", ("y", "z")), ("y", ("x", "z")))
 
-    def test_sums_and_products(self):
-        rng = random.Random(60601)
-        for k in range(self.N):
-            table = PAR if k % 2 else XYZ
-            a = _random_terms(rng, table, rng.randint(0, 8))
-            b = _random_terms(rng, table, rng.randint(0, 8))
-            if k % 5 == 0:      # share most terms with opposite sign: cancellation
-                b = _ref_add(_ref_scale(a, -1), b if k % 10 else {})
-            pa, pb = Polynomial(table, a), Polynomial(table, b)
-            assert_matches_reference(pa + pb, table, _ref_add(a, b))
-            assert_matches_reference(pa - pb, table, _ref_add(a, _ref_scale(b, -1)))
-            assert_matches_reference(pa * pb, table, _ref_mul(a, b))
-            c = Fraction(rng.randint(-6, 6), rng.choice(_DENS))
-            assert_matches_reference(pa * c, table, _ref_scale(a, c))
-            assert_matches_reference(pa + c, table, _ref_add(a, _ref_clean({(0,) * len(table): c})))
-            assert_matches_reference(pa + -pa, table, {})
+
+class TestRingMatchesFractionReference:
+    @pytest.mark.parametrize("table", [XYZ, PAR, SEVEN], ids=["XYZ", "PAR", "SEVEN"])
+    @_PROPERTY
+    @given(RANDOMS)
+    def test_sums_and_products(self, table, rng):
+        # operands up to half the packing limit, so some products cross it
+        a, b = (random_terms(rng, table, LIMIT // 2 + 10) for _ in range(2))
+        if rng.random() < 0.2:      # share most terms with opposite sign: cancellation
+            b = _ref_add(_ref_scale(a, -1), b if rng.random() < 0.5 else {})
+        pa, pb = Polynomial(table, a), Polynomial(table, b)
+        assert_matches_reference(pa + pb, table, _ref_add(a, b))
+        assert_matches_reference(pa - pb, table, _ref_add(a, _ref_scale(b, -1)))
+        c = Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS))
+        assert_matches_reference(pa * c, table, _ref_scale(a, c))
+        assert_matches_reference(pa + c, table, _ref_add(a, _ref_clean({(0,) * len(table): c})))
+        assert_matches_reference(pa + -pa, table, {})
+        want = _ref_mul(a, b)
+        if _degree(want) > LIMIT:
+            with pytest.raises(DegreeError, match="65535"):
+                pa * pb
+        else:
+            assert_matches_reference(pa * pb, table, want)
 
     def test_products_that_cancel_to_zero_and_reduce(self):
         x, y = var(XYZ, "x"), var(XYZ, "y")
@@ -823,83 +706,173 @@ class TestIntegerFormMatchesFractionReference:
         assert_matches_reference(sixth, XYZ, {(1, 0, 0): Fraction(1, 2)})
         assert sixth.denominator == 2
 
-    def test_partials(self):
-        rng = random.Random(60602)
-        for k in range(self.N):
-            a = _random_terms(rng, PAR, rng.randint(0, 8), max_exp=4)
-            name = "xyz"[k % 3]
-            order = k % 4
-            got = partial(Polynomial(PAR, a), name, order)
-            assert_matches_reference(got, PAR, ref_partial(a, PAR.index(name), order))
+    @_TABLES
+    @_PROPERTY
+    @given(RANDOMS)
+    def test_powers(self, table, rng):
+        a = random_terms(rng, table, LIMIT // 3 + 10, max_size=3)
+        n = rng.randint(0, 3)
+        want = _ref_monomial_power(a, n, len(table))
+        if _degree(want) > LIMIT:
+            with pytest.raises(DegreeError, match="65535"):
+                Polynomial(table, a) ** n
+        else:
+            assert_matches_reference(Polynomial(table, a) ** n, table, want)
 
-    def test_convert_and_homogenize(self):
-        rng = random.Random(60603)
-        src = VarTable(("x", "y", "z"), ("du", "dv", "r"))
-        dst = VarTable(("x", "y", "z"), ("r",))
-        rename = {"du": "x", "dv": "y"}
-        for _ in range(self.N):
-            terms = _random_terms(rng, src, rng.randint(0, 8))
-            a = _ref_clean({(0, 0, 0) + e[3:]: c for e, c in terms.items()})
-            pa = Polynomial(src, a)
-            moved = convert(pa, dst, rename)
-            assert_matches_reference(moved, dst, _ref_convert(a, src, dst, rename))
-            want = _ref_homogenize(_ref_convert(a, src, dst, rename), dst, "z", 8)
-            assert_matches_reference(homogenize(moved, "z", 8), dst, want)
-            assert_matches_reference(convert(pa, src), src, a)
+    @_TABLES
+    @_PROPERTY
+    @given(RANDOMS)
+    def test_partials(self, table, rng):
+        # partial, and multi_partial against one tuple partial per variable in turn;
+        # orders of 0, up to the term exponents and past them, and past the packing limit
+        def order():
+            return rng.randint(0, 4) if rng.random() < 0.5 else rng.randint(LIMIT - 25, LIMIT + 3)
 
-    def test_restrict_to_line(self):
-        rng = random.Random(60604)
-        line = TestRestrictToLine.LINE
-        for k in range(self.N):
-            a = _random_form(rng, PAR, 4, rng.randint(1, 12))
-            sub, pair = (("z", ("x", "y")), ("x", ("y", "z")), ("y", ("x", "z")))[k % 3]
-            got = restrict_to_line(Polynomial(PAR, a), line, sub, pair, ("a", "b"))
-            want = _ref_restrict(_ref_convert(a, PAR, line, {}), line, sub, pair, ("a", "b"))
-            for g, w in zip(got, want):
-                assert_matches_reference(g, line, w)
+        a = random_terms(rng, table)
+        p = Polynomial(table, a)
+        name, k = rng.choice(table.geometric), order()
+        _assert_partial_matches(partial(p, name, k), table, ref_partial(a, table.index(name), k),
+                                [k])
+        orders = {rng.choice(table.geometric): order() for _ in range(rng.randint(0, 3))}
+        want = a
+        for name, k in orders.items():
+            want = ref_partial(want, table.index(name), k)
+        _assert_partial_matches(multi_partial(p, orders), table, want, orders.values())
 
-    def test_eval_exact(self):
-        rng = random.Random(60605)
-        for _ in range(self.N):
-            a = _random_terms(rng, PAR, rng.randint(0, 10))
-            point = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for n in PAR.names}
-            got = eval_exact(Polynomial(PAR, a), point)
-            assert type(got) is Fraction and got == _eval_exact_reference(a, PAR.names, point)
+    def test_multi_partial_edge_orders(self):
+        for table in (PAR, SEVEN):
+            top = tuple(LIMIT if n == "z" else 0 for n in table.names)
+            a = {top: Fraction(5, 3), (3, 1, 0) + (2,) * len(table.parameters): Fraction(-7, 4),
+                 (1, 0, 0) + (0,) * len(table.parameters): Fraction(1, 6)}
+            p = Polynomial(table, a)
+            for orders in ({}, {"x": 0}, {"x": 0, "y": 0, "z": 0}):
+                assert_matches_reference(multi_partial(p, orders), table, a)
+            for orders in ({"x": 4}, {"z": LIMIT + 1}, {"x": 1, "y": 1, "z": 1},
+                           {"x": LIMIT + 1, "y": 2 ** 20}):
+                got = multi_partial(p, orders)
+                assert got.is_zero() and got.denominator == 1
+            want = {(2, 0, 0) + (2,) * len(table.parameters): Fraction(-21, 4)}
+            assert_matches_reference(multi_partial(p, {"x": 1, "y": 1}), table, want)
+            want = {(0,) * len(table): Fraction(-7, 4) * 3 * 2}
+            q = Polynomial(table, {(3, 1, 0) + (0,) * len(table.parameters): Fraction(-7, 4)})
+            assert_matches_reference(multi_partial(q, {"y": 1, "x": 3}), table, want)
 
-    @pytest.mark.parametrize("kind", ["negative", "large denominator", "zero", "int", "mixed"])
-    def test_eval_exact_points(self, kind):
-        rng = random.Random(60606)
-        big = 10 ** 40 + 7
-        for _ in range(100):
-            p = Polynomial(PAR, _random_terms(rng, PAR, rng.randint(0, 12), max_exp=5))
-            values = {
-                "negative": lambda: Fraction(-rng.randint(1, 10 ** 6), rng.choice(_DENS)),
-                "large denominator": lambda: Fraction(rng.randint(-big, big), big + rng.randint(0, 9)),
-                "zero": lambda: rng.choice((0, Fraction(0), Fraction(3, 7))),
-                "int": lambda: rng.randint(-50, 50),
-                "mixed": lambda: rng.choice((-3, Fraction(-1, 10 ** 20), 0, "5/7", 0.375)),
-            }[kind]
-            point = {n: values() for n in PAR.names}
-            got = eval_exact(p, point)
-            assert type(got) is Fraction and got == _eval_exact_reference(p.terms, PAR.names, point)
+    @_TABLES
+    @_PROPERTY
+    @given(RANDOMS)
+    def test_homogenize(self, table, rng):
+        iz, ng = table.index("z"), table.n_geometric
+        a = _merged((e[:iz] + (0,) + e[iz + 1:], c) for e, c in random_terms(rng, table).items())
+        target = max((sum(e[:ng]) for e in a), default=0) + (
+            rng.randint(0, 5) if rng.random() < 0.5 else rng.randint(LIMIT - 40, LIMIT))
+        want = _ref_homogenize(a, table, "z", target)
+        if _degree(want) > LIMIT:
+            with pytest.raises(DegreeError, match="65535"):
+                homogenize(Polynomial(table, a), "z", target)
+        else:
+            assert_matches_reference(homogenize(Polynomial(table, a), "z", target), table, want)
 
-    def test_eval_exact_names_the_same_unassigned_variable(self):
-        rng = random.Random(60607)
-        raised = 0
-        for _ in range(300):
-            p = Polynomial(PAR, _random_terms(rng, PAR, rng.randint(1, 10)))
-            kept = rng.sample(PAR.names, rng.randint(0, len(PAR) - 1))
-            point = {n: Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for n in kept}
-            try:
-                want = _eval_exact_reference(dict(p.sorted_terms()), PAR.names, point)
-            except DomainError as exc:
-                raised += 1
-                with pytest.raises(DomainError) as got:
-                    eval_exact(p, point)
-                assert str(got.value) == str(exc)
-            else:
-                assert eval_exact(p, point) == want
-        assert raised > 100
+    @_TABLES
+    @_PROPERTY
+    @given(RANDOMS)
+    def test_convert(self, table, rng):
+        a = random_terms(rng, table)
+        # roles swapped, orders reversed, one variable renamed and one added
+        dst = VarTable(tuple(reversed(table.parameters)),
+                       tuple(reversed(table.geometric[1:])) + ("x2", "extra"))
+        rename = {"x": "x2"}
+        got = convert(Polynomial(table, a), dst, rename)
+        assert_matches_reference(got, dst, _ref_convert(a, table, dst, rename))
+        assert_matches_reference(convert(got, table, {"x2": "x"}), table, a)
+        # two parameters renamed onto x and y, which do not occur, the others kept,
+        # then homogenized: the parameter-only part of small terms
+        dst = VarTable(table.geometric, table.parameters[2:])
+        rename = dict(zip(table.parameters, "xy"))
+        b = _merged(((0, 0, 0) + e[3:], c) for e, c in random_terms(rng, table, 0, small=3).items())
+        moved = convert(Polynomial(table, b), dst, rename)
+        want = _ref_convert(b, table, dst, rename)
+        assert_matches_reference(moved, dst, want)
+        assert_matches_reference(homogenize(moved, "z", 8), dst, _ref_homogenize(want, dst, "z", 8))
+
+    @_TABLES
+    @_PROPERTY
+    @given(RANDOMS)
+    def test_geometric_coefficients(self, table, rng):
+        a = random_terms(rng, table)
+        got = Polynomial(table, a).geometric_coefficients()
+        want = _ref_geometric_coefficients(a, table)
+        assert list(got) == list(want)
+        for geo, w in want.items():
+            assert_matches_reference(got[geo], table, w)
+
+    @_TABLES
+    @_PROPERTY
+    @given(RANDOMS)
+    def test_restrict_to_line(self, table, rng):
+        # parameter exponents small or up to 4 below the packing limit, which the
+        # unknowns reach; fresh unknowns t1, t2, and the pair as its own unknowns
+        terms = {}
+        for _ in range(rng.randint(0, 12)):
+            i = rng.randint(0, 4)
+            j = rng.randint(0, 4 - i)
+            pars = random_exponents(rng, len(table.parameters), LIMIT - 4, small=2)
+            terms[(i, j, 4 - i - j) + pars] = Fraction(rng.randint(-30, 30),
+                                                       rng.choice(DENOMINATORS))
+        a = _ref_clean(terms)
+        sub, pair = rng.choice(_LINE_CHARTS)
+        line = VarTable(table.geometric, table.parameters + ("t1", "t2"))
+        got = restrict_to_line(Polynomial(table, a), line, sub, pair, ("t1", "t2"))
+        want = _ref_restrict(_ref_convert(a, table, line, {}), line, sub, pair, ("t1", "t2"))
+        for g, w in zip(got, want):
+            assert_matches_reference(g, line, w)
+        got = restrict_to_line(Polynomial(table, a), table, sub, pair, pair)
+        for g, w in zip(got, _ref_restrict(a, table, sub, pair, pair)):
+            assert_matches_reference(g, table, w)
+
+    @_TABLES
+    @_PROPERTY
+    @given(RANDOMS)
+    def test_substitute(self, table, rng):
+        # either terms up to the packing limit whose substituted exponents stay
+        # small, with linear replacements, or small terms with multilinear ones that
+        # may hold the substituted variable, plus values and a linear change of
+        # coordinates
+        names = rng.choice([("x",), ("y", "x"), ("z", table.names[-1])])
+        slots = [table.index(n) for n in names]
+        unit = [tuple(int(i == j) for j in range(len(table))) for i in range(-1, len(table))]
+        small = rng.random() < 0.5
+        a = _merged((tuple(e % 4 if i in slots else e for i, e in enumerate(exps)), c)
+                    for exps, c in random_terms(rng, table, 0 if small else LIMIT,
+                                                small=2 if small else 4).items())
+        reps = {n: random_terms(rng, table, 0, 3, small=1) if small else
+                _ref_clean({rng.choice(unit): Fraction(rng.randint(-30, 30),
+                                                       rng.choice(DENOMINATORS))
+                            for _ in range(rng.randint(0, 3))}) for n in names}
+        p = Polynomial(table, a)
+        got = substitute(p, {n: Polynomial(table, r) for n, r in reps.items()})
+        assert_matches_reference(got, table, _ref_substitute(a, table, reps))
+        if len(names) == 1:
+            assert substitute_linear(p, names[0], Polynomial(table, reps[names[0]])) == got
+        if small:
+            values = {n: Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+                      for n in rng.sample(table.names, rng.randint(0, 3))}
+            constants = {n: _ref_clean({(0,) * len(table): v}) for n, v in values.items()}
+            assert_matches_reference(substitute_values(p, values), table,
+                                     _ref_substitute(a, table, constants))
+            matrix = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(3)]
+                      for _ in range(3)]
+            images = {n: _ref_clean({unit[1 + m]: c for m, c in enumerate(row)})
+                      for n, row in zip(table.geometric, matrix)}
+            assert_matches_reference(compose_linear(p, matrix), table,
+                                     _ref_substitute(a, table, images))
+
+    @_TABLES
+    @_PROPERTY
+    @given(RANDOMS)
+    def test_sorted_terms_are_descending_by_degree_then_exponents(self, table, rng):
+        a = random_terms(rng, table, max_size=10)
+        want = sorted(a.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        assert Polynomial(table, a).sorted_terms() == want
 
     def test_constructor_reduces_mixed_denominators(self):
         p = Polynomial(XYZ, {(1, 0, 0): Fraction(3, 4), (0, 1, 0): Fraction(5, 6), (0, 0, 1): 0})
@@ -915,14 +888,9 @@ class TestIntegerFormMatchesFractionReference:
 #
 # Each monomial is stored as one int with a 16-bit field per exponent and one
 # for the total degree; the views above stay keyed by exponent tuples.  The
-# tests below pin the range check at the field limit and compare every
-# operation that works on the packed keys with the exponent-tuple reference
-# functions above, on tables of 6 and 7 variables and with exponents both small
-# and near the limit.
-
-LIMIT = 65535
-SEVEN = VarTable(("x", "y", "z"), ("a", "b", "c", "d"))
-
+# tests below pin the range check at the field limit; the property tests above
+# compare every operation that works on the packed keys with the exponent-tuple
+# reference functions.
 
 class TestPackingLimit:
     @pytest.mark.parametrize("table", [XYZ, PAR, SEVEN])
@@ -989,338 +957,6 @@ class TestPackingLimit:
         assert dict(q.numerators) == {(1, 0, 0, 2, 0, 0): 3, (0, 0, 0, 0, 0, 1): -2}
         with pytest.raises(TypeError):
             q.numerators[(0, 0, 0, 0, 0, 1)] = 1
-
-
-def _exponents(n, top):
-    """Exponent tuples of length *n* and total degree at most *top*: small ones, and
-    ones whose degree is within 20 of *top*, nearly all of it in one variable."""
-    small = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-
-    def lift(args):
-        exps, i, degree = args
-        exps[i] += degree - sum(exps)
-        return tuple(exps)
-
-    return st.one_of(small.map(tuple),
-                     st.tuples(small, st.integers(0, n - 1), st.integers(top - 20, top)).map(lift))
-
-
-_coefficients = st.builds(Fraction, st.integers(-30, 30), st.sampled_from(_DENS))
-
-
-def _terms(table, top=LIMIT, max_size=6):
-    return st.dictionaries(_exponents(len(table), top), _coefficients,
-                           max_size=max_size).map(_ref_clean)
-
-
-def _degree(terms):
-    return max((sum(e) for e in terms), default=0)
-
-
-def _merged(pairs):
-    """Exponent-tuple terms from ``(exps, coeff)`` pairs whose exponents may repeat."""
-    out = {}
-    for e, c in pairs:
-        out[e] = out.get(e, Fraction(0)) + c
-    return _ref_clean(out)
-
-
-def _ref_monomial_power(a, e, n):
-    out = {(0,) * n: Fraction(1)}
-    for _ in range(e):
-        out = _ref_mul(out, a)
-    return out
-
-
-def _ref_substitute(a, table, replacements):
-    total = {}
-    for exps, c in a.items():
-        rest = list(exps)
-        term = {(0,) * len(table): Fraction(1)}
-        for name, rep in replacements.items():
-            rest[table.index(name)] = 0
-            term = _ref_mul(term, _ref_monomial_power(rep, exps[table.index(name)], len(table)))
-        total = _ref_add(total, _ref_mul({tuple(rest): c}, term))
-    return total
-
-
-def _ref_geometric_coefficients(a, table):
-    ng = table.n_geometric
-    out = {}
-    for exps, c in a.items():
-        out.setdefault(exps[:ng], {})[(0,) * ng + exps[ng:]] = c
-    return out
-
-
-_TABLES = pytest.mark.parametrize("table", [PAR, SEVEN], ids=["PAR", "SEVEN"])
-_PROPERTY = settings(max_examples=40, deadline=None)
-
-
-class TestPackedFormMatchesTupleReference:
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_products(self, table, data):
-        a, b = (data.draw(_terms(table, LIMIT // 2 + 10)) for _ in range(2))
-        want = _ref_mul(a, b)
-        pa, pb = Polynomial(table, a), Polynomial(table, b)
-        if _degree(want) > LIMIT:
-            with pytest.raises(DegreeError, match="65535"):
-                pa * pb
-        else:
-            assert_matches_reference(pa * pb, table, want)
-
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_powers(self, table, data):
-        a = data.draw(_terms(table, LIMIT // 3 + 10, max_size=3))
-        n = data.draw(st.integers(0, 3))
-        want = _ref_monomial_power(a, n, len(table))
-        if _degree(want) > LIMIT:
-            with pytest.raises(DegreeError, match="65535"):
-                Polynomial(table, a) ** n
-        else:
-            assert_matches_reference(Polynomial(table, a) ** n, table, want)
-
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_partial(self, table, data):
-        a = data.draw(_terms(table))
-        name = data.draw(st.sampled_from(table.geometric))
-        order = data.draw(st.one_of(st.integers(0, 4), st.integers(LIMIT - 25, LIMIT + 1)))
-        got = partial(Polynomial(table, a), name, order)
-        want = ref_partial(a, table.index(name), order)
-        if order < 5:
-            assert_matches_reference(got, table, want)
-        else:   # coefficients near 65535! have no float or short decimal form
-            assert dict(got.terms) == want and got.total_degree() == _degree(want)
-
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_multi_partial(self, table, data):
-        # against one tuple partial per variable, in turn; orders of 0, up to the
-        # term exponents and past them, and past the packing limit
-        a = data.draw(_terms(table))
-        order = st.one_of(st.integers(0, 4), st.integers(LIMIT - 25, LIMIT + 3))
-        orders = data.draw(st.dictionaries(st.sampled_from(table.geometric), order, max_size=3))
-        got = multi_partial(Polynomial(table, a), orders)
-        want = a
-        for name, k in orders.items():
-            want = ref_partial(want, table.index(name), k)
-        if max(orders.values(), default=0) < 5:
-            assert_matches_reference(got, table, want)
-        else:   # coefficients near 65535! have no float or short decimal form
-            assert dict(got.terms) == want and got.total_degree() == _degree(want)
-
-    def test_multi_partial_edge_orders(self):
-        for table in (PAR, SEVEN):
-            top = tuple(LIMIT if n == "z" else 0 for n in table.names)
-            a = {top: Fraction(5, 3), (3, 1, 0) + (2,) * len(table.parameters): Fraction(-7, 4),
-                 (1, 0, 0) + (0,) * len(table.parameters): Fraction(1, 6)}
-            p = Polynomial(table, a)
-            for orders in ({}, {"x": 0}, {"x": 0, "y": 0, "z": 0}):
-                assert_matches_reference(multi_partial(p, orders), table, a)
-            for orders in ({"x": 4}, {"z": LIMIT + 1}, {"x": 1, "y": 1, "z": 1},
-                           {"x": LIMIT + 1, "y": 2 ** 20}):
-                got = multi_partial(p, orders)
-                assert got.is_zero() and got.denominator == 1
-            want = {(2, 0, 0) + (2,) * len(table.parameters): Fraction(-21, 4)}
-            assert_matches_reference(multi_partial(p, {"x": 1, "y": 1}), table, want)
-            want = {(0,) * len(table): Fraction(-7, 4) * 3 * 2}
-            q = Polynomial(table, {(3, 1, 0) + (0,) * len(table.parameters): Fraction(-7, 4)})
-            assert_matches_reference(multi_partial(q, {"y": 1, "x": 3}), table, want)
-
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_homogenize(self, table, data):
-        iz, ng = table.index("z"), table.n_geometric
-        a = _merged((e[:iz] + (0,) + e[iz + 1:], c) for e, c in data.draw(_terms(table)).items())
-        target = max((sum(e[:ng]) for e in a), default=0) + data.draw(
-            st.one_of(st.integers(0, 5), st.integers(LIMIT - 40, LIMIT)))
-        want = _ref_homogenize(a, table, "z", target)
-        if _degree(want) > LIMIT:
-            with pytest.raises(DegreeError, match="65535"):
-                homogenize(Polynomial(table, a), "z", target)
-        else:
-            assert_matches_reference(homogenize(Polynomial(table, a), "z", target), table, want)
-
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_substitute(self, table, data):
-        names = data.draw(st.sampled_from([("x",), ("y", "x"), ("z", "r" if table is PAR else "d")]))
-        slots = [table.index(n) for n in names]
-        # the substituted exponents stay small, so each power is a few products
-        a = _merged((tuple(e % 4 if i in slots else e for i, e in enumerate(exps)), c)
-                    for exps, c in data.draw(_terms(table)).items())
-        linear = st.sampled_from([tuple(int(i == j) for j in range(len(table)))
-                                  for i in range(-1, len(table))])
-        reps = {n: data.draw(st.dictionaries(linear, _coefficients, max_size=3).map(_ref_clean))
-                for n in names}
-        got = substitute(Polynomial(table, a), {n: Polynomial(table, r) for n, r in reps.items()})
-        assert_matches_reference(got, table, _ref_substitute(a, table, reps))
-
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_convert(self, table, data):
-        a = data.draw(_terms(table))
-        # roles swapped, orders reversed, one variable renamed and one added
-        dst = VarTable(tuple(reversed(table.parameters)),
-                       tuple(reversed(table.geometric[1:])) + ("x2", "extra"))
-        rename = {"x": "x2"}
-        got = convert(Polynomial(table, a), dst, rename)
-        assert_matches_reference(got, dst, _ref_convert(a, table, dst, rename))
-        assert_matches_reference(convert(got, table, {"x2": "x"}), table, a)
-
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_geometric_coefficients(self, table, data):
-        a = data.draw(_terms(table))
-        got = Polynomial(table, a).geometric_coefficients()
-        want = _ref_geometric_coefficients(a, table)
-        assert list(got) == list(want)
-        for geo, w in want.items():
-            assert_matches_reference(got[geo], table, w)
-
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_restrict_to_line(self, table, data):
-        geo = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda ij: sum(ij) <= 4)
-        pars = _exponents(len(table.parameters), LIMIT - 4)
-        form = st.dictionaries(st.tuples(geo, pars), _coefficients, max_size=8)
-        a = _ref_clean({(i, j, 4 - i - j) + p: c for ((i, j), p), c in data.draw(form).items()})
-        line = VarTable(table.geometric, table.parameters + ("t1", "t2"))
-        got = restrict_to_line(Polynomial(table, a), line, "z", ("x", "y"), ("t1", "t2"))
-        want = _ref_restrict(_ref_convert(a, table, line, {}), line, "z", ("x", "y"), ("t1", "t2"))
-        for g, w in zip(got, want):
-            assert_matches_reference(g, line, w)
-        got = restrict_to_line(Polynomial(table, a), table, "x", ("y", "z"), ("y", "z"))
-        for g, w in zip(got, _ref_restrict(a, table, "x", ("y", "z"), ("y", "z"))):
-            assert_matches_reference(g, table, w)
-
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_eval_exact(self, table, data):
-        a = data.draw(_terms(table))
-        # near the limit only 0 and ±1 keep the powers small
-        large = max((max(e) for e in a), default=0) > 12
-        value = st.sampled_from([0, 1, -1, Fraction(-1)]) if large else _coefficients
-        point = {n: data.draw(value) for n in table.names}
-        got = eval_exact(Polynomial(table, a), point)
-        assert type(got) is Fraction and got == _eval_exact_reference(a, table.names, point)
-
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_sorted_terms_are_descending_by_degree_then_exponents(self, table, data):
-        a = data.draw(_terms(table, max_size=10))
-        want = sorted(a.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-        assert Polynomial(table, a).sorted_terms() == want
-
-
-# Polynomial.sum_of_products adds every scaled product into one dict and
-# normalizes once.  The reference is the running total it replaces: one
-# per-term Fraction product per (c, a, b), scaled and added in turn.
-
-def _ref_sum_of_products(products):
-    total = {}
-    for c, a, b in products:
-        total = _ref_add(total, _ref_scale(_ref_mul(a, b), c))
-    return total
-
-
-_scales = st.one_of(st.integers(-5, 5), _coefficients)
-
-
-class TestSumOfProducts:
-    @_TABLES
-    @_PROPERTY
-    @given(data=st.data())
-    def test_matches_the_running_total(self, table, data):
-        # operands up to half the limit, so some products cross it
-        products = data.draw(st.lists(st.tuples(_scales, _terms(table, LIMIT // 2 + 10),
-                                                _terms(table, LIMIT // 2 + 10)), max_size=4))
-        polys = [(c, Polynomial(table, a), Polynomial(table, b)) for c, a, b in products]
-        if any(_degree(_ref_mul(a, b)) > LIMIT for _, a, b in products):
-            with pytest.raises(DegreeError, match="65535"):
-                Polynomial.sum_of_products(table, polys)
-        else:
-            want = _ref_sum_of_products(products)
-            assert_matches_reference(Polynomial.sum_of_products(table, polys), table, want)
-            assert_matches_reference(Polynomial.sum_of_products(table, iter(polys)), table, want)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_seeded_mixed_denominators(self, seed):
-        rng = random.Random(seed)
-        table = (PAR, SEVEN)[seed % 2]
-        products = []
-        for _ in range(rng.randint(1, 6)):
-            c = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.choice(_DENS))])
-            a, b = ({tuple(rng.randint(0, 3) for _ in table.names):
-                     Fraction(rng.randint(-20, 20), rng.choice(_DENS)) for _ in range(rng.randint(0, 5))}
-                    for _ in range(2))
-            products.append((c, _ref_clean(a), _ref_clean(b)))
-        got = Polynomial.sum_of_products(
-            table, [(c, Polynomial(table, a), Polynomial(table, b)) for c, a, b in products])
-        assert_matches_reference(got, table, _ref_sum_of_products(products))
-
-    def test_empty_list_is_zero_over_the_table(self):
-        for table in (XYZ, PAR, SEVEN):
-            got = Polynomial.sum_of_products(table, [])
-            assert got.is_zero() and got.table == table and got.denominator == 1
-            assert got == Polynomial.zero(table)
-
-    def test_cancellation_to_zero_has_denominator_one(self):
-        a = Polynomial(PAR, {(1, 0, 0, 2, 0, 0): Fraction(3, 7), (0, 0, 0, 0, 0, 1): Fraction(-1, 6)})
-        b = Polynomial(PAR, {(0, 1, 0, 0, 0, 0): Fraction(5, 4), (0, 0, 0, 0, 0, 0): Fraction(2, 9)})
-        for products in ([(1, a, b), (-1, b, a)],
-                         [(Fraction(1, 3), a, b), (Fraction(-2, 6), b, a)],
-                         [(2, a, a), (Fraction(1, 5), b, b), (-2, a, a), (Fraction(-1, 5), b, b)]):
-            got = Polynomial.sum_of_products(PAR, products)
-            assert got.is_zero() and got.denominator == 1 and dict(got.numerators) == {}
-
-    def test_int_and_fraction_scales_over_mixed_denominators(self):
-        a = Polynomial(PAR, {(1, 0, 0, 0, 0, 0): Fraction(1, 6), (0, 0, 0, 1, 0, 0): Fraction(5, 4)})
-        b = Polynomial(PAR, {(0, 1, 0, 0, 0, 0): Fraction(7, 35), (0, 0, 0, 0, 0, 0): 3})
-        got = Polynomial.sum_of_products(PAR, [(4, a, b), (Fraction(4, 9), b, b), (-3, a, a)])
-        want = _ref_sum_of_products([(4, dict(a.terms), dict(b.terms)),
-                                     (Fraction(4, 9), dict(b.terms), dict(b.terms)),
-                                     (-3, dict(a.terms), dict(a.terms))])
-        assert_matches_reference(got, PAR, want)
-        assert got == 4 * (a * b) + Fraction(4, 9) * (b * b) - 3 * (a * a)
-
-    def test_product_is_the_one_product_case(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            a, b = (random_quartic(rng) for _ in range(2))
-            one = Polynomial.sum_of_products(XYZ, [(1, a, b)])
-            assert a * b == one and list((a * b).numerators) == list(one.numerators)
-
-    def test_table_mismatch(self):
-        a, b = mono(PAR, {"x": 1}), mono(PAR, {"r": 2}, Fraction(1, 3))
-        foreign = mono(SEVEN, {"x": 1})
-        for products in ([(1, a, foreign)], [(1, foreign, a)], [(1, a, b), (2, b, foreign)]):
-            with pytest.raises(TableMismatchError):
-                Polynomial.sum_of_products(PAR, products)
-        with pytest.raises(TableMismatchError):
-            Polynomial.sum_of_products(SEVEN, [(1, a, b)])
-
-    def test_degree_error_exactly_past_the_limit(self):
-        x, r = var(PAR, "x"), var(PAR, "r")
-        fits = [(1, x ** 30000, r ** 35535), (-1, r ** 35535, x ** 30000), (2, x, x)]
-        assert Polynomial.sum_of_products(PAR, fits) == 2 * x ** 2
-        # the second product crosses even though its scale is zero and the sum cancels
-        for c in (1, 0):
-            with pytest.raises(DegreeError, match="65535"):
-                Polynomial.sum_of_products(PAR, [(1, x, x), (c, x ** 30000, r ** 35536)])
 
 
 # each malformed argument that raised a plain ValueError, which ``except

@@ -1,7 +1,6 @@
 """Family constructors, the monomial symmetric basis, and reference-table
 comparison."""
 
-import itertools
 import random
 import re
 from fractions import Fraction
@@ -12,7 +11,7 @@ from quartics import symfam
 from quartics.dixmier import InvariantSet, dixmier_invariants
 from quartics.errors import DegeneracyError, DomainError
 from quartics.polyring import Polynomial, VarTable
-from quartics.symfam import (FAMILY_PARAMS, Partition, QuarticForm, SymmetricDecomposition,
+from quartics.symfam import (FAMILY_PARAMS, Partition, QuarticForm,
                              decompose_symmetric, golden_compare,
                              golden_polynomial, is_symmetric, load_golden,
                              make_family, make_generic, reconstruct, s_basis,
@@ -48,29 +47,6 @@ def explicit_family(family, params, table):
     return quartic
 
 
-def peel_reference(p):
-    """Reference decomposition by greedy peeling: subtract ``coeff * S[partition]``
-    for the graded-lex leading monomial until only the constant remains, then
-    sort the terms as decompose_symmetric does."""
-    idx = [p.table.index(n) for n in ("r", "s", "u")]
-    remainder = p
-    collected = []
-    while True:
-        lead = None
-        for exps, coeff in remainder.terms.items():
-            key = (sum(exps), exps)
-            if sum(exps) and (lead is None or key > lead[0]):
-                lead = (key, exps, coeff)
-        if lead is None:
-            break
-        _, exps, coeff = lead
-        part = Partition(tuple(sorted((exps[i] for i in idx if exps[i]), reverse=True)))
-        collected.append((part, coeff))
-        remainder = remainder - s_basis(part, p.table) * coeff
-    collected.sort(key=lambda pc: (sum(pc[0].parts), pc[0].padded()), reverse=True)
-    return SymmetricDecomposition(remainder.constant_value(), tuple(collected))
-
-
 def entry_oracle(family, entry, table):
     """A reference table entry built term by term: ``s_basis(part) * coeff`` for
     X4, plain monomials in the family's parameters otherwise."""
@@ -104,23 +80,6 @@ def compare_oracle(inv, family):
             exps, residue = diff.sorted_terms()[0]
             failures[k] = f"first differing monomial {exps}: residue {residue}"
     return gamma, failures
-
-
-def permuted(p, perm):
-    """*p* with r, s, u moved to the positions of ``perm[0]``, ``perm[1]``, ``perm[2]``."""
-    idx = [p.table.index(n) for n in ("r", "s", "u")]
-    out = {}
-    for exps, coeff in p.terms.items():
-        new = list(exps)
-        for a, b in zip(idx, perm):
-            new[idx[b]] = exps[a]
-        out[tuple(new)] = coeff
-    return Polynomial(p.table, out)
-
-
-def six_permutation_symmetric(p):
-    """Symmetry by definition: *p* equals each of its six permuted copies."""
-    return all(permuted(p, perm) == p for perm in itertools.permutations(range(3)))
 
 
 @pytest.fixture(scope="module")
@@ -300,42 +259,6 @@ class TestDecompose:
         with pytest.raises(DomainError, match="needs variable 's'"):
             reconstruct(dec, VarTable(("x", "y", "z"), ("r", "u")))
 
-    def test_is_symmetric_matches_six_permutations(self):
-        """Random polynomials averaged over a subgroup of S3: the trivial group,
-        one transposition, the cyclic group, or all of S3."""
-        rng = random.Random(65)
-        tables = (RSU, VarTable(("x", "y", "z"), ("t", "s", "u", "r")))
-        subgroups = {
-            "trivial": [(0, 1, 2)],
-            "(r s)": [(0, 1, 2), (1, 0, 2)],
-            "(s u)": [(0, 1, 2), (0, 2, 1)],
-            "(r u)": [(0, 1, 2), (2, 1, 0)],
-            "cyclic": [(0, 1, 2), (1, 2, 0), (2, 0, 1)],
-            "S3": list(itertools.permutations(range(3))),
-        }
-        seen = {}
-        for trial in range(180):
-            table = tables[trial % len(tables)]
-            label = sorted(subgroups)[trial % len(subgroups)]
-            q = Polynomial.zero(table)
-            for _ in range(rng.randint(1, 4)):
-                powers = {n: rng.randint(0, 3) for n in table.names if rng.random() < 0.6}
-                q = q + mono(table, powers, random_fraction(rng))
-            p = Polynomial.zero(table)
-            for perm in subgroups[label]:
-                p = p + permuted(q, perm)
-            want = six_permutation_symmetric(p)
-            assert is_symmetric(p) == want, (label, p.terms)
-            seen.setdefault(label, set()).add(want)
-        assert seen["S3"] == {True}
-        assert all(False in seen[label] for label in subgroups if label != "S3")
-        r, s, u = (Polynomial.variable(RSU, n) for n in ("r", "s", "u"))
-        cyclic = r ** 2 * s + s ** 2 * u + u ** 2 * r
-        assert permuted(cyclic, (1, 2, 0)) == cyclic
-        assert not is_symmetric(cyclic)
-        assert permuted(r + s, (1, 0, 2)) == r + s
-        assert not is_symmetric(r + s)
-
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
             decompose_symmetric(mono(RSU, {"r": 1}))
@@ -352,27 +275,6 @@ class TestDecompose:
                 check(i3)
         with pytest.raises(DomainError, match="needs variable 'r'"):
             decompose_symmetric(family_invariants["X96"].I3)
-
-    def test_x4_invariants_match_peel(self, family_invariants):
-        for k, value in family_invariants["X4"].as_dict().items():
-            dec = decompose_symmetric(value)
-            assert dec == peel_reference(value), f"I{k}"
-            assert reconstruct(dec, value.table) == value
-
-    def test_random_match_peel(self):
-        rng = random.Random(63)
-        tables = (RSU, VarTable(("x", "y", "z"), ("u", "r", "s")),
-                  VarTable(("x", "y", "z"), ("t", "s", "u", "r")))
-        for trial in range(240):
-            table = tables[trial % len(tables)]
-            p = Polynomial.constant(table, rng.choice((0, random_fraction(rng))))
-            for _ in range(rng.randint(0, 7)):
-                parts = sorted((rng.randint(1, 6) for _ in range(rng.randint(1, 3))),
-                               reverse=True)
-                p = p + s_basis(parts, table) * random_fraction(rng)
-            dec = decompose_symmetric(p)
-            assert dec == peel_reference(p)
-            assert reconstruct(dec, table) == p
 
 
 class TestGolden:
