@@ -164,6 +164,17 @@ class TestEvalScaledMany:
         assert outcome(eval_scaled_many, polys, point) == want
         assert outcome(eval_scaled_many, polys, point) == want     # the cached evaluator
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_sets(self, seed):
+        # fixed sets and points, the same in every run
+        rng = random.Random(20261019 + seed)
+        for _ in range(15):
+            table = rng.choice((TABLE, PAR))
+            polys = polynomial_set(rng, table)
+            point = complex_point(rng, table.names)
+            assert outcome(eval_scaled_many, polys, point) == outcome(
+                eval_scaled_many_reference, polys, point)
+
     @pytest.mark.parametrize("x", [complex(a, b) for a in (0.0, -0.0, 1e300, 1.5e308, 5e-324, -2.5)
                                    for b in (0.0, -0.0, -1.0, 1.5e308, math.inf, math.nan)])
     def test_special_values(self, x):
@@ -274,6 +285,14 @@ class TestDet:
         rows = [[entry() for _ in range(n)] for _ in range(n)]
         assert repr(det(rows)) == repr(left_to_right_det(rows))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_complex_det_is_bit_identical_to_the_left_to_right_sum(self, seed):
+        # magnitudes from 1e-8 to 1e8 and some zero entries, so that any other order
+        # of the additions rounds differently
+        entry = _complex_entries(random.Random(seed), False, 0.15)
+        rows = [[entry() for _ in range(4)] for _ in range(4)]
+        assert repr(det(rows)) == repr(left_to_right_det(rows))
+
     def test_many_complex_4x4(self):
         rng = random.Random(2026)
         entry = _complex_entries(rng, False)
@@ -281,23 +300,23 @@ class TestDet:
             rows = [[entry() for _ in range(4)] for _ in range(4)]
             assert repr(det(rows)) == repr(left_to_right_det(rows))
 
-    def test_detreps_pattern(self):
+    @pytest.mark.parametrize("seed", range(20))
+    def test_detreps_pattern(self, seed):
         # the detrep pencil x*I + y*B + z*C: B diagonal, C with a zero diagonal and
         # a = f = 0, so the entries (0, 1), (1, 0), (2, 3) and (3, 2) vanish
-        rng = random.Random(100)
+        rng = random.Random(100 + seed)
 
         def value():
             scale = 10.0 ** rng.randint(-8, 8)
             return complex(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
 
-        for _ in range(20):
-            x, y, z, p, q, b, c, d, e = (value() for _ in range(9))
-            b_m = (p, -p, q, -q)
-            c_m = [[0j, 0j, b, d], [0j, 0j, c, e], [b, c, 0j, 0j], [d, e, 0j, 0j]]
-            rows = [[x * (1.0 + 0j if i == j else 0j) + y * (b_m[i] if i == j else 0j)
-                     + z * c_m[i][j] for j in range(4)] for i in range(4)]
-            assert [rows[i][j] == 0 for i, j in ((0, 1), (1, 0), (2, 3), (3, 2))] == [True] * 4
-            assert repr(det(rows)) == repr(left_to_right_det(rows))
+        x, y, z, p, q, b, c, d, e = (value() for _ in range(9))
+        b_m = (p, -p, q, -q)
+        c_m = [[0j, 0j, b, d], [0j, 0j, c, e], [b, c, 0j, 0j], [d, e, 0j, 0j]]
+        rows = [[x * (1.0 + 0j if i == j else 0j) + y * (b_m[i] if i == j else 0j)
+                 + z * c_m[i][j] for j in range(4)] for i in range(4)]
+        assert [rows[i][j] == 0 for i, j in ((0, 1), (1, 0), (2, 3), (3, 2))] == [True] * 4
+        assert repr(det(rows)) == repr(left_to_right_det(rows))
 
     @settings(max_examples=60)
     @given(RANDOMS)
@@ -531,6 +550,14 @@ class TestJBracket:
         f, g = low_form(rng, table), low_form(rng, table)
         assert exact_outcome(j_bracket, f, g) == exact_outcome(full_matrix_j_bracket, f, g)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_pairs(self, seed):
+        # quadratics, linear forms and constants, with and without parameter coefficients
+        rng = random.Random(seed)
+        table = (XYZ, PQ)[seed % 2]
+        f, g = (low_form_of_degree(rng, table, rng.choice((0, 1, 2, 2, 2))) for _ in range(2))
+        assert exact_outcome(j_bracket, f, g) == exact_outcome(full_matrix_j_bracket, f, g)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_general_quadratics(self, seed):
         # all six monomials, every off-diagonal Hessian entry nonzero
@@ -731,6 +758,31 @@ class TestEvalExact:
                 assert outcome(eval_exact, p, point) == want
 
 
+    @pytest.mark.parametrize("kind", range(len(_EXACT_VALUES)))
+    @pytest.mark.parametrize("table", [XYZ, PAR, SEVEN], ids=["XYZ", "PAR", "SEVEN"])
+    def test_seeded_points(self, table, kind):
+        rng = random.Random(60606 + kind)
+        value = _EXACT_VALUES[kind]
+        for _ in range(20):
+            p = Polynomial(table, random_terms(rng, table, 0, 12, 5))
+            point = {name: value(rng) for name in table.names}
+            got = eval_exact(p, point)
+            assert type(got) is Fraction and repr(got) == outcome(eval_exact_reference, p, point)
+
+    def test_names_the_same_unassigned_variable(self):
+        rng = random.Random(60607)
+        raised = 0
+        for _ in range(100):
+            table = rng.choice((XYZ, PAR, SEVEN))
+            p = Polynomial(table, random_terms(rng, table, 0, 10, 4))
+            kept = rng.sample(table.names, rng.randint(0, len(table) - 1))
+            point = {n: Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)) for n in kept}
+            want = outcome(eval_exact_reference, p, point)
+            raised += want.startswith("DomainError")
+            assert outcome(eval_exact, p, point) == want
+        assert raised > 30
+
+
 # -- is_symmetric and decompose_symmetric ------------------------------------------
 
 
@@ -841,6 +893,40 @@ class TestSymmetric:
         assert exact_outcome(decompose_symmetric, p) == want
         if not want.startswith("DomainError"):
             assert reconstruct(decompose_symmetric(p), p.table) == p
+
+    @pytest.mark.parametrize("subgroup", range(len(_SUBGROUPS)))
+    def test_averages_over_a_subgroup(self, subgroup):
+        # symmetric exactly when averaged over all of S3, on tables with r, s, u in
+        # other orders and between other parameters; now and then with a term in another
+        # variable, which no decomposition takes
+        rng = random.Random(65 + subgroup)
+        for table in _BASIS_TABLES[:4]:
+            for _ in range(5):
+                q = Polynomial(table, {tuple(rng.randint(0, 3) if rng.random() < (
+                                                 0.6 if name in "rsu" else 0.05) else 0
+                                             for name in table.names):
+                                       Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                       for _ in range(rng.randint(1, 4))})
+                p = sum((permuted(q, perm_) for perm_ in _SUBGROUPS[subgroup]),
+                        Polynomial.zero(table))
+                assert exact_outcome(is_symmetric, p) == exact_outcome(
+                    six_permutation_symmetric, p)
+                assert exact_outcome(decompose_symmetric, p) == exact_outcome(
+                    peeled_decomposition, p)
+
+    def test_sums_of_the_s_basis(self):
+        rng = random.Random(63)
+        for trial in range(60):
+            table = _BASIS_TABLES[trial % 3]
+            p = Polynomial.constant(table, rng.choice((0, Fraction(rng.randint(-9, 9),
+                                                                   rng.randint(1, 5)))))
+            for _ in range(rng.randint(0, 7)):
+                parts = sorted((rng.randint(1, 6) for _ in range(rng.randint(1, 3))),
+                               reverse=True)
+                p = p + s_basis(parts, table) * Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            dec = decompose_symmetric(p)
+            assert exact_outcome(decompose_symmetric, p) == exact_outcome(peeled_decomposition, p)
+            assert reconstruct(dec, table) == p
 
     def test_partly_symmetric(self):
         r, s, u = (Polynomial.variable(RSU, n) for n in ("r", "s", "u"))
