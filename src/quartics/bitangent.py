@@ -147,7 +147,36 @@ def proj_distance(p, q) -> float:
 
 class _LineSet:
     """The one projective dedupe: the lines kept so far, each filed in the cell
-    of its modulus sum (see :func:`dedupe_lines`)."""
+    of its modulus sum.  :meth:`fresh` finds whether a kept line lies within
+    *tol* of a new one, and :meth:`keep` files the new one.
+
+    A line P is compared only with the kept lines Q that can lie within *tol*.
+    Let k be the slot of P's largest modulus, so |P_k| = 1 up to rounding.  If
+    d(P, Q) < tol, the minor of slots k, j gives | |Q_j| - |P_j| |Q_k| | < tol
+    for every j; at the slot of Q's largest modulus this gives |Q_k| > 1 - tol,
+    so ||Q_k| - |P_k|| < tol and ||Q_j| - |P_j|| < 2 tol for j != k.  Hence the
+    modulus sums S = sum |P_i| and sum |Q_i| differ by less than 5 tol.  Every
+    kept line sits in the cell floor(S / w) with w = 8 tol + 2^-40; a match
+    therefore lies in the line's own cell or one next to it, and within it each
+    of its moduli |Q_j| lies within 2 tol + 2^-40 of |P_j|, so the distance is
+    computed only for a kept line that passes both tests.  The absolute 2^-40
+    covers the float rounding of S, of the moduli (|P_k| among them) and of the
+    distance, which a margin proportional to a tolerance near 1e-300 or 5e-324
+    would not.
+
+    A kept line that passes both tests is compared by its coefficients next,
+    when P and Q both hold exactly 1 in slot k (the unit that
+    :meth:`ProjLine.from_coefficients` puts in the pivot slot).  Then a product
+    with that unit is exact, so the minor of slots k, j is Q_j - P_j up to sign,
+    rounded as the difference is; the distance divides the largest minor by
+    the product of the largest moduli, each in [1, 1 + 2^-40); and a quotient
+    rounded below tol is a quotient below tol.  So d(P, Q) < tol gives
+    |Q_j - P_j| < 2 tol for every j, and a kept line with some
+    |Q_j - P_j| >= 2 tol + 2^-40 is no match.  This parts the lines (+-a, +-b, 1)
+    of a sign orbit, which share all three moduli, without a distance.  Since
+    :meth:`fresh` finds a match exactly when one exists, its answers are those
+    of comparing with every kept line.
+    """
 
     def __init__(self, tol: float):
         self._tol = tol
@@ -178,55 +207,6 @@ class _LineSet:
 
     def keep(self, line: ProjLine, cell: int) -> None:
         self._cells.setdefault(cell, []).append(line)
-
-
-def dedupe_lines(lines, tol: float = DEFAULT_DEDUPE_TOL):
-    """Collapse projectively equal lines, keeping the first of each class.
-
-    Items are :class:`ProjLine`, :class:`BitangentCert` or coefficient
-    triples; the representatives come back in deterministic ``sort_key`` order.
-    A line is kept when no representative kept so far lies within *tol*.
-
-    Each line is normalized once, to its :class:`ProjLine` P, and compared
-    only with the representatives Q that can lie within *tol*.  Let k be the
-    slot of P's largest modulus, so |P_k| = 1 up to rounding.  If
-    d(P, Q) < tol, the minor of slots k, j gives | |Q_j| - |P_j| |Q_k| | < tol
-    for every j; at the slot of Q's largest modulus this gives |Q_k| > 1 - tol,
-    so ||Q_k| - |P_k|| < tol and ||Q_j| - |P_j|| < 2 tol for j != k.  Hence the
-    modulus sums S = sum |P_i| and sum |Q_i| differ by less than 5 tol.  Every
-    representative sits in the cell floor(S / w) with w = 8 tol + 2^-40; a
-    match therefore lies in the line's own cell or one next to it, and within
-    it each of its moduli |Q_j| lies within 2 tol + 2^-40 of |P_j|, so the
-    distance is computed only for a representative that passes both tests.
-    The absolute 2^-40 covers the float rounding of S, of the moduli (|P_k|
-    among them) and of the distance, which a margin proportional to a
-    tolerance near 1e-300 or 5e-324 would not.
-
-    A representative that passes both tests is compared by its coefficients
-    next, when P and Q both hold exactly 1 in slot k (the unit that
-    :meth:`ProjLine.from_coefficients` puts in the pivot slot).  Then a product
-    with that unit is exact, so the minor of slots k, j is Q_j - P_j up to sign,
-    rounded as the difference is; the distance divides the largest minor by
-    the product of the largest moduli, each in [1, 1 + 2^-40); and a quotient
-    rounded below tol is a quotient below tol.  So d(P, Q) < tol gives
-    |Q_j - P_j| < 2 tol for every j, and a representative with some
-    |Q_j - P_j| >= 2 tol + 2^-40 is no match.  This parts the lines (+-a, +-b, 1)
-    of a sign orbit, which share all three moduli, without a distance.  Since
-    a line is kept exactly when no match exists, the decisions (and the result)
-    are those of comparing with every representative.
-    """
-    check_tolerance("tol", tol)
-    seen = _LineSet(tol)
-    reps = []
-    for line in lines:
-        if not isinstance(line, (ProjLine, BitangentCert)):
-            line = ProjLine.from_coefficients(line)
-        proj = line.line if isinstance(line, BitangentCert) else line
-        cell = seen.fresh(proj)
-        if cell is not None:
-            seen.keep(proj, cell)
-            reps.append(line)
-    return sorted(reps, key=lambda l: l.sort_key())
 
 
 class BitangentCert(_Record):

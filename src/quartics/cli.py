@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .bitangent import (DEFAULT_CERT_TOL, DEFAULT_DEDUPE_TOL,
@@ -56,12 +55,12 @@ def _poly_payload(p: Polynomial):
     """A constant polynomial serializes as a rational string, else as its
     canonical string plus an explicit term list."""
     if p.total_degree() == 0:
-        return str(Fraction(p.constant_value()))
+        return str(p.constant_value())
     names = p.table.names
     terms = []
     for exps, coeff in p.sorted_terms():
         monomial = {names[i]: e for i, e in enumerate(exps) if e}
-        terms.append({"monomial": monomial, "coefficient": str(Fraction(coeff))})
+        terms.append({"monomial": monomial, "coefficient": str(coeff)})
     return {"text": str(p), "terms": terms}
 
 
@@ -111,7 +110,7 @@ def cmd_invariants(args) -> dict:
         "schema": SCHEMA,
         "command": "invariants",
         "family": args.family,
-        "params": None if params is None else [str(Fraction(v)) for v in params],
+        "params": None if params is None else [str(v) for v in params],
         "symbolic": bool(args.symbolic),
         "invariants": {f"I{k}": _poly_payload(v) for k, v in inv.as_dict().items()},
     }
@@ -120,8 +119,8 @@ def cmd_invariants(args) -> dict:
         for k, v in inv.as_dict().items():
             dec = decompose_symmetric(v)
             tables[f"I{k}"] = {
-                "const": str(Fraction(dec.constant)),
-                **{str(p): str(Fraction(c)) for p, c in dec.terms},
+                "const": str(dec.constant),
+                **{str(p): str(c) for p, c in dec.terms},
             }
         payload["decomposition"] = tables
     if args.golden:
@@ -129,7 +128,7 @@ def cmd_invariants(args) -> dict:
         payload["golden"] = {
             "family": family,
             "gamma": {
-                f"I{k}": (None if g is None else str(Fraction(g)))
+                f"I{k}": (None if g is None else str(g))
                 for k, g in report.gamma.items()
             },
             "failures": {f"I{k}": msg for k, msg in report.failures.items()},
@@ -155,7 +154,7 @@ def cmd_bitangents(args) -> dict:
         "schema": SCHEMA,
         "command": "bitangents",
         "family": args.family,
-        "params": [str(Fraction(v)) for v in params],
+        "params": [str(v) for v in params],
         "tolerance": args.tol,
         "count": len(lines),
         "coordinate_type": coord,
@@ -170,7 +169,7 @@ def cmd_detrep(args) -> dict:
     return {
         "schema": SCHEMA,
         "command": "detrep",
-        "params": [str(Fraction(v)) for v in (r, s, u)],
+        "params": [str(v) for v in (r, s, u)],
         "tolerance": args.tol,
         "seed": args.seed,
         "A": [[_complex_pair(v) for v in row] for row in rep.a_matrix],

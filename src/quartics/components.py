@@ -156,4 +156,4 @@ def _tables() -> dict[str, tuple]:
         x24_j69_quadratic, x24_j10_13_quadratic), strict=True))
 
 
-__getattr__, __dir__ = _lazy_globals(globals(), _LAZY, _tables)
+__getattr__ = _lazy_globals(globals(), _LAZY, _tables)

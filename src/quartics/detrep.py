@@ -167,8 +167,7 @@ def _systems() -> dict[str, tuple[Polynomial, ...]]:
             "_RESIDUAL_ROWS": e_system + oeq[:6] + (oeq[7], oeq[6])}
 
 
-__getattr__, __dir__ = _lazy_globals(globals(), ("OEQ_SYSTEM", "E_SYSTEM", "_RESIDUAL_ROWS"),
-                                     _systems)
+__getattr__ = _lazy_globals(globals(), ("OEQ_SYSTEM", "E_SYSTEM", "_RESIDUAL_ROWS"), _systems)
 #: The keys of :func:`residuals_e_system`, one for each of the residual rows.
 _RESIDUAL_KEYS = (*(f"e{i}" for i in range(1, 7)), *(f"oeq{i}" for i in range(1, 7)),
                   "pq_identity", "p2q2_sum")
@@ -199,7 +198,7 @@ def _certificate_points(seed: int) -> tuple[tuple[complex, complex, complex], ..
 def _determinant_residual(rep: DetRep, quartic: Polynomial, seed: int) -> float:
     """The largest |det(xA + yB + zC) - f| / (1 + |f|) over the seeded points, f the
     member *quartic*; NaN when a point's residual is NaN, so that the certificate fails.
-    The pencil's entries and :func:`det` of them are one generated function per zero
+    The pencil's entries and their determinant are one generated function per zero
     pattern (``diffcalc._pencil_det``), first the pattern of the coefficients; each
     point's entries are checked against it."""
     entries = [entry for row in zip(rep.a_matrix, rep.b_matrix, rep.c_matrix)

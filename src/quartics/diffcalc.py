@@ -67,47 +67,44 @@ def _expansion(n: int, zero: tuple[bool, ...]):
 
 
 def det(rows):
-    """Determinant of a square matrix given by its rows, by cofactor expansion
-    along the first row.
+    """Determinant of a square matrix of polynomials given by its rows, by cofactor
+    expansion along the first row; exact.
 
     One bottom-up pass: the minors of the last row are its entries, and each
     minor of the last k rows on k columns that the expansion reaches is formed
-    once, from the minors of the rows below it, before any of k + 1 columns.
-    Which minors are reached, through which nonzero entries, depends only on
-    where the zeros are, so the steps are worked out once per pattern of zeros
-    and kept (a bounded cache).  Complex terms are added left to right (not by
-    ``sum``: newer Pythons compensate its float sums).  Exact for polynomial
-    entries; complex entries give the numeric value.
+    once, as one ``sum_of_products``, from the minors of the rows below it,
+    before any of k + 1 columns.  Which minors are reached, through which
+    nonzero entries, depends only on where the zeros are, so the steps are
+    worked out once per pattern of zeros and kept (a bounded cache).  An entry
+    that is not a :class:`Polynomial` is a :class:`DomainError`: the one float
+    determinant is :func:`_pencil_det`.
     """
     n = len(rows)
     if not rows or any(len(row) != n for row in rows):
         raise DomainError("matrix is not square")
+    if not all(isinstance(entry, Polynomial) for row in rows for entry in row):
+        raise DomainError("det takes polynomial entries")
     minors = {1 << c: entry for c, entry in enumerate(rows[-1])}
     for r, mask, low, terms in _expansion(n, tuple([not entry for row in rows for entry in row])):
         row = rows[r]
-        first = row[low]
-        if isinstance(first, Polynomial):
-            total = Polynomial.sum_of_products(first.table, [
-                (-1 if odd else 1, row[c], minors[rest]) for c, odd, rest in terms])
-        else:
-            total = 0 * first
-            for c, odd, rest in terms:
-                term = row[c] * minors[rest]
-                total = total + (-term if odd else term)
-        minors[mask] = total
+        minors[mask] = Polynomial.sum_of_products(row[low].table, [
+            (-1 if odd else 1, row[c], minors[rest]) for c, odd, rest in terms])
     return minors[(1 << n) - 1]
 
 
 @lru_cache(maxsize=64)
 def _pencil_det(zero: tuple[bool, ...]):
-    """``determinant(k, x, y, z)``: :func:`det` of the complex pencil whose entry
+    """``determinant(k, x, y, z)``: the determinant of the complex pencil whose entry
     ``i * n + j`` is ``x * a + y * b + z * c``, with ``(a, b, c) = k[3 * (i * n + j):]``,
-    as straight-line code for the entries that are zero where *zero* says.  It forms
-    the entries, then checks their zeros and hands a point of another pattern to that
-    pattern's function; else it runs :func:`det`'s steps with the entries unrolled, the
-    same operations in the same order, so the value is ``det``'s bit for bit.  One
-    function per pattern, generated on first use (``polyring._generated``) and kept
-    for the last 64."""
+    as straight-line code for the entries that are zero where *zero* says: the
+    package's one float determinant.  It forms the entries, then checks their zeros
+    and hands a point of another pattern to that pattern's function.  Else it expands
+    along the first row through the minors that :func:`det` forms, smaller ones
+    first: a minor is ``0 * e``, e the entry of its lowest column, plus
+    ``(e * m)`` or ``-(e * m)`` for each nonzero entry e of its row and the minor m
+    it multiplies, added left to right in column order (not by ``sum``: newer
+    Pythons compensate its float sums).  One function per pattern, generated on
+    first use (``polyring._generated``) and kept for the last 64."""
     n = math.isqrt(len(zero))
     size = n * n
     entries = ["e%d" % k for k in range(size)]

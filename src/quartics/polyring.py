@@ -122,12 +122,13 @@ class _Record:
 
 
 def _lazy_globals(namespace: dict, names: tuple[str, ...], build):
-    """A module's ``__getattr__`` and ``__dir__`` for constants built on first use.
+    """A module's ``__getattr__`` for constants built on first use.
 
     The first read of one of *names* calls ``build()``, which returns all of them
     by name, and binds them in *namespace*, the module's globals: later reads are
     plain attribute lookups that never reach ``__getattr__``.  Code in the module
-    itself does not go through ``__getattr__`` and calls ``build()``."""
+    itself does not go through ``__getattr__`` and calls ``build()``, and ``dir()``
+    lists a constant only once it is bound."""
 
     def __getattr__(name: str):
         if name in names:
@@ -135,10 +136,7 @@ def _lazy_globals(namespace: dict, names: tuple[str, ...], build):
             return namespace[name]
         raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
 
-    def __dir__():
-        return sorted({*namespace, *names})
-
-    return __getattr__, __dir__
+    return __getattr__
 
 
 class VarTable(_Record):

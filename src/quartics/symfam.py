@@ -169,9 +169,6 @@ class Partition(_Record):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise DomainError(f"partition parts must be weakly decreasing: {parts}")
 
-    def padded(self) -> tuple[int, int, int]:
-        return tuple(list(self.parts) + [0] * (3 - len(self.parts)))
-
     def __str__(self):
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
@@ -222,9 +219,6 @@ class SymmetricDecomposition(_Record):
     """An expansion ``constant + sum coeff * S[partition]``."""
 
     __slots__ = _fields = ("constant", "terms")
-
-    def as_dict(self) -> dict[tuple[int, ...], Fraction]:
-        return {p.parts: c for p, c in self.terms}
 
 
 def is_symmetric(p: Polynomial) -> bool:

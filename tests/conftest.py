@@ -16,7 +16,6 @@ from math import gcd, perm, prod
 
 from hypothesis import settings, strategies as st
 
-from quartics.diffcalc import det
 from quartics.errors import DegreeError
 from quartics.polyring import Polynomial, VarTable, eval_complex
 
@@ -123,16 +122,33 @@ def dot(a, b) -> Polynomial:
         a[0][0].table, ((1, a[i][j], b[j][i]) for i in range(n) for j in range(n)))
 
 
+def left_to_right_det(rows):
+    """The recursive Laplace expansion along the first row, with a running total, its
+    signed terms added left to right: each minor is expanded again on every path.
+    The reference for ``diffcalc.det`` on polynomial entries and, on complex ones, for
+    the float determinant ``diffcalc._pencil_det``, whose operations it makes in the
+    same order."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0 * rows[0][0]
+    for j, entry in enumerate(rows[0]):
+        if not entry:
+            continue
+        term = entry * left_to_right_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
 def interpreted_determinant_residual(rep, quartic, points) -> float:
     """The largest |det(xA + yB + zC) - f| / (1 + |f|) over *points*, NaN at the first
-    NaN residual: the pencil formed entry by entry, :func:`quartics.diffcalc.det` and
+    NaN residual: the pencil formed entry by entry, :func:`left_to_right_det` and
     one ``eval_complex`` per point, the loop that ``detrep._determinant_residual``'s
     generated certificate replaced."""
     rows = tuple(zip(rep.a_matrix, rep.b_matrix, rep.c_matrix))
     worst = 0.0
     for x, y, z in points:
         pencil = [[x * a + y * b + z * c for a, b, c in zip(*row)] for row in rows]
-        value = det(pencil)
+        value = left_to_right_det(pencil)
         fval = eval_complex(quartic, {"x": x, "y": y, "z": z})
         residual = abs(value - fval) / (1.0 + abs(fval))
         if math.isnan(residual):    # max() would skip it

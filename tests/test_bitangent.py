@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from quartics import bitangent
 from quartics import components as comp
 from quartics.bitangent import (CHARTS, DEFAULT_CERT_TOL, DEFAULT_DEDUPE_TOL,
-                                ProjLine, build_tangency_system,
-                                coordinate_type_count, dedupe_lines,
+                                BitangentCert, ProjLine, build_tangency_system,
+                                coordinate_type_count,
                                 enumerate_bitangents, eval_scaled,
                                 perfect_square_fit, proj_distance,
                                 restriction_coefficients)
@@ -148,6 +148,24 @@ class TestPerfectSquareFit:
             perfect_square_fit([1] * n)
 
 
+def dedupe_lines(lines, tol=DEFAULT_DEDUPE_TOL):
+    """The lines with projectively equal ones collapsed, the first of each class
+    kept, in ``sort_key`` order: the package's one dedupe, ``bitangent._LineSet``,
+    driven as the enumeration drives it.  Items are :class:`ProjLine`,
+    :class:`BitangentCert` or coefficient triples."""
+    seen = bitangent._LineSet(tol)
+    reps = []
+    for line in lines:
+        if not isinstance(line, (ProjLine, BitangentCert)):
+            line = ProjLine.from_coefficients(line)
+        proj = line.line if isinstance(line, BitangentCert) else line
+        cell = seen.fresh(proj)
+        if cell is not None:
+            seen.keep(proj, cell)
+            reps.append(line)
+    return sorted(reps, key=lambda l: l.sort_key())
+
+
 class TestDedupe:
     def test_scalar_multiples(self):
         out = dedupe_lines([(1, 1, 1), (2, 2, 2)])
@@ -192,8 +210,8 @@ class TestDedupe:
 
 
 def _dedupe_reference(lines, tol):
-    """Dedupe by a pairwise loop over :func:`proj_distance`, the oracle for
-    :func:`dedupe_lines`, which normalizes each line only once."""
+    """Dedupe by a pairwise loop over :func:`proj_distance`, the oracle for the
+    line set that :func:`dedupe_lines` drives, which normalizes each line once."""
     reps = []
     for line in lines:
         if not isinstance(line, ProjLine):
@@ -231,12 +249,7 @@ class TestDedupeExact:
         assert got == _dedupe_reference(lines, tol)
         assert len(got) == 2 * len(base)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
-    def test_bad_tolerance_rejected(self, value):
-        with pytest.raises(DomainError, match="^tol must be a finite number > 0"):
-            dedupe_lines([(1, 0, 0)], value)
-
-    # dedupe_lines compares a line only with representatives whose modulus sum
+    # the line set compares a line only with representatives whose modulus sum
     # lies in a nearby cell; the inputs below put matches into neighbouring
     # cells, into one shared cell, and across a change of pivot slot
 
@@ -392,14 +405,13 @@ class TestNormalization:
     @pytest.mark.parametrize("coeffs", [(), (1,), (1, 2), (1, 2, 3, 4)])
     def test_a_line_has_three_coefficients(self, coeffs):
         # two coefficients made a line with two slots, and four a line whose
-        # .chart raised a bare KeyError; proj_distance and dedupe_lines raised
-        # a bare ValueError from unpacking
+        # .chart raised a bare KeyError; proj_distance raised a bare ValueError
+        # from unpacking
         want = f"^a line has 3 coefficients, got {len(coeffs)}$"
         calls = [lambda: ProjLine.from_coefficients(coeffs),
                  lambda: ProjLine(tuple(map(complex, coeffs))),
                  lambda: proj_distance(coeffs, (1, 0, 0)),
-                 lambda: proj_distance((1, 0, 0), coeffs),
-                 lambda: dedupe_lines([(1, 0, 0), coeffs])]
+                 lambda: proj_distance((1, 0, 0), coeffs)]
         for call in calls:
             with pytest.raises(DomainError, match=want):
                 call()
@@ -528,7 +540,6 @@ def test_enumeration_rejects_bad_tolerance(keyword, value):
 TOLERANCES = {
     "enumerate_bitangents tol": lambda v: enumerate_bitangents("X24", (1,), tol=v),
     "enumerate_bitangents dedupe_tol": lambda v: enumerate_bitangents("X24", (1,), dedupe_tol=v),
-    "dedupe_lines tol": lambda v: dedupe_lines([(1, 0, 0)], tol=v),
     "perfect_square_fit tol": lambda v: perfect_square_fit([1, 0, 0, 0, 1], tol=v),
     "solve_detrep tol": lambda v: solve_detrep(1, 3, 5, tol=v),
 }

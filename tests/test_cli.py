@@ -351,7 +351,3 @@ class TestColdStart:
         name = "NOT_A_TABLE"
         with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
             getattr(module, name)
-
-    def test_dir_lists_the_lazy_tables(self):
-        assert set(components._LAZY) <= set(dir(components))
-        assert {"OEQ_SYSTEM", "E_SYSTEM"} <= set(dir(detrep))

@@ -219,8 +219,13 @@ class TestDet:
         with pytest.raises(ValueError, match="not square"):
             det(())
 
-    def test_complex_entries(self):
-        assert det([[1j, 2.0], [3.0, 4j]]) == -10.0
+    @pytest.mark.parametrize("entry", [1j, 2.0, 2])
+    def test_non_polynomial_entry_is_a_domain_error(self, entry):
+        # the float determinant is detrep's generated certificate, not det
+        one = Polynomial.constant(XYZ, 1)
+        for rows in ([[entry]], [[one, one], [entry, one]]):
+            with pytest.raises(DomainError, match="^det takes polynomial entries$"):
+                det(rows)
 
     @pytest.mark.parametrize("kind", [tuple, list])
     def test_not_square(self, kind):

@@ -1,10 +1,10 @@
 """The rewritten kernels against one reference oracle each.
 
 ``eval_scaled_many`` runs generated straight-line code and ``det`` expands
-its minors in one bottom-up pass; ``sum_of_products`` skips zero operands,
-``j_bracket`` forms each distinct Hessian entry and cofactor once, ``diff_pair``
-looks up the equal-degree monomials, and ``decompose_symmetric`` and
-``is_symmetric`` work on the packed keys.  ``eval_exact`` keeps a plan per
+its minors of polynomials in one bottom-up pass; ``sum_of_products`` skips
+zero operands, ``j_bracket`` forms each distinct Hessian entry and cofactor
+once, ``diff_pair`` looks up the equal-degree monomials, and
+``decompose_symmetric`` and ``is_symmetric`` work on the packed keys.  ``eval_exact`` keeps a plan per
 polynomial.  Detrep's determinant certificate is generated straight-line code,
 the square fit drops a candidate at its first mismatch that rules it out, and
 X24 solves its chart system once.
@@ -12,16 +12,17 @@ X24 solves its chart system once.
 The oracles, in the standard library only:
 
 * :func:`eval_scaled_reference`, the per-term loop over the sorted terms;
-* :func:`left_to_right_det`, the recursive expansion with a running total;
 * :func:`scanned_diff_pair`, every pair of terms scanned;
-* :func:`full_matrix_j_bracket`, from ``dot``, ``adjugate`` (``conftest``) and
-  :func:`left_to_right_det` on the full Hessians;
+* :func:`full_matrix_j_bracket`, from ``dot``, ``adjugate`` and
+  ``left_to_right_det`` (``conftest``) on the full Hessians;
 * :func:`expanded_sum_of_products`, every product term by term;
 * :func:`eval_exact_reference`, a sum of ``Fraction`` terms;
 * :func:`six_permutation_symmetric` and :func:`peeled_decomposition`, symmetry
   by definition and greedy peeling of the leading monomial;
 * :func:`three_chart_solves`, X24's chart system solved once per chart;
-* from ``conftest``: the interpreted certificate loop and the unpruned fit.
+* from ``conftest``: ``left_to_right_det``, the recursive expansion with a running
+  total, for ``det`` and for the float determinant ``_pencil_det``; the
+  interpreted certificate loop and the unpruned fit.
 
 Floats must agree in ``repr`` (so signed zeros and NaN count), errors in type
 and message, and exact results in their stored form.
@@ -39,14 +40,14 @@ from math import perm
 import pytest
 from hypothesis import given, settings
 
-from quartics.diffcalc import det, hessian, j_bracket
+from quartics.diffcalc import _pencil_det, det, hessian, j_bracket
 from quartics.errors import DegreeError, DomainError, TableMismatchError
 from quartics.polyring import Polynomial, VarTable, diff_pair, eval_exact, eval_scaled_many
 from quartics.symfam import (Partition, SymmetricDecomposition, decompose_symmetric,
                              is_symmetric, reconstruct, s_basis)
 
 from conftest import (DENOMINATORS, LIMIT, PAR, RANDOMS, SEVEN, XYZ, adjugate, dot,
-                      random_terms)
+                      left_to_right_det, random_terms)
 
 TABLE = VarTable(("x", "y", "z"), ("r", "s"))
 PQ = VarTable(("x", "y", "z"), ("p", "q"))
@@ -245,21 +246,7 @@ class TestEvalScaledMany:
         assert eval_scaled_many((), {}) == []
 
 
-# -- det -------------------------------------------------------------------------
-
-
-def left_to_right_det(rows):
-    """The recursive Laplace expansion along the first row, with a running total, its
-    signed terms added left to right: each minor is expanded again on every path."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = 0 * rows[0][0]
-    for j, entry in enumerate(rows[0]):
-        if not entry:
-            continue
-        term = entry * left_to_right_det([row[:j] + row[j + 1:] for row in rows[1:]])
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+# -- det and the float determinant -------------------------------------------------
 
 
 def _complex_entries(rng, special, zeros=0.3):
@@ -276,14 +263,46 @@ def _complex_entries(rng, special, zeros=0.3):
     return entry
 
 
+def _pencil_rows(n, coefficients, x, y, z):
+    """The rows of x*A + y*B + z*C, entry by entry, as the certificate forms them."""
+    return [[x * a + y * b + z * c for a, b, c in
+             zip(*[iter(coefficients[3 * n * i:3 * n * (i + 1)])] * 3)] for i in range(n)]
+
+
+def _guessed_pattern(coefficients):
+    """The zero pattern of a pencil's coefficients, as detrep guesses it."""
+    return tuple(not (a or b or c) for a, b, c in zip(*[iter(coefficients)] * 3))
+
+
+def assert_pencil_det(n, coefficients, x, y, z):
+    """``_pencil_det`` of the guessed pattern agrees in ``repr`` with
+    :func:`left_to_right_det` of the pencil's entries at (x, y, z)."""
+    want = repr(left_to_right_det(_pencil_rows(n, coefficients, x, y, z)))
+    assert repr(_pencil_det(_guessed_pattern(coefficients))(coefficients, x, y, z)) == want
+
+
+def _as_pencil(rows):
+    """The coefficients of the pencil 1 * M + 0 * B + 0 * C, M the matrix of *rows*:
+    at the point (1, 0, 0) its entries are those of M, unless M has signed zeros,
+    infinities or NaN, whose products with 1 + 0j may differ from them."""
+    return [v for row in rows for entry in row for v in (entry, 0j, 0j)]
+
+
+def assert_matrix_det(rows):
+    """:func:`assert_pencil_det` on the pencil of :func:`_as_pencil` at (1, 0, 0)."""
+    assert_pencil_det(len(rows), _as_pencil(rows), 1 + 0j, 0j, 0j)
+
+
 class TestDet:
+    """``det`` on polynomial matrices, and the float determinant ``_pencil_det`` on
+    complex ones, against :func:`left_to_right_det`."""
+
     @settings(max_examples=150)
     @given(RANDOMS)
     def test_complex_matrices_match_the_recursive_expansion(self, rng):
         n = rng.randint(1, 4)
         entry = _complex_entries(rng, rng.random() < 0.5, rng.choice((0.15, 0.3)))
-        rows = [[entry() for _ in range(n)] for _ in range(n)]
-        assert repr(det(rows)) == repr(left_to_right_det(rows))
+        assert_matrix_det([[entry() for _ in range(n)] for _ in range(n)])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_complex_det_is_bit_identical_to_the_left_to_right_sum(self, seed):
@@ -291,14 +310,14 @@ class TestDet:
         # of the additions rounds differently
         entry = _complex_entries(random.Random(seed), False, 0.15)
         rows = [[entry() for _ in range(4)] for _ in range(4)]
-        assert repr(det(rows)) == repr(left_to_right_det(rows))
+        assert _pencil_rows(4, _as_pencil(rows), 1 + 0j, 0j, 0j) == rows
+        assert_matrix_det(rows)
 
     def test_many_complex_4x4(self):
         rng = random.Random(2026)
         entry = _complex_entries(rng, False)
         for _ in range(2000):
-            rows = [[entry() for _ in range(4)] for _ in range(4)]
-            assert repr(det(rows)) == repr(left_to_right_det(rows))
+            assert_matrix_det([[entry() for _ in range(4)] for _ in range(4)])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_detreps_pattern(self, seed):
@@ -313,10 +332,12 @@ class TestDet:
         x, y, z, p, q, b, c, d, e = (value() for _ in range(9))
         b_m = (p, -p, q, -q)
         c_m = [[0j, 0j, b, d], [0j, 0j, c, e], [b, c, 0j, 0j], [d, e, 0j, 0j]]
-        rows = [[x * (1.0 + 0j if i == j else 0j) + y * (b_m[i] if i == j else 0j)
-                 + z * c_m[i][j] for j in range(4)] for i in range(4)]
+        coefficients = [v for i in range(4) for j in range(4)
+                        for v in (1.0 + 0j if i == j else 0j, b_m[i] if i == j else 0j,
+                                  c_m[i][j])]
+        rows = _pencil_rows(4, coefficients, x, y, z)
         assert [rows[i][j] == 0 for i, j in ((0, 1), (1, 0), (2, 3), (3, 2))] == [True] * 4
-        assert repr(det(rows)) == repr(left_to_right_det(rows))
+        assert_pencil_det(4, coefficients, x, y, z)
 
     @settings(max_examples=60)
     @given(RANDOMS)
@@ -336,14 +357,15 @@ class TestDet:
 
     @pytest.mark.parametrize("kind", [tuple, list])
     def test_integer_matrices(self, kind):
-        assert det(kind([kind([2])])) == 2
-        for rows in ([[1, 2], [3, 4]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]):
-            assert det(kind(map(kind, rows))) == left_to_right_det(rows)
+        def constants(rows):
+            return kind(kind(Polynomial.constant(XYZ, v) for v in row) for row in rows)
+
+        assert det(constants([[2]])) == 2
         rng = random.Random(23)
-        for n in (1, 2, 3, 4):
-            rows = [[Polynomial.constant(XYZ, rng.randint(-5, 5)) for _ in range(n)]
-                    for _ in range(n)]
-            assert det(kind(map(kind, rows))) == left_to_right_det(rows)
+        for rows in ([[1, 2], [3, 4]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+                     *([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+                       for n in (1, 2, 3, 4))):
+            assert det(constants(rows)) == left_to_right_det(rows)
 
     def test_symbolic_pencil(self):
         from quartics.detrep import symbolic_pencil
@@ -705,9 +727,9 @@ def _component_polynomials():
             for item in value:
                 yield from flatten(item)
 
-    # dir(), not vars(): a table is in the module dict only once it has been read
-    return [p for name in dir(components) if name.isupper()
-            for p in flatten(getattr(components, name))]
+    # _LAZY, not vars(): a table is in the module dict only once it has been read;
+    # by name, a fixed order: a test draws a table's point on its first polynomial
+    return [p for name in sorted(components._LAZY) for p in flatten(getattr(components, name))]
 
 
 _BIG = 10 ** 40 + 7
@@ -834,7 +856,7 @@ def peeled_decomposition(p):
         part = Partition(tuple(sorted((exps[i] for i in idx if exps[i]), reverse=True)))
         collected.append((part, coeff))
         remainder = remainder - s_basis(part, p.table) * coeff
-    collected.sort(key=lambda pc: (sum(pc[0].parts), pc[0].padded()), reverse=True)
+    collected.sort(key=lambda pc: (sum(pc[0].parts), pc[0].parts), reverse=True)
     return SymmetricDecomposition(remainder.constant_value(), tuple(collected))
 
 
@@ -975,34 +997,24 @@ def point_value(rng):
     return rng.choice([0j, complex(-0.0, 0.0), complex(1e-200, -1e-200)])
 
 
-def _pencil_rows(n, coefficients, x, y, z):
-    """The rows of x*A + y*B + z*C, entry by entry, as the certificate forms them."""
-    return [[x * a + y * b + z * c for a, b, c in
-             zip(*[iter(coefficients[3 * n * i:3 * n * (i + 1)])] * 3)] for i in range(n)]
-
-
 class TestDeterminantCertificate:
     @settings(max_examples=200)
     @given(RANDOMS)
-    def test_generated_determinant_matches_det(self, rng):
-        from quartics.diffcalc import _pencil_det
-
+    def test_generated_determinant_matches_the_recursive_expansion(self, rng):
         n = rng.randint(1, 4)
         coefficients = [pencil_value(rng) for _ in range(3 * n * n)]
         x, y, z = (point_value(rng) for _ in range(3))
-        want = repr(det(_pencil_rows(n, coefficients, x, y, z)))
+        want = repr(left_to_right_det(_pencil_rows(n, coefficients, x, y, z)))
         # the pattern of the coefficients, as detrep guesses it, and one drawn at random:
         # a point whose entries have other zeros goes to that pattern's function
-        guessed = tuple(not (a or b or c) for a, b, c in zip(*[iter(coefficients)] * 3))
         drawn = tuple(rng.random() < 0.5 for _ in range(n * n))
-        for zero in (guessed, drawn):
+        for zero in (_guessed_pattern(coefficients), drawn):
             assert repr(_pencil_det(zero)(coefficients, x, y, z)) == want
 
     def test_many_dense_pencils(self):
         # dense 4 x 4 pencils of detrep's shape, with one to three extra zeros in C,
         # at the certificate's points
         from quartics.detrep import _certificate_points
-        from quartics.diffcalc import _pencil_det
 
         rng = random.Random(29)
         points = _certificate_points(20240)
@@ -1015,11 +1027,8 @@ class TestDeterminantCertificate:
                 for j in range(4):
                     coefficients += [1.0 + 0j if i == j else 0j, value() if i == j else 0j,
                                      0j if 4 * i + j in zeros else value()]
-            guessed = tuple(not (a or b or c) for a, b, c in zip(*[iter(coefficients)] * 3))
-            determinant = _pencil_det(guessed)
             for x, y, z in rng.sample(points, 5):
-                assert repr(determinant(coefficients, x, y, z)) == repr(
-                    det(_pencil_rows(4, coefficients, x, y, z)))
+                assert_pencil_det(4, coefficients, x, y, z)
 
     def test_a_fresh_process_generates_one_determinant(self):
         # nothing is generated at import, and a solve generates the function of the

@@ -230,7 +230,7 @@ class TestDecompose:
         p = 6 * s_basis((2,), RSU) + 2 * s_basis((1, 1, 1), RSU) + 72
         dec = decompose_symmetric(p)
         assert dec.constant == 72
-        assert dec.as_dict() == {(2,): Fraction(6), (1, 1, 1): Fraction(2)}
+        assert dec.terms == ((Partition((1, 1, 1)), Fraction(2)), (Partition((2,)), Fraction(6)))
 
     def test_constant(self):
         dec = decompose_symmetric(Polynomial.constant(RSU, 1))
@@ -241,7 +241,7 @@ class TestDecompose:
              + Polynomial.variable(RSU, "u"))
         dec = decompose_symmetric(p)
         assert dec.constant == 0
-        assert dec.as_dict() == {(1,): Fraction(1)}
+        assert dec.terms == ((Partition((1,)), Fraction(1)),)
 
     def test_roundtrip_random(self):
         rng = random.Random(61)
