@@ -351,3 +351,12 @@ class TestColdStart:
         name = "NOT_A_TABLE"
         with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
             getattr(module, name)
+
+    def test_dir_lists_the_lazy_tables(self):
+        # no module __dir__: the first read binds a table as a global, so dir()
+        # lists it from then on, and later reads never reach __getattr__
+        lazy = {components: components._LAZY, detrep: ("OEQ_SYSTEM", "E_SYSTEM")}
+        for module, names in lazy.items():
+            for name in names:
+                value = getattr(module, name)
+                assert name in dir(module) and vars(module)[name] is value

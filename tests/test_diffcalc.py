@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from quartics.diffcalc import det, diff_pair, hessian, j_bracket, transvectant
-from quartics.errors import DegreeError, DomainError, TableMismatchError
+from quartics.errors import DegreeError, DomainError, QuarticsError, TableMismatchError
 from quartics.polyring import (Polynomial, VarTable, convert, multi_partial,
                                substitute_linear)
 
@@ -224,6 +224,21 @@ class TestDet:
         # the float determinant is detrep's generated certificate, not det
         one = Polynomial.constant(XYZ, 1)
         for rows in ([[entry]], [[one, one], [entry, one]]):
+            with pytest.raises(DomainError, match="^det takes polynomial entries$"):
+                det(rows)
+
+    def test_complex_entries(self):
+        # the complex value is _pencil_det's; det's error is a QuarticsError
+        with pytest.raises(QuarticsError, match="^det takes polynomial entries$"):
+            det([[1j, 2.0], [3.0, 4j]])
+
+    @pytest.mark.parametrize("position", range(9))
+    def test_an_entry_the_expansion_skips_is_checked(self, position):
+        # a zero entry is never multiplied, so only the entry check can see it
+        one = Polynomial.constant(XYZ, 1)
+        for entry in (0, 0.0, 0j):
+            rows = [[one] * 3 for _ in range(3)]
+            rows[position // 3][position % 3] = entry
             with pytest.raises(DomainError, match="^det takes polynomial entries$"):
                 det(rows)
 
