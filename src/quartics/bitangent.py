@@ -29,7 +29,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from . import components as comp
 from . import numroots
@@ -375,20 +375,13 @@ def _quad_b2_roots(coeff_polys, params) -> list[complex]:
     return [root, -root]
 
 
-@cache
-def _x4_j1_split_polys() -> tuple[Polynomial, ...]:
-    """The (coefficient, rest) pairs of the J1 a^2 splits, flattened for one
-    evaluation; built on first use, as the component tables are."""
-    return tuple(p for split in comp.X4_J1_A2_SPLITS for p in split)
-
-
 def _solve_x4_axes(r, s, u):
     """Chart solutions (a, b, tag) of the three-parameter family on the chart's
     axes: the J2 biquadratic, and for J3 the same at (r, u, s)."""
     out = []
-    for b in _biq_roots(comp.X4_J2_BIQUADRATIC, {"r": r, "s": s, "u": u}):
+    for b in _biq_roots(comp.tables().X4_J2_BIQUADRATIC, {"r": r, "s": s, "u": u}):
         out.append((0j, b, "J2"))
-    for a in _biq_roots(comp.X4_J2_BIQUADRATIC, {"r": r, "s": u, "u": s}):
+    for a in _biq_roots(comp.tables().X4_J2_BIQUADRATIC, {"r": r, "s": u, "u": s}):
         out.append((a, 0j, "J3"))
     return out
 
@@ -398,8 +391,7 @@ def _solve_x4_j1(r, s, u):
     component J1: the palindromic resolvent in b, then a^2 from a split."""
     params = {"r": r, "s": s, "u": u}
     out = []
-    split_polys = _x4_j1_split_polys()
-    quartic = _coeff_values(comp.X4_J1_QUARTIC_B[:3], params)
+    quartic = _coeff_values(comp.tables().X4_J1_QUARTIC_B[:3], params)
     quartic += quartic[1::-1]       # palindromic: (k0, k1, k2, k1, k0)
     eliminant = [0j] * 9
     for k, c in enumerate(quartic):
@@ -408,7 +400,7 @@ def _solve_x4_j1(r, s, u):
     for big in numroots.palindromic_quartic_roots(*quartic[:3]):
         for b in (cmath.sqrt(big), -cmath.sqrt(big)):
             point["b"] = b = numroots.newton_polish(eliminant, b)
-            values = [v for v, _ in eval_scaled_many(split_polys, point)]
+            values = [v for v, _ in eval_scaled_many(comp.tables().X4_J1_A2_SPLITS, point)]
             # the first split of largest coefficient modulus; a NaN never replaces it
             cval, rval = values[0], values[1]
             for c, rest in zip(values[2::2], values[3::2]):
@@ -428,15 +420,15 @@ def _solve_x4_j1(r, s, u):
 def _solve_x16_chart(r, s):
     params = {"r": r, "s": s}
     out = []
-    axis = _biq_roots(comp.X4_J2_BIQUADRATIC, {"r": r, "s": s, "u": s})
+    axis = _biq_roots(comp.tables().X4_J2_BIQUADRATIC, {"r": r, "s": s, "u": s})
     for b in axis:
         out.append((0j, b, "J1"))
     for a in axis:
         out.append((a, 0j, "J2"))
-    for b in _biq_roots(comp.X16_J56_BIQUADRATIC, params):
+    for b in _biq_roots(comp.tables().X16_J56_BIQUADRATIC, params):
         out.append((-b, b, "J5"))
         out.append((b, b, "J6"))
-    for b in _biq_roots(comp.X16_J7_BIQUADRATIC, params):
+    for b in _biq_roots(comp.tables().X16_J7_BIQUADRATIC, params):
         a = cmath.sqrt(-complex(float(s)) - b * b)
         out.append((a, b, "J7"))
         out.append((-a, b, "J7"))
@@ -446,17 +438,17 @@ def _solve_x16_chart(r, s):
 def _solve_x24_chart(r):
     params = {"r": r}
     out = []
-    axis = _biq_roots(comp.X24_J2_BIQUADRATIC, params)
+    axis = _biq_roots(comp.tables().X24_J2_BIQUADRATIC, params)
     for b in axis:
         out.append((0j, b, "J2"))
     for a in axis:
         out.append((a, 0j, "J3"))
-    for tag, a, b in comp.X24_RATIONAL_POINTS:
+    for tag, a, b in comp.tables().X24_RATIONAL_POINTS:
         out.append((complex(a), complex(b), tag))
-    for b in _quad_b2_roots(comp.X24_J69_QUADRATIC, params):
+    for b in _quad_b2_roots(comp.tables().X24_J69_QUADRATIC, params):
         out.append((-b, b, "J6"))
         out.append((b, b, "J9"))
-    for b in _quad_b2_roots(comp.X24_J10_13_QUADRATIC, params):
+    for b in _quad_b2_roots(comp.tables().X24_J10_13_QUADRATIC, params):
         out.append((-1 + 0j, b, "J10"))
         out.append((1 + 0j, b, "J11"))
         out.append((b, -1 + 0j, "J12"))
@@ -504,7 +496,7 @@ def _in_charts(family: str, solvers, rotations=_CHART_ROTATIONS):
 def _x16_candidates(triple):
     r, s, _ = triple
     out = [((a, b, 1 + 0j), f"X16.{tag}") for a, b, tag in _solve_x16_chart(r, s)]
-    for b in _biq_roots(comp.X4_J2_BIQUADRATIC, {"r": s, "s": r, "u": s}):
+    for b in _biq_roots(comp.tables().X4_J2_BIQUADRATIC, {"r": s, "s": r, "u": s}):
         out.append(((1 + 0j, b, 0j), "X16.J1''"))
     return out
 
@@ -580,7 +572,7 @@ def _kills_x4_j1_generators(cert: BitangentCert, triple, tol: float) -> bool:
     point = {"a": c0 / c2, "b": c1 / c2,
              **{k: complex(float(v)) for k, v in zip(FAMILY_PARAMS["X4"], triple)}}
     return all(abs(v) / max(scale, 1.0) < tol
-               for v, scale in eval_scaled_many(comp.X4_J1_GENERATORS, point))
+               for v, scale in eval_scaled_many(comp.tables().X4_J1_GENERATORS, point))
 
 
 def _certify(fpoly: Polynomial, line: ProjLine, tol: float, source: str):

@@ -53,15 +53,18 @@ def _complex_pair(z: complex) -> list[float]:
 
 def _poly_payload(p: Polynomial):
     """A constant polynomial serializes as a rational string, else as its
-    canonical string plus an explicit term list."""
-    if p.total_degree() == 0:
-        return str(p.constant_value())
-    names = p.table.names
-    terms = []
-    for exps, coeff in p.sorted_terms():
-        monomial = {names[i]: e for i, e in enumerate(exps) if e}
-        terms.append({"monomial": monomial, "coefficient": str(coeff)})
-    return {"text": str(p), "terms": terms}
+    canonical string plus an explicit term list.  A coefficient too long for
+    ``str`` raises SolverError naming the limit."""
+    try:
+        if p.total_degree() == 0:
+            return str(p.constant_value())
+        names = p.table.names
+        terms = [{"monomial": {names[i]: e for i, e in enumerate(exps) if e},
+                  "coefficient": str(coeff)} for exps, coeff in p.sorted_terms()]
+        return {"text": str(p), "terms": terms}
+    except ValueError:      # here only from str() of a long int
+        raise SolverError(f"the answer has a number of more than {sys.get_int_max_str_digits()} "
+                          f"digits, the limit of sys.get_int_max_str_digits()") from None
 
 
 def _emit(payload: dict) -> None:

@@ -12,26 +12,21 @@ All polynomials live over tables whose geometric slots are the line
 coefficients ``(a, b)`` and whose parameters are the family parameters.
 
 The three ``TABLE_*`` variable tables are built at import.  The ten component
-tables are built together on the first read of any of them (``components.X``
-or ``from quartics.components import X``) and are then bound as ordinary
-module globals: only the bitangent enumeration pays for their polynomial
+tables are the attributes of the one namespace built by :func:`tables` on its
+first call: only the bitangent enumeration pays for their polynomial
 arithmetic, not an import for another command.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from types import SimpleNamespace
 
-from .polyring import Polynomial, VarTable, _lazy_globals
+from .polyring import Polynomial, VarTable
 
 TABLE_X4 = VarTable(("a", "b"), ("r", "s", "u"))
 TABLE_X16 = VarTable(("a", "b"), ("r", "s"))
 TABLE_X24 = VarTable(("a", "b"), ("r",))
-
-#: The component tables, in the order :func:`_tables` builds them.
-_LAZY = ("X4_J1_GENERATORS", "X4_J1_QUARTIC_B", "X4_J2_BIQUADRATIC", "X4_J1_A2_SPLITS",
-         "X16_J56_BIQUADRATIC", "X16_J7_BIQUADRATIC", "X24_J2_BIQUADRATIC",
-         "X24_RATIONAL_POINTS", "X24_J69_QUADRATIC", "X24_J10_13_QUADRATIC")
 
 
 def _vars(table: VarTable):
@@ -39,9 +34,9 @@ def _vars(table: VarTable):
 
 
 @cache
-def _tables() -> dict[str, tuple]:
-    """The component tables by name, each a tuple of polynomials (of pairs of them
-    for the splits, of ``(tag, a, b)`` for the rational points)."""
+def tables() -> SimpleNamespace:
+    """The component tables as attributes, each a tuple of polynomials (of
+    ``(tag, a, b)`` for the rational points)."""
     # -- X4: three components in the (a, b) chart ----------------------------
 
     a, b, r, s, u = _vars(TABLE_X4)
@@ -116,16 +111,16 @@ def _tables() -> dict[str, tuple]:
     # and at (s, r, s) X16's lines x + b*y = 0.
     x4_j2_biquadratic = (r**2 - 4, 2 * r * u - 4 * s, u**2 - 4)
 
-    # Generators of J1 that are linear in a^2, split as (coefficient of a^2, rest).
-    # They recover ``a`` for each root ``b`` of the resolvent; the solver picks
+    # Generators of J1 that are linear in a^2, split as (coefficient of a^2, rest),
+    # the pairs of each in turn in one flat tuple, evaluated in one call.  They
+    # recover ``a`` for each root ``b`` of the resolvent; the solver picks
     # whichever split has the best-conditioned leading value.  ``e[0]`` is the
     # exponent of a, the first variable of TABLE_X4.
     x4_j1_a2_splits = tuple(
-        tuple(Polynomial.from_numerators(TABLE_X4, {(0,) + e[1:]: c
-                                                    for e, c in gen.numerators.items()
-                                                    if e[0] == k}, gen.denominator)
-              for k in (2, 0))
-        for gen in x4_j1_generators[2:5])
+        Polynomial.from_numerators(TABLE_X4, {(0,) + e[1:]: c
+                                              for e, c in gen.numerators.items()
+                                              if e[0] == k}, gen.denominator)
+        for gen in x4_j1_generators[2:5] for k in (2, 0))
 
     # -- X16 ------------------------------------------------------------------
 
@@ -150,10 +145,9 @@ def _tables() -> dict[str, tuple]:
     x24_j69_quadratic = (one, r + 1)               # (r+1) b^2 + 1, a = -/+ b
     x24_j10_13_quadratic = (r + 1, one)            # b^2 + r + 1 with a = -/+ 1
 
-    return dict(zip(_LAZY, (
-        x4_j1_generators, x4_j1_quartic_b, x4_j2_biquadratic, x4_j1_a2_splits,
-        x16_j56_biquadratic, x16_j7_biquadratic, x24_j2_biquadratic, x24_rational_points,
-        x24_j69_quadratic, x24_j10_13_quadratic), strict=True))
-
-
-__getattr__ = _lazy_globals(globals(), _LAZY, _tables)
+    return SimpleNamespace(
+        X4_J1_GENERATORS=x4_j1_generators, X4_J1_QUARTIC_B=x4_j1_quartic_b,
+        X4_J2_BIQUADRATIC=x4_j2_biquadratic, X4_J1_A2_SPLITS=x4_j1_a2_splits,
+        X16_J56_BIQUADRATIC=x16_j56_biquadratic, X16_J7_BIQUADRATIC=x16_j7_biquadratic,
+        X24_J2_BIQUADRATIC=x24_j2_biquadratic, X24_RATIONAL_POINTS=x24_rational_points,
+        X24_J69_QUADRATIC=x24_j69_quadratic, X24_J10_13_QUADRATIC=x24_j10_13_quadratic)

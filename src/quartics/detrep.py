@@ -13,10 +13,7 @@ squaring step of the reduction would otherwise blur, and certifies the
 winning branch against the determinant identity at seeded random points.
 
 The systems ``OEQ_SYSTEM`` and ``E_SYSTEM`` are derived exactly from the
-symbolic pencil on first use: the first read of either (``detrep.E_SYSTEM``,
-``from quartics.detrep import E_SYSTEM``) or the first solve or residual
-check builds both, and binds them as ordinary module globals; an import for
-another command does not pay for that polynomial arithmetic.
+symbolic pencil by :func:`systems` on its first call, not at import.
 """
 
 from __future__ import annotations
@@ -27,12 +24,13 @@ import random
 from fractions import Fraction
 from functools import cache, lru_cache
 from operator import itemgetter
+from types import SimpleNamespace
 
 from . import numroots
 from .diffcalc import _pencil_det, det
 from .errors import (DegeneracyError, DomainError, SolverError, check_tolerance, overflow_as,
                      rational)
-from .polyring import Polynomial, VarTable, _lazy_globals, _Record, convert, eval_scaled_many
+from .polyring import Polynomial, VarTable, _Record, convert, eval_scaled_many
 from .symfam import make_family
 
 DEFAULT_TOL = 1e-8
@@ -141,8 +139,8 @@ def determinant_expand(A, B, C) -> Polynomial:
 
 
 @cache
-def _systems() -> dict[str, tuple[Polynomial, ...]]:
-    """``OEQ_SYSTEM``, ``E_SYSTEM`` and ``_RESIDUAL_ROWS`` by name."""
+def systems() -> SimpleNamespace:
+    """``OEQ_SYSTEM``, ``E_SYSTEM`` and ``RESIDUAL_ROWS``, tuples of polynomials."""
     # OEQ_SYSTEM, the raw coefficient-comparison system: the coefficients of
     # det(xA + yB + zC) - f at x y z^2, y^2 z^2, x^2 z^2, y z^3, x z^3, z^4, x^2 y^2
     # and y^4 (all must vanish); the last two are the identities satisfied by p and q.
@@ -160,14 +158,13 @@ def _systems() -> dict[str, tuple[Polynomial, ...]]:
         oeq[4] * Fraction(1, 2),
         oeq[5],
     )
-    # _RESIDUAL_ROWS, the rows of residuals_e_system in the order of _RESIDUAL_KEYS:
+    # RESIDUAL_ROWS, the rows of residuals_e_system in the order of _RESIDUAL_KEYS:
     # the six reduced conditions, the first six raw rows, then the identities
     # p^2 q^2 - 1 and -p^2 - q^2 - r of p and q.
-    return {"OEQ_SYSTEM": oeq, "E_SYSTEM": e_system,
-            "_RESIDUAL_ROWS": e_system + oeq[:6] + (oeq[7], oeq[6])}
+    return SimpleNamespace(OEQ_SYSTEM=oeq, E_SYSTEM=e_system,
+                           RESIDUAL_ROWS=e_system + oeq[:6] + (oeq[7], oeq[6]))
 
 
-__getattr__ = _lazy_globals(globals(), ("OEQ_SYSTEM", "E_SYSTEM", "_RESIDUAL_ROWS"), _systems)
 #: The keys of :func:`residuals_e_system`, one for each of the residual rows.
 _RESIDUAL_KEYS = (*(f"e{i}" for i in range(1, 7)), *(f"oeq{i}" for i in range(1, 7)),
                   "pq_identity", "p2q2_sum")
@@ -181,7 +178,7 @@ def residuals_e_system(rep: DetRep, r, s, u) -> dict:
     point = {"p": rep.p, "q": rep.q, "a": a, "b": b, "c": c, "d": d, "e": e, "f": f,
              "r": r, "s": s, "u": u}
     return {key: abs(v) for key, (v, _) in
-            zip(_RESIDUAL_KEYS, eval_scaled_many(_systems()["_RESIDUAL_ROWS"], point))}
+            zip(_RESIDUAL_KEYS, eval_scaled_many(systems().RESIDUAL_ROWS, point))}
 
 
 @lru_cache(maxsize=4)
@@ -274,7 +271,7 @@ def solve_detrep(r, s, u, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) ->
             raise OverflowError("every branch residual is infinite or NaN")
         # p^2 q^2 = 1 up to rounding by construction; checked anyway, after the
         # overflow filter, so overflowing members keep that error
-        pq_identity = abs(eval_scaled_many((_systems()["OEQ_SYSTEM"][7],), {"p": p, "q": q})[0][0])
+        pq_identity = abs(eval_scaled_many((systems().OEQ_SYSTEM[7],), {"p": p, "q": q})[0][0])
         if not pq_identity <= tol:      # written so that NaN fails too
             raise SolverError(f"(r,s,u) = ({r},{s},{u}): pq_identity |p^2 q^2 - 1| = "
                               f"{pq_identity:.3e} exceeds tol {tol:g}")

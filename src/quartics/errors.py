@@ -3,6 +3,7 @@ outside rational, the one check of a tolerance argument and the one translation
 of a float overflow into it."""
 
 import math
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -56,13 +57,22 @@ class SolverError(QuarticsError):
 
 def rational(value) -> Fraction:
     """*value* (an int, a ``Fraction``, a finite float or a string like "7/2") as a
-    ``Fraction``; anything else, a bool too, raises :class:`DomainError` naming it."""
+    ``Fraction``; anything else, a bool too, raises :class:`DomainError` naming it,
+    and so does a numerator or denominator of more digits than the interpreter
+    converts to a string (``sys.get_int_max_str_digits()``), naming the limit."""
     try:
         if isinstance(value, bool):     # Fraction(True) would be 1
             raise TypeError("a bool is not a rational")
-        return Fraction(value)
+        q = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"cannot parse rational {value!r}: {exc}") from None
+    limit = sys.get_int_max_str_digits()    # 0: no limit
+    for n in (q.numerator, q.denominator):
+        # 3 * limit bits hold fewer than limit digits: a small value costs one test
+        if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+            raise DomainError(f"cannot parse rational: a numerator or denominator of more "
+                              f"than {limit} digits, the limit of sys.get_int_max_str_digits()")
+    return q
 
 
 def check_tolerance(name: str, value: float) -> float:

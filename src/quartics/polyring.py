@@ -121,24 +121,6 @@ class _Record:
         return type(self), self._values()
 
 
-def _lazy_globals(namespace: dict, names: tuple[str, ...], build):
-    """A module's ``__getattr__`` for constants built on first use.
-
-    The first read of one of *names* calls ``build()``, which returns all of them
-    by name, and binds them in *namespace*, the module's globals: later reads are
-    plain attribute lookups that never reach ``__getattr__``.  Code in the module
-    itself does not go through ``__getattr__`` and calls ``build()``, and ``dir()``
-    lists a constant only once it is bound."""
-
-    def __getattr__(name: str):
-        if name in names:
-            namespace.update(build())
-            return namespace[name]
-        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-
-    return __getattr__
-
-
 class VarTable(_Record):
     """An ordered list of variable names split into geometric and parameter roles."""
 
@@ -212,7 +194,7 @@ class Polynomial:
     __slots__ = ("table", "_num", "_den", "_hash", "_compiled")
 
     def __init__(self, table: VarTable, terms: Mapping[Exponents, Fraction | int] | None = None):
-        clean = {table._pack(exps): c if isinstance(c, (int, Fraction)) else Fraction(c)
+        clean = {table._pack(exps): c if type(c) in (int, Fraction) else rational(c)
                  for exps, c in (terms or {}).items()}
         # over the lcm of the denominators the numerators come out reduced
         den = lcm(*(c.denominator for c in clean.values()))
@@ -250,7 +232,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, table: VarTable, value) -> "Polynomial":
-        c = Fraction(value)
+        c = value if type(value) in (int, Fraction) else rational(value)
         return cls._from_packed(table, {0: c.numerator}, c.denominator)
 
     @classmethod
@@ -262,7 +244,7 @@ class Polynomial:
         exps = [0] * len(table)
         for name, e in powers.items():
             exps[table.index(name)] = e
-        c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+        c = coeff if type(coeff) in (int, Fraction) else rational(coeff)
         return cls._from_packed(table, {table._pack(exps): c.numerator}, c.denominator)
 
     # -- inspection --------------------------------------------------------

@@ -661,7 +661,8 @@ class TestEnumeration:
             assert len(j1_lines) == 16
             for order, chart_b in charts:
                 params = {n: Fraction(triple[i]) for n, i in zip("rsu", order)}
-                quartic = [complex(float(eval_exact(c, params))) for c in comp.X4_J1_QUARTIC_B]
+                quartic = [complex(float(eval_exact(c, params)))
+                           for c in comp.tables().X4_J1_QUARTIC_B]
                 eliminant = [0j] * 9
                 for k, c in enumerate(quartic):
                     eliminant[2 * k] = c
@@ -673,8 +674,9 @@ class TestEnumeration:
 
     def test_a2_splits_rebuild_their_generators(self):
         a2 = mono(comp.TABLE_X4, {"a": 2})
-        assert len(comp.X4_J1_A2_SPLITS) == 3
-        for (coeff, rest), gen in zip(comp.X4_J1_A2_SPLITS, comp.X4_J1_GENERATORS[2:5]):
+        splits, generators = comp.tables().X4_J1_A2_SPLITS, comp.tables().X4_J1_GENERATORS
+        assert len(splits) == 6
+        for coeff, rest, gen in zip(splits[::2], splits[1::2], generators[2:5], strict=True):
             assert coeff.degree_in("a") == rest.degree_in("a") == 0 and coeff
             assert coeff * a2 + rest == gen
 
@@ -686,7 +688,7 @@ class TestEnumeration:
                 continue
             c0, c1, c2 = cert.line.coefficients
             point = {"a": c0 / c2, "b": c1 / c2, **cparams}
-            for gen in comp.X4_J1_GENERATORS:
+            for gen in comp.tables().X4_J1_GENERATORS:
                 value, scale = eval_scaled(gen, point)
                 assert abs(value) / max(scale, 1.0) < 1e-9
 
@@ -715,7 +717,7 @@ class TestCoordinateBiquadratic:
         for literal, renaming, _ in self._references():
             table = literal[0].table
             derived = tuple(convert(substitute(c, renaming), table)
-                            for c in comp.X4_J2_BIQUADRATIC)
+                            for c in comp.tables().X4_J2_BIQUADRATIC)
             assert derived == literal
 
     def test_equal_at_seeded_rational_points(self):
@@ -725,7 +727,7 @@ class TestCoordinateBiquadratic:
             for literal, _, permute in self._references():
                 point = dict(zip("rsu", (r, s, u)))
                 derived = [eval_exact(c, dict(zip("rsu", permute(r, s, u))))
-                           for c in comp.X4_J2_BIQUADRATIC]
+                           for c in comp.tables().X4_J2_BIQUADRATIC]
                 assert derived == [eval_exact(c, point) for c in literal]
 
 

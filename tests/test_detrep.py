@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from quartics.detrep import (DEFAULT_SEED, DEFAULT_TOL, E_SYSTEM, OEQ_SYSTEM, DetRep, compute_pq,
-                             determinant_expand, residuals_e_system,
-                             solve_detrep, symbolic_pencil, _determinant_residual, _SYS_TABLE)
+from quartics.detrep import (DEFAULT_SEED, DEFAULT_TOL, DetRep, compute_pq, determinant_expand,
+                             residuals_e_system, solve_detrep, symbolic_pencil, systems,
+                             _determinant_residual, _SYS_TABLE)
 from quartics.errors import DegeneracyError, DomainError, SolverError
 from quartics.numroots import roots
 from quartics.polyring import Polynomial, convert, eval_complex, substitute_values
@@ -244,7 +244,7 @@ class TestResiduals:
 
     def test_e4_e5_vanish_identically_when_a_f_zero(self):
         zero = Polynomial.zero(_SYS_TABLE)
-        for gen in (E_SYSTEM[3], E_SYSTEM[4]):
+        for gen in systems().E_SYSTEM[3:5]:
             assert substitute_values(gen, {"a": 0, "f": 0}) == zero
 
     def test_diagonal_vanishing_is_exact(self):
@@ -283,11 +283,12 @@ class TestSymbolicDeterminant:
         diff = det - f4
         groups = {k: v for k, v in diff.geometric_coefficients().items()
                   if not v.is_zero()}
+        oeq = systems().OEQ_SYSTEM
         slots = {
-            (1, 1, 2): OEQ_SYSTEM[0], (0, 2, 2): OEQ_SYSTEM[1],
-            (2, 0, 2): OEQ_SYSTEM[2], (0, 1, 3): OEQ_SYSTEM[3],
-            (1, 0, 3): OEQ_SYSTEM[4], (0, 0, 4): OEQ_SYSTEM[5],
-            (2, 2, 0): OEQ_SYSTEM[6], (0, 4, 0): OEQ_SYSTEM[7],
+            (1, 1, 2): oeq[0], (0, 2, 2): oeq[1],
+            (2, 0, 2): oeq[2], (0, 1, 3): oeq[3],
+            (1, 0, 3): oeq[4], (0, 0, 4): oeq[5],
+            (2, 2, 0): oeq[6], (0, 4, 0): oeq[7],
         }
         assert set(groups) == set(slots)
         for key, want in slots.items():
@@ -326,12 +327,12 @@ class TestDerivedSystems:
         slots = ((1, 1, 2), (0, 2, 2), (2, 0, 2), (0, 1, 3), (1, 0, 3), (0, 0, 4),
                  (2, 2, 0), (0, 4, 0))
         assert set(groups) == set(slots)
-        for key, row in zip(slots, OEQ_SYSTEM, strict=True):
+        for key, row in zip(slots, systems().OEQ_SYSTEM, strict=True):
             assert groups[key] == row
 
     def test_reduced_rows_are_the_raw_rows(self):
         P, Q, B, C, D, E = map(_var, "pqbcde")
-        oeq, e_sys = OEQ_SYSTEM, E_SYSTEM
+        oeq, e_sys = systems().OEQ_SYSTEM, systems().E_SYSTEM
         assert len(e_sys) == 6
         assert e_sys[0] == oeq[0]
         # the one row simplified by p*q = 1
@@ -344,5 +345,5 @@ class TestDerivedSystems:
     def test_last_raw_rows_are_the_identities_of_p_and_q(self):
         # residuals_e_system reports them as pq_identity and p2q2_sum
         P, Q, R = map(_var, "pqr")
-        assert OEQ_SYSTEM[7] == P**2 * Q**2 - 1
-        assert OEQ_SYSTEM[6] == -(P**2 + Q**2 + R)
+        assert systems().OEQ_SYSTEM[7] == P**2 * Q**2 - 1
+        assert systems().OEQ_SYSTEM[6] == -(P**2 + Q**2 + R)

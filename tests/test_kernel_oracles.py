@@ -727,9 +727,9 @@ def _component_polynomials():
             for item in value:
                 yield from flatten(item)
 
-    # _LAZY, not vars(): a table is in the module dict only once it has been read;
     # by name, a fixed order: a test draws a table's point on its first polynomial
-    return [p for name in sorted(components._LAZY) for p in flatten(getattr(components, name))]
+    tables = vars(components.tables())
+    return [p for name in sorted(tables) for p in flatten(tables[name])]
 
 
 _BIG = 10 ** 40 + 7

@@ -55,6 +55,16 @@ class TestInputChecks:
         assert p != None and p != [p]     # noqa: E711
         assert Polynomial.constant(PAR, 2) == 2 and Polynomial.constant(PAR, 2) != "2"
 
+    @pytest.mark.parametrize("build", [
+        lambda c: Polynomial(XYZ, {(1, 0, 0): c}),
+        lambda c: Polynomial.constant(XYZ, c),
+        lambda c: Polynomial.monomial(XYZ, {"x": 1}, c),
+    ], ids=["init", "constant", "monomial"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "x", True, None], ids=repr)
+    def test_constructors_reject_what_rational_rejects(self, build, value):
+        with pytest.raises(DomainError, match=f"cannot parse rational {value!r}"):
+            build(value)
+
     def test_repr(self):
         assert repr(mono(PAR, {"x": 2, "r": 1}, Fraction(-3, 2))) == "Polynomial(-3/2*x^2*r)"
         assert repr(Polynomial.zero(XYZ)) == "Polynomial(0)"

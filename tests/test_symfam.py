@@ -3,6 +3,7 @@ comparison."""
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,14 @@ class TestMakeFamily:
             make_family("X4", (1, 2))
         with pytest.raises(DomainError):
             make_family("X96", (1,))
+
+    def test_parameter_too_long_to_print(self):
+        # str() refuses an int of more digits than the interpreter's limit
+        limit = sys.get_int_max_str_digits()
+        assert make_family("X24", [10**limit - 1]).params == (10**limit - 1,)
+        for value in (10**limit, Fraction(1, 10**limit), 10**5000):
+            with pytest.raises(DomainError, match=f"more than {limit} digits"):
+                make_family("X24", [value])
 
     def test_unknown_family(self):
         with pytest.raises(DomainError, match="unknown family 'X5'"):

@@ -12,9 +12,9 @@ The digest covers, in a fixed order:
   changed), for each of ``SEEDS``;
 * the invariants of ``MEMBERS`` seeded rational members of each family per
   seed, about one in ten parameters being +-2 (singular members);
-* the embedded algebra: every polynomial of ``detrep.E_SYSTEM`` and
-  ``detrep.OEQ_SYSTEM``, and of the ``COMPONENTS`` constants of
-  ``quartics.components``.
+* the embedded algebra: every polynomial of ``E_SYSTEM`` and ``OEQ_SYSTEM`` of
+  ``detrep.systems()``, and of the ``COMPONENTS`` tables of
+  ``components.tables()``.
 * the differential calculus on its own: ``partial``, ``multi_partial``,
   ``diff_pair``, ``hessian`` and ``transvectant`` (k = 2, 4) on each of X4,
   X16, X24 and X96 and the first ``CALCULUS`` generic quartics of seed 1, and
@@ -45,7 +45,7 @@ SEEDS = (1, 2)
 GENERIC = 40   # generic quartics of the numeric generator per seed
 MEMBERS = 25   # rational members per family per seed
 CALCULUS = 10  # generic quartics of seed 1 whose calculus operators are covered
-#: the bitangent component constants covered, by name
+#: the bitangent component tables covered, by name
 COMPONENTS = ("X4_J1_GENERATORS", "X4_J1_QUARTIC_B", "X4_J2_BIQUADRATIC", "X4_J1_A2_SPLITS",
               "X16_J56_BIQUADRATIC", "X16_J7_BIQUADRATIC", "X24_J2_BIQUADRATIC",
               "X24_RATIONAL_POINTS", "X24_J69_QUADRATIC", "X24_J10_13_QUADRATIC")
@@ -111,10 +111,11 @@ def _flat(value):
 def embedded_records():
     from quartics import components, detrep
 
+    systems, tables = detrep.systems(), components.tables()
     for name in ("E_SYSTEM", "OEQ_SYSTEM"):
-        yield "\n".join(f"detrep.{name}[{i}] = {p}" for i, p in enumerate(getattr(detrep, name)))
+        yield "\n".join(f"detrep.{name}[{i}] = {p}" for i, p in enumerate(getattr(systems, name)))
     for name in COMPONENTS:
-        yield "\n".join(f"components.{name} {value}" for value in _flat(getattr(components, name)))
+        yield "\n".join(f"components.{name} {value}" for value in _flat(getattr(tables, name)))
 
 
 def calculus_records(count: int):
