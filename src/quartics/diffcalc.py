@@ -13,13 +13,14 @@ These are the computational primitives behind the quartic invariants:
 * ``transvectant(F, G, k)`` is the classical bilinear pairing of two binary
   forms, computed by direct binomial expansion of the Cayley operator.
 
-``diff_pair`` meets each geometric monomial of ``f`` with the monomials of
-``g`` of at least its degree, the one of equal degree by one lookup, and each
-distinct Hessian entry is one ``multi_partial``: one pass over the keys of
-``f``.  Each has one normalization per result and builds no intermediate
-polynomial.  ``j_bracket`` forms the six distinct entries and cofactors of
-each symmetric Hessian once and contracts them, an off-diagonal product with
-weight 2, in four sums of products.
+``diff_pair`` runs a plan of which terms of ``f`` and ``g`` meet, with which
+weight and at which key, worked out once per pair of key sets (which repeat
+from call to call) and kept for the last 64, and each distinct Hessian entry
+is one ``multi_partial``: one pass over the keys of ``f``.  Each has one
+normalization per result and builds no intermediate polynomial.
+``j_bracket`` forms the six distinct entries and cofactors of each symmetric
+Hessian once and contracts them, an off-diagonal product with weight 2, in
+four sums of products.
 """
 
 from __future__ import annotations

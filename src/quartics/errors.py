@@ -3,6 +3,7 @@ outside rational, the one check of a tolerance argument and the one translation
 of a float overflow into it."""
 
 import math
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -55,23 +56,53 @@ class SolverError(QuarticsError):
     """No branch of a finite solver enumeration certified against the input."""
 
 
+#: a string that ends in a decimal exponent: the text before its digits, its sign,
+#: its digits (with underscores, as Python writes them) and trailing blanks
+_EXPONENT = re.compile(r"(.*[0-9.][eE])([-+]?)([0-9_]+)(\s*)", re.S)
+
+
+def _too_long(limit: int) -> DomainError:
+    return DomainError(f"cannot parse rational: a numerator or denominator of more "
+                       f"than {limit} digits, the limit of sys.get_int_max_str_digits()")
+
+
+def _decimal(text: str) -> tuple[Fraction, int] | None:
+    """``(m, e)`` with *text* = m * 10**e for a decimal literal with an exponent, read
+    without forming the power, whose cost grows with e; None for any other text."""
+    if match := _EXPONENT.fullmatch(text):
+        head, sign, digits, tail = match.groups()
+        try:    # a zero for each digit of e: a literal exactly when text is one
+            return Fraction(head + re.sub("[0-9]", "0", digits) + tail), int(sign + digits)
+        except ValueError:
+            pass
+    return None
+
+
 def rational(value) -> Fraction:
     """*value* (an int, a ``Fraction``, a finite float or a string like "7/2") as a
     ``Fraction``; anything else, a bool too, raises :class:`DomainError` naming it,
     and so does a numerator or denominator of more digits than the interpreter
-    converts to a string (``sys.get_int_max_str_digits()``), naming the limit."""
+    converts to a string (``sys.get_int_max_str_digits()``), naming the limit.  A
+    string's decimal exponent is read first, so a huge one is rejected (or a zero
+    mantissa gives 0) without forming the power."""
+    limit = sys.get_int_max_str_digits()    # 0: no limit
+    if limit and isinstance(value, str) and (decimal := _decimal(value)):
+        m, e = decimal
+        if not m:
+            return m
+        # |value| >= 10**e / den, and for e < 0 its denominator is >= 10**-e / |num|
+        if abs(e) - max(m.numerator.bit_length(), m.denominator.bit_length()) >= limit:
+            raise _too_long(limit)
     try:
         if isinstance(value, bool):     # Fraction(True) would be 1
             raise TypeError("a bool is not a rational")
         q = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"cannot parse rational {value!r}: {exc}") from None
-    limit = sys.get_int_max_str_digits()    # 0: no limit
     for n in (q.numerator, q.denominator):
         # 3 * limit bits hold fewer than limit digits: a small value costs one test
         if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-            raise DomainError(f"cannot parse rational: a numerator or denominator of more "
-                              f"than {limit} digits, the limit of sys.get_int_max_str_digits()")
+            raise _too_long(limit)
     return q
 
 

@@ -30,11 +30,15 @@ The one product loop, :meth:`Polynomial.sum_of_products`, adds scaled products
 sum of products), skipping zero operands; ``a * b`` is its one-product case,
 and sums of products are formed in one call, without a running total.
 
-All differentiation lives here, in two one-pass kernels: :func:`multi_partial`
-applies a monomial operator ``d^a`` (``partial`` is its one-variable case, and
-each entry of :func:`quartics.diffcalc.hessian` is one call), and
-:func:`diff_pair` applies the operator of a whole polynomial, whose monomials
-meet those of equal degree by lookup.
+All differentiation lives here, in two kernels: :func:`multi_partial`
+applies a monomial operator ``d^a`` in one pass (``partial`` is its
+one-variable case, and each entry of :func:`quartics.diffcalc.hessian` is one
+call), and :func:`diff_pair` applies the operator of a whole polynomial.  Which
+terms of the two operands meet, with which weight and at which key, depends
+only on their key sets, which repeat: a generic quartic is dense and a
+family's forms keep their monomials.  So the pairing is planned once per pair
+of key sets and kept for the last 64 (:func:`_pairing`), and a call only
+multiplies and adds numerators.
 
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: what evaluation keeps of one is built lazily.
@@ -64,6 +68,11 @@ from .errors import DegreeError, DomainError, RoleError, TableMismatchError, rat
 
 Exponents = tuple[int, ...]
 _LIMIT = 0xFFFF     # the largest exponent or total degree a field holds, and its mask
+#: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
+#: sets of them and 6 generated functions, which stay with room to spare.
+#: :func:`_exact_plan` keeps as many polynomials as :func:`_shape` keeps shapes, and
+#: :func:`_pairing` as many pairs of key sets as :func:`_evaluator` keeps sets.
+_SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 
 
 def _check_degree(degree: int) -> int:
@@ -504,48 +513,66 @@ def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
     return Polynomial._from_packed(table, out, p._den)
 
 
+@lru_cache(maxsize=_SETS)
+def _pairing(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]):
+    """The plan of :func:`diff_pair` for operands over *table* whose packed keys are
+    *fkeys* and *gkeys*, in dict order, worked out once per pair of key sets (the
+    last 64): the output keys, in the order the pairs first form them; for each
+    pair of terms i of f and j of g whose geometric exponents a <= b, one
+    ``(i, j, weight, slot)``, the weight ``prod perm(b_i, a_i)`` and the slot of
+    the key ``f_key + g_key - 2 key(x^a)``; and the total degree of the largest key.
+    With g's terms filed by geometric degree and b, each a meets the b of its
+    degree by one lookup and those of higher degrees by a scan, and each weight
+    is formed once per (a, b)."""
+    ng, top = table.n_geometric, table._top
+    geometric = ((1 << 16 * ng) - 1) << 16 * len(table.parameters)    # their fields of a key
+    groups: dict[Exponents, list[tuple[int, int]]] = {}     # f's terms by their a
+    for term, (key, exps) in enumerate(zip(fkeys, table._unpack(fkeys))):
+        groups.setdefault(exps[:ng], []).append((term, key))
+    by_degree: dict[int, dict[Exponents, list[tuple[int, int]]]] = {}
+    for term, (key, exps) in enumerate(zip(gkeys, table._unpack(gkeys))):
+        b = exps[:ng]
+        by_degree.setdefault(sum(b), {}).setdefault(b, []).append((term, key))
+    slots: dict[int, int] = {}     # each output key's slot, in the order first formed
+    pairs: list[tuple[int, int, int, int]] = []
+    slot, append = slots.setdefault, pairs.append
+    for a, fterms in groups.items():
+        degree, need = sum(a), [(v, e) for v, e in enumerate(a) if e]
+        twice = 2 * ((degree << top) + (fterms[0][1] & geometric))     # 2 key(x^a)
+        for d, monomials in by_degree.items():     # b >= a of a's degree is b = a
+            for b, gterms in (monomials.items() if d > degree else
+                              ((a, monomials[a]),) if d == degree and a in monomials else ()):
+                weight = 1
+                for v, e in need:
+                    if b[v] < e:
+                        break
+                    weight *= perm(b[v], e)
+                else:
+                    for j, gkey in gterms:
+                        gkey -= twice
+                        for i, fkey in fterms:
+                            append((i, j, weight, slot(gkey + fkey, len(slots))))
+    keys = tuple(slots)
+    return keys, tuple(pairs), max(keys, default=0) >> top
+
+
 def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     """``D_f(g)``, the differential operator of *f* applied to *g*: terms of *f* and *g*
     with geometric exponents a <= b give ``f_num * g_num * prod perm(b_i, a_i)`` at
-    ``f_key + g_key - 2 key(x^a)``; the other pairs of terms vanish.  With *g*'s terms
-    filed by geometric degree and b, each a meets the b of its degree by one lookup and
-    those of higher degrees by a scan, and each weight is formed once per (a, b)."""
+    ``f_key + g_key - 2 key(x^a)``; the other pairs of terms vanish.  Which pairs meet,
+    with which weight and at which key, depends only on the two key sets, which
+    repeat from call to call (a generic quartic is dense; a family's forms keep
+    their monomials), so it is planned once per pair of key sets (:func:`_pairing`)
+    and each call only multiplies and adds the numerators."""
     _check_table(f.table, g)
-    table, ng = f.table, f.table.n_geometric
-    groups: dict[Exponents, list[tuple[int, int]]] = {}     # f's terms by their a
-    for exps, term in zip(table._unpack(f._num), f._num.items()):
-        if (terms := groups.get(a := exps[:ng])) is None:
-            groups[a] = [term]
-        else:
-            terms.append(term)
-    by_degree: dict[int, dict[Exponents, list[tuple[int, int]]]] = {}
-    for exps, term in zip(table._unpack(g._num), g._num.items()):
-        if (monomials := by_degree.get(d := sum(b := exps[:ng]))) is None:
-            by_degree[d] = {b: [term]}
-        elif (terms := monomials.get(b)) is None:
-            monomials[b] = [term]
-        else:
-            terms.append(term)
-    out: dict[int, int] = {}
-    for a, fterms in groups.items():
-        degree, need = sum(a), [(i, e) for i, e in enumerate(a) if e]
-        twice = 2 * table._pack(a + (0,) * (len(table) - ng))
-        for d, monomials in by_degree.items():     # b >= a of a's degree is b = a
-            pairs = (monomials.items() if d > degree else
-                     ((a, monomials[a]),) if d == degree and a in monomials else ())
-            for b, gterms in pairs:
-                weight = 1
-                for i, e in need:
-                    if b[i] < e:
-                        break
-                    weight *= perm(b[i], e)
-                else:
-                    for gkey, c in gterms:
-                        gkey, c = gkey - twice, c * weight
-                        for key, fc in fterms:
-                            out[k] = out.get(k := gkey + key, 0) + fc * c
-    _check_degree(max(out, default=0) >> table._top)    # out keeps every product's key
-    return Polynomial._from_packed(table, out, f._den * g._den)
+    table = f.table
+    keys, pairs, degree = _pairing(table, tuple(f._num), tuple(g._num))
+    _check_degree(degree)   # the plan keeps every product's key
+    fnum, gnum = list(f._num.values()), list(g._num.values())
+    out = [0] * len(keys)
+    for i, j, weight, slot in pairs:
+        out[slot] += fnum[i] * gnum[j] * weight
+    return Polynomial._from_packed(table, dict(zip(keys, out)), f._den * g._den)
 
 
 def substitute(p: Polynomial, replacements: Mapping[str, Polynomial]) -> Polynomial:
@@ -618,10 +645,6 @@ class _Shape:
         self.layout = layout
 
 
-#: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
-#: sets of them and 6 generated functions, which stay with room to spare.
-#: :func:`_exact_plan` keeps as many polynomials as :func:`_shape` keeps shapes.
-_SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 _SUM_CHUNK = 64     # terms summed in one expression: the compiler recurses once per +
 
 

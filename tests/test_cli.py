@@ -176,6 +176,8 @@ def test_double_overflow_exits_numeric(capsys, argv):
     (["invariants", "--family", "X24", "--params", "1e250"], EXIT_NUMERIC),
     (["bitangents", "--family", "X24", "--params", "1e5000"], EXIT_USAGE),
     (["detrep", "--params", "1e5000", "1", "3"], EXIT_USAGE),
+    # rejected from the exponent, before 10**100000000 is formed
+    (["invariants", "--family", "X24", "--params", "1e100000000"], EXIT_USAGE),
 ])
 def test_numbers_too_long_to_print_exit_cleanly(capsys, argv, want):
     # a parameter str() cannot print is a usage error, an answer it cannot

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quartics import polyring
 from quartics.dixmier import (I6_CORRECTION, contravariants,
                               covariants, delta_binary, dixmier_invariants,
                               psi_binary, sigma_binary)
@@ -13,7 +14,7 @@ from quartics.diffcalc import det, diff_pair, hessian, transvectant
 from quartics.errors import DegreeError
 from quartics.polyring import (Polynomial, VarTable, compose_linear, convert,
                                homogenize, substitute_linear, substitute_values)
-from quartics.symfam import make_family
+from quartics.symfam import make_family, make_generic
 
 from conftest import (XY, XYZ, random_binary_form, random_fraction, random_quartic,
                       random_unimodular)
@@ -268,6 +269,31 @@ class TestInvariants:
         inv = dixmier_invariants(random_quartic(rng))
         for v in inv.as_dict().values():
             assert v.geometric_degree() == 0
+
+    def test_answers_do_not_depend_on_the_pairing_plans_kept(self):
+        # diff_pair keeps a plan per pair of key sets: the invariants of the families
+        # and of seeded generic quartics are the same with no plan kept, with their
+        # plans kept, and after other pairs of key sets pushed those plans out
+        rng = random.Random(59)
+        forms = [make_family(name) for name in ("X4", "X16", "X24", "X96")]
+        forms += [make_generic([random_fraction(rng, 1000, 100) for _ in range(15)])
+                  for _ in range(3)]
+        plans = polyring._pairing
+
+        def invariants():
+            return [dixmier_invariants(f).as_dict() for f in forms]
+
+        plans.cache_clear()
+        cold = invariants()
+        built = plans.cache_info().misses
+        warm = invariants()
+        assert plans.cache_info().misses == built       # every plan reused
+        for k in range(plans.cache_info().maxsize):
+            diff_pair(mono(XYZ, {"x": k}), mono(XYZ, {"x": k + 1}))
+        before = plans.cache_info().misses
+        evicted = invariants()
+        assert plans.cache_info().misses - before == built      # every plan built again
+        assert cold == warm == evicted
 
     def test_numeric_equals_symbolic_substitution(self):
         point = (Fraction(3), Fraction(-1, 2), Fraction(7, 3))

@@ -3,9 +3,9 @@
 ``eval_scaled_many`` runs generated straight-line code and ``det`` expands
 its minors of polynomials in one bottom-up pass; ``sum_of_products`` skips
 zero operands, ``j_bracket`` forms each distinct Hessian entry and cofactor
-once, ``diff_pair`` looks up the equal-degree monomials, and
-``decompose_symmetric`` and ``is_symmetric`` work on the packed keys.  ``eval_exact`` keeps a plan per
-polynomial.  Detrep's determinant certificate is generated straight-line code,
+once, ``diff_pair`` runs a plan kept per pair of key sets (the last 64), and
+``decompose_symmetric`` and ``is_symmetric`` work on the packed keys.
+``eval_exact`` keeps a plan per polynomial.  Detrep's determinant certificate is generated straight-line code,
 the square fit drops a candidate at its first mismatch that rules it out, and
 X24 solves its chart system once.
 
@@ -42,7 +42,8 @@ from hypothesis import given, settings
 
 from quartics.diffcalc import _pencil_det, det, hessian, j_bracket
 from quartics.errors import DegreeError, DomainError, TableMismatchError
-from quartics.polyring import Polynomial, VarTable, diff_pair, eval_exact, eval_scaled_many
+from quartics.polyring import (Polynomial, VarTable, _pairing, diff_pair, eval_exact,
+                               eval_scaled_many)
 from quartics.symfam import (Partition, SymmetricDecomposition, decompose_symmetric,
                              is_symmetric, reconstruct, s_basis)
 
@@ -632,6 +633,18 @@ def scanned_diff_pair(f, g):
     return Polynomial.from_numerators(f.table, out, f.denominator * g.denominator)
 
 
+def relabelled(rng, p):
+    """*p*'s keys in their order, with other numerators over another denominator:
+    what :func:`diff_pair` plans from is unchanged."""
+    return Polynomial._from_packed(p.table, {key: rng.choice((-1, 1)) * rng.randint(1, 10 ** 9)
+                                             for key in p._num}, rng.choice(DENOMINATORS))
+
+
+def reordered(p):
+    """*p* with its keys stored in reverse order: an equal polynomial, another plan."""
+    return Polynomial._from_packed(p.table, dict(reversed(p._num.items())), p.denominator)
+
+
 class TestDiffPair:
     @settings(max_examples=200)
     @given(RANDOMS)
@@ -641,7 +654,15 @@ class TestDiffPair:
         table = rng.choice((XYZ, PQ, PAR, SEVEN))
         f = random_form(rng, table, 4, 8)
         g = random_form(rng, table, rng.choice((6, 7)), 10)
-        assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+        want = exact_outcome(scanned_diff_pair, f, g)
+        assert exact_outcome(diff_pair, f, g) == want
+        # the same key tuples again: the plan is reused with the new numerators
+        hits = _pairing.cache_info().hits
+        f2, g2 = relabelled(rng, f), relabelled(rng, g)
+        assert exact_outcome(diff_pair, f2, g2) == exact_outcome(scanned_diff_pair, f2, g2)
+        assert _pairing.cache_info().hits == hits + 1
+        # the keys in another order: another plan, the same answer
+        assert exact_outcome(diff_pair, reordered(f), reordered(g)) == want
 
     @pytest.mark.parametrize("seed", range(6))
     def test_higher_degree_operands(self, seed):
@@ -671,11 +692,16 @@ class TestDiffPair:
             assert exact_outcome(diff_pair, a, b) == exact_outcome(scanned_diff_pair, a, b)
 
     def test_zero_operands_and_other_tables(self):
+        # operands over other tables are refused before any plan is looked up
         x = Polynomial.variable(PQ, "x")
         for f, g in ((x, Polynomial.zero(PQ)), (Polynomial.zero(PQ), x),
                      (x, Polynomial.zero(XYZ)), (Polynomial.zero(XYZ), x),
                      (Polynomial.variable(PAR, "x"), Polynomial.variable(SEVEN, "x"))):
-            assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+            info = _pairing.cache_info()
+            want = exact_outcome(scanned_diff_pair, f, g)
+            assert exact_outcome(diff_pair, f, g) == want
+            if want.__class__ is str:
+                assert want.startswith("TableMismatchError") and _pairing.cache_info() == info
 
     def test_mixed_denominators(self):
         mono = Polynomial.monomial
@@ -685,7 +711,8 @@ class TestDiffPair:
 
     def test_degree_at_the_packing_limit(self):
         # the parameter parts multiply: r^32768 * r^32768 crosses the limit, in one
-        # field or spread over two, while the geometric part only falls
+        # field or spread over two, while the geometric part only falls; the second
+        # call reuses the plan, which keeps the key past the limit
         mono = Polynomial.monomial
         f = mono(PAR, {"x": 1, "r": 32768})
         for g, crosses in ((mono(PAR, {"x": 3, "r": 32768}), True),
@@ -694,8 +721,26 @@ class TestDiffPair:
             want = exact_outcome(scanned_diff_pair, f, g)
             assert want.startswith("DegreeError") if crosses else not isinstance(want, str)
             assert exact_outcome(diff_pair, f, g) == want
+            hits = _pairing.cache_info().hits
+            assert exact_outcome(diff_pair, f, g) == want
+            assert _pairing.cache_info().hits == hits + 1
         p, q = Polynomial.variable(PQ, "p") ** 40000, Polynomial.variable(PQ, "q") ** 30000
         assert exact_outcome(diff_pair, p, q) == exact_outcome(scanned_diff_pair, p, q)
+
+    def test_the_plans_kept_are_bounded(self):
+        # more pairs of key sets than the cache keeps: the oldest plans are dropped,
+        # and a dropped one is built again, with the same answers
+        rng = random.Random(5)
+        _pairing.cache_clear()
+        # r^(k + 3) makes each f's key set its own
+        pairs = [(random_form(rng, PAR, 4, 8) + Polynomial.monomial(PAR, {"r": k + 3}),
+                  random_form(rng, PAR, 6, 10)) for k in range(80)]
+        for f, g in pairs:
+            assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+        assert _pairing.cache_info()[1:] == (80, 64, 64)     # misses, maxsize, currsize
+        for f, g in pairs[:3]:
+            assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+        assert _pairing.cache_info()[:2] == (0, 83)
 
 
 # -- eval_exact -------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from quartics import symfam
 from quartics.dixmier import InvariantSet, dixmier_invariants
-from quartics.errors import DegeneracyError, DomainError
+from quartics.errors import DegeneracyError, DomainError, rational
 from quartics.polyring import Polynomial, VarTable
 from quartics.symfam import (FAMILY_PARAMS, Partition, QuarticForm,
                              decompose_symmetric, golden_compare,
@@ -134,9 +134,32 @@ class TestMakeFamily:
         # str() refuses an int of more digits than the interpreter's limit
         limit = sys.get_int_max_str_digits()
         assert make_family("X24", [10**limit - 1]).params == (10**limit - 1,)
-        for value in (10**limit, Fraction(1, 10**limit), 10**5000):
+        # a decimal exponent is read first: 1e100000000 returns at once, not after 10**e
+        for value in (10**limit, Fraction(1, 10**limit), 10**5000, "1e100000000",
+                      "1e-100000000", "-2.5E+100000000", f"1e{limit}", f"1e-{limit}",
+                      f"0.001e{limit + 3}", f"1000e-{limit + 3}"):
             with pytest.raises(DomainError, match=f"more than {limit} digits"):
                 make_family("X24", [value])
+
+    def test_decimal_exponent_within_the_limit(self):
+        # a zero mantissa gives 0 without the power; the largest values the limit allows
+        limit = sys.get_int_max_str_digits()
+        top = limit - 1
+        for text, want in (("0e100000000", 0), ("-0.0e-100000000", 0), ("7.5e3", 7500),
+                           (f"1e{top}", 10**top), (f"0.001e{top + 3}", 10**top),
+                           (f"1e-{top}", Fraction(1, 10**top)),
+                           (f"1000e-{top + 3}", Fraction(1, 10**top))):
+            assert rational(text) == want
+
+    def test_decimal_exponent_with_no_limit(self):
+        # a limit of 0 converts any int: the power is formed as Fraction forms it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert rational("3e5000") == 3 * 10**5000
+            assert rational("3e-5000") == Fraction(3, 10**5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_unknown_family(self):
         with pytest.raises(DomainError, match="unknown family 'X5'"):
@@ -178,8 +201,12 @@ class TestMakeFamily:
         with pytest.raises(DomainError):
             make_generic([1, 2, 3])
 
-    @pytest.mark.parametrize("bad", ["a", "nan", "1/0", None, float("nan"), float("inf"), 1j,
-                                     True, False])
+    @pytest.mark.parametrize("bad", [
+        "a", "nan", "1/0", None, float("nan"), float("inf"), 1j, True, False,
+        # Fraction's own error, raised before any power of ten is formed
+        "1ee100000000", "1e1_", "e100000000", "1/2e100000000",
+        pytest.param("1e" + "1" * 5000, id="exponent-of-5000-digits"),
+        pytest.param("0e" + "1" * 5000, id="zero-times-exponent-of-5000-digits")])
     def test_non_rational_value_is_a_domain_error(self, bad):
         message = f"^cannot parse rational {re.escape(repr(bad))}"
         with pytest.raises(DomainError, match=message):
