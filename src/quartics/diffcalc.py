@@ -5,8 +5,8 @@ These are the computational primitives behind the quartic invariants:
 * ``diff_pair(f, g)`` applies the differential operator determined by ``f``
   to ``g``: each term ``c * x1^i1 ... xn^in`` of ``f`` contributes
   ``c * d^(i1+...+in) g / dx1^i1 ... dxn^in``.  Only geometric variables
-  differentiate; parameter content of ``f`` multiplies through.  It is owned
-  by :mod:`quartics.polyring`, with ``multi_partial``, and imported here so
+  differentiate; parameter content of ``f`` multiplies through.  The one
+  differentiation kernel, owned by :mod:`quartics.polyring`, imported here so
   that the invariant pipeline finds all its operators in one module.
 * ``hessian(f)`` builds the matrix of bare second partials, the convention
   pinned by the Fermat anchor ``I6 = 13822`` (see :mod:`quartics.dixmier`).
@@ -15,9 +15,9 @@ These are the computational primitives behind the quartic invariants:
 
 ``diff_pair`` runs a plan of which terms of ``f`` and ``g`` meet, with which
 weight and at which key, worked out once per pair of key sets (which repeat
-from call to call) and kept for the last 64, and each distinct Hessian entry
-is one ``multi_partial``: one pass over the keys of ``f``.  Each has one
-normalization per result and builds no intermediate polynomial.
+from call to call) and kept for the last 256.  An operator ``x^a`` is paired
+like any polynomial: each distinct Hessian entry and each transvectant partial
+is one ``multi_partial``, the pairing with one monomial.
 ``j_bracket`` forms the six distinct entries and cofactors of each symmetric
 Hessian once and contracts them, an off-diagonal product with weight 2, in
 four sums of products.

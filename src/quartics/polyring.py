@@ -30,15 +30,15 @@ The one product loop, :meth:`Polynomial.sum_of_products`, adds scaled products
 sum of products), skipping zero operands; ``a * b`` is its one-product case,
 and sums of products are formed in one call, without a running total.
 
-All differentiation lives here, in two kernels: :func:`multi_partial`
-applies a monomial operator ``d^a`` in one pass (``partial`` is its
-one-variable case, and each entry of :func:`quartics.diffcalc.hessian` is one
-call), and :func:`diff_pair` applies the operator of a whole polynomial.  Which
-terms of the two operands meet, with which weight and at which key, depends
-only on their key sets, which repeat: a generic quartic is dense and a
-family's forms keep their monomials.  So the pairing is planned once per pair
-of key sets and kept for the last 64 (:func:`_pairing`), and a call only
-multiplies and adds numerators.
+All differentiation lives here, in one kernel: :func:`diff_pair` applies the
+operator of a whole polynomial, and a monomial operator ``d^a`` is the pairing
+with ``x^a`` (:func:`multi_partial`; ``partial`` is its one-variable case, and
+each entry of :func:`quartics.diffcalc.hessian` is one call).  Which terms of
+the two operands meet, with which weight and at which key, depends only on
+their key sets, which repeat: a generic quartic is dense, a family's forms keep
+their monomials and an operator ``x^a`` is one key.  So the pairing is planned
+once per pair of key sets and kept for the last 256 (:func:`_pairing`), and a
+call only multiplies and adds numerators.
 
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: what evaluation keeps of one is built lazily.
@@ -70,8 +70,8 @@ Exponents = tuple[int, ...]
 _LIMIT = 0xFFFF     # the largest exponent or total degree a field holds, and its mask
 #: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
 #: sets of them and 6 generated functions, which stay with room to spare.
-#: :func:`_exact_plan` keeps as many polynomials as :func:`_shape` keeps shapes, and
-#: :func:`_pairing` as many pairs of key sets as :func:`_evaluator` keeps sets.
+#: :func:`_exact_plan`, :func:`_operator` and :func:`_pairing` keep as many as :func:`_shape`:
+#: ``symbolic`` uses 82 plans (16 pairings, 66 Hessian entries), 440 ``numeric`` operations 178.
 _SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 
 
@@ -479,45 +479,32 @@ def partial(p: Polynomial, var: str, order: int = 1) -> Polynomial:
     return multi_partial(p, {var: order})
 
 
-@lru_cache(maxsize=256)
-def _lowering(table: VarTable, orders: tuple[tuple[str, int], ...]):
-    """The operator ``d^a`` of :func:`multi_partial` over *table*, checked once: its
-    steps ``(shift, a_i)`` (the nonzero orders) and the key ``key(x^a)`` it lowers by."""
-    steps, lower = [], 0
+@lru_cache(maxsize=_SHAPES)
+def _operator(table: VarTable, orders: tuple[tuple[str, int], ...]) -> Polynomial:
+    """The monomial ``x^a`` over *table* whose operator is the ``d^a`` of the *orders*,
+    checked once per table and orders; zero when they sum past 65,535, where no term
+    of any polynomial has exponents b >= a."""
     for var, k in orders:
         if k < 0:
             raise DomainError("negative differentiation order")
         if not table.is_geometric(var):
             raise RoleError(f"cannot differentiate with respect to parameter {var!r}")
-        if k:
-            shift = table._shift(var)
-            steps.append((shift, k))
-            # an order above 65,535 spills out of its field, but no key is lowered by it
-            lower += (k << table._top) + (k << shift)
-    return tuple(steps), lower
+    if sum(k for _, k in orders) > _LIMIT:
+        return Polynomial.zero(table)
+    return Polynomial.monomial(table, dict(orders))
 
 
 def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
-    """The partial ``d^a p`` of the orders ``a`` by geometric variable, in one pass: each
-    term with exponents b >= a gives ``num * prod perm(b_i, a_i)`` at ``key - key(x^a)``."""
-    table = p.table
-    steps, lower = _lowering(table, tuple(orders.items()))
-    out = {}
-    for key, coeff in p._num.items():
-        for shift, k in steps:
-            if (e := (key >> shift) & _LIMIT) < k:
-                break
-            coeff *= perm(e, k)
-        else:   # lowering the exponents is injective, so no two terms collide
-            out[key - lower] = coeff
-    return Polynomial._from_packed(table, out, p._den)
+    """The partial ``d^a p`` of the orders ``a`` by geometric variable: ``D_{x^a}(p)``,
+    the pairing of :func:`diff_pair` with the monomial ``x^a``."""
+    return diff_pair(_operator(p.table, tuple(orders.items())), p)
 
 
-@lru_cache(maxsize=_SETS)
+@lru_cache(maxsize=_SHAPES)
 def _pairing(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]):
     """The plan of :func:`diff_pair` for operands over *table* whose packed keys are
     *fkeys* and *gkeys*, in dict order, worked out once per pair of key sets (the
-    last 64): the output keys, in the order the pairs first form them; for each
+    last 256): the output keys, in the order the pairs first form them; for each
     pair of terms i of f and j of g whose geometric exponents a <= b, one
     ``(i, j, weight, slot)``, the weight ``prod perm(b_i, a_i)`` and the slot of
     the key ``f_key + g_key - 2 key(x^a)``; and the total degree of the largest key.
@@ -565,7 +552,7 @@ def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     their monomials), so it is planned once per pair of key sets (:func:`_pairing`)
     and each call only multiplies and adds the numerators."""
     _check_table(f.table, g)
-    table = f.table
+    table = g.table     # so a partial keeps the table object of what it differentiates
     keys, pairs, degree = _pairing(table, tuple(f._num), tuple(g._num))
     _check_degree(degree)   # the plan keeps every product's key
     fnum, gnum = list(f._num.values()), list(g._num.values())

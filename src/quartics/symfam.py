@@ -76,6 +76,12 @@ def _family_names(family: str, params: Sequence | None) -> tuple[str, ...]:
     return names
 
 
+@functools.cache
+def _table(parameters: tuple[str, ...]) -> VarTable:
+    """One table per *parameters* for every form built here: the caches find it by identity."""
+    return VarTable(GEOMETRIC, parameters)
+
+
 def make_family(family: str, params: Sequence[Fraction | int | str] | None = None) -> QuarticForm:
     """Build one of the four family quartics.
 
@@ -87,7 +93,7 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
     params = None if symbolic else tuple(params)
     names = _family_names(family, params)
     values = names if symbolic else tuple(map(rational, params))
-    table = VarTable(GEOMETRIC, names if symbolic else ())
+    table = _table(names if symbolic else ())
     lookup = dict(zip(names, values))
     one = Polynomial.constant(table, 1)
     products = [(1, Polynomial.monomial(table, {v: 4}), one) for v in GEOMETRIC]
@@ -149,7 +155,7 @@ def make_generic(coeffs: Sequence[Fraction | int]) -> QuarticForm:
     if len(coeffs) != 15:
         raise DomainError(f"a generic quartic takes 15 coefficients, got {len(coeffs)}")
     values = tuple(map(rational, coeffs))
-    poly = Polynomial(VarTable(GEOMETRIC), dict(zip(GENERIC_MONOMIALS, values)))
+    poly = Polynomial(_table(()), dict(zip(GENERIC_MONOMIALS, values)))
     return QuarticForm(poly, "GENERIC", values)
 
 

@@ -132,43 +132,8 @@ class TestFusedOperatorsMatchTheOldRoutes:
 
     def test_zero_operands(self):
         for table in (XYZ, PAR, SEVEN):
-            zero, x2 = Polynomial.zero(table), mono(table, {"x": 2}, Fraction(3, 7))
-            for f, g in ((zero, x2), (x2, zero), (zero, zero)):
-                got = diff_pair(f, g)
-                assert got == zero and got.denominator == 1
+            zero = Polynomial.zero(table)
             assert all(entry == zero for row in hessian(zero) for entry in row)
-
-    def test_higher_degree_operator_gives_zero(self):
-        f = mono(PAR, {"x": 2, "y": 1, "r": 3}, Fraction(5, 3))
-        g = mono(PAR, {"x": 2, "s": 1}, 7) + mono(PAR, {"y": 4}, Fraction(-1, 2))
-        got = diff_pair(f, g)
-        assert got.is_zero() and got.denominator == 1
-
-    def test_mixed_denominators(self):
-        f = mono(PAR, {"x": 1, "r": 1}, Fraction(3, 4)) + mono(PAR, {"y": 1}, Fraction(-5, 6))
-        g = mono(PAR, {"x": 2, "y": 1, "s": 2}, Fraction(7, 10)) + mono(PAR, {"y": 3}, Fraction(1, 9))
-        # d_x g * 3r/4 - d_y g * 5/6
-        want = (mono(PAR, {"x": 1, "y": 1, "r": 1, "s": 2}, Fraction(21, 20))
-                - mono(PAR, {"x": 2, "s": 2}, Fraction(7, 12))
-                - mono(PAR, {"y": 2}, Fraction(5, 18)))
-        assert_same_stored_form(diff_pair(f, g), want)
-
-    def test_table_mismatch(self):
-        with pytest.raises(TableMismatchError):
-            diff_pair(mono(PAR, {"x": 1}), mono(SEVEN, {"x": 1}))
-        with pytest.raises(TableMismatchError):
-            diff_pair(mono(XYZ, {"x": 1}), mono(PAR, {"x": 2}))
-
-    def test_degree_error_at_the_packing_limit(self):
-        # the parameter parts multiply: r^32768 * r^32768 crosses the limit, in one
-        # field or spread over two, while the geometric part only falls
-        f = mono(PAR, {"x": 1, "r": 32768})
-        for g in (mono(PAR, {"x": 3, "r": 32768}), mono(PAR, {"x": 1, "s": 32768})):
-            with pytest.raises(DegreeError, match="65535"):
-                diff_pair(f, g)
-        at_limit = mono(PAR, {"x": 1, "s": LIMIT - 32768})
-        assert_same_stored_form(diff_pair(f, at_limit),
-                                mono(PAR, {"r": 32768, "s": LIMIT - 32768}))
 
     def test_hessian_needs_three_geometric_variables(self):
         with pytest.raises(DegreeError, match="3 geometric"):

@@ -271,23 +271,26 @@ class TestInvariants:
             assert v.geometric_degree() == 0
 
     def test_answers_do_not_depend_on_the_pairing_plans_kept(self):
-        # diff_pair keeps a plan per pair of key sets: the invariants of the families
-        # and of seeded generic quartics are the same with no plan kept, with their
-        # plans kept, and after other pairs of key sets pushed those plans out
+        # diff_pair keeps a plan per pair of key sets, and multi_partial an operator x^a
+        # per table and orders: the invariants of the families and of seeded generic
+        # quartics are the same with nothing kept, with their plans and operators kept,
+        # and after other pairs of key sets pushed those plans out
         rng = random.Random(59)
         forms = [make_family(name) for name in ("X4", "X16", "X24", "X96")]
         forms += [make_generic([random_fraction(rng, 1000, 100) for _ in range(15)])
                   for _ in range(3)]
-        plans = polyring._pairing
+        plans, operators = polyring._pairing, polyring._operator
 
         def invariants():
             return [dixmier_invariants(f).as_dict() for f in forms]
 
         plans.cache_clear()
+        operators.cache_clear()
         cold = invariants()
-        built = plans.cache_info().misses
+        built, made = plans.cache_info().misses, operators.cache_info().misses
         warm = invariants()
         assert plans.cache_info().misses == built       # every plan reused
+        assert operators.cache_info().misses == made    # every operator reused
         for k in range(plans.cache_info().maxsize):
             diff_pair(mono(XYZ, {"x": k}), mono(XYZ, {"x": k + 1}))
         before = plans.cache_info().misses

@@ -3,7 +3,7 @@
 ``eval_scaled_many`` runs generated straight-line code and ``det`` expands
 its minors of polynomials in one bottom-up pass; ``sum_of_products`` skips
 zero operands, ``j_bracket`` forms each distinct Hessian entry and cofactor
-once, ``diff_pair`` runs a plan kept per pair of key sets (the last 64), and
+once, ``diff_pair`` runs a plan kept per pair of key sets (the last 256), and
 ``decompose_symmetric`` and ``is_symmetric`` work on the packed keys.
 ``eval_exact`` keeps a plan per polynomial.  Detrep's determinant certificate is generated straight-line code,
 the square fit drops a candidate at its first mismatch that rules it out, and
@@ -692,22 +692,37 @@ class TestDiffPair:
             assert exact_outcome(diff_pair, a, b) == exact_outcome(scanned_diff_pair, a, b)
 
     def test_zero_operands_and_other_tables(self):
-        # operands over other tables are refused before any plan is looked up
+        # operands over other tables are refused before any plan is looked up; zero
+        # operands, and an operator of higher degree than every term, give zero over 1
+        mono = Polynomial.monomial
         x = Polynomial.variable(PQ, "x")
+        zeros = [(mono(PAR, {"x": 2, "y": 1, "r": 3}, Fraction(5, 3)),
+                  mono(PAR, {"x": 2, "s": 1}, 7) + mono(PAR, {"y": 4}, Fraction(-1, 2)))]
+        for table in (XYZ, PAR, SEVEN):
+            zero, x2 = Polynomial.zero(table), mono(table, {"x": 2}, Fraction(3, 7))
+            zeros += [(zero, x2), (x2, zero), (zero, zero)]
         for f, g in ((x, Polynomial.zero(PQ)), (Polynomial.zero(PQ), x),
                      (x, Polynomial.zero(XYZ)), (Polynomial.zero(XYZ), x),
-                     (Polynomial.variable(PAR, "x"), Polynomial.variable(SEVEN, "x"))):
+                     (Polynomial.variable(PAR, "x"), Polynomial.variable(SEVEN, "x")),
+                     (Polynomial.variable(XYZ, "x"), mono(PAR, {"x": 2})), *zeros):
             info = _pairing.cache_info()
             want = exact_outcome(scanned_diff_pair, f, g)
             assert exact_outcome(diff_pair, f, g) == want
             if want.__class__ is str:
                 assert want.startswith("TableMismatchError") and _pairing.cache_info() == info
+        for f, g in zeros:
+            assert exact_outcome(diff_pair, f, g) == [(f.table, 1, {})]
 
     def test_mixed_denominators(self):
         mono = Polynomial.monomial
         f = mono(PAR, {"x": 1, "r": 1}, Fraction(3, 4)) + mono(PAR, {"y": 1}, Fraction(-5, 6))
         g = mono(PAR, {"x": 2, "y": 1, "s": 2}, Fraction(7, 10)) + mono(PAR, {"y": 3}, Fraction(1, 9))
-        assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+        want = exact_outcome(scanned_diff_pair, f, g)
+        assert exact_outcome(diff_pair, f, g) == want
+        # by hand: d_x g * 3r/4 - d_y g * 5/6
+        hand = (mono(PAR, {"x": 1, "y": 1, "r": 1, "s": 2}, Fraction(21, 20))
+                - mono(PAR, {"x": 2, "s": 2}, Fraction(7, 12)) - mono(PAR, {"y": 2}, Fraction(5, 18)))
+        assert want == [(PAR, hand.denominator, dict(hand.numerators))]
 
     def test_degree_at_the_packing_limit(self):
         # the parameter parts multiply: r^32768 * r^32768 crosses the limit, in one
@@ -719,7 +734,7 @@ class TestDiffPair:
                            (mono(PAR, {"x": 1, "s": 32768}), True),
                            (mono(PAR, {"x": 1, "s": LIMIT - 32768}), False)):
             want = exact_outcome(scanned_diff_pair, f, g)
-            assert want.startswith("DegreeError") if crosses else not isinstance(want, str)
+            assert ("65535" in want) if crosses else not isinstance(want, str)
             assert exact_outcome(diff_pair, f, g) == want
             hits = _pairing.cache_info().hits
             assert exact_outcome(diff_pair, f, g) == want
@@ -732,15 +747,16 @@ class TestDiffPair:
         # and a dropped one is built again, with the same answers
         rng = random.Random(5)
         _pairing.cache_clear()
+        bound = _pairing.cache_info().maxsize
         # r^(k + 3) makes each f's key set its own
         pairs = [(random_form(rng, PAR, 4, 8) + Polynomial.monomial(PAR, {"r": k + 3}),
-                  random_form(rng, PAR, 6, 10)) for k in range(80)]
+                  random_form(rng, PAR, 6, 10)) for k in range(bound + 16)]
         for f, g in pairs:
             assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
-        assert _pairing.cache_info()[1:] == (80, 64, 64)     # misses, maxsize, currsize
+        assert _pairing.cache_info()[1:] == (bound + 16, bound, bound)  # misses, maxsize, currsize
         for f, g in pairs[:3]:
             assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
-        assert _pairing.cache_info()[:2] == (0, 83)
+        assert _pairing.cache_info()[:2] == (0, bound + 19)
 
 
 # -- eval_exact -------------------------------------------------------------------

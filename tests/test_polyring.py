@@ -220,10 +220,12 @@ class TestPartial:
             with pytest.raises(ValueError, match="negative"):
                 multi_partial(p, {"x": -1})
             assert multi_partial(p, {"x": 1}) == mono(PAR, {"x": 1, "r": 1}, 2)
-        # equal orders over equal tables of other objects give the same operator
+        # equal orders over equal tables of other objects give the same operator, and
+        # the partial keeps the table object of the polynomial it differentiates
         twin = VarTable(PAR.geometric, PAR.parameters)
         q = mono(twin, {"x": 2, "r": 1})
-        assert multi_partial(q, {"x": 1}) == mono(twin, {"x": 1, "r": 1}, 2)
+        got = multi_partial(q, {"x": 1})
+        assert got == mono(twin, {"x": 1, "r": 1}, 2) and got.table is twin
 
 
 class TestUnknownVariable:

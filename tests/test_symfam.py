@@ -4,6 +4,7 @@ comparison."""
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -134,10 +135,11 @@ class TestMakeFamily:
         # str() refuses an int of more digits than the interpreter's limit
         limit = sys.get_int_max_str_digits()
         assert make_family("X24", [10**limit - 1]).params == (10**limit - 1,)
-        # a decimal exponent is read first: 1e100000000 returns at once, not after 10**e
-        for value in (10**limit, Fraction(1, 10**limit), 10**5000, "1e100000000",
-                      "1e-100000000", "-2.5E+100000000", f"1e{limit}", f"1e-{limit}",
-                      f"0.001e{limit + 3}", f"1000e-{limit + 3}"):
+        # a decimal exponent is read first, of a string or a Decimal: 1e100000000
+        # returns at once, not after 10**e
+        texts = ("1e100000000", "1e-100000000", "-2.5E+100000000", "1e1000000", "1e-1000000",
+                 f"1e{limit}", f"1e-{limit}", f"0.001e{limit + 3}", f"1000e-{limit + 3}")
+        for value in (10**limit, Fraction(1, 10**limit), 10**5000, *texts, *map(Decimal, texts)):
             with pytest.raises(DomainError, match=f"more than {limit} digits"):
                 make_family("X24", [value])
 
@@ -149,15 +151,15 @@ class TestMakeFamily:
                            (f"1e{top}", 10**top), (f"0.001e{top + 3}", 10**top),
                            (f"1e-{top}", Fraction(1, 10**top)),
                            (f"1000e-{top + 3}", Fraction(1, 10**top))):
-            assert rational(text) == want
+            assert rational(text) == rational(Decimal(text)) == want
 
     def test_decimal_exponent_with_no_limit(self):
         # a limit of 0 converts any int: the power is formed as Fraction forms it
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            assert rational("3e5000") == 3 * 10**5000
-            assert rational("3e-5000") == Fraction(3, 10**5000)
+            assert rational("3e5000") == rational(Decimal("3e5000")) == 3 * 10**5000
+            assert rational("3e-5000") == rational(Decimal("3e-5000")) == Fraction(3, 10**5000)
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -206,7 +208,10 @@ class TestMakeFamily:
         # Fraction's own error, raised before any power of ten is formed
         "1ee100000000", "1e1_", "e100000000", "1/2e100000000",
         pytest.param("1e" + "1" * 5000, id="exponent-of-5000-digits"),
-        pytest.param("0e" + "1" * 5000, id="zero-times-exponent-of-5000-digits")])
+        pytest.param("0e" + "1" * 5000, id="zero-times-exponent-of-5000-digits"),
+        # a Decimal's exponent is read only when it is finite
+        pytest.param(Decimal("NaN"), id="Decimal-NaN"),
+        pytest.param(Decimal("-Infinity"), id="Decimal-Infinity")])
     def test_non_rational_value_is_a_domain_error(self, bad):
         message = f"^cannot parse rational {re.escape(repr(bad))}"
         with pytest.raises(DomainError, match=message):

@@ -27,7 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 #: (module, attribute) of each bounded cache, in the order printed
-CACHES = (("polyring", "_pairing"), ("polyring", "_lowering"), ("diffcalc", "_expansion"),
+CACHES = (("polyring", "_pairing"), ("polyring", "_operator"), ("diffcalc", "_expansion"),
           ("diffcalc", "_pencil_det"), ("polyring", "_evaluator"), ("polyring", "_shape"),
           ("polyring", "_exact_plan"), ("bitangent", "_restriction_coefficients_cached"))
 
