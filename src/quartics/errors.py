@@ -67,18 +67,13 @@ def _too_long(limit: int) -> DomainError:
                        f"than {limit} digits, the limit of sys.get_int_max_str_digits()")
 
 
-def _decimal(value) -> tuple[int, int] | None:
-    """``(bits, e)`` with *value* a mantissa of at most *bits* bits (0 when it is zero)
-    times 10**e, for a finite ``Decimal`` or a decimal literal with an exponent, read
-    without forming the power, whose cost grows with e; None for anything else."""
-    if isinstance(value, Decimal) and value.is_finite():
-        _, digits, e = value.as_tuple()
-        return any(digits) and 4 * len(digits), e     # 10**n < 16**n
-    if isinstance(value, str) and (match := _EXPONENT.fullmatch(value)):
+def _decimal(text: str) -> tuple[Fraction, int] | None:
+    """``(m, e)`` with *text* = m * 10**e for a decimal literal with an exponent, read
+    without forming the power, whose cost grows with e; None for any other text."""
+    if match := _EXPONENT.fullmatch(text):
         head, sign, digits, tail = match.groups()
-        try:    # a zero for each digit of e: a literal exactly when value is one
-            m = Fraction(head + re.sub("[0-9]", "0", digits) + tail)
-            return m and max(m.numerator.bit_length(), m.denominator.bit_length()), int(sign + digits)
+        try:    # a zero for each digit of e: a literal exactly when text is one
+            return Fraction(head + re.sub("[0-9]", "0", digits) + tail), int(sign + digits)
         except ValueError:
             pass
     return None
@@ -92,12 +87,15 @@ def rational(value) -> Fraction:
     limit.  The decimal exponent of a ``Decimal`` or a string is read first, so a huge
     one is rejected (or a zero mantissa gives 0) without forming the power."""
     limit = sys.get_int_max_str_digits()    # 0: no limit
-    if limit and (decimal := _decimal(value)):
-        bits, e = decimal
-        if not bits:
-            return Fraction(0)
-        # |value| >= 10**e / 2**bits, and for e < 0 its denominator is >= 10**-e / 2**bits
-        if abs(e) - bits >= limit:
+    # a Decimal is read as its text, which has an exponent whenever the power of ten
+    # would have more digits than the mantissa
+    text = str(value) if isinstance(value, Decimal) else value
+    if limit and isinstance(text, str) and (decimal := _decimal(text)):
+        m, e = decimal
+        if not m:
+            return m
+        # |value| >= 10**e / den, and for e < 0 its denominator is >= 10**-e / |num|
+        if abs(e) - max(m.numerator.bit_length(), m.denominator.bit_length()) >= limit:
             raise _too_long(limit)
     try:
         if isinstance(value, bool):     # Fraction(True) would be 1
