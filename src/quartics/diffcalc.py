@@ -13,14 +13,12 @@ These are the computational primitives behind the quartic invariants:
 * ``transvectant(F, G, k)`` is the classical bilinear pairing of two binary
   forms, computed by direct binomial expansion of the Cayley operator.
 
-``diff_pair`` runs a plan of which terms of ``f`` and ``g`` meet, with which
-weight and at which key, worked out once per pair of key sets (which repeat
-from call to call) and kept for the last 256.  An operator ``x^a`` is paired
-like any polynomial: each distinct Hessian entry and each transvectant partial
-is one ``multi_partial``, the pairing with one monomial.
-``j_bracket`` forms the six distinct entries and cofactors of each symmetric
-Hessian once and contracts them, an off-diagonal product with weight 2, in
-four sums of products.
+``diff_pair`` and every sum of products here run the plan of their operands'
+key sets, which repeat from call to call: interpreted while cold, then as
+generated straight-line code (``polyring._pairing``).  Each distinct Hessian
+entry and each transvectant partial is one ``multi_partial``.  ``j_bracket``
+forms the six distinct entries and cofactors of each symmetric Hessian once and
+contracts them, an off-diagonal product with weight 2, in four sums of products.
 """
 
 from __future__ import annotations

@@ -87,9 +87,19 @@ def rational(value) -> Fraction:
     limit.  The decimal exponent of a ``Decimal`` or a string is read first, so a huge
     one is rejected (or a zero mantissa gives 0) without forming the power."""
     limit = sys.get_int_max_str_digits()    # 0: no limit
-    # a Decimal is read as its text, which has an exponent whenever the power of ten
-    # would have more digits than the mantissa
     text = str(value) if isinstance(value, Decimal) else value
+    if isinstance(value, Decimal) and limit:
+        # its text has an exponent whenever the power of ten would have more digits than
+        # the mantissa; a mantissa of k > limit significant digits, too long to parse, is
+        # an int of k digits times 10**e: too long for e >= 0, and for -e - k >= limit
+        # so is the denominator, above 10**(-e - k)
+        mantissa, _, exponent = text.lstrip("-").partition("E")
+        whole, _, fraction = mantissa.partition(".")
+        digits = (whole + fraction).lstrip("0")
+        k = len(digits.rstrip("0"))
+        e = int(exponent or 0) + len(digits) - k - len(fraction)
+        if k > limit and (e >= 0 or -e - k >= limit):
+            raise _too_long(limit)
     if limit and isinstance(text, str) and (decimal := _decimal(text)):
         m, e = decimal
         if not m:

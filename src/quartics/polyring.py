@@ -25,20 +25,19 @@ above 65,535 is a :class:`DegreeError`, checked on construction and on the
 keys each product loop forms, never wrapped.  The public views (``terms``,
 ``numerators``, ``sorted_terms``, ...) are keyed by exponent tuples.
 
-The one product loop, :meth:`Polynomial.sum_of_products`, adds scaled products
-``c * a * b`` into one dict and normalizes once (as Monagan and Pearce form a
-sum of products), skipping zero operands; ``a * b`` is its one-product case,
-and sums of products are formed in one call, without a running total.
-
-All differentiation lives here, in one kernel: :func:`diff_pair` applies the
-operator of a whole polynomial, and a monomial operator ``d^a`` is the pairing
-with ``x^a`` (:func:`multi_partial`; ``partial`` is its one-variable case, and
-each entry of :func:`quartics.diffcalc.hessian` is one call).  Which terms of
-the two operands meet, with which weight and at which key, depends only on
-their key sets, which repeat: a generic quartic is dense, a family's forms keep
-their monomials and an operator ``x^a`` is one key.  So the pairing is planned
-once per pair of key sets and kept for the last 256 (:func:`_pairing`), and a
-call only multiplies and adds numerators.
+Products and differentiation share one kernel.  :meth:`Polynomial.sum_of_products`
+forms ``sum c * a * b`` over the lcm of the denominators with one gcd pass (as
+Monagan and Pearce form a sum of products), skipping zero operands; ``a * b`` is
+its one-product case.  :func:`diff_pair` applies the operator of a whole
+polynomial, and a monomial operator ``d^a`` is the pairing with ``x^a``
+(:func:`multi_partial`; ``partial`` is its one-variable case).  A product is a
+pairing of weight 1.  Which terms of the operands meet, with which weight and at
+which key, depends only on their key sets, which repeat: a generic quartic is
+dense, a family's forms keep their monomials and an operator ``x^a`` is one key.
+So the pairing is planned once per tuple of key sets and kept for the last 256
+(:func:`_pairing`), its output keys in descending order, so that equal sets give
+equal key tuples; a call only multiplies and adds numerators, by the plan's loop
+while it is cold or small and then by straight-line code (:func:`_kernel`).
 
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: what evaluation keeps of one is built lazily.
@@ -59,8 +58,9 @@ import struct
 import weakref
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import groupby
 from math import comb, gcd, lcm, perm
-from operator import or_
+from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -70,8 +70,9 @@ Exponents = tuple[int, ...]
 _LIMIT = 0xFFFF     # the largest exponent or total degree a field holds, and its mask
 #: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
 #: sets of them and 6 generated functions, which stay with room to spare.
-#: :func:`_exact_plan`, :func:`_operator` and :func:`_pairing` keep as many as :func:`_shape`:
-#: ``symbolic`` uses 82 plans (16 pairings, 66 Hessian entries), 440 ``numeric`` operations 178.
+#: :func:`_exact_plan`, :func:`_operator`, :func:`_pairing` and :func:`_kernel` keep as many as
+#: :func:`_shape`: ``symbolic`` uses 150 plans and compiles 57; 440 ``numeric`` operations build
+#: 466 (most for their answer checks' substitutions, used once) and compile 60.
 _SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 
 
@@ -394,28 +395,23 @@ class Polynomial:
     @staticmethod
     def sum_of_products(table: VarTable, products) -> "Polynomial":
         """``sum c * a * b`` over the ``(c, a, b)`` of *products* (*c* an int or ``Fraction``,
-        *a*, *b* over *table*), in one dict over the lcm of the denominators with one gcd
-        pass; a product with a zero polynomial factor adds no key and is skipped once both
-        tables are checked, and an empty sum gives zero over *table*."""
+        *a*, *b* over *table*) by the plan of their key sets (:func:`_pairing`), the
+        shorter operand first and scaled, over the lcm of the denominators; a product
+        with a zero factor is skipped once both tables are checked, and no product is 0."""
         live = []
         for c, a, b in products:
             _check_table(table, a)
             _check_table(table, b)
             if a._num and b._num:
-                live.append((c, a, b))
+                live.append((c, a, b) if len(a._num) <= len(b._num) else (c, b, a))
         den = lcm(*[c.denominator * a._den * b._den for c, a, b in live])
-        out: dict[int, int] = {}
+        plan = _pairing(table, False, tuple([(tuple(a._num), tuple(b._num)) for _, a, b in live]))
+        n: list[int] = []
         for c, a, b in live:
             scale = c.numerator * (den // (c.denominator * a._den * b._den))
-            a, b = (b._num, a._num) if len(b._num) > len(a._num) else (a._num, b._num)
-            b = b.items()
-            for ea, ca in a.items():
-                ca *= scale
-                for eb, cb in b:
-                    e = ea + eb
-                    out[e] = out.get(e, 0) + ca * cb
-        _check_degree(max(out, default=0) >> table._top)    # out keeps every product's key
-        return Polynomial._from_packed(table, out, den)
+            n += a._num.values() if scale == 1 else [v * scale for v in a._num.values()]
+            n += b._num.values()
+        return _planned(table, plan, n, den)
 
     __rmul__ = __mul__
 
@@ -500,66 +496,122 @@ def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
     return diff_pair(_operator(p.table, tuple(orders.items())), p)
 
 
+class _Plan:
+    """A plan of :func:`_pairing`: the output ``keys``, descending; the ``pairs``
+    ``x, y, weight, slot``, flat in one tuple (under half the memory of a tuple each) in
+    slot order, each adding ``n[x] * n[y] * weight`` to ``keys[slot]``, ``n`` the
+    operands' numerators, a's then b's; the ``degree`` of the top key; its ``uses``."""
+
+    __slots__ = ("keys", "pairs", "degree", "uses")
+
+    def __init__(self, keys, pairs, degree):
+        self.keys, self.pairs, self.degree, self.uses = keys, pairs, degree, 0
+
+
 @lru_cache(maxsize=_SHAPES)
-def _pairing(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]):
-    """The plan of :func:`diff_pair` for operands over *table* whose packed keys are
-    *fkeys* and *gkeys*, in dict order, worked out once per pair of key sets (the
-    last 256): the output keys, in the order the pairs first form them; for each
-    pair of terms i of f and j of g whose geometric exponents a <= b, one
-    ``(i, j, weight, slot)``, the weight ``prod perm(b_i, a_i)`` and the slot of
-    the key ``f_key + g_key - 2 key(x^a)``; and the total degree of the largest key.
-    With g's terms filed by geometric degree and b, each a meets the b of its
-    degree by one lookup and those of higher degrees by a scan, and each weight
-    is formed once per (a, b)."""
-    ng, top = table.n_geometric, table._top
-    geometric = ((1 << 16 * ng) - 1) << 16 * len(table.parameters)    # their fields of a key
-    groups: dict[Exponents, list[tuple[int, int]]] = {}     # f's terms by their a
-    for term, (key, exps) in enumerate(zip(fkeys, table._unpack(fkeys))):
-        groups.setdefault(exps[:ng], []).append((term, key))
-    by_degree: dict[int, dict[Exponents, list[tuple[int, int]]]] = {}
-    for term, (key, exps) in enumerate(zip(gkeys, table._unpack(gkeys))):
-        b = exps[:ng]
-        by_degree.setdefault(sum(b), {}).setdefault(b, []).append((term, key))
-    slots: dict[int, int] = {}     # each output key's slot, in the order first formed
-    pairs: list[tuple[int, int, int, int]] = []
-    slot, append = slots.setdefault, pairs.append
-    for a, fterms in groups.items():
-        degree, need = sum(a), [(v, e) for v, e in enumerate(a) if e]
-        twice = 2 * ((degree << top) + (fterms[0][1] & geometric))     # 2 key(x^a)
-        for d, monomials in by_degree.items():     # b >= a of a's degree is b = a
-            for b, gterms in (monomials.items() if d > degree else
-                              ((a, monomials[a]),) if d == degree and a in monomials else ()):
-                weight = 1
-                for v, e in need:
-                    if b[v] < e:
-                        break
-                    weight *= perm(b[v], e)
-                else:
-                    for j, gkey in gterms:
-                        gkey -= twice
-                        for i, fkey in fterms:
-                            append((i, j, weight, slot(gkey + fkey, len(slots))))
-    keys = tuple(slots)
-    return keys, tuple(pairs), max(keys, default=0) >> top
+def _pairing(table: VarTable, differentiate: bool, operands: tuple) -> _Plan:
+    """The :class:`_Plan` of operand pairs over *table* of the packed keys *operands*,
+    ``((a keys, b keys), ...)`` in dict order (the last 256).  In a product every pair
+    of terms meets with weight 1; in :func:`diff_pair` (*differentiate*) g's terms are
+    filed by geometric degree and b, so each a of f meets the b of its degree by one
+    lookup and those of higher degrees by a scan, and each weight is formed once."""
+    slots: dict[int, list[tuple[int, int, int]]] = {}     # each output key's terms
+    meet, start, top = slots.setdefault, 0, table._top
+    for fkeys, gkeys in operands:
+        size = start + len(fkeys)   # where g's numerators start in n
+        if not differentiate:
+            for i, fkey in enumerate(fkeys, start):
+                for j, gkey in enumerate(gkeys, size):
+                    meet(fkey + gkey, []).append((i, j, 1))
+        else:
+            ng = table.n_geometric
+            geometric = ((1 << 16 * ng) - 1) << 16 * len(table.parameters)    # their fields
+            groups: dict[Exponents, list[tuple[int, int]]] = {}     # f's terms by their a
+            for term, (key, exps) in enumerate(zip(fkeys, table._unpack(fkeys)), start):
+                groups.setdefault(exps[:ng], []).append((term, key))
+            by_degree: dict[int, dict[Exponents, list[tuple[int, int]]]] = {}
+            for term, (key, exps) in enumerate(zip(gkeys, table._unpack(gkeys)), size):
+                b = exps[:ng]
+                by_degree.setdefault(sum(b), {}).setdefault(b, []).append((term, key))
+            for a, fterms in groups.items():
+                degree, need = sum(a), [(v, e) for v, e in enumerate(a) if e]
+                twice = 2 * ((degree << top) + (fterms[0][1] & geometric))     # 2 key(x^a)
+                for d, monomials in by_degree.items():     # b >= a of a's degree is b = a
+                    for b, gterms in (monomials.items() if d > degree else ((a, monomials[a]),)
+                                      if d == degree and a in monomials else ()):
+                        weight = 1
+                        for v, e in need:
+                            if b[v] < e:
+                                break
+                            weight *= perm(b[v], e)
+                        else:
+                            for j, gkey in gterms:
+                                gkey -= twice
+                                for i, fkey in fterms:
+                                    meet(gkey + fkey, []).append((i, j, weight))
+        start = size + len(gkeys)
+    keys = sorted(slots, reverse=True)
+    pairs = [v for slot, key in enumerate(keys) for i, j, w in slots[key] for v in (i, j, w, slot)]
+    return _Plan(tuple(keys), tuple(pairs), keys[0] >> top if keys else 0)
+
+
+#: A plan of ``_HOT_PAIRS`` pairs or more runs as :func:`_kernel` from its ``_HOT``-th use, in
+#: functions of up to ``_PIECE`` pairs.  Measured on a prototype: compiling on first use added
+#: 3-15 ms to each CLI ``invariants`` command, from the second use a ``bitangents`` process
+#: compiled 52 kernels, and uses weighted by pairs made ``symbolic`` p50 11 % and tail 40 % worse.
+#: From the fourth, no CLI command compiles.  Peak RSS on ``symbolic``: +4.6 % at 256, +3.5 % at 128.
+_HOT, _HOT_PAIRS, _PIECE = 4, 8, 128
+
+
+def _planned(table: VarTable, plan: _Plan, n: list[int], den: int) -> "Polynomial":
+    """What *plan* forms from the numerators *n* over *den*, its top key's degree checked
+    first: by the loop over its pairs while it is cold or small, then by its :func:`_kernel`."""
+    _check_degree(plan.degree)     # the plan keeps every product's key
+    plan.uses += 1
+    if plan.uses >= _HOT and len(plan.pairs) >= 4 * _HOT_PAIRS:
+        out: list[int] = []
+        for piece in _kernel(plan):
+            piece(n, out)
+    else:
+        out = [0] * len(plan.keys)
+        for x, y, weight, slot in zip(*[iter(plan.pairs)] * 4):
+            out[slot] += n[x] * n[y] * weight
+    return Polynomial._from_packed(table, dict(zip(plan.keys, out)), den)
+
+
+@lru_cache(maxsize=_SHAPES)
+def _kernel(plan: _Plan) -> tuple:
+    """*plan* as functions ``piece(n, out)`` of up to ``_PIECE`` pairs, which unpack the
+    numerators they use into locals and append their slots' sums to *out*: ``out +=
+    [n0 * n5, n0 * n6 + n1 * n5 * 0x2, ...]``, a slot begun before from ``out.pop()``.
+    A term a line: the column table of one long line takes twice the code's bytes."""
+    pieces, pairs = [], list(zip(*[iter(plan.pairs)] * 4))
+    for start in range(0, len(pairs), _PIECE):
+        chunk, lines, values = pairs[start:start + _PIECE], [], []
+        used = {v for x, y, _, _ in chunk for v in (x, y)}
+        begun = pairs[start - 1][3] if start else -1    # the slot the previous piece began
+        for slot, group in groupby(chunk, itemgetter(3)):
+            terms = ["out.pop()"] * (slot == begun) + [     # hex: no digit limit
+                f"n{x} * n{y}" if w == 1 else f"n{x} * n{y} * {w:#x}" for x, y, w, _ in group]
+            while len(terms) > _SUM_CHUNK:     # a long sum in parts
+                lines.append(f"s{slot} = (" + "\n + ".join(terms[:_SUM_CHUNK]) + ")")
+                terms[:_SUM_CHUNK] = [f"s{slot}"]
+            values.append("\n + ".join(terms))
+        names = [f"n{v}" if v in used else "_" for v in range(max(used) + 1)]
+        pieces.append(_generated("n, out", ["[" + ",\n ".join(names) + f"] = n[:{len(names)}]",
+                                            *lines, "out += [" + ",\n ".join(values) + "]"], {}))
+    return tuple(pieces)
 
 
 def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     """``D_f(g)``, the differential operator of *f* applied to *g*: terms of *f* and *g*
     with geometric exponents a <= b give ``f_num * g_num * prod perm(b_i, a_i)`` at
-    ``f_key + g_key - 2 key(x^a)``; the other pairs of terms vanish.  Which pairs meet,
-    with which weight and at which key, depends only on the two key sets, which
-    repeat from call to call (a generic quartic is dense; a family's forms keep
-    their monomials), so it is planned once per pair of key sets (:func:`_pairing`)
-    and each call only multiplies and adds the numerators."""
+    ``f_key + g_key - 2 key(x^a)``; the other pairs of terms vanish.  It runs the
+    plan of the two key sets (:func:`_pairing`)."""
     _check_table(f.table, g)
     table = g.table     # so a partial keeps the table object of what it differentiates
-    keys, pairs, degree = _pairing(table, tuple(f._num), tuple(g._num))
-    _check_degree(degree)   # the plan keeps every product's key
-    fnum, gnum = list(f._num.values()), list(g._num.values())
-    out = [0] * len(keys)
-    for i, j, weight, slot in pairs:
-        out[slot] += fnum[i] * gnum[j] * weight
-    return Polynomial._from_packed(table, dict(zip(keys, out)), f._den * g._den)
+    plan = _pairing(table, True, ((tuple(f._num), tuple(g._num)),))
+    return _planned(table, plan, [*f._num.values(), *g._num.values()], f._den * g._den)
 
 
 def substitute(p: Polynomial, replacements: Mapping[str, Polynomial]) -> Polynomial:
@@ -638,9 +690,9 @@ _SUM_CHUNK = 64     # terms summed in one expression: the compiler recurses once
 def _generated(parameters: str, lines: list[str], namespace: dict):
     """The function of *parameters* and body *lines*, compiled with the globals
     *namespace*: the package's one code generator.  One function per source while
-    anything holds it: ``_GENERATED`` maps each source weakly to its function, and
-    the callers' bounded caches (:func:`_evaluator`, ``diffcalc._pencil_det``) hold
-    them, so a caller of ever new sources keeps about as many as its cache."""
+    anything holds it: ``_GENERATED`` maps each source weakly to its function, and the
+    callers' bounded caches (:func:`_evaluator`, :func:`_kernel`, ``diffcalc._pencil_det``)
+    hold them, so a caller of ever new sources keeps about as many as its cache."""
     source = f"def generated({parameters}):\n" + "".join(f" {line}\n" for line in lines)
     if (function := _GENERATED.get(source)) is None:
         exec(compile(source, "<generated>", "exec"), namespace)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from quartics import cli
+from quartics import bitangent, cli, components, detrep, diffcalc, polyring, symfam
 from quartics.cli import (EXIT_DEGENERATE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                           main, tolerance)
 from quartics.detrep import DEFAULT_TOL, solve_detrep
@@ -353,3 +353,28 @@ class TestColdStart:
     def test_import_builds_no_table(self):
         proc = subprocess.run([sys.executable, "-c", COLD_IMPORT], capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
+
+    #: One command of each kind in the rotation of the benchmark's CLI workload,
+    #: which runs each in a fresh process.
+    ROTATION = (["invariants", "--family", "X96"],
+                ["invariants", "--family", "X4", "--params=-33/5,95/2,-35/2"],
+                ["invariants", "--family", "generic",
+                 "--params=1/7,-80/61,334/49,205/9,-7,13/3,-55/8,2,91/10,-3/4,17,-1/9,8/5,-6,44/7"],
+                ["invariants", "--family", "X4", "--symbolic", "--decompose", "--golden"],
+                ["bitangents", "--family", "X4", "--params=3,5/2,-7"],
+                ["bitangents", "--family", "X16", "--params=25/4,29/7"],
+                ["bitangents", "--family", "X24", "--params=-14"],
+                ["detrep", "--params", "87/4", "54", "67/4"])
+
+    @pytest.mark.parametrize("argv", ROTATION, ids=lambda argv: " ".join(argv[:3]))
+    def test_a_command_compiles_no_kernel(self, capsys, argv):
+        # a plan runs as generated code from its _HOT-th use with 8 pairs or more: one
+        # command from empty caches, as in a fresh process, uses none of its plans
+        # that often, so it pays for no compile
+        for module in (polyring, diffcalc, components, detrep, symfam, bitangent):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        assert run_cli(capsys, argv)[0] == EXIT_OK
+        assert polyring._pairing.cache_info().misses > 0
+        assert polyring._kernel.cache_info().misses == 0

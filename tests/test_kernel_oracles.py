@@ -1,10 +1,11 @@
 """The rewritten kernels against one reference oracle each.
 
 ``eval_scaled_many`` runs generated straight-line code and ``det`` expands
-its minors of polynomials in one bottom-up pass; ``sum_of_products`` skips
-zero operands, ``j_bracket`` forms each distinct Hessian entry and cofactor
-once, ``diff_pair`` runs a plan kept per pair of key sets (the last 256), and
-``decompose_symmetric`` and ``is_symmetric`` work on the packed keys.
+its minors of polynomials in one bottom-up pass; ``sum_of_products`` and
+``diff_pair`` run a plan kept per tuple of key sets (the last 256), by its loop
+while it is cold or small and then as generated code, and ``sum_of_products``
+skips zero operands; ``j_bracket`` forms each distinct Hessian entry and
+cofactor once, and ``decompose_symmetric`` and ``is_symmetric`` work on the packed keys.
 ``eval_exact`` keeps a plan per polynomial.  Detrep's determinant certificate is generated straight-line code,
 the square fit drops a candidate at its first mismatch that rules it out, and
 X24 solves its chart system once.
@@ -25,7 +26,9 @@ The oracles, in the standard library only:
   interpreted certificate loop and the unpruned fit.
 
 Floats must agree in ``repr`` (so signed zeros and NaN count), errors in type
-and message, and exact results in their stored form.
+and message, and exact results in their stored form.  The drivers of
+``expanded_sum_of_products`` and ``scanned_diff_pair`` run each case cold, with
+no plan kept, and hot, on its plan's ``_HOT``-th use (:func:`cold_and_hot`).
 """
 
 import itertools
@@ -42,8 +45,8 @@ from hypothesis import given, settings
 
 from quartics.diffcalc import _pencil_det, det, hessian, j_bracket
 from quartics.errors import DegreeError, DomainError, TableMismatchError
-from quartics.polyring import (Polynomial, VarTable, _pairing, diff_pair, eval_exact,
-                               eval_scaled_many)
+from quartics.polyring import (_HOT, _PIECE, Polynomial, VarTable, _kernel, _pairing,
+                               diff_pair, eval_exact, eval_scaled_many)
 from quartics.symfam import (Partition, SymmetricDecomposition, decompose_symmetric,
                              is_symmetric, reconstruct, s_basis)
 
@@ -75,6 +78,17 @@ def exact_outcome(call, *args):
     if not all(isinstance(p, Polynomial) for p in polys):
         return repr(got)
     return [(p.table, p.denominator, dict(p.numerators)) for p in polys]
+
+
+def cold_and_hot(call, *args):
+    """:func:`exact_outcome` of *call* with no plan kept, which runs the plans' loops,
+    asserted equal to that of each further run up to the ``_HOT``-th, from which a
+    plan of 8 pairs or more runs compiled."""
+    _pairing.cache_clear()
+    cold = exact_outcome(call, *args)
+    for _ in range(_HOT - 1):
+        assert exact_outcome(call, *args) == cold
+    return cold
 
 
 # -- eval_scaled_many ------------------------------------------------------------
@@ -454,7 +468,7 @@ class TestSumOfProducts:
                 (4, 4, 2, 1))[0]() for _ in range(2))
             products.append((c, a, b))
         want = exact_outcome(expanded_sum_of_products, table, products)
-        assert exact_outcome(Polynomial.sum_of_products, table, products) == want
+        assert cold_and_hot(Polynomial.sum_of_products, table, products) == want
         assert exact_outcome(Polynomial.sum_of_products, table, iter(products)) == want
 
     @pytest.mark.parametrize("seed", range(6))
@@ -469,7 +483,7 @@ class TestSumOfProducts:
                                        Fraction(rng.randint(-20, 20), rng.choice(DENOMINATORS))
                                        for _ in range(rng.randint(0, 5))}) for _ in range(2))
             products.append((c, a, b))
-        assert exact_outcome(Polynomial.sum_of_products, table, products) == exact_outcome(
+        assert cold_and_hot(Polynomial.sum_of_products, table, products) == exact_outcome(
             expanded_sum_of_products, table, products)
 
     def test_every_nonzero_product_counts(self):
@@ -478,7 +492,7 @@ class TestSumOfProducts:
         zero, two = Polynomial.zero(PQ), Polynomial.constant(PQ, 2)
         products = [(1, x, p), (3, zero, x), (1, two, two), (-1, p, zero), (5, x, x), (0, x, p)]
         for k in range(len(products) + 1):
-            assert (exact_outcome(Polynomial.sum_of_products, PQ, products[:k])
+            assert (cold_and_hot(Polynomial.sum_of_products, PQ, products[:k])
                     == exact_outcome(expanded_sum_of_products, PQ, products[:k]))
 
     def test_a_zero_over_another_table_is_a_mismatch(self):
@@ -539,7 +553,34 @@ class TestSumOfProducts:
             products = [(1, x, x), (c, x ** 30000, r ** 35536)]
             want = exact_outcome(expanded_sum_of_products, PAR, products)
             assert want == "DegreeError: degree exceeds the packing limit 65535"
-            assert exact_outcome(Polynomial.sum_of_products, PAR, products) == want
+            assert cold_and_hot(Polynomial.sum_of_products, PAR, products) == want
+
+    def test_degree_error_of_a_plan_large_enough_to_compile(self):
+        # 9 pairs, some past the limit: the plan is kept and raises on every use,
+        # and never runs, so no kernel is compiled
+        x, r = Polynomial.variable(PAR, "x"), Polynomial.variable(PAR, "r")
+        a = x ** 30000 * (1 + r + r * r)
+        products = [(1, a, r ** 35534 * (1 + x + x * x))]
+        want = exact_outcome(expanded_sum_of_products, PAR, products)
+        assert want == "DegreeError: degree exceeds the packing limit 65535"
+        compiled = _kernel.cache_info().misses
+        assert cold_and_hot(Polynomial.sum_of_products, PAR, products) == want
+        assert exact_outcome(Polynomial.sum_of_products, PAR, products) == want
+        assert _kernel.cache_info().misses == compiled
+
+    def test_a_plan_over_the_terms_of_one_function(self):
+        # 300 products of two terms each: the keys x^300 and r*s are formed by 300
+        # pairs each, so their sums run over several functions of _PIECE pairs, in
+        # parts, and the first and last pairs of a function fall in shared slots
+        rng = random.Random(3)
+        x, r, s = (Polynomial.variable(PAR, n) for n in "xrs")
+        products = [(Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)),
+                     rng.randint(1, 9) * x ** i + Fraction(1, rng.randint(1, 5)) * r,
+                     x ** (300 - i) - rng.randint(1, 9) * s) for i in range(300)]
+        want = exact_outcome(expanded_sum_of_products, PAR, products)
+        assert cold_and_hot(Polynomial.sum_of_products, PAR, products) == want
+        plan = _pairing(PAR, False, tuple((tuple(a._num), tuple(b._num)) for _, a, b in products))
+        assert len(plan.pairs) // 4 == 1200 and len(_kernel(plan)) == -(-1200 // _PIECE)
 
 
 def full_matrix_j_bracket(f, g):
@@ -655,7 +696,7 @@ class TestDiffPair:
         f = random_form(rng, table, 4, 8)
         g = random_form(rng, table, rng.choice((6, 7)), 10)
         want = exact_outcome(scanned_diff_pair, f, g)
-        assert exact_outcome(diff_pair, f, g) == want
+        assert cold_and_hot(diff_pair, f, g) == want
         # the same key tuples again: the plan is reused with the new numerators
         hits = _pairing.cache_info().hits
         f2, g2 = relabelled(rng, f), relabelled(rng, g)
@@ -679,8 +720,8 @@ class TestDiffPair:
                     Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             return Polynomial(table, terms)
         f, g = form((1, 2), 6), form((1, 2, 3, 4), 25)
-        assert exact_outcome(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
-        assert exact_outcome(diff_pair, g, f) == exact_outcome(scanned_diff_pair, g, f)
+        assert cold_and_hot(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+        assert cold_and_hot(diff_pair, g, f) == exact_outcome(scanned_diff_pair, g, f)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pipeline_shapes(self, seed):
@@ -689,7 +730,7 @@ class TestDiffPair:
         table = (XYZ, PAR)[seed % 2]
         f, g, h = (low_form_of_degree(rng, table, d) for d in (4, 6, 6))
         for a, b in ((f, g), (g, h), (f, f), (g, f)):
-            assert exact_outcome(diff_pair, a, b) == exact_outcome(scanned_diff_pair, a, b)
+            assert cold_and_hot(diff_pair, a, b) == exact_outcome(scanned_diff_pair, a, b)
 
     def test_zero_operands_and_other_tables(self):
         # operands over other tables are refused before any plan is looked up; zero
@@ -718,7 +759,7 @@ class TestDiffPair:
         f = mono(PAR, {"x": 1, "r": 1}, Fraction(3, 4)) + mono(PAR, {"y": 1}, Fraction(-5, 6))
         g = mono(PAR, {"x": 2, "y": 1, "s": 2}, Fraction(7, 10)) + mono(PAR, {"y": 3}, Fraction(1, 9))
         want = exact_outcome(scanned_diff_pair, f, g)
-        assert exact_outcome(diff_pair, f, g) == want
+        assert cold_and_hot(diff_pair, f, g) == want
         # by hand: d_x g * 3r/4 - d_y g * 5/6
         hand = (mono(PAR, {"x": 1, "y": 1, "r": 1, "s": 2}, Fraction(21, 20))
                 - mono(PAR, {"x": 2, "s": 2}, Fraction(7, 12)) - mono(PAR, {"y": 2}, Fraction(5, 18)))
@@ -743,7 +784,35 @@ class TestDiffPair:
             assert exact_outcome(diff_pair, f, g) == want
             assert _pairing.cache_info().hits == hits + 1
         p, q = Polynomial.variable(PQ, "p") ** 40000, Polynomial.variable(PQ, "q") ** 30000
-        assert exact_outcome(diff_pair, p, q) == exact_outcome(scanned_diff_pair, p, q)
+        assert cold_and_hot(diff_pair, p, q) == exact_outcome(scanned_diff_pair, p, q)
+
+    def test_weights_of_more_digits_than_str_converts(self):
+        # 2000! has 5,736 digits: generated code writes a weight in hex, which has no
+        # digit limit, so the compiled plan gives the loop's answer
+        mono = Polynomial.monomial
+        f = sum((mono(PAR, {"x": 2000, "r": k}, k + 1) for k in range(3)), Polynomial.zero(PAR))
+        g = sum((mono(PAR, {"x": 2000 + k % 2, "s": k}, Fraction(1, k + 1)) for k in range(3)),
+                Polynomial.zero(PAR))
+        compiled = _kernel.cache_info().misses
+        assert cold_and_hot(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+        assert _kernel.cache_info().misses == compiled + 1
+
+    def test_table_mismatch_before_any_plan_or_compile(self):
+        # hot: the plans of f and g compiled; operands over another table are refused
+        # before any plan is looked up, built or compiled
+        rng = random.Random(8)
+        f, g = random_form(rng, PAR, 4, 8), random_form(rng, PAR, 6, 10)
+        assert cold_and_hot(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
+        products = [(1, f, g), (2, g, g)]
+        assert (cold_and_hot(Polynomial.sum_of_products, PAR, products)
+                == exact_outcome(expanded_sum_of_products, PAR, products))
+        foreign = Polynomial.variable(SEVEN, "x")
+        kept = _pairing.cache_info(), _kernel.cache_info()
+        for call, args in ((diff_pair, (f, foreign)), (diff_pair, (foreign, g)),
+                           (Polynomial.sum_of_products, (PAR, products + [(1, f, foreign)])),
+                           (Polynomial.sum_of_products, (PAR, [(1, foreign, g)] + products))):
+            assert exact_outcome(call, *args).startswith("TableMismatchError")
+        assert (_pairing.cache_info(), _kernel.cache_info()) == kept
 
     def test_the_plans_kept_are_bounded(self):
         # more pairs of key sets than the cache keeps: the oldest plans are dropped,

@@ -4,12 +4,12 @@ comparison."""
 import random
 import re
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from quartics import symfam
+from quartics import errors, symfam
 from quartics.dixmier import InvariantSet, dixmier_invariants
 from quartics.errors import DegeneracyError, DomainError, rational
 from quartics.polyring import Polynomial, VarTable
@@ -142,6 +142,39 @@ class TestMakeFamily:
         for value in (10**limit, Fraction(1, 10**limit), 10**5000, *texts, *map(Decimal, texts)):
             with pytest.raises(DomainError, match=f"more than {limit} digits"):
                 make_family("X24", [value])
+
+    def test_long_decimal_mantissa_fails_before_the_power(self, monkeypatch):
+        # a mantissa of k > limit significant digits is an int of k digits times 10**e:
+        # too long for e >= 0, and, with a denominator above 10**(-e - k), for
+        # -e - k >= limit; that is raised without Fraction(Decimal), which forms 10**e
+        limit = sys.get_int_max_str_digits()
+        message = (f"^cannot parse rational: a numerator or denominator of more than {limit} "
+                   r"digits, the limit of sys\.get_int_max_str_digits\(\)$")
+        long = "1" * 5000
+        values = [Decimal(long + "e1000000"), Decimal(long + "e-1000000"), Decimal("-" + long),
+                  Decimal(f"0.00{long}000e-{limit + 5003}"), Decimal(f"{long}0e-1")]
+        real = errors.Fraction
+
+        def no_decimal(value, *rest):
+            assert not isinstance(value, Decimal), "Fraction(Decimal) forms the power"
+            return real(value, *rest)
+
+        monkeypatch.setattr(errors, "Fraction", no_decimal)
+        for value in values:
+            with pytest.raises(DomainError, match=message):
+                rational(value)
+        monkeypatch.undo()
+        # -e - k < limit: Fraction(Decimal) forms the power, 10**5000, as before
+        for value in values + [Decimal(f"{long}0e-5001")]:
+            with pytest.raises(DomainError, match=message):
+                rational(value)
+        # more than limit significant digits, a numerator and denominator within it:
+        # q / 5**4400 from the 4,326 digits of q * 2**4400, times 10**-4400
+        q = 3 ** 6290 + 2
+        with localcontext(prec=5000):
+            value = (Decimal(q) * Decimal(2) ** 4400).scaleb(-4400)
+        assert len(value.as_tuple().digits) > limit
+        assert rational(value) == Fraction(q, 5 ** 4400)
 
     def test_decimal_exponent_within_the_limit(self):
         # a zero mantissa gives 0 without the power; the largest values the limit allows
