@@ -22,7 +22,7 @@ Each monomial is stored as one packed ``int`` (Monagan and Pearce, CASC
 table order.  So a monomial product is one integer addition, and the int
 order of the keys is the canonical term order.  An exponent or total degree
 above 65,535 is a :class:`DegreeError`, checked on construction and on the
-keys each product loop forms, never wrapped.  The public views (``terms``,
+keys each plan forms, never wrapped.  The public views (``terms``,
 ``numerators``, ``sorted_terms``, ...) are keyed by exponent tuples.
 
 Products and differentiation share one kernel.  :meth:`Polynomial.sum_of_products`
