@@ -435,7 +435,8 @@ def _solve_x16_chart(r, s):
     return out
 
 
-def _solve_x24_chart(r):
+def _solve_x24_chart(r, _s, _u):
+    """Chart solutions (a, b, tag) of X24, whose triple is (r, r, r)."""
     params = {"r": r}
     out = []
     axis = _biq_roots(comp.tables().X24_J2_BIQUADRATIC, params)
@@ -483,13 +484,20 @@ _CHART_ROTATIONS = (
 )
 
 
-def _in_charts(family: str, solvers, rotations=_CHART_ROTATIONS):
-    """A candidate source: in each chart, the chart solvers in turn on the rotated triple."""
+def _in_charts(family: str, solvers, rotations):
+    """A candidate source: in each chart of *rotations*, the chart solvers in turn on the
+    rotated triple, each distinct (solver, rotated triple) solved once a call and looked
+    up by == (hashing Fractions costs more), so X24's three charts solve its (r, r, r) once."""
     def source(triple):
-        return [(embed(a, b), f"{family}.{tag}")
-                for order, embed in rotations
-                for solve in solvers
-                for a, b, tag in solve(*(triple[i] for i in order))]
+        out, solved = [], []    # (solver, rotated triple, solutions)
+        for order, embed in rotations:
+            rotated = [triple[i] for i in order]
+            for solve in solvers:
+                known = [got for f, t, got in solved if f is solve and t == rotated]
+                got = known[0] if known else solve(*rotated)
+                solved.append((solve, rotated, got))
+                out += [(embed(a, b), f"{family}.{tag}") for a, b, tag in got]
+        return out
     return source
 
 
@@ -504,16 +512,7 @@ def _x16_candidates(triple):
 _x4_xy_candidates = _in_charts("X4", (_solve_x4_axes, _solve_x4_j1), _CHART_ROTATIONS[:1])
 _x4_axis_candidates = _in_charts("X4", (_solve_x4_axes,), _CHART_ROTATIONS[1:])
 _x4_j1_candidates = _in_charts("X4", (_solve_x4_j1,), _CHART_ROTATIONS[1:])
-
-
-def _x24_candidates(triple):
-    """X24's chart solutions in each chart of :data:`_CHART_ROTATIONS`, a chart's at
-    the first entry of its rotated triple.  X24's triple is (r, r, r), so the three
-    charts solve the same system: each distinct entry is solved once, in that order."""
-    solved = {r: _solve_x24_chart(r) for r in dict.fromkeys(triple)}
-    return [(embed(a, b), f"X24.{tag}")
-            for order, embed in _CHART_ROTATIONS
-            for a, b, tag in solved[triple[order[0]]]]
+_x24_candidates = _in_charts("X24", (_solve_x24_chart,), _CHART_ROTATIONS)
 
 
 def _x4_diagonal_candidates(triple):

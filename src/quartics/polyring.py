@@ -35,9 +35,9 @@ pairing of weight 1.  Which terms of the operands meet, with which weight and at
 which key, depends only on their key sets, which repeat: a generic quartic is
 dense, a family's forms keep their monomials and an operator ``x^a`` is one key.
 So the pairing is planned once per tuple of key sets and kept for the last 256
-(:func:`_pairing`), its output keys in descending order, so that equal sets give
-equal key tuples; a call only multiplies and adds numerators, by the plan's loop
-while it is cold or small and then by straight-line code (:func:`_kernel`).
+(:func:`_pairing`), its output keys in descending order, so that equal sets give equal
+key tuples; a call only multiplies and adds numerators, by the plan's loop while it is
+cold or small and then by straight-line code that the plan keeps (:func:`_kernel`).
 
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: what evaluation keeps of one is built lazily.
@@ -70,9 +70,9 @@ Exponents = tuple[int, ...]
 _LIMIT = 0xFFFF     # the largest exponent or total degree a field holds, and its mask
 #: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
 #: sets of them and 6 generated functions, which stay with room to spare.
-#: :func:`_exact_plan`, :func:`_operator`, :func:`_pairing` and :func:`_kernel` keep as many as
-#: :func:`_shape`: ``symbolic`` uses 150 plans and compiles 57; 440 ``numeric`` operations build
-#: 466 (most for their answer checks' substitutions, used once) and compile 60.
+#: :func:`_exact_plan`, :func:`_operator` and :func:`_pairing` keep as many as :func:`_shape`, and
+#: a plan its compiled code: ``symbolic`` uses 150 plans and compiles 57; 440 ``numeric``
+#: operations build 466 (most for their answer checks' substitutions, used once) and compile 60.
 _SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 
 
@@ -500,12 +500,13 @@ class _Plan:
     """A plan of :func:`_pairing`: the output ``keys``, descending; the ``pairs``
     ``x, y, weight, slot``, flat in one tuple (under half the memory of a tuple each) in
     slot order, each adding ``n[x] * n[y] * weight`` to ``keys[slot]``, ``n`` the
-    operands' numerators, a's then b's; the ``degree`` of the top key; its ``uses``."""
+    operands' numerators, a's then b's; the ``degree`` of the top key; its ``uses``; its
+    ``kernel``, once :func:`_kernel` has compiled it, else None."""
 
-    __slots__ = ("keys", "pairs", "degree", "uses")
+    __slots__ = ("keys", "pairs", "degree", "uses", "kernel")
 
     def __init__(self, keys, pairs, degree):
-        self.keys, self.pairs, self.degree, self.uses = keys, pairs, degree, 0
+        self.keys, self.pairs, self.degree, self.uses, self.kernel = keys, pairs, degree, 0, None
 
 
 @lru_cache(maxsize=_SHAPES)
@@ -570,7 +571,7 @@ def _planned(table: VarTable, plan: _Plan, n: list[int], den: int) -> "Polynomia
     plan.uses += 1
     if plan.uses >= _HOT and len(plan.pairs) >= 4 * _HOT_PAIRS:
         out: list[int] = []
-        for piece in _kernel(plan):
+        for piece in plan.kernel or _kernel(plan):
             piece(n, out)
     else:
         out = [0] * len(plan.keys)
@@ -579,11 +580,10 @@ def _planned(table: VarTable, plan: _Plan, n: list[int], den: int) -> "Polynomia
     return Polynomial._from_packed(table, dict(zip(plan.keys, out)), den)
 
 
-@lru_cache(maxsize=_SHAPES)
 def _kernel(plan: _Plan) -> tuple:
-    """*plan* as functions ``piece(n, out)`` of up to ``_PIECE`` pairs, which unpack the
-    numerators they use into locals and append their slots' sums to *out*: ``out +=
-    [n0 * n5, n0 * n6 + n1 * n5 * 0x2, ...]``, a slot begun before from ``out.pop()``.
+    """*plan* as functions ``piece(n, out)`` of up to ``_PIECE`` pairs, kept as its ``kernel``,
+    which unpack the numerators they use into locals and append their slots' sums to *out*:
+    ``out += [n0 * n5, n0 * n6 + n1 * n5 * 0x2, ...]``, a slot begun before from ``out.pop()``.
     A term a line: the column table of one long line takes twice the code's bytes."""
     pieces, pairs = [], list(zip(*[iter(plan.pairs)] * 4))
     for start in range(0, len(pairs), _PIECE):
@@ -600,7 +600,8 @@ def _kernel(plan: _Plan) -> tuple:
         names = [f"n{v}" if v in used else "_" for v in range(max(used) + 1)]
         pieces.append(_generated("n, out", ["[" + ",\n ".join(names) + f"] = n[:{len(names)}]",
                                             *lines, "out += [" + ",\n ".join(values) + "]"], {}))
-    return tuple(pieces)
+    plan.kernel = tuple(pieces)
+    return plan.kernel
 
 
 def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -690,9 +691,9 @@ _SUM_CHUNK = 64     # terms summed in one expression: the compiler recurses once
 def _generated(parameters: str, lines: list[str], namespace: dict):
     """The function of *parameters* and body *lines*, compiled with the globals
     *namespace*: the package's one code generator.  One function per source while
-    anything holds it: ``_GENERATED`` maps each source weakly to its function, and the
-    callers' bounded caches (:func:`_evaluator`, :func:`_kernel`, ``diffcalc._pencil_det``)
-    hold them, so a caller of ever new sources keeps about as many as its cache."""
+    anything holds it: ``_GENERATED`` maps each source weakly to its function, which the
+    plans of :func:`_pairing` and the bounded caches of :func:`_evaluator` and
+    ``diffcalc._pencil_det`` hold, so a caller of ever new sources keeps as many as they."""
     source = f"def generated({parameters}):\n" + "".join(f" {line}\n" for line in lines)
     if (function := _GENERATED.get(source)) is None:
         exec(compile(source, "<generated>", "exec"), namespace)

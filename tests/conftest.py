@@ -14,8 +14,10 @@ import random
 from fractions import Fraction
 from math import gcd, perm, prod
 
+import pytest
 from hypothesis import settings, strategies as st
 
+from quartics import polyring
 from quartics.errors import DegreeError
 from quartics.polyring import Polynomial, VarTable, eval_complex
 
@@ -32,6 +34,14 @@ PAR = VarTable(("x", "y", "z"), ("r", "s", "u"))
 SEVEN = VarTable(("x", "y", "z"), ("a", "b", "c", "d"))
 LIMIT = 65535       # the largest exponent or total degree of a packed monomial
 DENOMINATORS = (1, 1, 2, 3, 4, 6, 9, 12, 35, 1000003)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The plans that ``polyring._kernel`` compiles while the test runs, in order."""
+    plans, kernel = [], polyring._kernel
+    monkeypatch.setattr(polyring, "_kernel", lambda plan: plans.append(plan) or kernel(plan))
+    return plans
 
 
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

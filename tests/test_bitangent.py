@@ -469,7 +469,8 @@ class TestChartPoint:
 
 
 #: X4's components solved in all three charts, as one candidate source.
-_X4_ALL_CHARTS = bitangent._in_charts("X4", (bitangent._solve_x4_axes, bitangent._solve_x4_j1))
+_X4_ALL_CHARTS = bitangent._in_charts("X4", (bitangent._solve_x4_axes, bitangent._solve_x4_j1),
+                                     bitangent._CHART_ROTATIONS)
 
 
 class TestNonFiniteCandidate:

@@ -31,12 +31,14 @@ and message, and exact results in their stored form.  The drivers of
 no plan kept, and hot, on its plan's ``_HOT``-th use (:func:`cold_and_hot`).
 """
 
+import gc
 import itertools
 import math
 import random
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from math import perm
 
@@ -45,8 +47,8 @@ from hypothesis import given, settings
 
 from quartics.diffcalc import _pencil_det, det, hessian, j_bracket
 from quartics.errors import DegreeError, DomainError, TableMismatchError
-from quartics.polyring import (_HOT, _PIECE, Polynomial, VarTable, _kernel, _pairing,
-                               diff_pair, eval_exact, eval_scaled_many)
+from quartics.polyring import (_HOT, _PIECE, Polynomial, VarTable, _pairing, diff_pair,
+                               eval_exact, eval_scaled_many)
 from quartics.symfam import (Partition, SymmetricDecomposition, decompose_symmetric,
                              is_symmetric, reconstruct, s_basis)
 
@@ -555,7 +557,7 @@ class TestSumOfProducts:
             assert want == "DegreeError: degree exceeds the packing limit 65535"
             assert cold_and_hot(Polynomial.sum_of_products, PAR, products) == want
 
-    def test_degree_error_of_a_plan_large_enough_to_compile(self):
+    def test_degree_error_of_a_plan_large_enough_to_compile(self, compiles):
         # 9 pairs, some past the limit: the plan is kept and raises on every use,
         # and never runs, so no kernel is compiled
         x, r = Polynomial.variable(PAR, "x"), Polynomial.variable(PAR, "r")
@@ -563,10 +565,9 @@ class TestSumOfProducts:
         products = [(1, a, r ** 35534 * (1 + x + x * x))]
         want = exact_outcome(expanded_sum_of_products, PAR, products)
         assert want == "DegreeError: degree exceeds the packing limit 65535"
-        compiled = _kernel.cache_info().misses
         assert cold_and_hot(Polynomial.sum_of_products, PAR, products) == want
         assert exact_outcome(Polynomial.sum_of_products, PAR, products) == want
-        assert _kernel.cache_info().misses == compiled
+        assert compiles == []
 
     def test_a_plan_over_the_terms_of_one_function(self):
         # 300 products of two terms each: the keys x^300 and r*s are formed by 300
@@ -580,7 +581,7 @@ class TestSumOfProducts:
         want = exact_outcome(expanded_sum_of_products, PAR, products)
         assert cold_and_hot(Polynomial.sum_of_products, PAR, products) == want
         plan = _pairing(PAR, False, tuple((tuple(a._num), tuple(b._num)) for _, a, b in products))
-        assert len(plan.pairs) // 4 == 1200 and len(_kernel(plan)) == -(-1200 // _PIECE)
+        assert len(plan.pairs) // 4 == 1200 and len(plan.kernel) == -(-1200 // _PIECE)
 
 
 def full_matrix_j_bracket(f, g):
@@ -786,18 +787,17 @@ class TestDiffPair:
         p, q = Polynomial.variable(PQ, "p") ** 40000, Polynomial.variable(PQ, "q") ** 30000
         assert cold_and_hot(diff_pair, p, q) == exact_outcome(scanned_diff_pair, p, q)
 
-    def test_weights_of_more_digits_than_str_converts(self):
+    def test_weights_of_more_digits_than_str_converts(self, compiles):
         # 2000! has 5,736 digits: generated code writes a weight in hex, which has no
         # digit limit, so the compiled plan gives the loop's answer
         mono = Polynomial.monomial
         f = sum((mono(PAR, {"x": 2000, "r": k}, k + 1) for k in range(3)), Polynomial.zero(PAR))
         g = sum((mono(PAR, {"x": 2000 + k % 2, "s": k}, Fraction(1, k + 1)) for k in range(3)),
                 Polynomial.zero(PAR))
-        compiled = _kernel.cache_info().misses
         assert cold_and_hot(diff_pair, f, g) == exact_outcome(scanned_diff_pair, f, g)
-        assert _kernel.cache_info().misses == compiled + 1
+        assert len(compiles) == 1
 
-    def test_table_mismatch_before_any_plan_or_compile(self):
+    def test_table_mismatch_before_any_plan_or_compile(self, compiles):
         # hot: the plans of f and g compiled; operands over another table are refused
         # before any plan is looked up, built or compiled
         rng = random.Random(8)
@@ -807,12 +807,34 @@ class TestDiffPair:
         assert (cold_and_hot(Polynomial.sum_of_products, PAR, products)
                 == exact_outcome(expanded_sum_of_products, PAR, products))
         foreign = Polynomial.variable(SEVEN, "x")
-        kept = _pairing.cache_info(), _kernel.cache_info()
+        kept = _pairing.cache_info(), len(compiles)
         for call, args in ((diff_pair, (f, foreign)), (diff_pair, (foreign, g)),
                            (Polynomial.sum_of_products, (PAR, products + [(1, f, foreign)])),
                            (Polynomial.sum_of_products, (PAR, [(1, foreign, g)] + products))):
             assert exact_outcome(call, *args).startswith("TableMismatchError")
-        assert (_pairing.cache_info(), _kernel.cache_info()) == kept
+        assert (_pairing.cache_info(), len(compiles)) == kept
+
+    def test_compiled_code_goes_with_its_plan(self, compiles):
+        # a plan keeps the kernel it compiles on its _HOT-th use, and only then; dropped
+        # from the plan cache it takes the functions with it (no other plan's source has
+        # weights of 1234! and 1235!), and built again it compiles again, once
+        mono = Polynomial.monomial
+        f = sum((mono(PAR, {"x": 1234, "r": k}, k + 1) for k in range(3)), Polynomial.zero(PAR))
+        g = sum((mono(PAR, {"x": 1234 + k % 2, "s": k}, Fraction(1, k + 1)) for k in range(3)),
+                Polynomial.zero(PAR))
+        want, operands = exact_outcome(scanned_diff_pair, f, g), ((tuple(f._num), tuple(g._num)),)
+        _pairing.cache_clear()
+        for _ in range(2):
+            for use in range(1, _HOT + 3):
+                assert exact_outcome(diff_pair, f, g) == want
+                plan = _pairing(PAR, True, operands)    # a hit, which is not a use
+                assert plan.uses == use and compiles == [plan] * (use >= _HOT)
+            assert len(plan.kernel) == 1
+            code = weakref.ref(plan.kernel[0])
+            del plan, compiles[:]
+            _pairing.cache_clear()
+            gc.collect()
+            assert code() is None
 
     def test_the_plans_kept_are_bounded(self):
         # more pairs of key sets than the cache keeps: the oldest plans are dropped,
@@ -1334,7 +1356,7 @@ def three_chart_solves(triple):
 
     return [(embed(a, b), f"X24.{tag}")
             for order, embed in _CHART_ROTATIONS
-            for a, b, tag in _solve_x24_chart(triple[order[0]])]
+            for a, b, tag in _solve_x24_chart(*(triple[i] for i in order))]
 
 
 class TestX24Candidates:
@@ -1347,12 +1369,14 @@ class TestX24Candidates:
         got = _x24_candidates(triple)
         assert len(got) == 72 and repr(got) == repr(three_chart_solves(triple))
 
-    def test_solves_each_distinct_entry_once(self, monkeypatch):
+    def test_solves_each_distinct_entry_once(self):
+        # each distinct rotated triple once a call, in chart order: X24's (r, r, r) once
         from quartics import bitangent
 
         calls = []
-        solve = bitangent._solve_x24_chart
-        monkeypatch.setattr(bitangent, "_solve_x24_chart", lambda r: calls.append(r) or solve(r))
-        bitangent._x24_candidates((Fraction(5, 2),) * 3)
-        bitangent._x24_candidates((1, 3, 1))
-        assert calls == [Fraction(5, 2), 1, 3]
+        source = bitangent._in_charts(
+            "X24", (lambda *rotated: calls.append(rotated) or bitangent._solve_x24_chart(*rotated),),
+            bitangent._CHART_ROTATIONS)
+        for triple in ((Fraction(5, 2),) * 3, (1, 3, 1)):
+            assert repr(source(triple)) == repr(bitangent._x24_candidates(triple))
+        assert calls == [(Fraction(5, 2),) * 3, (1, 3, 1), (3, 1, 1), (1, 1, 3)]

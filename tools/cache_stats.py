@@ -8,10 +8,12 @@ starts empty.  Then it prints, for each bounded cache, the hits, the misses,
 the hit ratio (the share of calls whose input repeated one still kept) and
 how many entries it keeps against its bound.  A cache that a workload never
 calls shows ``-`` as its ratio.  ``polyring._pairing`` holds the plans of the
-products and differential pairings, one per tuple of operand key sets, and
-``polyring._kernel`` their compiled straight-line code: its misses count the
-compiles.  Below the table it prints the pairs of terms that the kept plans
-hold, and the share of the plans' runs that compiled code served.
+products and differential pairings, one per tuple of operand key sets, and a
+plan keeps its compiled straight-line code, from its ``_HOT``-th use, in its
+``kernel`` slot.  Below the table it prints the pairs of terms that the kept
+plans hold, and those of the compiled ones among them; how many plans compiled
+in all, and how many of those were built again after the cache dropped them;
+and the share of the plans' runs that compiled code served.
 
 Run from the root of a checkout:
 
@@ -31,15 +33,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 #: (module, attribute) of each bounded cache, in the order printed
-CACHES = (("polyring", "_pairing"), ("polyring", "_kernel"), ("polyring", "_operator"),
-          ("diffcalc", "_expansion"), ("diffcalc", "_pencil_det"), ("polyring", "_evaluator"),
-          ("polyring", "_shape"), ("polyring", "_exact_plan"),
-          ("bitangent", "_restriction_coefficients_cached"))
+CACHES = (("polyring", "_pairing"), ("polyring", "_operator"), ("diffcalc", "_expansion"),
+          ("diffcalc", "_pencil_det"), ("polyring", "_evaluator"), ("polyring", "_shape"),
+          ("polyring", "_exact_plan"), ("bitangent", "_restriction_coefficients_cached"))
 
 
 def cache_stats(workload: str, seed: int, ops: int):
-    """``(failed, [(name, cache_info()), ...], pairs)`` after the first *ops* inputs of
-    *workload*: *pairs* is how many pairs of terms the plans that ``_pairing`` keeps hold."""
+    """``(failed, [(name, cache_info()), ...], kept, compiled)`` after the first *ops*
+    inputs of *workload*: *kept* the plans that ``_pairing`` keeps, *compiled* the
+    ``(operands, uses)`` of every plan that compiled, those dropped first."""
     import workloads
     from quartics import polyring
 
@@ -47,13 +49,19 @@ def cache_stats(workload: str, seed: int, ops: int):
               for module, name in CACHES]
     for _, cache in caches:
         cache.cache_clear()
-    pairing, used = polyring._pairing, {}
+    pairing, used, dropped = polyring._pairing, {}, []
 
     def recorded(*args):
-        # each plan in the order of its last use: the cache keeps the last ones
+        # each kept plan in the order of its last use, as the cache keeps them: past its
+        # bound, the first is the one the cache dropped (its kernel with it)
         plan = pairing(*args)
         used.pop(plan, None)
-        used[plan] = None
+        used[plan] = args
+        if len(used) > pairing.cache_info().maxsize:
+            old = next(iter(used))
+            operands = used.pop(old)
+            if old.kernel:
+                dropped.append((operands, old.uses))
         return plan
 
     polyring._pairing = recorded
@@ -68,9 +76,8 @@ def cache_stats(workload: str, seed: int, ops: int):
                 work.check(inp, out)
     finally:
         polyring._pairing = pairing
-    kept = list(used)[len(used) - pairing.cache_info().currsize:]
-    return (failed, [(name, cache.cache_info()) for name, cache in caches],
-            sum(len(plan.pairs) for plan in kept) // 4)     # four entries a pair
+    return (failed, [(name, cache.cache_info()) for name, cache in caches], list(used),
+            dropped + [(operands, plan.uses) for plan, operands in used.items() if plan.kernel])
 
 
 def main(argv=None) -> int:
@@ -80,8 +87,9 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, required=True, help="operations to run")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from quartics.polyring import _HOT
 
-    failed, stats, pairs = cache_stats(args.workload, args.seed, args.ops)
+    failed, stats, kept, compiled = cache_stats(args.workload, args.seed, args.ops)
     print(f"{args.workload} seed {args.seed}: {args.ops} operations, {failed} failed")
     print(f"{'cache':<42}{'hits':>8}{'misses':>8}{'hit ratio':>11}{'kept/bound':>12}")
     for name, info in stats:
@@ -89,12 +97,18 @@ def main(argv=None) -> int:
         ratio = f"{info.hits / calls:.3f}" if calls else "-"
         print(f"{name:<42}{info.hits:>8}{info.misses:>8}{ratio:>11}"
               f"{f'{info.currsize}/{info.maxsize}':>12}")
-    plans, kernels = (info for name, info in stats
-                      if name in ("polyring._pairing", "polyring._kernel"))
-    runs, compiled = plans.hits + plans.misses, kernels.hits + kernels.misses
-    share = f"{compiled / runs:.3f}" if runs else "-"
-    print(f"the {plans.currsize} plans kept hold {pairs} pairs of terms; of their {runs} runs "
-          f"{compiled} ran compiled code, a share of {share}")
+    hot = [plan for plan in kept if plan.kernel]
+    pairs, hot_pairs = (sum(len(plan.pairs) for plan in plans) // 4     # four entries a pair
+                        for plans in (kept, hot))
+    print(f"the {len(kept)} plans kept hold {pairs} pairs of terms; "
+          f"the {len(hot)} of them compiled hold {hot_pairs}")
+    pairing = next(info for name, info in stats if name == "polyring._pairing")
+    runs = pairing.hits + pairing.misses
+    served = sum(uses - _HOT + 1 for _, uses in compiled)   # a kernel runs from the _HOT-th use
+    again = len(compiled) - len({operands for operands, _ in compiled})
+    share = f"{served / runs:.3f}" if runs else "-"
+    print(f"{len(compiled)} plans compiled, {again} of them built again after the cache "
+          f"dropped them; of the {runs} plan runs {served} ran compiled code, a share of {share}")
     return 0
 
 
