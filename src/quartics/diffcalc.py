@@ -15,10 +15,10 @@ These are the computational primitives behind the quartic invariants:
 
 ``diff_pair`` and every sum of products here run the plan of their operands'
 key sets, which repeat from call to call: interpreted while cold, then as
-generated straight-line code (``polyring._pairing``).  Each distinct Hessian
-entry and each transvectant partial is one ``multi_partial``.  ``j_bracket``
-forms the six distinct entries and cofactors of each symmetric Hessian once and
-contracts them, an off-diagonal product with weight 2, in four sums of products.
+generated straight-line code (``polyring._pairing``).  Each distinct entry of
+``hessian`` and each transvectant partial is one ``multi_partial``.  ``j_bracket``
+runs a two-stage plan per pair of key sets: the Hessian entries read off the keys,
+their twelve cofactors, then the four sums, an off-diagonal product with weight 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegreeError, DomainError, TableMismatchError
-from .polyring import (Polynomial, _generated, diff_pair,  # noqa: F401  (re-exports diff_pair)
+from .polyring import (_LIMIT, _SHAPES, Polynomial, VarTable, _check_table, _flatten,
+                       _generated, _Plan, _run, diff_pair,  # noqa: F401  (re-exports diff_pair)
                        multi_partial)
 
 
@@ -128,38 +129,78 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _WEIGHTS = (1, 2, 2, 1, 2, 1)
 
 
-def _hessian_and_cofactors(p: Polynomial) -> tuple[list[Polynomial], list[Polynomial]]:
-    """The six distinct entries of the symmetric Hessian of *p* and its six distinct
-    cofactors, both in the order of ``_UPPER``, each formed once."""
-    h = hessian(p)
-    entries = [h[i][j] for i, j in _UPPER]
-    cofactors = []
-    for i, j in _UPPER:     # from the cyclically next rows and columns: the sign is built in
-        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-        cofactors.append(Polynomial.sum_of_products(
-            p.table, ((1, h[i1][j1], h[i2][j2]), (-1, h[i1][j2], h[i2][j1]))))
-    return entries, cofactors
+def _products(products) -> dict[int, list[tuple[int, int, int]]]:
+    """The slots of ``sum c * a * b`` over the ``(c, a, b)`` of *products*, each factor
+    a list of terms ``(index in n, weight, key)``: each key's ``(x, y, weight)`` pairs."""
+    slots: dict[int, list[tuple[int, int, int]]] = {}
+    meet = slots.setdefault
+    for c, a, b in products:
+        for x, wx, kx in a:
+            for y, wy, ky in b:
+                meet(kx + ky, []).append((x, y, c * wx * wy))
+    return slots
+
+
+@lru_cache(maxsize=_SHAPES)
+def _bracket(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]):
+    """``(first, second, spans, degree)`` for :func:`j_bracket` on operands of the keys
+    *fkeys* and *gkeys* over *table* (the last 256): a Hessian entry is its operand's
+    terms of geometric degree 2, a square's with weight 2; plan *first* forms the six
+    cofactors of f's Hessian, then g's, in the order of ``_UPPER``, from ``n``, f's
+    numerators then g's; *second* forms J11, J22, J30 and J03 in the ranges *spans* from
+    ``n`` and *first*'s slots after it; *degree* is the operands' geometric degree."""
+    top, geometric = table._top, ((1 << 48) - 1) << 16 * len(table.parameters)   # x, y, z
+    hessians, slots, start, degree = [], [], 0, 0
+    for keys in (fkeys, gkeys):
+        h = {ij: [] for ij in _UPPER}
+        for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), start):
+            degree = max(degree, d := sum(exps[:3]))
+            if d == 2:      # lower degrees have no second partials
+                i, j = [v for v in range(3) for _ in range(exps[v])]
+                h[i, j].append((term, 2 if i == j else 1, key - (key & geometric) - (2 << top)))
+        m = [[h[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
+        for i, j in _UPPER:     # from the cyclically next rows and columns: the sign is built in
+            i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+            slots.append(_products(((1, m[i1][j1], m[i2][j2]), (-1, m[i1][j2], m[i2][j1]))))
+        hessians.append([h[ij] for ij in _UPPER])
+        start += len(keys)
+    first, spans = _flatten(slots, top)
+    # each cofactor's slots as terms of weight 1, indexed past the operands' numerators
+    cofactors = [[(start + s, 1, first.keys[s]) for s in span] for span in spans]
+    (hf, hg), cf, cg = hessians, cofactors[:6], cofactors[6:]
+    second, spans = _flatten([     # J11, J22, J30, J03
+        _products(zip(_WEIGHTS, hf, hg)), _products(zip(_WEIGHTS, cf, cg)),
+        _products(zip((1, 1, 1), hf, cf)), _products(zip((1, 1, 1), hg, cg))], top)
+    return first, second, spans, degree
 
 
 def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
     """The four J-brackets ``(J11, J22, J30, J03)`` of two quadratic ternary forms.
 
     ``J11 = <H(f), H(g)>``, ``J22 = <H*(f), H*(g)>``, ``J30 = det H(f)``,
-    ``J03 = det H(g)``, ``H*`` the adjugate.  Each symmetric Hessian's six
-    distinct entries and cofactors are formed once; an off-diagonal product
-    weighs 2 in ``<a, b> = sum_ij a_ij b_ji``, and a determinant is its first
-    row against that row's cofactors.  The Hessians of quadratics have constant
-    entries.  Degenerate inputs of geometric degree below 2 are allowed (their
-    second partials simply vanish); degree above 2 is an error.
-    """
-    for p in (f, g):
-        if p.geometric_degree() > 2:
-            raise DegreeError("J brackets are defined for quadratic forms")
-    (hf, cf), (hg, cg) = _hessian_and_cofactors(f), _hessian_and_cofactors(g)
-    return (Polynomial.sum_of_products(f.table, zip(_WEIGHTS, hf, hg)),
-            Polynomial.sum_of_products(f.table, zip(_WEIGHTS, cf, cg)),
-            Polynomial.sum_of_products(f.table, zip((1, 1, 1), hf, cf)),
-            Polynomial.sum_of_products(g.table, zip((1, 1, 1), hg, cg)))
+    ``J03 = det H(g)``, ``H*`` the adjugate: an off-diagonal product of the symmetric
+    matrices weighs 2 in ``<a, b> = sum_ij a_ij b_ji``, and a determinant is the first
+    row against its cofactors.  Two runs of the plan of the key sets (:func:`_bracket`)
+    form the 12 distinct cofactors, then the four sums, over ``Df Dg``, ``(Df Dg)^2``,
+    ``Df^3`` and ``Dg^3``.  Geometric degree below 2 is allowed (the second partials
+    vanish), above 2 an error; a key past the packing limit is one only where a product
+    of nonzero terms forms it, as in the matrices' products."""
+    table = f.table
+    if table.n_geometric == 3 and (g.table is table or g.table == table):
+        first, second, spans, degree = _bracket(table, tuple(f._num), tuple(g._num))
+    elif (degree := max(f.geometric_degree(), g.geometric_degree())) <= 2:
+        hessian(f), hessian(g), _check_table(table, g)  # one raises: the full matrices' order
+    if degree > 2:
+        raise DegreeError("J brackets are defined for quadratic forms")
+    n = [*f._num.values(), *g._num.values()]
+    n += _run(first, n)
+    if second.degree > _LIMIT:      # pairs through cofactor terms that cancelled form no key
+        live = [pair for pair in zip(*[iter(second.pairs)] * 4) if n[pair[0]] and n[pair[1]]]
+        second = _Plan(second.keys, tuple(v for pair in live for v in pair),
+                       max([second.keys[pair[3]] >> table._top for pair in live], default=0))
+    out, keys, df, dg = _run(second, n), second.keys, f._den, g._den
+    return tuple(Polynomial._from_packed(table, {keys[s]: out[s] for s in span}, den)
+                 for span, den in zip(spans, (df * dg, (df * dg) ** 2, df ** 3, dg ** 3)))
 
 
 def transvectant(F: Polynomial, G: Polynomial, k: int,

@@ -17,8 +17,7 @@ the six invariants
     I18 = J22(tau, rho)          I15 = J30(tau, rho) = det H(tau)
 
 where the four J-brackets come from one :func:`~quartics.diffcalc.j_bracket`
-call, which forms the six distinct Hessian entries and cofactors of each
-covariant once.
+call: two runs of one plan, the covariants' cofactors, then the four sums.
 
 Conventions are pinned by exact reference values, anchored at ``I6 = 13822``
 for the Fermat quartic: the Hessian carries bare second partials (halving it

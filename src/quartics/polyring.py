@@ -36,8 +36,9 @@ which key, depends only on their key sets, which repeat: a generic quartic is
 dense, a family's forms keep their monomials and an operator ``x^a`` is one key.
 So the pairing is planned once per tuple of key sets and kept for the last 256
 (:func:`_pairing`), its output keys in descending order, so that equal sets give equal
-key tuples; a call only multiplies and adds numerators, by the plan's loop while it is
-cold or small and then by straight-line code that the plan keeps (:func:`_kernel`).
+key tuples; a call only multiplies and adds numerators (:func:`_run`), by the plan's loop
+while it is cold or small, then by straight-line code that the plan keeps
+(:func:`_kernel`); ``diffcalc.j_bracket`` runs two a call, kept per pair of key sets.
 
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: what evaluation keeps of one is built lazily.
@@ -70,9 +71,10 @@ Exponents = tuple[int, ...]
 _LIMIT = 0xFFFF     # the largest exponent or total degree a field holds, and its mask
 #: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
 #: sets of them and 6 generated functions, which stay with room to spare.
-#: :func:`_exact_plan`, :func:`_operator` and :func:`_pairing` keep as many as :func:`_shape`, and
-#: a plan its compiled code: ``symbolic`` uses 150 plans and compiles 57; 440 ``numeric``
-#: operations build 466 (most for their answer checks' substitutions, used once) and compile 60.
+#: :func:`_exact_plan`, :func:`_operator`, :func:`_pairing` and ``diffcalc._bracket`` keep as many
+#: as :func:`_shape`, and a plan its compiled code: ``symbolic`` uses 78 plans and 4 bracket plans,
+#: compiling 28 and 6 stages; 440 ``numeric`` operations build 448 (most used once, by the answer
+#: checks' substitutions) and compile 64, and 1 bracket plan, both stages compiled.
 _SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 
 
@@ -497,16 +499,30 @@ def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
 
 
 class _Plan:
-    """A plan of :func:`_pairing`: the output ``keys``, descending; the ``pairs``
-    ``x, y, weight, slot``, flat in one tuple (under half the memory of a tuple each) in
-    slot order, each adding ``n[x] * n[y] * weight`` to ``keys[slot]``, ``n`` the
-    operands' numerators, a's then b's; the ``degree`` of the top key; its ``uses``; its
-    ``kernel``, once :func:`_kernel` has compiled it, else None."""
+    """A plan of :func:`_pairing` or a stage of ``diffcalc.j_bracket``: the output ``keys``,
+    descending in each range of slots; the ``pairs`` ``x, y, weight, slot``, flat in one
+    tuple (under half the memory of a tuple each) in slot order, each adding ``n[x] * n[y]
+    * weight`` to ``keys[slot]``, ``n`` the operands' numerators; the top ``degree`` of its
+    keys; its ``uses``; its ``kernel``, once :func:`_kernel` has compiled it, else None."""
 
     __slots__ = ("keys", "pairs", "degree", "uses", "kernel")
 
     def __init__(self, keys, pairs, degree):
         self.keys, self.pairs, self.degree, self.uses, self.kernel = keys, pairs, degree, 0, None
+
+
+def _flatten(groups, top: int) -> tuple[_Plan, list[range]]:
+    """The :class:`_Plan` of *groups*, maps from each output key to its ``(x, y, weight)``
+    terms, one range of slots after another, and the range of each group's slots."""
+    keys, pairs, spans = [], [], []
+    for slots in groups:
+        order = sorted(slots, reverse=True)
+        pairs += [v for slot, key in enumerate(order, len(keys))
+                  for i, j, w in slots[key] for v in (i, j, w, slot)]
+        spans.append(range(len(keys), len(keys) + len(order)))
+        keys += order
+    return _Plan(tuple(keys), tuple(pairs), max((max(s) >> top for s in groups if s),
+                                                default=0)), spans
 
 
 @lru_cache(maxsize=_SHAPES)
@@ -551,9 +567,7 @@ def _pairing(table: VarTable, differentiate: bool, operands: tuple) -> _Plan:
                                 for i, fkey in fterms:
                                     meet(gkey + fkey, []).append((i, j, weight))
         start = size + len(gkeys)
-    keys = sorted(slots, reverse=True)
-    pairs = [v for slot, key in enumerate(keys) for i, j, w in slots[key] for v in (i, j, w, slot)]
-    return _Plan(tuple(keys), tuple(pairs), keys[0] >> top if keys else 0)
+    return _flatten((slots,), top)[0]
 
 
 #: A plan of ``_HOT_PAIRS`` pairs or more runs as :func:`_kernel` from its ``_HOT``-th use, in
@@ -565,7 +579,12 @@ _HOT, _HOT_PAIRS, _PIECE = 4, 8, 128
 
 
 def _planned(table: VarTable, plan: _Plan, n: list[int], den: int) -> "Polynomial":
-    """What *plan* forms from the numerators *n* over *den*, its top key's degree checked
+    """The polynomial over *den* of what :func:`_run` forms by *plan* from *n*."""
+    return Polynomial._from_packed(table, dict(zip(plan.keys, _run(plan, n))), den)
+
+
+def _run(plan: _Plan, n: list[int]) -> list[int]:
+    """The ints that *plan* forms from the numerators *n*, one a slot, its degree checked
     first: by the loop over its pairs while it is cold or small, then by its :func:`_kernel`."""
     _check_degree(plan.degree)     # the plan keeps every product's key
     plan.uses += 1
@@ -577,7 +596,7 @@ def _planned(table: VarTable, plan: _Plan, n: list[int], den: int) -> "Polynomia
         out = [0] * len(plan.keys)
         for x, y, weight, slot in zip(*[iter(plan.pairs)] * 4):
             out[slot] += n[x] * n[y] * weight
-    return Polynomial._from_packed(table, dict(zip(plan.keys, out)), den)
+    return out
 
 
 def _kernel(plan: _Plan) -> tuple:

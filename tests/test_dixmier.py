@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quartics import polyring
+from quartics import diffcalc, polyring
 from quartics.dixmier import (I6_CORRECTION, contravariants,
                               covariants, delta_binary, dixmier_invariants,
                               psi_binary, sigma_binary)
@@ -271,32 +271,36 @@ class TestInvariants:
             assert v.geometric_degree() == 0
 
     def test_answers_do_not_depend_on_the_pairing_plans_kept(self, compiles):
-        # products and diff_pair keep a plan per tuple of key sets, run compiled from its
-        # _HOT-th use, and multi_partial an operator x^a per table and orders: the
-        # invariants of the families and of seeded generic quartics are the same with
-        # nothing kept, with their plans and operators kept, with the plans compiled,
-        # and after other pairs of key sets pushed those plans out
+        # products and diff_pair keep a plan per tuple of key sets, and j_bracket a
+        # two-stage plan per pair of key sets, each run compiled from its _HOT-th use,
+        # and multi_partial an operator x^a per table and orders: the invariants of the
+        # families and of seeded generic quartics are the same with nothing kept, with
+        # their plans and operators kept, with the plans compiled, and after other pairs
+        # of key sets pushed those plans out and the bracket plans were dropped
         rng = random.Random(59)
         forms = [make_family(name) for name in ("X4", "X16", "X24", "X96")]
         forms += [make_generic([random_fraction(rng, 1000, 100) for _ in range(15)])
                   for _ in range(3)]
-        plans, operators = polyring._pairing, polyring._operator
+        plans, brackets, operators = polyring._pairing, diffcalc._bracket, polyring._operator
 
         def invariants():
             return [dixmier_invariants(f).as_dict() for f in forms]
 
-        plans.cache_clear()
-        operators.cache_clear()
+        for cache in (plans, brackets, operators):
+            cache.cache_clear()
         cold = invariants()
         built, made = plans.cache_info().misses, operators.cache_info().misses
+        bracketed = brackets.cache_info().misses
         warm = invariants()
         assert plans.cache_info().misses == built       # every plan reused
+        assert brackets.cache_info().misses == bracketed > 0    # no bracket plan built
         assert operators.cache_info().misses == made    # every operator reused
         hot = [invariants() for _ in range(polyring._HOT)]
         compiled = len(compiles)
         assert compiled > 0 and plans.cache_info().misses == built
         for k in range(plans.cache_info().maxsize):
             diff_pair(mono(XYZ, {"x": k}), mono(XYZ, {"x": k + 1}))
+        brackets.cache_clear()
         before = plans.cache_info().misses
         evicted = [invariants() for _ in range(polyring._HOT)]
         assert plans.cache_info().misses - before == built      # every plan built again

@@ -4,8 +4,8 @@
 its minors of polynomials in one bottom-up pass; ``sum_of_products`` and
 ``diff_pair`` run a plan kept per tuple of key sets (the last 256), by its loop
 while it is cold or small and then as generated code, and ``sum_of_products``
-skips zero operands; ``j_bracket`` forms each distinct Hessian entry and
-cofactor once, and ``decompose_symmetric`` and ``is_symmetric`` work on the packed keys.
+skips zero operands; ``j_bracket`` runs the two stages of a plan kept per pair of
+key sets, and ``decompose_symmetric`` and ``is_symmetric`` work on the packed keys.
 ``eval_exact`` keeps a plan per polynomial.  Detrep's determinant certificate is generated straight-line code,
 the square fit drops a candidate at its first mismatch that rules it out, and
 X24 solves its chart system once.
@@ -27,8 +27,9 @@ The oracles, in the standard library only:
 
 Floats must agree in ``repr`` (so signed zeros and NaN count), errors in type
 and message, and exact results in their stored form.  The drivers of
-``expanded_sum_of_products`` and ``scanned_diff_pair`` run each case cold, with
-no plan kept, and hot, on its plan's ``_HOT``-th use (:func:`cold_and_hot`).
+``expanded_sum_of_products``, ``scanned_diff_pair`` and ``full_matrix_j_bracket``
+run each case cold, with no plan kept, and hot, on its plan's ``_HOT``-th use
+(:func:`cold_and_hot`).
 """
 
 import gc
@@ -45,7 +46,7 @@ from math import perm
 import pytest
 from hypothesis import given, settings
 
-from quartics.diffcalc import _pencil_det, det, hessian, j_bracket
+from quartics.diffcalc import _bracket, _pencil_det, det, hessian, j_bracket
 from quartics.errors import DegreeError, DomainError, TableMismatchError
 from quartics.polyring import (_HOT, _PIECE, Polynomial, VarTable, _pairing, diff_pair,
                                eval_exact, eval_scaled_many)
@@ -87,6 +88,7 @@ def cold_and_hot(call, *args):
     asserted equal to that of each further run up to the ``_HOT``-th, from which a
     plan of 8 pairs or more runs compiled."""
     _pairing.cache_clear()
+    _bracket.cache_clear()
     cold = exact_outcome(call, *args)
     for _ in range(_HOT - 1):
         assert exact_outcome(call, *args) == cold
@@ -613,7 +615,7 @@ class TestJBracket:
     def test_matches_the_full_matrices(self, rng):
         table = rng.choice((XYZ, PQ))
         f, g = low_form(rng, table), low_form(rng, table)
-        assert exact_outcome(j_bracket, f, g) == exact_outcome(full_matrix_j_bracket, f, g)
+        assert cold_and_hot(j_bracket, f, g) == exact_outcome(full_matrix_j_bracket, f, g)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_pairs(self, seed):
@@ -621,7 +623,7 @@ class TestJBracket:
         rng = random.Random(seed)
         table = (XYZ, PQ)[seed % 2]
         f, g = (low_form_of_degree(rng, table, rng.choice((0, 1, 2, 2, 2))) for _ in range(2))
-        assert exact_outcome(j_bracket, f, g) == exact_outcome(full_matrix_j_bracket, f, g)
+        assert cold_and_hot(j_bracket, f, g) == exact_outcome(full_matrix_j_bracket, f, g)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_general_quadratics(self, seed):
@@ -634,7 +636,27 @@ class TestJBracket:
                                       for e in itertools.product(range(3), repeat=3) if sum(e) == 2})
         f, g = quadratic(), quadratic()
         assert all(entry for row in hessian(f) for entry in row)
-        assert exact_outcome(j_bracket, f, g) == exact_outcome(full_matrix_j_bracket, f, g)
+        assert cold_and_hot(j_bracket, f, g) == exact_outcome(full_matrix_j_bracket, f, g)
+
+    def test_j22_keys_past_the_packing_limit(self):
+        # Hessian entries of degree 16,400 in p and in q: J11's keys reach 32,800, the
+        # cofactors' 32,800 and the determinants' 49,200, but J22's 65,600
+        p, q = (Polynomial.variable(PQ, name) ** 16400 for name in "pq")
+        x, y, z = (Polynomial.variable(PQ, name) for name in "xyz")
+        f, g = p * (x * x + y * y + z * z + x * y), q * (x * x + y * y + z * z + 3 * y * z)
+        want = exact_outcome(full_matrix_j_bracket, f, g)
+        assert want == "DegreeError: degree exceeds the packing limit 65535"
+        assert cold_and_hot(j_bracket, f, g) == want
+
+    def test_past_the_limit_only_through_a_cofactor_that_cancels(self):
+        # H(p^16400 (x + y)^2) has rank 1: its one cofactor with terms cancels, so its
+        # products with g's cofactors, whose keys would pass the limit, form no key
+        p, q = (Polynomial.variable(PQ, name) ** 16400 for name in "pq")
+        x, y, z = (Polynomial.variable(PQ, name) for name in "xyz")
+        f, g = p * (x + y) ** 2, Fraction(1, 3) * q * (x * x + y * y + z * z)
+        want = exact_outcome(full_matrix_j_bracket, f, g)
+        assert "Error" not in str(want) and want[1][2] == {}
+        assert cold_and_hot(j_bracket, f, g) == want
 
     @pytest.mark.parametrize("f, g", [
         (Polynomial.variable(PQ, "x"), Polynomial.zero(XYZ)),           # a zero over another table

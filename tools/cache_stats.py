@@ -8,12 +8,14 @@ starts empty.  Then it prints, for each bounded cache, the hits, the misses,
 the hit ratio (the share of calls whose input repeated one still kept) and
 how many entries it keeps against its bound.  A cache that a workload never
 calls shows ``-`` as its ratio.  ``polyring._pairing`` holds the plans of the
-products and differential pairings, one per tuple of operand key sets, and a
-plan keeps its compiled straight-line code, from its ``_HOT``-th use, in its
-``kernel`` slot.  Below the table it prints the pairs of terms that the kept
-plans hold, and those of the compiled ones among them; how many plans compiled
-in all, and how many of those were built again after the cache dropped them;
-and the share of the plans' runs that compiled code served.
+products and differential pairings, one per tuple of operand key sets, and
+``diffcalc._bracket`` the two-stage plans of the J-brackets, one per pair of
+key sets; a plan or stage keeps its compiled straight-line code, from its
+``_HOT``-th use, in its ``kernel`` slot.  Below the table it prints, for each
+of the two, the pairs of terms that the kept plans hold, and those of the
+compiled ones among them; how many plans compiled in all, and how many of
+those were built again after the cache dropped them; and the share of the
+plans' runs that compiled code served.
 
 Run from the root of a checkout:
 
@@ -33,38 +35,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 #: (module, attribute) of each bounded cache, in the order printed
-CACHES = (("polyring", "_pairing"), ("polyring", "_operator"), ("diffcalc", "_expansion"),
-          ("diffcalc", "_pencil_det"), ("polyring", "_evaluator"), ("polyring", "_shape"),
-          ("polyring", "_exact_plan"), ("bitangent", "_restriction_coefficients_cached"))
+CACHES = (("polyring", "_pairing"), ("diffcalc", "_bracket"), ("polyring", "_operator"),
+          ("diffcalc", "_expansion"), ("diffcalc", "_pencil_det"), ("polyring", "_evaluator"),
+          ("polyring", "_shape"), ("polyring", "_exact_plan"),
+          ("bitangent", "_restriction_coefficients_cached"))
+#: the caches of plans: (module, attribute, the plans one value holds, what they are called)
+PLANS = (("polyring", "_pairing", 1, "plans"), ("diffcalc", "_bracket", 2, "bracket stages"))
 
 
 def cache_stats(workload: str, seed: int, ops: int):
-    """``(failed, [(name, cache_info()), ...], kept, compiled)`` after the first *ops*
-    inputs of *workload*: *kept* the plans that ``_pairing`` keeps, *compiled* the
-    ``(operands, uses)`` of every plan that compiled, those dropped first."""
+    """``(failed, [(name, cache_info()), ...], {name: (kept, compiled)})`` after the first
+    *ops* inputs of *workload*: for each cache of :data:`PLANS`, *kept* the plans it keeps,
+    *compiled* the ``((arguments, stage), uses)`` of every plan that compiled, those dropped
+    first."""
     import workloads
-    from quartics import polyring
 
     caches = [(f"{module}.{name}", getattr(importlib.import_module(f"quartics.{module}"), name))
               for module, name in CACHES]
     for _, cache in caches:
         cache.cache_clear()
-    pairing, used, dropped = polyring._pairing, {}, []
-
-    def recorded(*args):
-        # each kept plan in the order of its last use, as the cache keeps them: past its
-        # bound, the first is the one the cache dropped (its kernel with it)
-        plan = pairing(*args)
-        used.pop(plan, None)
-        used[plan] = args
-        if len(used) > pairing.cache_info().maxsize:
-            old = next(iter(used))
-            operands = used.pop(old)
-            if old.kernel:
-                dropped.append((operands, old.uses))
-        return plan
-
-    polyring._pairing = recorded
+    records = {}    # name: (module, the cache, its kept values' plans, the compiled ones dropped)
+    for module_name, name, per, _ in PLANS:
+        module = importlib.import_module(f"quartics.{module_name}")
+        cache, used, dropped = getattr(module, name), {}, []
+        records[f"{module_name}.{name}"] = (module, cache, used, dropped)
+        setattr(module, name, _recorded(cache, per, used, dropped))
     work = workloads.make(workload, ROOT / "src")
     failed = 0
     try:
@@ -75,9 +70,32 @@ def cache_stats(workload: str, seed: int, ops: int):
             else:
                 work.check(inp, out)
     finally:
-        polyring._pairing = pairing
-    return (failed, [(name, cache.cache_info()) for name, cache in caches], list(used),
-            dropped + [(operands, plan.uses) for plan, operands in used.items() if plan.kernel])
+        for module, cache, _, _ in records.values():
+            setattr(module, cache.__name__, cache)
+    plans = {name: ([plan for value in used for plan in value], dropped + [
+        ((arguments, k), plan.uses) for value, arguments in used.items()
+        for k, plan in enumerate(value) if plan.kernel])
+        for name, (_, _, used, dropped) in records.items()}
+    return failed, [(name, cache.cache_info()) for name, cache in caches], plans
+
+
+def _recorded(cache, per: int, used: dict, dropped: list):
+    """*cache* wrapped to keep, in *used*, the *per* plans of each value it keeps, in the
+    order of their last use, as the cache keeps them: past its bound, the first is the one
+    the cache dropped (its kernels with it), and those of them that compiled go to
+    *dropped* as ``((arguments, stage), uses)``."""
+    def recorded(*args):
+        value = cache(*args)
+        plans = (value,) if per == 1 else value[:per]
+        used.pop(plans, None)
+        used[plans] = args
+        if len(used) > cache.cache_info().maxsize:
+            old = next(iter(used))
+            arguments = used.pop(old)
+            dropped.extend(((arguments, k), plan.uses) for k, plan in enumerate(old) if plan.kernel)
+        return value
+
+    return recorded
 
 
 def main(argv=None) -> int:
@@ -89,7 +107,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from quartics.polyring import _HOT
 
-    failed, stats, kept, compiled = cache_stats(args.workload, args.seed, args.ops)
+    failed, stats, plans = cache_stats(args.workload, args.seed, args.ops)
     print(f"{args.workload} seed {args.seed}: {args.ops} operations, {failed} failed")
     print(f"{'cache':<42}{'hits':>8}{'misses':>8}{'hit ratio':>11}{'kept/bound':>12}")
     for name, info in stats:
@@ -97,18 +115,19 @@ def main(argv=None) -> int:
         ratio = f"{info.hits / calls:.3f}" if calls else "-"
         print(f"{name:<42}{info.hits:>8}{info.misses:>8}{ratio:>11}"
               f"{f'{info.currsize}/{info.maxsize}':>12}")
-    hot = [plan for plan in kept if plan.kernel]
-    pairs, hot_pairs = (sum(len(plan.pairs) for plan in plans) // 4     # four entries a pair
-                        for plans in (kept, hot))
-    print(f"the {len(kept)} plans kept hold {pairs} pairs of terms; "
-          f"the {len(hot)} of them compiled hold {hot_pairs}")
-    pairing = next(info for name, info in stats if name == "polyring._pairing")
-    runs = pairing.hits + pairing.misses
-    served = sum(uses - _HOT + 1 for _, uses in compiled)   # a kernel runs from the _HOT-th use
-    again = len(compiled) - len({operands for operands, _ in compiled})
-    share = f"{served / runs:.3f}" if runs else "-"
-    print(f"{len(compiled)} plans compiled, {again} of them built again after the cache "
-          f"dropped them; of the {runs} plan runs {served} ran compiled code, a share of {share}")
+    for (name, (kept, compiled)), (_, _, per, what) in zip(plans.items(), PLANS):
+        hot = [plan for plan in kept if plan.kernel]
+        pairs, hot_pairs = (sum(len(plan.pairs) for plan in group) // 4    # four entries a pair
+                            for group in (kept, hot))
+        print(f"{name}: the {len(kept)} {what} kept hold {pairs} pairs of terms; "
+              f"the {len(hot)} of them compiled hold {hot_pairs}")
+        info = next(info for cache, info in stats if cache == name)
+        runs = (info.hits + info.misses) * per
+        served = sum(uses - _HOT + 1 for _, uses in compiled)   # compiled from the _HOT-th use
+        again = len(compiled) - len({arguments for arguments, _ in compiled})
+        share = f"{served / runs:.3f}" if runs else "-"
+        print(f"{len(compiled)} {what} compiled, {again} of them built again after the cache "
+              f"dropped them; of the {runs} runs {served} ran compiled code, a share of {share}")
     return 0
 
 
