@@ -34,10 +34,14 @@ from .polyring import (_LIMIT, _SHAPES, Polynomial, VarTable, _check_table, _fla
                        multi_partial)
 
 
-def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
-    """Rows of the matrix of bare second partials of ``f`` in its 3 geometric variables."""
+def _check_ternary(f: Polynomial):
     if f.table.n_geometric != 3:
         raise DegreeError(f"hessian needs 3 geometric variables, table has {f.table.n_geometric}")
+
+
+def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
+    """Rows of the matrix of bare second partials of ``f`` in its 3 geometric variables."""
+    _check_ternary(f)
     x = f.table.geometric
     h = {(i, j): multi_partial(f, {x[i]: 2} if i == j else {x[i]: 1, x[j]: 1})
          for i in range(3) for j in range(i, 3)}
@@ -143,18 +147,19 @@ def _products(products) -> dict[int, list[tuple[int, int, int]]]:
 
 @lru_cache(maxsize=_SHAPES)
 def _bracket(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]):
-    """``(first, second, spans, degree)`` for :func:`j_bracket` on operands of the keys
-    *fkeys* and *gkeys* over *table* (the last 256): a Hessian entry is its operand's
-    terms of geometric degree 2, a square's with weight 2; plan *first* forms the six
-    cofactors of f's Hessian, then g's, in the order of ``_UPPER``, from ``n``, f's
-    numerators then g's; *second* forms J11, J22, J30 and J03 in the ranges *spans* from
-    ``n`` and *first*'s slots after it; *degree* is the operands' geometric degree."""
+    """``(first, second, spans)`` for :func:`j_bracket` on operands of the keys *fkeys*
+    and *gkeys* over *table* (the last 256); a term of geometric degree above 2 raises
+    first.  A Hessian entry is its operand's terms of geometric degree 2, a square's with
+    weight 2; plan *first* forms the six cofactors of f's Hessian, then g's, in the order
+    of ``_UPPER``, from ``n``, f's numerators then g's; *second* forms J11, J22, J30 and
+    J03 in the ranges *spans* from ``n`` and *first*'s slots after it."""
     top, geometric = table._top, ((1 << 48) - 1) << 16 * len(table.parameters)   # x, y, z
-    hessians, slots, start, degree = [], [], 0, 0
+    hessians, slots, start = [], [], 0
     for keys in (fkeys, gkeys):
         h = {ij: [] for ij in _UPPER}
         for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), start):
-            degree = max(degree, d := sum(exps[:3]))
+            if (d := sum(exps[:3])) > 2:
+                raise DegreeError("J brackets are defined for quadratic forms")
             if d == 2:      # lower degrees have no second partials
                 i, j = [v for v in range(3) for _ in range(exps[v])]
                 h[i, j].append((term, 2 if i == j else 1, key - (key & geometric) - (2 << top)))
@@ -171,7 +176,7 @@ def _bracket(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]):
     second, spans = _flatten([     # J11, J22, J30, J03
         _products(zip(_WEIGHTS, hf, hg)), _products(zip(_WEIGHTS, cf, cg)),
         _products(zip((1, 1, 1), hf, cf)), _products(zip((1, 1, 1), hg, cg))], top)
-    return first, second, spans, degree
+    return first, second, spans
 
 
 def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
@@ -184,14 +189,15 @@ def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
     form the 12 distinct cofactors, then the four sums, over ``Df Dg``, ``(Df Dg)^2``,
     ``Df^3`` and ``Dg^3``.  Geometric degree below 2 is allowed (the second partials
     vanish), above 2 an error; a key past the packing limit is one only where a product
-    of nonzero terms forms it, as in the matrices' products."""
+    of nonzero terms forms it, as in the matrices' products.  Operands not ternary or over
+    two tables raise the full matrices' first error (degree, f's, g's, the tables'),
+    without a Hessian or a plan."""
     table = f.table
-    if table.n_geometric == 3 and (g.table is table or g.table == table):
-        first, second, spans, degree = _bracket(table, tuple(f._num), tuple(g._num))
-    elif (degree := max(f.geometric_degree(), g.geometric_degree())) <= 2:
-        hessian(f), hessian(g), _check_table(table, g)  # one raises: the full matrices' order
-    if degree > 2:
+    if table.n_geometric != 3 or not (g.table is table or g.table == table):
+        if max(f.geometric_degree(), g.geometric_degree()) <= 2:
+            _check_ternary(f), _check_ternary(g), _check_table(table, g)   # one raises
         raise DegreeError("J brackets are defined for quadratic forms")
+    first, second, spans = _bracket(table, tuple(f._num), tuple(g._num))
     n = [*f._num.values(), *g._num.values()]
     n += _run(first, n)
     if second.degree > _LIMIT:      # pairs through cofactor terms that cancelled form no key

@@ -60,8 +60,8 @@ import weakref
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import groupby
-from math import comb, gcd, lcm, perm
-from operator import itemgetter, or_
+from math import comb, gcd, lcm, perm, prod
+from operator import ge, itemgetter, or_
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -340,13 +340,11 @@ class Polynomial:
 
     def geometric_coefficients(self) -> dict[Exponents, "Polynomial"]:
         """Group terms by geometric exponents; values are parameter-only polynomials."""
-        table = self.table
-        ng = table.n_geometric
-        params = (1 << 16 * len(table.parameters)) - 1     # the parameter fields of a key
-        out: dict[Exponents, dict[int, int]] = {}
-        for exps, (key, coeff) in zip(table._unpack(self._num), self._num.items()):
-            out.setdefault(exps[:ng], {})[(sum(exps[ng:]) << table._top) + (key & params)] = coeff
-        return {geo: Polynomial._from_packed(table, num, self._den)
+        ng = self.table.n_geometric
+        out: dict[Exponents, dict[Exponents, int]] = {}
+        for exps, coeff in self._items(self._num):
+            out.setdefault(exps[:ng], {})[(0,) * ng + exps[ng:]] = coeff
+        return {geo: Polynomial.from_numerators(self.table, num, self._den)
                 for geo, num in out.items()}
 
     def support_names(self) -> set[str]:
@@ -441,8 +439,11 @@ class Polynomial:
                 and self._num == other._num)
 
     def __hash__(self):
+        """A constant (no key but 0) hashes as its value, which it equals; any other
+        polynomial by its stored form."""
         if self._hash is None:
-            self._hash = hash((self.table, self._den, frozenset(self._num.items())))
+            self._hash = hash(Fraction(self._num.get(0, 0), self._den) if self._num.keys() <= {0}
+                              else (self.table, self._den, frozenset(self._num.items())))
         return self._hash
 
     # -- display -----------------------------------------------------------
@@ -529,9 +530,9 @@ def _flatten(groups, top: int) -> tuple[_Plan, list[range]]:
 def _pairing(table: VarTable, differentiate: bool, operands: tuple) -> _Plan:
     """The :class:`_Plan` of operand pairs over *table* of the packed keys *operands*,
     ``((a keys, b keys), ...)`` in dict order (the last 256).  In a product every pair
-    of terms meets with weight 1; in :func:`diff_pair` (*differentiate*) g's terms are
-    filed by geometric degree and b, so each a of f meets the b of its degree by one
-    lookup and those of higher degrees by a scan, and each weight is formed once."""
+    of terms meets with weight 1; in :func:`diff_pair` (*differentiate*) f's and g's
+    terms are filed by their geometric exponents, and each a meets every b >= a with
+    weight ``prod perm(b_i, a_i)``."""
     slots: dict[int, list[tuple[int, int, int]]] = {}     # each output key's terms
     meet, start, top = slots.setdefault, 0, table._top
     for fkeys, gkeys in operands:
@@ -540,32 +541,19 @@ def _pairing(table: VarTable, differentiate: bool, operands: tuple) -> _Plan:
             for i, fkey in enumerate(fkeys, start):
                 for j, gkey in enumerate(gkeys, size):
                     meet(fkey + gkey, []).append((i, j, 1))
-        else:
-            ng = table.n_geometric
-            geometric = ((1 << 16 * ng) - 1) << 16 * len(table.parameters)    # their fields
-            groups: dict[Exponents, list[tuple[int, int]]] = {}     # f's terms by their a
-            for term, (key, exps) in enumerate(zip(fkeys, table._unpack(fkeys)), start):
-                groups.setdefault(exps[:ng], []).append((term, key))
-            by_degree: dict[int, dict[Exponents, list[tuple[int, int]]]] = {}
-            for term, (key, exps) in enumerate(zip(gkeys, table._unpack(gkeys)), size):
-                b = exps[:ng]
-                by_degree.setdefault(sum(b), {}).setdefault(b, []).append((term, key))
-            for a, fterms in groups.items():
-                degree, need = sum(a), [(v, e) for v, e in enumerate(a) if e]
-                twice = 2 * ((degree << top) + (fterms[0][1] & geometric))     # 2 key(x^a)
-                for d, monomials in by_degree.items():     # b >= a of a's degree is b = a
-                    for b, gterms in (monomials.items() if d > degree else ((a, monomials[a]),)
-                                      if d == degree and a in monomials else ()):
-                        weight = 1
-                        for v, e in need:
-                            if b[v] < e:
-                                break
-                            weight *= perm(b[v], e)
-                        else:
-                            for j, gkey in gterms:
-                                gkey -= twice
-                                for i, fkey in fterms:
-                                    meet(gkey + fkey, []).append((i, j, weight))
+        else:   # f's terms and g's, (index in n, key), by their geometric exponents
+            filed = by_a, by_b = {}, {}
+            for terms, keys, first in zip(filed, (fkeys, gkeys), (start, size)):
+                for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), first):
+                    terms.setdefault(exps[:table.n_geometric], []).append((term, key))
+            for a, fterms in by_a.items():
+                twice = 2 * table._pack(a + (0,) * len(table.parameters))     # 2 key(x^a)
+                for b, gterms in by_b.items():
+                    if all(map(ge, b, a)):
+                        weight = prod(map(perm, b, a))
+                        for j, gkey in gterms:
+                            for i, fkey in fterms:
+                                meet(gkey + fkey - twice, []).append((i, j, weight))
         start = size + len(gkeys)
     return _flatten((slots,), top)[0]
 
@@ -835,18 +823,11 @@ def _exact_plan(p: Polynomial):
     """``(variables, terms)`` of :func:`eval_exact` for *p*, worked out once per
     polynomial (a bounded cache): each occurring variable in table order with the
     exponents of it that occur and the largest, t; each term's numerator with its
-    exponent of each of those variables."""
-    table = p.table
-    occurring, shift = reduce(or_, p._num, 0), table._top
-    variables, shifts = [], []
-    for name in table.names:
-        shift -= 16     # name's field: nonzero in the OR of the keys where name occurs
-        if (occurring >> shift) & _LIMIT:
-            exps = {(key >> shift) & _LIMIT for key in p._num}
-            variables.append((name, tuple(exps), max(exps)))
-            shifts.append(shift)
-    return tuple(variables), tuple([(c, tuple([(key >> s) & _LIMIT for s in shifts]))
-                                    for key, c in p._num.items()])
+    exponent of each of those variables: the columns of the unpacked keys not all 0."""
+    rows = p.table._unpack(p._num)
+    used = [(v, column) for v, column in enumerate(zip(*rows)) if any(column)]
+    return (tuple([(p.table.names[v], tuple(set(column)), max(column)) for v, column in used]),
+            tuple([(c, tuple([row[v] for v, _ in used])) for c, row in zip(p._num.values(), rows)]))
 
 
 def eval_exact(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction:

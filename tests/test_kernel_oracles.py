@@ -58,6 +58,7 @@ from conftest import (DENOMINATORS, LIMIT, PAR, RANDOMS, SEVEN, XYZ, adjugate, d
 
 TABLE = VarTable(("x", "y", "z"), ("r", "s"))
 PQ = VarTable(("x", "y", "z"), ("p", "q"))
+BINARY = VarTable(("x", "y"))
 
 
 def outcome(call, *args):
@@ -669,6 +670,27 @@ class TestJBracket:
         want = exact_outcome(full_matrix_j_bracket, f, g)
         assert "Error" in str(want)
         assert exact_outcome(j_bracket, f, g) == want
+
+    @pytest.mark.parametrize("f, g, error", [
+        (Polynomial.variable(XYZ, "x") ** 2, Polynomial.variable(PQ, "y") ** 2, "TableMismatch"),
+        (Polynomial.variable(XYZ, "x") ** 2, Polynomial.variable(BINARY, "y"), "DegreeError: hess"),
+        (Polynomial.variable(BINARY, "y"), Polynomial.variable(XYZ, "x") ** 2, "DegreeError: hess"),
+    ], ids=["tables", "g binary", "f binary"])
+    def test_an_error_route_plans_nothing(self, f, g, error):
+        # the full matrices would form both Hessians' partials before the error
+        info = _pairing.cache_info()
+        assert exact_outcome(j_bracket, f, g).startswith(error)
+        assert _pairing.cache_info() == info
+
+    @pytest.mark.parametrize("f, g", [
+        (Polynomial.variable(XYZ, "x") ** 3, Polynomial.variable(XYZ, "y") ** 2),
+        (Polynomial.variable(PQ, "y") ** 2, Polynomial.monomial(PQ, {"p": 1, "z": 3})),
+    ])
+    def test_a_cubic_is_rejected_before_its_plans_are_built(self, f, g):
+        kept = _bracket.cache_info().currsize
+        want = "DegreeError: J brackets are defined for quadratic forms"
+        assert exact_outcome(j_bracket, f, g) == want
+        assert _bracket.cache_info().currsize == kept
 
 
 def scanned_diff_pair(f, g):

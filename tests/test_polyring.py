@@ -440,6 +440,17 @@ class TestHash:
         assert all(p == routes[0] for p in routes)
         assert len({hash(p) for p in routes}) == 1 and len(set(routes)) == 1
 
+    @pytest.mark.parametrize("table", [XYZ, PAR], ids=["XYZ", "PAR"])
+    @pytest.mark.parametrize("value", [0, 3, -7, Fraction(1, 2), Fraction(-5, 3)])
+    def test_a_constant_is_found_where_its_value_is(self, table, value):
+        # == compares a constant with an int or a Fraction by value, so sets and dicts must too
+        p = Polynomial.constant(table, value)
+        assert p == value and hash(p) == hash(value)
+        assert p in {value} and value in {p} and {value: "v"}[p] == "v" and {p: "p"}[value] == "p"
+        x = var(table, "x")
+        assert (x - x) in {0} and Polynomial.zero(table) in {0} and (x + value - x) in {value}
+        assert x not in {0, 1} and x + 1 != 1
+
 
 class TestImmutability:
     def test_terms_are_read_only(self):
@@ -654,8 +665,12 @@ def assert_matches_reference(got, table, want):
     assert str(got) == _ref_str(table, want)
     twin = Polynomial(table, want)
     assert got == twin and hash(got) == hash(twin)
-    # the hash reads the canonical stored form, not the terms view
-    assert hash(got) == hash((table, den, frozenset(got._num.items())))
+    # a constant hashes as the value it equals; any other polynomial by the canonical
+    # stored form, not the terms view
+    if set(want) <= {(0,) * len(table)}:
+        assert hash(got) == hash(Fraction(want.get((0,) * len(table), 0)))
+    else:
+        assert hash(got) == hash((table, den, frozenset(got._num.items())))
     if want:
         assert got.leading_term() == max(want.items(), key=lambda t: (sum(t[0]), t[0]))
 
