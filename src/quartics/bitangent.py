@@ -36,7 +36,7 @@ from . import numroots
 from .errors import DomainError, EnumerationError, check_tolerance, overflow_as
 from .polyring import Polynomial, VarTable, _Record, eval_exact, eval_scaled_many, restrict_to_line
 from .polyring import eval_scaled  # noqa: F401  (the acceptance tests and perfbench import it from here)
-from .symfam import FAMILY_PARAMS, make_family, singular_locus_check, x4_triple
+from .symfam import FAMILY_PARAMS, _read, make_family, singular_locus_check, x4_triple
 
 DEFAULT_CERT_TOL = 1e-9
 DEFAULT_DEDUPE_TOL = 1e-8
@@ -594,8 +594,8 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
     :class:`EnumerationError` (with per-component diagnostics) if
     certification and projective deduplication do not end at exactly 28
     distinct lines or if a value overflows double precision, and
-    :class:`DomainError` on an unknown family, a wrong parameter count or a
-    tolerance that is not a finite number > 0.
+    :class:`DomainError` on an unknown family, parameters that cannot be
+    iterated, a wrong parameter count or a tolerance that is not a finite number > 0.
 
     A candidate within *dedupe_tol* of a line kept so far is skipped: a
     dedupe of every certified line, in candidate order, would drop it whether
@@ -605,7 +605,7 @@ def enumerate_bitangents(family: str, params=(), tol: float = DEFAULT_CERT_TOL,
     """
     check_tolerance("tol", tol)
     check_tolerance("dedupe_tol", dedupe_tol)
-    form = make_family(family, tuple(params))
+    form = make_family(family, _read(params, f"{family} parameters"))
     params = form.params
     singular_locus_check(family, params)
     triple = x4_triple(family, params)

@@ -14,11 +14,11 @@ These are the computational primitives behind the quartic invariants:
   forms, computed by direct binomial expansion of the Cayley operator.
 
 ``diff_pair`` and every sum of products here run the plan of their operands'
-key sets, which repeat from call to call: interpreted while cold, then as
-generated straight-line code (``polyring._pairing``).  Each distinct entry of
-``hessian`` and each transvectant partial is one ``multi_partial``.  ``j_bracket``
-runs a two-stage plan per pair of key sets: the Hessian entries read off the keys,
-their twelve cofactors, then the four sums, an off-diagonal product with weight 2.
+key sets, which repeat from call to call (``polyring._pairing``).  Each distinct
+entry of ``hessian`` and each transvectant partial is one ``multi_partial``.
+``j_bracket`` runs a two-stage plan per pair of key sets, its Hessian entries read
+off the unpacked exponents: their twelve cofactors, then the four sums.  Every
+plan's pairs are formed by ``polyring._flatten``, from groups of products.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegreeError, DomainError, TableMismatchError
-from .polyring import (_LIMIT, _SHAPES, Polynomial, VarTable, _check_table, _flatten,
-                       _generated, _Plan, _run, diff_pair,  # noqa: F401  (re-exports diff_pair)
-                       multi_partial)
+from .polyring import (_SHAPES, Polynomial, VarTable, _check_table, _flatten, _generated, _run,
+                       diff_pair, multi_partial)  # noqa: F401  (re-exports diff_pair)
 
 
 def _check_ternary(f: Polynomial):
@@ -133,28 +132,15 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _WEIGHTS = (1, 2, 2, 1, 2, 1)
 
 
-def _products(products) -> dict[int, list[tuple[int, int, int]]]:
-    """The slots of ``sum c * a * b`` over the ``(c, a, b)`` of *products*, each factor
-    a list of terms ``(index in n, weight, key)``: each key's ``(x, y, weight)`` pairs."""
-    slots: dict[int, list[tuple[int, int, int]]] = {}
-    meet = slots.setdefault
-    for c, a, b in products:
-        for x, wx, kx in a:
-            for y, wy, ky in b:
-                meet(kx + ky, []).append((x, y, c * wx * wy))
-    return slots
-
-
 @lru_cache(maxsize=_SHAPES)
 def _bracket(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]):
-    """``(first, second, spans)`` for :func:`j_bracket` on operands of the keys *fkeys*
-    and *gkeys* over *table* (the last 256); a term of geometric degree above 2 raises
-    first.  A Hessian entry is its operand's terms of geometric degree 2, a square's with
-    weight 2; plan *first* forms the six cofactors of f's Hessian, then g's, in the order
-    of ``_UPPER``, from ``n``, f's numerators then g's; *second* forms J11, J22, J30 and
-    J03 in the ranges *spans* from ``n`` and *first*'s slots after it."""
-    top, geometric = table._top, ((1 << 48) - 1) << 16 * len(table.parameters)   # x, y, z
-    hessians, slots, start = [], [], 0
+    """``(first, second, spans)`` for :func:`j_bracket` on operands of the keys *fkeys* and
+    *gkeys* over *table* (the last 256); a term of geometric degree above 2 raises first.  A
+    Hessian entry is its operand's terms of geometric degree 2, a square's with weight 2, at
+    their keys less that of their x, y, z part.  Stage *first* forms the six cofactors of f's
+    Hessian, then g's, in the order of ``_UPPER``, from ``n``, f's numerators then g's; *second*
+    J11, J22, J30 and J03 in the ranges *spans*, from ``n`` and *first*'s slots after it."""
+    zeros, hessians, groups, start = (0,) * len(table.parameters), [], [], 0
     for keys in (fkeys, gkeys):
         h = {ij: [] for ij in _UPPER}
         for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), start):
@@ -162,20 +148,19 @@ def _bracket(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]):
                 raise DegreeError("J brackets are defined for quadratic forms")
             if d == 2:      # lower degrees have no second partials
                 i, j = [v for v in range(3) for _ in range(exps[v])]
-                h[i, j].append((term, 2 if i == j else 1, key - (key & geometric) - (2 << top)))
+                h[i, j].append((term, 2 if i == j else 1, key - table._pack(exps[:3] + zeros)))
         m = [[h[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
         for i, j in _UPPER:     # from the cyclically next rows and columns: the sign is built in
             i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-            slots.append(_products(((1, m[i1][j1], m[i2][j2]), (-1, m[i1][j2], m[i2][j1]))))
+            groups.append(((1, m[i1][j1], m[i2][j2]), (-1, m[i1][j2], m[i2][j1])))
         hessians.append([h[ij] for ij in _UPPER])
         start += len(keys)
-    first, spans = _flatten(slots, top)
+    first, spans = _flatten(groups, table._top)
     # each cofactor's slots as terms of weight 1, indexed past the operands' numerators
     cofactors = [[(start + s, 1, first.keys[s]) for s in span] for span in spans]
     (hf, hg), cf, cg = hessians, cofactors[:6], cofactors[6:]
-    second, spans = _flatten([     # J11, J22, J30, J03
-        _products(zip(_WEIGHTS, hf, hg)), _products(zip(_WEIGHTS, cf, cg)),
-        _products(zip((1, 1, 1), hf, cf)), _products(zip((1, 1, 1), hg, cg))], top)
+    second, spans = _flatten([zip(_WEIGHTS, hf, hg), zip(_WEIGHTS, cf, cg),    # J11, J22, J30, J03
+                              zip((1, 1, 1), hf, cf), zip((1, 1, 1), hg, cg)], table._top)
     return first, second, spans
 
 
@@ -189,9 +174,8 @@ def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
     form the 12 distinct cofactors, then the four sums, over ``Df Dg``, ``(Df Dg)^2``,
     ``Df^3`` and ``Dg^3``.  Geometric degree below 2 is allowed (the second partials
     vanish), above 2 an error; a key past the packing limit is one only where a product
-    of nonzero terms forms it, as in the matrices' products.  Operands not ternary or over
-    two tables raise the full matrices' first error (degree, f's, g's, the tables'),
-    without a Hessian or a plan."""
+    of nonzero terms forms it (``polyring._Plan.live``).  Operands not ternary or over two tables
+    raise the full matrices' first error (degree, f's, g's, the tables'), with no plan."""
     table = f.table
     if table.n_geometric != 3 or not (g.table is table or g.table == table):
         if max(f.geometric_degree(), g.geometric_degree()) <= 2:
@@ -200,11 +184,7 @@ def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
     first, second, spans = _bracket(table, tuple(f._num), tuple(g._num))
     n = [*f._num.values(), *g._num.values()]
     n += _run(first, n)
-    if second.degree > _LIMIT:      # pairs through cofactor terms that cancelled form no key
-        live = [pair for pair in zip(*[iter(second.pairs)] * 4) if n[pair[0]] and n[pair[1]]]
-        second = _Plan(second.keys, tuple(v for pair in live for v in pair),
-                       max([second.keys[pair[3]] >> table._top for pair in live], default=0))
-    out, keys, df, dg = _run(second, n), second.keys, f._den, g._den
+    out, keys, df, dg = _run(second.live(n, table._top), n), second.keys, f._den, g._den
     return tuple(Polynomial._from_packed(table, {keys[s]: out[s] for s in span}, den)
                  for span, den in zip(spans, (df * dg, (df * dg) ** 2, df ** 3, dg ** 3)))
 

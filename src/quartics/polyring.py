@@ -30,15 +30,14 @@ forms ``sum c * a * b`` over the lcm of the denominators with one gcd pass (as
 Monagan and Pearce form a sum of products), skipping zero operands; ``a * b`` is
 its one-product case.  :func:`diff_pair` applies the operator of a whole
 polynomial, and a monomial operator ``d^a`` is the pairing with ``x^a``
-(:func:`multi_partial`; ``partial`` is its one-variable case).  A product is a
-pairing of weight 1.  Which terms of the operands meet, with which weight and at
-which key, depends only on their key sets, which repeat: a generic quartic is
-dense, a family's forms keep their monomials and an operator ``x^a`` is one key.
-So the pairing is planned once per tuple of key sets and kept for the last 256
-(:func:`_pairing`), its output keys in descending order, so that equal sets give equal
-key tuples; a call only multiplies and adds numerators (:func:`_run`), by the plan's loop
-while it is cold or small, then by straight-line code that the plan keeps
-(:func:`_kernel`); ``diffcalc.j_bracket`` runs two a call, kept per pair of key sets.
+(:func:`multi_partial`; ``partial`` is its one-variable case).  Which terms of the
+operands meet, with which weight and at which key, depends only on their key sets,
+which repeat (a generic quartic is dense, a family's forms keep their monomials), so
+a pairing is planned once per tuple of key sets and kept for the last 256
+(:func:`_pairing`).  :func:`_flatten` forms the pairs of every plan, and of
+``diffcalc.j_bracket``'s two stages, from products of term lists; a call only
+multiplies and adds numerators (:func:`_run`), by the plan's loop while it is cold
+or small, then by straight-line code that the plan keeps (:func:`_kernel`).
 
 Values are immutable once constructed (``terms`` is a read-only view) and
 safe to share between threads: what evaluation keeps of one is built lazily.
@@ -411,7 +410,7 @@ class Polynomial:
             scale = c.numerator * (den // (c.denominator * a._den * b._den))
             n += a._num.values() if scale == 1 else [v * scale for v in a._num.values()]
             n += b._num.values()
-        return _planned(table, plan, n, den)
+        return Polynomial._from_packed(table, dict(zip(plan.keys, _run(plan, n))), den)
 
     __rmul__ = __mul__
 
@@ -500,10 +499,10 @@ def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
 
 
 class _Plan:
-    """A plan of :func:`_pairing` or a stage of ``diffcalc.j_bracket``: the output ``keys``,
-    descending in each range of slots; the ``pairs`` ``x, y, weight, slot``, flat in one
-    tuple (under half the memory of a tuple each) in slot order, each adding ``n[x] * n[y]
-    * weight`` to ``keys[slot]``, ``n`` the operands' numerators; the top ``degree`` of its
+    """A plan of :func:`_pairing` or a stage of ``diffcalc.j_bracket``, formed by :func:`_flatten`:
+    the output ``keys``, descending in each range of slots; the ``pairs`` ``x, y, weight, slot``,
+    flat in one tuple (under half the memory of a tuple each) in slot order, each adding ``n[x] *
+    n[y] * weight`` to ``keys[slot]``, ``n`` the operands' numerators; the top ``degree`` of its
     keys; its ``uses``; its ``kernel``, once :func:`_kernel` has compiled it, else None."""
 
     __slots__ = ("keys", "pairs", "degree", "uses", "kernel")
@@ -511,51 +510,60 @@ class _Plan:
     def __init__(self, keys, pairs, degree):
         self.keys, self.pairs, self.degree, self.uses, self.kernel = keys, pairs, degree, 0, None
 
+    def live(self, n: list[int], top: int) -> "_Plan":
+        """This plan, or once its keys pass the packing limit the one-off plan of its pairs whose
+        numerators in *n* are both nonzero: a pair through a term that cancelled forms no key."""
+        if self.degree <= _LIMIT:
+            return self
+        live = [v for p in zip(*[iter(self.pairs)] * 4) if n[p[0]] and n[p[1]] for v in p]
+        return _Plan(self.keys, tuple(live), max([self.keys[s] >> top for s in live[3::4]], default=0))
+
 
 def _flatten(groups, top: int) -> tuple[_Plan, list[range]]:
-    """The :class:`_Plan` of *groups*, maps from each output key to its ``(x, y, weight)``
-    terms, one range of slots after another, and the range of each group's slots."""
+    """The :class:`_Plan` of *groups*, one range of slots after another, and the range of each
+    group's slots: the one place pairs are formed.  A group is a list of products ``(c, a, b)``
+    whose factors are lists of terms ``(index in n, weight, key)``; each pair of terms adds
+    ``n[x] * n[y] * c * wx * wy`` at the key ``kx + ky``."""
     keys, pairs, spans = [], [], []
-    for slots in groups:
+    for products in groups:
+        slots: dict[int, list[tuple[int, int, int]]] = {}   # each output key's terms
+        meet = slots.setdefault
+        for c, a, b in products:
+            for x, wx, kx in a:
+                for y, wy, ky in b:
+                    meet(kx + ky, []).append((x, y, c * wx * wy))
         order = sorted(slots, reverse=True)
         pairs += [v for slot, key in enumerate(order, len(keys))
-                  for i, j, w in slots[key] for v in (i, j, w, slot)]
+                  for x, y, w in slots[key] for v in (x, y, w, slot)]
         spans.append(range(len(keys), len(keys) + len(order)))
         keys += order
-    return _Plan(tuple(keys), tuple(pairs), max((max(s) >> top for s in groups if s),
-                                                default=0)), spans
+    return _Plan(tuple(keys), tuple(pairs), max(keys, default=0) >> top), spans
 
 
 @lru_cache(maxsize=_SHAPES)
 def _pairing(table: VarTable, differentiate: bool, operands: tuple) -> _Plan:
-    """The :class:`_Plan` of operand pairs over *table* of the packed keys *operands*,
-    ``((a keys, b keys), ...)`` in dict order (the last 256).  In a product every pair
-    of terms meets with weight 1; in :func:`diff_pair` (*differentiate*) f's and g's
-    terms are filed by their geometric exponents, and each a meets every b >= a with
-    weight ``prod perm(b_i, a_i)``."""
-    slots: dict[int, list[tuple[int, int, int]]] = {}     # each output key's terms
-    meet, start, top = slots.setdefault, 0, table._top
+    """The :class:`_Plan` over *table* of the pairs of packed keys *operands*, ``((f keys,
+    g keys), ...)`` in dict order (the last 256), from products of term lists: ``(1, f's
+    terms, g's terms)``, or in :func:`diff_pair` (*differentiate*) one per pair a <= b of
+    f's and g's geometric exponents, of weight ``prod perm(b_i, a_i)``, f's keys less 2 key(x^a)."""
+    products, start = [], 0
     for fkeys, gkeys in operands:
         size = start + len(fkeys)   # where g's numerators start in n
         if not differentiate:
-            for i, fkey in enumerate(fkeys, start):
-                for j, gkey in enumerate(gkeys, size):
-                    meet(fkey + gkey, []).append((i, j, 1))
-        else:   # f's terms and g's, (index in n, key), by their geometric exponents
+            products.append((1, [(i, 1, key) for i, key in enumerate(fkeys, start)],
+                             [(j, 1, key) for j, key in enumerate(gkeys, size)]))
+        else:   # f's terms and g's, (index in n, 1, key), by their geometric exponents
             filed = by_a, by_b = {}, {}
             for terms, keys, first in zip(filed, (fkeys, gkeys), (start, size)):
                 for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), first):
-                    terms.setdefault(exps[:table.n_geometric], []).append((term, key))
+                    terms.setdefault(exps[:table.n_geometric], []).append((term, 1, key))
             for a, fterms in by_a.items():
                 twice = 2 * table._pack(a + (0,) * len(table.parameters))     # 2 key(x^a)
-                for b, gterms in by_b.items():
-                    if all(map(ge, b, a)):
-                        weight = prod(map(perm, b, a))
-                        for j, gkey in gterms:
-                            for i, fkey in fterms:
-                                meet(gkey + fkey - twice, []).append((i, j, weight))
+                fterms = [(i, 1, key - twice) for i, _, key in fterms]
+                products += [(prod(map(perm, b, a)), fterms, gterms)
+                             for b, gterms in by_b.items() if all(map(ge, b, a))]
         start = size + len(gkeys)
-    return _flatten((slots,), top)[0]
+    return _flatten((products,), table._top)[0]
 
 
 #: A plan of ``_HOT_PAIRS`` pairs or more runs as :func:`_kernel` from its ``_HOT``-th use, in
@@ -564,11 +572,6 @@ def _pairing(table: VarTable, differentiate: bool, operands: tuple) -> _Plan:
 #: compiled 52 kernels, and uses weighted by pairs made ``symbolic`` p50 11 % and tail 40 % worse.
 #: From the fourth, no CLI command compiles.  Peak RSS on ``symbolic``: +4.6 % at 256, +3.5 % at 128.
 _HOT, _HOT_PAIRS, _PIECE = 4, 8, 128
-
-
-def _planned(table: VarTable, plan: _Plan, n: list[int], den: int) -> "Polynomial":
-    """The polynomial over *den* of what :func:`_run` forms by *plan* from *n*."""
-    return Polynomial._from_packed(table, dict(zip(plan.keys, _run(plan, n))), den)
 
 
 def _run(plan: _Plan, n: list[int]) -> list[int]:
@@ -619,7 +622,8 @@ def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     _check_table(f.table, g)
     table = g.table     # so a partial keeps the table object of what it differentiates
     plan = _pairing(table, True, ((tuple(f._num), tuple(g._num)),))
-    return _planned(table, plan, [*f._num.values(), *g._num.values()], f._den * g._den)
+    out = _run(plan, [*f._num.values(), *g._num.values()])
+    return Polynomial._from_packed(table, dict(zip(plan.keys, out)), f._den * g._den)
 
 
 def substitute(p: Polynomial, replacements: Mapping[str, Polynomial]) -> Polynomial:

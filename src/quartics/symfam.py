@@ -65,6 +65,14 @@ class QuarticForm(_Record):
         super().__init__(poly, family, params)
 
 
+def _read(values, what: str) -> tuple:
+    """*values* read once into a tuple; one that cannot be iterated is a :class:`DomainError`."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"{what} must be iterable, got {values!r}") from None
+
+
 def _family_names(family: str, params: Sequence | None) -> tuple[str, ...]:
     """The family's parameter names; an unknown family, or *params* (unless None) of
     another count, is a :class:`DomainError`."""
@@ -90,7 +98,7 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
     a value that is not one raises :class:`DomainError`.
     """
     symbolic = params is None
-    params = None if symbolic else tuple(params)
+    params = None if symbolic else _read(params, f"{family} parameters")
     names = _family_names(family, params)
     values = names if symbolic else tuple(map(rational, params))
     table = _table(names if symbolic else ())
@@ -108,7 +116,7 @@ def make_family(family: str, params: Sequence[Fraction | int | str] | None = Non
 def x4_triple(family: str, params: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The member's parameters as the X4 triple (r, s, u) it specializes; an unknown
     family or a wrong parameter count is a :class:`DomainError`."""
-    params = tuple(params)
+    params = _read(params, f"{family} parameters")
     lookup = dict(zip(_family_names(family, params), params))
     return tuple(lookup.get(name, Fraction(0)) for name in X4_SLOTS[family])
 
@@ -123,7 +131,7 @@ def singular_locus_check(family: str, params: Sequence[Fraction]):
     double conic) and ``r^2+s^2+u^2 - r*s*u - 4 != 0`` (the locus where the
     curve acquires a singular point with all coordinates nonzero).
     """
-    params = tuple(params)
+    params = _read(params, f"{family} parameters")
     triple = x4_triple(family, params)
     for name, value in zip(X4_SLOTS[family], triple):
         if value == 2 or value == -2:
@@ -151,7 +159,8 @@ GENERIC_MONOMIALS = tuple(
 
 
 def make_generic(coeffs: Sequence[Fraction | int]) -> QuarticForm:
-    """A generic numeric quartic from its 15 coefficients in graded-lex monomial order."""
+    """A generic numeric quartic from its 15 coefficients (any iterable) in graded-lex order."""
+    coeffs = _read(coeffs, "a generic quartic's coefficients")
     if len(coeffs) != 15:
         raise DomainError(f"a generic quartic takes 15 coefficients, got {len(coeffs)}")
     values = tuple(map(rational, coeffs))
@@ -380,12 +389,10 @@ def golden_compare(inv, family: str) -> GoldenReport:
     failures: dict[int, str] = {}
     for k, ours in inv.as_dict().items():
         table_poly = golden_polynomial(family, k, ours.table)
-        if table_poly.is_zero() and ours.is_zero():
-            gamma[k] = None
-            continue
+        gamma[k] = None     # unless the sides are a nonzero multiple of each other
         if table_poly.is_zero() or ours.is_zero():
-            failures[k] = "one side identically zero, the other not"
-            gamma[k] = None
+            if table_poly or ours:
+                failures[k] = "one side identically zero, the other not"
             continue
         lead_exps, lead_coeff = table_poly.leading_term()
         ratio = ours.coefficient(dict(zip(ours.table.names, lead_exps))) / lead_coeff
@@ -395,5 +402,4 @@ def golden_compare(inv, family: str) -> GoldenReport:
         else:   # the difference is formed only to name where it is
             exps, coeff = (ours - scaled).leading_term()
             failures[k] = f"first differing monomial {exps}: residue {coeff}"
-            gamma[k] = None
     return GoldenReport(family, gamma, failures)

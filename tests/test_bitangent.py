@@ -1097,6 +1097,107 @@ class TestInvolutions:
         assert involution_gap([cert.line for cert in certs]) <= bitangent._CELL_MARGIN
 
 
+#: X4's slots r, s, u: the coefficients of x^2 y^2, y^2 z^2 and z^2 x^2.
+_X4_PAIRS = ((0, 1), (1, 2), (2, 0))
+#: How far two routes' lines may lie apart: a tenth of the dedupe tolerance, so that
+#: the nearest line is the only one within it.
+_ROUTE_BOUND = DEFAULT_DEDUPE_TOL / 10
+
+
+def relabelled(params, p):
+    """X4's parameters after the coordinate map x_a -> x_{p[a]}: the coefficient of
+    x_a^2 x_b^2 moves to the slot of x_{p[a]}^2 x_{p[b]}^2."""
+    new = [None] * 3
+    for k, (a, b) in enumerate(_X4_PAIRS):
+        new[next(j for j, pair in enumerate(_X4_PAIRS) if set(pair) == {p[a], p[b]})] = params[k]
+    return tuple(new)
+
+
+def _far_nested_members():
+    """8 members of each of X4, X16 and X24 drawn from one seed, each parameter n/d with
+    |n| up to 5,000 and d from 1 to 100: not picked."""
+    rng = random.Random(40)
+    return [(family, tuple(str(Fraction(rng.randint(-5000, 5000), rng.randint(1, 100)))
+                           for _ in FAMILY_PARAMS[family]))
+            for family in ("X4", "X16", "X24") for _ in range(8)]
+
+
+def _routes(members):
+    """``(member, other route, p)`` of each member: X16(r, s) as X4(r, s, s), X24(r) as
+    X16(r, r), and X4(r, s, u) under each of the five coordinate maps p other than the
+    identity, whose lines map back by ``l[a] = m[p[a]]``."""
+    for family, raw in members:
+        params = tuple(map(Fraction, raw))
+        if family == "X16":
+            yield (family, params), ("X4", params + params[1:]), (0, 1, 2)
+        elif family == "X24":
+            yield (family, params), ("X16", params * 2), (0, 1, 2)
+        elif family == "X4":
+            for p in itertools.permutations(range(3)):
+                if p != (0, 1, 2):
+                    yield (family, params), ("X4", relabelled(params, p)), p
+
+
+#: Members that one route solves and the other fails: ROADMAP item 20's two X16
+#: members of ``certify`` (seed 7 member 112, seed 8 member 196) and item 8's
+#: X16(222633, 30/7); as X4(r, s, s) each ends with 20 lines (J1 keeps 8 of 16).
+_ONE_ROUTE_FAILS = [pytest.param(*route, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 20(b): as X4(r, s, s) it fails with 20 lines"))
+    for route in _routes([("X16", ("-1345661/250", "359/200")),
+                          ("X16", ("-659999/125", "-923/500")), ("X16", ("222633", "30/7"))])]
+
+
+def _route_id(value) -> str:
+    """``X4(1,3,5)`` for a route, ``102`` for a coordinate map."""
+    if isinstance(value[0], str):
+        return value[0] + "(" + ",".join(map(str, value[1])) + ")"
+    return "".join(map(str, value))
+
+
+def match_gap(lines, others) -> float:
+    """The largest distance from a line of *lines* to the nearest of *others*, or inf
+    unless those nearest lines are all of *others*, each once: a one-to-one match."""
+    nearest = [min((bitangent._distance(line, other), k) for k, other in enumerate(others))
+               for line in lines]
+    if len(lines) != len(others) or len({k for _, k in nearest}) != len(others):
+        return INF
+    return max(d for d, _ in nearest)
+
+
+class TestNestedFamilies:
+    """The families are nested (ROADMAP item 20(a)): X16(r, s) is X4(r, s, s), X24(r) is
+    X16(r, r), and a coordinate map p takes X4(r, s, u) to X4 of the relabelled triple,
+    and a line m of that member back to ``l[a] = m[p[a]]``.  On the fixture members and
+    a seeded far set, both routes raise, or both return 28 lines that match one to one
+    within :data:`_ROUTE_BOUND` after the map."""
+
+    @pytest.mark.parametrize("member, other, p", [
+        *_routes(dict.fromkeys([*_cli_members(), *MEMBERS])), *_routes(_far_nested_members()),
+        *_ONE_ROUTE_FAILS], ids=_route_id)
+    def test_two_routes_give_the_same_28(self, member, other, p):
+        outcomes = []
+        for family, params in (member, other):
+            try:
+                outcomes.append([cert.line for cert in enumerate_bitangents(family, params)])
+            except QuarticsError:
+                outcomes.append(None)
+        lines, others = outcomes
+        assert (lines is None) == (others is None), [len(o) if o else o for o in outcomes]
+        if lines is not None:
+            mapped = [ProjLine.from_coefficients(tuple(m.coefficients[a] for a in p))
+                      for m in others]
+            assert match_gap(lines, mapped) <= _ROUTE_BOUND
+
+    @pytest.mark.parametrize("p", list(itertools.permutations(range(3))))
+    def test_relabelled_is_the_member_under_the_map(self, p):
+        # checks the oracle's own map: renaming x_a to x_{p[a]} gives the relabelled X4
+        params = (Fraction(3), Fraction(5), Fraction(7))
+        table = make_family("X4", params).poly.table
+        rename = {table.names[a]: table.names[p[a]] for a in range(3)}
+        want = make_family("X4", relabelled(params, p)).poly
+        assert convert(make_family("X4", params).poly, table, rename) == want
+
+
 class TestDegeneracy:
     @pytest.mark.parametrize("family,params", [
         ("X24", (2,)),

@@ -7,15 +7,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quartics.diffcalc import det, diff_pair, hessian, j_bracket, transvectant
 from quartics.errors import DegreeError, DomainError, QuarticsError, TableMismatchError
 from quartics.polyring import (Polynomial, VarTable, convert, multi_partial,
                                substitute_linear)
 
-from conftest import (LIMIT, PAR, RANDOMS, SEVEN, XY, XYZ, adjugate, dot, random_binary_form,
-                      random_quartic, random_terms, ref_partial)
+from conftest import (LIMIT, PAR, RANDOMS, SEVEN, XY, XYZ, adjugate, dot, drawn,
+                      random_binary_form, random_quartic, random_terms, ref_partial)
 
 
 def mono(table, powers, c=1):
@@ -114,13 +114,11 @@ def assert_same_stored_form(got, want):
 
 
 _THREE_TABLES = pytest.mark.parametrize("table", [XYZ, PAR, SEVEN], ids=["XYZ", "PAR", "SEVEN"])
-# the explain phase is left out: it spent 40-55 s of about a minute reporting one failure
-_NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
 
 
 class TestFusedOperatorsMatchTheOldRoutes:
     @_THREE_TABLES
-    @settings(max_examples=40, phases=_NO_EXPLAIN)
+    @drawn(40)
     @given(rng=RANDOMS)
     def test_hessian(self, table, rng):
         # exponents up to 6, now and then one near half the packing limit

@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import perm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from quartics.diffcalc import _bracket, _pencil_det, det, hessian, j_bracket
 from quartics.errors import DegreeError, DomainError, TableMismatchError
@@ -53,7 +53,7 @@ from quartics.polyring import (_HOT, _PIECE, Polynomial, VarTable, _pairing, dif
 from quartics.symfam import (Partition, SymmetricDecomposition, decompose_symmetric,
                              is_symmetric, reconstruct, s_basis)
 
-from conftest import (DENOMINATORS, LIMIT, PAR, RANDOMS, SEVEN, XYZ, adjugate, dot,
+from conftest import (DENOMINATORS, LIMIT, PAR, RANDOMS, SEVEN, XYZ, adjugate, dot, drawn,
                       left_to_right_det, random_terms)
 
 TABLE = VarTable(("x", "y", "z"), ("r", "s"))
@@ -175,7 +175,7 @@ def complex_point(rng, names):
 
 
 class TestEvalScaledMany:
-    @settings(max_examples=150)
+    @drawn(150)
     @given(RANDOMS)
     def test_matches_the_per_term_loop(self, rng):
         table = rng.choice((TABLE, PAR))
@@ -317,7 +317,7 @@ class TestDet:
     """``det`` on polynomial matrices, and the float determinant ``_pencil_det`` on
     complex ones, against :func:`left_to_right_det`."""
 
-    @settings(max_examples=150)
+    @drawn(150)
     @given(RANDOMS)
     def test_complex_matrices_match_the_recursive_expansion(self, rng):
         n = rng.randint(1, 4)
@@ -359,7 +359,7 @@ class TestDet:
         assert [rows[i][j] == 0 for i, j in ((0, 1), (1, 0), (2, 3), (3, 2))] == [True] * 4
         assert_pencil_det(4, coefficients, x, y, z)
 
-    @settings(max_examples=60)
+    @drawn(60)
     @given(RANDOMS)
     def test_polynomial_matrices_match_exactly(self, rng):
         n = rng.randint(1, 4)
@@ -454,7 +454,7 @@ def expanded_sum_of_products(table, products):
 
 
 class TestSumOfProducts:
-    @settings(max_examples=150)
+    @drawn(150)
     @given(RANDOMS)
     def test_matches_the_expansion(self, rng):
         table = rng.choice((XYZ, PQ, PAR, SEVEN))
@@ -611,7 +611,7 @@ def low_form(rng, table):
 
 
 class TestJBracket:
-    @settings(max_examples=150)
+    @drawn(150)
     @given(RANDOMS)
     def test_matches_the_full_matrices(self, rng):
         table = rng.choice((XYZ, PQ))
@@ -732,7 +732,7 @@ def reordered(p):
 
 
 class TestDiffPair:
-    @settings(max_examples=200)
+    @drawn(200)
     @given(RANDOMS)
     def test_matches_the_scan(self, rng):
         # mixed degrees and non-homogeneous operands, zero at times; parameter
@@ -955,7 +955,7 @@ class TestEvalExact:
         assert len(polys) == 37 and {p.table for p in polys} == {
             components.TABLE_X4, components.TABLE_X16, components.TABLE_X24}
 
-    @settings(max_examples=60)
+    @drawn(60)
     @given(RANDOMS)
     def test_matches_the_fraction_sum(self, rng):
         # random polynomials with exponents up to 5 or near the packing limit (where
@@ -1105,7 +1105,7 @@ def basis_polynomial(rng):
 
 
 class TestSymmetric:
-    @settings(max_examples=200)
+    @drawn(200)
     @given(RANDOMS)
     def test_matches_the_definition_and_the_peeling(self, rng):
         p = basis_polynomial(rng)
@@ -1197,7 +1197,7 @@ def point_value(rng):
 
 
 class TestDeterminantCertificate:
-    @settings(max_examples=200)
+    @drawn(200)
     @given(RANDOMS)
     def test_generated_determinant_matches_the_recursive_expansion(self, rng):
         n = rng.randint(1, 4)
@@ -1241,7 +1241,7 @@ class TestDeterminantCertificate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "1\n"
 
-    @settings(max_examples=150)
+    @drawn(150)
     @given(RANDOMS)
     def test_residual_matches_the_interpreted_loop(self, rng):
         from quartics.detrep import DetRep, _certificate_points, _determinant_residual
@@ -1334,7 +1334,7 @@ def _unpruned_perfect_square_fit(coeffs, tol):
 
 
 class TestSquareFit:
-    @settings(max_examples=600)
+    @drawn(600)
     @given(RANDOMS)
     def test_matches_the_unpruned_fit(self, rng):
         from quartics.bitangent import _square_fit, perfect_square_fit

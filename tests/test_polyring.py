@@ -14,7 +14,7 @@ from quartics.polyring import (Polynomial, VarTable, compose_linear, convert, ev
                                eval_exact, homogenize, multi_partial, partial, restrict_to_line,
                                substitute, substitute_linear, substitute_values)
 
-from conftest import (DENOMINATORS, LIMIT, PAR, RANDOMS, SEVEN, XYZ, random_exponents,
+from conftest import (DENOMINATORS, LIMIT, PAR, RANDOMS, SEVEN, XYZ, drawn, random_exponents,
                       random_quartic, random_terms, ref_partial)
 
 def mono(table, powers, c=1):
@@ -695,7 +695,7 @@ def _assert_partial_matches(got, table, want, orders):
 
 
 _TABLES = pytest.mark.parametrize("table", [PAR, SEVEN], ids=["PAR", "SEVEN"])
-_PROPERTY = settings(max_examples=40)
+_PROPERTY = drawn(40)
 #: The three ways to restrict a quartic to a line: the variable solved for and the pair
 _LINE_CHARTS = (("z", ("x", "y")), ("x", ("y", "z")), ("y", ("x", "z")))
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from quartics import errors, symfam
+from quartics.bitangent import enumerate_bitangents
 from quartics.dixmier import InvariantSet, dixmier_invariants
 from quartics.errors import DegeneracyError, DomainError, rational
 from quartics.polyring import Polynomial, VarTable
@@ -208,6 +209,36 @@ class TestMakeFamily:
             make_family("X24", iter([1, 2]))
         with pytest.raises(DegeneracyError, match=r"^X24\('-1',\): singular curve"):
             singular_locus_check("X24", iter([-1]))
+
+    def test_generic_coefficients_from_an_iterator(self):
+        # read once, as make_family reads its parameters
+        coeffs = [Fraction(k, 7) for k in range(1, 16)]
+        assert make_generic(iter(coeffs)) == make_generic(coeffs)
+        assert make_generic(c for c in coeffs).params == tuple(coeffs)
+        with pytest.raises(DomainError, match="^a generic quartic takes 15 coefficients, got 14$"):
+            make_generic(iter(coeffs[1:]))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_generic(5), "^a generic quartic's coefficients must be iterable, got 5$"),
+        (lambda: make_generic(None),
+         "^a generic quartic's coefficients must be iterable, got None$"),
+        (lambda: make_family("X24", 5), "^X24 parameters must be iterable, got 5$"),
+        (lambda: make_family("X4", Fraction(1, 2)),
+         r"^X4 parameters must be iterable, got Fraction\(1, 2\)$"),
+        (lambda: symfam.x4_triple("X16", 3), "^X16 parameters must be iterable, got 3$"),
+        (lambda: singular_locus_check("X24", 1.5), "^X24 parameters must be iterable, got 1.5$"),
+        (lambda: enumerate_bitangents("X4", None), "^X4 parameters must be iterable, got None$"),
+        (lambda: enumerate_bitangents("X24", 3), "^X24 parameters must be iterable, got 3$"),
+    ], ids=["generic-int", "generic-None", "family-int", "family-Fraction", "triple",
+            "locus", "bitangents-None", "bitangents-int"])
+    def test_parameters_that_cannot_be_iterated(self, call, message):
+        # a DomainError naming the value, not the TypeError of tuple() or len()
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_none_is_still_the_symbolic_form(self):
+        form = make_family("X16", None)
+        assert form.params == ("r", "s") and form == make_family("X16")
 
     @pytest.mark.parametrize("call", [symfam.x4_triple, singular_locus_check])
     @pytest.mark.parametrize("family, params, message", [

@@ -12,10 +12,11 @@ products and differential pairings, one per tuple of operand key sets, and
 ``diffcalc._bracket`` the two-stage plans of the J-brackets, one per pair of
 key sets; a plan or stage keeps its compiled straight-line code, from its
 ``_HOT``-th use, in its ``kernel`` slot.  Below the table it prints, for each
-of the two, the pairs of terms that the kept plans hold, and those of the
-compiled ones among them; how many plans compiled in all, and how many of
-those were built again after the cache dropped them; and the share of the
-plans' runs that compiled code served.
+of the two, the milliseconds spent in the calls that missed, which built the
+plans (wall time, ``time.perf_counter``); the pairs of terms that the kept
+plans hold, and those of the compiled ones among them; how many plans
+compiled in all, and how many of those were built again after the cache
+dropped them; and the share of the plans' runs that compiled code served.
 
 Run from the root of a checkout:
 
@@ -31,6 +32,7 @@ import argparse
 import importlib
 import itertools
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,22 +46,24 @@ PLANS = (("polyring", "_pairing", 1, "plans"), ("diffcalc", "_bracket", 2, "brac
 
 
 def cache_stats(workload: str, seed: int, ops: int):
-    """``(failed, [(name, cache_info()), ...], {name: (kept, compiled)})`` after the first
-    *ops* inputs of *workload*: for each cache of :data:`PLANS`, *kept* the plans it keeps,
-    *compiled* the ``((arguments, stage), uses)`` of every plan that compiled, those dropped
-    first."""
+    """``(failed, [(name, cache_info()), ...], {name: (kept, compiled, missed)})`` after the
+    first *ops* inputs of *workload*: for each cache of :data:`PLANS`, *kept* the plans it
+    keeps, *compiled* the ``((arguments, stage), uses)`` of every plan that compiled, those
+    dropped first, and *missed* the seconds of each call that missed."""
     import workloads
 
     caches = [(f"{module}.{name}", getattr(importlib.import_module(f"quartics.{module}"), name))
               for module, name in CACHES]
     for _, cache in caches:
         cache.cache_clear()
-    records = {}    # name: (module, the cache, its kept values' plans, the compiled ones dropped)
+    # name: (module, the cache, its kept values' plans, the compiled ones dropped, the
+    # seconds of each call that missed)
+    records = {}
     for module_name, name, per, _ in PLANS:
         module = importlib.import_module(f"quartics.{module_name}")
-        cache, used, dropped = getattr(module, name), {}, []
-        records[f"{module_name}.{name}"] = (module, cache, used, dropped)
-        setattr(module, name, _recorded(cache, per, used, dropped))
+        cache, used, dropped, missed = getattr(module, name), {}, [], []
+        records[f"{module_name}.{name}"] = (module, cache, used, dropped, missed)
+        setattr(module, name, _recorded(cache, per, used, dropped, missed))
     work = workloads.make(workload, ROOT / "src")
     failed = 0
     try:
@@ -70,22 +74,26 @@ def cache_stats(workload: str, seed: int, ops: int):
             else:
                 work.check(inp, out)
     finally:
-        for module, cache, _, _ in records.values():
+        for module, cache, *_ in records.values():
             setattr(module, cache.__name__, cache)
     plans = {name: ([plan for value in used for plan in value], dropped + [
         ((arguments, k), plan.uses) for value, arguments in used.items()
-        for k, plan in enumerate(value) if plan.kernel])
-        for name, (_, _, used, dropped) in records.items()}
+        for k, plan in enumerate(value) if plan.kernel], missed)
+        for name, (_, _, used, dropped, missed) in records.items()}
     return failed, [(name, cache.cache_info()) for name, cache in caches], plans
 
 
-def _recorded(cache, per: int, used: dict, dropped: list):
+def _recorded(cache, per: int, used: dict, dropped: list, missed: list):
     """*cache* wrapped to keep, in *used*, the *per* plans of each value it keeps, in the
     order of their last use, as the cache keeps them: past its bound, the first is the one
     the cache dropped (its kernels with it), and those of them that compiled go to
-    *dropped* as ``((arguments, stage), uses)``."""
+    *dropped* as ``((arguments, stage), uses)``; the seconds of each call that missed, the
+    one that built the plans, go to *missed*."""
     def recorded(*args):
+        misses, start = cache.cache_info().misses, time.perf_counter()
         value = cache(*args)
+        if cache.cache_info().misses > misses:
+            missed.append(time.perf_counter() - start)
         plans = (value,) if per == 1 else value[:per]
         used.pop(plans, None)
         used[plans] = args
@@ -115,7 +123,9 @@ def main(argv=None) -> int:
         ratio = f"{info.hits / calls:.3f}" if calls else "-"
         print(f"{name:<42}{info.hits:>8}{info.misses:>8}{ratio:>11}"
               f"{f'{info.currsize}/{info.maxsize}':>12}")
-    for (name, (kept, compiled)), (_, _, per, what) in zip(plans.items(), PLANS):
+    for (name, (kept, compiled, missed)), (_, _, per, what) in zip(plans.items(), PLANS):
+        print(f"{name}: {len(missed)} calls missed and built the {what} in "
+              f"{1000 * sum(missed):.2f} ms")
         hot = [plan for plan in kept if plan.kernel]
         pairs, hot_pairs = (sum(len(plan.pairs) for plan in group) // 4    # four entries a pair
                             for group in (kept, hot))
