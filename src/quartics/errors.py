@@ -57,9 +57,12 @@ class SolverError(QuarticsError):
     """No branch of a finite solver enumeration certified against the input."""
 
 
-#: a string that ends in a decimal exponent: the text before its digits, its sign,
-#: its digits (with underscores, as Python writes them) and trailing blanks
-_EXPONENT = re.compile(r"(.*[0-9.][eE])([-+]?)([0-9_]+)(\s*)", re.S)
+#: digits of any script (Unicode category Nd), single underscores between them
+_DIGITS = r"\d+(?:_\d+)*"
+#: a rational as text, the union of what ``Fraction`` reads on Python 3.10-3.13: blanks, a sign,
+#: then digits "/" digits (blanks around the "/") or a mantissa and an exponent; then blanks
+_RATIONAL = re.compile(rf"\s*([-+]?)(?:({_DIGITS})\s*/\s*({_DIGITS})|(?=\.?\d)((?:{_DIGITS})?"
+                       rf"(?:\.(?:{_DIGITS})?)?)(?:[eE]([-+]?{_DIGITS}))?)\s*")
 
 
 def _too_long(limit: int) -> DomainError:
@@ -67,50 +70,45 @@ def _too_long(limit: int) -> DomainError:
                        f"than {limit} digits, the limit of sys.get_int_max_str_digits()")
 
 
-def _decimal(text: str) -> tuple[Fraction, int] | None:
-    """``(m, e)`` with *text* = m * 10**e for a decimal literal with an exponent, read
-    without forming the power, whose cost grows with e; None for any other text."""
-    if match := _EXPONENT.fullmatch(text):
-        head, sign, digits, tail = match.groups()
-        try:    # a zero for each digit of e: a literal exactly when text is one
-            return Fraction(head + re.sub("[0-9]", "0", digits) + tail), int(sign + digits)
-        except ValueError:
-            pass
-    return None
+def _scaled(sign: int, digits: tuple, exponent: int, limit: int) -> Fraction:
+    """(-1)**sign * digits * 10**exponent, as ``Decimal.as_tuple()`` gives it, refusing without
+    the power a numerator or denominator of over *limit* digits: d significant digits times 10**e
+    have a numerator of d + e digits or more and a denominator of more than -d - e digits, and a
+    value whose numerator and denominator fit has fewer than log2(10) * limit < 4 * limit."""
+    d = len(bytes(digits).rstrip(b"\0"))
+    exponent += len(digits) - d
+    if limit and d and not (-limit < d + exponent <= limit and d < 4 * limit):
+        raise _too_long(limit)
+    return Fraction(Decimal((sign, digits[:d], exponent))) if d else Fraction(0)
 
 
 def rational(value) -> Fraction:
-    """*value* (an int, a ``Fraction``, a finite float or ``Decimal`` or a string like
-    "7/2") as a ``Fraction``; anything else, a bool too, raises :class:`DomainError`
-    naming it, and so does a numerator or denominator of more digits than the
-    interpreter converts to a string (``sys.get_int_max_str_digits()``), naming the
-    limit.  The decimal exponent of a ``Decimal`` or a string is read first, so a huge
-    one is rejected (or a zero mantissa gives 0) without forming the power."""
+    """*value* (an int, a ``Fraction``, a finite float or ``Decimal`` or a string in the grammar
+    of :data:`_RATIONAL`, like "7/2") as a ``Fraction``; anything else, a bool too, raises
+    :class:`DomainError` naming it, and so does a numerator or denominator of more digits than
+    the interpreter converts to a string (``sys.get_int_max_str_digits()``), naming the limit.
+    The digits of a string or a ``Decimal`` are bounded before any power of ten is formed: a
+    huge exponent is refused at once, and a zero mantissa gives 0 whatever its exponent."""
     limit = sys.get_int_max_str_digits()    # 0: no limit
-    text = str(value) if isinstance(value, Decimal) else value
-    if isinstance(value, Decimal) and limit:
-        # its text has an exponent whenever the power of ten would have more digits than
-        # the mantissa; a mantissa of k > limit significant digits, too long to parse, is
-        # an int of k digits times 10**e: too long for e >= 0, and for -e - k >= limit
-        # so is the denominator, above 10**(-e - k)
-        mantissa, _, exponent = text.lstrip("-").partition("E")
-        whole, _, fraction = mantissa.partition(".")
-        digits = (whole + fraction).lstrip("0")
-        k = len(digits.rstrip("0"))
-        e = int(exponent or 0) + len(digits) - k - len(fraction)
-        if k > limit and (e >= 0 or -e - k >= limit):
-            raise _too_long(limit)
-    if limit and isinstance(text, str) and (decimal := _decimal(text)):
-        m, e = decimal
-        if not m:
-            return m
-        # |value| >= 10**e / den, and for e < 0 its denominator is >= 10**-e / |num|
-        if abs(e) - max(m.numerator.bit_length(), m.denominator.bit_length()) >= limit:
-            raise _too_long(limit)
     try:
         if isinstance(value, bool):     # Fraction(True) would be 1
             raise TypeError("a bool is not a rational")
-        q = Fraction(value)
+        if isinstance(value, str):
+            if not (match := _RATIONAL.fullmatch(value)):
+                raise ValueError(f"Invalid literal for Fraction: {value!r}")
+            sign, num, den, mantissa, exp = match.groups()
+            if num:     # each within the limit, so is their quotient
+                return Fraction(rational(sign + num), rational(den))
+            sign, digits, exponent = Decimal(sign + mantissa).as_tuple()
+            if any(digits):     # else 0 whatever the exponent, which int reads within the limit
+                exponent += int(exp or 0)
+            q = _scaled(sign, digits, exponent, limit)
+        elif isinstance(value, Decimal) and value.is_finite():
+            q = _scaled(*value.as_tuple(), limit)
+        else:
+            q = Fraction(value)
+    except DomainError:
+        raise
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"cannot parse rational {value!r}: {exc}") from None
     for n in (q.numerator, q.denominator):

@@ -66,7 +66,9 @@ class QuarticForm(_Record):
 
 
 def _read(values, what: str) -> tuple:
-    """*values* read once into a tuple; one that cannot be iterated is a :class:`DomainError`."""
+    """*values* read once into a tuple; a string or a non-iterable is a :class:`DomainError`."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise DomainError(f"{what} must be an iterable of values, not the string {values!r}")
     try:
         return tuple(values)
     except TypeError:

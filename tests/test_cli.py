@@ -6,9 +6,12 @@ import json
 import math
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quartics import bitangent, cli, components, detrep, diffcalc, polyring, symfam
 from quartics.cli import (EXIT_DEGENERATE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
@@ -185,6 +188,27 @@ def test_numbers_too_long_to_print_exit_cleanly(capsys, argv, want):
     code, out, err = run_cli(capsys, argv)
     assert code == want and out == ""
     assert f"{sys.get_int_max_str_digits()} digits" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, same", [("1_0", "10"), ("3/ 4", "3/4"), ("0e" + "9" * 5000, "0")],
+                         ids=["underscore", "blank-slash", "zero-times-exponent-of-5000-digits"])
+def test_parameter_text_read_alike_on_every_python(capsys, text, same):
+    # Fraction refused "1_0" on 3.10, "3/ 4" on 3.10 and 3.11 and "0e" + 5000 digits on all
+    code, out, _ = run_cli(capsys, ["invariants", "--family", "X24", "--params", text])
+    assert code == EXIT_OK and out == run_cli(capsys, ["invariants", "--family", "X24",
+                                                       "--params", same])[1]
+
+
+@pytest.mark.parametrize("command", ["bitangents", "invariants"])
+def test_exponent_in_any_digits_exits_at_once(capsys, command):
+    # Fraction formed 10**9999999 before the limit refused it, seconds on every Python
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, [command, "--family", "X24", "--params", "1e" + "٩" * 7])
+    assert time.perf_counter() - start < 0.05
+    assert code == EXIT_USAGE and out == ""
+    assert err == (f"usage error: cannot parse rational: a numerator or denominator of more than "
+                   f"{sys.get_int_max_str_digits()} digits, the limit of "
+                   f"sys.get_int_max_str_digits()\n")
 
 
 @pytest.mark.parametrize("params", ["1e100,1,3", "-1e100,1,3"])
@@ -378,3 +402,57 @@ class TestColdStart:
         assert run_cli(capsys, argv)[0] == EXIT_OK
         assert polyring._pairing.cache_info().misses > 0
         assert compiles == []
+
+
+#: parameter tokens: rationals in the grammar's forms and digit sets ("-7/2" only in the
+#: comma-joined form: a word of its own is a flag), degenerate and overflowing values
+GOOD = ["0", "1", "3", "-7/2", "3/ 4", "1_0", "٣", "１.５e-١", "2", "1e100", "1e400",
+        "0e" + "9" * 5000]
+#: tokens that are a usage error: too long or outside the grammar, or no token at all
+BAD = ["1e5000", "1e" + "٩" * 7, "1/0", "x", "nan", "1__0", ""]
+#: each subcommand's flags, with a value where they take one
+FLAGS = {"invariants": [["--symbolic"], ["--decompose"], ["--golden"]],
+         "bitangents": [["--tol", "1e-9"], ["--dedupe-tol", "0"]],
+         "detrep": [["--seed", "5"], ["--seed", "x"], ["--tol", "nan"]]}
+
+
+@st.composite
+def argvs(draw):
+    """A command line of a subcommand, a family and parameter tokens, mostly as many as the
+    family takes and at most one of them bad, given as separate words or one comma-joined
+    --params= word, and at most one of the subcommand's flags."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    family = draw(st.sampled_from([*symfam.FAMILY_PARAMS, "generic", "X5"]))
+    argv = [command] if command == "detrep" else [command, "--family", family]
+    names = symfam.FAMILY_PARAMS.get(family, range(15))     # generic: 15 coefficients
+    count = 3 if command == "detrep" else len(names)
+    if not draw(st.integers(0, 3)):
+        count = draw(st.integers(0, 4))
+    tokens = draw(st.lists(st.sampled_from(GOOD), min_size=count, max_size=count))
+    if tokens and not draw(st.integers(0, 2)):
+        tokens[draw(st.integers(0, count - 1))] = draw(st.sampled_from(BAD))
+    if draw(st.booleans()):
+        argv.append("--params=" + ",".join(tokens))
+    elif tokens:
+        argv += ["--params", *tokens]
+    if not draw(st.integers(0, 2)):
+        argv += draw(st.sampled_from(FLAGS[command]))
+    return argv
+
+
+@settings(max_examples=80)
+@given(argvs())
+def test_any_command_line_exits_with_a_code_and_strict_json(argv):
+    # an exit code of the CLI's, at most one strict-JSON document on stdout, and a
+    # diagnostic, never a traceback, on stderr; argparse's refusals exit 2 as usage errors
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DEGENERATE, EXIT_NUMERIC), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert (code == EXIT_OK) == bool(out.getvalue()), argv
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"{name} in {argv}"))

@@ -236,6 +236,25 @@ class TestMakeFamily:
         with pytest.raises(DomainError, match=message):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_family("X4", "135"), "^X4 parameters .* not the string '135'$"),
+        (lambda: make_family("X24", "12"), "^X24 parameters .* not the string '12'$"),
+        (lambda: make_family("X24", b"1"), "^X24 parameters .* not the string b'1'$"),
+        (lambda: make_family("X4", bytearray(b"\x01\x03\x05")),
+         r"^X4 parameters .* not the string bytearray\(b'\\x01\\x03\\x05'\)$"),
+        (lambda: make_generic("123456789012345"),
+         "^a generic quartic's coefficients must be an iterable of values, not the string "
+         "'123456789012345'$"),
+        (lambda: symfam.x4_triple("X16", "13"), "^X16 parameters .* not the string '13'$"),
+        (lambda: singular_locus_check("X24", "1"), "^X24 parameters .* not the string '1'$"),
+        (lambda: enumerate_bitangents("X24", "1"), "^X24 parameters .* not the string '1'$"),
+    ], ids=["family", "family-count", "family-bytes", "family-bytearray", "generic", "triple",
+            "locus", "bitangents"])
+    def test_a_string_is_not_a_parameter_list(self, call, message):
+        # its characters were read as the parameters: X4(1, 3, 5) from "135"
+        with pytest.raises(DomainError, match=message):
+            call()
+
     def test_none_is_still_the_symbolic_form(self):
         form = make_family("X16", None)
         assert form.params == ("r", "s") and form == make_family("X16")
@@ -269,10 +288,10 @@ class TestMakeFamily:
 
     @pytest.mark.parametrize("bad", [
         "a", "nan", "1/0", None, float("nan"), float("inf"), 1j, True, False,
-        # Fraction's own error, raised before any power of ten is formed
+        # outside the grammar, or an exponent int refuses to read (a zero mantissa is 0
+        # whatever its exponent: tests/test_rational.py), before any power of ten is formed
         "1ee100000000", "1e1_", "e100000000", "1/2e100000000",
         pytest.param("1e" + "1" * 5000, id="exponent-of-5000-digits"),
-        pytest.param("0e" + "1" * 5000, id="zero-times-exponent-of-5000-digits"),
         # a Decimal's exponent is read only when it is finite
         pytest.param(Decimal("NaN"), id="Decimal-NaN"),
         pytest.param(Decimal("-Infinity"), id="Decimal-Infinity")])
