@@ -14,12 +14,11 @@ These are the computational primitives behind the quartic invariants:
   forms, computed by direct binomial expansion of the Cayley operator.
 
 ``diff_pair`` and every sum of products here run the plan of their operands'
-key sets, which repeat from call to call (``polyring._pairing``).  Each distinct
-entry of ``hessian`` and each transvectant partial is one ``multi_partial``.
-``j_bracket`` runs a two-stage plan per pair of key sets, its Hessian entries read
-off the unpacked exponents: their twelve cofactors, then the four sums.  Every
-plan's pairs are formed by ``polyring._flatten``, from groups of products.
-"""
+key sets, which repeat from call to call (``polyring._pairing``); each entry of
+``hessian`` and each transvectant partial is one ``multi_partial``.  ``j_bracket``
+and ``hessian_det`` run staged plans kept per key sets, their Hessian entries read
+off the unpacked exponents (:func:`_hessian`): cofactors, then the sums against
+them.  Every plan's pairs are formed by ``polyring._flatten``."""
 
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegreeError, DomainError, TableMismatchError
-from .polyring import (_SHAPES, Polynomial, VarTable, _check_table, _flatten, _generated, _run,
+from .polyring import (_SHAPES, Polynomial, VarTable, _check_table, _flatten, _generated, _staged,
                        diff_pair, multi_partial)  # noqa: F401  (re-exports diff_pair)
 
 
@@ -132,36 +131,40 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _WEIGHTS = (1, 2, 2, 1, 2, 1)
 
 
+def _hessian(table: VarTable, keys: tuple[int, ...], start: int = 0) -> tuple[list, list]:
+    """The Hessian of a form of the keys *keys*, its numerators at *start* in ``n``: the entries in
+    the order of ``_UPPER`` as term lists ``(index in n, weight, key)``, a term of x, y, z exponents
+    e weighing e_i (e_i - 1) in (i, i), e_i e_j in (i, j), at its key less that of x_i x_j, where
+    not 0; and their cofactors as groups of ``_flatten``, from the next rows and columns mod 3."""
+    unit = [(1 << table._top) + (1 << table._shift(v)) for v in table.geometric]
+    h = {ij: [] for ij in _UPPER}
+    for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), start):
+        for (i, j), entry in h.items():
+            if weight := exps[i] * (exps[j] - (i == j)):
+                entry.append((term, weight, key - unit[i] - unit[j]))
+    m = [[h[min(i % 3, j % 3), max(i % 3, j % 3)] for j in range(5)] for i in range(5)]
+    return list(h.values()), [((1, m[i + 1][j + 1], m[i + 2][j + 2]),
+                               (-1, m[i + 1][j + 2], m[i + 2][j + 1])) for i, j in _UPPER]
+
+
 @lru_cache(maxsize=_SHAPES)
 def _bracket(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]):
-    """``(first, second, spans)`` for :func:`j_bracket` on operands of the keys *fkeys* and
-    *gkeys* over *table* (the last 256); a term of geometric degree above 2 raises first.  A
-    Hessian entry is its operand's terms of geometric degree 2, a square's with weight 2, at
-    their keys less that of their x, y, z part.  Stage *first* forms the six cofactors of f's
-    Hessian, then g's, in the order of ``_UPPER``, from ``n``, f's numerators then g's; *second*
-    J11, J22, J30 and J03 in the ranges *spans*, from ``n`` and *first*'s slots after it."""
-    zeros, hessians, groups, start = (0,) * len(table.parameters), [], [], 0
-    for keys in (fkeys, gkeys):
-        h = {ij: [] for ij in _UPPER}
-        for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), start):
-            if (d := sum(exps[:3])) > 2:
-                raise DegreeError("J brackets are defined for quadratic forms")
-            if d == 2:      # lower degrees have no second partials
-                i, j = [v for v in range(3) for _ in range(exps[v])]
-                h[i, j].append((term, 2 if i == j else 1, key - table._pack(exps[:3] + zeros)))
-        m = [[h[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
-        for i, j in _UPPER:     # from the cyclically next rows and columns: the sign is built in
-            i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-            groups.append(((1, m[i1][j1], m[i2][j2]), (-1, m[i1][j2], m[i2][j1])))
-        hessians.append([h[ij] for ij in _UPPER])
-        start += len(keys)
-    first, spans = _flatten(groups, table._top)
-    # each cofactor's slots as terms of weight 1, indexed past the operands' numerators
-    cofactors = [[(start + s, 1, first.keys[s]) for s in span] for span in spans]
-    (hf, hg), cf, cg = hessians, cofactors[:6], cofactors[6:]
-    second, spans = _flatten([zip(_WEIGHTS, hf, hg), zip(_WEIGHTS, cf, cg),    # J11, J22, J30, J03
-                              zip((1, 1, 1), hf, cf), zip((1, 1, 1), hg, cg)], table._top)
-    return first, second, spans
+    """``(stages, sums)`` of :func:`j_bracket` for operands of the keys *fkeys* and *gkeys* (the
+    last 256), a term of geometric degree above 2 an error first: the cofactors of f's Hessian,
+    then g's (:func:`_hessian`); then J11, J22, J30 and J03."""
+    hessians = []
+    for keys, start in ((fkeys, 0), (gkeys, len(fkeys))):
+        if any(sum(exps[:3]) > 2 for exps in table._unpack(keys)):
+            raise DegreeError("J brackets are defined for quadratic forms")
+        hessians.append(_hessian(table, keys, start))
+    (hf, fc), (hg, gc) = hessians
+    start = len(fkeys) + len(gkeys)
+    first, cofactors = _flatten(fc + gc, table._top, start)
+    cf, cg = cofactors[:6], cofactors[6:]
+    second, sums = _flatten([zip(_WEIGHTS, hf, hg), zip(_WEIGHTS, cf, cg),    # J11, J22, J30, J03
+                             zip((1, 1, 1), hf, cf), zip((1, 1, 1), hg, cg)],
+                            table._top, start + len(first.keys))
+    return (first, second), sums
 
 
 def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
@@ -176,17 +179,33 @@ def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
     vanish), above 2 an error; a key past the packing limit is one only where a product
     of nonzero terms forms it (``polyring._Plan.live``).  Operands not ternary or over two tables
     raise the full matrices' first error (degree, f's, g's, the tables'), with no plan."""
-    table = f.table
+    table, df, dg = f.table, f._den, g._den
     if table.n_geometric != 3 or not (g.table is table or g.table == table):
         if max(f.geometric_degree(), g.geometric_degree()) <= 2:
             _check_ternary(f), _check_ternary(g), _check_table(table, g)   # one raises
         raise DegreeError("J brackets are defined for quadratic forms")
-    first, second, spans = _bracket(table, tuple(f._num), tuple(g._num))
-    n = [*f._num.values(), *g._num.values()]
-    n += _run(first, n)
-    out, keys, df, dg = _run(second.live(n, table._top), n), second.keys, f._den, g._den
-    return tuple(Polynomial._from_packed(table, {keys[s]: out[s] for s in span}, den)
-                 for span, den in zip(spans, (df * dg, (df * dg) ** 2, df ** 3, dg ** 3)))
+    return _staged(table, [*f._num.values(), *g._num.values()], _bracket(
+        table, tuple(f._num), tuple(g._num)), (df * dg, (df * dg) ** 2, df ** 3, dg ** 3))
+
+
+@lru_cache(maxsize=_SHAPES)
+def _hessian_det_plan(table: VarTable, keys: tuple[int, ...]):
+    """``(stages, (det,))`` of :func:`hessian_det` for a form of the keys *keys* (the last 256): the
+    cofactors of its Hessian's first row, each where its entry is not 0 (the minors :func:`det`
+    reaches), then the row against them, as J30 in :func:`_bracket`."""
+    h, cofactors = _hessian(table, keys)
+    first, cofactors = _flatten([c if e else () for e, c in zip(h[:3], cofactors)],
+                                table._top, len(keys))
+    second, sums = _flatten([zip((1, 1, 1), h, cofactors)], table._top,
+                            len(keys) + len(first.keys))
+    return (first, second), sums
+
+
+def hessian_det(f: Polynomial) -> Polynomial:
+    """``det(hessian(f))`` from the two stages of the plan of f's keys, over ``Df^3``."""
+    _check_ternary(f)
+    return _staged(f.table, [*f._num.values()], _hessian_det_plan(f.table, tuple(f._num)),
+                   (f._den ** 3,))[0]
 
 
 def transvectant(F: Polynomial, G: Polynomial, k: int,

@@ -6,7 +6,8 @@ binary quartic (``Sigma``, the apolar invariant, and ``Psi``, the
 catalecticant) in closed form.  They are polynomials in the line coordinates
 ``(u, v)``, which are the dual coordinates, so they are written in ``(x, y)``
 from the start and homogenized with ``z`` into the contravariants ``sigma``
-(degree 4) and ``psi`` (degree 6).  The public pairing
+(degree 4) and ``psi`` (degree 6), by three stages of one plan per key set of
+``f`` with the padding in ``z`` folded into its keys.  The public pairing
 ``diffcalc.transvectant`` is the tests' oracle for the closed forms.  Pairing
 back against ``f`` produces the quadratic covariants ``rho`` and ``tau``, and
 the six invariants
@@ -17,7 +18,8 @@ the six invariants
     I18 = J22(tau, rho)          I15 = J30(tau, rho) = det H(tau)
 
 where the four J-brackets come from one :func:`~quartics.diffcalc.j_bracket`
-call: two runs of one plan, the covariants' cofactors, then the four sums.
+call and ``det H(f)`` from :func:`~quartics.diffcalc.hessian_det`: two stages each,
+the cofactors, then the sums against them.
 
 Conventions are pinned by exact reference values, anchored at ``I6 = 13822``
 for the Fermat quartic: the Hessian carries bare second partials (halving it
@@ -32,15 +34,31 @@ geometric content; everything here is exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from .diffcalc import det, diff_pair, hessian, j_bracket
+from .diffcalc import diff_pair, hessian_det, j_bracket
 from .errors import DegreeError
-from .polyring import Polynomial, _Record, homogenize, restrict_to_line
+from .polyring import (_LIMIT, _SHAPES, Polynomial, VarTable, _check_table, _flatten, _Record,
+                       _restriction, _staged)
 
 # Coefficient of the I3^2 correction inside I6, equal to 8/144^2.  Fixed by
 # requiring I6 to match the reference tables exactly (it is the only rational
 # constant that does, across all four families simultaneously).
 I6_CORRECTION = Fraction(8, 144 ** 2)
+
+
+def _binary_stages(a, start: int, top: int):
+    """``(stages, (sigma, psi))`` of :func:`binary_invariants` on the term lists *a* of a0..a4,
+    whose ints ``n`` holds before *start*: stage B forms 12 Sigma, 432 times Psi's bracket,
+    a3^2 and a1^2, stage C 6912 Psi; with the term lists of 12 Sigma and 6912 Psi."""
+    a0, a1, a2, a3, a4 = a
+    second, (sigma, bracket, q3, q1) = _flatten([
+        ((12, a0, a4), (-3, a1, a3), (1, a2, a2)), ((72, a0, a4), (9, a1, a3), (-2, a2, a2)),
+        ((1, a3, a3),), ((1, a1, a1),)], top, start)
+    third, (psi,) = _flatten([((16, a2, bracket), (-432, a0, q3), (-432, q1, a4))],
+                             top, start + len(second.keys))
+    return (second, third), (sigma, psi)
 
 
 def binary_invariants(a) -> tuple[Polynomial, Polynomial]:
@@ -49,18 +67,17 @@ def binary_invariants(a) -> tuple[Polynomial, Polynomial]:
         Sigma = a0 a4 - a1 a3 / 4 + a2^2 / 12
         Psi   = a2 (a0 a4 / 6 + a1 a3 / 48 - a2^2 / 216) - a0 a3^2 / 16 - a1^2 a4 / 16
 
-    each sum of products (and Psi's bracket) formed in one
-    :meth:`~quartics.polyring.Polynomial.sum_of_products` call.
+    by the stages of :func:`_binary_stages` over the lcm d of the denominators, each
+    normalized once, over ``12 d^2`` and ``6912 d^3``.
     """
-    a0, a1, a2, a3, a4 = a
-    table = a0.table
-    sigma = Polynomial.sum_of_products(
-        table, ((1, a0, a4), (Fraction(-1, 4), a1, a3), (Fraction(1, 12), a2, a2)))
-    bracket = Polynomial.sum_of_products(
-        table, ((Fraction(1, 6), a0, a4), (Fraction(1, 48), a1, a3), (Fraction(-1, 216), a2, a2)))
-    psi = Polynomial.sum_of_products(
-        table, ((1, a2, bracket), (Fraction(-1, 16), a0, a3 * a3), (Fraction(-1, 16), a1 * a1, a4)))
-    return sigma, psi
+    a, n, terms = tuple(a), [], []
+    table = a[0].table
+    den = lcm(*[_check_table(table, p) or p._den for p in a])     # every table checked first
+    for p in a:
+        terms.append([(i, 1, key) for i, key in enumerate(p._num, len(n))])
+        n += [v * (den // p._den) for v in p._num.values()]
+    return _staged(table, n, _binary_stages(terms, len(n), table._top),
+                   (12 * den ** 2, 6912 * den ** 3))
 
 
 def _binary_coefficients(P: Polynomial) -> list[Polynomial]:
@@ -109,23 +126,36 @@ class InvariantSet(_Record):
         return {3: self.I3, 6: self.I6, 9: self.I9, 12: self.I12, 15: self.I15, 18: self.I18}
 
 
+@lru_cache(maxsize=_SHAPES)
+def _contravariant_plan(table: VarTable, keys: tuple[int, ...]):
+    """``(stages, (sigma, psi))`` of :func:`contravariants` for a quartic of the keys *keys* (the
+    last 256): the restriction's stage, then :func:`_binary_stages`, with z folded into sigma's
+    and psi's keys up to degrees 4 and 6.  A key of higher degree in x, y is left out: sigma and
+    psi are forms of degrees 4 and 6, so its sum is 0 for every quartic."""
+    x, y, z = table.geometric
+    top, sx, sy, sz = table._top, *map(table._shift, table.geometric)
+    (first,), a = _restriction(table, keys, z, (x, y), (x, y))
+    stages, outputs = _binary_stages(a, len(keys) + 1 + len(first.keys), top)
+    return (first, *stages), [
+        [(i, 1, key + (pad << top) + (pad << sz)) for i, _, key in terms
+         if (pad := degree - ((key >> sx) & _LIMIT) - ((key >> sy) & _LIMIT)) >= 0]
+        for terms, degree in zip(outputs, (4, 6))]
+
+
 def contravariants(f) -> tuple[Polynomial, Polynomial]:
     """The contravariants ``sigma`` (quartic) and ``psi`` (sextic) of a ternary quartic.
 
-    Restrict ``f`` to the line ``z = -u*x - v*y`` and evaluate
-    :func:`binary_invariants` on the five coefficients.  Those are
-    polynomials in the line coordinates ``(u, v)``, which are the dual
-    coordinates, so :func:`restrict_to_line` writes them as ``(x, y)`` of the
-    table of ``f``; homogenizing with ``z`` to degrees 4 and 6 gives both
-    forms in that table.
+    :func:`binary_invariants` of ``f`` restricted to the line ``z = -u*x - v*y``, whose
+    coefficients are polynomials in the dual coordinates ``(u, v)``, written as ``(x, y)``
+    of the table of ``f``, then homogenized with ``z``: the three stages of the plan of f's
+    keys (:func:`_contravariant_plan`), over ``12 d^2`` and ``6912 d^3``.
     """
     p = getattr(f, "poly", f)
-    table = p.table
+    table, d = p.table, p._den
     if table.n_geometric != 3 or p.geometric_degree() != 4 or not p.is_geometric_homogeneous():
         raise DegreeError("contravariants need a homogeneous ternary quartic")
-    x, y, z = table.geometric
-    sig, psi = binary_invariants(restrict_to_line(p, table, z, (x, y), (x, y)))
-    return homogenize(sig, z, 4), homogenize(psi, z, 6)
+    return _staged(table, [*p._num.values(), 1], _contravariant_plan(table, tuple(p._num)),
+                   (12 * d * d, 6912 * d ** 3))
 
 
 def covariants(f, psi: Polynomial | None = None) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -136,8 +166,7 @@ def covariants(f, psi: Polynomial | None = None) -> tuple[Polynomial, Polynomial
         _, psi = contravariants(p)
     rho = diff_pair(p, psi)
     tau = diff_pair(rho, p)
-    hdet = det(hessian(p))
-    return rho, tau, hdet
+    return rho, tau, hessian_det(p)
 
 
 def dixmier_invariants(f) -> InvariantSet:

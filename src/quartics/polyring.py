@@ -4,7 +4,7 @@ Every polynomial lives in a ring described by a :class:`VarTable`, which
 splits the variables into two roles:
 
 * *geometric* variables (``x, y, z`` or ``u, v, w`` ...) -- the ones acted
-  on by differential operators, substitutions and homogenization;
+  on by differential operators and substitutions;
 * *parameters* (``r, s, u`` ...) -- ordinary commuting variables that ride
   along in the coefficients and are treated as scalars by the calculus.
 
@@ -34,8 +34,8 @@ polynomial, and a monomial operator ``d^a`` is the pairing with ``x^a``
 operands meet, with which weight and at which key, depends only on their key sets,
 which repeat (a generic quartic is dense, a family's forms keep their monomials), so
 a pairing is planned once per tuple of key sets and kept for the last 256
-(:func:`_pairing`).  :func:`_flatten` forms the pairs of every plan, and of
-``diffcalc.j_bracket``'s two stages, from products of term lists; a call only
+(:func:`_pairing`).  :func:`_flatten` forms the pairs of every plan, and of the
+staged plans (:func:`_staged`), from products of term lists; a call only
 multiplies and adds numerators (:func:`_run`), by the plan's loop while it is cold
 or small, then by straight-line code that the plan keeps (:func:`_kernel`).
 
@@ -70,10 +70,10 @@ Exponents = tuple[int, ...]
 _LIMIT = 0xFFFF     # the largest exponent or total degree a field holds, and its mask
 #: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
 #: sets of them and 6 generated functions, which stay with room to spare.
-#: :func:`_exact_plan`, :func:`_operator`, :func:`_pairing` and ``diffcalc._bracket`` keep as many
-#: as :func:`_shape`, and a plan its compiled code: ``symbolic`` uses 78 plans and 4 bracket plans,
-#: compiling 28 and 6 stages; 440 ``numeric`` operations build 448 (most used once, by the answer
-#: checks' substitutions) and compile 64, and 1 bracket plan, both stages compiled.
+#: :func:`_exact_plan`, :func:`_operator`, :func:`_pairing` and the caches of staged plans keep as
+#: many as :func:`_shape`, and a plan its compiled code: ``symbolic`` uses 24 plans and 12 staged
+#: plans, compiling 15 plans and 23 stages; 440 ``numeric`` operations build 377 plans (most used
+#: once, by the answer checks' substitutions), compiling 59, and 9 staged plans, compiling 7 stages.
 _SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 
 
@@ -499,7 +499,7 @@ def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
 
 
 class _Plan:
-    """A plan of :func:`_pairing` or a stage of ``diffcalc.j_bracket``, formed by :func:`_flatten`:
+    """A plan of :func:`_pairing`, or one stage of :func:`_staged`, formed by :func:`_flatten`:
     the output ``keys``, descending in each range of slots; the ``pairs`` ``x, y, weight, slot``,
     flat in one tuple (under half the memory of a tuple each) in slot order, each adding ``n[x] *
     n[y] * weight`` to ``keys[slot]``, ``n`` the operands' numerators; the top ``degree`` of its
@@ -519,12 +519,12 @@ class _Plan:
         return _Plan(self.keys, tuple(live), max([self.keys[s] >> top for s in live[3::4]], default=0))
 
 
-def _flatten(groups, top: int) -> tuple[_Plan, list[range]]:
-    """The :class:`_Plan` of *groups*, one range of slots after another, and the range of each
-    group's slots: the one place pairs are formed.  A group is a list of products ``(c, a, b)``
-    whose factors are lists of terms ``(index in n, weight, key)``; each pair of terms adds
-    ``n[x] * n[y] * c * wx * wy`` at the key ``kx + ky``."""
-    keys, pairs, spans = [], [], []
+def _flatten(groups, top: int, start: int = 0) -> tuple[_Plan, list[list]]:
+    """The :class:`_Plan` of *groups*, one range of slots after another, and each group's slots
+    as a term list, its ints placed at *start* in ``n``: the one place pairs are formed.  A
+    group is a list of products ``(c, a, b)`` whose factors are lists of terms ``(index in n,
+    weight, key)``; each pair of terms adds ``n[x] * n[y] * c * wx * wy`` at the key ``kx + ky``."""
+    keys, pairs, outputs = [], [], []
     for products in groups:
         slots: dict[int, list[tuple[int, int, int]]] = {}   # each output key's terms
         meet = slots.setdefault
@@ -535,9 +535,22 @@ def _flatten(groups, top: int) -> tuple[_Plan, list[range]]:
         order = sorted(slots, reverse=True)
         pairs += [v for slot, key in enumerate(order, len(keys))
                   for x, y, w in slots[key] for v in (x, y, w, slot)]
-        spans.append(range(len(keys), len(keys) + len(order)))
+        outputs.append([(slot, 1, key) for slot, key in enumerate(order, start + len(keys))])
         keys += order
-    return _Plan(tuple(keys), tuple(pairs), max(keys, default=0) >> top), spans
+    return _Plan(tuple(keys), tuple(pairs), max(keys, default=0) >> top), outputs
+
+
+def _staged(table: VarTable, n: list[int], plan, dens) -> tuple:
+    """The polynomials of a staged *plan* ``(stages, outputs)`` over *table*: each stage's live
+    pairs (:meth:`_Plan.live`) append its ints to *n*; each term list of *outputs* gives its
+    ints over its denominator in *dens*, zeros dropped, a key past the packing limit an error."""
+    stages, outputs = plan
+    for stage in stages:
+        n += _run(stage.live(n, table._top), n)
+    polys = tuple([Polynomial._from_packed(table, {key: n[i] for i, _, key in terms}, den)
+                   for terms, den in zip(outputs, dens)])
+    _check_degree(max([max(p._num, default=0) for p in polys]) >> table._top)
+    return polys
 
 
 @lru_cache(maxsize=_SHAPES)
@@ -657,32 +670,6 @@ def substitute(p: Polynomial, replacements: Mapping[str, Polynomial]) -> Polynom
 def substitute_linear(p: Polynomial, var: str, replacement: Polynomial) -> Polynomial:
     """Substitute *replacement* (same table) for *var* and re-expand exactly."""
     return substitute(p, {var: replacement})
-
-
-def homogenize(p: Polynomial, var: str, target_degree: int) -> Polynomial:
-    """Pad every term with ``var``-powers so the geometric degree is *target_degree*.
-
-    Requires ``var`` to be geometric and absent from *p*; parameter content is
-    ignored by the degree count.
-    """
-    if not p.table.is_geometric(var):
-        raise RoleError(f"homogenization variable {var!r} must be geometric")
-    if p.degree_in(var):
-        raise DomainError(f"variable {var!r} already occurs in the polynomial")
-    table = p.table
-    top, shift = table._top, table._shift(var)
-    ng = table.n_geometric
-    out: dict[int, int] = {}
-    for exps, (key, coeff) in zip(table._unpack(p._num), p._num.items()):
-        d = sum(exps[:ng])
-        if d > target_degree:
-            raise DegreeError(
-                f"term of geometric degree {d} exceeds target degree {target_degree}"
-            )
-        pad = target_degree - d
-        _check_degree((key >> top) + pad)
-        out[key + (pad << top) + (pad << shift)] = coeff
-    return Polynomial._from_packed(table, out, p._den)
 
 
 class _Shape:
@@ -890,31 +877,41 @@ def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = N
     return Polynomial._from_packed(table, out, p._den)
 
 
-def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, str],
-                     unknowns: tuple[str, str]) -> list[Polynomial]:
-    """The coefficients of ``pair[0]^4, pair[0]^3 pair[1], ..., pair[1]^4`` of the
-    quartic form *p* on the line ``var = -u1*pair[0] - u2*pair[1]``, over *table*
-    (the table of *p* plus the *unknowns* ``(u1, u2)``).  The unknowns may be
-    the pair itself, over the table of *p*: the coefficients carry no pair
-    content, so ``u1, u2`` are then written as ``pair[0], pair[1]``.  Each
-    power of *var* is expanded binomially, so no polynomial is multiplied."""
-    p = convert(p, table)
+@lru_cache(maxsize=_SHAPES)
+def _restriction(table: VarTable, keys: tuple[int, ...], var: str, pair: tuple[str, str],
+                 unknowns: tuple[str, str]):
+    """``((plan,), coefficients)``: the stage of :func:`restrict_to_line` on a quartic form of the
+    keys *keys* (the last 256), from its numerators and a 1 after them in ``n``: a term ``x^i y^j
+    var^k`` is in coefficient ``j + k - m`` with weight ``(-1)^k C(k, m)``, times ``u1^m u2^(k - m)``."""
     iv, i0, i1 = (table.index(n) for n in (var, *pair))
     s0, s1 = map(table._shift, unknowns)
     ng, top = table.n_geometric, table._top
     params = (1 << 16 * len(table.parameters)) - 1     # the parameter fields of a key
-    out = [{} for _ in range(5)]
-    for exps, (key, coeff) in zip(table._unpack(p._num), p._num.items()):
+    one, coefficients = [(len(keys), 1, 0)], [[] for _ in range(5)]
+    for term, (key, exps) in enumerate(zip(keys, table._unpack(keys))):
         k = exps[iv]
         if exps[i0] + exps[i1] + k != 4 or sum(exps[:ng]) != 4:
             raise DegreeError(f"not a quartic form in ({pair[0]},{pair[1]},{var}): {exps}")
         # the parameter part of the term, of degree deg - 4, times the unknowns' k
         rest = (key & params) + (((key >> top) - 4 + k) << top)
         for m in range(k + 1):
-            new = rest + (m << s0) + ((k - m) << s1)
-            slot = out[exps[i1] + k - m]
-            slot[new] = slot.get(new, 0) + coeff * ((-1) ** k * comb(k, m))
-    return [Polynomial._from_packed(table, num, p._den) for num in out]
+            coefficients[exps[i1] + k - m].append(
+                (term, (-1) ** k * comb(k, m), rest + (m << s0) + ((k - m) << s1)))
+    plan, coefficients = _flatten([[(1, terms, one)] for terms in coefficients], top, len(keys) + 1)
+    return (plan,), coefficients
+
+
+def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, str],
+                     unknowns: tuple[str, str]) -> list[Polynomial]:
+    """The coefficients of ``pair[0]^4, pair[0]^3 pair[1], ..., pair[1]^4`` of the
+    quartic form *p* on the line ``var = -u1*pair[0] - u2*pair[1]``, over *table*
+    (the table of *p* plus the *unknowns* ``(u1, u2)``).  The unknowns may be
+    the pair itself, over the table of *p*: the coefficients carry no pair
+    content, so ``u1, u2`` are then written as ``pair[0], pair[1]``.  Each power of
+    *var* is expanded binomially: one run of the stage that ``dixmier`` runs first."""
+    p = convert(p, table)
+    return list(_staged(table, [*p._num.values(), 1],
+                        _restriction(table, tuple(p._num), var, pair, unknowns), (p._den,) * 5))
 
 
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence[Fraction | int]]) -> Polynomial:

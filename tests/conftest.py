@@ -115,6 +115,16 @@ def ref_partial(terms, i, order):
     return {e: c for e, c in out.items() if c}
 
 
+def homogenize(p: Polynomial, var: str, degree: int) -> Polynomial:
+    """*p* with each term padded with powers of the geometric variable *var*, which *p* does
+    not hold, up to geometric degree *degree*: the last step of the transvectant route to
+    the contravariants (``test_dixmier``), which ``dixmier`` folds into its plan's keys."""
+    table = p.table
+    i, ng = table.index(var), table.n_geometric
+    return Polynomial(table, {e[:i] + (degree - sum(e[:ng]),) + e[i + 1:]: c
+                              for e, c in p.terms.items()})
+
+
 def adjugate(m) -> tuple[tuple[Polynomial, ...], ...]:
     """Rows of the classical adjugate (transpose of cofactors) of a 3x3 matrix
     given by its rows, each cofactor one sum of products: the route to

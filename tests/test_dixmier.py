@@ -6,17 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from quartics import diffcalc, polyring
+from quartics import diffcalc, dixmier, polyring
 from quartics.dixmier import (I6_CORRECTION, contravariants,
                               covariants, delta_binary, dixmier_invariants,
                               psi_binary, sigma_binary)
 from quartics.diffcalc import det, diff_pair, hessian, transvectant
 from quartics.errors import DegreeError
 from quartics.polyring import (Polynomial, VarTable, compose_linear, convert,
-                               homogenize, substitute_linear, substitute_values)
+                               substitute_linear, substitute_values)
 from quartics.symfam import make_family, make_generic
 
-from conftest import (XY, XYZ, random_binary_form, random_fraction, random_quartic,
+from conftest import (XY, XYZ, homogenize, random_binary_form, random_fraction, random_quartic,
                       random_unimodular)
 
 PQ = VarTable(("x", "y"), ("p", "q"))
@@ -169,8 +169,23 @@ class TestContravariants:
         mono(XY, {"x": 4}) + mono(XY, {"y": 4}),                # binary
     ])
     def test_non_quartic_rejected(self, form):
+        info = dixmier._contravariant_plan.cache_info()
         with pytest.raises(DegreeError, match="homogeneous ternary quartic"):
             contravariants(form)
+        assert dixmier._contravariant_plan.cache_info() == info     # before any plan
+
+    def test_fold_past_the_packing_limit(self):
+        # sigma = -a1 a3 / 4 = -r^(2n) / 4 has no x or y, so padded with z^4 its degree
+        # is 2n + 4, past 65,535 from n = 32,766; psi is 0, as a0, a2 and a4 are
+        table = VarTable(("x", "y", "z"), ("r",))
+
+        def form(n):
+            return mono(table, {"x": 3, "y": 1, "r": n}) + mono(table, {"x": 1, "y": 3, "r": n})
+
+        sigma = mono(table, {"z": 4, "r": 65530}, Fraction(-1, 4))
+        assert contravariants(form(32765)) == (sigma, 0)
+        with pytest.raises(DegreeError, match="^degree 65536 exceeds the packing limit 65535$"):
+            contravariants(form(32766))
 
     def test_psi_symmetric_for_fermat(self):
         _, psi = contravariants(make_family("X96"))
@@ -271,36 +286,44 @@ class TestInvariants:
             assert v.geometric_degree() == 0
 
     def test_answers_do_not_depend_on_the_pairing_plans_kept(self, compiles):
-        # products and diff_pair keep a plan per tuple of key sets, and j_bracket a
-        # two-stage plan per pair of key sets, each run compiled from its _HOT-th use,
-        # and multi_partial an operator x^a per table and orders: the invariants of the
-        # families and of seeded generic quartics are the same with nothing kept, with
-        # their plans and operators kept, with the plans compiled, and after other pairs
-        # of key sets pushed those plans out and the bracket plans were dropped
+        # products and diff_pair keep a plan per tuple of key sets, j_bracket a two-stage
+        # plan per pair of key sets, contravariants, det H and the restriction a staged
+        # plan per key set,
+        # each run compiled from its _HOT-th use, and multi_partial an operator x^a per
+        # table and orders: the invariants of the families and of seeded generic quartics
+        # are the same with nothing kept, with their plans and operators kept, with the
+        # plans compiled, and after other pairs of key sets pushed those plans out and the
+        # staged plans were dropped
         rng = random.Random(59)
         forms = [make_family(name) for name in ("X4", "X16", "X24", "X96")]
         forms += [make_generic([random_fraction(rng, 1000, 100) for _ in range(15)])
                   for _ in range(3)]
-        plans, brackets, operators = polyring._pairing, diffcalc._bracket, polyring._operator
+        plans, operators = polyring._pairing, polyring._operator
+        staged = (diffcalc._bracket, diffcalc._hessian_det_plan, dixmier._contravariant_plan,
+                  polyring._restriction)
 
         def invariants():
             return [dixmier_invariants(f).as_dict() for f in forms]
 
-        for cache in (plans, brackets, operators):
+        def misses(caches):
+            return [cache.cache_info().misses for cache in caches]
+
+        for cache in (plans, operators, *staged):
             cache.cache_clear()
         cold = invariants()
         built, made = plans.cache_info().misses, operators.cache_info().misses
-        bracketed = brackets.cache_info().misses
+        stages_built = misses(staged)
         warm = invariants()
         assert plans.cache_info().misses == built       # every plan reused
-        assert brackets.cache_info().misses == bracketed > 0    # no bracket plan built
+        assert misses(staged) == stages_built and min(stages_built) > 0   # no staged plan built
         assert operators.cache_info().misses == made    # every operator reused
         hot = [invariants() for _ in range(polyring._HOT)]
         compiled = len(compiles)
         assert compiled > 0 and plans.cache_info().misses == built
         for k in range(plans.cache_info().maxsize):
             diff_pair(mono(XYZ, {"x": k}), mono(XYZ, {"x": k + 1}))
-        brackets.cache_clear()
+        for cache in staged:
+            cache.cache_clear()
         before = plans.cache_info().misses
         evicted = [invariants() for _ in range(polyring._HOT)]
         assert plans.cache_info().misses - before == built      # every plan built again

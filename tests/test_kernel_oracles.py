@@ -46,12 +46,14 @@ from math import perm
 import pytest
 from hypothesis import given
 
-from quartics.diffcalc import _bracket, _pencil_det, det, hessian, j_bracket
+from quartics.diffcalc import (_bracket, _hessian_det_plan, _pencil_det, det, hessian,
+                               hessian_det, j_bracket)
+from quartics.dixmier import _contravariant_plan, binary_invariants
 from quartics.errors import DegreeError, DomainError, TableMismatchError
-from quartics.polyring import (_HOT, _PIECE, Polynomial, VarTable, _pairing, diff_pair,
-                               eval_exact, eval_scaled_many)
+from quartics.polyring import (_HOT, _PIECE, Polynomial, VarTable, _pairing, _restriction,
+                               diff_pair, eval_exact, eval_scaled_many, restrict_to_line)
 from quartics.symfam import (Partition, SymmetricDecomposition, decompose_symmetric,
-                             is_symmetric, reconstruct, s_basis)
+                             is_symmetric, make_family, reconstruct, s_basis)
 
 from conftest import (DENOMINATORS, LIMIT, PAR, RANDOMS, SEVEN, XYZ, adjugate, dot, drawn,
                       left_to_right_det, random_terms)
@@ -88,8 +90,8 @@ def cold_and_hot(call, *args):
     """:func:`exact_outcome` of *call* with no plan kept, which runs the plans' loops,
     asserted equal to that of each further run up to the ``_HOT``-th, from which a
     plan of 8 pairs or more runs compiled."""
-    _pairing.cache_clear()
-    _bracket.cache_clear()
+    for cache in (_pairing, _bracket, _hessian_det_plan, _contravariant_plan, _restriction):
+        cache.cache_clear()
     cold = exact_outcome(call, *args)
     for _ in range(_HOT - 1):
         assert exact_outcome(call, *args) == cold
@@ -691,6 +693,118 @@ class TestJBracket:
         want = "DegreeError: J brackets are defined for quadratic forms"
         assert exact_outcome(j_bracket, f, g) == want
         assert _bracket.cache_info().currsize == kept
+
+
+# -- binary_invariants and det H: the staged plans of the contravariants and covariants -----
+
+
+def fraction_binary_invariants(a):
+    """Sigma and Psi of the coefficients *a* from the closed forms of
+    ``dixmier.binary_invariants``, every product of ``Fraction`` terms expanded over
+    the exponent tuples, Psi's bracket multiplied out."""
+    table, terms = a[0].table, [dict(p.terms) for p in a]
+
+    def expanded(*products):
+        out = {}
+        for c, *factors in products:
+            part = {(0,) * len(table): Fraction(c)}
+            for i in factors:
+                step = {}
+                for e, x in part.items():
+                    for f, y in terms[i].items():
+                        key = tuple(map(sum, zip(e, f)))
+                        step[key] = step.get(key, 0) + x * y
+                part = step
+            for e, x in part.items():
+                out[e] = out.get(e, 0) + x
+        return Polynomial(table, out)
+
+    return (expanded((1, 0, 4), (Fraction(-1, 4), 1, 3), (Fraction(1, 12), 2, 2)),
+            expanded((Fraction(1, 6), 2, 0, 4), (Fraction(1, 48), 2, 1, 3),
+                     (Fraction(-1, 216), 2, 2, 2), (Fraction(-1, 16), 0, 3, 3),
+                     (Fraction(-1, 16), 1, 1, 4)))
+
+
+def binary_coefficients(rng, table):
+    """Five coefficients as ``binary_invariants`` meets them: each zero at times, else up to
+    6 terms of exponents up to 2, parameters included, over mixed denominators."""
+    return [Polynomial(table, {tuple(rng.randint(0, 2) for _ in table.names):
+                               Fraction(rng.randint(-30, 30), rng.choice(DENOMINATORS))
+                               for _ in range(rng.choice((0, rng.randint(1, 6))))})
+            for _ in range(5)]
+
+
+class TestBinaryInvariants:
+    @drawn(150)
+    @given(RANDOMS)
+    def test_matches_the_fraction_terms(self, rng):
+        a = binary_coefficients(rng, rng.choice((BINARY, PQ, PAR)))
+        assert cold_and_hot(binary_invariants, a) == exact_outcome(fraction_binary_invariants, a)
+
+    @pytest.mark.parametrize("name", ["X4", "X16", "X24", "X96"])
+    def test_family_restrictions(self, name):
+        # the coefficients that contravariants forms in its first stage, as polynomials
+        p = make_family(name).poly
+        a = restrict_to_line(p, p.table, "z", ("x", "y"), ("x", "y"))
+        assert cold_and_hot(binary_invariants, a) == exact_outcome(fraction_binary_invariants, a)
+
+    def test_a_coefficient_over_another_table(self):
+        a = [Polynomial.variable(PQ, "p")] * 4 + [Polynomial.variable(XYZ, "x")]
+        with pytest.raises(TableMismatchError):
+            binary_invariants(a)
+
+
+def hessian_then_det(f):
+    return det(hessian(f))
+
+
+def quartic_with_gaps(rng, table):
+    """A ternary quartic with each of its 15 monomials at times missing, parameter
+    coefficients over mixed denominators, and now and then a parameter exponent near a
+    third of the packing limit, so that det H's keys pass it."""
+    params = len(table.parameters)
+    terms = {}
+    for i, j in itertools.product(range(5), repeat=2):
+        if i + j <= 4 and rng.random() < 0.6:
+            exps = [rng.randint(0, 2) for _ in range(params)]
+            if params and rng.random() < 0.05:
+                exps[rng.randrange(params)] = rng.randint(LIMIT // 3 - 4, LIMIT // 3 + 4)
+            terms[(i, j, 4 - i - j, *exps)] = Fraction(rng.randint(-30, 30),
+                                                       rng.choice(DENOMINATORS))
+    return Polynomial(table, terms)
+
+
+class TestHessianDet:
+    @drawn(100)
+    @given(RANDOMS)
+    def test_matches_det_of_the_hessian(self, rng):
+        table = rng.choice((XYZ, PQ, PAR))
+        f = (quartic_with_gaps(rng, table) if rng.random() < 0.7 else
+             random_form(rng, table, 4, 10, homogeneous=rng.random() < 0.5))
+        assert cold_and_hot(hessian_det, f) == exact_outcome(hessian_then_det, f)
+
+    @pytest.mark.parametrize("name", ["X4", "X16", "X24", "X96"])
+    def test_families(self, name):
+        # the families' key sets, symbolic and at a seeded member
+        rng = random.Random(name)
+        for f in (make_family(name), make_family(name, [Fraction(rng.randint(-9, 9), 7)
+                                                        for _ in make_family(name).params])):
+            assert cold_and_hot(hessian_det, f.poly) == exact_outcome(hessian_then_det, f.poly)
+
+    def test_past_the_limit_only_through_a_minor_det_does_not_form(self):
+        # H00 = 0, so det forms no cofactor of it: H11 H22 would reach p^66000
+        p = Polynomial.variable(PQ, "p") ** 33000
+        x, y, z = (Polynomial.variable(PQ, name) for name in "xyz")
+        f = p * (y ** 4 + z ** 4) + x * y * z * z
+        want = exact_outcome(hessian_then_det, f)
+        assert "Error" not in str(want)
+        assert cold_and_hot(hessian_det, f) == want
+
+    def test_not_ternary_before_any_plan(self):
+        info = _hessian_det_plan.cache_info()
+        with pytest.raises(DegreeError, match="^hessian needs 3 geometric variables, table has 2$"):
+            hessian_det(Polynomial.variable(BINARY, "x") ** 4)
+        assert _hessian_det_plan.cache_info() == info
 
 
 def scanned_diff_pair(f, g):

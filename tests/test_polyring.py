@@ -11,11 +11,11 @@ from quartics.diffcalc import det
 from quartics.errors import (DegreeError, DomainError, QuarticsError, RoleError,
                              TableMismatchError)
 from quartics.polyring import (Polynomial, VarTable, compose_linear, convert, eval_complex,
-                               eval_exact, homogenize, multi_partial, partial, restrict_to_line,
+                               eval_exact, multi_partial, partial, restrict_to_line,
                                substitute, substitute_linear, substitute_values)
 
-from conftest import (DENOMINATORS, LIMIT, PAR, RANDOMS, SEVEN, XYZ, drawn, random_exponents,
-                      random_quartic, random_terms, ref_partial)
+from conftest import (DENOMINATORS, LIMIT, PAR, RANDOMS, SEVEN, XYZ, drawn, homogenize,
+                      random_exponents, random_quartic, random_terms, ref_partial)
 
 def mono(table, powers, c=1):
     return Polynomial.monomial(table, powers, c)
@@ -237,7 +237,6 @@ class TestUnknownVariable:
     @pytest.mark.parametrize("call", [
         lambda p: partial(p, "w"),
         lambda p: multi_partial(p, {"x": 1, "w": 1}),
-        lambda p: homogenize(p, "w", 4),
         lambda p: Polynomial.monomial(PAR, {"w": 1}),
         lambda p: p.coefficient({"w": 1}),
         lambda p: PAR.index("w"),
@@ -350,6 +349,8 @@ class TestRestrictToLine:
 
 
 class TestHomogenize:
+    """The tests' ``homogenize`` (``conftest``), the transvectant route's last step."""
+
     def test_dual_quartic(self):
         t = VarTable(("u", "v", "w"))
         p = 1 + mono(t, {"u": 4}) + mono(t, {"v": 4})
@@ -363,17 +364,6 @@ class TestHomogenize:
         t = VarTable(("u", "v", "w"))
         p = mono(t, {"u": 2}) + var(t, "v")
         assert homogenize(p, "w", 2) == mono(t, {"u": 2}) + mono(t, {"v": 1, "w": 1})
-
-    def test_excess_degree_rejected(self):
-        t = VarTable(("u", "v", "w"))
-        with pytest.raises(DegreeError):
-            homogenize(mono(t, {"u": 3}), "w", 2)
-
-    def test_parameter_or_present_variable_rejected(self):
-        with pytest.raises(RoleError, match="must be geometric"):
-            homogenize(mono(PAR, {"x": 1}), "r", 2)
-        with pytest.raises(ValueError, match="already occurs"):
-            homogenize(mono(PAR, {"x": 1, "z": 1}), "z", 3)
 
     def test_roundtrip(self):
         # homogenize then set the new variable to 1 recovers the input
@@ -588,11 +578,6 @@ def _ref_convert(a, src, dst, rename):
     return _ref_clean(out)
 
 
-def _ref_homogenize(a, table, var, degree):
-    i, ng = table.index(var), table.n_geometric
-    return {exps[:i] + (degree - sum(exps[:ng]),) + exps[i + 1:]: c for exps, c in a.items()}
-
-
 def _ref_restrict(a, table, var, pair, unknowns):
     iv, i0, i1, j0, j1 = (table.index(n) for n in (var, *pair, *unknowns))
     ng = table.n_geometric
@@ -787,21 +772,6 @@ class TestRingMatchesFractionReference:
     @_TABLES
     @_PROPERTY
     @given(RANDOMS)
-    def test_homogenize(self, table, rng):
-        iz, ng = table.index("z"), table.n_geometric
-        a = _merged((e[:iz] + (0,) + e[iz + 1:], c) for e, c in random_terms(rng, table).items())
-        target = max((sum(e[:ng]) for e in a), default=0) + (
-            rng.randint(0, 5) if rng.random() < 0.5 else rng.randint(LIMIT - 40, LIMIT))
-        want = _ref_homogenize(a, table, "z", target)
-        if _degree(want) > LIMIT:
-            with pytest.raises(DegreeError, match="65535"):
-                homogenize(Polynomial(table, a), "z", target)
-        else:
-            assert_matches_reference(homogenize(Polynomial(table, a), "z", target), table, want)
-
-    @_TABLES
-    @_PROPERTY
-    @given(RANDOMS)
     def test_convert(self, table, rng):
         a = random_terms(rng, table)
         # roles swapped, orders reversed, one variable renamed and one added
@@ -811,15 +781,14 @@ class TestRingMatchesFractionReference:
         got = convert(Polynomial(table, a), dst, rename)
         assert_matches_reference(got, dst, _ref_convert(a, table, dst, rename))
         assert_matches_reference(convert(got, table, {"x2": "x"}), table, a)
-        # two parameters renamed onto x and y, which do not occur, the others kept,
-        # then homogenized: the parameter-only part of small terms
+        # two parameters renamed onto x and y, which do not occur, the others kept:
+        # the parameter-only part of small terms
         dst = VarTable(table.geometric, table.parameters[2:])
         rename = dict(zip(table.parameters, "xy"))
         b = _merged(((0, 0, 0) + e[3:], c) for e, c in random_terms(rng, table, 0, small=3).items())
         moved = convert(Polynomial(table, b), dst, rename)
         want = _ref_convert(b, table, dst, rename)
         assert_matches_reference(moved, dst, want)
-        assert_matches_reference(homogenize(moved, "z", 8), dst, _ref_homogenize(want, dst, "z", 8))
 
     @_TABLES
     @_PROPERTY
@@ -960,12 +929,6 @@ class TestPackingLimit:
         assert (x ** 40000 + 1) * (r ** 25535 - 1) == (mono(PAR, {"x": 40000, "r": 25535})
                                                         - x ** 40000 + r ** 25535 - 1)
 
-    def test_homogenize_across_the_limit(self):
-        p = mono(PAR, {"x": 1, "r": LIMIT - 5})
-        assert homogenize(p, "z", 5) == mono(PAR, {"x": 1, "z": 4, "r": LIMIT - 5})
-        with pytest.raises(DegreeError, match="65535"):
-            homogenize(p, "z", 6)
-
     def test_negative_and_wrong_length_are_value_errors(self):
         for exps in [(-1, 0, 0), (0, 0, -LIMIT), (1, 0), (0, 0, 0, 0)]:
             with pytest.raises(ValueError):
@@ -995,7 +958,6 @@ MALFORMED = {
     "negative exponent": lambda: Polynomial(XYZ, {(-1, 0, 0): 1}),
     "negative power": lambda: var(XYZ, "x") ** -1,
     "negative differentiation": lambda: multi_partial(var(XYZ, "x"), {"x": -1}),
-    "already occurs": lambda: homogenize(var(XYZ, "z"), "z", 2),
     "not injective": lambda: convert(var(XYZ, "x") + var(XYZ, "y"), XYZ, {"x": "y"}),
     "3x3": lambda: compose_linear(var(XYZ, "x"), [[1, 0], [0, 1]]),
     "not square": lambda: det(()),

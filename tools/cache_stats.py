@@ -8,13 +8,16 @@ starts empty.  Then it prints, for each bounded cache, the hits, the misses,
 the hit ratio (the share of calls whose input repeated one still kept) and
 how many entries it keeps against its bound.  A cache that a workload never
 calls shows ``-`` as its ratio.  ``polyring._pairing`` holds the plans of the
-products and differential pairings, one per tuple of operand key sets, and
+products and differential pairings, one per tuple of operand key sets;
 ``diffcalc._bracket`` the two-stage plans of the J-brackets, one per pair of
-key sets; a plan or stage keeps its compiled straight-line code, from its
-``_HOT``-th use, in its ``kernel`` slot.  Below the table it prints, for each
-of the two, the milliseconds spent in the calls that missed, which built the
-plans (wall time, ``time.perf_counter``); the pairs of terms that the kept
-plans hold, and those of the compiled ones among them; how many plans
+key sets; ``diffcalc._hessian_det_plan`` the two-stage plans of det H,
+``dixmier._contravariant_plan`` the three-stage plans of sigma and psi, one per
+key set of the quartic, and ``polyring._restriction`` the one-stage plans of
+``restrict_to_line`` (the contravariants' first stage).  A plan or stage keeps
+its compiled straight-line code, from its ``_HOT``-th use, in its ``kernel``
+slot.  Below the table it prints, for each of the five, the milliseconds spent in the calls that missed, which
+built the plans (wall time, ``time.perf_counter``); the pairs of terms that the
+kept plans hold, and those of the compiled ones among them; how many plans
 compiled in all, and how many of those were built again after the cache
 dropped them; and the share of the plans' runs that compiled code served.
 
@@ -37,12 +40,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 #: (module, attribute) of each bounded cache, in the order printed
-CACHES = (("polyring", "_pairing"), ("diffcalc", "_bracket"), ("polyring", "_operator"),
+CACHES = (("polyring", "_pairing"), ("diffcalc", "_bracket"), ("diffcalc", "_hessian_det_plan"),
+          ("dixmier", "_contravariant_plan"), ("polyring", "_restriction"), ("polyring", "_operator"),
           ("diffcalc", "_expansion"), ("diffcalc", "_pencil_det"), ("polyring", "_evaluator"),
           ("polyring", "_shape"), ("polyring", "_exact_plan"),
           ("bitangent", "_restriction_coefficients_cached"))
-#: the caches of plans: (module, attribute, the plans one value holds, what they are called)
-PLANS = (("polyring", "_pairing", 1, "plans"), ("diffcalc", "_bracket", 2, "bracket stages"))
+#: the caches of plans: (module, attribute, the plans one value holds, what they are called);
+#: a value of a staged plan is ``(stages, outputs)``
+PLANS = (("polyring", "_pairing", 1, "plans"), ("diffcalc", "_bracket", 2, "bracket stages"),
+         ("diffcalc", "_hessian_det_plan", 2, "det H stages"),
+         ("dixmier", "_contravariant_plan", 3, "contravariant stages"),
+         ("polyring", "_restriction", 1, "restriction stages"))
 
 
 def cache_stats(workload: str, seed: int, ops: int):
@@ -94,7 +102,7 @@ def _recorded(cache, per: int, used: dict, dropped: list, missed: list):
         value = cache(*args)
         if cache.cache_info().misses > misses:
             missed.append(time.perf_counter() - start)
-        plans = (value,) if per == 1 else value[:per]
+        plans = value[0] if isinstance(value, tuple) else (value,)
         used.pop(plans, None)
         used[plans] = args
         if len(used) > cache.cache_info().maxsize:
