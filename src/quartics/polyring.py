@@ -71,8 +71,9 @@ _LIMIT = 0xFFFF     # the largest exponent or total degree a field holds, and it
 #: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
 #: sets of them and 6 generated functions, which stay with room to spare.
 #: :func:`_exact_plan`, :func:`_operator`, :func:`_pairing` and the caches of staged plans keep as
-#: many as :func:`_shape`, and a plan its compiled code: ``symbolic`` uses 24 plans and 12 staged
-#: plans, compiling 15 plans and 23 stages; 440 ``numeric`` operations build 377 plans (most used
+#: many as :func:`_shape`, and a plan its compiled code: ``symbolic`` uses 20 plans and 12 staged
+#: plans, compiling 15 plans and 23 stages (its family quartics are formed from cached key layouts
+#: in ``symfam``, without products); 440 ``numeric`` operations build 377 plans (most used
 #: once, by the answer checks' substitutions), compiling 59, and 9 staged plans, compiling 7 stages.
 _SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 
@@ -233,6 +234,17 @@ class Polynomial:
         p = cls.__new__(cls)
         p.table, p._num, p._den = table, num, den
         p._hash = p._compiled = None
+        return p
+
+    @classmethod
+    def _from_values(cls, table: VarTable, keys: Sequence[int],
+                     values: Sequence[Fraction | int]) -> "Polynomial":
+        """``sum values[i] * x^keys[i]`` over packed *keys*, a zero value left out, stored as
+        formed: over the lcm of the denominators the numerators come out reduced."""
+        den = lcm(*[v.denominator for v in values])
+        p = cls.__new__(cls)
+        p.table, p._den, p._hash, p._compiled = table, den, None, None
+        p._num = {key: v.numerator * (den // v.denominator) for key, v in zip(keys, values) if v}
         return p
 
     # -- constructors ------------------------------------------------------

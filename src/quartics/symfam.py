@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DegeneracyError, DomainError, rational
-from .polyring import _LIMIT, Polynomial, VarTable, _Record
+from .polyring import _LIMIT, _SHAPES, Polynomial, VarTable, _Record
 
 #: Each family as a specialization of X4: the family parameter in each of
 #: X4's slots (r, s, u); ``None`` is the constant 0.
@@ -92,27 +94,34 @@ def _table(parameters: tuple[str, ...]) -> VarTable:
     return VarTable(GEOMETRIC, parameters)
 
 
+@functools.lru_cache(maxsize=2 * len(X4_SLOTS))
+def _layout(family: str, symbolic: bool) -> tuple[VarTable, tuple[int, ...], tuple]:
+    """``(table, keys, slots)`` of the family's symbolic or numeric quartics: the packed keys in
+    descending order and, of each, its coefficient's index among the values (``None``: 1)."""
+    table, names = _table(FAMILY_PARAMS[family] if symbolic else ()), FAMILY_PARAMS[family]
+    terms = [({v: 4}, None) for v in GEOMETRIC] + [
+        ({**monomial, slot: 1}, None) if symbolic else (monomial, names.index(slot))
+        for slot, monomial in zip(X4_SLOTS[family], _X4_MONOMIALS) if slot is not None]
+    keyed = sorted(((table._pack([powers.get(n, 0) for n in table.names]), slot)
+                    for powers, slot in terms), reverse=True)
+    return table, tuple(key for key, _ in keyed), tuple(slot for _, slot in keyed)
+
+
 def make_family(family: str, params: Sequence[Fraction | int | str] | None = None) -> QuarticForm:
     """Build one of the four family quartics.
 
     ``params=None`` gives the symbolic form (parameters stay variables);
     otherwise exactly the family's arity of exact rationals is required, and
-    a value that is not one raises :class:`DomainError`.
+    a value that is not one raises :class:`DomainError`.  The keys are the family's
+    cached layout (:func:`_layout`); a call forms only the numerators.
     """
     symbolic = params is None
     params = None if symbolic else _read(params, f"{family} parameters")
     names = _family_names(family, params)
     values = names if symbolic else tuple(map(rational, params))
-    table = _table(names if symbolic else ())
-    lookup = dict(zip(names, values))
-    one = Polynomial.constant(table, 1)
-    products = [(1, Polynomial.monomial(table, {v: 4}), one) for v in GEOMETRIC]
-    for slot, monomial in zip(X4_SLOTS[family], _X4_MONOMIALS):
-        if slot is not None:
-            coeff = (Polynomial.variable(table, slot) if symbolic
-                     else Polynomial.constant(table, lookup[slot]))
-            products.append((1, coeff, Polynomial.monomial(table, monomial)))
-    return QuarticForm(Polynomial.sum_of_products(table, products), family, values)
+    table, keys, slots = _layout(family, symbolic)
+    coefficients = [1 if slot is None else values[slot] for slot in slots]
+    return QuarticForm(Polynomial._from_values(table, keys, coefficients), family, values)
 
 
 def x4_triple(family: str, params: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -151,13 +160,10 @@ def singular_locus_check(family: str, params: Sequence[Fraction]):
 
 
 # Graded-lex order of the 15 quartic monomials x^i y^j z^k, used by the CLI
-# to accept generic coefficient lists.
-GENERIC_MONOMIALS = tuple(
-    sorted(
-        ((i, j, 4 - i - j) for i in range(5) for j in range(5 - i)),
-        reverse=True,
-    )
-)
+# to accept generic coefficient lists, and their packed keys in the same order.
+GENERIC_MONOMIALS = tuple(sorted(((i, j, 4 - i - j) for i in range(5) for j in range(5 - i)),
+                                 reverse=True))
+_GENERIC_KEYS = tuple(map(_table(())._pack, GENERIC_MONOMIALS))
 
 
 def make_generic(coeffs: Sequence[Fraction | int]) -> QuarticForm:
@@ -166,8 +172,8 @@ def make_generic(coeffs: Sequence[Fraction | int]) -> QuarticForm:
     if len(coeffs) != 15:
         raise DomainError(f"a generic quartic takes 15 coefficients, got {len(coeffs)}")
     values = tuple(map(rational, coeffs))
-    poly = Polynomial(_table(()), dict(zip(GENERIC_MONOMIALS, values)))
-    return QuarticForm(poly, "GENERIC", values)
+    return QuarticForm(Polynomial._from_values(_table(()), _GENERIC_KEYS, values), "GENERIC",
+                       values)
 
 
 # -- monomial symmetric basis ------------------------------------------------
@@ -238,55 +244,65 @@ class SymmetricDecomposition(_Record):
     __slots__ = _fields = ("constant", "terms")
 
 
+@functools.lru_cache(maxsize=_SHAPES)
+def _symmetry(table: VarTable, keys: tuple[int, ...]):
+    """``(extra, swaps, constant, leading)`` of the keys *keys* over *table* (the last 256):
+    the other variables that occur; ``None`` if the keys are not closed under (r s) and (s u),
+    else an ``itemgetter`` of the terms' images for each that moves a key (swapping fields
+    at shifts a and b moves a key by ``(e_b - e_a) * (2^a - 2^b)``); the constant's index;
+    and ``(index, Partition)`` of each ``r^i1 s^i2 u^i3``, ``i1 >= i2 >= i3``, ``i1 > 0``,
+    by descending degree, then partition.  A table without r, s or u is a DomainError
+    unless other variables occur, which :func:`decompose_symmetric` names first."""
+    occurring = functools.reduce(operator.or_, keys, 0)
+    extra = sorted(n for n in table.names
+                   if n not in BASIS_NAMES and (occurring >> table._shift(n)) & _LIMIT)
+    if extra and not set(BASIS_NAMES) <= set(table.names):
+        return extra, None, None, ()
+    _indices(table)
+    sr, ss, su = map(table._shift, BASIS_NAMES)
+    step_rs, step_su = (1 << sr) - (1 << ss), (1 << ss) - (1 << su)
+    position = {key: i for i, key in enumerate(keys)}
+    exps = [((key >> sr) & _LIMIT, (key >> ss) & _LIMIT, (key >> su) & _LIMIT) for key in keys]
+    images = ([position.get(key + (es - er) * step_rs) for key, (er, es, _) in zip(keys, exps)],
+              [position.get(key + (eu - es) * step_su) for key, (_, es, eu) in zip(keys, exps)])
+    swaps = None if None in images[0] + images[1] else tuple(
+        operator.itemgetter(*image) for image in images if image != list(range(len(keys))))
+    leading = sorted((sum(e), *e, i) for i, e in enumerate(exps) if e[0] >= e[1] >= e[2] and e[0])
+    return extra, swaps, position.get(0), tuple(
+        (i, Partition(tuple(filter(None, e)))) for _, *e, i in reversed(leading))
+
+
 def is_symmetric(p: Polynomial) -> bool:
     """Whether *p* is invariant under every permutation of (r, s, u).
 
     The transpositions (r s) and (s u) generate all six permutations, and one
     that sends every term to a term with the same coefficient maps the finite
-    support onto itself, so it fixes *p*: two lookups per term decide it.  On
-    the packed keys, swapping the fields at shifts a and b, of exponents e_a
-    and e_b, moves a key by ``(e_b - e_a) * (2^a - 2^b)``.
+    support onto itself, so it fixes *p*.  The images are found once per key
+    set (:func:`_symmetry`); a call compares the numerators with theirs.
     """
     _indices(p.table)   # a table without r, s or u is a DomainError
-    num, (sr, ss, su) = p._num, map(p.table._shift, BASIS_NAMES)
-    step_rs, step_su = (1 << sr) - (1 << ss), (1 << ss) - (1 << su)
-    for key, c in num.items():
-        er, es, eu = (key >> sr) & _LIMIT, (key >> ss) & _LIMIT, (key >> su) & _LIMIT
-        if num.get(key + (es - er) * step_rs) != c or num.get(key + (eu - es) * step_su) != c:
-            return False
-    return True
+    swaps, values = _symmetry(p.table, tuple(p._num))[1], tuple(p._num.values())
+    return swaps is not None and all(swap(values) == values for swap in swaps)
 
 
 def decompose_symmetric(p: Polynomial) -> SymmetricDecomposition:
     """Expand a polynomial symmetric in (r, s, u) over the monomial symmetric basis.
 
     The basis polynomials have pairwise disjoint supports, so the coefficient
-    of ``S[i1,i2,i3]`` is the coefficient of ``r^i1 s^i2 u^i3`` in *p*: one
-    pass over the packed keys, after :func:`is_symmetric`'s over the same keys,
-    reads off those whose exponents are weakly decreasing.  Terms come back by
-    descending degree, then partition.  Raises :class:`DomainError` if the
-    input is not symmetric, involves other variables, or lives over a table
-    without r, s or u.
+    of ``S[i1,i2,i3]`` is the coefficient of ``r^i1 s^i2 u^i3`` in *p*, whose
+    index the plan of :func:`is_symmetric` holds, in the order of the terms.
+    Raises :class:`DomainError` if the input involves other variables, lives
+    over a table without r, s or u, or is not symmetric.
     """
-    extra = p.support_names() - set(BASIS_NAMES)
+    extra, swaps, constant, leading = _symmetry(p.table, tuple(p._num))
     if extra:
-        raise DomainError(f"polynomial involves non-basis variables {sorted(extra)}")
-    if not is_symmetric(p):
+        raise DomainError(f"polynomial involves non-basis variables {extra}")
+    values, den = tuple(p._num.values()), p._den
+    if swaps is None or any(swap(values) != values for swap in swaps):
         raise DomainError("polynomial is not symmetric in the parameters")
-    sr, ss, su = map(p.table._shift, BASIS_NAMES)
-    constant = Fraction(0)
-    collected: list[tuple[tuple[int, ...], Fraction]] = []
-    for key, coeff in p._num.items():
-        i1, i2, i3 = (key >> sr) & _LIMIT, (key >> ss) & _LIMIT, (key >> su) & _LIMIT
-        if not i1 >= i2 >= i3:
-            continue
-        if i1:
-            collected.append(((i1 + i2 + i3, i1, i2, i3), Fraction(coeff, p.denominator)))
-        else:
-            constant = Fraction(coeff, p.denominator)
-    collected.sort(reverse=True)
-    return SymmetricDecomposition(constant, tuple(
-        (Partition(tuple(e for e in order[1:] if e)), coeff) for order, coeff in collected))
+    return SymmetricDecomposition(
+        Fraction(0) if constant is None else Fraction(values[constant], den),
+        tuple([(part, Fraction(values[i], den)) for i, part in leading]))
 
 
 def reconstruct(dec: SymmetricDecomposition, table: VarTable | None = None) -> Polynomial:
@@ -386,7 +402,10 @@ class GoldenReport(_Record):
 
 
 def golden_compare(inv, family: str) -> GoldenReport:
-    """Test ``computed I_k == gamma_k * table I_k`` for a single rational gamma_k."""
+    """Test ``computed I_k == gamma_k * table I_k`` for a single rational gamma_k, the
+    ratio at the table's leading key: by equal keys and, in numerators, ``o[key] *
+    t[lead] == o[lead] * t[key]``; ``table * gamma_k`` and the difference are formed
+    only to name the first differing monomial of a failure."""
     gamma: dict[int, Fraction | None] = {}
     failures: dict[int, str] = {}
     for k, ours in inv.as_dict().items():
@@ -396,12 +415,13 @@ def golden_compare(inv, family: str) -> GoldenReport:
             if table_poly or ours:
                 failures[k] = "one side identically zero, the other not"
             continue
-        lead_exps, lead_coeff = table_poly.leading_term()
-        ratio = ours.coefficient(dict(zip(ours.table.names, lead_exps))) / lead_coeff
-        scaled = table_poly * ratio
-        if ours == scaled:
+        o, t, lead = ours._num, table_poly._num, max(table_poly._num)
+        o_lead, t_lead = o.get(lead, 0), t[lead]
+        ratio = Fraction(o_lead * table_poly._den, ours._den * t_lead)
+        if (o == t) if o_lead == t_lead else (o.keys() == t.keys() and [
+                c * t_lead for c in o.values()] == [t[key] * o_lead for key in o]):
             gamma[k] = ratio
-        else:   # the difference is formed only to name where it is
-            exps, coeff = (ours - scaled).leading_term()
+        else:
+            exps, coeff = (ours - table_poly * ratio).leading_term()
             failures[k] = f"first differing monomial {exps}: residue {coeff}"
     return GoldenReport(family, gamma, failures)

@@ -85,6 +85,43 @@ def compare_oracle(inv, family):
     return gamma, failures
 
 
+def summed_family(family, params=None):
+    """make_family the way it was first written: a sum_of_products of monomials, a constant
+    or a variable times each of X4's monomials in the family's slots."""
+    symbolic = params is None
+    names = FAMILY_PARAMS[family]
+    values = names if symbolic else tuple(map(rational, params))
+    table = symfam._table(names if symbolic else ())
+    one = Polynomial.constant(table, 1)
+    products = [(1, mono(table, {v: 4}), one) for v in symfam.GEOMETRIC]
+    for slot, monomial in zip(symfam.X4_SLOTS[family], symfam._X4_MONOMIALS):
+        if slot is not None:
+            coeff = (Polynomial.variable(table, slot) if symbolic
+                     else Polynomial.constant(table, values[names.index(slot)]))
+            products.append((1, coeff, mono(table, monomial)))
+    return QuarticForm(Polynomial.sum_of_products(table, products), family, values)
+
+
+def summed_generic(coeffs):
+    """make_generic as a sum_of_products of each coefficient times its monomial."""
+    values = tuple(map(rational, coeffs))
+    table = symfam._table(())
+    products = [(1, Polynomial.constant(table, c), mono(table, dict(zip("xyz", exps))))
+                for c, exps in zip(values, symfam.GENERIC_MONOMIALS)]
+    return QuarticForm(Polynomial.sum_of_products(table, products), "GENERIC", values)
+
+
+def member_value(rng):
+    """0 (as an int, a Fraction or a string), a negative int, or a rational of one of a few
+    denominators, so that a member's denominators differ and share factors."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((0, Fraction(0), "0", "-0/7"))
+    if kind == 1:
+        return -rng.randint(1, 12)
+    return Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 49)))
+
+
 @pytest.fixture(scope="module")
 def family_invariants():
     return {family: dixmier_invariants(make_family(family)) for family in FAMILY_PARAMS}
@@ -304,6 +341,32 @@ class TestMakeFamily:
         with pytest.raises(DomainError, match=message):
             make_generic([1] * 14 + [bad])
 
+    @staticmethod
+    def assert_same_form(got, want):
+        """The same value, the same stored form in the same order and the same table object."""
+        assert got == want and got.poly == want.poly
+        assert tuple(got.poly._num) == tuple(want.poly._num)
+        assert got.poly._den == want.poly._den and got.poly.table is want.poly.table
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_the_layouts_against_the_sums_of_products(self, family):
+        # the symbolic form and 200 seeded members, as the sum of products gave them
+        self.assert_same_form(make_family(family), summed_family(family))
+        rng = random.Random(430 + sorted(FAMILY_PARAMS).index(family))
+        for _ in range(200):
+            params = [member_value(rng) for _ in FAMILY_PARAMS[family]]
+            self.assert_same_form(make_family(family, params), summed_family(family, params))
+
+    def test_the_generic_layout_against_the_sum_of_products(self):
+        rng = random.Random(434)
+        for _ in range(200):
+            coeffs = [member_value(rng) for _ in range(15)]
+            self.assert_same_form(make_generic(coeffs), summed_generic(coeffs))
+        # with every coefficient 0 neither is a quartic
+        for build in (make_generic, summed_generic):
+            with pytest.raises(DomainError, match="homogeneous of geometric degree 4"):
+                build([0] * 15)
+
     def test_rationals_in_every_form_are_accepted(self):
         want = make_family("X4", (Fraction(7, 2), -3, Fraction(1, 4))).poly
         assert make_family("X4", ("7/2", "-3", 0.25)).poly == want
@@ -377,6 +440,64 @@ class TestDecompose:
                 p = p + s_basis(parts, RSU) * Fraction(rng.randint(-6, 6), rng.randint(1, 3))
             dec = decompose_symmetric(p)
             assert reconstruct(dec, RSU) == p
+
+    def test_one_term_zero_and_constant(self):
+        rsu = mono(RSU, {"r": 1, "s": 1, "u": 1}, Fraction(-3, 4))
+        for p, constant, terms in ((rsu, 0, ((Partition((1, 1, 1)), Fraction(-3, 4)),)),
+                                   (Polynomial.zero(RSU), 0, ()),
+                                   (Polynomial.constant(RSU, Fraction(5, 3)), Fraction(5, 3), ())):
+            assert is_symmetric(p)
+            dec = decompose_symmetric(p)
+            assert (dec.constant, dec.terms) == (constant, terms)
+            assert type(dec.constant) is Fraction
+        for powers in ({"r": 1}, {"s": 2}, {"u": 1, "r": 1}):
+            assert not is_symmetric(mono(RSU, powers))
+            with pytest.raises(DomainError, match="^polynomial is not symmetric"):
+                decompose_symmetric(mono(RSU, powers))
+
+    @pytest.mark.parametrize("terms", [
+        # closed under (s u), not under (r s)
+        [({"r": 1}, 2), ({"s": 1, "u": 1}, 2)],
+        # closed under (r s), not under (s u)
+        [({"u": 1}, 2), ({"r": 1, "s": 1}, 2)],
+        # closed under the 3-cycles only
+        [({"r": 2, "s": 1}, 1), ({"s": 2, "u": 1}, 1), ({"u": 2, "r": 1}, 1)],
+    ], ids=["not-rs", "not-su", "cyclic"])
+    def test_key_set_not_closed(self, terms):
+        p = sum((mono(RSU, powers, c) for powers, c in terms), Polynomial.zero(RSU))
+        assert not is_symmetric(p)
+        with pytest.raises(DomainError, match="^polynomial is not symmetric in the parameters$"):
+            decompose_symmetric(p)
+
+    def test_closed_key_set_with_one_value_changed(self):
+        p = 3 * s_basis((2, 1), RSU) + s_basis((1,), RSU) - 2
+        for exps in sorted(p.terms):
+            if sum(exps):
+                changed = p + mono(RSU, dict(zip(RSU.names, exps)), Fraction(1, 2))
+                assert set(changed.terms) == set(p.terms)
+                assert not is_symmetric(changed)
+                with pytest.raises(DomainError, match="^polynomial is not symmetric"):
+                    decompose_symmetric(changed)
+
+    def test_one_key_set_read_again(self):
+        # the plan of a key set is built once; each call reads its own numerators
+        keys = [(0, 0, 0, 2, 0, 0), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1), (0, 0, 0, 0, 2, 0),
+                (0, 0, 0, 0, 0, 2)]
+        first, second, uneven = (Polynomial(RSU, dict(zip(keys, values))) for values in (
+            (6, 72, Fraction(2, 7), 6, 6), (-1, Fraction(1, 3), 5, -1, -1),
+            (7, Fraction(1, 3), 5, -1, -1)))
+        assert tuple(first._num) == tuple(second._num) == tuple(uneven._num)
+        symfam._symmetry.cache_clear()
+        dec = decompose_symmetric(first)
+        assert (dec.constant, dec.terms) == (
+            72, ((Partition((1, 1, 1)), Fraction(2, 7)), (Partition((2,)), Fraction(6))))
+        dec = decompose_symmetric(second)
+        assert (dec.constant, dec.terms) == (
+            Fraction(1, 3), ((Partition((1, 1, 1)), Fraction(5)), (Partition((2,)), Fraction(-1))))
+        assert is_symmetric(second) and not is_symmetric(uneven)
+        with pytest.raises(DomainError, match="^polynomial is not symmetric"):
+            decompose_symmetric(uneven)
+        assert symfam._symmetry.cache_info()[:2] == (4, 1)     # (hits, misses)
 
     def test_reconstruct_without_basis_variable(self):
         dec = decompose_symmetric(6 * s_basis((2,), RSU) + 72)
@@ -551,6 +672,45 @@ class TestGolden:
                 report = golden_compare(doctored, family)
                 assert (report.gamma, report.failures) == compare_oracle(doctored, family), \
                     (label, k)
+
+    @pytest.mark.parametrize("family, k, doctoring, gamma, failure", [
+        ("X4", 9, "lead missing", {6: "1/648", 9: None},
+         "first differing monomial (0, 0, 0, 4, 2, 2): residue 320/9"),
+        ("X4", 9, "extra key", {6: "1/648", 9: None},
+         "first differing monomial (0, 0, 0, 7, 0, 0): residue 1/3"),
+        ("X4", 9, "coefficient off", {6: "1/648", 9: None},
+         "first differing monomial (0, 0, 0, 0, 0, 2): residue 1/5"),
+        ("X4", 18, "lead missing", {6: "1/648", 9: "64/27", 18: None},
+         "first differing monomial (0, 0, 0, 7, 5, 5): residue 40960/729"),
+        ("X4", 18, "extra key", {6: "1/648", 9: "64/27", 18: None},
+         "first differing monomial (0, 0, 0, 7, 0, 0): residue 1/3"),
+        ("X4", 18, "coefficient off", {6: "1/648", 9: "64/27", 18: None},
+         "first differing monomial (0, 0, 0, 0, 2, 2): residue 1/5"),
+        ("X24", 6, "lead missing", {6: None},
+         "first differing monomial (0, 0, 0, 5): residue -103681/36"),
+        ("X24", 6, "extra key", {6: None}, "first differing monomial (0, 0, 0, 7): residue 1/3"),
+        ("X24", 6, "coefficient off", {6: None},
+         "first differing monomial (0, 0, 0, 0): residue 1/5"),
+    ], ids=[f"{family}-I{k}-{how}" for family, k in (("X4", 9), ("X4", 18), ("X24", 6))
+            for how in ("lead-missing", "extra-key", "coefficient-off")])
+    def test_doctored_reports_are_pinned(self, family, k, doctoring, gamma, failure,
+                                         family_invariants):
+        # the table's leading term dropped, a term r^7 added, or 1/5 added at the lowest
+        # key: the reports the first version of golden_compare gave, as strings
+        values = family_invariants[family].as_dict()
+        value, names = values[k], values[k].table.names
+        if doctoring == "lead missing":
+            lead = dict(zip(names, golden_polynomial(family, k, value.table).leading_term()[0]))
+            values[k] = value - mono(value.table, lead, value.coefficient(lead))
+        elif doctoring == "extra key":
+            values[k] = value + mono(value.table, {"r": 7}, Fraction(1, 3))
+        else:
+            lowest = dict(zip(names, value.table._unpack([min(value._num)])[0]))
+            values[k] = value + mono(value.table, lowest, Fraction(1, 5))
+        report = golden_compare(InvariantSet(*(values[j] for j in (3, 6, 9, 12, 15, 18))), family)
+        assert {j: None if g is None else str(g) for j, g in report.gamma.items()} == {
+            j: "1" for j in values} | gamma
+        assert report.failures == {k: failure}
 
     def test_mismatch_is_reported(self):
         inv = dixmier_invariants(make_family("X24"))

@@ -13,7 +13,10 @@ products and differential pairings, one per tuple of operand key sets;
 key sets; ``diffcalc._hessian_det_plan`` the two-stage plans of det H,
 ``dixmier._contravariant_plan`` the three-stage plans of sigma and psi, one per
 key set of the quartic, and ``polyring._restriction`` the one-stage plans of
-``restrict_to_line`` (the contravariants' first stage).  A plan or stage keeps
+``restrict_to_line`` (the contravariants' first stage).  ``symfam._symmetry`` keeps,
+per key set, where each term's images under (r s) and (s u) are and which terms lead the
+S-basis decomposition, and ``symfam._layout`` the packed keys of each family quartic,
+symbolic or numeric.  A plan or stage keeps
 its compiled straight-line code, from its ``_HOT``-th use, in its ``kernel``
 slot.  Below the table it prints, for each of the five, the milliseconds spent in the calls that missed, which
 built the plans (wall time, ``time.perf_counter``); the pairs of terms that the
@@ -44,7 +47,8 @@ CACHES = (("polyring", "_pairing"), ("diffcalc", "_bracket"), ("diffcalc", "_hes
           ("dixmier", "_contravariant_plan"), ("polyring", "_restriction"), ("polyring", "_operator"),
           ("diffcalc", "_expansion"), ("diffcalc", "_pencil_det"), ("polyring", "_evaluator"),
           ("polyring", "_shape"), ("polyring", "_exact_plan"),
-          ("bitangent", "_restriction_coefficients_cached"))
+          ("bitangent", "_restriction_coefficients_cached"), ("symfam", "_symmetry"),
+          ("symfam", "_layout"))
 #: the caches of plans: (module, attribute, the plans one value holds, what they are called);
 #: a value of a staged plan is ``(stages, outputs)``
 PLANS = (("polyring", "_pairing", 1, "plans"), ("diffcalc", "_bracket", 2, "bracket stages"),
