@@ -13,12 +13,12 @@ These are the computational primitives behind the quartic invariants:
 * ``transvectant(F, G, k)`` is the classical bilinear pairing of two binary
   forms, computed by direct binomial expansion of the Cayley operator.
 
-``diff_pair`` and every sum of products here run the plan of their operands'
-key sets, which repeat from call to call (``polyring._pairing``); each entry of
-``hessian`` and each transvectant partial is one ``multi_partial``.  ``j_bracket``
-and ``hessian_det`` run staged plans kept per key sets, their Hessian entries read
-off the unpacked exponents (:func:`_hessian`): cofactors, then the sums against
-them.  Every plan's pairs are formed by ``polyring._flatten``."""
+``diff_pair`` runs the plan of its operands' key sets (``polyring._pairing``), and
+each transvectant partial is one ``multi_partial``; a sum of products forms no
+plan.  :func:`_hessian`, the one Hessian reader, reads the entries off the unpacked
+exponents for ``hessian`` and for the staged plans, kept per key sets, that
+``j_bracket`` and ``hessian_det`` run: cofactors, then the sums against them.
+Every plan's pairs are formed by ``polyring._flatten``."""
 
 from __future__ import annotations
 
@@ -38,12 +38,14 @@ def _check_ternary(f: Polynomial):
 
 
 def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
-    """Rows of the matrix of bare second partials of ``f`` in its 3 geometric variables."""
+    """Rows of the matrix of bare second partials of ``f`` in its 3 geometric variables, the
+    entries in ``_UPPER`` read off f's terms (:func:`_hessian`), each one's keys descending."""
     _check_ternary(f)
-    x = f.table.geometric
-    h = {(i, j): multi_partial(f, {x[i]: 2} if i == j else {x[i]: 1, x[j]: 1})
-         for i in range(3) for j in range(i, 3)}
-    return tuple(tuple(h[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
+    n = [*f._num.values()]
+    h = [Polynomial._from_packed(f.table, dict(sorted([(key, n[i] * w) for i, w, key in terms],
+                                                      reverse=True)), f._den)
+         for terms in _hessian(f.table, tuple(f._num))[0]]
+    return (h[0], h[1], h[2]), (h[1], h[3], h[4]), (h[2], h[4], h[5])
 
 
 @lru_cache(maxsize=64)

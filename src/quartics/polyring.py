@@ -21,20 +21,20 @@ Each monomial is stored as one packed ``int`` (Monagan and Pearce, CASC
 2007): 16-bit fields, the total degree in the top one, then the exponents in
 table order.  So a monomial product is one integer addition, and the int
 order of the keys is the canonical term order.  An exponent or total degree
-above 65,535 is a :class:`DegreeError`, checked on construction and on the
-keys each plan forms, never wrapped.  The public views (``terms``,
+above 65,535 is a :class:`DegreeError`, checked on construction, on each product's
+top key and on the keys each plan forms, never wrapped.  The public views (``terms``,
 ``numerators``, ``sorted_terms``, ...) are keyed by exponent tuples.
 
-Products and differentiation share one kernel.  :meth:`Polynomial.sum_of_products`
-forms ``sum c * a * b`` over the lcm of the denominators with one gcd pass (as
-Monagan and Pearce form a sum of products), skipping zero operands; ``a * b`` is
-its one-product case.  :func:`diff_pair` applies the operator of a whole
+:meth:`Polynomial.sum_of_products` forms ``sum c * a * b`` in one pass over a dict,
+over the lcm of the denominators with one gcd pass (as Monagan and Pearce form a
+sparse product), skipping zero operands and keeping nothing between calls; ``a * b``
+is its one-product case.  :func:`diff_pair` applies the operator of a whole
 polynomial, and a monomial operator ``d^a`` is the pairing with ``x^a``
 (:func:`multi_partial`; ``partial`` is its one-variable case).  Which terms of the
 operands meet, with which weight and at which key, depends only on their key sets,
 which repeat (a generic quartic is dense, a family's forms keep their monomials), so
-a pairing is planned once per tuple of key sets and kept for the last 256
-(:func:`_pairing`).  :func:`_flatten` forms the pairs of every plan, and of the
+a pairing is planned once per pair of key sets and kept for the last 256
+(:func:`_pairing`).  :func:`_flatten` forms the pairs of these plans, and of the
 staged plans (:func:`_staged`), from products of term lists; a call only
 multiplies and adds numerators (:func:`_run`), by the plan's loop while it is cold
 or small, then by straight-line code that the plan keeps (:func:`_kernel`).
@@ -71,10 +71,9 @@ _LIMIT = 0xFFFF     # the largest exponent or total degree a field holds, and it
 #: Cache bounds.  2,400 ``certify`` members (seeds 1, 2, 5 and 7) use 41 shapes, 8
 #: sets of them and 6 generated functions, which stay with room to spare.
 #: :func:`_exact_plan`, :func:`_operator`, :func:`_pairing` and the caches of staged plans keep as
-#: many as :func:`_shape`, and a plan its compiled code: ``symbolic`` uses 20 plans and 12 staged
-#: plans, compiling 15 plans and 23 stages (its family quartics are formed from cached key layouts
-#: in ``symfam``, without products); 440 ``numeric`` operations build 377 plans (most used
-#: once, by the answer checks' substitutions), compiling 59, and 9 staged plans, compiling 7 stages.
+#: many as :func:`_shape`, and a plan its compiled code: ``symbolic`` uses 16 ``diff_pair`` plans
+#: and 12 staged plans, compiling 12 plans and 23 stages; 440 ``numeric`` operations build 13
+#: plans, compiling 4, and 9 staged plans, compiling 7 stages (products plan nothing).
 _SHAPES, _SETS, _GENERATED = 256, 64, weakref.WeakValueDictionary()
 
 
@@ -406,9 +405,9 @@ class Polynomial:
     @staticmethod
     def sum_of_products(table: VarTable, products) -> "Polynomial":
         """``sum c * a * b`` over the ``(c, a, b)`` of *products* (*c* an int or ``Fraction``,
-        *a*, *b* over *table*) by the plan of their key sets (:func:`_pairing`), the
-        shorter operand first and scaled, over the lcm of the denominators; a product
-        with a zero factor is skipped once both tables are checked, and no product is 0."""
+        *a*, *b* over *table*) in one pass over a dict, over the lcm of the denominators, each
+        term of the shorter operand scaled once, the keys descending.  Once every table is checked,
+        a product with a zero polynomial factor is skipped, each other one's top key checked."""
         live = []
         for c, a, b in products:
             _check_table(table, a)
@@ -416,13 +415,18 @@ class Polynomial:
             if a._num and b._num:
                 live.append((c, a, b) if len(a._num) <= len(b._num) else (c, b, a))
         den = lcm(*[c.denominator * a._den * b._den for c, a, b in live])
-        plan = _pairing(table, False, tuple([(tuple(a._num), tuple(b._num)) for _, a, b in live]))
-        n: list[int] = []
+        _check_degree(max([max(a._num) + max(b._num) for _, a, b in live], default=0) >> table._top)
+        out: dict[int, int] = {}
+        get = out.get
         for c, a, b in live:
             scale = c.numerator * (den // (c.denominator * a._den * b._den))
-            n += a._num.values() if scale == 1 else [v * scale for v in a._num.values()]
-            n += b._num.values()
-        return Polynomial._from_packed(table, dict(zip(plan.keys, _run(plan, n))), den)
+            terms = b._num.items()
+            for ka, va in a._num.items():
+                va *= scale
+                for kb, vb in terms:
+                    key = ka + kb
+                    out[key] = get(key, 0) + va * vb
+        return Polynomial._from_packed(table, dict(sorted(out.items(), reverse=True)), den)
 
     __rmul__ = __mul__
 
@@ -566,28 +570,21 @@ def _staged(table: VarTable, n: list[int], plan, dens) -> tuple:
 
 
 @lru_cache(maxsize=_SHAPES)
-def _pairing(table: VarTable, differentiate: bool, operands: tuple) -> _Plan:
-    """The :class:`_Plan` over *table* of the pairs of packed keys *operands*, ``((f keys,
-    g keys), ...)`` in dict order (the last 256), from products of term lists: ``(1, f's
-    terms, g's terms)``, or in :func:`diff_pair` (*differentiate*) one per pair a <= b of
-    f's and g's geometric exponents, of weight ``prod perm(b_i, a_i)``, f's keys less 2 key(x^a)."""
-    products, start = [], 0
-    for fkeys, gkeys in operands:
-        size = start + len(fkeys)   # where g's numerators start in n
-        if not differentiate:
-            products.append((1, [(i, 1, key) for i, key in enumerate(fkeys, start)],
-                             [(j, 1, key) for j, key in enumerate(gkeys, size)]))
-        else:   # f's terms and g's, (index in n, 1, key), by their geometric exponents
-            filed = by_a, by_b = {}, {}
-            for terms, keys, first in zip(filed, (fkeys, gkeys), (start, size)):
-                for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), first):
-                    terms.setdefault(exps[:table.n_geometric], []).append((term, 1, key))
-            for a, fterms in by_a.items():
-                twice = 2 * table._pack(a + (0,) * len(table.parameters))     # 2 key(x^a)
-                fterms = [(i, 1, key - twice) for i, _, key in fterms]
-                products += [(prod(map(perm, b, a)), fterms, gterms)
-                             for b, gterms in by_b.items() if all(map(ge, b, a))]
-        start = size + len(gkeys)
+def _pairing(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]) -> _Plan:
+    """The :class:`_Plan` of :func:`diff_pair` over *table* for operands of the packed keys
+    *fkeys* and *gkeys* in dict order (the last 256): f's and g's terms ``(index in n, 1, key)``
+    filed by their geometric exponents, one product per pair a <= b of those, of weight
+    ``prod perm(b_i, a_i)``, f's keys less 2 key(x^a)."""
+    filed = by_a, by_b = {}, {}
+    for terms, keys, first in zip(filed, (fkeys, gkeys), (0, len(fkeys))):
+        for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), first):
+            terms.setdefault(exps[:table.n_geometric], []).append((term, 1, key))
+    products = []
+    for a, fterms in by_a.items():
+        twice = 2 * table._pack(a + (0,) * len(table.parameters))     # 2 key(x^a)
+        fterms = [(i, 1, key - twice) for i, _, key in fterms]
+        products += [(prod(map(perm, b, a)), fterms, gterms)
+                     for b, gterms in by_b.items() if all(map(ge, b, a))]
     return _flatten((products,), table._top)[0]
 
 
@@ -646,7 +643,7 @@ def diff_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     plan of the two key sets (:func:`_pairing`)."""
     _check_table(f.table, g)
     table = g.table     # so a partial keeps the table object of what it differentiates
-    plan = _pairing(table, True, ((tuple(f._num), tuple(g._num)),))
+    plan = _pairing(table, tuple(f._num), tuple(g._num))
     out = _run(plan, [*f._num.values(), *g._num.values()])
     return Polynomial._from_packed(table, dict(zip(plan.keys, out)), f._den * g._den)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartics import bitangent, cli, components, detrep, diffcalc, polyring, symfam
+from quartics import bitangent, cli, components, detrep, diffcalc, dixmier, polyring, symfam
 from quartics.cli import (EXIT_DEGENERATE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                           main, tolerance)
 from quartics.detrep import DEFAULT_TOL, solve_detrep
@@ -389,18 +389,30 @@ class TestColdStart:
                 ["bitangents", "--family", "X16", "--params=25/4,29/7"],
                 ["bitangents", "--family", "X24", "--params=-14"],
                 ["detrep", "--params", "87/4", "54", "67/4"])
+    #: The plans each kind of command builds: the invariants' four diff_pair plans
+    #: (rho, tau, I3 and I6), J-brackets, det H, contravariants and their restriction;
+    #: the bitangents' restrictions of three charts; detrep none.
+    PLANS = {"invariants": {"_pairing": 4, "_bracket": 1, "_hessian_det_plan": 1,
+                            "_contravariant_plan": 1, "_restriction": 1},
+             "bitangents": {"_restriction": 3},
+             "detrep": {}}
 
     @pytest.mark.parametrize("argv", ROTATION, ids=lambda argv: " ".join(argv[:3]))
     def test_a_command_compiles_no_kernel(self, capsys, compiles, argv):
         # a plan runs as generated code from its _HOT-th use with 8 pairs or more: one
         # command from empty caches, as in a fresh process, uses none of its plans
-        # that often, so it pays for no compile
-        for module in (polyring, diffcalc, components, detrep, symfam, bitangent):
+        # that often, so it pays for no compile; a product builds no plan
+        for module in (polyring, diffcalc, dixmier, components, detrep, symfam, bitangent):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
         assert run_cli(capsys, argv)[0] == EXIT_OK
-        assert polyring._pairing.cache_info().misses > 0
+        caches = {"_pairing": polyring._pairing, "_bracket": diffcalc._bracket,
+                  "_hessian_det_plan": diffcalc._hessian_det_plan,
+                  "_contravariant_plan": dixmier._contravariant_plan,
+                  "_restriction": polyring._restriction}
+        built = {name: cache.cache_info().misses for name, cache in caches.items()}
+        assert {name: n for name, n in built.items() if n} == self.PLANS[argv[0]]
         assert compiles == []
 
 

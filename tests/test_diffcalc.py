@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from quartics.diffcalc import det, diff_pair, hessian, j_bracket, transvectant
 from quartics.errors import DegreeError, DomainError, QuarticsError, TableMismatchError
-from quartics.polyring import (Polynomial, VarTable, convert, multi_partial,
-                               substitute_linear)
+from quartics.polyring import (Polynomial, VarTable, _operator, _pairing, convert,
+                               multi_partial, substitute_linear)
 
 from conftest import (LIMIT, PAR, RANDOMS, SEVEN, XY, XYZ, adjugate, dot, drawn,
                       random_binary_form, random_quartic, random_terms, ref_partial)
@@ -96,7 +96,7 @@ class TestHessian:
         assert h[0][0].is_zero()
 
 
-# hessian runs one pass over the packed keys per distinct entry.  The reference
+# hessian reads its six distinct entries off f's terms in one pass.  The reference
 # for each entry is two exponent-tuple partials of conftest, which share no code
 # with the kernel; the stored forms (table, denominator, numerators) must be
 # equal.  diff_pair's oracle is in test_kernel_oracles.py.
@@ -124,9 +124,21 @@ class TestFusedOperatorsMatchTheOldRoutes:
         # exponents up to 6, now and then one near half the packing limit
         f = Polynomial(table, random_terms(rng, table, LIMIT // 2 + 3, small=6))
         got, want = hessian(f), reference_hessian(f)
+        # f's terms stored in reverse order: the same entries, keys descending
+        again = hessian(Polynomial._from_packed(table, dict(reversed(f._num.items())), f._den))
         for i, j in itertools.product(range(3), repeat=2):
             assert_same_stored_form(got[i][j], want[i][j])
             assert got[i][j] is got[j][i]
+            keys = tuple(got[i][j]._num)
+            assert keys == tuple(sorted(keys, reverse=True)) == tuple(again[i][j]._num)
+            assert again[i][j] == got[i][j]
+
+    def test_hessian_builds_no_plan(self):
+        # the entries are read off f's terms: no operator x^a, no diff_pair plan
+        f = random_quartic(random.Random(11), PAR)
+        kept = _pairing.cache_info(), _operator.cache_info()
+        assert hessian(f) == reference_hessian(f)
+        assert (_pairing.cache_info(), _operator.cache_info()) == kept
 
     def test_zero_operands(self):
         for table in (XYZ, PAR, SEVEN):

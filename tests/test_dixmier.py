@@ -286,7 +286,7 @@ class TestInvariants:
             assert v.geometric_degree() == 0
 
     def test_answers_do_not_depend_on_the_pairing_plans_kept(self, compiles):
-        # products and diff_pair keep a plan per tuple of key sets, j_bracket a two-stage
+        # diff_pair keeps a plan per pair of key sets, j_bracket a two-stage
         # plan per pair of key sets, contravariants, det H and the restriction a staged
         # plan per key set,
         # each run compiled from its _HOT-th use, and multi_partial an operator x^a per

@@ -1,10 +1,10 @@
 """The rewritten kernels against one reference oracle each.
 
 ``eval_scaled_many`` runs generated straight-line code and ``det`` expands
-its minors of polynomials in one bottom-up pass; ``sum_of_products`` and
-``diff_pair`` run a plan kept per tuple of key sets (the last 256), by its loop
-while it is cold or small and then as generated code, and ``sum_of_products``
-skips zero operands; ``j_bracket`` runs the two stages of a plan kept per pair of
+its minors of polynomials in one bottom-up pass; ``sum_of_products`` forms its
+products in one pass over a dict and skips zero operands; ``diff_pair`` runs a plan
+kept per pair of key sets (the last 256), by its loop while it is cold or small and
+then as generated code; ``j_bracket`` runs the two stages of a plan kept per pair of
 key sets, and ``decompose_symmetric`` and ``is_symmetric`` work on the packed keys.
 ``eval_exact`` keeps a plan per polynomial.  Detrep's determinant certificate is generated straight-line code,
 the square fit drops a candidate at its first mismatch that rules it out, and
@@ -563,30 +563,44 @@ class TestSumOfProducts:
             assert cold_and_hot(Polynomial.sum_of_products, PAR, products) == want
 
     def test_degree_error_of_a_plan_large_enough_to_compile(self, compiles):
-        # 9 pairs, some past the limit: the plan is kept and raises on every use,
-        # and never runs, so no kernel is compiled
+        # 9 pairs, some past the limit, as many as a kept plan compiles from: every
+        # call raises before any pair is formed, naming the top keys' degree, and
+        # compiles nothing
         x, r = Polynomial.variable(PAR, "x"), Polynomial.variable(PAR, "r")
         a = x ** 30000 * (1 + r + r * r)
         products = [(1, a, r ** 35534 * (1 + x + x * x))]
         want = exact_outcome(expanded_sum_of_products, PAR, products)
         assert want == "DegreeError: degree exceeds the packing limit 65535"
         assert cold_and_hot(Polynomial.sum_of_products, PAR, products) == want
-        assert exact_outcome(Polynomial.sum_of_products, PAR, products) == want
+        with pytest.raises(DegreeError, match="^degree 65538 exceeds"):
+            Polynomial.sum_of_products(PAR, products)
         assert compiles == []
 
-    def test_a_plan_over_the_terms_of_one_function(self):
-        # 300 products of two terms each: the keys x^300 and r*s are formed by 300
-        # pairs each, so their sums run over several functions of _PIECE pairs, in
-        # parts, and the first and last pairs of a function fall in shared slots
-        rng = random.Random(3)
-        x, r, s = (Polynomial.variable(PAR, n) for n in "xrs")
+    def test_a_product_plans_nothing(self, compiles):
+        # a sum of products is one pass over a dict: hot or cold, no plan is looked up,
+        # built or compiled
+        rng = random.Random(4)
         products = [(Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)),
-                     rng.randint(1, 9) * x ** i + Fraction(1, rng.randint(1, 5)) * r,
-                     x ** (300 - i) - rng.randint(1, 9) * s) for i in range(300)]
+                     random_form(rng, PAR, 4, 8), random_form(rng, PAR, 3, 12)) for _ in range(3)]
         want = exact_outcome(expanded_sum_of_products, PAR, products)
-        assert cold_and_hot(Polynomial.sum_of_products, PAR, products) == want
-        plan = _pairing(PAR, False, tuple((tuple(a._num), tuple(b._num)) for _, a, b in products))
-        assert len(plan.pairs) // 4 == 1200 and len(plan.kernel) == -(-1200 // _PIECE)
+        info = _pairing.cache_info()
+        for _ in range(_HOT + 1):
+            assert exact_outcome(Polynomial.sum_of_products, PAR, products) == want
+            assert exact_outcome(lambda: products[0][1] * products[0][2]) == exact_outcome(
+                expanded_sum_of_products, PAR, [(1, products[0][1], products[0][2])])
+        assert _pairing.cache_info() == info and compiles == []
+
+    def test_product_keys_descend_from_operands_stored_out_of_order(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            a, b = (Polynomial(PAR, {tuple(rng.randint(0, 3) for _ in PAR.names):
+                                     Fraction(rng.randint(-20, 20), rng.choice(DENOMINATORS))
+                                     for _ in range(rng.randint(1, 10))}) for _ in range(2))
+            want = a * b
+            assert list(want._num) == sorted(want._num, reverse=True)
+            for x, y in ((reordered(a), b), (a, reordered(b)), (reordered(a), reordered(b))):
+                got = x * y
+                assert got == want and tuple(got._num) == tuple(want._num)
 
 
 def full_matrix_j_bracket(f, g):
@@ -972,6 +986,23 @@ class TestDiffPair:
             assert exact_outcome(call, *args).startswith("TableMismatchError")
         assert (_pairing.cache_info(), len(compiles)) == kept
 
+    def test_a_plan_over_the_terms_of_one_function(self):
+        # each of the 300 monomials m of degree 23 in x, y, z pairs only with itself: f's
+        # terms m and m*r against g's m and m*s form the keys 1, r, s and r*s by 300 pairs
+        # each, so their sums run over several functions of _PIECE pairs, in parts, and
+        # the first and last pairs of a function fall in shared slots
+        rng = random.Random(3)
+        f, g = ({(i, j, 23 - i - j, *extra): Fraction(rng.randint(-9, 9) or 1,
+                                                     rng.choice(DENOMINATORS))
+                 for i in range(24) for j in range(24 - i) for extra in parameters}
+                for parameters in (((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0))))
+        f, g = Polynomial(PAR, f), Polynomial(PAR, g)
+        want = exact_outcome(scanned_diff_pair, f, g)
+        assert len(want[0][2]) == 4
+        assert cold_and_hot(diff_pair, f, g) == want
+        plan = _pairing(PAR, tuple(f._num), tuple(g._num))
+        assert len(plan.pairs) // 4 == 1200 and len(plan.kernel) == -(-1200 // _PIECE)
+
     def test_compiled_code_goes_with_its_plan(self, compiles):
         # a plan keeps the kernel it compiles on its _HOT-th use, and only then; dropped
         # from the plan cache it takes the functions with it (no other plan's source has
@@ -980,12 +1011,12 @@ class TestDiffPair:
         f = sum((mono(PAR, {"x": 1234, "r": k}, k + 1) for k in range(3)), Polynomial.zero(PAR))
         g = sum((mono(PAR, {"x": 1234 + k % 2, "s": k}, Fraction(1, k + 1)) for k in range(3)),
                 Polynomial.zero(PAR))
-        want, operands = exact_outcome(scanned_diff_pair, f, g), ((tuple(f._num), tuple(g._num)),)
+        want, operands = exact_outcome(scanned_diff_pair, f, g), (tuple(f._num), tuple(g._num))
         _pairing.cache_clear()
         for _ in range(2):
             for use in range(1, _HOT + 3):
                 assert exact_outcome(diff_pair, f, g) == want
-                plan = _pairing(PAR, True, operands)    # a hit, which is not a use
+                plan = _pairing(PAR, *operands)     # a hit, which is not a use
                 assert plan.uses == use and compiles == [plan] * (use >= _HOT)
             assert len(plan.kernel) == 1
             code = weakref.ref(plan.kernel[0])

@@ -7,8 +7,8 @@ every fourth quartic's invariants after an SL3 substitution.  Every cache
 starts empty.  Then it prints, for each bounded cache, the hits, the misses,
 the hit ratio (the share of calls whose input repeated one still kept) and
 how many entries it keeps against its bound.  A cache that a workload never
-calls shows ``-`` as its ratio.  ``polyring._pairing`` holds the plans of the
-products and differential pairings, one per tuple of operand key sets;
+calls shows ``-`` as its ratio.  ``polyring._pairing`` holds only the plans of
+``diff_pair``, one per pair of operand key sets (a product forms no plan);
 ``diffcalc._bracket`` the two-stage plans of the J-brackets, one per pair of
 key sets; ``diffcalc._hessian_det_plan`` the two-stage plans of det H,
 ``dixmier._contravariant_plan`` the three-stage plans of sigma and psi, one per
