@@ -18,7 +18,7 @@ each transvectant partial is one ``multi_partial``; a sum of products forms no
 plan.  :func:`_hessian`, the one Hessian reader, reads the entries off the unpacked
 exponents for ``hessian`` and for the staged plans, kept per key sets, that
 ``j_bracket`` and ``hessian_det`` run: cofactors, then the sums against them.
-Every plan's pairs are formed by ``polyring._flatten``."""
+Every plan's pairs are formed, and its ints laid out, by ``polyring._Stages``."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DegreeError, DomainError, TableMismatchError
-from .polyring import (_SHAPES, Polynomial, VarTable, _check_table, _flatten, _generated, _staged,
+from .polyring import (_SHAPES, Polynomial, VarTable, _check_table, _generated, _staged, _Stages,
                        diff_pair, multi_partial)  # noqa: F401  (re-exports diff_pair)
 
 
@@ -44,7 +44,7 @@ def hessian(f: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
     n = [*f._num.values()]
     h = [Polynomial._from_packed(f.table, dict(sorted([(key, n[i] * w) for i, w, key in terms],
                                                       reverse=True)), f._den)
-         for terms in _hessian(f.table, tuple(f._num))[0]]
+         for terms in _hessian(f.table, _Stages(f.table, f._num).operands[0])[0]]
     return (h[0], h[1], h[2]), (h[1], h[3], h[4]), (h[2], h[4], h[5])
 
 
@@ -133,14 +133,14 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _WEIGHTS = (1, 2, 2, 1, 2, 1)
 
 
-def _hessian(table: VarTable, keys: tuple[int, ...], start: int = 0) -> tuple[list, list]:
-    """The Hessian of a form of the keys *keys*, its numerators at *start* in ``n``: the entries in
-    the order of ``_UPPER`` as term lists ``(index in n, weight, key)``, a term of x, y, z exponents
+def _hessian(table: VarTable, terms: list) -> tuple[list, list]:
+    """The Hessian of a form of the term list *terms* (``polyring._Stages``): the entries in the
+    order of ``_UPPER`` as term lists ``(index in n, weight, key)``, a term of x, y, z exponents
     e weighing e_i (e_i - 1) in (i, i), e_i e_j in (i, j), at its key less that of x_i x_j, where
-    not 0; and their cofactors as groups of ``_flatten``, from the next rows and columns mod 3."""
-    unit = [(1 << table._top) + (1 << table._shift(v)) for v in table.geometric]
+    not 0; and their cofactors as groups of ``_Stages.add``, from the next rows and columns mod 3."""
+    unit = [table._unit(v) for v in table.geometric]
     h = {ij: [] for ij in _UPPER}
-    for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), start):
+    for (term, _, key), exps in zip(terms, table._unpack([key for *_, key in terms])):
         for (i, j), entry in h.items():
             if weight := exps[i] * (exps[j] - (i == j)):
                 entry.append((term, weight, key - unit[i] - unit[j]))
@@ -154,19 +154,14 @@ def _bracket(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]):
     """``(stages, sums)`` of :func:`j_bracket` for operands of the keys *fkeys* and *gkeys* (the
     last 256), a term of geometric degree above 2 an error first: the cofactors of f's Hessian,
     then g's (:func:`_hessian`); then J11, J22, J30 and J03."""
-    hessians = []
-    for keys, start in ((fkeys, 0), (gkeys, len(fkeys))):
-        if any(sum(exps[:3]) > 2 for exps in table._unpack(keys)):
-            raise DegreeError("J brackets are defined for quadratic forms")
-        hessians.append(_hessian(table, keys, start))
-    (hf, fc), (hg, gc) = hessians
-    start = len(fkeys) + len(gkeys)
-    first, cofactors = _flatten(fc + gc, table._top, start)
+    if any(sum(exps[:3]) > 2 for exps in table._unpack(fkeys + gkeys)):
+        raise DegreeError("J brackets are defined for quadratic forms")
+    stages = _Stages(table, fkeys, gkeys)
+    (hf, fc), (hg, gc) = (_hessian(table, terms) for terms in stages.operands)
+    _, cofactors = stages.add(fc + gc)
     cf, cg = cofactors[:6], cofactors[6:]
-    second, sums = _flatten([zip(_WEIGHTS, hf, hg), zip(_WEIGHTS, cf, cg),    # J11, J22, J30, J03
-                             zip((1, 1, 1), hf, cf), zip((1, 1, 1), hg, cg)],
-                            table._top, start + len(first.keys))
-    return (first, second), sums
+    return stages.add([zip(_WEIGHTS, hf, hg), zip(_WEIGHTS, cf, cg),    # J11, J22, J30, J03
+                       zip((1, 1, 1), hf, cf), zip((1, 1, 1), hg, cg)])
 
 
 def j_bracket(f: Polynomial, g: Polynomial) -> tuple[Polynomial, ...]:
@@ -195,12 +190,10 @@ def _hessian_det_plan(table: VarTable, keys: tuple[int, ...]):
     """``(stages, (det,))`` of :func:`hessian_det` for a form of the keys *keys* (the last 256): the
     cofactors of its Hessian's first row, each where its entry is not 0 (the minors :func:`det`
     reaches), then the row against them, as J30 in :func:`_bracket`."""
-    h, cofactors = _hessian(table, keys)
-    first, cofactors = _flatten([c if e else () for e, c in zip(h[:3], cofactors)],
-                                table._top, len(keys))
-    second, sums = _flatten([zip((1, 1, 1), h, cofactors)], table._top,
-                            len(keys) + len(first.keys))
-    return (first, second), sums
+    stages = _Stages(table, keys)
+    h, cofactors = _hessian(table, stages.operands[0])
+    _, cofactors = stages.add([c if e else () for e, c in zip(h[:3], cofactors)])
+    return stages.add([zip((1, 1, 1), h, cofactors)])
 
 
 def hessian_det(f: Polynomial) -> Polynomial:

@@ -6,11 +6,11 @@ binary quartic (``Sigma``, the apolar invariant, and ``Psi``, the
 catalecticant) in closed form.  They are polynomials in the line coordinates
 ``(u, v)``, which are the dual coordinates, so they are written in ``(x, y)``
 from the start and homogenized with ``z`` into the contravariants ``sigma``
-(degree 4) and ``psi`` (degree 6), by three stages of one plan per key set of
-``f`` with the padding in ``z`` folded into its keys.  The public pairing
-``diffcalc.transvectant`` is the tests' oracle for the closed forms.  Pairing
-back against ``f`` produces the quadratic covariants ``rho`` and ``tau``, and
-the six invariants
+(degree 4) and ``psi`` (degree 6), by one plan per key set of ``f``: the
+restriction's stage, then two more after it (``polyring._Stages``), the padding in
+``z`` folded into the output keys.  The public pairing
+``diffcalc.transvectant`` is the tests' oracle for the closed forms.  Pairing back
+against ``f`` produces the quadratic covariants ``rho`` and ``tau``, and the six invariants
 
     I3  = D_sigma(f)
     I6  = D_psi(det H(f)) - I3^2 / 2592
@@ -39,8 +39,8 @@ from math import lcm
 
 from .diffcalc import diff_pair, hessian_det, j_bracket
 from .errors import DegreeError
-from .polyring import (_LIMIT, _SHAPES, Polynomial, VarTable, _check_table, _flatten, _Record,
-                       _restriction, _staged)
+from .polyring import (_SHAPES, Polynomial, VarTable, _check_table, _Record, _restriction, _staged,
+                       _Stages)
 
 # Coefficient of the I3^2 correction inside I6, equal to 8/144^2.  Fixed by
 # requiring I6 to match the reference tables exactly (it is the only rational
@@ -48,17 +48,16 @@ from .polyring import (_LIMIT, _SHAPES, Polynomial, VarTable, _check_table, _fla
 I6_CORRECTION = Fraction(8, 144 ** 2)
 
 
-def _binary_stages(a, start: int, top: int):
+def _binary_stages(a, stages: _Stages):
     """``(stages, (sigma, psi))`` of :func:`binary_invariants` on the term lists *a* of a0..a4,
-    whose ints ``n`` holds before *start*: stage B forms 12 Sigma, 432 times Psi's bracket,
-    a3^2 and a1^2, stage C 6912 Psi; with the term lists of 12 Sigma and 6912 Psi."""
+    the two added to *stages*: B forms 12 Sigma, 432 times Psi's bracket, a3^2 and a1^2, C
+    6912 Psi; with the term lists of 12 Sigma and 6912 Psi."""
     a0, a1, a2, a3, a4 = a
-    second, (sigma, bracket, q3, q1) = _flatten([
+    sigma, bracket, q3, q1 = stages.add([
         ((12, a0, a4), (-3, a1, a3), (1, a2, a2)), ((72, a0, a4), (9, a1, a3), (-2, a2, a2)),
-        ((1, a3, a3),), ((1, a1, a1),)], top, start)
-    third, (psi,) = _flatten([((16, a2, bracket), (-432, a0, q3), (-432, q1, a4))],
-                             top, start + len(second.keys))
-    return (second, third), (sigma, psi)
+        ((1, a3, a3),), ((1, a1, a1),)])[1]
+    (psi,) = stages.add([((16, a2, bracket), (-432, a0, q3), (-432, q1, a4))])[1]
+    return stages.stages, (sigma, psi)
 
 
 def binary_invariants(a) -> tuple[Polynomial, Polynomial]:
@@ -70,14 +69,12 @@ def binary_invariants(a) -> tuple[Polynomial, Polynomial]:
     by the stages of :func:`_binary_stages` over the lcm d of the denominators, each
     normalized once, over ``12 d^2`` and ``6912 d^3``.
     """
-    a, n, terms = tuple(a), [], []
+    a = tuple(a)
     table = a[0].table
     den = lcm(*[_check_table(table, p) or p._den for p in a])     # every table checked first
-    for p in a:
-        terms.append([(i, 1, key) for i, key in enumerate(p._num, len(n))])
-        n += [v * (den // p._den) for v in p._num.values()]
-    return _staged(table, n, _binary_stages(terms, len(n), table._top),
-                   (12 * den ** 2, 6912 * den ** 3))
+    stages = _Stages(table, *[p._num for p in a])
+    return _staged(table, [v * (den // p._den) for p in a for v in p._num.values()],
+                   _binary_stages(stages.operands, stages), (12 * den ** 2, 6912 * den ** 3))
 
 
 def _binary_coefficients(P: Polynomial) -> list[Polynomial]:
@@ -133,12 +130,10 @@ def _contravariant_plan(table: VarTable, keys: tuple[int, ...]):
     and psi's keys up to degrees 4 and 6.  A key of higher degree in x, y is left out: sigma and
     psi are forms of degrees 4 and 6, so its sum is 0 for every quartic."""
     x, y, z = table.geometric
-    top, sx, sy, sz = table._top, *map(table._shift, table.geometric)
-    (first,), a = _restriction(table, keys, z, (x, y), (x, y))
-    stages, outputs = _binary_stages(a, len(keys) + 1 + len(first.keys), top)
-    return (first, *stages), [
-        [(i, 1, key + (pad << top) + (pad << sz)) for i, _, key in terms
-         if (pad := degree - ((key >> sx) & _LIMIT) - ((key >> sy) & _LIMIT)) >= 0]
+    restriction, a = _restriction(table, keys, z, (x, y), (x, y))
+    stages, outputs = _binary_stages(a, _Stages(table, keys, stages=restriction))
+    return stages, [[(i, 1, key + pad * table._unit(z)) for (i, _, key), e in zip(
+        terms, table._unpack([key for *_, key in terms])) if (pad := degree - e[0] - e[1]) >= 0]
         for terms, degree in zip(outputs, (4, 6))]
 
 
@@ -154,7 +149,7 @@ def contravariants(f) -> tuple[Polynomial, Polynomial]:
     table, d = p.table, p._den
     if table.n_geometric != 3 or p.geometric_degree() != 4 or not p.is_geometric_homogeneous():
         raise DegreeError("contravariants need a homogeneous ternary quartic")
-    return _staged(table, [*p._num.values(), 1], _contravariant_plan(table, tuple(p._num)),
+    return _staged(table, [*p._num.values()], _contravariant_plan(table, tuple(p._num)),
                    (12 * d * d, 6912 * d ** 3))
 
 

@@ -22,8 +22,8 @@ Each monomial is stored as one packed ``int`` (Monagan and Pearce, CASC
 table order.  So a monomial product is one integer addition, and the int
 order of the keys is the canonical term order.  An exponent or total degree
 above 65,535 is a :class:`DegreeError`, checked on construction, on each product's
-top key and on the keys each plan forms, never wrapped.  The public views (``terms``,
-``numerators``, ``sorted_terms``, ...) are keyed by exponent tuples.
+top key and on the keys each plan forms, never wrapped.  The public views are keyed by
+exponent tuples; other modules read a key only through ``VarTable._pack``, ``_unpack`` and ``_unit``.
 
 :meth:`Polynomial.sum_of_products` forms ``sum c * a * b`` in one pass over a dict,
 over the lcm of the denominators with one gcd pass (as Monagan and Pearce form a
@@ -34,8 +34,8 @@ polynomial, and a monomial operator ``d^a`` is the pairing with ``x^a``
 operands meet, with which weight and at which key, depends only on their key sets,
 which repeat (a generic quartic is dense, a family's forms keep their monomials), so
 a pairing is planned once per pair of key sets and kept for the last 256
-(:func:`_pairing`).  :func:`_flatten` forms the pairs of these plans, and of the
-staged plans (:func:`_staged`), from products of term lists; a call only
+(:func:`_pairing`).  :class:`_Stages` lays out the ints of these plans and of the staged
+plans (:func:`_staged`) and forms their pairs from products of term lists; a call only
 multiplies and adds numerators (:func:`_run`), by the plan's loop while it is cold
 or small, then by straight-line code that the plan keeps (:func:`_kernel`).
 
@@ -58,9 +58,9 @@ import struct
 import weakref
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import comb, gcd, lcm, perm, prod
-from operator import ge, itemgetter, or_
+from operator import ge, itemgetter, mul, or_
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -176,6 +176,9 @@ class VarTable(_Record):
 
     def _shift(self, name: str) -> int:
         return self._top - 16 * (self.index(name) + 1)
+
+    def _unit(self, name: str) -> int:     # the key of the monomial name^1
+        return (1 << self._top) + (1 << self._shift(name))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -515,11 +518,11 @@ def multi_partial(p: Polynomial, orders: Mapping[str, int]) -> Polynomial:
 
 
 class _Plan:
-    """A plan of :func:`_pairing`, or one stage of :func:`_staged`, formed by :func:`_flatten`:
+    """A plan of :func:`_pairing`, or one stage of :func:`_staged`, formed by :class:`_Stages`:
     the output ``keys``, descending in each range of slots; the ``pairs`` ``x, y, weight, slot``,
     flat in one tuple (under half the memory of a tuple each) in slot order, each adding ``n[x] *
-    n[y] * weight`` to ``keys[slot]``, ``n`` the operands' numerators; the top ``degree`` of its
-    keys; its ``uses``; its ``kernel``, once :func:`_kernel` has compiled it, else None."""
+    n[y] * weight`` to ``keys[slot]``, ``n`` the ints that :class:`_Stages` lays out; the top
+    ``degree`` of its keys; its ``uses``; its ``kernel``, once :func:`_kernel` has compiled it."""
 
     __slots__ = ("keys", "pairs", "degree", "uses", "kernel")
 
@@ -535,32 +538,47 @@ class _Plan:
         return _Plan(self.keys, tuple(live), max([self.keys[s] >> top for s in live[3::4]], default=0))
 
 
-def _flatten(groups, top: int, start: int = 0) -> tuple[_Plan, list[list]]:
-    """The :class:`_Plan` of *groups*, one range of slots after another, and each group's slots
-    as a term list, its ints placed at *start* in ``n``: the one place pairs are formed.  A
-    group is a list of products ``(c, a, b)`` whose factors are lists of terms ``(index in n,
-    weight, key)``; each pair of terms adds ``n[x] * n[y] * c * wx * wy`` at the key ``kx + ky``."""
-    keys, pairs, outputs = [], [], []
-    for products in groups:
-        slots: dict[int, list[tuple[int, int, int]]] = {}   # each output key's terms
-        meet = slots.setdefault
-        for c, a, b in products:
-            for x, wx, kx in a:
-                for y, wy, ky in b:
-                    meet(kx + ky, []).append((x, y, c * wx * wy))
-        order = sorted(slots, reverse=True)
-        pairs += [v for slot, key in enumerate(order, len(keys))
-                  for x, y, w in slots[key] for v in (x, y, w, slot)]
-        outputs.append([(slot, 1, key) for slot, key in enumerate(order, start + len(keys))])
-        keys += order
-    return _Plan(tuple(keys), tuple(pairs), max(keys, default=0) >> top), outputs
+class _Stages:
+    """A plan's stages, one after another, and the ints ``n`` they read: the numerators of the
+    operands of *keysets*, whose term lists ``(index in n, 1, key)`` are ``operands``, a 1 (its
+    term list ``one``), then each stage's slots, after those of *stages* on the same operands."""
+
+    def __init__(self, table: VarTable, *keysets, stages=()):
+        *starts, size = accumulate(map(len, keysets), initial=0)
+        self.operands = [[(i, 1, key) for i, key in enumerate(keys, start)]
+                         for keys, start in zip(keysets, starts)]
+        self.top, self.stages, self.one = table._top, tuple(stages), [(size, 1, 0)]
+        self.size = size + 1 + sum([len(stage.keys) for stage in stages])
+
+    def add(self, groups) -> tuple:
+        """The staged plan ``(stages, outputs)`` once the :class:`_Plan` of *groups*, one range of
+        slots after another, is added: the one place pairs are formed.  A group is a list of
+        products ``(c, a, b)`` whose factors are term lists; each pair of terms adds ``n[x] * n[y]
+        * c * wx * wy`` at the key ``kx + ky``; *outputs* are each group's slots as a term list."""
+        keys, pairs, outputs = [], [], []
+        for products in groups:
+            slots: dict[int, list[tuple[int, int, int]]] = {}   # each output key's terms
+            meet = slots.setdefault
+            for c, a, b in products:
+                for x, wx, kx in a:
+                    for y, wy, ky in b:
+                        meet(kx + ky, []).append((x, y, c * wx * wy))
+            order = sorted(slots, reverse=True)
+            pairs += [v for slot, key in enumerate(order, len(keys))
+                      for x, y, w in slots[key] for v in (x, y, w, slot)]
+            outputs.append([(slot, 1, key) for slot, key in enumerate(order, self.size + len(keys))])
+            keys += order
+        self.stages += (_Plan(tuple(keys), tuple(pairs), max(keys, default=0) >> self.top),)
+        self.size += len(keys)
+        return self.stages, outputs
 
 
 def _staged(table: VarTable, n: list[int], plan, dens) -> tuple:
-    """The polynomials of a staged *plan* ``(stages, outputs)`` over *table*: each stage's live
-    pairs (:meth:`_Plan.live`) append its ints to *n*; each term list of *outputs* gives its
-    ints over its denominator in *dens*, zeros dropped, a key past the packing limit an error."""
+    """The polynomials of a staged *plan* ``(stages, outputs)`` over *table*: the operands'
+    numerators *n* gain a 1, then each stage's ints from its live pairs (:meth:`_Plan.live`); each
+    output term list is read over its *dens* entry, zeros dropped, a key past 65,535 an error."""
     stages, outputs = plan
+    n.append(1)
     for stage in stages:
         n += _run(stage.live(n, table._top), n)
     polys = tuple([Polynomial._from_packed(table, {key: n[i] for i, _, key in terms}, den)
@@ -575,17 +593,17 @@ def _pairing(table: VarTable, fkeys: tuple[int, ...], gkeys: tuple[int, ...]) ->
     *fkeys* and *gkeys* in dict order (the last 256): f's and g's terms ``(index in n, 1, key)``
     filed by their geometric exponents, one product per pair a <= b of those, of weight
     ``prod perm(b_i, a_i)``, f's keys less 2 key(x^a)."""
-    filed = by_a, by_b = {}, {}
-    for terms, keys, first in zip(filed, (fkeys, gkeys), (0, len(fkeys))):
-        for term, (key, exps) in enumerate(zip(keys, table._unpack(keys)), first):
-            terms.setdefault(exps[:table.n_geometric], []).append((term, 1, key))
+    stages, by_a, by_b = _Stages(table, fkeys, gkeys), {}, {}
+    for filing, keys, terms in zip((by_a, by_b), (fkeys, gkeys), stages.operands):
+        for term, exps in zip(terms, table._unpack(keys)):
+            filing.setdefault(exps[:table.n_geometric], []).append(term)
     products = []
     for a, fterms in by_a.items():
         twice = 2 * table._pack(a + (0,) * len(table.parameters))     # 2 key(x^a)
         fterms = [(i, 1, key - twice) for i, _, key in fterms]
         products += [(prod(map(perm, b, a)), fterms, gterms)
                      for b, gterms in by_b.items() if all(map(ge, b, a))]
-    return _flatten((products,), table._top)[0]
+    return stages.add((products,))[0][0]
 
 
 #: A plan of ``_HOT_PAIRS`` pairs or more runs as :func:`_kernel` from its ``_HOT``-th use, in
@@ -890,24 +908,20 @@ def convert(p: Polynomial, table: VarTable, rename: Mapping[str, str] | None = N
 def _restriction(table: VarTable, keys: tuple[int, ...], var: str, pair: tuple[str, str],
                  unknowns: tuple[str, str]):
     """``((plan,), coefficients)``: the stage of :func:`restrict_to_line` on a quartic form of the
-    keys *keys* (the last 256), from its numerators and a 1 after them in ``n``: a term ``x^i y^j
-    var^k`` is in coefficient ``j + k - m`` with weight ``(-1)^k C(k, m)``, times ``u1^m u2^(k - m)``."""
+    keys *keys* (the last 256), its terms times the 1 (:class:`_Stages`): a term ``x^i y^j var^k``
+    is in coefficient ``j + k - m`` with weight ``(-1)^k C(k, m)``, times ``u1^m u2^(k - m)``."""
     iv, i0, i1 = (table.index(n) for n in (var, *pair))
-    s0, s1 = map(table._shift, unknowns)
-    ng, top = table.n_geometric, table._top
-    params = (1 << 16 * len(table.parameters)) - 1     # the parameter fields of a key
-    one, coefficients = [(len(keys), 1, 0)], [[] for _ in range(5)]
-    for term, (key, exps) in enumerate(zip(keys, table._unpack(keys))):
+    u0, u1, *units = map(table._unit, (*unknowns, *table.geometric))
+    stages, coefficients = _Stages(table, keys), [[] for _ in range(5)]
+    for (term, _, key), exps in zip(stages.operands[0], table._unpack(keys)):
         k = exps[iv]
-        if exps[i0] + exps[i1] + k != 4 or sum(exps[:ng]) != 4:
+        if exps[i0] + exps[i1] + k != 4 or sum(exps[:len(units)]) != 4:
             raise DegreeError(f"not a quartic form in ({pair[0]},{pair[1]},{var}): {exps}")
-        # the parameter part of the term, of degree deg - 4, times the unknowns' k
-        rest = (key & params) + (((key >> top) - 4 + k) << top)
+        rest = key - sum(map(mul, exps, units))     # the parameter part of the term
         for m in range(k + 1):
             coefficients[exps[i1] + k - m].append(
-                (term, (-1) ** k * comb(k, m), rest + (m << s0) + ((k - m) << s1)))
-    plan, coefficients = _flatten([[(1, terms, one)] for terms in coefficients], top, len(keys) + 1)
-    return (plan,), coefficients
+                (term, (-1) ** k * comb(k, m), rest + m * u0 + (k - m) * u1))
+    return stages.add([[(1, terms, stages.one)] for terms in coefficients])
 
 
 def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, str],
@@ -919,7 +933,7 @@ def restrict_to_line(p: Polynomial, table: VarTable, var: str, pair: tuple[str, 
     content, so ``u1, u2`` are then written as ``pair[0], pair[1]``.  Each power of
     *var* is expanded binomially: one run of the stage that ``dixmier`` runs first."""
     p = convert(p, table)
-    return list(_staged(table, [*p._num.values(), 1],
+    return list(_staged(table, [*p._num.values()],
                         _restriction(table, tuple(p._num), var, pair, unknowns), (p._den,) * 5))
 
 

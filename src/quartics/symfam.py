@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DegeneracyError, DomainError, rational
-from .polyring import _LIMIT, _SHAPES, Polynomial, VarTable, _Record
+from .polyring import _SHAPES, Polynomial, VarTable, _Record
 
 #: Each family as a specialization of X4: the family parameter in each of
 #: X4's slots (r, s, u); ``None`` is the constant 0.
@@ -248,23 +248,21 @@ class SymmetricDecomposition(_Record):
 def _symmetry(table: VarTable, keys: tuple[int, ...]):
     """``(extra, swaps, constant, leading)`` of the keys *keys* over *table* (the last 256):
     the other variables that occur; ``None`` if the keys are not closed under (r s) and (s u),
-    else an ``itemgetter`` of the terms' images for each that moves a key (swapping fields
-    at shifts a and b moves a key by ``(e_b - e_a) * (2^a - 2^b)``); the constant's index;
+    else an ``itemgetter`` of the terms' images for each that moves a key (swapping a and b
+    moves a key by ``(e_b - e_a) * (key(a) - key(b))``); the constant's index;
     and ``(index, Partition)`` of each ``r^i1 s^i2 u^i3``, ``i1 >= i2 >= i3``, ``i1 > 0``,
     by descending degree, then partition.  A table without r, s or u is a DomainError
     unless other variables occur, which :func:`decompose_symmetric` names first."""
-    occurring = functools.reduce(operator.or_, keys, 0)
-    extra = sorted(n for n in table.names
-                   if n not in BASIS_NAMES and (occurring >> table._shift(n)) & _LIMIT)
+    # a field of the keys OR'd is nonzero where its variable occurs
+    (occurring,) = table._unpack([functools.reduce(operator.or_, keys, 0)])
+    extra = sorted(n for n, e in zip(table.names, occurring) if e and n not in BASIS_NAMES)
     if extra and not set(BASIS_NAMES) <= set(table.names):
         return extra, None, None, ()
-    _indices(table)
-    sr, ss, su = map(table._shift, BASIS_NAMES)
-    step_rs, step_su = (1 << sr) - (1 << ss), (1 << ss) - (1 << su)
+    exps = list(map(operator.itemgetter(*_indices(table)), table._unpack(keys)))
+    r, s, u = map(table._unit, BASIS_NAMES)
     position = {key: i for i, key in enumerate(keys)}
-    exps = [((key >> sr) & _LIMIT, (key >> ss) & _LIMIT, (key >> su) & _LIMIT) for key in keys]
-    images = ([position.get(key + (es - er) * step_rs) for key, (er, es, _) in zip(keys, exps)],
-              [position.get(key + (eu - es) * step_su) for key, (_, es, eu) in zip(keys, exps)])
+    images = ([position.get(key + (es - er) * (r - s)) for key, (er, es, _) in zip(keys, exps)],
+              [position.get(key + (eu - es) * (s - u)) for key, (_, es, eu) in zip(keys, exps)])
     swaps = None if None in images[0] + images[1] else tuple(
         operator.itemgetter(*image) for image in images if image != list(range(len(keys))))
     leading = sorted((sum(e), *e, i) for i, e in enumerate(exps) if e[0] >= e[1] >= e[2] and e[0])

@@ -814,6 +814,27 @@ class TestX24OwnComponents:
             enumerate_bitangents("X24", (Fraction(r),))
 
 
+class TestSeparationAtLargeParameters:
+    """The closest two of the 28 lines of X24(r) are 2/sqrt(r) apart, those of X16(r, 1) and
+    X4(r, 1, 3) 1/sqrt(r).  So past r = (c / dedupe_tol)^2, 1e16 for X16 and X4 and 4e16 for
+    X24, no 28 lines are dedupe_tol apart, and every family fails with fewer than 28."""
+
+    FAMILIES = [("X24", (), 2), ("X16", (1,), 1), ("X4", (1, 3), 1)]
+
+    @pytest.mark.parametrize("family,rest,c", FAMILIES)
+    @pytest.mark.parametrize("r", [10 ** 8, 10 ** 10, 10 ** 12])
+    def test_closest_pair_is_c_over_sqrt_r(self, family, rest, c, r):
+        lines = [cert.coefficients for cert in enumerate_bitangents(family, (r, *rest))]
+        closest = min(proj_distance(p, q) for p, q in itertools.combinations(lines, 2))
+        assert closest * r ** 0.5 == pytest.approx(c, rel=0.01)
+
+    @pytest.mark.parametrize("family,rest,c", FAMILIES)
+    def test_past_the_bound_every_family_fails(self, family, rest, c):
+        assert (c / DEFAULT_DEDUPE_TOL) ** 2 < 10 ** 17
+        with pytest.raises(EnumerationError, match="distinct certified lines instead of 28"):
+            enumerate_bitangents(family, (10 ** 17, *rest))
+
+
 class TestCertifyPasses:
     """A family's supplementary pass runs only when its own lines fall short."""
 

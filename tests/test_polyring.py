@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quartics
 from quartics.diffcalc import det
 from quartics.errors import (DegreeError, DomainError, QuarticsError, RoleError,
                              TableMismatchError)
@@ -969,3 +971,16 @@ def test_malformed_arguments_are_quartics_errors(message):
     with pytest.raises(QuarticsError, match=message) as info:
         MALFORMED[message]()
     assert isinstance(info.value, ValueError)
+
+
+#: every module of the package but ``polyring``, which alone knows a packed key's fields and
+#: the layout of a plan's ints: the others read keys through ``VarTable._pack``, ``_unpack``
+#: and ``_unit``, and build plans through ``_Stages``
+OUTSIDE_POLYRING = sorted(path for path in Path(quartics.__file__).parent.glob("*.py")
+                          if path.name != "polyring.py")
+
+
+@pytest.mark.parametrize("path", OUTSIDE_POLYRING, ids=lambda path: path.stem)
+def test_only_polyring_reads_the_key_fields_and_plan_layout(path):
+    source = path.read_text(encoding="utf-8")
+    assert [name for name in ("_LIMIT", "._top", "._shift", "_flatten") if name in source] == []

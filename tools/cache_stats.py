@@ -22,7 +22,18 @@ slot.  Below the table it prints, for each of the five, the milliseconds spent i
 built the plans (wall time, ``time.perf_counter``); the pairs of terms that the
 kept plans hold, and those of the compiled ones among them; how many plans
 compiled in all, and how many of those were built again after the cache
-dropped them; and the share of the plans' runs that compiled code served.
+dropped them; and the share of the plans' runs that compiled code served (a
+plan's runs are its uses, so the restriction stage that a contravariant plan
+shares counts the runs of both caches).
+
+Each cache of plans is recorded under every name that binds it in a
+``quartics`` module (``dixmier`` calls ``_restriction`` by the name it
+imported, not through ``polyring``), as ``perfbench/tracing.py`` wraps a
+function.  A cached value is ``(stages, outputs)``, stages a tuple of
+``polyring._Plan`` (``_pairing`` keeps one ``_Plan``).  The tool exits 1 when
+the misses it recorded for a cache of plans differ from the cache's own
+``cache_info().misses``: then a call reached the cache by a name it did not
+wrap, and the numbers below the table miss those calls.
 
 Run from the root of a checkout:
 
@@ -49,33 +60,40 @@ CACHES = (("polyring", "_pairing"), ("diffcalc", "_bracket"), ("diffcalc", "_hes
           ("polyring", "_shape"), ("polyring", "_exact_plan"),
           ("bitangent", "_restriction_coefficients_cached"), ("symfam", "_symmetry"),
           ("symfam", "_layout"))
-#: the caches of plans: (module, attribute, the plans one value holds, what they are called);
-#: a value of a staged plan is ``(stages, outputs)``
-PLANS = (("polyring", "_pairing", 1, "plans"), ("diffcalc", "_bracket", 2, "bracket stages"),
-         ("diffcalc", "_hessian_det_plan", 2, "det H stages"),
-         ("dixmier", "_contravariant_plan", 3, "contravariant stages"),
-         ("polyring", "_restriction", 1, "restriction stages"))
+#: the caches of plans: (module, attribute, what their plans are called); a value of a
+#: staged plan is ``(stages, outputs)``, stages a tuple
+PLANS = (("polyring", "_pairing", "plans"), ("diffcalc", "_bracket", "bracket stages"),
+         ("diffcalc", "_hessian_det_plan", "det H stages"),
+         ("dixmier", "_contravariant_plan", "contravariant stages"),
+         ("polyring", "_restriction", "restriction stages"))
 
 
 def cache_stats(workload: str, seed: int, ops: int):
-    """``(failed, [(name, cache_info()), ...], {name: (kept, compiled, missed)})`` after the
+    """``(failed, [(name, cache_info()), ...], {name: (kept, built, missed)})`` after the
     first *ops* inputs of *workload*: for each cache of :data:`PLANS`, *kept* the plans it
-    keeps, *compiled* the ``((arguments, stage), uses)`` of every plan that compiled, those
+    keeps, *built* the ``((arguments, stage), uses, compiled)`` of every plan it held, those
     dropped first, and *missed* the seconds of each call that missed."""
     import workloads
 
+    # every module first, so that each name bound to a cache is bound before it is wrapped
+    modules = [importlib.import_module(f"quartics.{path.stem}".removesuffix(".__init__"))
+               for path in sorted((ROOT / "src" / "quartics").glob("*.py"))]
     caches = [(f"{module}.{name}", getattr(importlib.import_module(f"quartics.{module}"), name))
               for module, name in CACHES]
     for _, cache in caches:
         cache.cache_clear()
-    # name: (module, the cache, its kept values' plans, the compiled ones dropped, the
-    # seconds of each call that missed)
-    records = {}
-    for module_name, name, per, _ in PLANS:
-        module = importlib.import_module(f"quartics.{module_name}")
-        cache, used, dropped, missed = getattr(module, name), {}, [], []
-        records[f"{module_name}.{name}"] = (module, cache, used, dropped, missed)
-        setattr(module, name, _recorded(cache, per, used, dropped, missed))
+    # name: (the cache, its kept values' plans, the dropped ones, the seconds of each call
+    # that missed); saved: (module, name, the cache) of each name wrapped
+    records, saved = {}, []
+    for module_name, name, _ in PLANS:
+        cache, used, dropped, missed = dict(caches)[f"{module_name}.{name}"], {}, [], []
+        records[f"{module_name}.{name}"] = (cache, used, dropped, missed)
+        wrapper = _recorded(cache, used, dropped, missed)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is cache:
+                    setattr(module, key, wrapper)
+                    saved.append((module, key, cache))
     work = workloads.make(workload, ROOT / "src")
     failed = 0
     try:
@@ -86,33 +104,36 @@ def cache_stats(workload: str, seed: int, ops: int):
             else:
                 work.check(inp, out)
     finally:
-        for module, cache, *_ in records.values():
-            setattr(module, cache.__name__, cache)
+        for module, key, cache in saved:
+            setattr(module, key, cache)
     plans = {name: ([plan for value in used for plan in value], dropped + [
-        ((arguments, k), plan.uses) for value, arguments in used.items()
-        for k, plan in enumerate(value) if plan.kernel], missed)
-        for name, (_, _, used, dropped, missed) in records.items()}
+        ((arguments, k), plan.uses, bool(plan.kernel)) for value, arguments in used.items()
+        for k, plan in enumerate(value)], missed)
+        for name, (_, used, dropped, missed) in records.items()}
     return failed, [(name, cache.cache_info()) for name, cache in caches], plans
 
 
-def _recorded(cache, per: int, used: dict, dropped: list, missed: list):
-    """*cache* wrapped to keep, in *used*, the *per* plans of each value it keeps, in the
+def _recorded(cache, used: dict, dropped: list, missed: list):
+    """*cache* wrapped to keep, in *used*, the plans of each value it keeps, in the
     order of their last use, as the cache keeps them: past its bound, the first is the one
-    the cache dropped (its kernels with it), and those of them that compiled go to
-    *dropped* as ``((arguments, stage), uses)``; the seconds of each call that missed, the
+    the cache dropped (its kernels with it), and its plans go to *dropped* as
+    ``((arguments, stage), uses, compiled)``; the seconds of each call that missed, the
     one that built the plans, go to *missed*."""
     def recorded(*args):
         misses, start = cache.cache_info().misses, time.perf_counter()
-        value = cache(*args)
-        if cache.cache_info().misses > misses:
-            missed.append(time.perf_counter() - start)
+        try:
+            value = cache(*args)
+        finally:    # a call that raises is a miss of the cache too
+            if cache.cache_info().misses > misses:
+                missed.append(time.perf_counter() - start)
         plans = value[0] if isinstance(value, tuple) else (value,)
         used.pop(plans, None)
         used[plans] = args
         if len(used) > cache.cache_info().maxsize:
             old = next(iter(used))
             arguments = used.pop(old)
-            dropped.extend(((arguments, k), plan.uses) for k, plan in enumerate(old) if plan.kernel)
+            dropped.extend(((arguments, k), plan.uses, bool(plan.kernel))
+                           for k, plan in enumerate(old))
         return value
 
     return recorded
@@ -135,7 +156,7 @@ def main(argv=None) -> int:
         ratio = f"{info.hits / calls:.3f}" if calls else "-"
         print(f"{name:<42}{info.hits:>8}{info.misses:>8}{ratio:>11}"
               f"{f'{info.currsize}/{info.maxsize}':>12}")
-    for (name, (kept, compiled, missed)), (_, _, per, what) in zip(plans.items(), PLANS):
+    for (name, (kept, built, missed)), (_, _, what) in zip(plans.items(), PLANS):
         print(f"{name}: {len(missed)} calls missed and built the {what} in "
               f"{1000 * sum(missed):.2f} ms")
         hot = [plan for plan in kept if plan.kernel]
@@ -143,14 +164,21 @@ def main(argv=None) -> int:
                             for group in (kept, hot))
         print(f"{name}: the {len(kept)} {what} kept hold {pairs} pairs of terms; "
               f"the {len(hot)} of them compiled hold {hot_pairs}")
-        info = next(info for cache, info in stats if cache == name)
-        runs = (info.hits + info.misses) * per
+        # a plan's runs are its uses: a restriction stage is run by the contravariant plans too
+        runs = sum(uses for _, uses, _ in built)
+        compiled = [(arguments, uses) for arguments, uses, hot in built if hot]
         served = sum(uses - _HOT + 1 for _, uses in compiled)   # compiled from the _HOT-th use
         again = len(compiled) - len({arguments for arguments, _ in compiled})
         share = f"{served / runs:.3f}" if runs else "-"
         print(f"{len(compiled)} {what} compiled, {again} of them built again after the cache "
               f"dropped them; of the {runs} runs {served} ran compiled code, a share of {share}")
-    return 0
+    counted = dict(stats)
+    gaps = [(name, len(missed), counted[name].misses) for name, (_, _, missed) in plans.items()
+            if len(missed) != counted[name].misses]
+    for name, recorded, misses in gaps:
+        print(f"{name}: {recorded} misses recorded, but the cache counts {misses}: "
+              f"a caller reaches it by a name that was not wrapped", file=sys.stderr)
+    return 1 if gaps else 0
 
 
 if __name__ == "__main__":
